@@ -15,10 +15,12 @@ GO ?= go
 # throughput.
 # Micro benches run -count=$(BENCH_COUNT) and benchcmp keeps the per-metric
 # minimum, so a transient load spike cannot fail (or hide) a regression.
+# The EMD benchmarks ride along ungated: BenchmarkEMDImagePairs prints
+# pivots/op, so a worse starting basis or pivot rule shows without a profiler.
 BENCH_OUT  ?= BENCH_10.json
 BENCH_TMP  ?= /tmp/ferret-bench
-BENCH_PKGS  = ./internal/core ./internal/sketch ./internal/vector
-BENCH_RE    = FilterScan|Hamming|QueryPipeline|L1
+BENCH_PKGS  = ./internal/core ./internal/sketch ./internal/vector ./internal/emd
+BENCH_RE    = FilterScan|Hamming|QueryPipeline|L1|EMD
 BENCH_COUNT = 3
 
 all: check

@@ -1041,19 +1041,3 @@ func (e *Engine) rankAllSketch(clk *queryClock, qset *metastore.SketchSet, opt Q
 }
 
 const infinity = 1e300
-
-func normalize(w []float64) {
-	var total float64
-	for _, v := range w {
-		total += v
-	}
-	if total <= 0 {
-		for i := range w {
-			w[i] = 1 / float64(len(w))
-		}
-		return
-	}
-	for i := range w {
-		w[i] /= total
-	}
-}

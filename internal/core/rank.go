@@ -46,9 +46,10 @@ func sortLBCands(lbs []lbCand) {
 //     access), candidates are ranked by ascending bound, and once
 //     Margin·LB of the next candidate exceeds the kth-best distance the
 //     remaining tail is skipped (ferret_rank_emd_pruned_total).
-//  2. Exact-cost early abandon: each surviving EMD evaluation first checks
-//     an exact lower bound over its ground cost matrix and abandons the
-//     solve when the candidate provably cannot enter the top K
+//  2. Exact-cost early abandon: each surviving EMD evaluation accumulates
+//     an exact lower bound while it fills its ground cost matrix, row by
+//     row, and stops — sometimes before the matrix is complete, always
+//     before the solve — once the candidate provably cannot enter the top K
 //     (ferret_rank_emd_abandoned_total). This tier never changes results.
 //
 // Both ranking units also honor the query clock: context cancellation stops
@@ -236,7 +237,7 @@ func (e *Engine) lowerBounds(qset *metastore.SketchSet, cands []int, sqrtW bool,
 // sketch-estimated segment distances and the bound is the larger of the two
 // independent one-sided minimizations (every unit of supply pays at least
 // its cheapest row cost; symmetrically for demand) — the same inequality as
-// emd.LowerBound, over estimated rather than exact costs.
+// emd.DistanceBounded's abandon bound, over estimated rather than exact costs.
 func (e *Engine) sketchLowerBound(qset *metastore.SketchSet, qw []float64, idx int, sqrtW bool, sc *queryScratch) float64 {
 	seg, li := e.segOf(idx)
 	a := seg.arena
@@ -266,28 +267,9 @@ func (e *Engine) sketchLowerBound(qset *metastore.SketchSet, qw []float64, idx i
 		}
 		lbSupply += qw[i] * rowMin
 	}
-	ow := resizeF64(&sc.ow, n)
-	var total float64
-	for j := 0; j < n; j++ {
-		w := float64(a.weight[lo+j])
-		if w < 0 {
-			w = 0
-		}
-		if sqrtW {
-			w = math.Sqrt(w)
-		}
-		ow[j] = w
-		total += w
-	}
 	var lbDemand float64
-	if total > 0 {
-		for j := range ow {
-			lbDemand += ow[j] / total * colMin[j]
-		}
-	} else {
-		for j := range ow {
-			lbDemand += colMin[j] / float64(n)
-		}
+	for j, w := range normalizedWeights(&sc.ow, a.weight[lo:hi], sqrtW) {
+		lbDemand += w * colMin[j]
 	}
 	if lbDemand > lbSupply {
 		return lbDemand
@@ -295,106 +277,33 @@ func (e *Engine) sketchLowerBound(qset *metastore.SketchSet, qw []float64, idx i
 	return lbSupply
 }
 
-// normalizedWeights normalizes float32 segment weights into pooled scratch,
-// mirroring the default EMD's weight handling (clamp negatives, optional
-// square root, normalize to mass 1; zero total falls back to uniform).
+// normalizedWeights normalizes float32 segment weights into pooled scratch
+// with the default EMD's own weight handling.
 func normalizedWeights(dst *[]float64, w []float32, sqrtW bool) []float64 {
 	out := resizeF64(dst, len(w))
-	var total float64
 	for i, f := range w {
-		v := float64(f)
-		if v < 0 {
-			v = 0
-		}
-		if sqrtW {
-			v = math.Sqrt(v)
-		}
-		out[i] = v
-		total += v
+		out[i] = float64(f)
 	}
-	if total <= 0 {
-		for i := range out {
-			out[i] = 1 / float64(len(out))
-		}
-		return out
-	}
-	for i := range out {
-		out[i] /= total
-	}
+	emd.NormalizeWeights(out, sqrtW)
 	return out
 }
 
 // sketchObjectDistanceAt estimates the object distance between the query
 // sketch set and entry idx from sketches alone: the EMD over the segment
 // weights with a ground cost matrix of sketch-estimated ℓ₁ distances.
-// Single-segment pairs reduce to one estimated segment distance.
+// Single-segment pairs reduce to one estimated segment distance; an empty
+// side ranks last.
 func (e *Engine) sketchObjectDistanceAt(qset *metastore.SketchSet, idx int) float64 {
 	seg, li := e.segOf(idx)
 	a := seg.arena
 	lo, hi := a.rowsOf(li)
-	m, n := len(qset.Sketches), hi-lo
-	if m == 0 || n == 0 {
-		return infinity
-	}
-	if m == 1 && n == 1 {
-		return e.estimateAt(qset.Sketches[0], a, lo)
-	}
-	supply := make([]float64, m)
-	for i, w := range qset.Weights {
-		supply[i] = float64(w)
-	}
-	demand := make([]float64, n)
-	for j := 0; j < n; j++ {
-		demand[j] = float64(a.weight[lo+j])
-	}
-	normalize(supply)
-	normalize(demand)
-	cost := make([][]float64, m)
-	for i := 0; i < m; i++ {
-		cost[i] = make([]float64, n)
-		for j := 0; j < n; j++ {
-			cost[i][j] = e.estimateAt(qset.Sketches[i], a, lo+j)
-		}
-	}
-	val, _, err := emd.Solve(supply, demand, cost)
+	d, err := emd.Transport(qset.Weights, a.weight[lo:hi], func(i, j int) float64 {
+		return e.estimateAt(qset.Sketches[i], a, lo+j)
+	})
 	if err != nil {
 		return infinity
 	}
-	return val
-}
-
-// sketchObjectDistanceSet is sketchObjectDistanceAt over two free-standing
-// sketch sets (no arena entry) — used by diagnostics and tests.
-func (e *Engine) sketchObjectDistanceSet(qset, oset *metastore.SketchSet) float64 {
-	m, n := len(qset.Sketches), len(oset.Sketches)
-	if m == 0 || n == 0 {
-		return infinity
-	}
-	if m == 1 && n == 1 {
-		return e.estimateSketches(qset.Sketches[0], oset.Sketches[0])
-	}
-	supply := make([]float64, m)
-	for i, w := range qset.Weights {
-		supply[i] = float64(w)
-	}
-	demand := make([]float64, n)
-	for j, w := range oset.Weights {
-		demand[j] = float64(w)
-	}
-	normalize(supply)
-	normalize(demand)
-	cost := make([][]float64, m)
-	for i := 0; i < m; i++ {
-		cost[i] = make([]float64, n)
-		for j := 0; j < n; j++ {
-			cost[i][j] = e.estimateSketches(qset.Sketches[i], oset.Sketches[j])
-		}
-	}
-	val, _, err := emd.Solve(supply, demand, cost)
-	if err != nil {
-		return infinity
-	}
-	return val
+	return d
 }
 
 // estimateAt converts the Hamming distance between a query sketch and a row
@@ -402,15 +311,6 @@ func (e *Engine) sketchObjectDistanceSet(qset, oset *metastore.SketchSet) float6
 // the rank threshold when configured.
 func (e *Engine) estimateAt(q sketch.Sketch, a *sketchArena, row int) float64 {
 	d := e.builder.EstimateL1(sketch.HammingAt(q, a.words, row*a.wps))
-	if t := e.cfg.RankThreshold; t > 0 && d > t {
-		d = t
-	}
-	return d
-}
-
-// estimateSketches is estimateAt for two free-standing sketches.
-func (e *Engine) estimateSketches(a, b sketch.Sketch) float64 {
-	d := e.builder.EstimateL1(sketch.Hamming(a, b))
 	if t := e.cfg.RankThreshold; t > 0 && d > t {
 		d = t
 	}

@@ -1,0 +1,84 @@
+package core
+
+import (
+	"context"
+	"testing"
+
+	"ferret/internal/object"
+	"ferret/internal/sketch"
+	"ferret/internal/synth"
+)
+
+// imageEngine opens an engine configured like the benchmark's image_engine
+// workload (14-d segments, 96-bit sketches, rank threshold 2, Hamming index,
+// several sealed storage segments, no background compactor) over n
+// MixedImageObjects.
+func imageEngine(t testing.TB, n int) *Engine {
+	t.Helper()
+	min, max := make([]float32, 14), make([]float32, 14)
+	for i := range max {
+		max[i] = 1
+	}
+	cfg := Config{
+		Dir:           t.TempDir(),
+		Sketch:        sketch.Params{N: 96, K: 1, Min: min, Max: max, Seed: 201},
+		RankThreshold: 2.0,
+		HIndex:        HIndexParams{Enable: true},
+		Segments:      SegmentParams{SealEntries: n/5 + 1, Interval: -1},
+	}
+	e := openEngine(t, cfg)
+	for _, o := range synth.MixedImageObjects(n, 3) {
+		if _, err := e.Ingest(o, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e
+}
+
+func imageQueries(n int) []object.Object {
+	qs := synth.MixedImageObjects(n, 1001)
+	for i := range qs {
+		qs[i].Key = "q-" + qs[i].Key
+	}
+	return qs
+}
+
+// TestRankPathAllocs is TestFilterPathAllocs for the rank stage: a
+// steady-state Filtering query over a multi-segment image corpus allocates a
+// fixed handful of objects, none of them per candidate — the EMD workspace,
+// the lower-bound scratch and the candidate list are all pooled. Measured: 8
+// plus one per query segment (14–23 here). The per-segment ones are the
+// query's sketches; the 8 are the sketch set and its two slices, the top-K
+// heap, the sorted answer slice, the rank loop's closure and the answer's
+// filter-mode bookkeeping. The bound of 64 leaves room for a query of 40
+// segments and still fails on a single allocation per candidate.
+func TestRankPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries under -race")
+	}
+	e := imageEngine(t, 2000)
+	qs := imageQueries(8)
+	opt := QueryOptions{K: 20}
+	search := func(q object.Object) {
+		ans, err := e.Search(context.Background(), q, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ans.Results) != opt.K {
+			t.Fatalf("got %d results, want %d", len(ans.Results), opt.K)
+		}
+	}
+	for _, q := range qs {
+		search(q) // warm the pools
+	}
+	evals := e.Telemetry().Value("ferret_rank_distance_evals_total")
+	for _, q := range qs {
+		q := q
+		if allocs := testing.AllocsPerRun(10, func() { search(q) }); allocs > 64 {
+			t.Errorf("query %s: Search allocates %.0f objects, want ≤ 64", q.Key, allocs)
+		}
+	}
+	if e.Telemetry().Value("ferret_rank_distance_evals_total") == evals {
+		t.Fatal("no EMD was evaluated; the alloc check never reached the rank stage")
+	}
+}

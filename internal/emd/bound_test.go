@@ -18,16 +18,19 @@ func TestLowerBoundNeverExceedsDistance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// An infinite bound disables abandonment: exact result required.
-		d, ok, err := DistanceBounded(x, y, Options{}, math.Inf(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok || d != exact {
-			t.Fatalf("trial %d: unbounded DistanceBounded = (%g, %v), want (%g, true)", trial, d, ok, exact)
+		// An infinite or negative bound disables abandonment: Distance is
+		// DistanceBounded at +Inf, so the same bits are required.
+		for _, bound := range []float64{math.Inf(1), -1} {
+			d, ok, err := DistanceBounded(x, y, Options{}, bound)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok || d != exact {
+				t.Fatalf("trial %d: DistanceBounded(bound %g) = (%g, %v), want (%g, true)", trial, bound, d, ok, exact)
+			}
 		}
 		// A tight bound may abandon, but only with lb ≤ exact.
-		d, ok, err = DistanceBounded(x, y, Options{}, exact*0.5)
+		d, ok, err := DistanceBounded(x, y, Options{}, exact*0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,6 +63,13 @@ func TestDistanceBoundedAbandonIsSafe(t *testing.T) {
 			abandoned++
 			if exact <= bound {
 				t.Fatalf("trial %d: abandoned (lb %g) but exact %g ≤ bound %g", trial, d, exact, bound)
+			}
+		}
+		// Row by row or not, the abandoned set is the one the whole-matrix
+		// bound selects (1×1 pairs have no matrix and are never abandoned).
+		if supply, demand, cost := oracleCosts(x, y, Options{}); len(supply)*len(demand) > 1 {
+			if lb := lowerBoundRef(supply, demand, cost); ok == (lb > bound) {
+				t.Fatalf("trial %d: LowerBound %g, bound %g, but exact = %v", trial, lb, bound, ok)
 			}
 		}
 	}
@@ -100,7 +110,7 @@ func TestLowerBoundExactFor1xN(t *testing.T) {
 	if math.Abs(val-want) > 1e-12 {
 		t.Fatalf("Solve = %g, want %g", val, want)
 	}
-	if lb := LowerBound(supply, demand, cost); math.Abs(lb-want) > 1e-12 {
+	if lb := lowerBoundRef(supply, demand, cost); math.Abs(lb-want) > 1e-12 {
 		t.Fatalf("LowerBound = %g, want %g (exact for 1×n)", lb, want)
 	}
 }
@@ -113,4 +123,41 @@ func TestBoundedObjectDistanceErrorIsInf(t *testing.T) {
 	if !ok || !math.IsInf(d, 1) {
 		t.Fatalf("error case = (%g, %v), want (+Inf, true)", d, ok)
 	}
+}
+
+// lowerBoundRef is the whole-matrix reference for the bound workspace.fill
+// accumulates row by row: the independent-minimization lower bound on the
+// transportation optimum for the given (normalized, balanced) marginals and
+// cost matrix: every unit of supply must pay at least its cheapest edge, and
+// symmetrically for demand, so
+//
+//	LB = max( Σᵢ supplyᵢ·minⱼ costᵢⱼ , Σⱼ demandⱼ·minᵢ costᵢⱼ ) ≤ EMD.
+//
+// It is exact for 1×n and m×1 problems and costs O(m·n) — no simplex.
+func lowerBoundRef(supply, demand []float64, cost [][]float64) float64 {
+	var lbS float64
+	for i, s := range supply {
+		row := cost[i]
+		min := math.Inf(1)
+		for _, c := range row {
+			if c < min {
+				min = c
+			}
+		}
+		lbS += s * min
+	}
+	var lbD float64
+	for j, d := range demand {
+		min := math.Inf(1)
+		for i := range cost {
+			if c := cost[i][j]; c < min {
+				min = c
+			}
+		}
+		lbD += d * min
+	}
+	if lbD > lbS {
+		return lbD
+	}
+	return lbS
 }

@@ -4,9 +4,10 @@
 // Given two distributions represented by weighted sets of feature vectors
 // and a ground distance between vectors, EMD is the minimal total work
 // (flow × ground distance) needed to transform one distribution into the
-// other. The core is an exact transportation-problem solver: a
-// northwest-corner initial basic solution refined by the MODI (u-v) method,
-// the same family of algorithm as Rubner's reference implementation.
+// other. The core (solver.go) is an exact transportation-problem solver: a
+// least-cost initial basic solution refined by MODI (u-v) pivots over a
+// spanning-tree basis, the same family of algorithm as Rubner's reference
+// implementation, run in a pooled workspace so a distance allocates nothing.
 //
 // The package also provides the improved EMD variants from the paper's
 // image study [27]: ground-distance thresholding (to limit the effect of
@@ -22,19 +23,14 @@ import (
 	"ferret/internal/vector"
 )
 
-// epsilon is the tolerance used when comparing flows and reduced costs.
-const epsilon = 1e-9
-
-// maxPivots caps simplex iterations as a defensive bound against degenerate
-// cycling; it is far beyond what the toolkit's segment counts (≤ ~64) need.
-const maxPivots = 100000
-
 // Solve computes the optimal transportation plan between supply and demand,
 // returning the minimal total cost Σ fᵢⱼ·costᵢⱼ and the flow matrix.
 //
 // Supplies and demands must be non-negative and have (approximately) equal
 // totals; cost must be a len(supply) × len(demand) matrix. The returned flow
 // satisfies the marginal constraints Σⱼ fᵢⱼ = supplyᵢ and Σᵢ fᵢⱼ = demandⱼ.
+// Solve is the diagnostic form: it validates its input and materializes the
+// plan; the ranking path (Distance, Transport) asks for the value only.
 func Solve(supply, demand []float64, cost [][]float64) (float64, [][]float64, error) {
 	m, n := len(supply), len(demand)
 	if m == 0 || n == 0 {
@@ -68,238 +64,25 @@ func Solve(supply, demand []float64, cost [][]float64) (float64, [][]float64, er
 		}
 	}
 
-	st := newState(supply, demand, cost)
-	st.northwestCorner()
-	if err := st.optimize(); err != nil {
+	ws := getWorkspace(m, n)
+	defer wsPool.Put(ws)
+	copy(ws.a, supply)
+	copy(ws.b, demand)
+	for i := range cost {
+		copy(ws.cost[i*n:], cost[i])
+	}
+	val, err := ws.solve()
+	if err != nil {
 		return 0, nil, err
 	}
-	return st.value(), st.flow, nil
-}
-
-// state holds one transportation-simplex tableau.
-type state struct {
-	m, n  int
-	cost  [][]float64
-	flow  [][]float64
-	basic [][]bool
-	// a and b are working copies of supply/demand, rescaled so both totals
-	// match exactly (removes float drift between the two sides).
-	a, b []float64
-}
-
-func newState(supply, demand []float64, cost [][]float64) *state {
-	m, n := len(supply), len(demand)
-	st := &state{m: m, n: n, cost: cost}
-	st.flow = make([][]float64, m)
-	st.basic = make([][]bool, m)
-	for i := 0; i < m; i++ {
-		st.flow[i] = make([]float64, n)
-		st.basic[i] = make([]bool, n)
+	flow := make([][]float64, m)
+	for i := range flow {
+		flow[i] = make([]float64, n)
 	}
-	var sSum, dSum float64
-	for _, s := range supply {
-		sSum += s
+	for k, f := range ws.bflow {
+		flow[ws.bi[k]][ws.bj[k]] = f
 	}
-	for _, d := range demand {
-		dSum += d
-	}
-	st.a = make([]float64, m)
-	st.b = make([]float64, n)
-	copy(st.a, supply)
-	scale := sSum / dSum
-	for j, d := range demand {
-		st.b[j] = d * scale
-	}
-	return st
-}
-
-// northwestCorner builds the initial basic feasible solution with exactly
-// m+n−1 basic cells (degenerate zero-flow cells included).
-func (st *state) northwestCorner() {
-	a := append([]float64(nil), st.a...)
-	b := append([]float64(nil), st.b...)
-	i, j := 0, 0
-	for step := 0; step < st.m+st.n-1; step++ {
-		q := math.Min(a[i], b[j])
-		st.flow[i][j] = q
-		st.basic[i][j] = true
-		a[i] -= q
-		b[j] -= q
-		switch {
-		case i == st.m-1:
-			j++
-		case j == st.n-1:
-			i++
-		case a[i] <= b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-}
-
-// optimize runs MODI pivots until no cell has negative reduced cost.
-func (st *state) optimize() error {
-	u := make([]float64, st.m)
-	v := make([]float64, st.n)
-	for pivot := 0; pivot < maxPivots; pivot++ {
-		if err := st.duals(u, v); err != nil {
-			return err
-		}
-		ei, ej, red := -1, -1, -epsilon
-		for i := 0; i < st.m; i++ {
-			for j := 0; j < st.n; j++ {
-				if st.basic[i][j] {
-					continue
-				}
-				r := st.cost[i][j] - u[i] - v[j]
-				if r < red {
-					red, ei, ej = r, i, j
-				}
-			}
-		}
-		if ei < 0 {
-			return nil // optimal
-		}
-		loop := st.findLoop(ei, ej)
-		if loop == nil {
-			return errors.New("emd: internal error: no pivot loop found")
-		}
-		// δ is the minimum flow at odd positions of the loop (the cells
-		// that lose flow).
-		delta := math.Inf(1)
-		leave := -1
-		for p := 1; p < len(loop); p += 2 {
-			c := loop[p]
-			if f := st.flow[c[0]][c[1]]; f < delta {
-				delta = f
-				leave = p
-			}
-		}
-		for p, c := range loop {
-			if p%2 == 0 {
-				st.flow[c[0]][c[1]] += delta
-			} else {
-				st.flow[c[0]][c[1]] -= delta
-			}
-		}
-		lc := loop[leave]
-		st.basic[lc[0]][lc[1]] = false
-		st.flow[lc[0]][lc[1]] = 0
-		st.basic[ei][ej] = true
-	}
-	return errors.New("emd: pivot limit exceeded (degenerate cycling?)")
-}
-
-// duals solves u[i] + v[j] = cost[i][j] over the basic cells by propagating
-// from u[0] = 0 across the basis spanning tree.
-func (st *state) duals(u, v []float64) error {
-	uSet := make([]bool, st.m)
-	vSet := make([]bool, st.n)
-	u[0] = 0
-	uSet[0] = true
-	remaining := st.m + st.n - 1
-	for remaining > 0 {
-		progressed := false
-		for i := 0; i < st.m; i++ {
-			for j := 0; j < st.n; j++ {
-				if !st.basic[i][j] {
-					continue
-				}
-				switch {
-				case uSet[i] && !vSet[j]:
-					v[j] = st.cost[i][j] - u[i]
-					vSet[j] = true
-					progressed = true
-					remaining--
-				case vSet[j] && !uSet[i]:
-					u[i] = st.cost[i][j] - v[j]
-					uSet[i] = true
-					progressed = true
-					remaining--
-				}
-			}
-		}
-		if !progressed {
-			return errors.New("emd: internal error: basis graph disconnected")
-		}
-	}
-	return nil
-}
-
-// findLoop returns the unique alternating row/column cycle through the
-// entering cell (ei, ej) and basic cells, starting with the entering cell.
-// Even positions gain flow, odd positions lose flow. In a valid
-// stepping-stone loop each row and column hosts either zero or exactly two
-// loop cells, so the search marks rows and columns as used; the loop closes
-// when a row move returns to the entering column ej.
-func (st *state) findLoop(ei, ej int) [][2]int {
-	path := [][2]int{{ei, ej}}
-	usedRow := make([]bool, st.m)
-	usedCol := make([]bool, st.n)
-	usedRow[ei] = true
-
-	var dfs func(alongRow bool) bool
-	dfs = func(alongRow bool) bool {
-		cur := path[len(path)-1]
-		if alongRow {
-			for j := 0; j < st.n; j++ {
-				if j == cur[1] || !st.basic[cur[0]][j] {
-					continue
-				}
-				if j == ej {
-					// Closing row move: the final cell shares column ej
-					// with the entering cell, completing an even-length
-					// alternating cycle.
-					if len(path) >= 3 {
-						path = append(path, [2]int{cur[0], j})
-						return true
-					}
-					continue
-				}
-				if usedCol[j] {
-					continue
-				}
-				usedCol[j] = true
-				path = append(path, [2]int{cur[0], j})
-				if dfs(false) {
-					return true
-				}
-				path = path[:len(path)-1]
-				usedCol[j] = false
-			}
-			return false
-		}
-		for i := 0; i < st.m; i++ {
-			if i == cur[0] || usedRow[i] || !st.basic[i][cur[1]] {
-				continue
-			}
-			usedRow[i] = true
-			path = append(path, [2]int{i, cur[1]})
-			if dfs(true) {
-				return true
-			}
-			path = path[:len(path)-1]
-			usedRow[i] = false
-		}
-		return false
-	}
-	if dfs(true) {
-		return path
-	}
-	return nil
-}
-
-func (st *state) value() float64 {
-	var total float64
-	for i := 0; i < st.m; i++ {
-		for j := 0; j < st.n; j++ {
-			if st.flow[i][j] > 0 {
-				total += st.flow[i][j] * st.cost[i][j]
-			}
-		}
-	}
-	return total
+	return val, flow, nil
 }
 
 // Options configures the object-level EMD distance.
@@ -315,104 +98,27 @@ type Options struct {
 	SqrtWeights bool
 }
 
-// groundDist evaluates one thresholded ground distance. With the default ℓ₁
-// ground and a positive threshold, every cost is capped at the threshold
-// anyway, so the capped kernel's early exit returns the identical value while
-// skipping the tail of far-apart vectors — the dominant case in the ranking
-// unit, where most candidates sit well past the threshold.
-func groundDist(ground vector.Func, capped bool, t float64, a, b []float32) float64 {
-	if capped {
-		return vector.L1Capped(a, b, t)
-	}
-	d := ground(a, b)
-	if t > 0 && d > t {
-		d = t
-	}
-	return d
-}
-
 // Distance computes the EMD between two objects under the given options.
 // Object weights are normalized internally, so both sides always balance.
 // It returns an error only for structurally invalid inputs (no segments or
 // dimension mismatch).
 func Distance(x, y object.Object, opt Options) (float64, error) {
-	if len(x.Segments) == 0 || len(y.Segments) == 0 {
-		return 0, errors.New("emd: object with no segments")
-	}
-	if x.Dim() != y.Dim() {
-		return 0, fmt.Errorf("emd: dimension mismatch (%d vs %d)", x.Dim(), y.Dim())
-	}
-	ground := opt.Ground
-	capped := ground == nil && opt.Threshold > 0
-	if ground == nil {
-		ground = vector.L1
-	}
-	m, n := len(x.Segments), len(y.Segments)
-
-	// Fast path: single-segment objects (3D shape, genomic) reduce to the
-	// ground distance itself.
-	if m == 1 && n == 1 {
-		return groundDist(ground, capped, opt.Threshold, x.Segments[0].Vec, y.Segments[0].Vec), nil
-	}
-
-	supply := weights(x, opt.SqrtWeights)
-	demand := weights(y, opt.SqrtWeights)
-	cost := make([][]float64, m)
-	for i := 0; i < m; i++ {
-		cost[i] = make([]float64, n)
-		for j := 0; j < n; j++ {
-			cost[i][j] = groundDist(ground, capped, opt.Threshold, x.Segments[i].Vec, y.Segments[j].Vec)
-		}
-	}
-	val, _, err := Solve(supply, demand, cost)
-	return val, err
-}
-
-// LowerBound returns the independent-minimization lower bound on the
-// transportation optimum for the given (normalized, balanced) marginals and
-// cost matrix: every unit of supply must pay at least its cheapest edge, and
-// symmetrically for demand, so
-//
-//	LB = max( Σᵢ supplyᵢ·minⱼ costᵢⱼ , Σⱼ demandⱼ·minᵢ costᵢⱼ ) ≤ EMD.
-//
-// It is exact for 1×n and m×1 problems and costs O(m·n) — no simplex.
-func LowerBound(supply, demand []float64, cost [][]float64) float64 {
-	var lbS float64
-	for i, s := range supply {
-		row := cost[i]
-		min := math.Inf(1)
-		for _, c := range row {
-			if c < min {
-				min = c
-			}
-		}
-		lbS += s * min
-	}
-	var lbD float64
-	for j, d := range demand {
-		min := math.Inf(1)
-		for i := range cost {
-			if c := cost[i][j]; c < min {
-				min = c
-			}
-		}
-		lbD += d * min
-	}
-	if lbD > lbS {
-		return lbD
-	}
-	return lbS
+	d, _, err := DistanceBounded(x, y, opt, math.Inf(1))
+	return d, err
 }
 
 // DistanceBounded is Distance with an early-abandon hook for top-K search:
 // when the independent-minimization lower bound over the exact ground costs
-// already exceeds bound, the simplex is skipped and (lb, false, nil) is
-// returned. Since lb ≤ EMD, an abandoned candidate's true distance also
-// exceeds bound, so a ranking unit that drops results above bound gets
-// byte-identical answers whether or not abandonment fired. A negative or
-// +Inf bound disables abandonment.
+// already exceeds bound — checked after every cost row, so an abandoned
+// candidate need not pay for the whole matrix — the simplex is skipped and
+// (lb, false, nil) is returned, lb being a lower bound that exceeds bound.
+// Since lb ≤ EMD, an abandoned candidate's true distance also exceeds
+// bound, so a ranking unit that drops results above bound gets byte-identical
+// answers whether or not abandonment fired. A negative or +Inf bound
+// disables abandonment.
 func DistanceBounded(x, y object.Object, opt Options, bound float64) (float64, bool, error) {
-	if len(x.Segments) == 0 || len(y.Segments) == 0 {
+	m, n := len(x.Segments), len(y.Segments)
+	if m == 0 || n == 0 {
 		return 0, false, errors.New("emd: object with no segments")
 	}
 	if x.Dim() != y.Dim() {
@@ -423,53 +129,73 @@ func DistanceBounded(x, y object.Object, opt Options, bound float64) (float64, b
 	if ground == nil {
 		ground = vector.L1
 	}
-	m, n := len(x.Segments), len(y.Segments)
+	// With the default ℓ₁ ground and a positive threshold every cost is capped
+	// anyway, so the capped kernel's early exit returns the identical value
+	// while skipping the tail of far-apart vectors.
+	cost := func(i, j int) float64 {
+		a, b := x.Segments[i].Vec, y.Segments[j].Vec
+		if capped {
+			return vector.L1Capped(a, b, opt.Threshold)
+		}
+		d := ground(a, b)
+		if opt.Threshold > 0 && d > opt.Threshold {
+			d = opt.Threshold
+		}
+		return d
+	}
+	// Fast path: single-segment objects (3D shape, genomic) reduce to the
+	// ground distance itself.
 	if m == 1 && n == 1 {
-		return groundDist(ground, capped, opt.Threshold, x.Segments[0].Vec, y.Segments[0].Vec), true, nil
+		return cost(0, 0), true, nil
 	}
-	supply := weights(x, opt.SqrtWeights)
-	demand := weights(y, opt.SqrtWeights)
-	cost := make([][]float64, m)
-	for i := 0; i < m; i++ {
-		cost[i] = make([]float64, n)
-		for j := 0; j < n; j++ {
-			cost[i][j] = groundDist(ground, capped, opt.Threshold, x.Segments[i].Vec, y.Segments[j].Vec)
-		}
+	ws := getWorkspace(m, n)
+	defer wsPool.Put(ws)
+	for i := range ws.a {
+		ws.a[i] = float64(x.Segments[i].Weight)
 	}
-	if !math.IsInf(bound, 1) && bound >= 0 {
-		if lb := LowerBound(supply, demand, cost); lb > bound {
-			return lb, false, nil
-		}
+	for j := range ws.b {
+		ws.b[j] = float64(y.Segments[j].Weight)
 	}
-	val, _, err := Solve(supply, demand, cost)
-	return val, true, err
+	return ws.transport(opt.SqrtWeights, bound, cost)
 }
 
-// weights extracts normalized (optionally square-rooted) segment weights.
-func weights(o object.Object, sqrt bool) []float64 {
-	w := make([]float64, len(o.Segments))
-	var total float64
-	for i, s := range o.Segments {
-		v := float64(s.Weight)
-		if v < 0 {
-			v = 0
-		}
-		if sqrt {
-			v = math.Sqrt(v)
-		}
-		w[i] = v
-		total += v
+// Transport is the EMD between two weighted sets known only through their
+// raw weights and a ground cost cost(i, j) between member i of the first and
+// member j of the second — the form the engine uses to estimate object
+// distances from sketches alone. Weights are normalized as in Distance.
+func Transport(xw, yw []float32, cost func(i, j int) float64) (float64, error) {
+	m, n := len(xw), len(yw)
+	if m == 0 || n == 0 {
+		return 0, errors.New("emd: empty weighted set")
 	}
-	if total <= 0 {
-		for i := range w {
-			w[i] = 1 / float64(len(w))
-		}
-		return w
+	if m == 1 && n == 1 {
+		return cost(0, 0), nil
 	}
-	for i := range w {
-		w[i] /= total
+	ws := getWorkspace(m, n)
+	defer wsPool.Put(ws)
+	for i, w := range xw {
+		ws.a[i] = float64(w)
 	}
-	return w
+	for j, w := range yw {
+		ws.b[j] = float64(w)
+	}
+	d, _, err := ws.transport(false, math.Inf(1), cost)
+	return d, err
+}
+
+// transport is the one distance body: normalize the loaded weights, fill the
+// costs under the abandon bound, solve.
+func (ws *workspace) transport(sqrtWeights bool, bound float64, cost func(i, j int) float64) (float64, bool, error) {
+	if bound < 0 {
+		bound = math.Inf(1)
+	}
+	NormalizeWeights(ws.a, sqrtWeights)
+	NormalizeWeights(ws.b, sqrtWeights)
+	if lb, ok := ws.fill(bound, cost); !ok {
+		return lb, false, nil
+	}
+	val, err := ws.solve()
+	return val, true, err
 }
 
 // ObjectDistance returns an object distance function (the paper's

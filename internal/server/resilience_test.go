@@ -197,6 +197,24 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	if err := idleClient.Ping(); err != nil {
 		t.Fatal(err)
 	}
+	// A connection stays busy until its handler returns, which is after the
+	// client has read the response: let both settle before telling them apart.
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		busy := 0
+		srv.mu.Lock()
+		for _, st := range srv.conns {
+			if st.busy.Load() {
+				busy++
+			}
+		}
+		srv.mu.Unlock()
+		if busy == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connections still busy with nothing in flight", busy)
+		}
+	}
 
 	var wg sync.WaitGroup
 	var queryErr error

@@ -66,6 +66,17 @@ func startTraceServer(t *testing.T, budget time.Duration) (*protocol.Client, *co
 	return client, engine, l.Addr().String()
 }
 
+// findTrace waits for a trace to be retained: the server finishes a trace
+// after it has written the response (the write span is part of it), so a
+// client that has just read the response can be ahead of the retention.
+func findTrace(engine *core.Engine, id trace.TraceID) *trace.Trace {
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		if tr := engine.Tracer().Find(id); tr != nil || time.Now().After(deadline) {
+			return tr
+		}
+	}
+}
+
 // TestQueryTracedOverWire: trace=on returns the trace ID and a stage
 // breakdown covering the whole query path, and the retained trace carries
 // the serving-layer parse and write spans around the engine stages.
@@ -95,7 +106,7 @@ func TestQueryTracedOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := engine.Tracer().Find(id)
+	tr := findTrace(engine, id)
 	if tr == nil {
 		t.Fatalf("trace %s not retained server-side", meta.TraceID)
 	}
@@ -135,7 +146,7 @@ func TestTracePropagatedID(t *testing.T) {
 		t.Fatalf("response trace ID %q, want propagated %q", meta.TraceID, id)
 	}
 	tid, _ := trace.ParseTraceID(id)
-	if engine.Tracer().Find(tid) == nil {
+	if findTrace(engine, tid) == nil {
 		t.Fatalf("propagated trace %s not retained", id)
 	}
 

@@ -218,6 +218,44 @@ func TestL1Capped(t *testing.T) {
 	}
 }
 
+// TestL1ScalarTailBits: the branch-free tail must give the bits of the plain
+// sign-branch loop it replaced, for every length below one block (where the
+// tail is the whole sum) and for L1, L1Capped and the scalar block alike.
+func TestL1ScalarTailBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for n := 1; n <= 64; n++ {
+		for trial := 0; trial < 20; trial++ {
+			a := make([]float32, n)
+			b := make([]float32, n)
+			for i := range a {
+				a[i] = (rng.Float32() - 0.5) * 4
+				b[i] = (rng.Float32() - 0.5) * 4
+			}
+			if trial == 0 {
+				copy(b, a) // all-zero differences, including −0
+			}
+			var want float64
+			for i := range a {
+				d := float64(a[i]) - float64(b[i])
+				if d < 0 {
+					d = -d
+				}
+				want += d
+			}
+			got := l1Scalar64
+			if n < 64 {
+				got = L1
+				if c := L1Capped(a, b, math.Inf(1)); math.Float64bits(c) != math.Float64bits(want) {
+					t.Fatalf("n=%d: L1Capped = %x, branch loop = %x", n, math.Float64bits(c), math.Float64bits(want))
+				}
+			}
+			if g := got(a, b); math.Float64bits(g) != math.Float64bits(want) {
+				t.Fatalf("n=%d: got %x, branch loop = %x", n, math.Float64bits(g), math.Float64bits(want))
+			}
+		}
+	}
+}
+
 // TestL1BlockKernel: when a vectorized 64-element block kernel is active it
 // must agree with the scalar block to within reassociation-level rounding,
 // and L1 itself must match a plain scalar sum to the same tolerance across
@@ -269,6 +307,29 @@ func BenchmarkL1(b *testing.B) {
 	var sink float64
 	for i := 0; i < b.N; i++ {
 		sink += L1(x, y)
+	}
+	benchSink = sink
+}
+
+// BenchmarkL1_14d_RandomPairs times the small-d ground kernel the way the EMD
+// cost fill meets it: every call sees a different pair out of 4096 distinct
+// vectors, so the branch predictor cannot learn the sign pattern of one pair
+// (a fixed-pair 14-d benchmark reads several times faster than the rank stage
+// ever ran).
+func BenchmarkL1_14d_RandomPairs(b *testing.B) {
+	const pool, dim = 4096, 14
+	rng := rand.New(rand.NewSource(4))
+	vecs := make([][]float32, pool)
+	for i := range vecs {
+		vecs[i] = make([]float32, dim)
+		for j := range vecs[i] {
+			vecs[i][j] = rng.Float32()
+		}
+	}
+	var sink float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += L1(vecs[i&(pool-1)], vecs[(i*2654435761>>12)&(pool-1)])
 	}
 	benchSink = sink
 }
