@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-fast torture vet lint lint-fast lint-test check ci bench bench-json check-bench clean
+.PHONY: all build test race race-fast torture vet lint lint-fast lint-test check ci bench bench-json check-bench loc clean
 
 # Benchmark artifact plumbing. bench-json measures the filter/kernel/pipeline
 # microbenchmarks plus a medium-scale ferret-bench run (Table 2, the
@@ -95,6 +95,12 @@ check-bench:
 	$(GO) test $(BENCH_PKGS) -run '^$$' -bench '$(BENCH_RE)' -count=$(BENCH_COUNT) -benchmem > $(BENCH_TMP)/micro.txt
 	$(GO) run ./cmd/ferret-benchcmp -merge -micro $(BENCH_TMP)/micro.txt -out $(BENCH_TMP)/new.json
 	$(GO) run ./cmd/ferret-benchcmp -baseline $(BENCH_OUT) -new $(BENCH_TMP)/new.json
+
+# Non-test Go lines in the three packages whose size ROADMAP tracks.
+loc:
+	@for p in core server protocol; do \
+		printf 'internal/%-9s %s\n' $$p "$$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l)"; \
+	done
 
 clean:
 	rm -rf bin

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"ferret/internal/metastore"
 	"ferret/internal/object"
 )
 
@@ -172,9 +173,7 @@ func TestArenaIntegrityAcrossMutations(t *testing.T) {
 // compaction, and must only ever observe consistent arena state.
 func TestQueryConcurrentWithIngestCompact(t *testing.T) {
 	const d = 8
-	cfg := testConfig(t.TempDir(), d)
-	cfg.Parallelism = 2
-	e := openEngine(t, cfg)
+	e := openEngine(t, testConfig(t.TempDir(), d))
 	objs := ingestVaried(t, e, 30, d)
 
 	var wg sync.WaitGroup
@@ -344,9 +343,17 @@ func TestDedupSingleEvalPerCandidate(t *testing.T) {
 	}
 }
 
-// TestFilterPathAllocs pins the zero-allocation property of the filter scan:
-// with pooled scratch, a steady-state filter pass over the arena performs no
-// heap allocations.
+// loadScratch loads one query into a scratch the way Engine.begin does,
+// minus the trace and the sketch build, so tests can drive the filtering
+// unit (filterBatch) directly.
+func loadScratch(sc *queryScratch, q object.Object, qset *metastore.SketchSet, opt QueryOptions) {
+	sc.ctx, sc.q, sc.hasQ, sc.qset, sc.opt = context.Background(), q, true, qset, opt
+	sc.clk.reset(sc.ctx, 0)
+}
+
+// TestFilterPathAllocs pins the zero-allocation property of the filtering
+// unit: with pooled scratch, a steady-state batch-of-one filter pass over
+// the arena performs no heap allocations.
 func TestFilterPathAllocs(t *testing.T) {
 	const d = 10
 	e := openEngine(t, testConfig(t.TempDir(), d))
@@ -354,19 +361,17 @@ func TestFilterPathAllocs(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(55))
 	q := clusterObject("q", 3, d, 3, 0.02, rng)
-	qset := e.buildSketchSet(q)
-	opt := QueryOptions{K: 10}
 	sc := getScratch()
 	defer putScratch(sc)
-	sc.clk.reset(context.Background(), 0)
+	loadScratch(sc, q, e.buildSketchSet(q), QueryOptions{K: 10})
+	one := []*queryScratch{sc}
 
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := e.filter(&sc.clk, &q, qset, opt, sc); err != nil {
-			t.Fatal(err)
-		}
-	})
+	allocs := testing.AllocsPerRun(50, func() { e.filterBatch(one) })
 	if allocs != 0 {
 		t.Fatalf("filter scan allocates %.1f objects per query, want 0", allocs)
+	}
+	if len(sc.cands) == 0 {
+		t.Fatal("filter produced no candidates")
 	}
 
 	// With a trace armed the property must still hold: span recording writes
@@ -376,20 +381,15 @@ func TestFilterPathAllocs(t *testing.T) {
 		t.Fatal("engine tracer is disabled")
 	}
 	sc.trp = &sc.own
-	allocs = testing.AllocsPerRun(50, func() {
-		if _, err := e.filter(&sc.clk, &q, qset, opt, sc); err != nil {
-			t.Fatal(err)
-		}
-	})
+	allocs = testing.AllocsPerRun(50, func() { e.filterBatch(one) })
 	sc.own.Finish()
-	sc.trp = nil
 	if allocs != 0 {
 		t.Fatalf("traced filter scan allocates %.1f objects per query, want 0", allocs)
 	}
 }
 
 // TestFilterPathAllocsIndexed is the same zero-alloc contract on the
-// indexed filter path: once the probe scratch is warm, serving a segment
+// indexed filter path: once the descent scratch is warm, serving a segment
 // from the Hamming index (bucket descent, sort, verification) must not
 // allocate either.
 func TestFilterPathAllocsIndexed(t *testing.T) {
@@ -401,18 +401,13 @@ func TestFilterPathAllocsIndexed(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(56))
 	q := clusterObject("q", 3, d, 3, 0.02, rng)
-	qset := e.buildSketchSet(q)
-	opt := QueryOptions{K: 10, Filter: FilterParams{NearestPerSegment: 8}}
 	sc := getScratch()
 	defer putScratch(sc)
-	sc.clk.reset(context.Background(), 0)
+	loadScratch(sc, q, e.buildSketchSet(q), QueryOptions{K: 10, Filter: FilterParams{NearestPerSegment: 8}})
+	one := []*queryScratch{sc}
 
 	before := e.Telemetry().Value("ferret_hindex_probes_total")
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := e.filter(&sc.clk, &q, qset, opt, sc); err != nil {
-			t.Fatal(err)
-		}
-	})
+	allocs := testing.AllocsPerRun(50, func() { e.filterBatch(one) })
 	if allocs != 0 {
 		t.Fatalf("indexed filter allocates %.1f objects per query, want 0", allocs)
 	}

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 	"time"
 
@@ -14,13 +12,11 @@ import (
 	"ferret/internal/telemetry/trace"
 )
 
-// The FilterScan pair measures the tentpole: the arena filter scan against a
-// faithful replica of the pre-arena filtering unit (slice-of-slices sketch
-// storage, per-call sketch.Hamming, map-based candidate union). Both run the
-// same workload — image-style 96-bit sketches, where per-segment call and
-// pointer-chasing overhead (not memory bandwidth) dominates the scan. The
-// committed BENCH_2.json tracks their ratio; `make check-bench` fails on
-// regression.
+// BenchmarkFilterScanArena measures the filtering unit's arena sweep and
+// BenchmarkHammingIndexProbe its Hamming-index descent, each as a batch of
+// one on the same workload — image-style 96-bit sketches, where per-segment
+// call overhead (not memory bandwidth) dominates. `make check-bench` fails
+// on regression against the committed artifact.
 
 const (
 	benchDim     = 14
@@ -64,18 +60,47 @@ func benchFilterOpts() QueryOptions {
 	return QueryOptions{K: 10, Filter: FilterParams{QuerySegments: 3, NearestPerSegment: 50}}
 }
 
-func BenchmarkFilterScanArena(b *testing.B) {
-	e, q, qset := benchEngine(b, nil)
-	opt := benchFilterOpts()
+// benchFilter runs the filtering unit for one query as a batch of one, b.N
+// times, after one warm-up pass that check (when non-nil) inspects.
+func benchFilter(b *testing.B, e *Engine, q object.Object, qset *metastore.SketchSet, opt QueryOptions, check func(*queryScratch)) {
 	sc := getScratch()
 	defer putScratch(sc)
-	sc.clk.reset(context.Background(), 0)
+	loadScratch(sc, q, qset, opt)
+	one := []*queryScratch{sc}
+	e.filterBatch(one)
+	if len(sc.cands) == 0 {
+		b.Fatal("no candidates")
+	}
+	if check != nil {
+		check(sc)
+	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.filter(&sc.clk, &q, qset, opt, sc); err != nil {
-			b.Fatal(err)
-		}
+		e.filterBatch(one)
+	}
+}
+
+func BenchmarkFilterScanArena(b *testing.B) {
+	e, q, qset := benchEngine(b, nil)
+	benchFilter(b, e, q, qset, benchFilterOpts(), nil)
+}
+
+// BenchmarkFilterRestrict measures the filter under a Restrict set (the
+// server's attribute-combined queries) from ten allowed objects to half the
+// corpus: no benchmark workload sets one, so this is where that traffic is
+// measured.
+func BenchmarkFilterRestrict(b *testing.B) {
+	for _, n := range []int{10, 50, 500, 2500} {
+		b.Run(fmt.Sprintf("ids=%d", n), func(b *testing.B) {
+			e, q, qset := benchEngine(b, nil)
+			opt := benchFilterOpts()
+			opt.Restrict = map[object.ID]bool{}
+			for _, i := range rand.New(rand.NewSource(82)).Perm(benchObjects)[:n] {
+				opt.Restrict[e.entries[i].id] = true
+			}
+			benchFilter(b, e, q, qset, opt, nil)
+		})
 	}
 }
 
@@ -90,105 +115,11 @@ func BenchmarkHammingIndexProbe(b *testing.B) {
 		cfg.HIndex = HIndexParams{Enable: true, Tables: 4}
 	})
 	opt := QueryOptions{K: 10, Filter: FilterParams{QuerySegments: 3, NearestPerSegment: 50, MaxHammingFrac: 0.03}}
-	sc := getScratch()
-	defer putScratch(sc)
-	sc.clk.reset(context.Background(), 0)
-	if _, err := e.filter(&sc.clk, &q, qset, opt, sc); err != nil {
-		b.Fatal(err)
-	}
-	if mode := sc.filterMode(); mode != FilterModeIndex {
-		b.Fatalf("filter mode %q, want %q: the benchmark would measure the scan fallback", mode, FilterModeIndex)
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.filter(&sc.clk, &q, qset, opt, sc); err != nil {
-			b.Fatal(err)
+	benchFilter(b, e, q, qset, opt, func(sc *queryScratch) {
+		if mode := sc.filterMode(); mode != FilterModeIndex {
+			b.Fatalf("filter mode %q, want %q: the benchmark would measure the scan fallback", mode, FilterModeIndex)
 		}
-	}
-}
-
-// legacyEntry is the pre-arena per-object sketch record: one independently
-// allocated sketch slice per segment.
-type legacyEntry struct {
-	id       object.ID
-	sketches []sketch.Sketch
-}
-
-// legacyFilter replicates the pre-arena filtering unit over slice-of-slices
-// entries: sort.Slice segment ordering, a fresh heap per query segment,
-// per-call sketch.Hamming on each segment sketch, and a map candidate union.
-func legacyFilter(entries []legacyEntry, qset *metastore.SketchSet, nBits int, p FilterParams) []int {
-	order := make([]int, len(qset.Sketches))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return qset.Weights[order[a]] > qset.Weights[order[b]] })
-	order = order[:p.QuerySegments]
-
-	candidates := make(map[int]struct{})
-	for _, qi := range order {
-		w := float64(qset.Weights[qi])
-		frac := p.MaxHammingFrac * (1 - p.WeightTighten*w)
-		maxHam := int(frac * float64(nBits))
-		qsk := qset.Sketches[qi]
-		heap := newSegHeap(p.NearestPerSegment)
-		for idx := range entries {
-			ent := &entries[idx]
-			bound := maxHam
-			if w := heap.worst(); w <= bound {
-				bound = w - 1
-			}
-			for si := range ent.sketches {
-				h := sketch.Hamming(qsk, ent.sketches[si])
-				if h <= bound {
-					heap.push(idx, h)
-					if w := heap.worst(); w <= maxHam && w-1 < bound {
-						bound = w - 1
-					}
-				}
-			}
-		}
-		for _, idx := range heap.items() {
-			candidates[idx] = struct{}{}
-		}
-	}
-	out := make([]int, 0, len(candidates))
-	for idx := range candidates {
-		out = append(out, idx)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func BenchmarkFilterScanLegacy(b *testing.B) {
-	e, _, qset := benchEngine(b, nil)
-	// Rebuild the old layout from the arena, allocating each sketch
-	// separately with interleaved decoy allocations so the slices scatter
-	// across the heap the way incremental ingest scattered them.
-	var decoys [][]byte
-	entries := make([]legacyEntry, len(e.entries))
-	for idx := range e.entries {
-		sg, li := e.segOf(idx)
-		lo, hi := sg.arena.rowsOf(li)
-		sks := make([]sketch.Sketch, 0, hi-lo)
-		for r := lo; r < hi; r++ {
-			sk := make(sketch.Sketch, sg.arena.wps)
-			copy(sk, sg.arena.at(r))
-			sks = append(sks, sk)
-			decoys = append(decoys, make([]byte, 64))
-		}
-		entries[idx] = legacyEntry{id: e.entries[idx].id, sketches: sks}
-	}
-	_ = decoys
-	p := benchFilterOpts().Filter.withDefaults(len(qset.Sketches), 10)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if got := legacyFilter(entries, qset, benchBits, p); len(got) == 0 {
-			b.Fatal("no candidates")
-		}
-	}
+	})
 }
 
 // The QueryPipeline pair measures end-to-end Filtering-mode queries with the

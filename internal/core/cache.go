@@ -92,10 +92,7 @@ type cacheKey struct {
 func (e *Engine) canonOpt(opt *QueryOptions) canonOpts {
 	c := canonOpts{mode: opt.Mode, k: opt.K}
 	if opt.Mode == Filtering {
-		f := opt.Filter
-		if f == (FilterParams{}) {
-			f = e.cfg.Filter
-		}
+		f := e.filterParams(opt)
 		if f.QuerySegments <= 0 {
 			f.QuerySegments = 4
 		}

@@ -14,10 +14,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	rtrace "runtime/trace"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -89,11 +91,11 @@ type FilterParams struct {
 	NearestPerSegment int
 	// MaxHammingFrac is the loosest acceptable Hamming distance, as a
 	// fraction of the sketch size, for a zero-weight query segment.
-	// 0 means 0.45 (just below the 0.5 uncorrelated point).
+	// 0 means 0.49 (just below the 0.5 uncorrelated point).
 	MaxHammingFrac float64
 	// WeightTighten makes the threshold a decreasing function of the query
 	// segment weight w(Qᵢ): threshold(w) = MaxHammingFrac·(1−WeightTighten·w).
-	// 0 means 0.3; high-weight query segments demand closer matches.
+	// 0 means 0.2; high-weight query segments demand closer matches.
 	WeightTighten float64
 	// ExactDistance filters by computing the user-supplied segment
 	// distance function directly against all feature-vector metadata
@@ -187,10 +189,6 @@ type Config struct {
 	// Prune tunes the ranking unit's sketch lower-bound EMD pruning. Only
 	// effective with the built-in EMD object distance (ObjectDistance nil).
 	Prune PruneParams
-	// Parallelism splits query scans (brute force and filtering) across
-	// this many goroutines. 0 or 1 scans serially; negative uses
-	// GOMAXPROCS.
-	Parallelism int
 	// Scheduler configures the shared-scan query scheduler that coalesces
 	// concurrent Search calls into batched arena passes (see scheduler.go).
 	// The zero value disables coalescing; SearchBatch still batches
@@ -336,7 +334,7 @@ type Engine struct {
 	met            *engineMetrics
 	tracer         *trace.Tracer
 
-	// pool is the persistent scan/rank worker pool (started at Open,
+	// pool is the persistent rank worker pool (started at Open,
 	// stopped by Close); sched, when non-nil, coalesces concurrent Search
 	// calls into shared arena scans; queue, when non-nil, is the bounded
 	// ingest queue (see ingest.go).
@@ -468,13 +466,9 @@ func Open(cfg Config) (*Engine, error) {
 	e.met.segments.Set(int64(e.totalRows()))
 	e.met.storageSegs.Set(int64(len(e.segs)))
 	e.updateIndexGauges()
-	// At least two workers even on small hosts, so batch rank fan-out and
-	// the pool-utilization gauge are exercised everywhere.
-	size := e.workers()
-	if size < 2 {
-		size = 2
-	}
-	e.pool = newWorkerPool(size, e.met)
+	// Two workers: a batch's rank tasks fan out to them, and whatever no
+	// worker is free for ranks on the batch leader.
+	e.pool = newWorkerPool(2, e.met)
 	if cfg.Scheduler.Window > 0 {
 		e.sched = newScheduler(e, cfg.Scheduler)
 	}
@@ -609,31 +603,34 @@ func (e *Engine) Delete(id object.ID) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for i := range e.entries {
-		if e.entries[i].id == id && !e.entries[i].dead {
-			e.entries[i].dead = true
-			e.deleted++
-			seg, li := e.segOf(i)
-			seg.deleted++
-			if seg.hindex != nil {
-				// Unindex online while the tombstoned rows are still in the
-				// arena (keys are recomputed from row content), so probes
-				// never see dead rows and a merge is a pure rebuild over
-				// live rows.
-				lo, hi := seg.arena.rowsOf(li)
-				for row := lo; row < hi; row++ {
-					seg.hindex.Delete(int32(row), seg.arena.words)
-				}
-				e.updateIndexGauges()
-			}
-			e.met.deletes.Inc()
-			e.met.objects.Add(-1)
-			e.met.deleted.Add(1)
-			e.met.segments.Add(-int64(seg.arena.nsegOf(li)))
-			e.epoch.Add(1)
-			break
-		}
+	// Entries are in ascending ID order (ingest appends under ingestMu,
+	// compaction preserves order), so the lookup is a binary search: every
+	// reader stalls for as long as the write lock is held.
+	i, ok := slices.BinarySearchFunc(e.entries, id, func(ent sketchEntry, id object.ID) int {
+		return cmp.Compare(ent.id, id)
+	})
+	if !ok || e.entries[i].dead {
+		return nil
 	}
+	e.entries[i].dead = true
+	e.deleted++
+	seg, li := e.segOf(i)
+	seg.deleted++
+	if seg.hindex != nil {
+		// Unindex online while the tombstoned rows are still in the arena
+		// (keys are recomputed from row content), so probes never see dead
+		// rows and a merge is a pure rebuild over live rows.
+		lo, hi := seg.arena.rowsOf(li)
+		for row := lo; row < hi; row++ {
+			seg.hindex.Delete(int32(row), seg.arena.words)
+		}
+		e.updateIndexGauges()
+	}
+	e.met.deletes.Inc()
+	e.met.objects.Add(-1)
+	e.met.deleted.Add(1)
+	e.met.segments.Add(-int64(seg.arena.nsegOf(li)))
+	e.epoch.Add(1)
 	return nil
 }
 
@@ -703,36 +700,28 @@ func (e *Engine) SearchByID(ctx context.Context, id object.ID, opt QueryOptions)
 	// repeat queries without decoding the stored object (the id pins the
 	// query content), which keeps this path allocation-free.
 	if key, ok := e.idCacheKey(id, &opt); ok {
-		start := time.Now()
-		epoch := e.epoch.Load()
-		if ans, hit := e.rcache.get(key, epoch); hit {
-			e.met.cacheHits.Inc()
-			e.met.queries.Inc()
-			e.met.queryTime.ObserveSince(start)
-			opt.Trace.Record(StageCache, start, time.Since(start))
-			ans.Cache = CacheHit
+		if ans, hit := e.cacheLookup(key, opt.Trace); hit {
 			return ans, nil
 		}
-		e.met.cacheMisses.Inc()
 		return e.flightCompute(ctx, key, func() (Answer, error) {
-			return e.searchByIDUncached(ctx, id, opt)
+			return e.searchByID(ctx, id, opt)
 		})
 	}
-	return e.searchByIDUncached(ctx, id, opt)
+	return e.searchByID(ctx, id, opt)
 }
 
-// searchByIDUncached resolves the stored object (or its sketch set in
-// sketch-only stores) and runs the pipeline without consulting the cache.
-func (e *Engine) searchByIDUncached(ctx context.Context, id object.ID, opt QueryOptions) (Answer, error) {
+// searchByID resolves the stored object (or its sketch set in sketch-only
+// stores) and runs the pipeline without consulting the cache.
+func (e *Engine) searchByID(ctx context.Context, id object.ID, opt QueryOptions) (Answer, error) {
 	if o, ok := e.meta.GetObject(id); ok {
-		return e.searchObject(ctx, o, opt)
+		return e.search(ctx, &o, nil, opt)
 	}
-	// Sketch-only store: synthesize a query from the stored sketch set.
+	// Sketch-only store: the stored sketches stand in for the query's.
 	set, ok := e.meta.GetSketchSet(id)
 	if !ok {
 		return Answer{}, fmt.Errorf("core: no object with id %d", id)
 	}
-	return e.searchSketchSet(ctx, set, opt)
+	return e.search(ctx, nil, set, opt)
 }
 
 // QueryByID is SearchByID without external cancellation or a budget — the
@@ -756,107 +745,121 @@ func (e *Engine) Search(ctx context.Context, q object.Object, opt QueryOptions) 
 		opt.K = 10
 	}
 	if key, ok := e.objectCacheKey(&q, &opt); ok {
-		start := time.Now()
-		epoch := e.epoch.Load()
-		if ans, hit := e.rcache.get(key, epoch); hit {
-			e.met.cacheHits.Inc()
-			e.met.queries.Inc()
-			e.met.queryTime.ObserveSince(start)
-			opt.Trace.Record(StageCache, start, time.Since(start))
-			ans.Cache = CacheHit
+		if ans, hit := e.cacheLookup(key, opt.Trace); hit {
 			return ans, nil
 		}
-		e.met.cacheMisses.Inc()
 		return e.flightCompute(ctx, key, func() (Answer, error) {
-			return e.searchObject(ctx, q, opt)
+			return e.search(ctx, &q, nil, opt)
 		})
 	}
-	return e.searchObject(ctx, q, opt)
+	return e.search(ctx, &q, nil, opt)
 }
 
-// searchObject validates and routes one query without consulting the
-// cache; opt.K must already be resolved.
-func (e *Engine) searchObject(ctx context.Context, q object.Object, opt QueryOptions) (Answer, error) {
-	if err := q.Validate(); err != nil {
-		e.met.queryErrors.Inc()
-		return Answer{}, fmt.Errorf("core: invalid query object: %w", err)
-	}
-	if q.Dim() != e.builder.Dim() {
-		e.met.queryErrors.Inc()
-		return Answer{}, fmt.Errorf("core: query dimension %d, engine expects %d", q.Dim(), e.builder.Dim())
-	}
-	if e.sched != nil && e.batchable(opt) {
-		return e.sched.search(ctx, q, opt)
-	}
-	return e.searchOne(ctx, q, opt)
+// Query is Search without external cancellation or a budget — the
+// pre-context compatibility form.
+//
+//lint:ignore ctxfirst compatibility wrapper: Search is the context-aware form; this delegates immediately
+func (e *Engine) Query(q object.Object, opt QueryOptions) ([]Result, error) {
+	ans, err := e.Search(context.Background(), q, opt)
+	return ans.Results, err
 }
 
-// searchOne is the serial single-query pipeline — the coalescing scheduler
-// routes around it, everything else (brute-force modes, restricted or
-// exact-distance queries, engines without a scheduler) runs through it.
-// The query object must already be validated and opt.K resolved.
-func (e *Engine) searchOne(ctx context.Context, q object.Object, opt QueryOptions) (Answer, error) {
-	e.met.inflight.Add(1)
-	defer e.met.inflight.Add(-1)
-	defer rtrace.StartRegion(ctx, "ferret.search").End()
-
-	sc := getScratch()
-	defer putScratch(sc)
-	sc.trp = e.armTrace(&opt, &sc.own)
-	defer sc.own.Finish() // error-path safety net; no-op after finishOwnTrace
-
+// cacheLookup is the result cache's fast path for Search and SearchByID: a
+// hit is a whole query (counted, timed and traced as one); a miss is counted
+// and left to flightCompute.
+func (e *Engine) cacheLookup(key cacheKey, tr *trace.Active) (Answer, bool) {
 	start := time.Now()
-	qset := e.buildSketchSet(q)
-	e.met.stageSketch.ObserveSince(start)
-	sc.trp.Record(StageSketch, start, time.Since(start))
-
-	clk := &sc.clk
-	clk.reset(ctx, opt.Budget)
-
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-
-	var results []Result
-	var degraded bool
-	var err error
-	switch opt.Mode {
-	case BruteForceOriginal:
-		if e.cfg.SketchOnly {
-			err = errors.New("core: BruteForceOriginal unavailable in sketch-only mode")
-			break
-		}
-		tr := time.Now()
-		results = e.rankAll(clk, q, opt)
-		degraded = clk.budgetHit()
-		e.met.stageRank.ObserveSince(tr)
-		sc.trp.Record(StageRank, tr, time.Since(tr))
-	case BruteForceSketch:
-		tr := time.Now()
-		results = e.rankAllSketch(clk, qset, opt)
-		degraded = clk.budgetHit()
-		e.met.stageRank.ObserveSince(tr)
-		sc.trp.Record(StageRank, tr, time.Since(tr))
-	case Filtering:
-		results, degraded, err = e.filteringLocked(clk, &q, qset, opt, sc)
-	default:
-		err = fmt.Errorf("core: unknown mode %d", opt.Mode)
+	ans, hit := e.rcache.get(key, e.epoch.Load())
+	if !hit {
+		e.met.cacheMisses.Inc()
+		return Answer{}, false
 	}
-	if err == nil && clk.stop() {
-		err = clk.err()
-	}
-	if err != nil {
+	e.met.cacheHits.Inc()
+	e.met.queries.Inc()
+	e.met.queryTime.ObserveSince(start)
+	tr.Record(StageCache, start, time.Since(start))
+	ans.Cache = CacheHit
+	return ans, true
+}
+
+// search runs one uncached query through the pipeline: a batch of one,
+// executed on the calling goroutine with pooled scratch, unless the
+// coalescing scheduler is on and can fold it into a shared batch. q is nil
+// for a by-ID query of a sketch-only store, whose stored sketch set qset
+// stands in for the query's; otherwise qset is nil and built here. opt.K
+// must already be resolved.
+func (e *Engine) search(ctx context.Context, q *object.Object, qset *metastore.SketchSet, opt QueryOptions) (Answer, error) {
+	if err := e.checkQuery(q); err != nil {
 		e.met.queryErrors.Inc()
 		return Answer{}, err
 	}
-	if degraded {
+	e.met.inflight.Add(1)
+	defer e.met.inflight.Add(-1)
+	defer rtrace.StartRegion(ctx, "ferret.search").End()
+	sc := getScratch()
+	defer putScratch(sc)
+	e.begin(ctx, sc, q, qset, opt)
+	if e.sched != nil && e.batchable(&sc.opt) {
+		e.sched.do(sc)
+	} else {
+		one := [1]*queryScratch{sc}
+		e.runBatch(one[:])
+	}
+	return e.finish(sc)
+}
+
+// checkQuery validates a query object against the engine's feature space
+// (nil, a stored sketch set's stand-in, has nothing to check).
+func (e *Engine) checkQuery(q *object.Object) error {
+	if q == nil {
+		return nil
+	}
+	if err := q.Validate(); err != nil {
+		return fmt.Errorf("core: invalid query object: %w", err)
+	}
+	if q.Dim() != e.builder.Dim() {
+		return fmt.Errorf("core: query dimension %d, engine expects %d", q.Dim(), e.builder.Dim())
+	}
+	return nil
+}
+
+// begin loads one validated query into its scratch: it arms the trace,
+// stamps the start time and builds the query's sketches unless the caller
+// supplied them.
+func (e *Engine) begin(ctx context.Context, sc *queryScratch, q *object.Object, qset *metastore.SketchSet, opt QueryOptions) {
+	sc.ctx, sc.opt, sc.qset = ctx, opt, qset
+	sc.trp = e.armTrace(&sc.opt, &sc.own)
+	sc.start = time.Now()
+	if q != nil {
+		sc.q, sc.hasQ = *q, true
+	}
+	if qset == nil {
+		sc.qset = e.buildSketchSet(sc.q)
+		e.met.stageSketch.ObserveSince(sc.start)
+		sc.trp.Record(StageSketch, sc.start, time.Since(sc.start))
+	}
+}
+
+// finish converts a request that has been through runBatch (or was failed
+// by the scheduler) into the Search return values, recording the per-query
+// metrics and finishing an engine-armed trace.
+func (e *Engine) finish(sc *queryScratch) (Answer, error) {
+	if sc.err != nil {
+		e.met.queryErrors.Inc()
+		sc.own.Finish()
+		return Answer{}, sc.err
+	}
+	ans := sc.ans
+	if ans.Degraded {
 		e.met.degraded.Inc()
+		// Budget-degraded queries always land in the slow-query log, no
+		// matter how fast they finished: slowness was traded for budget.
 		sc.trp.MarkSlow()
 		sc.trp.Root().SetAttr("degraded", 1)
 	}
 	e.met.queries.Inc()
-	e.met.queryTime.ObserveSince(start)
-	ans := Answer{Results: results, Degraded: degraded, FilterMode: sc.filterMode()}
-	finishOwnTrace(&sc.own, opt.ForceTrace, &ans)
+	e.met.queryTime.ObserveSince(sc.start)
+	finishOwnTrace(&sc.own, sc.opt.ForceTrace, &ans)
 	return ans, nil
 }
 
@@ -886,98 +889,104 @@ func finishOwnTrace(own *trace.Active, force bool, ans *Answer) {
 	own.Finish()
 }
 
-// Query is Search without external cancellation or a budget — the
-// pre-context compatibility form.
-//
-//lint:ignore ctxfirst compatibility wrapper: Search is the context-aware form; this delegates immediately
-func (e *Engine) Query(q object.Object, opt QueryOptions) ([]Result, error) {
-	ans, err := e.Search(context.Background(), q, opt)
-	return ans.Results, err
-}
-
-// searchSketchSet is SearchByID's sketch-only path: the stored sketches
-// stand in for the query's.
-func (e *Engine) searchSketchSet(ctx context.Context, qset *metastore.SketchSet, opt QueryOptions) (Answer, error) {
-	if opt.K <= 0 {
-		opt.K = 10
+// runBatch executes a batch of one or many requests and is the query
+// path's one lock site: it takes the engine read lock once, runs the
+// filtering unit for the whole batch, then ranks — inline for a batch of
+// one, fanned out to the worker pool for several. A batch of several holds
+// only batchable requests (see batchable); the brute-force modes and the
+// exact-distance filter are the paper's other algorithms and run as a batch
+// of one through their own stages. Each request's outcome is left in its
+// scratch (ans or err).
+func (e *Engine) runBatch(scs []*queryScratch) {
+	for _, sc := range scs {
+		sc.clk.reset(sc.ctx, sc.opt.Budget)
 	}
-	e.met.inflight.Add(1)
-	defer e.met.inflight.Add(-1)
-	defer rtrace.StartRegion(ctx, "ferret.search").End()
-	start := time.Now()
-	sc := getScratch()
-	defer putScratch(sc)
-	sc.trp = e.armTrace(&opt, &sc.own)
-	defer sc.own.Finish()
-	clk := &sc.clk
-	clk.reset(ctx, opt.Budget)
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	var results []Result
-	var degraded bool
-	var err error
-	switch opt.Mode {
-	case BruteForceSketch:
-		tr := time.Now()
-		results = e.rankAllSketch(clk, qset, opt)
-		degraded = clk.budgetHit()
-		e.met.stageRank.ObserveSince(tr)
-		sc.trp.Record(StageRank, tr, time.Since(tr))
-	case Filtering:
-		results, degraded, err = e.filteringLocked(clk, nil, qset, opt, sc)
+	first := scs[0]
+	switch p := e.filterParams(&first.opt); {
+	case first.opt.Mode != Filtering:
+		e.rankEvery(first)
+		return
+	case p.ExactDistance:
+		e.filterExact(first, p.withDefaults(len(first.qset.Sketches), first.opt.K))
 	default:
-		err = errors.New("core: only sketch modes are available for sketch-only queries")
+		e.filterBatch(scs)
 	}
-	if err == nil && clk.stop() {
-		err = clk.err()
+	if len(scs) == 1 {
+		e.rankStage(first)
+		return
 	}
-	if err != nil {
-		e.met.queryErrors.Inc()
-		return Answer{}, err
-	}
-	if degraded {
-		e.met.degraded.Inc()
-		sc.trp.MarkSlow()
-		sc.trp.Root().SetAttr("degraded", 1)
-	}
-	e.met.queries.Inc()
-	e.met.queryTime.ObserveSince(start)
-	ans := Answer{Results: results, Degraded: degraded, FilterMode: sc.filterMode()}
-	finishOwnTrace(&sc.own, opt.ForceTrace, &ans)
-	return ans, nil
+	e.rankFanOut(scs)
 }
 
-// filteringLocked runs the Filtering mode's filter + rank stages for one
-// query under the engine read lock, with sc.clk already reset. q is nil for
-// sketch-set queries (rank falls back to sketch-estimated distances).
-func (e *Engine) filteringLocked(clk *queryClock, q *object.Object, qset *metastore.SketchSet, opt QueryOptions, sc *queryScratch) ([]Result, bool, error) {
-	cands, err := e.filter(clk, q, qset, opt, sc)
-	if err != nil || clk.stop() {
-		return nil, false, err
+// rankFanOut ranks each request of a batch as one task on the persistent
+// pool; tasks no free worker picks up run on the caller. Each task uses its
+// request's own scratch, clock and budget, so degradation stays per query.
+func (e *Engine) rankFanOut(scs []*queryScratch) {
+	var wg sync.WaitGroup
+	for _, sc := range scs {
+		wg.Add(1)
+		fn := func() {
+			defer wg.Done()
+			e.rankStage(sc)
+		}
+		if !e.pool.dispatch(fn) {
+			fn()
+		}
 	}
-	results, degraded := e.rankLocked(clk, q, qset, cands, opt, sc)
-	return results, degraded, nil
+	wg.Wait()
 }
 
-// rankLocked runs the ranking unit over a candidate set under the engine
-// read lock, timing the stage. q nil (or a sketch-only store) ranks by
-// sketch-estimated distances.
-func (e *Engine) rankLocked(clk *queryClock, q *object.Object, qset *metastore.SketchSet, cands []int, opt QueryOptions, sc *queryScratch) ([]Result, bool) {
+// rankStage runs the ranking unit over a filtered request's candidate set,
+// timing the stage, and settles its outcome. A request without a query
+// object (or a sketch-only store) ranks by sketch-estimated distances.
+// Caller holds the read lock.
+func (e *Engine) rankStage(sc *queryScratch) {
+	if sc.err != nil {
+		return
+	}
+	defer rtrace.StartRegion(sc.ctx, "ferret.rank").End()
 	tr := time.Now()
 	sc.rankEvals, sc.rankPruned, sc.rankAbandoned = 0, 0, 0
 	var results []Result
 	var degraded bool
-	if q == nil || e.cfg.SketchOnly {
-		results, degraded = e.rankSketchCandidates(clk, qset, cands, opt, sc)
+	if !sc.hasQ || e.cfg.SketchOnly {
+		results, degraded = e.rankSketchCandidates(&sc.clk, sc.qset, sc.cands, sc.opt, sc)
 	} else {
-		results, degraded = e.rankCandidates(clk, *q, qset, cands, opt, sc)
+		results, degraded = e.rankCandidates(&sc.clk, sc.q, sc.qset, sc.cands, sc.opt, sc)
 	}
 	e.met.stageRank.ObserveSince(tr)
 	sc.trp.Record(StageRank, tr, time.Since(tr)).
 		SetAttr("evals", int64(sc.rankEvals)).
 		SetAttr("pruned", int64(sc.rankPruned)).
-		SetAttr("cands", int64(len(cands)))
-	return results, degraded
+		SetAttr("cands", int64(len(sc.cands)))
+	sc.settle(results, degraded)
+}
+
+// rankEvery runs the brute-force modes: every live, unrestricted object is
+// ranked with the accurate object distance (BruteForceOriginal) or with
+// sketch-estimated segment distances (BruteForceSketch). They have no
+// candidate tail to fall back on, so a budget expiry degrades to "best of
+// the prefix scanned in time". Caller holds the read lock.
+func (e *Engine) rankEvery(sc *queryScratch) {
+	tr := time.Now()
+	var results []Result
+	switch {
+	case sc.opt.Mode == BruteForceSketch:
+		results = e.rankAllSketch(&sc.clk, sc.qset, sc.opt)
+	case sc.opt.Mode != BruteForceOriginal:
+		sc.err = fmt.Errorf("core: unknown mode %d", sc.opt.Mode)
+		return
+	case !sc.hasQ || e.cfg.SketchOnly:
+		sc.err = errors.New("core: BruteForceOriginal unavailable in sketch-only mode")
+		return
+	default:
+		results = e.rankAll(&sc.clk, sc.q, sc.opt)
+	}
+	e.met.stageRank.ObserveSince(tr)
+	sc.trp.Record(StageRank, tr, time.Since(tr))
+	sc.settle(results, sc.clk.budgetHit())
 }
 
 func (e *Engine) buildSketchSet(q object.Object) *metastore.SketchSet {
@@ -993,12 +1002,11 @@ func (e *Engine) buildSketchSet(q object.Object) *metastore.SketchSet {
 }
 
 // rankAll is BruteForceOriginal: the accurate object distance against every
-// (non-restricted) object, sharded across the configured parallelism. In
-// LowMemory mode each feature-vector record is fetched from the metadata
-// store as the scan reaches it.
+// (non-restricted) object. In LowMemory mode each feature-vector record is
+// fetched from the metadata store as the scan reaches it.
 func (e *Engine) rankAll(clk *queryClock, q object.Object, opt QueryOptions) []Result {
 	if e.cfg.LowMemory {
-		return e.rankParallel(clk, len(e.entries), opt, func(i int) (Result, bool) {
+		return e.rankScan(clk, len(e.entries), opt, func(i int) (Result, bool) {
 			ent := &e.entries[i]
 			if ent.dead {
 				return Result{}, false
@@ -1013,7 +1021,7 @@ func (e *Engine) rankAll(clk *queryClock, q object.Object, opt QueryOptions) []R
 			return Result{ID: ent.id, Key: ent.key, Distance: e.objDist(q, o)}, true
 		})
 	}
-	return e.rankParallel(clk, len(e.objects), opt, func(i int) (Result, bool) {
+	return e.rankScan(clk, len(e.objects), opt, func(i int) (Result, bool) {
 		o := &e.objects[i]
 		if e.entries[i].dead {
 			return Result{}, false
@@ -1028,7 +1036,7 @@ func (e *Engine) rankAll(clk *queryClock, q object.Object, opt QueryOptions) []R
 // rankAllSketch is BruteForceSketch: sketch-estimated object distance
 // against every object.
 func (e *Engine) rankAllSketch(clk *queryClock, qset *metastore.SketchSet, opt QueryOptions) []Result {
-	return e.rankParallel(clk, len(e.entries), opt, func(i int) (Result, bool) {
+	return e.rankScan(clk, len(e.entries), opt, func(i int) (Result, bool) {
 		ent := &e.entries[i]
 		if ent.dead {
 			return Result{}, false
@@ -1038,6 +1046,28 @@ func (e *Engine) rankAllSketch(clk *queryClock, qset *metastore.SketchSet, opt Q
 		}
 		return Result{ID: ent.id, Key: ent.key, Distance: e.sketchObjectDistanceAt(qset, i)}, true
 	})
+}
+
+// rankScan runs a distance function over the entry range [0, n), keeping
+// the global top K. The query clock is checked every rankCheckStride
+// evaluations: context cancellation aborts the scan (the caller surfaces
+// the error), budget expiry stops it early — the caller reads the latched
+// expiry (budgetHit) and marks the answer degraded.
+func (e *Engine) rankScan(clk *queryClock, n int, opt QueryOptions, distance func(idx int) (Result, bool)) []Result {
+	top := newTopK(opt.K)
+	evals := 0
+	for i := 0; i < n; i++ {
+		if i%rankCheckStride == 0 && (clk.stop() || clk.overBudget()) {
+			break
+		}
+		if r, ok := distance(i); ok {
+			evals++
+			top.push(r)
+		}
+	}
+	e.met.emdEvals.Add(evals)
+	e.met.heapTrims.Add(top.trims)
+	return top.sorted()
 }
 
 const infinity = 1e300

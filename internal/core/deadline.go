@@ -17,11 +17,10 @@ import (
 //     results ranked so far with the remainder filled in sketch-distance
 //     order and Answer.Degraded set.
 //
-// Both signals latch atomically so parallel scan shards can observe a
-// cancellation or expiry seen by any other shard without re-reading the
-// clock, and so "degraded" reflects only expiry observed by a rank loop —
-// a budget that runs out after the last evaluation does not taint a
-// complete answer.
+// Both signals latch atomically — a batch's filter pass and the request's
+// own rank task may run on different goroutines — and "degraded" reflects
+// only expiry observed by a rank loop: a budget that runs out after the last
+// evaluation does not taint a complete answer.
 type queryClock struct {
 	ctx context.Context
 	// deadline is the budget expiry instant; zero means no budget.
@@ -90,9 +89,9 @@ func (c *queryClock) budgetHit() bool { return c.expired.Load() }
 // invisible, frequent enough that cancellation latency stays in the tens of
 // microseconds even on sketch-only scans.
 const (
-	// scanCheckStride is how many entries the slow (tombstone/Restrict)
-	// scan visits between clock checks; the fast arena scan checks once per
-	// batchRows block instead.
+	// scanCheckStride is how many candidate rows an index descent verifies
+	// between clock checks; the arena sweep checks once per batchRows block
+	// instead.
 	scanCheckStride = 256
 	// rankCheckStride is how many brute-force rank evaluations run between
 	// clock checks. Filtering-mode ranking checks every evaluation: each

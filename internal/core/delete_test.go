@@ -145,6 +145,76 @@ func TestDeleteUnknownID(t *testing.T) {
 	}
 }
 
+// TestDeleteFindsEntryByID pins Delete's ID lookup across the cases a
+// positional shortcut would get wrong: an ID that was never ingested, an ID
+// deleted twice, and IDs whose entry positions moved when a compaction
+// dropped earlier tombstones — in a segmented engine, so the located entry
+// must also map to the right storage segment.
+func TestDeleteFindsEntryByID(t *testing.T) {
+	const d = 6
+	cfg := testConfig(t.TempDir(), d)
+	cfg.HIndex = HIndexParams{Enable: true}
+	cfg.Segments = SegmentParams{SealEntries: 5, Interval: -1}
+	e := openEngine(t, cfg)
+	ids := ingestClusters(t, e, 4, 4, d, 2)
+	check := func(label string, objects, deleted int) {
+		t.Helper()
+		e.mu.RLock()
+		err := e.checkSegInvariants()
+		e.mu.RUnlock()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if st := e.Stat(); st.Objects != objects || st.Deleted != deleted {
+			t.Fatalf("%s: stats %+v, want %d objects / %d deleted", label, st, objects, deleted)
+		}
+	}
+	del := func(id object.ID) {
+		t.Helper()
+		if err := e.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	del(object.ID(0)) // below every ID
+	del(object.ID(999))
+	check("delete-missing", 16, 0)
+
+	del(ids[0][1])
+	del(ids[2][3])
+	check("delete", 14, 2)
+	del(ids[0][1])
+	check("delete-twice", 14, 2)
+	if v := e.Telemetry().Value("ferret_delete_total"); v != 2 {
+		t.Fatalf("ferret_delete_total = %g, want 2", v)
+	}
+
+	// Compaction drops the two tombstones, so every later entry moves down:
+	// position and ID no longer line up.
+	e.Compact()
+	check("compact", 14, 0)
+	del(ids[0][1]) // gone for good: still a no-op
+	del(ids[3][3]) // the last entry
+	del(ids[0][2]) // an early one
+	check("delete-after-compact", 12, 2)
+	for g := range e.entries {
+		id := e.entries[g].id
+		if want := id == ids[3][3] || id == ids[0][2]; e.entries[g].dead != want {
+			t.Fatalf("entry %d (id %d): dead=%v, want %v", g, id, e.entries[g].dead, want)
+		}
+	}
+	q := clusterObject("q", 3, d, 2, 0.01, rand.New(rand.NewSource(6)))
+	results, err := e.Query(q, QueryOptions{K: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		if r.ID == ids[3][3] || r.ID == ids[0][2] {
+			t.Fatalf("deleted object %d returned", r.ID)
+		}
+	}
+}
+
 func TestStatSegments(t *testing.T) {
 	const d = 4
 	e := openEngine(t, testConfig(t.TempDir(), d))

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
+	rtrace "runtime/trace"
 	"slices"
 	"sort"
 	"sync"
@@ -14,25 +16,55 @@ import (
 	"ferret/internal/telemetry/trace"
 )
 
-// queryScratch pools the filtering and ranking units' per-query scratch
-// state — segment ordering, candidate lists, bounded heaps, batch distance
-// blocks and lower-bound tables — so repeated queries allocate nothing on
-// the filter path (verified by TestFilterPathAllocs).
+// queryReq is one query riding through the pipeline: its inputs, the trace
+// buffer it records into, and its outcome.
+type queryReq struct {
+	ctx context.Context
+	// q is the query object; hasQ is false for a by-ID query of a
+	// sketch-only store, which ranks by the stored sketches in qset.
+	q     object.Object
+	hasQ  bool
+	qset  *metastore.SketchSet
+	opt   QueryOptions
+	start time.Time // pipeline entry, for ferret_query_seconds
+	enq   time.Time // scheduler submit, for ferret_batch_queue_wait_seconds
+
+	// trp points at the query's active trace recording buffer — the
+	// scratch's own, or the caller-supplied one from QueryOptions.Trace. nil
+	// (or a disarmed target) makes every recording call a no-op, so the
+	// filter path stays allocation-free either way.
+	trp *trace.Active
+
+	ans Answer
+	err error
+}
+
+// queryScratch is one query's pooled pipeline state: the request itself and
+// the filtering and ranking units' scratch — segment ordering, candidate
+// lists, bounded heaps and lower-bound tables — so a single query allocates
+// no request record, channel or closure, and repeated queries allocate
+// nothing on the filter path (verified by TestFilterPathAllocs).
 type queryScratch struct {
+	queryReq // cleared by putScratch: pooled scratch never pins caller memory
+
+	// done hands a scheduled request back to its waiting Search call: the
+	// dispatcher sends once per submitted request, so the channel (capacity
+	// 1) is reused across the scratch's lifetimes.
+	done chan struct{}
+
 	order []int      // query segments by descending weight
 	cands []int      // candidate entry indices (union over query segments)
-	heaps []*segHeap // per-shard k-nearest heaps + one merge slot
-	scans []int      // per-shard scan counts
-	hits  []int32    // block-relative row indices selected by the scan kernel
-	dist  []int32    // Hamming distances of the selected rows
-	probe []int32    // candidate rows streamed out of the Hamming index
-	seen  []uint64   // per-row dedup bitmap for the index descent (kept zero)
+	heaps []*segHeap // one k-nearest heap per selected query segment
 
 	// Filter-mode accounting for the answer's mode=index|scan flag: (query
-	// segment × storage segment) units served by a Hamming-index probe vs.
-	// by an arena scan. scannedN counts the objects those units visited, for
-	// the shared batched path's per-request attribution.
+	// segment × storage segment) units served by a Hamming-index descent vs.
+	// by an arena sweep. scannedN counts the objects those units visited.
 	idxSegs, scanSegs, scannedN int
+	// walk: the request's Restrict set is selective enough that its arena
+	// scans walk entries instead of sweeping rows (set by buildPairs).
+	walk bool
+
+	batch batchScratch // filter buffers of the batch this request leads
 
 	// Ranking-unit scratch (sketch lower-bound pruning).
 	lbs    []lbCand
@@ -40,24 +72,17 @@ type queryScratch struct {
 	qw     []float64
 	ow     []float64
 
-	// clk is the query's cancellation/budget clock, pooled here so the
-	// zero-allocation filter path stays allocation-free even though scan
-	// goroutines capture a pointer to it.
+	// clk is the query's cancellation/budget clock, pooled here so arming
+	// it never allocates.
 	clk queryClock
 
-	// trp points at the query's active trace recording buffer — own for
-	// serial queries, the scheduler request's for batched ones, or the
-	// caller-supplied one from QueryOptions.Trace. nil (or a disarmed
-	// target) makes every recording call a no-op, so the filter path stays
-	// allocation-free either way. Cleared by putScratch.
-	trp *trace.Active
 	// own is the engine-armed trace buffer for queries whose caller did not
 	// supply one. Pooled by value with the scratch: arming it never
 	// allocates.
 	own trace.Active
 
 	// Ranking-unit statistics for the rank trace span, reset and read by
-	// rankLocked and written where the rank metrics are published.
+	// rankStage and written where the rank metrics are published.
 	rankEvals, rankPruned, rankAbandoned int
 }
 
@@ -65,20 +90,18 @@ var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
 
 func getScratch() *queryScratch {
 	sc := scratchPool.Get().(*queryScratch)
-	// Zero the per-query mode accounting here, not only in filter():
-	// brute-force and sketch-only queries never run the filter stage, and a
-	// reused scratch must not leak the previous query's FilterMode.
+	// Brute-force queries never run the filter stage, and a reused scratch
+	// must not leak the previous query's FilterMode.
 	sc.idxSegs, sc.scanSegs, sc.scannedN = 0, 0, 0
 	return sc
 }
 
 func putScratch(sc *queryScratch) {
-	sc.trp = nil // never let a caller-owned trace buffer dangle in the pool
+	sc.queryReq = queryReq{}
 	scratchPool.Put(sc)
 }
 
-// heap returns the i-th pooled segment heap reset to capacity k. Shard
-// heaps must be claimed before goroutines fan out (the slice may grow).
+// heap returns the i-th pooled segment heap reset to capacity k.
 func (sc *queryScratch) heap(i, k int) *segHeap {
 	for len(sc.heaps) <= i {
 		sc.heaps = append(sc.heaps, newSegHeap(k))
@@ -87,20 +110,26 @@ func (sc *queryScratch) heap(i, k int) *segHeap {
 	return sc.heaps[i]
 }
 
-// batchRows is the filter scan's block size: big enough to amortize the
+// settle records the request's outcome once its last stage has run: the
+// context's error if it was cancelled on the way, the answer otherwise.
+func (sc *queryScratch) settle(results []Result, degraded bool) {
+	if sc.clk.stop() {
+		sc.err = sc.clk.err()
+		return
+	}
+	sc.ans = Answer{Results: results, Degraded: degraded, FilterMode: sc.filterMode()}
+}
+
+// batchRows is the arena sweep's block size: big enough to amortize the
 // select kernel call, small enough that the k-nearest bound re-tightens
 // frequently and the hit buffers stay in L1.
 const batchRows = 512
 
-// selectBlocks returns the pooled hit-index and distance blocks for the
-// select kernel.
-func (sc *queryScratch) selectBlocks() ([]int32, []int32) {
-	if cap(sc.hits) < batchRows {
-		sc.hits = make([]int32, batchRows)
-		sc.dist = make([]int32, batchRows)
-	}
-	return sc.hits[:batchRows], sc.dist[:batchRows]
-}
+// restrictWalkDiv: a Restrict set smaller than 1/restrictWalkDiv of the
+// corpus makes the arena scan walk entries instead of sweeping rows. On
+// BenchmarkFilterRestrict's corpus the two cost the same at a quarter; the
+// walk is 14× faster at ten allowed objects, the sweep 1.7× at half.
+const restrictWalkDiv = 4
 
 // resizeF64 grows (or shrinks) a pooled float64 slice to length n.
 func resizeF64(s *[]float64, n int) []float64 {
@@ -111,178 +140,251 @@ func resizeF64(s *[]float64, n int) []float64 {
 	return *s
 }
 
-// filter implements the filtering unit: for each of the r highest-weight
-// query segments, stream through all dataset segment sketches (or, on the
-// exact path, all feature vectors) and keep the k nearest within a
-// weight-dependent threshold; the deduplicated union of the owning objects
-// is the candidate set (as sorted entry indices). q may be nil for
-// sketch-only queries. The sketch scan runs over the flat arena: the fast
-// path (no tombstones, no restriction) sweeps rows word-wise with the
-// batch Hamming kernel; the slow path walks entries to honor tombstones
-// and Restrict sets.
-func (e *Engine) filter(clk *queryClock, q *object.Object, qset *metastore.SketchSet, opt QueryOptions, sc *queryScratch) ([]int, error) {
-	p := opt.Filter
-	if p == (FilterParams{}) {
-		p = e.cfg.Filter
+func resizeI32(s *[]int32, n int) []int32 {
+	if cap(*s) < n {
+		*s = make([]int32, n)
 	}
-	p = p.withDefaults(len(qset.Sketches), opt.K)
-	sc.idxSegs, sc.scanSegs = 0, 0
-	if p.ExactDistance {
-		exStart := time.Now()
-		cands, err := e.filterExact(clk, q, p, opt)
-		sc.scanSegs++
-		sc.trp.Record(StageExactFilter, exStart, time.Since(exStart)).
-			SetAttr("candidates", int64(len(cands)))
-		return cands, err
-	}
-	stageStart := time.Now()
-	scanned := 0
+	*s = (*s)[:n]
+	return *s
+}
 
-	// Pick the r highest-weight query segments. Insertion sort: segment
-	// counts are small and it is deterministic and allocation-free.
-	order := sc.order[:0]
-	for i := range qset.Sketches {
+// resizeU64 sizes a pooled dedup bitmap. The all-zero invariant is the
+// caller's: every bit set during a descent is cleared afterwards, and a
+// grow hands out a freshly zeroed slice.
+func resizeU64(s *[]uint64, n int) []uint64 {
+	if cap(*s) < n {
+		*s = make([]uint64, n)
+	}
+	*s = (*s)[:n]
+	return *s
+}
+
+// scanPair is one (query, query-segment) unit of the filter: the segment's
+// sketch, the pair's acceptance threshold and its private k-nearest heap.
+type scanPair struct {
+	req    int // index of the owning request in the batch
+	qsk    sketch.Sketch
+	maxHam int
+	heap   *segHeap
+}
+
+// batchScratch holds the filter's per-batch buffers: the packed multi-query
+// sketches, the per-pair bounds and hit blocks, and the pair bookkeeping. A
+// batch uses the one pooled in its first request's scratch.
+type batchScratch struct {
+	pairs  []scanPair
+	ms     sketch.MultiSketch // the swept pairs' sketches, packed for the kernel
+	qsks   []sketch.Sketch    // ms's input
+	bounds []int32
+	ns     []int32
+	idx    []int32
+	dist   []int32
+
+	// Hamming-index descent buffers (see indexDescent).
+	probe  []int32    // the probed pairs' candidate rows, one sorted run per pair
+	pends  []int      // end of each probed pair's run in probe
+	seen   []uint64   // per-row dedup bitmap for the descent (kept zero)
+	ppairs []scanPair // pairs probed in this segment
+	spairs []scanPair // pairs left for the segment's arena sweep
+	// tmp collects one pair's verified candidates: a failed probe discards
+	// it, so the pair's accumulator heap never sees rows from a probe that
+	// fell back to the sweep.
+	tmp segHeap
+}
+
+// filterParams resolves a query's filter parameters: its own when any field
+// is set, the engine's otherwise.
+func (e *Engine) filterParams(opt *QueryOptions) FilterParams {
+	if opt.Filter == (FilterParams{}) {
+		return e.cfg.Filter
+	}
+	return opt.Filter
+}
+
+// topSegments orders a query's segments by descending weight into buf and
+// returns the r heaviest. Insertion sort: segment counts are small, and it
+// is stable (equal weights keep segment order, so every filter path picks
+// the same segments) and allocation-free.
+func topSegments(buf []int, weights []float32, r int) []int {
+	order := buf[:0]
+	for i := range weights {
 		order = append(order, i)
 	}
 	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && qset.Weights[order[j]] > qset.Weights[order[j-1]]; j-- {
+		for j := i; j > 0 && weights[order[j]] > weights[order[j-1]]; j-- {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
-	sc.order = order
-	order = order[:p.QuerySegments]
+	return order[:r]
+}
 
-	cands := sc.cands[:0]
-	n := e.builder.N()
-	workers := e.workers()
-	for _, qi := range order {
-		if clk.stop() {
-			break
+// buildPairs expands a batch into its (query, query-segment) pair list: for
+// each request the r highest-weight query segments, each with its
+// weight-tightened Hamming threshold and a private k-nearest heap.
+func (e *Engine) buildPairs(scs []*queryScratch, bs *batchScratch) {
+	n := float64(e.builder.N())
+	bs.pairs = bs.pairs[:0]
+	for i, sc := range scs {
+		sc.walk = sc.opt.Restrict != nil && len(sc.opt.Restrict)*restrictWalkDiv < len(e.entries)
+		p := e.filterParams(&sc.opt).withDefaults(len(sc.qset.Sketches), sc.opt.K)
+		sc.order = topSegments(sc.order, sc.qset.Weights, p.QuerySegments)
+		for j, qi := range sc.order {
+			frac := p.MaxHammingFrac * (1 - p.WeightTighten*float64(sc.qset.Weights[qi]))
+			bs.pairs = append(bs.pairs, scanPair{
+				req:    i,
+				qsk:    sc.qset.Sketches[qi],
+				maxHam: int(frac * n),
+				heap:   sc.heap(j, p.NearestPerSegment),
+			})
 		}
-		w := float64(qset.Weights[qi])
-		frac := p.MaxHammingFrac * (1 - p.WeightTighten*w)
-		maxHam := int(frac * float64(n))
-		qsk := qset.Sketches[qi]
+	}
+}
 
-		// One accumulator heap per query segment, fed by every storage
-		// segment in turn: pushes apply the global (hamming, entry) pair
-		// order, so the result is bit-identical to a single-arena pass no
-		// matter how the corpus is segmented.
-		acc := sc.heap(0, p.NearestPerSegment)
-		for _, seg := range e.segs {
-			if seg.liveEntries() == 0 {
+// filterBatch is the filtering unit (paper §4.1.1) for a batch of one or
+// many requests: for each of a query's r highest-weight segments it keeps
+// the k nearest dataset segment sketches within a weight-dependent Hamming
+// threshold, and the deduplicated union of the owning objects is the
+// query's candidate set (sorted entry indices in sc.cands).
+//
+// It descends the storage segments once for the whole batch. In each, the
+// pairs the cost model admits go through the segment's Hamming index
+// (indexDescent) and the rest — no index, a probe that cannot win, a radius
+// the index cannot cover — share one sweep of the segment's arena. Every
+// push applies the global (hamming, entry) pair order, so a pair's heap ends
+// up holding its k smallest pairs no matter how the corpus is segmented,
+// which machinery served it, or what else rode in the batch. Caller holds
+// the read lock.
+func (e *Engine) filterBatch(scs []*queryScratch) {
+	stageStart := time.Now()
+	defer rtrace.StartRegion(scs[0].ctx, "ferret.scan").End()
+	bs := &scs[0].batch
+	e.buildPairs(scs, bs)
+
+	// A pass that served several queries is recorded in each one's trace as
+	// a scan span carrying one shared ref, so equal refs prove the queries
+	// rode one physical pass; a private pass is the query's filter span.
+	name, ref := StageFilter, trace.SpanID(0)
+	if len(scs) > 1 {
+		name, ref = StageScan, trace.NewSpanID()
+	}
+	for _, seg := range e.segs {
+		if seg.liveEntries() == 0 {
+			continue
+		}
+		pairs := bs.pairs
+		if seg.hindex != nil {
+			pairs = e.indexDescent(seg, scs, bs, ref)
+		}
+		if len(pairs) > 0 {
+			e.arenaSweep(seg, scs, bs, pairs)
+		}
+	}
+
+	// Dedup each query's candidate union: one ranking evaluation per
+	// distinct object, no matter how many query segments (or index buckets)
+	// reached it.
+	pi := 0
+	for i, sc := range scs {
+		cands := sc.cands[:0]
+		for ; pi < len(bs.pairs) && bs.pairs[pi].req == i; pi++ {
+			cands = append(cands, bs.pairs[pi].heap.items()...)
+		}
+		slices.Sort(cands)
+		sc.cands = slices.Compact(cands)
+	}
+	dur := time.Since(stageStart)
+	for _, sc := range scs {
+		e.met.scanned.Add(sc.scannedN)
+		e.met.candidates.Add(len(sc.cands))
+		e.met.stageFilter.Observe(dur.Seconds())
+		sc.trp.RecordShared(name, ref, stageStart, dur).
+			SetAttr("batch", int64(len(scs))).
+			SetAttr("scanned", int64(sc.scannedN)).
+			SetAttr("candidates", int64(len(sc.cands)))
+	}
+}
+
+// arenaSweep streams one storage segment's arena once for the given pairs.
+// Blocks of rows go through the fused multi-query select kernel under each
+// pair's block-entry bound; the (few) selected rows then replay the exact
+// push/tighten logic, skipping tombstoned and Restrict-excluded entries, so
+// each pair's heap ends up identical to a row-by-row scan of the live,
+// unrestricted rows while misses never leave the kernel.
+//
+// A request under a selective Restrict set (sc.walk) walks the segment's
+// entries instead: one set lookup per entry and Hamming distances for the
+// allowed ones only. Its few allowed objects never fill the heaps, so the
+// sweep's bound would stay at the threshold and about half of every block
+// would be selected and looked up.
+//
+//ferret:noalloc
+func (e *Engine) arenaSweep(seg *segment, scs []*queryScratch, bs *batchScratch, pairs []scanPair) {
+	a := seg.arena
+	np := len(pairs)
+	swept := 0
+	for lo, hi := 0, 0; lo < np; lo = hi { // one request's pairs at a time
+		sc := scs[pairs[lo].req]
+		for hi = lo + 1; hi < np && pairs[hi].req == pairs[lo].req; hi++ {
+		}
+		sc.scanSegs += hi - lo
+		if !sc.walk {
+			sc.scannedN += (hi - lo) * seg.liveEntries()
+			swept += hi - lo
+			continue
+		}
+		for li := 0; li < seg.n; li++ {
+			if li%scanCheckStride == 0 && sc.clk.stop() {
+				break
+			}
+			g := seg.loEntry + li
+			if ent := &e.entries[g]; ent.dead || !sc.opt.Restrict[ent.id] {
 				continue
 			}
-			// With the Hamming index enabled, probe the segment's substring
-			// tables instead of streaming its arena — unless the cost model
-			// predicts the probe loses, or verification shows the index's
-			// exact radius cannot cover this query segment's threshold
-			// (probeSegment falls back).
-			if seg.hindex != nil {
-				if verified, ok := e.probeSegment(clk, seg, qsk, maxHam, p.NearestPerSegment, opt, sc, acc); ok {
-					scanned += verified
-					sc.idxSegs++
-					continue
+			sc.scannedN += hi - lo
+			rlo, rhi := a.rowsOf(li)
+			for pi := lo; pi < hi; pi++ {
+				p := &pairs[pi]
+				bound := min(p.maxHam, p.heap.worst())
+				for row := rlo; row < rhi; row++ {
+					if h := sketch.HammingAt(p.qsk, a.words, row*a.wps); h <= bound {
+						p.heap.push(g, h)
+						bound = min(bound, p.heap.worst())
+					}
 				}
 			}
-			scanned += e.scanSegment(clk, seg, qsk, maxHam, p.NearestPerSegment, workers, opt, sc, acc)
-			sc.scanSegs++
-		}
-		cands = append(cands, acc.items()...)
-	}
-
-	// Dedup the candidate union: one ranking evaluation per distinct
-	// object, no matter how many query segments (or index probe buckets)
-	// reached it.
-	slices.Sort(cands)
-	cands = slices.Compact(cands)
-	sc.cands = cands
-	e.met.scanned.Add(scanned)
-	e.met.candidates.Add(len(cands))
-	e.met.stageFilter.ObserveSince(stageStart)
-	sc.trp.Record(StageFilter, stageStart, time.Since(stageStart)).
-		SetAttr("scanned", int64(scanned)).
-		SetAttr("candidates", int64(len(cands)))
-	return cands, nil
-}
-
-// scanSegment streams one storage segment's arena for one query segment,
-// pushing survivors into the cross-segment accumulator acc (heap slot 0;
-// the probe's temp heap is slot 1, parallel shard heaps start at slot 2).
-// Returns the number of objects scanned. Results are identical to a
-// single-arena scan: every push applies the global (hamming, entry) pair
-// order.
-func (e *Engine) scanSegment(clk *queryClock, seg *segment, qsk sketch.Sketch, maxHam, k, workers int, opt QueryOptions, sc *queryScratch, acc *segHeap) int {
-	fast := opt.Restrict == nil && seg.deleted == 0
-	if workers <= 1 {
-		if fast {
-			hits, dist := sc.selectBlocks()
-			e.scanArenaRows(clk, seg, qsk, maxHam, acc, hits, dist, 0, seg.arena.rows())
-			return seg.n
-		}
-		return e.scanEntryRange(clk, seg, qsk, maxHam, acc, opt, 0, seg.n)
-	}
-
-	// Parallel scan: claim all shard heaps before the goroutines fan out,
-	// then shard the segment's arena rows (fast path) or its entry range
-	// (slow path) and merge the shard heaps into the accumulator.
-	for s := 0; s < workers; s++ {
-		sc.heap(2+s, k)
-	}
-	if cap(sc.scans) < workers {
-		sc.scans = make([]int, workers)
-	}
-	scans := sc.scans[:workers]
-	for i := range scans {
-		scans[i] = 0
-	}
-	scanned := 0
-	if fast {
-		e.parallelScan(seg.arena.rows(), workers, func(shard, lo, hi int) {
-			var hits, dist [batchRows]int32
-			e.scanArenaRows(clk, seg, qsk, maxHam, sc.heaps[2+shard], hits[:], dist[:], lo, hi)
-		})
-		scanned = seg.n
-	} else {
-		e.parallelScan(seg.n, workers, func(shard, lo, hi int) {
-			scans[shard] = e.scanEntryRange(clk, seg, qsk, maxHam, sc.heaps[2+shard], opt, lo, hi)
-		})
-		for _, n := range scans {
-			scanned += n
 		}
 	}
-	for s := 0; s < workers; s++ {
-		h := sc.heaps[2+s]
-		for i := range h.entry {
-			// Unconditional: push itself applies the (hamming, entry) pair
-			// order, so ties at the merge bound resolve identically to a
-			// serial scan.
-			acc.push(h.entry[i], h.ham[i])
-		}
+	if swept == 0 {
+		return
 	}
-	return scanned
-}
 
-// scanArenaRows is the filter scan's fast path over one segment's arena
-// rows [lo, hi) (segment-local): blocks of rows go through the fused select
-// kernel under the block-entry bound, then the (few) selected rows replay
-// the exact heap logic, so the result is identical to a row-by-row scan
-// while misses never leave the kernel. Valid only when every row belongs to
-// a live, unrestricted entry.
-//ferret:noalloc
-func (e *Engine) scanArenaRows(clk *queryClock, seg *segment, qsk sketch.Sketch, maxHam int, heap *segHeap, hits, dist []int32, lo, hi int) {
-	a := seg.arena
-	for base := lo; base < hi; base += batchRows {
-		if clk.stop() {
+	bounds := resizeI32(&bs.bounds, np)
+	ns := resizeI32(&bs.ns, np)
+	idx := resizeI32(&bs.idx, np*batchRows)
+	dist := resizeI32(&bs.dist, np*batchRows)
+	bs.qsks = bs.qsks[:0]
+	for _, p := range pairs {
+		bs.qsks = append(bs.qsks, p.qsk)
+	}
+	bs.ms.Reset(bs.qsks)
+	rows := a.rows()
+	for base := 0; base < rows; base += batchRows {
+		nb := min(batchRows, rows-base)
+		// Cancellation is checked once per block; a stopped request's pairs
+		// (and a walked one's) select nothing from here on (bound −1) while
+		// the sweep continues for the rest.
+		active := false
+		for pi := range pairs {
+			p := &pairs[pi]
+			if sc := scs[p.req]; sc.walk || sc.clk.stop() {
+				bounds[pi] = -1
+				continue
+			}
+			active = true
+			bounds[pi] = int32(min(p.maxHam, p.heap.worst()))
+		}
+		if !active {
 			return
-		}
-		nb := hi - base
-		if nb > batchRows {
-			nb = batchRows
-		}
-		bound := int32(maxHam)
-		if w := heap.worst(); w < int(bound) {
-			bound = int32(w)
 		}
 		// The kernel prefilters with the block-entry bound, ties included —
 		// a row at the worst kept distance can still enter by winning the
@@ -290,11 +392,26 @@ func (e *Engine) scanArenaRows(clk *queryClock, seg *segment, qsk sketch.Sketch,
 		// mid-block, so the selected rows are a superset of the acceptable
 		// ones and the replay below decides exactly as a row-by-row scan
 		// would.
-		n := sketch.HammingSelect(qsk, a.words, base*a.wps, nb, bound, hits, dist)
-		for k := 0; k < n; k++ {
-			if h := dist[k]; h <= bound {
-				heap.push(seg.loEntry+int(a.entry[base+int(hits[k])]), int(h))
-				if w := heap.worst(); w < int(bound) {
+		sketch.HammingSelectMulti(&bs.ms, a.words, base*a.wps, nb, bounds, idx, dist, batchRows, ns)
+		for pi := range pairs {
+			p := &pairs[pi]
+			bound := bounds[pi]
+			restrict := scs[p.req].opt.Restrict
+			check := seg.deleted > 0 || restrict != nil
+			hits, ds := idx[pi*batchRows:], dist[pi*batchRows:]
+			for k := 0; k < int(ns[pi]); k++ {
+				h := ds[k]
+				if h > bound {
+					continue
+				}
+				g := seg.loEntry + int(a.entry[base+int(hits[k])])
+				if check {
+					if ent := &e.entries[g]; ent.dead || (restrict != nil && !restrict[ent.id]) {
+						continue
+					}
+				}
+				p.heap.push(g, int(h))
+				if w := p.heap.worst(); w < int(bound) {
 					bound = int32(w)
 				}
 			}
@@ -302,52 +419,17 @@ func (e *Engine) scanArenaRows(clk *queryClock, seg *segment, qsk sketch.Sketch,
 	}
 }
 
-// scanEntryRange is the tombstone/Restrict-aware path over one segment's
-// local entries [lo, hi), reading sketch rows from its arena. Returns the
-// number of objects scanned.
-//ferret:noalloc
-func (e *Engine) scanEntryRange(clk *queryClock, seg *segment, qsk sketch.Sketch, maxHam int, heap *segHeap, opt QueryOptions, lo, hi int) int {
-	a := seg.arena
-	scanned := 0
-	for li := lo; li < hi; li++ {
-		if (li-lo)%scanCheckStride == 0 && clk.stop() {
-			break
-		}
-		g := seg.loEntry + li
-		ent := &e.entries[g]
-		if ent.dead {
-			continue
-		}
-		if opt.Restrict != nil && !opt.Restrict[ent.id] {
-			continue
-		}
-		scanned++
-		rlo, rhi := a.rowsOf(li)
-		bound := maxHam
-		if w := heap.worst(); w < bound {
-			bound = w
-		}
-		for row := rlo; row < rhi; row++ {
-			h := sketch.HammingAt(qsk, a.words, row*a.wps)
-			if h <= bound {
-				heap.push(g, h)
-				if w := heap.worst(); w < bound {
-					bound = w
-				}
-			}
-		}
-	}
-	return scanned
-}
-
 // filterExact is the filtering unit's exact path: the user-supplied segment
 // distance function is computed directly against all feature-vector
-// metadata (paper §4.1.1's alternative to the sketch comparison).
-func (e *Engine) filterExact(clk *queryClock, q *object.Object, p FilterParams, opt QueryOptions) ([]int, error) {
-	if q == nil || e.cfg.SketchOnly {
-		return nil, errors.New("core: exact-distance filtering requires stored feature vectors")
+// metadata (paper §4.1.1's alternative to the sketch comparison). It leaves
+// the candidate set in sc.cands or the failure in sc.err.
+func (e *Engine) filterExact(sc *queryScratch, p FilterParams) {
+	if !sc.hasQ || e.cfg.SketchOnly {
+		sc.err = errors.New("core: exact-distance filtering requires stored feature vectors")
+		return
 	}
 	stageStart := time.Now()
+	q, opt := &sc.q, &sc.opt
 	scanned := 0
 	getObject := func(i int) (object.Object, bool) {
 		if e.cfg.LowMemory {
@@ -356,16 +438,9 @@ func (e *Engine) filterExact(clk *queryClock, q *object.Object, p FilterParams, 
 		return e.objects[i], true
 	}
 
-	// Pick the r highest-weight query segments.
-	order := make([]int, len(q.Segments))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return q.Segments[order[a]].Weight > q.Segments[order[b]].Weight })
-	order = order[:p.QuerySegments]
-
+	sc.order = topSegments(sc.order, sc.qset.Weights, p.QuerySegments)
 	candidates := make(map[int]struct{})
-	for _, qi := range order {
+	for _, qi := range sc.order {
 		qvec := q.Segments[qi].Vec
 		// Weight-dependent threshold, as on the sketch path.
 		maxDist := math.Inf(1)
@@ -375,7 +450,7 @@ func (e *Engine) filterExact(clk *queryClock, q *object.Object, p FilterParams, 
 		var kept []scoredIdx
 		worst := math.Inf(1)
 		for idx := range e.entries {
-			if idx%rankCheckStride == 0 && clk.stop() {
+			if idx%rankCheckStride == 0 && sc.clk.stop() {
 				break
 			}
 			if e.entries[idx].dead {
@@ -409,15 +484,18 @@ func (e *Engine) filterExact(clk *queryClock, q *object.Object, p FilterParams, 
 			candidates[s.idx] = struct{}{}
 		}
 	}
-	out := make([]int, 0, len(candidates))
+	cands := sc.cands[:0]
 	for idx := range candidates {
-		out = append(out, idx)
+		cands = append(cands, idx)
 	}
-	sort.Ints(out)
+	sort.Ints(cands)
+	sc.cands = cands
+	sc.scanSegs++
 	e.met.scanned.Add(scanned)
-	e.met.candidates.Add(len(out))
+	e.met.candidates.Add(len(cands))
 	e.met.stageExact.ObserveSince(stageStart)
-	return out, nil
+	sc.trp.Record(StageExactFilter, stageStart, time.Since(stageStart)).
+		SetAttr("candidates", int64(len(cands)))
 }
 
 // scoredIdx pairs an entry index with an exact segment distance.

@@ -98,11 +98,11 @@ func (t *topK) sorted() []Result {
 //
 // The lexicographic pair order is a strict total order, which makes the
 // final heap content the k smallest pairs regardless of push order. That
-// order-independence is what lets the Hamming-index probe path, the serial
-// arena scan, the sharded parallel scan and the batched shared scan all
-// return bit-identical candidate sets: they visit rows in different orders
-// but converge on the same k pairs (TestIndexScanEquivalence relies on
-// this; with ties broken by arrival order instead, eviction under equal
+// order-independence is what lets the Hamming-index descent and the arena
+// sweep — over one arena or many storage segments, for one query or a whole
+// batch — return bit-identical candidate sets: they visit rows in different
+// orders but converge on the same k pairs (TestHIndexScanEquivalence relies
+// on this; with ties broken by arrival order instead, eviction under equal
 // distances would depend on the visit schedule).
 type segHeap struct {
 	k     int
@@ -142,6 +142,7 @@ func pairLess(ham1, entry1, ham2, entry2 int) bool {
 }
 
 // push offers one (entry, hamming) pair.
+//
 //ferret:noalloc
 func (h *segHeap) push(entry, hamming int) {
 	if len(h.ham) < h.k {

@@ -91,7 +91,8 @@ func TestHIndexScanEquivalence(t *testing.T) {
 			queryPair(t, fmt.Sprintf("%s/wide/q%d", label, qi), ei, es, q,
 				QueryOptions{K: 50, Filter: FilterParams{MaxHammingFrac: 0.49, NearestPerSegment: 500}})
 		}
-		// Restricted queries run through searchOne with the serial probe.
+		// Restricted queries never share a batch: the descent and the sweep
+		// check the Restrict set per hit.
 		restrict := map[object.ID]bool{}
 		for i := 0; i < len(objs); i += 2 {
 			if id, ok := ei.Meta().LookupKey(objs[i].Key); ok {
@@ -163,7 +164,7 @@ func TestHIndexBatchSerialEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("batch query %d: %v", i, err)
 		}
-		serial, err := e.searchOne(context.Background(), queries[i], opt)
+		serial, err := e.Search(context.Background(), queries[i], opt)
 		if err != nil {
 			t.Fatalf("serial query %d: %v", i, err)
 		}
@@ -175,7 +176,7 @@ func TestHIndexBatchSerialEquivalence(t *testing.T) {
 
 	// A mode without a filter stage must not inherit the pooled scratch's
 	// accounting from the filtering queries above.
-	bf, err := e.searchOne(context.Background(), queries[0], QueryOptions{K: 5, Mode: BruteForceSketch})
+	bf, err := e.Search(context.Background(), queries[0], QueryOptions{K: 5, Mode: BruteForceSketch})
 	if err != nil {
 		t.Fatalf("bruteforce query: %v", err)
 	}

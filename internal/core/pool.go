@@ -2,19 +2,18 @@ package core
 
 import "sync"
 
-// workerPool is the engine's persistent scan/rank worker pool. It replaces
-// the per-call goroutine spawn the parallel scans used before: workers are
-// started once at Open and stay alive until Close, so fan-out costs one
+// workerPool is the engine's persistent rank worker pool: a batch of several
+// queries fans its per-query rank stages out to it (see rankFanOut). Workers
+// are started once at Open and stay alive until Close, so fan-out costs one
 // channel send instead of a goroutine creation, and the pool-utilization
 // gauge shows saturation directly.
 //
 // The tasks channel is unbuffered, so a dispatch succeeds only when a worker
 // is free to take the task right now; otherwise the caller runs the task
 // inline. That makes dispatch non-blocking and the pool impossible to
-// deadlock — even recursive fan-out (a pool worker sharding its own scan)
-// simply degrades to inline execution when every worker is busy — and it
-// means closing the pool never strands a task: after close no worker
-// receives, so every dispatch falls back to the caller.
+// deadlock — fan-out simply degrades to inline execution when every worker
+// is busy — and it means closing the pool never strands a task: after close
+// no worker receives, so every dispatch falls back to the caller.
 type workerPool struct {
 	tasks chan func()
 	stop  chan struct{}

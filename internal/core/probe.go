@@ -36,265 +36,135 @@ func (p HIndexParams) withDefaults() HIndexParams {
 	return p
 }
 
-// probeSegment serves one (query segment × storage segment) unit from the
-// storage segment's multi-table Hamming index instead of its arena scan. It
-// returns the number of rows verified (the probe's contribution to the
-// objects-scanned metric) and whether the probe succeeded; on success the
-// segment's k nearest were merged into the cross-segment accumulator acc,
-// on ok=false the caller must fall back to scanSegment and acc is
-// untouched.
+// indexDescent serves one storage segment's index-eligible pairs from its
+// multi-table Hamming index instead of its arena sweep, in two phases: every
+// eligible pair streams its buckets into a sorted candidate list of its own,
+// then each list is verified against its pair's query sketch. It returns the
+// pairs the segment's arena sweep must still serve (cost-model and coverage
+// fallbacks). Caller holds the read lock.
 //
-// Correctness: the index's candidate stream is a superset of every segment
-// row within Hamming radius rEff = min(maxHam, Radius()) of the query
-// (pigeonhole). Candidates are verified with the same HammingAt kernel the
-// scan uses and pushed — into a private temp heap, so a failed probe never
-// pollutes the accumulator — under the same (hamming, entry) pair order,
-// with the acceptance bound clamped to rEff. The merge is bit-identical to
-// scanning the segment into acc whenever the probe reports ok:
+// Correctness: a pair's candidate stream is a superset of every segment row
+// within Hamming radius rEff = min(maxHam, Radius()) of its query sketch
+// (pigeonhole). Candidates are verified with the exact Hamming distance and
+// pushed — into a temp heap, so a failed probe never pollutes the pair's
+// accumulator — under the same (hamming, entry) pair order as the sweep,
+// with the acceptance bound clamped to rEff. Merging the temp heap is
+// bit-identical to sweeping the segment into the accumulator whenever the
+// pair succeeds:
 //
 //   - rEff == maxHam: the stream covers the whole acceptance radius, so the
-//     replay sees every segment row the scan would have accepted.
-//   - rEff < maxHam: coverage is only guaranteed up to rEff, so the probe
-//     succeeds only if the temp heap fills within it — then the segment's k
+//     replay sees every segment row the sweep would have accepted.
+//   - rEff < maxHam: coverage is only guaranteed up to rEff, so the pair
+//     succeeds only if its temp heap fills within it — then the segment's k
 //     nearest all sit at distance ≤ worst ≤ rEff and were all in the
 //     stream. Any segment row beyond rEff is dominated by those k rows, so
-//     it could not have entered acc either.
+//     it could not have entered the accumulator either.
 //
-// Cost model (ok=false before any verification): the estimated candidate
-// stream length (exact, from bucket populations) must stay below
+// Cost model (a pair falls back before any verification): the estimated
+// candidate stream length (exact, from bucket populations) must stay below
 // MaxCandidateFrac of the indexed rows — beyond that the probe's random
-// row reads lose to the scan's streaming kernels — and, when rEff < maxHam,
+// row reads lose to the sweep's streaming kernel — and, when rEff < maxHam,
 // must be at least k, or the heap provably cannot fill.
-//ferret:noalloc
-func (e *Engine) probeSegment(clk *queryClock, seg *segment, qsk sketch.Sketch, maxHam, k int, opt QueryOptions, sc *queryScratch, acc *segHeap) (int, bool) {
-	ix := seg.hindex
-	rEff := ix.Radius()
-	if maxHam < rEff {
-		rEff = maxHam
-	}
-	est := ix.EstimateCandidates(qsk)
-	rows := ix.Rows()
-	if float64(est) > e.cfg.HIndex.MaxCandidateFrac*float64(rows) || (rEff < maxHam && est < k) {
-		e.met.hixFallback.Inc()
-		return 0, false
-	}
-
-	probeStart := time.Now()
-	seen := resizeU64(&sc.seen, (seg.arena.rows()+63)/64)
-	buf := ix.AppendCandidates(sc.probe[:0], qsk, seen)
-	for _, row := range buf {
-		seen[row>>6] &^= 1 << (uint(row) & 63)
-	}
-	// Sorted candidates verify in arena order — sparse but monotone row
-	// reads instead of bucket-chain order.
-	slices.Sort(buf)
-	sc.probe = buf
-	sc.trp.Record(StageHProbe, probeStart, time.Since(probeStart)).
-		SetAttr("estimated", int64(est)).
-		SetAttr("candidates", int64(len(buf)))
-
-	verifyStart := time.Now()
-	a := seg.arena
-	tmp := sc.heap(1, k)
-	bound := rEff
-	for i, row := range buf {
-		if i%scanCheckStride == 0 && clk.stop() {
-			break
-		}
-		// Deleted rows never appear (Delete removes them from the index);
-		// only a caller-supplied Restrict set can exclude a candidate.
-		if opt.Restrict != nil && !opt.Restrict[e.entries[seg.loEntry+int(a.entry[row])].id] {
-			continue
-		}
-		h := sketch.HammingAt(qsk, a.words, int(row)*a.wps)
-		if h <= bound {
-			tmp.push(seg.loEntry+int(a.entry[row]), h)
-			if w := tmp.worst(); w < bound {
-				bound = w
-			}
-		}
-	}
-	e.met.hixProbes.Inc()
-	e.met.hixCandidates.Add(len(buf))
-	e.met.hixBaseline.Add(rows)
-	ok := rEff >= maxHam || tmp.full()
-	sc.trp.Record(StageHVerify, verifyStart, time.Since(verifyStart)).
-		SetAttr("verified", int64(len(buf))).
-		SetAttr("kept", int64(len(tmp.items())))
-	if !ok {
-		e.met.hixFallback.Inc()
-		return 0, false
-	}
-	for i := range tmp.entry {
-		acc.push(tmp.entry[i], tmp.ham[i])
-	}
-	return len(buf), true
-}
-
-// batchedProbeSegment serves one storage segment's index-eligible
-// (query, query-segment) pairs of a shared batch with one batched table
-// descent, the way sharedScanSegment batches the arena pass: every eligible
-// pair's buckets stream into one candidate union, which is verified once
-// per row with the multi-query Hamming kernel. It returns the pairs the
-// segment's shared scan must still serve (cost-model and coverage
-// fallbacks) with their sketches. Caller holds the read lock.
 //
-// Verification pushes go into per-pair temp heaps (bs.theaps), exactly as
-// in probeSegment: a successful pair's temp heap is merged into its
-// accumulator heap, a failed pair's is discarded, so fallbacks never
-// pollute the accumulator with a partial probe. Pushing union rows into a
-// pair's temp heap is sound even though the union mixes in other pairs'
-// bucket streams: any row within the pair's clamped bound rEff is
-// necessarily in that pair's own pigeonhole superset, so the extra rows can
-// only fail the bound check — the temp heap ends up exactly as a private
-// probe would leave it, and the (hamming, entry) pair order makes the row
-// visit order irrelevant.
-func (e *Engine) batchedProbeSegment(seg *segment, reqs []*batchReq, scs []*queryScratch, bs *batchScratch) ([]scanPair, []sketch.Sketch) {
+//ferret:noalloc
+func (e *Engine) indexDescent(seg *segment, scs []*queryScratch, bs *batchScratch, ref trace.SpanID) []scanPair {
 	ix := seg.hindex
 	rows := ix.Rows()
-	maxFrac := e.cfg.HIndex.MaxCandidateFrac
 	radius := ix.Radius()
-	ppairs := bs.ppairs[:0]
-	pqsks := bs.pqsks[:0]
-	spairs := bs.spairs[:0]
-	sqsks := bs.sqsks[:0]
+	maxCands := e.cfg.HIndex.MaxCandidateFrac * float64(rows)
+	bs.ppairs, bs.spairs, bs.pends = bs.ppairs[:0], bs.spairs[:0], bs.pends[:0]
 	probe := bs.probe[:0]
 	seen := resizeU64(&bs.seen, (seg.arena.rows()+63)/64)
-	defer func() {
-		bs.ppairs, bs.pqsks = ppairs, pqsks
-		bs.spairs, bs.sqsks = spairs, sqsks
-		bs.probe = probe
-	}()
 
 	probeStart := time.Now()
-	for pi := range bs.pairs {
-		p := bs.pairs[pi]
-		qsk := bs.qsks[pi]
-		rEff := radius
-		if p.maxHam < rEff {
-			rEff = p.maxHam
-		}
-		est := ix.EstimateCandidates(qsk)
-		if float64(est) > maxFrac*float64(rows) || (rEff < p.maxHam && est < p.heap.k) {
+	for _, p := range bs.pairs {
+		est := ix.EstimateCandidates(p.qsk)
+		if float64(est) > maxCands || (radius < p.maxHam && est < p.heap.k) {
 			e.met.hixFallback.Inc()
-			spairs = append(spairs, p)
-			sqsks = append(sqsks, qsk)
+			bs.spairs = append(bs.spairs, p)
 			continue
 		}
-		ppairs = append(ppairs, p)
-		pqsks = append(pqsks, qsk)
-		// The shared seen bitmap dedups the union across pairs as well as
-		// across tables: overlapping descents verify each row once.
-		probe = ix.AppendCandidates(probe, qsk, seen)
-	}
-	for _, row := range probe {
-		seen[row>>6] &^= 1 << (uint(row) & 63)
-	}
-	if len(ppairs) == 0 {
-		return spairs, sqsks
-	}
-	slices.Sort(probe)
-
-	// Every probed request's trace records the one physical descent and the
-	// one verification pass with shared span IDs, mirroring the shared
-	// scan's cross-trace linking.
-	if cap(bs.probed) < len(reqs) {
-		bs.probed = make([]bool, len(reqs))
-	}
-	probed := bs.probed[:len(reqs)]
-	for i := range probed {
-		probed[i] = false
-	}
-	for pi := range ppairs {
-		probed[ppairs[pi].req] = true
-	}
-	probeDur := time.Since(probeStart)
-	probeID := trace.NewSpanID()
-	for i := range reqs {
-		if probed[i] {
-			scs[i].trp.RecordShared(StageHProbe, probeID, probeStart, probeDur).
-				SetAttr("pairs", int64(len(ppairs))).
-				SetAttr("candidates", int64(len(probe)))
+		lo := len(probe)
+		probe = ix.AppendCandidates(probe, p.qsk, seen)
+		own := probe[lo:]
+		for _, row := range own {
+			seen[row>>6] &^= 1 << (uint(row) & 63)
 		}
+		// Sorted candidates verify in arena order — sparse but monotone row
+		// reads instead of bucket-chain order.
+		slices.Sort(own)
+		bs.ppairs = append(bs.ppairs, p)
+		bs.pends = append(bs.pends, len(probe))
 	}
+	bs.probe = probe
+	if len(bs.ppairs) == 0 {
+		return bs.spairs
+	}
+	bs.recordProbed(scs, StageHProbe, ref, probeStart)
 
+	// Verify each pair's candidates, then settle the pair: full coverage of
+	// its threshold, or a temp heap filled within the index radius, merges
+	// the temp heap into the pair's accumulator; anything else rejoins the
+	// segment's sweep with the accumulator untouched.
 	verifyStart := time.Now()
-	bs.ms.Reset(pqsks)
 	a := seg.arena
-	rowd := resizeI32(&bs.rowd, len(ppairs))
-	bnds := resizeI32(&bs.bounds, len(ppairs))
-	for pi := range ppairs {
-		p := &ppairs[pi]
-		b := radius
-		if p.maxHam < b {
-			b = p.maxHam
-		}
-		bnds[pi] = int32(b)
-		bs.theap(pi, p.heap.k)
-	}
-	if cap(bs.stopped) < len(reqs) {
-		bs.stopped = make([]bool, len(reqs))
-	}
-	stopped := bs.stopped[:len(reqs)]
-	for ri, row := range probe {
-		if ri%scanCheckStride == 0 {
-			for i := range reqs {
-				stopped[i] = scs[i].clk.stop()
+	lo := 0
+	for pi, p := range bs.ppairs {
+		own := probe[lo:bs.pends[pi]]
+		lo = bs.pends[pi]
+		sc := scs[p.req]
+		tmp := &bs.tmp
+		tmp.reset(p.heap.k)
+		bound := min(radius, p.maxHam)
+		for i, row := range own {
+			if i%scanCheckStride == 0 && sc.clk.stop() {
+				break
 			}
-			for pi := range ppairs {
-				if stopped[ppairs[pi].req] {
-					bnds[pi] = -1
-				}
+			g := seg.loEntry + int(a.entry[row])
+			// Deleted rows never appear (Delete removes them from the
+			// index); only a Restrict set can exclude a candidate.
+			if r := sc.opt.Restrict; r != nil && !r[e.entries[g].id] {
+				continue
 			}
-		}
-		sketch.HammingMultiAt(&bs.ms, a.words, int(row)*a.wps, rowd)
-		ent := seg.loEntry + int(a.entry[row])
-		for pi := range ppairs {
-			if h := rowd[pi]; h <= bnds[pi] {
-				th := bs.theaps[pi]
-				th.push(ent, int(h))
-				if w := th.worst(); w < int(bnds[pi]) {
-					bnds[pi] = int32(w)
-				}
+			if h := sketch.HammingAt(p.qsk, a.words, int(row)*a.wps); h <= bound {
+				tmp.push(g, h)
+				bound = min(bound, tmp.worst())
 			}
-		}
-	}
-	verifyDur := time.Since(verifyStart)
-	verifyID := trace.NewSpanID()
-	for i := range reqs {
-		if probed[i] {
-			scs[i].trp.RecordShared(StageHVerify, verifyID, verifyStart, verifyDur).
-				SetAttr("verified", int64(len(probe)))
-		}
-	}
-
-	// Per-pair success check, as in probeSegment: full coverage of the
-	// pair's threshold, or a temp heap filled within the index radius.
-	// Successes merge their temp heap into the pair's accumulator; failures
-	// rejoin the segment's shared scan with the accumulator untouched.
-	for pi := range ppairs {
-		p := ppairs[pi]
-		rEff := radius
-		if p.maxHam < rEff {
-			rEff = p.maxHam
 		}
 		e.met.hixProbes.Inc()
-		e.met.hixCandidates.Add(len(probe))
+		e.met.hixCandidates.Add(len(own))
 		e.met.hixBaseline.Add(rows)
-		th := bs.theaps[pi]
-		if rEff >= p.maxHam || th.full() {
-			for i := range th.entry {
-				p.heap.push(th.entry[i], th.ham[i])
-			}
-			scs[p.req].idxSegs++
-			scs[p.req].scannedN += len(probe)
+		if radius < p.maxHam && !tmp.full() {
+			e.met.hixFallback.Inc()
+			bs.spairs = append(bs.spairs, p)
 			continue
 		}
-		e.met.hixFallback.Inc()
-		spairs = append(spairs, p)
-		sqsks = append(sqsks, pqsks[pi])
+		for i := range tmp.entry {
+			p.heap.push(tmp.entry[i], tmp.ham[i])
+		}
+		sc.idxSegs++
+		sc.scannedN += len(own)
 	}
-	return spairs, sqsks
+	bs.recordProbed(scs, StageHVerify, ref, verifyStart)
+	return bs.spairs
+}
+
+// recordProbed records one phase of a descent (bucket streaming or
+// verification, started at start and ending now) in the trace of every
+// request that had a pair probed. ppairs is grouped by request.
+//
+//ferret:noalloc
+func (bs *batchScratch) recordProbed(scs []*queryScratch, name string, ref trace.SpanID, start time.Time) {
+	dur := time.Since(start)
+	last := -1
+	for _, p := range bs.ppairs {
+		if p.req != last {
+			last = p.req
+			scs[last].trp.RecordShared(name, ref, start, dur).
+				SetAttr("pairs", int64(len(bs.ppairs))).
+				SetAttr("candidates", int64(len(bs.probe)))
+		}
+	}
 }
 
 // filterMode renders the scratch's per-segment accounting as the answer's

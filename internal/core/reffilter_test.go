@@ -1,0 +1,270 @@
+package core
+
+import (
+	"cmp"
+	"context"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"ferret/internal/metastore"
+	"ferret/internal/object"
+	"ferret/internal/sketch"
+)
+
+// refFilter is the naive reference for the filtering unit, sharing only the
+// parameter defaults with it: for each of the query's r heaviest segments it
+// computes the Hamming distance to every row of every live, unrestricted
+// entry, sorts the lot by (hamming, entry), and keeps the first k within the
+// weight-tightened threshold; the candidate set is the union of the owning
+// entries, ascending. Caller holds the read lock (or is single-threaded).
+func refFilter(e *Engine, qset *metastore.SketchSet, opt QueryOptions) []int {
+	p := e.filterParams(&opt).withDefaults(len(qset.Sketches), opt.K)
+	order := make([]int, len(qset.Sketches))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(qset.Weights[b], qset.Weights[a]) })
+
+	type pair struct{ ham, entry int }
+	union := map[int]bool{}
+	for _, qi := range order[:p.QuerySegments] {
+		frac := p.MaxHammingFrac * (1 - p.WeightTighten*float64(qset.Weights[qi]))
+		maxHam := int(frac * float64(e.builder.N()))
+		var all []pair
+		for g := range e.entries {
+			if e.entries[g].dead || (opt.Restrict != nil && !opt.Restrict[e.entries[g].id]) {
+				continue
+			}
+			seg, li := e.segOf(g)
+			lo, hi := seg.arena.rowsOf(li)
+			for row := lo; row < hi; row++ {
+				all = append(all, pair{sketch.Hamming(qset.Sketches[qi], seg.arena.at(row)), g})
+			}
+		}
+		slices.SortFunc(all, func(a, b pair) int {
+			return cmp.Or(cmp.Compare(a.ham, b.ham), cmp.Compare(a.entry, b.entry))
+		})
+		for i := 0; i < len(all) && i < p.NearestPerSegment && all[i].ham <= maxHam; i++ {
+			union[all[i].entry] = true
+		}
+	}
+	out := make([]int, 0, len(union))
+	for g := range union {
+		out = append(out, g)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestFilterDifferential drives the filtering unit against the naive
+// reference over seeded random configurations: Hamming index on/off, one
+// arena or sealed storage segments, tombstones, compaction, sketch-only
+// stores, restricted queries, and batches of 1, 3 and 8. Every request's
+// candidate set must equal the reference's. A failure names its seed; rerun
+// one with -run 'TestFilterDifferential/seed=N'.
+func TestFilterDifferential(t *testing.T) {
+	const seeds, d = 200, 8
+	idxUnits, scanUnits, walked, restrictSwept := 0, 0, 0, 0
+	for seed := 0; seed < seeds; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(seed)))
+			cfg := testConfig(t.TempDir(), d)
+			cfg.Sketch.N = []int{64, 96, 256}[rng.Intn(3)]
+			cfg.SketchOnly = rng.Intn(4) == 0
+			if rng.Intn(2) == 0 {
+				cfg.HIndex = HIndexParams{Enable: true, Tables: []int{0, 4}[rng.Intn(2)], MaxCandidateFrac: []float64{0, 0.9}[rng.Intn(2)]}
+				// A threshold inside the index radius lets a descent cover a
+				// query outright instead of only when its heap fills.
+				cfg.Filter.MaxHammingFrac = []float64{0, 0.04}[rng.Intn(2)]
+			}
+			if rng.Intn(2) == 0 {
+				cfg.Segments = SegmentParams{SealEntries: 8 + rng.Intn(24), Interval: -1}
+			}
+			e := openEngine(t, cfg)
+
+			// Many tight clusters keep index buckets selective, so descents
+			// succeed; few loose ones exercise the cost-model and coverage
+			// fallbacks.
+			n := 40 + rng.Intn(80)
+			clusters := 2 + rng.Intn(30)
+			noise := []float64{0.002, 0.01, 0.05}[rng.Intn(3)]
+			var ids []object.ID
+			for i := 0; i < n; i++ {
+				o := clusterObject(fmt.Sprintf("o%03d", i), rng.Intn(clusters), d, 1+rng.Intn(4), noise, rng)
+				id, err := e.Ingest(o, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, id)
+			}
+			if rng.Intn(3) > 0 { // tombstones
+				for _, i := range rng.Perm(n)[:n/4] {
+					if err := e.Delete(ids[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				switch rng.Intn(4) {
+				case 0:
+					e.Compact()
+				case 1:
+					e.compactOnce()
+				}
+			}
+
+			for _, nq := range []int{1, 3, 8} {
+				scs := make([]*queryScratch, nq)
+				for i := range scs {
+					q := clusterObject("q", rng.Intn(clusters+1), d, 1+rng.Intn(5), noise, rng)
+					if rng.Intn(4) == 0 { // equal weights: selection must be stable
+						for s := range q.Segments {
+							q.Segments[s].Weight = 1
+						}
+					}
+					opt := QueryOptions{K: 1 + rng.Intn(12)}
+					if rng.Intn(2) == 0 {
+						opt.Filter = FilterParams{
+							QuerySegments:     rng.Intn(4),
+							NearestPerSegment: []int{0, 1, 5, 500}[rng.Intn(4)],
+							MaxHammingFrac:    []float64{0, 0.02, 0.05, 0.2}[rng.Intn(4)],
+							WeightTighten:     []float64{0, 0.4}[rng.Intn(2)],
+						}
+					}
+					if rng.Intn(3) == 0 {
+						// Half the corpus is swept, an eighth walked entry by entry.
+						opt.Restrict = map[object.ID]bool{}
+						den := []int{2, 8}[rng.Intn(2)]
+						for _, id := range ids {
+							if rng.Intn(den) == 0 {
+								opt.Restrict[id] = true
+							}
+						}
+					}
+					scs[i] = getScratch()
+					defer putScratch(scs[i])
+					loadScratch(scs[i], q, e.buildSketchSet(q), opt)
+					scs[i].hasQ = !cfg.SketchOnly
+				}
+				e.filterBatch(scs)
+				for i, sc := range scs {
+					if want := refFilter(e, sc.qset, sc.opt); !slices.Equal(sc.cands, want) {
+						t.Fatalf("seed %d, batch of %d, request %d (%+v, mode %q):\n got %v\nwant %v",
+							seed, nq, i, sc.opt.Filter, sc.filterMode(), sc.cands, want)
+					}
+					idxUnits += sc.idxSegs
+					scanUnits += sc.scanSegs
+					if sc.opt.Restrict != nil && sc.scanSegs > 0 {
+						if sc.walk {
+							walked++
+						} else {
+							restrictSwept++
+						}
+					}
+				}
+			}
+		})
+	}
+	if idxUnits == 0 || scanUnits == 0 || walked == 0 || restrictSwept == 0 {
+		t.Fatalf("%d index-served and %d scan-served units, %d walked and %d swept restricted requests: the seeds no longer reach every arm",
+			idxUnits, scanUnits, walked, restrictSwept)
+	}
+	t.Logf("%d index-served, %d scan-served (query segment × storage segment) units; %d walked, %d swept restricted requests",
+		idxUnits, scanUnits, walked, restrictSwept)
+}
+
+// TestFilterPathsSelectSameSegments: with equal weights the sketch filter
+// and the exact-distance filter must both drive the filter with the query's
+// first r segments. The query's first two segments sit in cluster 0 and its
+// other fourteen (enough to take an unstable sort off its small-slice
+// insertion path) in cluster 1, so a candidate from cluster 1 means a path
+// picked a later segment.
+func TestFilterPathsSelectSameSegments(t *testing.T) {
+	const d = 8
+	e := openEngine(t, testConfig(t.TempDir(), d))
+	ids := ingestClusters(t, e, 2, 12, d, 1)
+	inCluster0 := map[int]bool{}
+	for g := range e.entries {
+		inCluster0[g] = slices.Contains(ids[0], e.entries[g].id)
+	}
+
+	rng := rand.New(rand.NewSource(77))
+	near := func(cluster int) []float32 { return clusterObject("", cluster, d, 1, 0.01, rng).Segments[0].Vec }
+	weights, vecs := make([]float32, 16), make([][]float32, 16)
+	for s := range vecs {
+		weights[s] = 1
+		vecs[s] = near(min(s/2, 1))
+	}
+	q, err := object.New("q", weights, vecs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := topSegments(nil, weights, 2); !slices.Equal(got, []int{0, 1}) {
+		t.Fatalf("topSegments on equal weights = %v, want [0 1]", got)
+	}
+
+	for _, exact := range []bool{false, true} {
+		sc := getScratch()
+		defer putScratch(sc)
+		opt := QueryOptions{K: 5, Filter: FilterParams{QuerySegments: 2, NearestPerSegment: 4, ExactDistance: exact}}
+		loadScratch(sc, q, e.buildSketchSet(q), opt)
+		e.runBatch([]*queryScratch{sc})
+		if sc.err != nil {
+			t.Fatal(sc.err)
+		}
+		if len(sc.cands) == 0 {
+			t.Fatalf("exact=%v: no candidates", exact)
+		}
+		for _, g := range sc.cands {
+			if !inCluster0[g] {
+				t.Fatalf("exact=%v: candidate %d is from cluster 1: the filter was driven by a later query segment", exact, g)
+			}
+		}
+	}
+}
+
+// TestSingleQueryRanksInline: a batch of one must rank on the calling
+// goroutine — handing a lone query's rank to a pool worker and parking was
+// the whole batched-at-1-client gap (ROADMAP 1(b)). The object-distance
+// plug-in samples ferret_pool_busy_workers from inside the rank stage: it is
+// 0 when the caller ranks, at least 1 when a pool worker does.
+func TestSingleQueryRanksInline(t *testing.T) {
+	const d = 8
+	var e *Engine
+	var busyMax atomic.Int64
+	cfg := testConfig(t.TempDir(), d)
+	cfg.ObjectDistance = func(a, b object.Object) float64 {
+		if busy := e.met.poolBusy.Value(); busy > busyMax.Load() {
+			busyMax.Store(busy)
+		}
+		return float64(len(a.Segments) + len(b.Segments))
+	}
+	e = openEngine(t, cfg)
+	ingestClusters(t, e, 4, 6, d, 2)
+	rng := rand.New(rand.NewSource(88))
+	qs := make([]object.Object, 4)
+	for i := range qs {
+		qs[i] = clusterObject("q", i, d, 2, 0.02, rng)
+	}
+
+	ctx := context.Background()
+	if _, err := e.Search(ctx, qs[0], QueryOptions{K: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, errs := e.SearchBatch(ctx, qs[:1], QueryOptions{K: 3}); errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	if got := busyMax.Load(); got != 0 {
+		t.Fatalf("a single query ranked with %d pool workers busy, want 0: its rank was dispatched to the pool", got)
+	}
+
+	// Positive control: a batch of several does fan out (the leader ranks
+	// only the tasks no free worker takes, and two workers are free).
+	if _, errs := e.SearchBatch(ctx, qs, QueryOptions{K: 3}); errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	if busyMax.Load() == 0 {
+		t.Fatal("a batch of four never ranked on a pool worker: the gauge cannot tell inline from dispatched")
+	}
+}

@@ -19,14 +19,11 @@ func expectedDegradedResults(t *testing.T, e *Engine, q *queryProbe, opt QueryOp
 	t.Helper()
 	sc := getScratch()
 	defer putScratch(sc)
-	sc.clk.reset(context.Background(), 0)
+	loadScratch(sc, q.obj, q.set, opt)
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	cands, err := e.filter(&sc.clk, &q.obj, q.set, opt, sc)
-	if err != nil {
-		t.Fatalf("filter: %v", err)
-	}
-	lbs := e.lowerBounds(q.set, cands, e.cfg.SqrtWeights, sc)
+	e.filterBatch([]*queryScratch{sc})
+	lbs := e.lowerBounds(q.set, sc.cands, e.cfg.SqrtWeights, sc)
 	k := opt.K
 	if len(lbs) < k {
 		k = len(lbs)

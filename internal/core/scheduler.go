@@ -3,28 +3,20 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
-	"runtime/pprof"
-	rtrace "runtime/trace"
-	"slices"
 	"sync"
 	"time"
 
-	"ferret/internal/metastore"
 	"ferret/internal/object"
-	"ferret/internal/sketch"
-	"ferret/internal/telemetry/trace"
 )
 
-// The shared-scan query scheduler. Under concurrent load each query used to
-// stream the whole arena privately, so N in-flight queries cost N full
-// passes. The scheduler coalesces eligible Search calls into batches: one
-// leader pass scans the arena once with the multi-query select kernel,
-// maintaining a private k-nearest heap per (query, query-segment) pair with
-// exactly the serial scan's bound logic, then fans the per-query ranking
-// stages out to the persistent worker pool. Every query keeps its own clock,
-// budget, and degraded-answer semantics; results are identical to serial
-// Search up to ties.
+// The shared-scan query scheduler. Every search is a batch (see runBatch);
+// left alone, each concurrent query is a batch of one and streams the arena
+// privately, so N in-flight queries cost N full passes. The scheduler
+// coalesces batchable Search calls into larger batches: one filter pass
+// serves every (query, query-segment) pair, then the per-query ranking
+// stages fan out to the persistent worker pool. Every query keeps its own
+// clock, budget, and degraded-answer semantics, and its answer is identical
+// to the one it would have got alone.
 
 // ErrEngineClosed is returned for queries still queued in the scheduler when
 // the engine shuts down, and for new queries submitted after Close.
@@ -51,29 +43,6 @@ func (p SchedulerParams) maxBatch() int {
 	return p.MaxBatch
 }
 
-// batchReq is one query riding through the scheduler: its inputs, its slot
-// in an explicit batch, and its outcome. done closes when the batch leader
-// has filled ans/err.
-type batchReq struct {
-	ctx   context.Context
-	q     object.Object
-	qset  *metastore.SketchSet
-	opt   QueryOptions
-	start time.Time // Search entry, for ferret_query_seconds
-	enq   time.Time // scheduler submit, for ferret_batch_queue_wait_seconds
-	slot  int       // position in the caller's SearchBatch slice
-
-	// tr is the query's trace recording buffer (own, or the caller's via
-	// QueryOptions.Trace); nil when tracing is off. own rides in the
-	// batchReq allocation itself, so arming a trace costs no extra allocs.
-	tr  *trace.Active
-	own trace.Active
-
-	ans  Answer
-	err  error
-	done chan struct{}
-}
-
 // scheduler owns the coalescing queue and its dispatcher goroutine. The
 // submitted/received accounting (under mu) lets close guarantee that every
 // request that passed the closed-check is either answered by a batch or
@@ -83,11 +52,11 @@ type scheduler struct {
 	window time.Duration
 	max    int
 
-	reqs  chan *batchReq
+	reqs  chan *queryScratch
 	stopc chan struct{}
 	donec chan struct{}
 	once  sync.Once
-	batch []*batchReq // dispatcher-owned collect buffer
+	batch []*queryScratch // dispatcher-owned collect buffer
 
 	mu        sync.Mutex
 	closed    bool
@@ -100,50 +69,35 @@ func newScheduler(e *Engine, p SchedulerParams) *scheduler {
 		e:      e,
 		window: p.Window,
 		max:    p.maxBatch(),
-		reqs:   make(chan *batchReq, 4*p.maxBatch()),
-		stopc:  make(chan struct{}),
-		donec:  make(chan struct{}),
+		// Room for a few full batches to queue while one runs, so arrivals
+		// during a batch coalesce into the next instead of blocking.
+		reqs:  make(chan *queryScratch, 4*p.maxBatch()),
+		stopc: make(chan struct{}),
+		donec: make(chan struct{}),
 	}
 	go s.run()
 	return s
 }
 
-// search is the coalesced Search path: build the query's sketches, enqueue,
-// and wait for the batch leader to answer.
-func (s *scheduler) search(ctx context.Context, q object.Object, opt QueryOptions) (Answer, error) {
-	e := s.e
-	e.met.inflight.Add(1)
-	defer e.met.inflight.Add(-1)
-	defer rtrace.StartRegion(ctx, "ferret.search").End()
-	r := &batchReq{ctx: ctx, q: q, opt: opt, done: make(chan struct{})}
-	r.tr = e.armTrace(&r.opt, &r.own)
-	start := time.Now()
-	r.start = start
-	r.qset = e.buildSketchSet(q)
-	e.met.stageSketch.ObserveSince(start)
-	r.tr.Record(StageSketch, start, time.Since(start))
-	r.enq = time.Now()
-	if err := s.submit(r); err != nil {
-		e.met.queryErrors.Inc()
-		r.own.Finish()
-		return Answer{}, err
-	}
-	<-r.done
-	ans, err := e.finishReq(r)
-	finishOwnTrace(&r.own, err == nil && r.opt.ForceTrace, &ans)
-	return ans, err
-}
-
-func (s *scheduler) submit(r *batchReq) error {
+// do is the coalesced Search path: enqueue the request and wait for the
+// dispatcher to hand it back, answered by a batch or failed with
+// ErrEngineClosed.
+func (s *scheduler) do(sc *queryScratch) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return ErrEngineClosed
+		sc.err = ErrEngineClosed
+		return
 	}
 	s.submitted++
 	s.mu.Unlock()
-	s.reqs <- r
-	return nil
+	if sc.done == nil {
+		sc.done = make(chan struct{}, 1)
+	}
+	sc.enq = time.Now()
+	//lint:ignore poolescape ownership passes to the dispatcher, which hands the scratch back through done before the caller's putScratch
+	s.reqs <- sc
+	<-sc.done
 }
 
 // note records one queue receive; the dispatcher calls it for every request
@@ -158,9 +112,14 @@ func (s *scheduler) run() {
 	defer close(s.donec)
 	for {
 		select {
-		case r := <-s.reqs:
+		case sc := <-s.reqs:
 			s.note()
-			s.e.runBatch(s.collect(r))
+			batch := s.collect(sc)
+			s.e.launch(batch)
+			// A request is its waiter's again the moment done is signalled.
+			for _, sc := range batch {
+				sc.done <- struct{}{}
+			}
 		case <-s.stopc:
 			s.drain()
 			return
@@ -172,13 +131,13 @@ func (s *scheduler) run() {
 // joins for free, then the coalescing window keeps the door open for
 // stragglers until the batch is full, the window expires, or the scheduler
 // stops.
-func (s *scheduler) collect(first *batchReq) []*batchReq {
+func (s *scheduler) collect(first *queryScratch) []*queryScratch {
 	batch := append(s.batch[:0], first)
 	for len(batch) < s.max {
 		select {
-		case r := <-s.reqs:
+		case sc := <-s.reqs:
 			s.note()
-			batch = append(batch, r)
+			batch = append(batch, sc)
 			continue
 		default:
 		}
@@ -189,9 +148,9 @@ func (s *scheduler) collect(first *batchReq) []*batchReq {
 	wait:
 		for len(batch) < s.max {
 			select {
-			case r := <-s.reqs:
+			case sc := <-s.reqs:
 				s.note()
-				batch = append(batch, r)
+				batch = append(batch, sc)
 			case <-timer.C:
 				break wait
 			case <-s.stopc:
@@ -216,10 +175,10 @@ func (s *scheduler) drain() {
 		if done {
 			return
 		}
-		r := <-s.reqs
+		sc := <-s.reqs
 		s.note()
-		r.err = ErrEngineClosed
-		close(r.done)
+		sc.err = ErrEngineClosed
+		sc.done <- struct{}{}
 	}
 }
 
@@ -233,485 +192,74 @@ func (s *scheduler) close() {
 	<-s.donec
 }
 
-// batchable reports whether a query can join a shared arena scan: plain
-// Filtering-mode queries with no Restrict set and no exact-distance
-// filtering. Everything else keeps its private pipeline through searchOne.
-// The Hamming index composes with batching: eligible pairs go through a
-// batched table descent and the rest share the scan (see batchedProbe).
-func (e *Engine) batchable(opt QueryOptions) bool {
-	if opt.Mode != Filtering || opt.Restrict != nil {
-		return false
-	}
-	p := opt.Filter
-	if p == (FilterParams{}) {
-		p = e.cfg.Filter
-	}
-	return !p.ExactDistance
+// batchable reports whether a query may share a batch with others: plain
+// Filtering-mode queries with no exact-distance filtering (a different
+// algorithm) and no Restrict set (its entry walk or per-hit lookups would
+// hold up every query riding the same pass). Everything else runs as a batch
+// of one.
+func (e *Engine) batchable(opt *QueryOptions) bool {
+	return opt.Mode == Filtering && opt.Restrict == nil && !e.filterParams(opt).ExactDistance
 }
 
-// finishReq converts a completed batchReq into the Search return values,
-// recording the same per-query metrics as the serial path.
-func (e *Engine) finishReq(r *batchReq) (Answer, error) {
-	if r.err != nil {
-		e.met.queryErrors.Inc()
-		return Answer{}, r.err
+// launch accounts one scheduled batch — its size and every request's queue
+// wait — and runs it.
+func (e *Engine) launch(scs []*queryScratch) {
+	e.met.batches.Inc()
+	e.met.batchSize.Observe(float64(len(scs)))
+	now := time.Now()
+	for _, sc := range scs {
+		e.met.queueWait.Observe(now.Sub(sc.enq).Seconds())
+		sc.trp.Record(StageQueue, sc.enq, now.Sub(sc.enq)).
+			SetAttr("batch", int64(len(scs)))
 	}
-	if r.ans.Degraded {
-		e.met.degraded.Inc()
-		// Budget-degraded queries always land in the slow-query log, no
-		// matter how fast they finished: slowness was traded for budget.
-		r.tr.MarkSlow()
-		r.tr.Root().SetAttr("degraded", 1)
+	if len(scs) > 1 {
+		e.met.coalesced.Add(len(scs))
 	}
-	e.met.queries.Inc()
-	e.met.queryTime.ObserveSince(r.start)
-	return r.ans, nil
+	e.runBatch(scs)
 }
 
 // SearchBatch runs several queries as one explicitly-batched unit: one
-// shared arena scan per MaxBatch-sized group, with per-query ranking fanned
+// shared filter pass per MaxBatch-sized group, with per-query ranking fanned
 // out to the worker pool. It returns one Answer and one error slot per
-// query, parallel to queries. Queries the scheduler cannot batch (see
-// batchable) fall back to serial Search calls. Results are identical to
-// serial Search up to ties.
+// query, parallel to queries. Queries that cannot share a batch (see
+// batchable) fall back to one Search call each. Results are identical to
+// separate Search calls.
 func (e *Engine) SearchBatch(ctx context.Context, queries []object.Object, opt QueryOptions) ([]Answer, []error) {
 	answers := make([]Answer, len(queries))
 	errs := make([]error, len(queries))
-	if len(queries) == 0 {
-		return answers, errs
-	}
 	if opt.K <= 0 {
 		opt.K = 10
 	}
-	if !e.batchable(opt) {
+	if !e.batchable(&opt) {
 		for i := range queries {
 			answers[i], errs[i] = e.Search(ctx, queries[i], opt)
 		}
 		return answers, errs
 	}
-	e.met.inflight.Add(int64(len(queries)))
-	defer e.met.inflight.Add(-int64(len(queries)))
-	reqs := make([]*batchReq, 0, len(queries))
+	// Each batch query records into its own engine-armed trace (one shared
+	// QueryOptions.Trace buffer cannot serve N queries).
+	opt.Trace = nil
+	scs := make([]*queryScratch, 0, len(queries))
+	slots := make([]int, 0, len(queries))
 	for i := range queries {
-		q := queries[i]
-		if err := q.Validate(); err != nil {
-			errs[i] = fmt.Errorf("core: invalid query object: %w", err)
+		if errs[i] = e.checkQuery(&queries[i]); errs[i] != nil {
 			e.met.queryErrors.Inc()
 			continue
 		}
-		if q.Dim() != e.builder.Dim() {
-			errs[i] = fmt.Errorf("core: query dimension %d, engine expects %d", q.Dim(), e.builder.Dim())
-			e.met.queryErrors.Inc()
-			continue
-		}
-		r := &batchReq{ctx: ctx, q: q, opt: opt, slot: i, done: make(chan struct{})}
-		// Each batch query records into its own engine-armed trace (one
-		// shared QueryOptions.Trace buffer cannot serve N queries).
-		r.opt.Trace = nil
-		r.tr = e.armTrace(&r.opt, &r.own)
-		start := time.Now()
-		r.start = start
-		r.qset = e.buildSketchSet(q)
-		e.met.stageSketch.ObserveSince(start)
-		r.tr.Record(StageSketch, start, time.Since(start))
-		r.enq = time.Now()
-		reqs = append(reqs, r)
+		sc := getScratch()
+		e.begin(ctx, sc, &queries[i], nil, opt)
+		sc.enq = time.Now()
+		scs = append(scs, sc)
+		slots = append(slots, i)
 	}
-	max := e.cfg.Scheduler.maxBatch()
-	for lo := 0; lo < len(reqs); lo += max {
-		hi := lo + max
-		if hi > len(reqs) {
-			hi = len(reqs)
-		}
-		e.runBatch(reqs[lo:hi])
+	e.met.inflight.Add(int64(len(scs)))
+	defer e.met.inflight.Add(-int64(len(scs)))
+	for lo, max := 0, e.cfg.Scheduler.maxBatch(); lo < len(scs); lo += max {
+		e.launch(scs[lo:min(lo+max, len(scs))])
 	}
-	for _, r := range reqs {
-		answers[r.slot], errs[r.slot] = e.finishReq(r)
-		finishOwnTrace(&r.own, errs[r.slot] == nil && r.opt.ForceTrace, &answers[r.slot])
+	for i, sc := range scs {
+		answers[slots[i]], errs[slots[i]] = e.finish(sc)
+		putScratch(sc)
 	}
 	return answers, errs
-}
-
-// runBatch executes one batch under the engine read lock. A batch of one
-// runs the plain serial pipeline; larger batches share a single filter scan
-// and fan ranking out to the pool. Every request's done channel is closed
-// before runBatch returns.
-func (e *Engine) runBatch(reqs []*batchReq) {
-	e.met.batches.Inc()
-	e.met.batchSize.Observe(float64(len(reqs)))
-	now := time.Now()
-	for _, r := range reqs {
-		e.met.queueWait.Observe(now.Sub(r.enq).Seconds())
-		r.tr.Record(StageQueue, r.enq, now.Sub(r.enq)).
-			SetAttr("batch", int64(len(reqs)))
-	}
-	if len(reqs) > 1 {
-		e.met.coalesced.Add(len(reqs))
-	}
-
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if len(reqs) == 1 {
-		r := reqs[0]
-		sc := getScratch()
-		sc.trp = r.tr
-		clk := &sc.clk
-		clk.reset(r.ctx, r.opt.Budget)
-		results, degraded, err := e.filteringLocked(clk, &r.q, r.qset, r.opt, sc)
-		if err == nil && clk.stop() {
-			err = clk.err()
-		}
-		if err == nil {
-			r.ans = Answer{Results: results, Degraded: degraded, FilterMode: sc.filterMode()}
-		}
-		//lint:ignore poolescape clk.err() yields context/budget sentinel errors that share no memory with the pooled scratch
-		r.err = err
-		putScratch(sc)
-		close(r.done)
-		return
-	}
-	e.runSharedBatch(reqs)
-}
-
-// scanPair is one (query, query-segment) unit of a shared filter scan: the
-// pair's acceptance threshold and its private k-nearest heap.
-type scanPair struct {
-	req    int
-	maxHam int
-	heap   *segHeap
-}
-
-// batchScratch pools the shared scan's flat buffers: the packed multi-query
-// sketches, the per-pair bounds and hit blocks, and the pair bookkeeping.
-type batchScratch struct {
-	ms      sketch.MultiSketch
-	qsks    []sketch.Sketch
-	pairs   []scanPair
-	starts  []int // pairs[starts[i]:starts[i+1]] belong to request i
-	bounds  []int32
-	ns      []int32
-	idx     []int32
-	dist    []int32
-	rowd    []int32 // one row's per-pair distances (tombstone path)
-	stopped []bool  // per-request latched clock stops
-
-	// Batched Hamming-index descent buffers (see batchedProbeSegment).
-	probe  []int32         // union of candidate rows across probed pairs
-	seen   []uint64        // per-row dedup bitmap for the descent (kept zero)
-	ppairs []scanPair      // pairs served by the index this segment
-	pqsks  []sketch.Sketch // their query sketches, parallel to ppairs
-	spairs []scanPair      // pairs left for the segment's shared scan
-	sqsks  []sketch.Sketch
-	probed []bool      // per-request: had at least one index-probed pair
-	theaps []*segHeap  // per-pair probe temp heaps, parallel to ppairs
-}
-
-// theap returns the i-th pooled probe temp heap reset to capacity k. A
-// failed probe discards its temp heap, so the pair's accumulator heap never
-// sees rows from a probe that fell back to the scan.
-func (bs *batchScratch) theap(i, k int) *segHeap {
-	for len(bs.theaps) <= i {
-		bs.theaps = append(bs.theaps, newSegHeap(k))
-	}
-	bs.theaps[i].reset(k)
-	return bs.theaps[i]
-}
-
-var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
-func resizeI32(s *[]int32, n int) []int32 {
-	if cap(*s) < n {
-		*s = make([]int32, n)
-	}
-	*s = (*s)[:n]
-	return *s
-}
-
-// resizeU64 sizes a pooled dedup bitmap. The all-zero invariant is the
-// caller's: every bit set during a descent is cleared afterwards, and a
-// grow hands out a freshly zeroed slice.
-func resizeU64(s *[]uint64, n int) []uint64 {
-	if cap(*s) < n {
-		*s = make([]uint64, n)
-	}
-	*s = (*s)[:n]
-	return *s
-}
-
-// runSharedBatch is the batch leader: one shared filter scan over the arena
-// for every (query, query-segment) pair, then per-query candidate assembly
-// and pool-parallel ranking. Caller holds the read lock.
-func (e *Engine) runSharedBatch(reqs []*batchReq) {
-	scs := make([]*queryScratch, len(reqs))
-	for i, r := range reqs {
-		//lint:ignore poolescape scs never leaves this function; every element goes back via putScratch below
-		scs[i] = getScratch()
-		scs[i].clk.reset(r.ctx, r.opt.Budget)
-		scs[i].trp = r.tr
-		scs[i].idxSegs, scs[i].scanSegs, scs[i].scannedN = 0, 0, 0
-	}
-	stageStart := time.Now()
-	bs := batchScratchPool.Get().(*batchScratch)
-
-	// Build the pair list with exactly filter()'s per-query segment
-	// selection: highest-weight segments first, weight-tightened Hamming
-	// thresholds, one k-nearest heap per pair.
-	n := e.builder.N()
-	pairs := bs.pairs[:0]
-	qsks := bs.qsks[:0]
-	if cap(bs.starts) < len(reqs)+1 {
-		bs.starts = make([]int, len(reqs)+1)
-	}
-	starts := bs.starts[:len(reqs)+1]
-	for i, r := range reqs {
-		starts[i] = len(pairs)
-		sc := scs[i]
-		p := r.opt.Filter
-		if p == (FilterParams{}) {
-			p = e.cfg.Filter
-		}
-		p = p.withDefaults(len(r.qset.Sketches), r.opt.K)
-		order := sc.order[:0]
-		for si := range r.qset.Sketches {
-			order = append(order, si)
-		}
-		for a := 1; a < len(order); a++ {
-			for j := a; j > 0 && r.qset.Weights[order[j]] > r.qset.Weights[order[j-1]]; j-- {
-				order[j], order[j-1] = order[j-1], order[j]
-			}
-		}
-		sc.order = order
-		for j, qi := range order[:p.QuerySegments] {
-			w := float64(r.qset.Weights[qi])
-			frac := p.MaxHammingFrac * (1 - p.WeightTighten*w)
-			pairs = append(pairs, scanPair{
-				req:    i,
-				maxHam: int(frac * float64(n)),
-				heap:   sc.heap(j, p.NearestPerSegment),
-			})
-			qsks = append(qsks, r.qset.Sketches[qi])
-		}
-	}
-	starts[len(reqs)] = len(pairs)
-	bs.pairs, bs.qsks = pairs, qsks
-
-	// One pass per storage segment, exactly as the serial filter iterates
-	// them: each segment's index-eligible pairs go through one batched table
-	// descent first, and only the fallbacks (cost model, radius coverage)
-	// share that segment's arena scan, over a correspondingly narrower
-	// kernel batch. The whole sweep runs under a stage pprof label and
-	// runtime/trace region so CPU profiles and execution traces slice by
-	// pipeline stage.
-	pprof.Do(reqs[0].ctx, pprof.Labels("ferret_stage", StageScan), func(ctx context.Context) {
-		defer rtrace.StartRegion(ctx, "ferret.scan").End()
-		for _, seg := range e.segs {
-			if seg.liveEntries() == 0 {
-				continue
-			}
-			scanPairs, scanQsks := pairs, qsks
-			if seg.hindex != nil {
-				scanPairs, scanQsks = e.batchedProbeSegment(seg, reqs, scs, bs)
-			}
-			if len(scanPairs) == 0 {
-				continue
-			}
-			for pi := range scanPairs {
-				sc := scs[scanPairs[pi].req]
-				sc.scanSegs++
-				sc.scannedN += seg.liveEntries()
-			}
-			bs.ms.Reset(scanQsks)
-			e.sharedScanSegment(seg, reqs, scs, bs, scanPairs)
-		}
-	})
-
-	// Per-query candidate assembly, exactly as filter() does it: heap items
-	// in segment order, then sort + compact dedup. Every coalesced query's
-	// trace records the one physical arena scan with the same shared span
-	// ID, so cross-trace correlation is provable from the retained traces.
-	sharedDur := time.Since(stageStart)
-	scanID := trace.NewSpanID()
-	for i := range reqs {
-		sc := scs[i]
-		cands := sc.cands[:0]
-		for pi := starts[i]; pi < starts[i+1]; pi++ {
-			cands = append(cands, pairs[pi].heap.items()...)
-		}
-		slices.Sort(cands)
-		cands = slices.Compact(cands)
-		sc.cands = cands
-		// As in the serial filter, "scanned" counts live objects streamed
-		// per scan-served unit plus verified union rows per index-served
-		// unit — accumulated per request as the segment sweep ran.
-		e.met.scanned.Add(sc.scannedN)
-		e.met.candidates.Add(len(cands))
-		e.met.stageFilter.Observe(sharedDur.Seconds())
-		sc.trp.RecordShared(StageScan, scanID, stageStart, sharedDur).
-			SetAttr("batch", int64(len(reqs))).
-			SetAttr("candidates", int64(len(cands)))
-	}
-
-	// Rank stage: one task per query on the persistent pool; tasks that no
-	// free worker picks up run on the leader. Each task uses its query's own
-	// scratch, clock, and budget, so degradation stays per-query.
-	var wg sync.WaitGroup
-	for i := range reqs {
-		i := i
-		wg.Add(1)
-		fn := func() {
-			defer wg.Done()
-			r := reqs[i]
-			sc := scs[i]
-			clk := &sc.clk
-			if clk.stop() {
-				r.err = clk.err()
-				return
-			}
-			pprof.Do(r.ctx, pprof.Labels("ferret_stage", StageRank), func(ctx context.Context) {
-				defer rtrace.StartRegion(ctx, "ferret.rank").End()
-				results, degraded := e.rankLocked(clk, &r.q, r.qset, sc.cands, r.opt, sc)
-				if clk.stop() {
-					r.err = clk.err()
-					return
-				}
-				r.ans = Answer{Results: results, Degraded: degraded, FilterMode: sc.filterMode()}
-			})
-		}
-		if !e.pool.dispatch(fn) {
-			fn()
-		}
-	}
-	wg.Wait()
-	for i, r := range reqs {
-		putScratch(scs[i])
-		close(r.done)
-	}
-	batchScratchPool.Put(bs)
-}
-
-// sharedScanSegment streams one storage segment's arena once for the given
-// pairs (whose sketches bs.ms was Reset with, in the same order). The fast
-// path (no tombstones in the segment) runs block-wise through the
-// multi-query select kernel with per-pair block-entry bounds and replays
-// hits through the serial scan's exact push/tighten logic; the tombstone
-// path walks the segment's entries row by row with the multi-query distance
-// kernel. Either way each pair's heap ends up identical to what its private
-// scanSegment pass would have built.
-func (e *Engine) sharedScanSegment(seg *segment, reqs []*batchReq, scs []*queryScratch, bs *batchScratch, pairs []scanPair) {
-	a := seg.arena
-	np := len(pairs)
-	bounds := resizeI32(&bs.bounds, np)
-	ns := resizeI32(&bs.ns, np)
-	if cap(bs.stopped) < len(reqs) {
-		bs.stopped = make([]bool, len(reqs))
-	}
-	stopped := bs.stopped[:len(reqs)]
-
-	if seg.deleted == 0 {
-		idx := resizeI32(&bs.idx, np*batchRows)
-		dist := resizeI32(&bs.dist, np*batchRows)
-		rows := a.rows()
-		for base := 0; base < rows; base += batchRows {
-			nb := rows - base
-			if nb > batchRows {
-				nb = batchRows
-			}
-			// Per-request cancellation check once per block, as in the
-			// serial scan; a stopped request's pairs select nothing from
-			// here on (bound −1) but the scan continues for the rest.
-			active := false
-			for i := range reqs {
-				stopped[i] = scs[i].clk.stop()
-				if !stopped[i] {
-					active = true
-				}
-			}
-			if !active {
-				return
-			}
-			for pi := range pairs {
-				p := &pairs[pi]
-				if stopped[p.req] {
-					bounds[pi] = -1
-					continue
-				}
-				b := int32(p.maxHam)
-				if w := p.heap.worst(); w < int(b) {
-					b = int32(w)
-				}
-				bounds[pi] = b
-			}
-			sketch.HammingSelectMulti(&bs.ms, a.words, base*a.wps, nb, bounds, idx, dist, batchRows, ns)
-			for pi := range pairs {
-				bound := bounds[pi]
-				if bound < 0 {
-					continue
-				}
-				p := &pairs[pi]
-				hits := idx[pi*batchRows:]
-				ds := dist[pi*batchRows:]
-				for k := 0; k < int(ns[pi]); k++ {
-					if h := ds[k]; h <= bound {
-						p.heap.push(seg.loEntry+int(a.entry[base+int(hits[k])]), int(h))
-						if w := p.heap.worst(); w < int(bound) {
-							bound = int32(w)
-						}
-					}
-				}
-			}
-		}
-		return
-	}
-
-	// Tombstone path: walk the segment's entries, score each live row
-	// against all pairs at once, and apply the serial entry scan's per-entry
-	// bound logic.
-	rowd := resizeI32(&bs.rowd, np)
-	for i := range stopped {
-		stopped[i] = false
-	}
-	for li := 0; li < seg.n; li++ {
-		if li%scanCheckStride == 0 {
-			active := false
-			for i := range reqs {
-				stopped[i] = scs[i].clk.stop()
-				if !stopped[i] {
-					active = true
-				}
-			}
-			if !active {
-				return
-			}
-		}
-		g := seg.loEntry + li
-		ent := &e.entries[g]
-		if ent.dead {
-			continue
-		}
-		for pi := range pairs {
-			p := &pairs[pi]
-			if stopped[p.req] {
-				bounds[pi] = -1
-				continue
-			}
-			b := int32(p.maxHam)
-			if w := p.heap.worst(); w < int(b) {
-				b = int32(w)
-			}
-			bounds[pi] = b
-		}
-		rlo, rhi := a.rowsOf(li)
-		for row := rlo; row < rhi; row++ {
-			sketch.HammingMultiAt(&bs.ms, a.words, row*a.wps, rowd)
-			for pi := range pairs {
-				if h := rowd[pi]; h <= bounds[pi] {
-					p := &pairs[pi]
-					p.heap.push(g, int(h))
-					if w := p.heap.worst(); w < int(bounds[pi]) {
-						bounds[pi] = int32(w)
-					}
-				}
-			}
-		}
-	}
 }

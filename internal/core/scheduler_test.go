@@ -16,8 +16,7 @@ import (
 
 // TestBatchMatchesSerial: SearchBatch must return exactly what Q independent
 // Search calls return — same IDs, same distances, same Degraded flags — over
-// randomized corpora, batch sizes, and query shapes. Parallelism is left
-// serial so both pipelines are deterministic and the comparison can demand
+// randomized corpora, batch sizes, and query shapes; the comparison demands
 // byte-identical results, not just tie-equivalence.
 func TestBatchMatchesSerial(t *testing.T) {
 	const d = 8
@@ -197,7 +196,6 @@ func TestConcurrentSearchStress(t *testing.T) {
 	const d, nseg = 8, 2
 	cfg := testConfig(t.TempDir(), d)
 	cfg.Scheduler = SchedulerParams{Window: 500 * time.Microsecond, MaxBatch: 4}
-	cfg.Parallelism = 2
 	e := openEngine(t, cfg)
 	ingestClusters(t, e, 4, 4, d, nseg)
 
@@ -326,7 +324,7 @@ func TestBatchableRouting(t *testing.T) {
 		{Mode: BruteForceSketch, K: 2},
 		{K: 2, Restrict: restrict},
 	} {
-		if e.batchable(opt) {
+		if e.batchable(&opt) {
 			t.Fatalf("opt %+v unexpectedly batchable", opt)
 		}
 		ans, err := e.Search(context.Background(), q, opt)

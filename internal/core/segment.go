@@ -12,19 +12,19 @@ import (
 // tail segment while sealed immutable segments serve queries; a background
 // compactor merges runs of small sealed segments and rewrites
 // tombstone-heavy ones, swapping the merged segment in atomically under a
-// short critical section (see compactor.go). Every query path — the serial
-// filter, the Hamming-index probe, the shared batched scan and the ranking
-// unit — iterates storage segments and addresses entries by their global
-// index, so answers are bit-identical to a single-arena engine no matter
-// how the corpus happens to be segmented (TestSegmentedEquivalence).
+// short critical section (see compactor.go). The filtering unit — index
+// descent and arena sweep alike — iterates storage segments and, like the
+// ranking unit, addresses entries by their global index, so answers are
+// bit-identical to a single-arena engine no matter how the corpus happens
+// to be segmented (TestSegmentedEquivalence).
 //
 // Geometry: segment s owns the contiguous global entry range
 // [s.loEntry, s.loEntry+s.n); its arena and Hamming index use local row and
 // entry numbering. The engine's flat entries/objects slices stay global, so
 // the ranking unit and all ID-based bookkeeping are segmentation-blind.
 // Invariants (checked by checkSegInvariants): segments tile [0, len(entries))
-// in order, only the last segment is unsealed, and per-segment tombstone
-// counts sum to e.deleted.
+// in order, only the last segment is unsealed, per-segment tombstone counts
+// sum to e.deleted, and entry IDs ascend.
 
 // SegmentParams configures the segmented ingest pipeline. The zero value
 // (SealEntries == 0) keeps the engine in single-arena mode: one mutable
@@ -104,6 +104,7 @@ func (e *Engine) tail() *segment { return e.segs[len(e.segs)-1] }
 
 // segOf locates the segment owning global entry index g and returns it with
 // g's segment-local entry index. Caller holds e.mu (read or write).
+//
 //ferret:noalloc
 func (e *Engine) segOf(g int) (*segment, int) {
 	segs := e.segs
@@ -218,6 +219,12 @@ func (e *Engine) checkSegInvariants() error {
 	}
 	if next != len(e.entries) {
 		return fmt.Errorf("segments: segments tile %d entries, engine has %d", next, len(e.entries))
+	}
+	// Delete finds an entry by binary search on its ID.
+	for i := 1; i < len(e.entries); i++ {
+		if e.entries[i].id <= e.entries[i-1].id {
+			return fmt.Errorf("segments: entry %d has id %d after id %d, want ascending", i, e.entries[i].id, e.entries[i-1].id)
+		}
 	}
 	if dead != e.deleted {
 		return fmt.Errorf("segments: %d tombstones across segments, engine counts %d", dead, e.deleted)

@@ -111,7 +111,7 @@ func TestSegmentedEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("batch query %d: %v", i, err)
 				}
-				serial, err := eseg.searchOne(context.Background(), queries[i], opt)
+				serial, err := eseg.Search(context.Background(), queries[i], opt)
 				if err != nil {
 					t.Fatalf("serial query %d: %v", i, err)
 				}
@@ -237,9 +237,7 @@ func TestSegmentGeometry(t *testing.T) {
 // the snapshot/swap protocol against concurrent readers.
 func TestQueriesDuringCompact(t *testing.T) {
 	const d = 8
-	cfg := testConfig(t.TempDir(), d)
-	cfg.Parallelism = 2
-	e := openEngine(t, cfg)
+	e := openEngine(t, testConfig(t.TempDir(), d))
 	objs := ingestVaried(t, e, 150, d)
 	for i := 0; i < len(objs); i += 4 {
 		if err := e.Delete(objs[i].ID); err != nil {

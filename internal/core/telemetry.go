@@ -34,9 +34,9 @@ const (
 )
 
 // engineMetrics are the engine's handles into its telemetry registry. All
-// hot-path updates are atomic increments; scan loops accumulate into shard
-// locals and publish once per stage, so the parallel query paths in
-// parallel.go never contend on a shared cache line per object.
+// hot-path updates are atomic increments; filter and rank loops accumulate
+// into locals and publish once per stage, so concurrent queries never
+// contend on a shared cache line per object.
 type engineMetrics struct {
 	reg *telemetry.Registry
 
@@ -181,7 +181,7 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 		storageSegs: reg.Gauge("ferret_storage_segments", "Storage segments (sealed + mutable tail)."),
 		queueDepth:  reg.Gauge("ferret_ingest_queue_depth", "Objects waiting in the bounded ingest queue."),
 		inflight:    reg.Gauge("ferret_inflight_queries", "Queries currently executing."),
-		poolWorkers: reg.Gauge("ferret_pool_workers", "Persistent scan/rank pool size."),
+		poolWorkers: reg.Gauge("ferret_pool_workers", "Persistent rank worker pool size."),
 		poolBusy:    reg.Gauge("ferret_pool_busy_workers", "Pool workers currently running a task."),
 
 		queryTime:   reg.Histogram("ferret_query_seconds", "End-to-end query latency in seconds.", telemetry.FineTimeBuckets),

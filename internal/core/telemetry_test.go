@@ -11,9 +11,7 @@ import (
 	"ferret/internal/telemetry"
 )
 
-// telemetryEngine builds an engine over a small clustered dataset with the
-// scan paths parallelized, so stage recording is exercised from multiple
-// goroutines per query.
+// telemetryEngine builds an engine over a small clustered dataset.
 func telemetryEngine(t *testing.T, n int) *Engine {
 	t.Helper()
 	const d = 8
@@ -23,9 +21,8 @@ func telemetryEngine(t *testing.T, n int) *Engine {
 		max[i] = 1
 	}
 	e, err := Open(Config{
-		Dir:         t.TempDir(),
-		Sketch:      sketch.Params{N: 64, K: 1, Min: min, Max: max, Seed: 11},
-		Parallelism: 4,
+		Dir:    t.TempDir(),
+		Sketch: sketch.Params{N: 64, K: 1, Min: min, Max: max, Seed: 11},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,8 +100,8 @@ func TestQueryErrorCounted(t *testing.T) {
 
 func TestConcurrentQueryTelemetry(t *testing.T) {
 	// Satellite: goroutine-hammering of per-stage recording during
-	// parallel Query, run under -race. Several querying goroutines share
-	// the engine (whose scans themselves fan out over 4 workers).
+	// concurrent Query, run under -race: several querying goroutines share
+	// the engine.
 	e := telemetryEngine(t, 60)
 	const workers, queriesEach = 8, 20
 	var wg sync.WaitGroup

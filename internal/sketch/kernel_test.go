@@ -145,11 +145,8 @@ func TestEstimateL1K1FastPath(t *testing.T) {
 	}
 }
 
-// The microbenchmarks contrast the arena layout with the pre-arena
-// slice-of-slices layout on an equal word budget. The legacy build
-// interleaves decoy allocations, as real ingest does (txn buffers, keys,
-// metadata encodings land between sketch allocations), so the legacy
-// sketches are scattered across the heap the way a grown database's are.
+// The microbenchmarks stream a 64k-segment arena through the row-at-a-time
+// and the batch kernels.
 
 const (
 	benchSketches = 1 << 16 // 64k segments
@@ -157,17 +154,6 @@ const (
 )
 
 var benchSink int
-
-func buildLegacy(count, wps int, rng *rand.Rand) []Sketch {
-	sks := make([]Sketch, count)
-	decoys := make([][]byte, 0, count)
-	for i := range sks {
-		sks[i] = randSketch(wps, rng)
-		decoys = append(decoys, make([]byte, 64+rng.Intn(192)))
-	}
-	_ = decoys
-	return sks
-}
 
 func BenchmarkHammingArenaScan(b *testing.B) {
 	rng := rand.New(rand.NewSource(51))
@@ -206,21 +192,5 @@ func BenchmarkHammingBatchScan(b *testing.B) {
 			}
 		}
 		benchSink = int(h)
-	}
-}
-
-func BenchmarkHammingSliceOfSlices(b *testing.B) {
-	rng := rand.New(rand.NewSource(53))
-	sks := buildLegacy(benchSketches, benchWords, rng)
-	q := randSketch(benchWords, rng)
-	b.SetBytes(int64(benchSketches * benchWords * 8))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h := 0
-		for _, sk := range sks {
-			h += Hamming(q, sk)
-		}
-		benchSink = h
 	}
 }
