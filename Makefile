@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-fast torture vet lint lint-fast lint-test check ci bench bench-json check-bench loc clean
+.PHONY: all build test race race-fast torture vet lint lint-fast lint-test check ci bench bench-json check-bench bench-pairs loc clean
 
 # Benchmark artifact plumbing. bench-json measures the filter/kernel/pipeline
 # microbenchmarks plus a medium-scale ferret-bench run (Table 2, the
@@ -95,6 +95,15 @@ check-bench:
 	$(GO) test $(BENCH_PKGS) -run '^$$' -bench '$(BENCH_RE)' -count=$(BENCH_COUNT) -benchmem > $(BENCH_TMP)/micro.txt
 	$(GO) run ./cmd/ferret-benchcmp -merge -micro $(BENCH_TMP)/micro.txt -out $(BENCH_TMP)/new.json
 	$(GO) run ./cmd/ferret-benchcmp -baseline $(BENCH_OUT) -new $(BENCH_TMP)/new.json
+
+# The measurement a performance claim rests on: $(BENCH_PAIRS) alternating
+# parent/change runs of benchmark/run.sh per workload on seeds 1..N, every
+# pair printed, then `ferret-benchmark -compare` (see scripts/bench-pairs.sh;
+# ~45 minutes at ten pairs). The change side is the working tree.
+BENCH_PARENT ?= HEAD~1
+BENCH_PAIRS  ?= 10
+bench-pairs:
+	./scripts/bench-pairs.sh $(BENCH_PARENT) $(BENCH_PAIRS)
 
 # Non-test Go lines in the three packages whose size ROADMAP tracks.
 loc:

@@ -47,7 +47,7 @@ func main() {
 		ingRate  = flag.Float64("ingest-rate", 0, "pace ingestion at this many objects per second (0 = unpaced)")
 		queue    = flag.Int("queue", 0, "bounded ingest queue depth; the scan blocks when full (0 = no queue)")
 		queueWk  = flag.Int("queue-workers", 0, "ingest queue drain workers (0 = 1; needs -queue)")
-		sealAt   = flag.Int("seal-entries", 0, "segmented ingest pipeline: seal the tail at this many entries, compact in the background (0 = single-arena)")
+		sealAt   = flag.Int("seal-entries", 0, "seal (and index) the mutable tail segment at this many entries, compact sealed segments in the background (0 = default 1024)")
 	)
 	flag.Parse()
 
@@ -63,9 +63,7 @@ func main() {
 		logger.Fatal("configuration failed", "err", err)
 	}
 	cfg.Store.Logger = logger.With("kvstore")
-	if *sealAt > 0 {
-		cfg.Segments = ferret.SegmentParams{SealEntries: *sealAt}
-	}
+	cfg.Segments = ferret.SegmentParams{SealEntries: *sealAt}
 	if *queue > 0 {
 		cfg.Ingest = ferret.IngestParams{Depth: *queue, Workers: *queueWk}
 	}

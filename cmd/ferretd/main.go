@@ -57,14 +57,14 @@ func main() {
 		hindexFrc = flag.Float64("hindex-frac", 0, "Hamming index cost-model threshold: fall back to the arena scan when a probe would visit more than this fraction of indexed rows (0 = default 0.25)")
 		traceEach = flag.Int("trace-sample", 0, "retain every Nth query trace (0 = default 64, negative = sampling off, forced/slow traces still kept)")
 		slowQuery = flag.Duration("slow-query", 0, "slow-query log threshold: traces at least this slow are always retained (0 = default 100ms, negative = off)")
-		sealAt    = flag.Int("seal-entries", 0, "segmented ingest pipeline: seal the mutable tail segment at this many entries and compact sealed segments in the background (0 = single-arena mode)")
-		compIntv  = flag.Duration("compact-interval", 0, "background compaction wake-up interval (0 = default 1s; needs -seal-entries)")
-		compPace  = flag.Duration("compact-pace", 0, "background compaction pause per 64 merged entries while queries are in flight (0 = yield only; needs -seal-entries)")
+		sealAt    = flag.Int("seal-entries", 0, "seal (and index) the mutable tail segment at this many entries; sealed segments are compacted in the background (0 = default 1024)")
+		compIntv  = flag.Duration("compact-interval", 0, "background compaction wake-up interval (0 = default 1s, negative = off)")
+		compPace  = flag.Duration("compact-pace", 0, "background compaction pause per 64 merged entries while queries are in flight (0 = yield only)")
 		ingQueue  = flag.Int("ingest-queue", 0, "bounded ingest queue depth for ADDFILE and acquisition; producers block when full (0 = no queue)")
 		ingWork   = flag.Int("ingest-workers", 0, "ingest queue drain workers (0 = 1; needs -ingest-queue)")
 		ingShed   = flag.Bool("ingest-shed", false, "reject ingests with BUSY when the queue is full instead of blocking (needs -ingest-queue)")
 		proto     = flag.String("proto", "v2", "wire-protocol policy: v2 accepts binary protocol upgrades (HELLO proto=v2), text refuses them")
-		rcacheOn  = flag.Bool("result-cache", false, "enable the hot-query result cache (epoch-invalidated, bit-identical answers)")
+		rcacheOn  = flag.Bool("result-cache", false, "enable the hot-query result cache (invalidated by every write, bit-identical answers)")
 		rcacheMax = flag.Int("result-cache-bytes", 0, "result cache memory bound in bytes (0 = default 8 MiB; needs -result-cache)")
 	)
 	flag.Parse()
@@ -88,9 +88,7 @@ func main() {
 		cfg.HIndex = ferret.HIndexParams{Enable: true, Tables: *hindexTbl, MaxCandidateFrac: *hindexFrc}
 	}
 	cfg.Trace = ferret.TraceParams{SampleEvery: *traceEach, SlowThreshold: *slowQuery}
-	if *sealAt > 0 {
-		cfg.Segments = ferret.SegmentParams{SealEntries: *sealAt, Interval: *compIntv, Pace: *compPace}
-	}
+	cfg.Segments = ferret.SegmentParams{SealEntries: *sealAt, Interval: *compIntv, Pace: *compPace}
 	if *ingQueue > 0 {
 		cfg.Ingest = ferret.IngestParams{Depth: *ingQueue, Workers: *ingWork, Shed: *ingShed}
 	}

@@ -78,12 +78,12 @@ type (
 	// SchedulerParams configures the shared-scan query scheduler that
 	// coalesces concurrent searches into batched arena passes.
 	SchedulerParams = core.SchedulerParams
-	// HIndexParams configures the multi-table Hamming index over the
-	// sketch arena (sub-linear filtering); the Config.HIndex field.
+	// HIndexParams configures the multi-table Hamming index built over each
+	// sealed segment (sub-linear filtering); the Config.HIndex field.
 	HIndexParams = core.HIndexParams
 	// SegmentParams configures the segmented ingest pipeline (sealed
 	// immutable segments + background compaction); the Config.Segments
-	// field. The zero value keeps the engine in single-arena mode.
+	// field. The zero value takes the defaults.
 	SegmentParams = core.SegmentParams
 	// IngestParams configures the bounded ingest queue (backpressure or
 	// shed between producers and the engine's serialized write path); the

@@ -20,10 +20,12 @@ import (
 // so scans and the ranking unit never touch the per-entry records for
 // sketch data.
 //
-// Mutation protocol: rows are append-only under the engine write lock;
-// deletes tombstone the owning entry (rows are skipped via the entry's dead
-// flag) and compact() rebuilds the arena without them. Readers access the
-// arena under the engine read lock.
+// Mutation protocol: a sketchArena value is four slice headers. Only the tail
+// segment's arena grows, and only by appending — under the writer mutex, past
+// the lengths of every header published so far (or into a grown copy) — so a
+// header a reader holds stays valid and unchanged forever. Deletes mark the
+// owning segment's tombstone bitmap; a merge builds a fresh arena without the
+// dead rows (see segment.go).
 type sketchArena struct {
 	wps    int       // words per segment sketch: sketch.Words(N)
 	words  []uint64  // len = rows()*wps, row-major
@@ -32,8 +34,8 @@ type sketchArena struct {
 	weight []float32 // per-row segment weight
 }
 
-func newArena(wps int) *sketchArena {
-	return &sketchArena{wps: wps, start: []int32{0}}
+func newArena(wps int) sketchArena {
+	return sketchArena{wps: wps, start: []int32{0}}
 }
 
 // rows returns the total number of segment rows (tombstoned included).
@@ -49,15 +51,14 @@ func (a *sketchArena) nsegOf(idx int) int {
 	return int(a.start[idx+1] - a.start[idx])
 }
 
-// at returns row r's sketch as a view into the arena (do not retain across
-// the engine lock).
+// at returns row r's sketch as a view into the arena.
 func (a *sketchArena) at(row int) sketch.Sketch {
 	off := row * a.wps
 	return sketch.Sketch(a.words[off : off+a.wps])
 }
 
 // appendEntry adds the next entry's segments. Entries must be appended in
-// entry-index order (the engine appends under its write lock).
+// entry-index order (the engine appends under its writer mutex).
 func (a *sketchArena) appendEntry(weights []float32, sketches []sketch.Sketch) {
 	entryIdx := int32(len(a.start) - 1)
 	for i, sk := range sketches {
@@ -82,26 +83,6 @@ func (a *sketchArena) appendFrom(src *sketchArena, lo, hi int) {
 		a.weight = append(a.weight, src.weight[r])
 	}
 	a.start = append(a.start, int32(len(a.entry)))
-}
-
-// compact returns a new arena holding only the rows of entries for which
-// dead(idx) is false, renumbered densely in the original order.
-func (a *sketchArena) compact(dead func(idx int) bool) *sketchArena {
-	out := newArena(a.wps)
-	for idx := 0; idx < len(a.start)-1; idx++ {
-		if dead(idx) {
-			continue
-		}
-		lo, hi := a.rowsOf(idx)
-		newIdx := int32(len(out.start) - 1)
-		out.words = append(out.words, a.words[lo*a.wps:hi*a.wps]...)
-		for r := lo; r < hi; r++ {
-			out.entry = append(out.entry, newIdx)
-			out.weight = append(out.weight, a.weight[r])
-		}
-		out.start = append(out.start, int32(len(out.entry)))
-	}
-	return out
 }
 
 // checkInvariants verifies the arena's internal consistency against an

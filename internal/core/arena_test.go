@@ -33,23 +33,55 @@ func ingestVariedKeys(t testing.TB, e *Engine, prefix string, n, d int) []object
 	return objs
 }
 
+// checkNow checks the published view's invariants (quiescent engines only:
+// the tombstone gauge is compared with the view).
+func (e *Engine) checkNow() error { return e.checkSegInvariants(e.cur.Load()) }
+
+// compactOnce is what the background compactor does with one eligible unit
+// on an Interval tick: the step, then the checkpoint of what it reclaimed.
+// Reports whether a merge ran.
+func (e *Engine) compactOnce() bool {
+	ran, reclaimed := e.compactStep()
+	e.checkpointAfterMerge(reclaimed)
+	return ran
+}
+
+// totalRows sums arena rows (tombstoned included) across the view's segments;
+// indexedRows sums its Hamming indexes' populations.
+func (v *view) totalRows() (rows int) {
+	for _, s := range v.segs {
+		rows += s.arena.rows()
+	}
+	return rows
+}
+
+func (v *view) indexedRows() (rows int) {
+	for _, s := range v.sealed() {
+		if s.hindex != nil {
+			rows += s.hindex.Rows()
+		}
+	}
+	return rows
+}
+
 // checkArenaAgainstObjects verifies that every live entry's arena rows hold
 // exactly the sketches and weights the builder produces for its object.
 func checkArenaAgainstObjects(t *testing.T, e *Engine, byID map[object.ID]object.Object) {
 	t.Helper()
-	if err := e.checkSegInvariants(); err != nil {
+	if err := e.checkNow(); err != nil {
 		t.Fatal(err)
 	}
-	for idx := range e.entries {
-		ent := &e.entries[idx]
-		if ent.dead {
+	v := e.cur.Load()
+	for idx := range v.entries {
+		ent := &v.entries[idx]
+		if v.isDead(idx) {
 			continue
 		}
 		o, ok := byID[ent.id]
 		if !ok {
 			t.Fatalf("entry %d: unexpected id %d", idx, ent.id)
 		}
-		sg, li := e.segOf(idx)
+		sg, li := v.segOf(idx)
 		lo, hi := sg.arena.rowsOf(li)
 		if hi-lo != len(o.Segments) {
 			t.Fatalf("entry %d: %d arena rows for %d segments", idx, hi-lo, len(o.Segments))
@@ -70,13 +102,14 @@ func checkArenaAgainstObjects(t *testing.T, e *Engine, byID map[object.ID]object
 }
 
 // TestArenaIntegrityAcrossMutations drives the arena through the full
-// mutation protocol — Ingest, Delete (tombstones), Compact — and checks the
-// word arena, the offset table and the Hamming index stay consistent with
-// the live entries at every step.
+// mutation protocol — Ingest, seal, Delete (tombstones), Compact — and checks
+// the word arena, the offset table and the Hamming indexes stay consistent
+// with the entries at every step.
 func TestArenaIntegrityAcrossMutations(t *testing.T) {
 	const d = 10
 	cfg := testConfig(t.TempDir(), d)
 	cfg.HIndex = HIndexParams{Enable: true}
+	cfg.Segments = SegmentParams{SealEntries: 8, Interval: -1}
 	e := openEngine(t, cfg)
 
 	objs := ingestVaried(t, e, 40, d)
@@ -87,15 +120,17 @@ func TestArenaIntegrityAcrossMutations(t *testing.T) {
 		totalSegs += len(o.Segments)
 	}
 	checkArenaAgainstObjects(t, e, byID)
-	if e.totalRows() != totalSegs {
-		t.Fatalf("arena rows %d, want %d", e.totalRows(), totalSegs)
+	if got := e.cur.Load().totalRows(); got != totalSegs {
+		t.Fatalf("arena rows %d, want %d", got, totalSegs)
 	}
-	if e.indexedRows() != totalSegs {
-		t.Fatalf("index rows %d, want %d", e.indexedRows(), totalSegs)
+	// 40 entries at SealEntries 8: five sealed segments, every row indexed,
+	// and an empty tail.
+	if got := e.cur.Load().indexedRows(); got != totalSegs {
+		t.Fatalf("index rows %d, want %d", got, totalSegs)
 	}
 
-	// Tombstone every third object: the arena keeps the rows (the dead flag
-	// hides them) and its geometry must be untouched.
+	// Tombstone every third object: arenas and indexes keep the rows (the
+	// tombstone bitmaps hide them) and their geometry must be untouched.
 	liveSegs := totalSegs
 	for i := 0; i < len(objs); i += 3 {
 		if err := e.Delete(objs[i].ID); err != nil {
@@ -105,8 +140,8 @@ func TestArenaIntegrityAcrossMutations(t *testing.T) {
 		delete(byID, objs[i].ID)
 	}
 	checkArenaAgainstObjects(t, e, byID)
-	if e.totalRows() != totalSegs {
-		t.Fatalf("arena rows changed to %d on tombstoning, want %d", e.totalRows(), totalSegs)
+	if v := e.cur.Load(); v.totalRows() != totalSegs || v.indexedRows() != totalSegs {
+		t.Fatalf("tombstoning changed the geometry: %d arena rows, %d indexed, want %d", v.totalRows(), v.indexedRows(), totalSegs)
 	}
 	if got := int(e.met.segments.Value()); got != liveSegs {
 		t.Fatalf("segments gauge %d, want %d", got, liveSegs)
@@ -126,17 +161,16 @@ func TestArenaIntegrityAcrossMutations(t *testing.T) {
 	}
 
 	// Compact drops the tombstoned rows; everything must stay consistent
-	// and the Hamming index must be remapped to exactly the live rows.
+	// and the one sealed segment's index must hold exactly the live rows.
 	e.Compact()
 	checkArenaAgainstObjects(t, e, byID)
-	if e.totalRows() != liveSegs {
-		t.Fatalf("arena rows %d after compact, want %d", e.totalRows(), liveSegs)
+	v := e.cur.Load()
+	if v.totalRows() != liveSegs || v.indexedRows() != liveSegs {
+		t.Fatalf("%d arena rows, %d indexed after compact, want %d", v.totalRows(), v.indexedRows(), liveSegs)
 	}
-	if e.indexedRows() != liveSegs {
-		t.Fatalf("index rows %d after compact, want %d", e.indexedRows(), liveSegs)
-	}
-	if len(e.entries) != len(byID) {
-		t.Fatalf("%d entries after compact, want %d", len(e.entries), len(byID))
+	if len(v.entries) != len(byID) || len(v.sealed()) != 1 || v.tail().n != 0 {
+		t.Fatalf("%d entries in %d sealed segments and a %d-entry tail after compact, want %d in 1 and 0",
+			len(v.entries), len(v.sealed()), v.tail().n, len(byID))
 	}
 
 	// Ingest after compact appends cleanly.
@@ -168,7 +202,7 @@ func TestArenaIntegrityAcrossMutations(t *testing.T) {
 	}
 }
 
-// TestQueryConcurrentWithIngestCompact exercises the engine lock protocol
+// TestQueryConcurrentWithIngestCompact exercises the publication protocol
 // under the race detector: queries run concurrently with ingest, delete and
 // compaction, and must only ever observe consistent arena state.
 func TestQueryConcurrentWithIngestCompact(t *testing.T) {
@@ -216,9 +250,7 @@ func TestQueryConcurrentWithIngestCompact(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	e.mu.RLock()
-	err := e.checkSegInvariants()
-	e.mu.RUnlock()
+	err := e.checkNow()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +398,7 @@ func TestFilterPathAllocs(t *testing.T) {
 	loadScratch(sc, q, e.buildSketchSet(q), QueryOptions{K: 10})
 	one := []*queryScratch{sc}
 
-	allocs := testing.AllocsPerRun(50, func() { e.filterBatch(one) })
+	allocs := testing.AllocsPerRun(50, func() { e.filterBatch(e.cur.Load(), one) })
 	if allocs != 0 {
 		t.Fatalf("filter scan allocates %.1f objects per query, want 0", allocs)
 	}
@@ -381,7 +413,7 @@ func TestFilterPathAllocs(t *testing.T) {
 		t.Fatal("engine tracer is disabled")
 	}
 	sc.trp = &sc.own
-	allocs = testing.AllocsPerRun(50, func() { e.filterBatch(one) })
+	allocs = testing.AllocsPerRun(50, func() { e.filterBatch(e.cur.Load(), one) })
 	sc.own.Finish()
 	if allocs != 0 {
 		t.Fatalf("traced filter scan allocates %.1f objects per query, want 0", allocs)
@@ -398,6 +430,7 @@ func TestFilterPathAllocsIndexed(t *testing.T) {
 	cfg.HIndex = HIndexParams{Enable: true}
 	e := openEngine(t, cfg)
 	ingestClusters(t, e, 30, 6, d, 3)
+	e.Compact() // seal: only sealed segments are indexed
 
 	rng := rand.New(rand.NewSource(56))
 	q := clusterObject("q", 3, d, 3, 0.02, rng)
@@ -407,7 +440,7 @@ func TestFilterPathAllocsIndexed(t *testing.T) {
 	one := []*queryScratch{sc}
 
 	before := e.Telemetry().Value("ferret_hindex_probes_total")
-	allocs := testing.AllocsPerRun(50, func() { e.filterBatch(one) })
+	allocs := testing.AllocsPerRun(50, func() { e.filterBatch(e.cur.Load(), one) })
 	if allocs != 0 {
 		t.Fatalf("indexed filter allocates %.1f objects per query, want 0", allocs)
 	}

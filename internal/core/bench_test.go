@@ -51,6 +51,7 @@ func benchEngine(b *testing.B, tune func(*Config)) (*Engine, object.Object, *met
 			b.Fatal(err)
 		}
 	}
+	e.Compact() // one sealed (indexed) segment and an empty tail
 	q := clusterObject("q", 11, benchDim, benchSegs, 0.02, rng)
 	return e, q, e.buildSketchSet(q)
 }
@@ -67,7 +68,7 @@ func benchFilter(b *testing.B, e *Engine, q object.Object, qset *metastore.Sketc
 	defer putScratch(sc)
 	loadScratch(sc, q, qset, opt)
 	one := []*queryScratch{sc}
-	e.filterBatch(one)
+	e.filterBatch(e.cur.Load(), one)
 	if len(sc.cands) == 0 {
 		b.Fatal("no candidates")
 	}
@@ -77,7 +78,7 @@ func benchFilter(b *testing.B, e *Engine, q object.Object, qset *metastore.Sketc
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.filterBatch(one)
+		e.filterBatch(e.cur.Load(), one)
 	}
 }
 
@@ -97,7 +98,7 @@ func BenchmarkFilterRestrict(b *testing.B) {
 			opt := benchFilterOpts()
 			opt.Restrict = map[object.ID]bool{}
 			for _, i := range rand.New(rand.NewSource(82)).Perm(benchObjects)[:n] {
-				opt.Restrict[e.entries[i].id] = true
+				opt.Restrict[e.cur.Load().entries[i].id] = true
 			}
 			benchFilter(b, e, q, qset, opt, nil)
 		})

@@ -11,19 +11,19 @@ import (
 
 // This file implements the engine-level hot-query result cache: exact
 // answers keyed on (query identity, canonicalized options) and invalidated
-// by a global mutation epoch.
+// by the published view's id.
 //
-// Soundness. The engine keeps a monotone epoch counter that is bumped
-// under the write lock by every segment-set change (Ingest, Delete, seal,
-// compaction swap). A computing query loads the epoch BEFORE it starts and
-// the finished answer is admitted tagged with that pre-compute epoch; a
-// lookup serves an entry only when the entry's epoch equals the current
-// one. A mutation racing with the compute therefore can only make the
-// entry unservable (recorded epoch < current), never let a pre-mutation
-// answer outlive the mutation: once a mutation's critical section has
-// completed, every cached answer that could predate it carries a smaller
-// epoch and misses. The cost of this conservatism is extra misses around
-// mutations, not staleness.
+// Soundness. Every change to what a query can see (Ingest, Delete, seal,
+// compaction swap) publishes a new view whose id is the previous one's plus
+// one. A computing query loads the current id BEFORE it starts — so the view
+// its pipeline then loads is that one or a later one — and the finished
+// answer is admitted tagged with that pre-compute id; a lookup serves an
+// entry only when the entry's id equals the current view's. A write racing
+// with the compute therefore can only make the entry unservable (recorded id
+// < current), never let a pre-write answer outlive the write: once a write
+// has published, every cached answer that could predate it carries a smaller
+// id and misses. The cost of this conservatism is extra misses around
+// writes, not staleness.
 //
 // Degraded answers are never admitted (they depend on the per-query time
 // budget); consequently every cached answer is an exact, complete answer
@@ -123,7 +123,7 @@ func (e *Engine) cacheableOpt(opt *QueryOptions) bool {
 }
 
 // idCacheKey keys a query-by-stored-object. The id pins the query content
-// (stored sketches are immutable; deletes bump the epoch), so no content
+// (stored sketches are immutable; deletes publish a new view), so no content
 // hash is needed — which keeps the cached-QUERY hot path allocation-free.
 func (e *Engine) idCacheKey(id object.ID, opt *QueryOptions) (cacheKey, bool) {
 	if !e.cacheableOpt(opt) {
@@ -177,7 +177,7 @@ func hashObjectContent(q *object.Object) (uint64, uint64) {
 // footprint, charged against ResultCacheParams.MaxBytes.
 type cacheEntry struct {
 	key   cacheKey
-	epoch uint64
+	epoch uint64 // id of the view current when the compute began
 	ans   Answer
 	size  int
 }
@@ -188,7 +188,7 @@ type cacheEntry struct {
 // pipeline work.
 type cacheFlight struct {
 	done  chan struct{}
-	epoch uint64 // current epoch when the flight was registered
+	epoch uint64 // current view id when the flight was registered
 	ans   Answer
 	err   error
 	ok    bool // ans is sharable: no error, not degraded
@@ -223,7 +223,7 @@ func newResultCache(p ResultCacheParams, met *engineMetrics) *resultCache {
 }
 
 // get returns the cached answer for key if one exists at exactly the given
-// epoch. A stale entry (any epoch mismatch) is removed and counted as an
+// view id. A stale entry (any mismatch) is removed and counted as an
 // invalidation.
 func (c *resultCache) get(key cacheKey, epoch uint64) (Answer, bool) {
 	c.mu.Lock()
@@ -246,7 +246,7 @@ func (c *resultCache) get(key cacheKey, epoch uint64) (Answer, bool) {
 	return ans, true
 }
 
-// put admits an answer computed against the given pre-compute epoch.
+// put admits an answer computed against the given pre-compute view id.
 // Degraded answers must not be offered (callers guard); oversized answers
 // are skipped rather than flushing the whole cache.
 func (c *resultCache) put(key cacheKey, epoch uint64, ans Answer) {
@@ -299,17 +299,17 @@ func cacheEntrySize(ans *Answer) int {
 }
 
 // flightCompute runs compute with single-flight admission for key. The
-// leader loads the epoch before computing and admits its answer when it is
-// exact (no error, not degraded). A waiter shares the leader's answer only
-// when the epoch at its own arrival matched the leader's — otherwise a
-// mutation committed between the leader's start and the waiter's arrival,
-// and sharing would serve the waiter a pre-mutation answer; it computes
+// leader loads the view id before computing and admits its answer when it
+// is exact (no error, not degraded). A waiter shares the leader's answer
+// only when the id at its own arrival matched the leader's — otherwise a
+// write published between the leader's start and the waiter's arrival, and
+// sharing would serve the waiter a pre-write answer; it computes
 // independently instead, as it does when the leader errors or degrades.
 func (e *Engine) flightCompute(ctx context.Context, key cacheKey, compute func() (Answer, error)) (Answer, error) {
 	c := e.rcache
 	c.fmu.Lock()
 	if f, ok := c.flights[key]; ok {
-		joinEpoch := e.epoch.Load()
+		joinEpoch := e.cur.Load().id
 		c.fmu.Unlock()
 		if joinEpoch == f.epoch {
 			select {
@@ -330,7 +330,7 @@ func (e *Engine) flightCompute(ctx context.Context, key cacheKey, compute func()
 		}
 		return ans, err
 	}
-	f := &cacheFlight{done: make(chan struct{}), epoch: e.epoch.Load()}
+	f := &cacheFlight{done: make(chan struct{}), epoch: e.cur.Load().id}
 	c.flights[key] = f
 	c.fmu.Unlock()
 

@@ -248,8 +248,9 @@ func TestResultCacheBounds(t *testing.T) {
 // an uncached oracle engine. At every quiesce point the cached engine —
 // queried twice, so the second answer comes from the cache whenever the
 // entry survived — must agree exactly with the oracle; a stale cached
-// answer would diverge the moment a mutation lands. A background herd of
-// live queries overlaps the mutations for -race coverage.
+// answer would diverge the moment a mutation lands. Every write must move
+// the cache's clock, the published view's id. A background herd of live
+// queries overlaps the mutations for -race coverage.
 func TestResultCacheMutationOracle(t *testing.T) {
 	const d = 8
 	cfgC := cachedConfig(t.TempDir(), d)
@@ -287,7 +288,9 @@ func TestResultCacheMutationOracle(t *testing.T) {
 	live := map[string]object.ID{} // key -> cached engine's ID
 	seq := 0
 	for step := 0; step < 200; step++ {
-		switch op := rng.Intn(10); {
+		before := ec.cur.Load()
+		op := rng.Intn(10)
+		switch {
 		case op < 4 || len(live) < 10: // ingest
 			key := fmt.Sprintf("m%04d", seq)
 			seq++
@@ -332,6 +335,13 @@ func TestResultCacheMutationOracle(t *testing.T) {
 				}
 				sameAnswers(t, fmt.Sprintf("step %d rep %d", step, rep), got.Results, want.Results)
 			}
+			continue
+		}
+		// Compacting a compact engine changes nothing; every other write
+		// must move the clock.
+		compact := before.deleted == 0 && len(before.segs) <= 2 && before.tail().n == 0
+		if after := ec.cur.Load().id; after <= before.id && !(op == 6 && compact) {
+			t.Fatalf("step %d: a write left the view id at %d (was %d): cached answers would outlive it", step, after, before.id)
 		}
 	}
 	close(stop)
@@ -375,5 +385,17 @@ func TestResultCacheSingleFlight(t *testing.T) {
 	}
 	if final.Cache != CacheHit {
 		t.Fatalf("post-flight query Cache = %q, want %q", final.Cache, CacheHit)
+	}
+	// The admitted entry is stamped with the view it was computed on, and the
+	// next published view retires it.
+	key, _ := e.idCacheKey(ids[2][1], &QueryOptions{K: 6})
+	if ent := e.rcache.entries[key].Value.(*cacheEntry); ent.epoch != e.cur.Load().id {
+		t.Fatalf("cache entry stamped %d, current view is %d", ent.epoch, e.cur.Load().id)
+	}
+	if err := e.Delete(ids[0][0]); err != nil {
+		t.Fatal(err)
+	}
+	if final, err = e.SearchByID(ctx, ids[2][1], opt); err != nil || final.Cache != CacheMiss {
+		t.Fatalf("query after a delete: Cache = %q (err %v), want %q", final.Cache, err, CacheMiss)
 	}
 }

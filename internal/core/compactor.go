@@ -2,36 +2,41 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"time"
 
 	"ferret/internal/hindex"
 	"ferret/internal/object"
+	"ferret/internal/sketch"
 )
 
-// The segment compactor. Two entry points share one merge builder:
+// The segment compactor. Two entry points share one merge:
 //
 //   - Compact() is the user-facing full compaction: every segment (the
-//     mutable tail included) is merged into one tombstone-free segment. It
-//     freezes ingest (ingestMu) but NOT queries — the merge builds outside
-//     the engine lock and only the final swap takes it (satellite of the
-//     sealed-segment pipeline: queries make progress during a large
-//     compaction, asserted by TestQueriesDuringCompact under -race).
-//   - compactOnce() is one background step: it merges the first eligible
-//     run of adjacent small sealed segments, or rewrites the first
+//     mutable tail included) is merged into one sealed, indexed,
+//     tombstone-free segment, leaving an empty tail. It freezes ingest
+//     (ingestMu) for the duration; Delete and queries proceed.
+//   - compactStep() is one background step: it merges the first run of
+//     adjacent sealed segments of one size tier, or rewrites the first
 //     tombstone-heavy sealed segment alone. The tail is never touched, so
 //     ingest proceeds concurrently; per-segment, never stop-the-world.
 //
-// Lock order (enforced by the lockorder analyzer): compactMu < ingestMu <
-// e.mu. compactMu serializes all mergers, so segment positions and global
-// entry numbering can only shift under a merger's own swap; Ingest appends
-// at the tail (no renumbering) and Delete only flips tombstone flags, both
-// of which the swap re-reads under the write lock (the newly-dead fixup).
+// A merge reads its input segments from a view — immutable, so the build
+// needs no lock and no copy of the tombstone flags — and only the final swap
+// takes the writer mutex. Lock order (enforced by the lockorder analyzer):
+// compactMu < ingestMu < e.mu. compactMu serializes all mergers, so sealed
+// segments change position and global entry numbering shifts only under a
+// merger's own swap: a seal appends behind the inputs and a Delete replaces
+// a segment's header in place, which is how the swap finds the tombstones set
+// since its snapshot.
 //
 // Durability: merges move no committed state — the metadata store is the
-// source of truth and deleted objects already left it at Delete time. A
-// merge that reclaimed tombstones checkpoints the store afterwards, folding
-// the WAL into a fresh snapshot; the crash-torture suite drives faults
-// through exactly this merge→checkpoint boundary.
+// source of truth and deleted objects already left it at Delete time. Merges
+// that reclaimed tombstones are followed by a store checkpoint, folding the
+// WAL into a fresh snapshot — right away after Compact, on the next Interval
+// tick in the background (a checkpoint stalls commits for tens of
+// milliseconds, so a burst of merges shares one); the crash-torture suite
+// drives faults through exactly this merge→checkpoint boundary.
 
 // compactStepHook, when non-nil, is called once per merge-build stride.
 // Tests use it to hold a compaction mid-build (TestQueriesDuringCompact);
@@ -58,264 +63,175 @@ func (e *Engine) compactPace() {
 	}
 }
 
-// segSnap is a merge input captured under the read lock: the segment's
-// identity, geometry, arena header and per-entry tombstone flags at
-// snapshot time. Sealed arenas are immutable, and the full-compaction path
-// freezes the tail via ingestMu, so the builder can read the arena outside
-// any lock; tombstone flags may keep changing, which the swap reconciles.
-type segSnap struct {
-	seg     *segment
-	loEntry int
-	n       int
-	arena   *sketchArena
-	dead    []bool
-}
-
-func snapshotSeg(e *Engine, s *segment) segSnap {
-	sn := segSnap{seg: s, loEntry: s.loEntry, n: s.n, arena: s.arena, dead: make([]bool, s.n)}
-	for li := 0; li < s.n; li++ {
-		sn.dead[li] = e.entries[s.loEntry+li].dead
-	}
-	return sn
-}
-
-// buildMerged concatenates the snapshots' live entries into one fresh arena
-// (densely renumbered, original order preserved) plus, when the engine is
-// indexed, a fresh per-segment Hamming index over its rows. Runs outside
-// the engine lock, paced against query load.
-func (e *Engine) buildMerged(snaps []segSnap) (*sketchArena, *hindex.Index) {
-	var wps int
-	if len(snaps) > 0 {
-		wps = snaps[0].arena.wps
-	}
-	merged := newArena(wps)
+// buildMerged concatenates the input segments' live entries into one fresh
+// arena (densely renumbered, original order preserved) plus, when the engine
+// is indexed, its Hamming index. Runs outside any lock, paced against query
+// load.
+func (e *Engine) buildMerged(snaps []*segment) (sketchArena, *hindex.Index) {
+	merged := newArena(sketch.Words(e.builder.N()))
 	copied := 0
 	for _, sn := range snaps {
 		for li := 0; li < sn.n; li++ {
-			if sn.dead[li] {
+			if sn.dead.has(li) {
 				continue
 			}
 			lo, hi := sn.arena.rowsOf(li)
-			merged.appendFrom(sn.arena, lo, hi)
+			merged.appendFrom(&sn.arena, lo, hi)
 			if copied++; copied%compactStride == 0 {
 				e.compactPace()
 			}
 		}
 	}
-	var idx *hindex.Index
-	if e.cfg.HIndex.Enable {
-		idx = hindex.New(e.builder.N(), merged.wps, e.cfg.HIndex.Tables)
-		for row := 0; row < merged.rows(); row++ {
-			idx.Insert(int32(row), merged.words)
-			if (row+1)%(compactStride*4) == 0 {
-				e.compactPace()
-			}
-		}
-	}
-	return merged, idx
+	return merged, e.buildIndex(&merged, e.compactPace)
 }
 
-// swapMerged installs a merged segment over the snapshot range under the
-// engine write lock: entries tombstoned after the snapshot are re-marked
-// dead in the new numbering (and their rows removed from the fresh index),
-// the global entry/object slices are spliced, and later segments'
-// loEntry offsets shift down by the reclaimed tombstones. Returns the new
-// segment and the number of tombstones reclaimed. Caller holds compactMu
-// and the engine write lock.
-func (e *Engine) swapMerged(snaps []segSnap, merged *sketchArena, idx *hindex.Index) (*segment, int) {
+// swapMerged derives from cur the view in which the merged segment replaces
+// the inputs — cur's segments [si, si+len(snaps)), the same segments as snaps
+// but for tombstones set since. Those are carried over as tombstones of the
+// merged segment (its index keeps the rows; the filter drops them), the
+// entry/object arrays are rebuilt without the reclaimed entries, and later
+// segments get headers shifted down by that many. Merging the tail leaves a
+// fresh empty one. Returns the view and the number of tombstones reclaimed.
+// Caller holds compactMu and e.mu.
+func (e *Engine) swapMerged(cur *view, si int, snaps []*segment, merged sketchArena, idx *hindex.Index) (*view, int) {
 	gLo := snaps[0].loEntry
 	gHi := snaps[len(snaps)-1].loEntry + snaps[len(snaps)-1].n
+	reclaimed := 0
+	for _, sn := range snaps {
+		reclaimed += sn.deleted
+	}
 	cached := !e.cfg.SketchOnly && !e.cfg.LowMemory
 
-	mergedEntries := make([]sketchEntry, 0, gHi-gLo)
-	var mergedObjects []object.Object
-	if cached {
-		mergedObjects = make([]object.Object, 0, gHi-gLo)
+	next := &view{
+		entries: append(make([]sketchEntry, 0, len(cur.entries)-reclaimed), cur.entries[:gLo]...),
+		segs:    slices.Clone(cur.segs[:si]),
 	}
-	newlyDead := 0
-	for _, sn := range snaps {
+	if cached {
+		next.objects = append(make([]object.Object, 0, len(cur.objects)-reclaimed), cur.objects[:gLo]...)
+	}
+	ms := &segment{loEntry: gLo, arena: merged, hindex: idx}
+	for k, sn := range snaps {
+		now := cur.segs[si+k]
 		for li := 0; li < sn.n; li++ {
-			if sn.dead[li] {
+			if sn.dead.has(li) {
 				continue
 			}
-			g := sn.loEntry + li
-			ent := e.entries[g]
-			k := len(mergedEntries)
-			if ent.dead {
-				// Tombstoned while the merge was building: the merged arena
-				// keeps the rows as tombstones; the fresh index must drop
-				// them (Delete removed them from the old segment's index).
-				newlyDead++
-				if idx != nil {
-					lo, hi := merged.rowsOf(k)
-					for row := lo; row < hi; row++ {
-						idx.Delete(int32(row), merged.words)
-					}
+			if now.dead.has(li) { // tombstoned while the merge was building
+				if ms.dead == nil {
+					ms.dead = make(tombstones, (gHi-gLo-reclaimed+63)/64)
 				}
+				ms.dead[ms.n>>6] |= 1 << (uint(ms.n) & 63)
+				ms.deleted++
 			}
-			mergedEntries = append(mergedEntries, ent)
+			next.entries = append(next.entries, cur.entries[sn.loEntry+li])
 			if cached {
-				mergedObjects = append(mergedObjects, e.objects[g])
+				next.objects = append(next.objects, cur.objects[sn.loEntry+li])
 			}
+			ms.n++
 		}
 	}
-	reclaimed := (gHi - gLo) - len(mergedEntries)
-
-	newEntries := make([]sketchEntry, 0, len(e.entries)-reclaimed)
-	newEntries = append(newEntries, e.entries[:gLo]...)
-	newEntries = append(newEntries, mergedEntries...)
-	newEntries = append(newEntries, e.entries[gHi:]...)
-	e.entries = newEntries
+	next.entries = append(next.entries, cur.entries[gHi:]...)
 	if cached {
-		newObjects := make([]object.Object, 0, cap(newEntries))
-		newObjects = append(newObjects, e.objects[:gLo]...)
-		newObjects = append(newObjects, mergedObjects...)
-		newObjects = append(newObjects, e.objects[gHi:]...)
-		e.objects = newObjects
+		next.objects = append(next.objects, cur.objects[gHi:]...)
 	}
-	return &segment{
-		loEntry: gLo,
-		n:       len(mergedEntries),
-		deleted: newlyDead,
-		arena:   merged,
-		hindex:  idx,
-	}, reclaimed
+	next.deleted = cur.deleted - reclaimed
+
+	if ms.n > 0 {
+		next.segs = append(next.segs, ms)
+	}
+	for _, s := range cur.segs[si+len(snaps):] {
+		shifted := *s
+		shifted.loEntry -= reclaimed
+		next.segs = append(next.segs, &shifted)
+	}
+	if si+len(snaps) == len(cur.segs) { // the tail was merged too
+		next.segs = append(next.segs, &segment{loEntry: gLo + ms.n, arena: newArena(merged.wps)})
+	}
+	return next, reclaimed
 }
 
-// Compact merges every segment into one tombstone-free segment. Ingest is
-// frozen for the duration (ingestMu), but queries keep running: the merged
-// arena and index are built outside the engine lock and the write lock is
-// held only for the final swap. Reclaimed tombstones are folded into a
-// store checkpoint so the WAL shrinks with the in-memory state.
+// merge builds the replacement for the view's segments [si, si+len(snaps))
+// outside any lock, swaps it in under the writer mutex and publishes.
+// Returns the number of tombstones reclaimed. Caller holds compactMu.
+func (e *Engine) merge(si int, snaps []*segment) int {
+	merged, idx := e.buildMerged(snaps)
+	next, reclaimed := e.swapMerged(e.lockWrite(), si, snaps, merged, idx)
+	e.met.deleted.Set(int64(next.deleted))
+	e.publish(next)
+	e.mu.Unlock()
+	return reclaimed
+}
+
+// Compact merges every segment into one sealed, tombstone-free segment and
+// leaves an empty tail; on an engine already in that shape it does nothing.
+// Ingest is frozen for the duration (ingestMu), but queries and deletes keep
+// running: the merge builds outside the writer mutex, which is held only
+// for the final swap. Reclaimed tombstones are folded into a store
+// checkpoint so the WAL shrinks with the in-memory state.
 func (e *Engine) Compact() {
 	e.compactMu.Lock()
 	defer e.compactMu.Unlock()
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
 
-	e.mu.RLock()
-	if e.deleted == 0 && len(e.segs) == 1 {
-		e.mu.RUnlock()
+	v := e.cur.Load()
+	if v.deleted == 0 && len(v.segs) <= 2 && v.tail().n == 0 {
 		return
 	}
-	snaps := make([]segSnap, len(e.segs))
-	for i, s := range e.segs {
-		snaps[i] = snapshotSeg(e, s)
-	}
-	e.mu.RUnlock()
-
-	merged, idx := e.buildMerged(snaps)
-
-	e.mu.Lock()
-	ms, reclaimed := e.swapMerged(snaps, merged, idx)
-	e.segs = []*segment{ms} // the lone segment is the new mutable tail
-	e.deleted = ms.deleted
-	liveRows := merged.rows()
-	for li := 0; li < ms.n; li++ {
-		if e.entries[li].dead {
-			liveRows -= ms.arena.nsegOf(li)
-		}
-	}
-	e.met.deleted.Set(int64(e.deleted))
-	e.met.segments.Set(int64(liveRows))
-	e.met.storageSegs.Set(int64(len(e.segs)))
-	e.updateIndexGauges()
+	e.checkpointAfterMerge(e.merge(0, v.segs))
 	e.met.compacts.Inc()
-	e.epoch.Add(1)
-	e.mu.Unlock()
-
-	e.checkpointAfterMerge(reclaimed)
 }
 
-// pickMerge chooses the background compactor's next unit under the read
-// lock: the first run of at least MergeSegments adjacent sealed segments
-// each no bigger than 4×SealEntries (two-level tiering: freshly sealed
-// segments merge up, already-merged ones are left alone), else the first
-// sealed segment whose tombstone fraction reached TombstoneFrac (solo
-// rewrite). Deterministic, so torture schedules replay exactly. Returns nil
-// when nothing is eligible.
-func (e *Engine) pickMerge() []segSnap {
+// pickMerge chooses the background compactor's next unit from a view: the
+// first MergeSegments adjacent sealed segments of one size tier — the largest
+// under MergeSegments times the smallest, sizes counted in live entries and
+// no smaller than SealEntries — else the first sealed segment whose tombstone
+// fraction reached TombstoneFrac (solo rewrite). Merging equals with equals
+// leaves O(log corpus) sealed segments — every indexed query probes each of
+// them — and rewrites an entry once per tier. Deterministic, so torture
+// schedules replay exactly. Returns the run's first position in the segment
+// list and its length, 0 when nothing is eligible.
+func (e *Engine) pickMerge(v *view) (int, int) {
 	p := e.cfg.Segments
-	sealed := e.segs[:len(e.segs)-1] // the tail is never merged
-	limit := 4 * p.SealEntries
-	runStart, runLen := -1, 0
+	sealed := v.sealed()
+	for i := 0; i+p.MergeSegments <= len(sealed); i++ {
+		lo, hi := sealed[i].liveEntries(), sealed[i].liveEntries()
+		for _, s := range sealed[i+1 : i+p.MergeSegments] {
+			lo, hi = min(lo, s.liveEntries()), max(hi, s.liveEntries())
+		}
+		if hi < p.MergeSegments*max(lo, p.SealEntries) {
+			return i, p.MergeSegments
+		}
+	}
 	for i, s := range sealed {
-		if s.liveEntries() <= limit {
-			if runStart < 0 {
-				runStart = i
-			}
-			runLen++
-			if runLen >= p.MergeSegments {
-				snaps := make([]segSnap, 0, runLen)
-				for _, rs := range sealed[runStart : runStart+runLen] {
-					snaps = append(snaps, snapshotSeg(e, rs))
-				}
-				return snaps
-			}
-		} else {
-			runStart, runLen = -1, 0
+		if s.deleted > 0 && float64(s.deleted) >= p.TombstoneFrac*float64(s.n) {
+			return i, 1
 		}
 	}
-	for _, s := range sealed {
-		if s.n > 0 && float64(s.deleted) >= p.TombstoneFrac*float64(s.n) && s.deleted > 0 {
-			return []segSnap{snapshotSeg(e, s)}
-		}
-	}
-	return nil
+	return 0, 0
 }
 
-// compactOnce runs one background compaction step: merge one eligible run
+// compactStep runs one background compaction step: merge one eligible run
 // of sealed segments (or rewrite one tombstone-heavy segment) and swap it
 // in. The mutable tail is untouched, so ingest never blocks behind a merge.
-// Returns whether a merge ran.
-func (e *Engine) compactOnce() bool {
+// Returns whether a merge ran and how many tombstones it reclaimed.
+func (e *Engine) compactStep() (bool, int) {
 	e.compactMu.Lock()
 	defer e.compactMu.Unlock()
 
-	e.mu.RLock()
-	snaps := e.pickMerge()
-	e.mu.RUnlock()
-	if snaps == nil {
-		return false
+	v := e.cur.Load()
+	si, n := e.pickMerge(v)
+	if n == 0 {
+		return false, 0
 	}
-
-	merged, idx := e.buildMerged(snaps)
-
-	e.mu.Lock()
-	ms, reclaimed := e.swapMerged(snaps, merged, idx)
-	ms.sealed = true
-	si := -1
-	for i, s := range e.segs {
-		if s == snaps[0].seg {
-			si = i
-			break
-		}
-	}
-	newSegs := make([]*segment, 0, len(e.segs))
-	newSegs = append(newSegs, e.segs[:si]...)
-	if ms.n > 0 {
-		newSegs = append(newSegs, ms)
-	}
-	newSegs = append(newSegs, e.segs[si+len(snaps):]...)
-	for _, s := range e.segs[si+len(snaps):] {
-		s.loEntry -= reclaimed
-	}
-	e.segs = newSegs
-	e.deleted -= reclaimed
-	e.met.deleted.Set(int64(e.deleted))
-	e.met.storageSegs.Set(int64(len(e.segs)))
-	e.updateIndexGauges()
+	reclaimed := e.merge(si, v.segs[si:si+n])
 	e.met.merges.Inc()
-	e.epoch.Add(1)
-	e.mu.Unlock()
-
-	e.checkpointAfterMerge(reclaimed)
-	return true
+	return true, reclaimed
 }
 
 // checkpointAfterMerge folds reclaimed tombstones into a store checkpoint:
-// the in-memory state just shrank, so the WAL's delete records can fold
-// into a fresh snapshot. Checkpoint failures are not fatal here — the store
+// the in-memory state shrank, so the WAL's delete records can fold into a
+// fresh snapshot. Checkpoint failures are not fatal here — the store
 // either recovers the same state from the old checkpoint + WAL, or has
 // poisoned itself (fsync failure), which the next Ingest surfaces.
 func (e *Engine) checkpointAfterMerge(reclaimed int) {
@@ -327,19 +243,40 @@ func (e *Engine) checkpointAfterMerge(reclaimed int) {
 	}
 }
 
-// compactLoop is the background compactor goroutine: one compaction step
-// per tick, paced against query load inside the build. Started by Open when
-// sealing is enabled with a non-negative Interval; stopped by Close.
+// compactLoop is the background compactor goroutine: woken by every seal and
+// every Interval tick (tombstones accrue without seals), it runs compaction
+// steps until none is eligible, each paced against query load inside its
+// build; a tick also checkpoints what the steps since the last one reclaimed.
+// Started by Open unless Segments.Interval is negative; stopped by Close.
 func (e *Engine) compactLoop() {
 	defer close(e.compactDone)
 	t := time.NewTicker(e.cfg.Segments.Interval)
 	defer t.Stop()
+	reclaimed := 0
 	for {
+		tick := false
 		select {
 		case <-e.compactStop:
 			return
 		case <-t.C:
-			e.compactOnce()
+			tick = true
+		case <-e.compactWake:
+		}
+		for {
+			ran, n := e.compactStep()
+			reclaimed += n
+			if !ran {
+				break
+			}
+			select {
+			case <-e.compactStop:
+				return
+			default:
+			}
+		}
+		if tick {
+			e.checkpointAfterMerge(reclaimed)
+			reclaimed = 0
 		}
 	}
 }

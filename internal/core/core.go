@@ -27,6 +27,7 @@ import (
 
 	"ferret/internal/attr"
 	"ferret/internal/emd"
+	"ferret/internal/hindex"
 	"ferret/internal/kvstore"
 	"ferret/internal/metastore"
 	"ferret/internal/object"
@@ -194,8 +195,8 @@ type Config struct {
 	// The zero value disables coalescing; SearchBatch still batches
 	// explicitly.
 	Scheduler SchedulerParams
-	// HIndex optionally accelerates the filtering unit with a dynamic
-	// multi-table Hamming index over the sketch arena (see internal/hindex
+	// HIndex optionally accelerates the filtering unit with a multi-table
+	// Hamming index over each sealed segment's arena (see internal/hindex
 	// and probe.go): sub-linear filter cost in corpus size, bit-identical
 	// to the arena scan, with a cost-model fallback to the scan when a
 	// probe cannot win.
@@ -203,8 +204,8 @@ type Config struct {
 	// Segments configures the LSM-flavored segmented ingest pipeline (see
 	// segment.go and compactor.go): writes land in a small mutable tail
 	// segment that is sealed at SealEntries, while a background compactor
-	// merges sealed segments incrementally. The zero value keeps the engine
-	// in single-arena mode.
+	// merges sealed segments incrementally. The zero value takes the
+	// defaults.
 	Segments SegmentParams
 	// Ingest configures the bounded ingest queue (see ingest.go):
 	// backpressure between producers and the engine's serialized write path.
@@ -212,8 +213,8 @@ type Config struct {
 	Ingest IngestParams
 	// ResultCache configures the engine-level hot-query result cache (see
 	// cache.go): exact answers keyed on (query identity, canonicalized
-	// options), epoch-invalidated by every ingest/delete/seal/compaction
-	// segment-set change. The zero value disables caching.
+	// options), invalidated by every published view (ingest, delete, seal,
+	// compaction swap). The zero value disables caching.
 	ResultCache ResultCacheParams
 	// LowMemory keeps only sketches resident: the ranking unit fetches
 	// candidate feature vectors from the metadata store on demand instead
@@ -306,19 +307,16 @@ type TraceInfo struct {
 }
 
 // sketchEntry is the per-object record of the in-memory sketch database.
-// The sketch words and segment weights themselves live in the engine's flat
-// sketchArena (see arena.go); the entry only carries identity.
+// The sketch words and segment weights themselves live in the owning
+// segment's sketchArena (see arena.go), and deletion in its tombstone bitmap;
+// the entry only carries identity.
 type sketchEntry struct {
 	id  object.ID
 	key string
-	// dead marks a deleted object (tombstone): scans skip it and the next
-	// Open or Compact rebuilds the arena without it, since the metadata is
-	// already gone.
-	dead bool
 }
 
-// Engine is the core similarity search engine. It is safe for concurrent
-// queries; ingest is serialized internally.
+// Engine is the core similarity search engine. Queries run lock-free on the
+// published view (see segment.go); writes are serialized internally.
 type Engine struct {
 	cfg     Config
 	meta    *metastore.Store
@@ -342,29 +340,26 @@ type Engine struct {
 	sched *scheduler
 	queue *ingestQueue
 
-	// rcache is the hot-query result cache (nil when disabled); epoch is
-	// its invalidation clock, bumped under the write lock by every
-	// segment-set change (ingest, delete, seal, compaction swap). See
-	// cache.go for the soundness protocol.
+	// rcache is the hot-query result cache (nil when disabled), invalidated
+	// by the published view's id. See cache.go for the soundness protocol.
 	rcache *resultCache
-	epoch  atomic.Uint64
 
 	// compactMu serializes compaction (Compact and the background merge
-	// steps in compactor.go); ingestMu serializes the write path and lets a
-	// full compaction freeze the mutable tail without blocking queries.
+	// steps in compactor.go); ingestMu serializes the store commit with the
+	// in-memory append and lets a full compaction freeze the mutable tail;
+	// mu serializes deriving and publishing the next view (Ingest, Delete,
+	// the merge swaps). Queries take none of them: they load cur.
 	// Lock order: compactMu < ingestMu < mu.
 	compactMu sync.Mutex
 	ingestMu  sync.Mutex
+	mu        sync.Mutex
+	cur       atomic.Pointer[view]
 
-	mu      sync.RWMutex
-	entries []sketchEntry   // per-object records, ID order (global numbering)
-	objects []object.Object // in-memory feature vectors (unless SketchOnly)
-	segs    []*segment      // storage segments tiling [0, len(entries))
-	deleted int             // live tombstone count
-
-	// Background compactor lifecycle (nil when sealing is disabled).
+	// Background compactor lifecycle (nil when Segments.Interval < 0);
+	// compactWake (capacity 1) is how a seal wakes it between ticks.
 	compactStop chan struct{}
 	compactDone chan struct{}
+	compactWake chan struct{}
 }
 
 // Open opens or creates an engine. On reopen, the persisted sketch builder
@@ -426,55 +421,59 @@ func Open(cfg Config) (*Engine, error) {
 		e.builder = b
 	}
 
-	// Resolve index and segment parameters before the first segment is
-	// created: newSegment reads both.
 	if cfg.HIndex.Enable {
 		e.cfg.HIndex = cfg.HIndex.withDefaults()
 	}
-	if cfg.Segments.SealEntries > 0 {
-		e.cfg.Segments = cfg.Segments.withDefaults()
-	}
-	e.segs = []*segment{e.newSegment(0)}
+	e.cfg.Segments = cfg.Segments.withDefaults()
+	// The stored corpus loads into one segment, sealed (and indexed, once)
+	// before the first view is published.
+	t := &segment{arena: newArena(sketch.Words(e.builder.N()))}
+	v := &view{segs: []*segment{t}}
 	meta.ForEachSketchSet(func(id object.ID, set *metastore.SketchSet) bool {
-		e.entries = append(e.entries, sketchEntry{id: id})
-		e.appendToTail(set.Weights, set.Sketches)
+		v.entries = append(v.entries, sketchEntry{id: id})
+		t.arena.appendEntry(set.Weights, set.Sketches)
+		t.n++
 		return true
 	})
-	for i := range e.entries {
-		e.entries[i].key = meta.Key(e.entries[i].id)
+	for i := range v.entries {
+		v.entries[i].key = meta.Key(v.entries[i].id)
 	}
 	if !cfg.SketchOnly && !cfg.LowMemory {
 		meta.ForEachObject(func(o object.Object) bool {
-			e.objects = append(e.objects, o)
+			v.objects = append(v.objects, o)
 			return true
 		})
 		// The ranking unit indexes objects by sketch-entry position, so the
 		// two caches must be exactly parallel.
-		if len(e.objects) != len(e.entries) {
+		if len(v.objects) != len(v.entries) {
 			meta.Close()
 			return nil, fmt.Errorf("core: %d feature-vector records but %d sketch records (corrupt store?)",
-				len(e.objects), len(e.entries))
+				len(v.objects), len(v.entries))
 		}
-		for i := range e.objects {
-			if e.objects[i].ID != e.entries[i].id {
+		for i := range v.objects {
+			if v.objects[i].ID != v.entries[i].id {
 				meta.Close()
 				return nil, fmt.Errorf("core: object/sketch record mismatch at position %d", i)
 			}
 		}
 	}
-	e.met.objects.Set(int64(len(e.entries)))
-	e.met.segments.Set(int64(e.totalRows()))
-	e.met.storageSegs.Set(int64(len(e.segs)))
-	e.updateIndexGauges()
+	e.met.objects.Set(int64(len(v.entries)))
+	e.met.segments.Set(int64(t.arena.rows()))
+	if t.n > 0 {
+		e.sealTail(v)
+	}
+	e.met.storageSegs.Set(int64(len(v.segs)))
+	e.cur.Store(v)
 	// Two workers: a batch's rank tasks fan out to them, and whatever no
 	// worker is free for ranks on the batch leader.
 	e.pool = newWorkerPool(2, e.met)
 	if cfg.Scheduler.Window > 0 {
 		e.sched = newScheduler(e, cfg.Scheduler)
 	}
-	if e.cfg.Segments.SealEntries > 0 && e.cfg.Segments.Interval > 0 {
+	if e.cfg.Segments.Interval > 0 {
 		e.compactStop = make(chan struct{})
 		e.compactDone = make(chan struct{})
+		e.compactWake = make(chan struct{}, 1)
 		go e.compactLoop()
 	}
 	if cfg.Ingest.Workers > 0 || cfg.Ingest.Depth > 0 {
@@ -516,9 +515,8 @@ func (e *Engine) Attrs() *attr.Engine { return e.attrs }
 // Builder exposes the engine's sketch builder (useful for diagnostics).
 func (e *Engine) Builder() *sketch.Builder { return e.builder }
 
-// Count returns the number of live (non-deleted) objects. It reads a
-// telemetry gauge maintained under the engine lock, so it never blocks
-// behind a scan.
+// Count returns the number of live (non-deleted) objects, from a telemetry
+// gauge the writers maintain.
 func (e *Engine) Count() int {
 	return int(e.met.objects.Value())
 }
@@ -535,102 +533,82 @@ type Stats struct {
 	SketchBits int
 	// SketchBytes is the total in-memory sketch storage.
 	SketchBytes int
-	// IndexedSegments is the Hamming index's row population (0 when the
-	// index is disabled).
+	// IndexedSegments is the Hamming indexes' row population: every row of
+	// every sealed segment, tombstoned rows included until a merge drops
+	// them; the tail's rows are swept, not indexed (0 when the index is
+	// disabled).
 	IndexedSegments int
 	// HIndexTables is the Hamming index's substring table count (0 when
 	// the index is disabled).
 	HIndexTables int
-	// HIndexLoad is the mean live-slot occupancy of the index tables.
+	// HIndexLoad is the mean slot occupancy of the index tables.
 	HIndexLoad float64
-	// StorageSegments is the storage-segment count (sealed + mutable tail);
-	// 1 in single-arena mode.
+	// StorageSegments is the storage-segment count: the sealed segments plus
+	// the mutable tail (1 on an empty engine, 2 after Compact).
 	StorageSegments int
 }
 
-// Stat reports engine statistics. The counts come from telemetry gauges
-// maintained incrementally under the engine lock by Ingest/Delete/Compact,
-// so Stat is a handful of atomic loads instead of a full scan of the sketch
-// database under lock — it stays cheap no matter how large the database or
-// how contended the engine.
+// Stat reports engine statistics without taking a lock: the counts come
+// from telemetry gauges the writers maintain, the index figures from a walk
+// over the published view's segment headers.
 func (e *Engine) Stat() Stats {
 	segments := int(e.met.segments.Value())
-	return Stats{
+	st := Stats{
 		Objects:         int(e.met.objects.Value()),
 		Deleted:         int(e.met.deleted.Value()),
 		Segments:        segments,
 		SketchBits:      e.builder.N(),
 		SketchBytes:     e.sketchBytesOf(segments),
-		IndexedSegments: int(e.met.indexedSegments.Value()),
-		HIndexTables:    int(e.met.hindexTables.Value()),
-		HIndexLoad:      float64(e.met.hindexLoad.Value()) / 1000,
 		StorageSegments: int(e.met.storageSegs.Value()),
 	}
-}
-
-// updateIndexGauges publishes the Hamming indexes' population, table count
-// and mean load factor after a mutation; Stat() reads them lock-free.
-func (e *Engine) updateIndexGauges() {
-	if !e.cfg.HIndex.Enable {
-		return
-	}
-	rows, tables, nseg := 0, 0, 0
-	load := 0.0
-	for _, s := range e.segs {
-		if s.hindex == nil {
-			continue
+	if e.cfg.HIndex.Enable {
+		st.HIndexTables = hindex.ClampTables(e.cfg.HIndex.Tables, e.builder.N())
+		sealed := e.cur.Load().sealed()
+		for _, s := range sealed {
+			st.IndexedSegments += s.hindex.Rows()
+			st.HIndexLoad += s.hindex.LoadFactor() / float64(len(sealed))
 		}
-		rows += s.hindex.Rows()
-		tables = s.hindex.Tables()
-		load += s.hindex.LoadFactor()
-		nseg++
 	}
-	e.met.indexedSegments.Set(int64(rows))
-	e.met.hindexTables.Set(int64(tables))
-	if nseg > 0 {
-		e.met.hindexLoad.Set(int64(load / float64(nseg) * 1000))
-	}
+	return st
 }
 
 // Delete removes an object: its metadata is deleted transactionally and
-// its in-memory entry is tombstoned (skipped by all scans). Tombstones are
-// compacted away by Compact or on the next Open.
+// its entry is tombstoned in the next view (skipped by every scan and
+// dropped where index candidates are verified). Tombstones are reclaimed by
+// a merge, Compact or the next Open.
 func (e *Engine) Delete(id object.ID) error {
 	if err := e.meta.DeleteObject(id, func(txn *kvstore.Txn, id object.ID) {
 		e.attrs.Delete(txn, id)
 	}); err != nil {
 		return err
 	}
-	e.mu.Lock()
+	cur := e.lockWrite()
 	defer e.mu.Unlock()
 	// Entries are in ascending ID order (ingest appends under ingestMu,
-	// compaction preserves order), so the lookup is a binary search: every
-	// reader stalls for as long as the write lock is held.
-	i, ok := slices.BinarySearchFunc(e.entries, id, func(ent sketchEntry, id object.ID) int {
+	// compaction preserves order), so the lookup is a binary search.
+	g, ok := slices.BinarySearchFunc(cur.entries, id, func(ent sketchEntry, id object.ID) int {
 		return cmp.Compare(ent.id, id)
 	})
-	if !ok || e.entries[i].dead {
+	if !ok {
 		return nil
 	}
-	e.entries[i].dead = true
-	e.deleted++
-	seg, li := e.segOf(i)
-	seg.deleted++
-	if seg.hindex != nil {
-		// Unindex online while the tombstoned rows are still in the arena
-		// (keys are recomputed from row content), so probes never see dead
-		// rows and a merge is a pure rebuild over live rows.
-		lo, hi := seg.arena.rowsOf(li)
-		for row := lo; row < hi; row++ {
-			seg.hindex.Delete(int32(row), seg.arena.words)
-		}
-		e.updateIndexGauges()
+	si := cur.segIndex(g)
+	seg := *cur.segs[si] // the owning segment's next header
+	li := g - seg.loEntry
+	if seg.dead.has(li) {
+		return nil
 	}
+	seg.dead = seg.dead.with(li, seg.n)
+	seg.deleted++
+	next := *cur
+	next.deleted++
+	next.segs = slices.Clone(cur.segs)
+	next.segs[si] = &seg
+	e.met.segments.Add(-int64(seg.arena.nsegOf(li)))
 	e.met.deletes.Inc()
 	e.met.objects.Add(-1)
 	e.met.deleted.Add(1)
-	e.met.segments.Add(-int64(seg.arena.nsegOf(li)))
-	e.epoch.Add(1)
+	e.publish(&next)
 	return nil
 }
 
@@ -659,7 +637,7 @@ func (e *Engine) Ingest(o object.Object, attrs attr.Attrs) (object.ID, error) {
 	}
 	// ingestMu serializes the store commit with the in-memory append, so
 	// entries stay in ID order and a full compaction can freeze the tail by
-	// holding it; queries are untouched (they only take e.mu).
+	// holding it.
 	e.ingestMu.Lock()
 	id, err := e.meta.AddObject(o, set, e.cfg.SketchOnly, extra)
 	if err != nil {
@@ -672,16 +650,14 @@ func (e *Engine) Ingest(o object.Object, attrs attr.Attrs) (object.ID, error) {
 		return 0, err
 	}
 	o.ID = id
-	e.mu.Lock()
-	e.entries = append(e.entries, sketchEntry{id: id, key: o.Key})
-	e.appendToTail(set.Weights, set.Sketches)
-	e.updateIndexGauges()
-	if !e.cfg.SketchOnly && !e.cfg.LowMemory {
-		e.objects = append(e.objects, o)
+	cached := &o
+	if e.cfg.SketchOnly || e.cfg.LowMemory {
+		cached = nil
 	}
+	cur := e.lockWrite()
+	e.publish(e.appended(cur, sketchEntry{id: id, key: o.Key}, cached, set.Weights, set.Sketches))
 	e.met.objects.Add(1)
 	e.met.segments.Add(int64(len(set.Sketches)))
-	e.epoch.Add(1)
 	e.mu.Unlock()
 	e.ingestMu.Unlock()
 	e.met.ingests.Inc()
@@ -769,7 +745,7 @@ func (e *Engine) Query(q object.Object, opt QueryOptions) ([]Result, error) {
 // and left to flightCompute.
 func (e *Engine) cacheLookup(key cacheKey, tr *trace.Active) (Answer, bool) {
 	start := time.Now()
-	ans, hit := e.rcache.get(key, e.epoch.Load())
+	ans, hit := e.rcache.get(key, e.cur.Load().id)
 	if !hit {
 		e.met.cacheMisses.Inc()
 		return Answer{}, false
@@ -889,47 +865,46 @@ func finishOwnTrace(own *trace.Active, force bool, ans *Answer) {
 	own.Finish()
 }
 
-// runBatch executes a batch of one or many requests and is the query
-// path's one lock site: it takes the engine read lock once, runs the
-// filtering unit for the whole batch, then ranks — inline for a batch of
-// one, fanned out to the worker pool for several. A batch of several holds
-// only batchable requests (see batchable); the brute-force modes and the
-// exact-distance filter are the paper's other algorithms and run as a batch
-// of one through their own stages. Each request's outcome is left in its
-// scratch (ans or err).
+// runBatch executes a batch of one or many requests on one view of the
+// engine: it loads the published view once — the query path takes no lock —
+// runs the filtering unit for the whole batch, then ranks — inline for a
+// batch of one, fanned out to the worker pool for several. A batch of
+// several holds only batchable requests (see batchable); the brute-force
+// modes and the exact-distance filter are the paper's other algorithms and
+// run as a batch of one through their own stages. Each request's outcome is
+// left in its scratch (ans or err).
 func (e *Engine) runBatch(scs []*queryScratch) {
 	for _, sc := range scs {
 		sc.clk.reset(sc.ctx, sc.opt.Budget)
 	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	v := e.cur.Load()
 	first := scs[0]
 	switch p := e.filterParams(&first.opt); {
 	case first.opt.Mode != Filtering:
-		e.rankEvery(first)
+		e.rankEvery(v, first)
 		return
 	case p.ExactDistance:
-		e.filterExact(first, p.withDefaults(len(first.qset.Sketches), first.opt.K))
+		e.filterExact(v, first, p.withDefaults(len(first.qset.Sketches), first.opt.K))
 	default:
-		e.filterBatch(scs)
+		e.filterBatch(v, scs)
 	}
 	if len(scs) == 1 {
-		e.rankStage(first)
+		e.rankStage(v, first)
 		return
 	}
-	e.rankFanOut(scs)
+	e.rankFanOut(v, scs)
 }
 
 // rankFanOut ranks each request of a batch as one task on the persistent
 // pool; tasks no free worker picks up run on the caller. Each task uses its
 // request's own scratch, clock and budget, so degradation stays per query.
-func (e *Engine) rankFanOut(scs []*queryScratch) {
+func (e *Engine) rankFanOut(v *view, scs []*queryScratch) {
 	var wg sync.WaitGroup
 	for _, sc := range scs {
 		wg.Add(1)
 		fn := func() {
 			defer wg.Done()
-			e.rankStage(sc)
+			e.rankStage(v, sc)
 		}
 		if !e.pool.dispatch(fn) {
 			fn()
@@ -941,8 +916,7 @@ func (e *Engine) rankFanOut(scs []*queryScratch) {
 // rankStage runs the ranking unit over a filtered request's candidate set,
 // timing the stage, and settles its outcome. A request without a query
 // object (or a sketch-only store) ranks by sketch-estimated distances.
-// Caller holds the read lock.
-func (e *Engine) rankStage(sc *queryScratch) {
+func (e *Engine) rankStage(v *view, sc *queryScratch) {
 	if sc.err != nil {
 		return
 	}
@@ -952,9 +926,9 @@ func (e *Engine) rankStage(sc *queryScratch) {
 	var results []Result
 	var degraded bool
 	if !sc.hasQ || e.cfg.SketchOnly {
-		results, degraded = e.rankSketchCandidates(&sc.clk, sc.qset, sc.cands, sc.opt, sc)
+		results, degraded = e.rankSketchCandidates(v, sc)
 	} else {
-		results, degraded = e.rankCandidates(&sc.clk, sc.q, sc.qset, sc.cands, sc.opt, sc)
+		results, degraded = e.rankCandidates(v, sc)
 	}
 	e.met.stageRank.ObserveSince(tr)
 	sc.trp.Record(StageRank, tr, time.Since(tr)).
@@ -968,13 +942,13 @@ func (e *Engine) rankStage(sc *queryScratch) {
 // ranked with the accurate object distance (BruteForceOriginal) or with
 // sketch-estimated segment distances (BruteForceSketch). They have no
 // candidate tail to fall back on, so a budget expiry degrades to "best of
-// the prefix scanned in time". Caller holds the read lock.
-func (e *Engine) rankEvery(sc *queryScratch) {
+// the prefix scanned in time".
+func (e *Engine) rankEvery(v *view, sc *queryScratch) {
 	tr := time.Now()
 	var results []Result
 	switch {
 	case sc.opt.Mode == BruteForceSketch:
-		results = e.rankAllSketch(&sc.clk, sc.qset, sc.opt)
+		results = e.rankAllSketch(v, sc)
 	case sc.opt.Mode != BruteForceOriginal:
 		sc.err = fmt.Errorf("core: unknown mode %d", sc.opt.Mode)
 		return
@@ -982,7 +956,7 @@ func (e *Engine) rankEvery(sc *queryScratch) {
 		sc.err = errors.New("core: BruteForceOriginal unavailable in sketch-only mode")
 		return
 	default:
-		results = e.rankAll(&sc.clk, sc.q, sc.opt)
+		results = e.rankAll(v, sc)
 	}
 	e.met.stageRank.ObserveSince(tr)
 	sc.trp.Record(StageRank, tr, time.Since(tr))
@@ -1004,65 +978,45 @@ func (e *Engine) buildSketchSet(q object.Object) *metastore.SketchSet {
 // rankAll is BruteForceOriginal: the accurate object distance against every
 // (non-restricted) object. In LowMemory mode each feature-vector record is
 // fetched from the metadata store as the scan reaches it.
-func (e *Engine) rankAll(clk *queryClock, q object.Object, opt QueryOptions) []Result {
-	if e.cfg.LowMemory {
-		return e.rankScan(clk, len(e.entries), opt, func(i int) (Result, bool) {
-			ent := &e.entries[i]
-			if ent.dead {
-				return Result{}, false
-			}
-			if opt.Restrict != nil && !opt.Restrict[ent.id] {
-				return Result{}, false
-			}
-			o, ok := e.meta.GetObject(ent.id)
-			if !ok {
-				return Result{}, false
-			}
-			return Result{ID: ent.id, Key: ent.key, Distance: e.objDist(q, o)}, true
-		})
-	}
-	return e.rankScan(clk, len(e.objects), opt, func(i int) (Result, bool) {
-		o := &e.objects[i]
-		if e.entries[i].dead {
-			return Result{}, false
+func (e *Engine) rankAll(v *view, sc *queryScratch) []Result {
+	return e.rankScan(v, sc, func(i int) (float64, bool) {
+		if !e.cfg.LowMemory {
+			return e.objDist(sc.q, v.objects[i]), true
 		}
-		if opt.Restrict != nil && !opt.Restrict[o.ID] {
-			return Result{}, false
+		o, ok := e.meta.GetObject(v.entries[i].id)
+		if !ok {
+			return 0, false
 		}
-		return Result{ID: o.ID, Key: o.Key, Distance: e.objDist(q, *o)}, true
+		return e.objDist(sc.q, o), true
 	})
 }
 
 // rankAllSketch is BruteForceSketch: sketch-estimated object distance
 // against every object.
-func (e *Engine) rankAllSketch(clk *queryClock, qset *metastore.SketchSet, opt QueryOptions) []Result {
-	return e.rankScan(clk, len(e.entries), opt, func(i int) (Result, bool) {
-		ent := &e.entries[i]
-		if ent.dead {
-			return Result{}, false
-		}
-		if opt.Restrict != nil && !opt.Restrict[ent.id] {
-			return Result{}, false
-		}
-		return Result{ID: ent.id, Key: ent.key, Distance: e.sketchObjectDistanceAt(qset, i)}, true
-	})
+func (e *Engine) rankAllSketch(v *view, sc *queryScratch) []Result {
+	return e.rankScan(v, sc, func(i int) (float64, bool) { return e.sketchObjectDistanceAt(v, sc.qset, i), true })
 }
 
-// rankScan runs a distance function over the entry range [0, n), keeping
-// the global top K. The query clock is checked every rankCheckStride
-// evaluations: context cancellation aborts the scan (the caller surfaces
-// the error), budget expiry stops it early — the caller reads the latched
-// expiry (budgetHit) and marks the answer degraded.
-func (e *Engine) rankScan(clk *queryClock, n int, opt QueryOptions, distance func(idx int) (Result, bool)) []Result {
-	top := newTopK(opt.K)
+// rankScan runs a distance function over every live, unrestricted entry of
+// the view, keeping the global top K. The query clock is checked every rankCheckStride entries: context
+// cancellation aborts the scan (the caller surfaces the error), budget
+// expiry stops it early — the caller reads the latched expiry (budgetHit)
+// and marks the answer degraded.
+func (e *Engine) rankScan(v *view, sc *queryScratch, distance func(idx int) (float64, bool)) []Result {
+	restrict := sc.opt.Restrict
+	top := newTopK(sc.opt.K)
 	evals := 0
-	for i := 0; i < n; i++ {
-		if i%rankCheckStride == 0 && (clk.stop() || clk.overBudget()) {
+	for i := range v.entries {
+		if i%rankCheckStride == 0 && (sc.clk.stop() || sc.clk.overBudget()) {
 			break
 		}
-		if r, ok := distance(i); ok {
+		ent := &v.entries[i]
+		if v.isDead(i) || (restrict != nil && !restrict[ent.id]) {
+			continue
+		}
+		if d, ok := distance(i); ok {
 			evals++
-			top.push(r)
+			top.push(Result{ID: ent.id, Key: ent.key, Distance: d})
 		}
 	}
 	e.met.emdEvals.Add(evals)

@@ -23,6 +23,8 @@ func testConfig(dir string, d int) Config {
 	return Config{
 		Dir:    dir,
 		Sketch: sketch.Params{N: 256, K: 1, Min: min, Max: max, Seed: 17},
+		// No background compactor: merges run when a test calls compactOnce.
+		Segments: SegmentParams{Interval: -1},
 	}
 }
 

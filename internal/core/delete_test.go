@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -51,19 +52,27 @@ func TestDeleteRemovesFromResults(t *testing.T) {
 func TestDeleteWithIndex(t *testing.T) {
 	const d = 6
 	cfg := testConfig(t.TempDir(), d)
-	cfg.HIndex = HIndexParams{Enable: true}
+	cfg.HIndex = HIndexParams{Enable: true, MaxCandidateFrac: 0.9}
+	cfg.Filter.MaxHammingFrac = 0.04 // inside the index radius: descents cover the query outright
 	e := openEngine(t, cfg)
-	ids := ingestClusters(t, e, 3, 4, d, 2)
+	ids := ingestClusters(t, e, 30, 4, d, 2)
+	e.Compact() // seal: the victim's rows are in an index from here on
 	victim := ids[0][0]
 	if err := e.Delete(victim); err != nil {
 		t.Fatal(err)
 	}
+	if st := e.Stat(); st.IndexedSegments != 120*2 {
+		t.Fatalf("%d rows indexed after the delete, want all 240: the index is never edited", st.IndexedSegments)
+	}
 	q := clusterObject("q", 0, d, 2, 0.01, rand.New(rand.NewSource(5)))
-	results, err := e.Query(q, QueryOptions{Mode: Filtering, K: 20})
+	ans, err := e.Search(context.Background(), q, QueryOptions{Mode: Filtering, K: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range results {
+	if ans.FilterMode != FilterModeIndex {
+		t.Fatalf("filter mode %q, want %q: the query never reached the index", ans.FilterMode, FilterModeIndex)
+	}
+	for _, r := range ans.Results {
 		if r.ID == victim {
 			t.Fatal("deleted object returned through index probe")
 		}
@@ -114,7 +123,7 @@ func TestCompact(t *testing.T) {
 		t.Fatalf("post-compact %+v", st)
 	}
 	if st.IndexedSegments != 8*2 {
-		t.Fatalf("index not remapped: %+v", st)
+		t.Fatalf("index not rebuilt over the live rows: %+v", st)
 	}
 	// Queries still work and exclude the deleted cluster.
 	q := clusterObject("q", 0, d, 2, 0.01, rand.New(rand.NewSource(8)))
@@ -125,10 +134,15 @@ func TestCompact(t *testing.T) {
 	if len(results) != 8 {
 		t.Fatalf("%d results after compact", len(results))
 	}
-	// Compacting a clean engine is a no-op.
+	// Compacting a compact engine is a no-op: no rebuild, no new view (so
+	// cached answers survive it).
+	id, compacts := e.cur.Load().id, e.Telemetry().Value("ferret_compact_total")
 	e.Compact()
 	if st := e.Stat(); st.Objects != 8 {
 		t.Fatalf("second compact changed state: %+v", st)
+	}
+	if e.cur.Load().id != id || e.Telemetry().Value("ferret_compact_total") != compacts {
+		t.Fatalf("second compact published view %d (was %d) or counted a compaction", e.cur.Load().id, id)
 	}
 }
 
@@ -159,9 +173,7 @@ func TestDeleteFindsEntryByID(t *testing.T) {
 	ids := ingestClusters(t, e, 4, 4, d, 2)
 	check := func(label string, objects, deleted int) {
 		t.Helper()
-		e.mu.RLock()
-		err := e.checkSegInvariants()
-		e.mu.RUnlock()
+		err := e.checkNow()
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -197,10 +209,9 @@ func TestDeleteFindsEntryByID(t *testing.T) {
 	del(ids[3][3]) // the last entry
 	del(ids[0][2]) // an early one
 	check("delete-after-compact", 12, 2)
-	for g := range e.entries {
-		id := e.entries[g].id
-		if want := id == ids[3][3] || id == ids[0][2]; e.entries[g].dead != want {
-			t.Fatalf("entry %d (id %d): dead=%v, want %v", g, id, e.entries[g].dead, want)
+	for g, ent := range e.cur.Load().entries {
+		if want := ent.id == ids[3][3] || ent.id == ids[0][2]; e.cur.Load().isDead(g) != want {
+			t.Fatalf("entry %d (id %d): dead=%v, want %v", g, ent.id, !want, want)
 		}
 	}
 	q := clusterObject("q", 3, d, 2, 0.01, rand.New(rand.NewSource(6)))

@@ -181,15 +181,16 @@ type batchScratch struct {
 	dist   []int32
 
 	// Hamming-index descent buffers (see indexDescent).
-	probe  []int32    // the probed pairs' candidate rows, one sorted run per pair
-	pends  []int      // end of each probed pair's run in probe
-	seen   []uint64   // per-row dedup bitmap for the descent (kept zero)
-	ppairs []scanPair // pairs probed in this segment
-	spairs []scanPair // pairs left for the segment's arena sweep
-	// tmp collects one pair's verified candidates: a failed probe discards
-	// it, so the pair's accumulator heap never sees rows from a probe that
-	// fell back to the sweep.
-	tmp segHeap
+	probe    []int32    // the probed pairs' candidate rows in one segment, one sorted run per pair
+	pends    []int      // end of each probed pair's run in probe
+	seen     []uint64   // per-row dedup bitmap for the descent (kept zero)
+	ppairs   []scanPair // pairs probed
+	spairs   []scanPair // pairs left for the indexed segments' arena sweeps
+	verified []int32    // candidates verified per probed pair
+	// tmps collect each probed pair's verified candidates across the indexed
+	// segments: a failed probe discards its heap, so the pair's accumulator
+	// never sees rows from a probe that fell back to the sweep.
+	tmps []segHeap
 }
 
 // filterParams resolves a query's filter parameters: its own when any field
@@ -221,11 +222,11 @@ func topSegments(buf []int, weights []float32, r int) []int {
 // buildPairs expands a batch into its (query, query-segment) pair list: for
 // each request the r highest-weight query segments, each with its
 // weight-tightened Hamming threshold and a private k-nearest heap.
-func (e *Engine) buildPairs(scs []*queryScratch, bs *batchScratch) {
+func (e *Engine) buildPairs(v *view, scs []*queryScratch, bs *batchScratch) {
 	n := float64(e.builder.N())
 	bs.pairs = bs.pairs[:0]
 	for i, sc := range scs {
-		sc.walk = sc.opt.Restrict != nil && len(sc.opt.Restrict)*restrictWalkDiv < len(e.entries)
+		sc.walk = sc.opt.Restrict != nil && len(sc.opt.Restrict)*restrictWalkDiv < len(v.entries)
 		p := e.filterParams(&sc.opt).withDefaults(len(sc.qset.Sketches), sc.opt.K)
 		sc.order = topSegments(sc.order, sc.qset.Weights, p.QuerySegments)
 		for j, qi := range sc.order {
@@ -246,19 +247,20 @@ func (e *Engine) buildPairs(scs []*queryScratch, bs *batchScratch) {
 // threshold, and the deduplicated union of the owning objects is the
 // query's candidate set (sorted entry indices in sc.cands).
 //
-// It descends the storage segments once for the whole batch. In each, the
-// pairs the cost model admits go through the segment's Hamming index
-// (indexDescent) and the rest — no index, a probe that cannot win, a radius
-// the index cannot cover — share one sweep of the segment's arena. Every
-// push applies the global (hamming, entry) pair order, so a pair's heap ends
-// up holding its k smallest pairs no matter how the corpus is segmented,
-// which machinery served it, or what else rode in the batch. Caller holds
-// the read lock.
-func (e *Engine) filterBatch(scs []*queryScratch) {
+// It descends the view's storage segments once for the whole batch. The
+// pairs the cost model admits go through the sealed segments' Hamming
+// indexes (indexDescent); every segment's arena is then swept once for the
+// pairs still owed it — all of them on the unindexed tail, the index's
+// fallbacks (a probe that cannot win, a radius the index cannot cover) on a
+// sealed segment. Every push applies the global (hamming, entry) pair order,
+// so a pair's heap ends up holding its k smallest pairs no matter how the
+// corpus is segmented, which machinery served it, or what else rode in the
+// batch.
+func (e *Engine) filterBatch(v *view, scs []*queryScratch) {
 	stageStart := time.Now()
 	defer rtrace.StartRegion(scs[0].ctx, "ferret.scan").End()
 	bs := &scs[0].batch
-	e.buildPairs(scs, bs)
+	e.buildPairs(v, scs, bs)
 
 	// A pass that served several queries is recorded in each one's trace as
 	// a scan span carrying one shared ref, so equal refs prove the queries
@@ -267,16 +269,17 @@ func (e *Engine) filterBatch(scs []*queryScratch) {
 	if len(scs) > 1 {
 		name, ref = StageScan, trace.NewSpanID()
 	}
-	for _, seg := range e.segs {
+	e.indexDescent(v, scs, bs, ref)
+	for _, seg := range v.segs {
 		if seg.liveEntries() == 0 {
 			continue
 		}
 		pairs := bs.pairs
-		if seg.hindex != nil {
-			pairs = e.indexDescent(seg, scs, bs, ref)
+		if seg.probed() {
+			pairs = bs.spairs
 		}
 		if len(pairs) > 0 {
-			e.arenaSweep(seg, scs, bs, pairs)
+			e.arenaSweep(v, seg, scs, bs, pairs)
 		}
 	}
 
@@ -318,8 +321,8 @@ func (e *Engine) filterBatch(scs []*queryScratch) {
 // would be selected and looked up.
 //
 //ferret:noalloc
-func (e *Engine) arenaSweep(seg *segment, scs []*queryScratch, bs *batchScratch, pairs []scanPair) {
-	a := seg.arena
+func (e *Engine) arenaSweep(v *view, seg *segment, scs []*queryScratch, bs *batchScratch, pairs []scanPair) {
+	a := &seg.arena
 	np := len(pairs)
 	swept := 0
 	for lo, hi := 0, 0; lo < np; lo = hi { // one request's pairs at a time
@@ -337,7 +340,7 @@ func (e *Engine) arenaSweep(seg *segment, scs []*queryScratch, bs *batchScratch,
 				break
 			}
 			g := seg.loEntry + li
-			if ent := &e.entries[g]; ent.dead || !sc.opt.Restrict[ent.id] {
+			if seg.dead.has(li) || !sc.opt.Restrict[v.entries[g].id] {
 				continue
 			}
 			sc.scannedN += hi - lo
@@ -404,11 +407,10 @@ func (e *Engine) arenaSweep(seg *segment, scs []*queryScratch, bs *batchScratch,
 				if h > bound {
 					continue
 				}
-				g := seg.loEntry + int(a.entry[base+int(hits[k])])
-				if check {
-					if ent := &e.entries[g]; ent.dead || (restrict != nil && !restrict[ent.id]) {
-						continue
-					}
+				li := int(a.entry[base+int(hits[k])])
+				g := seg.loEntry + li
+				if check && (seg.dead.has(li) || (restrict != nil && !restrict[v.entries[g].id])) {
+					continue
 				}
 				p.heap.push(g, int(h))
 				if w := p.heap.worst(); w < int(bound) {
@@ -423,7 +425,7 @@ func (e *Engine) arenaSweep(seg *segment, scs []*queryScratch, bs *batchScratch,
 // distance function is computed directly against all feature-vector
 // metadata (paper §4.1.1's alternative to the sketch comparison). It leaves
 // the candidate set in sc.cands or the failure in sc.err.
-func (e *Engine) filterExact(sc *queryScratch, p FilterParams) {
+func (e *Engine) filterExact(v *view, sc *queryScratch, p FilterParams) {
 	if !sc.hasQ || e.cfg.SketchOnly {
 		sc.err = errors.New("core: exact-distance filtering requires stored feature vectors")
 		return
@@ -433,9 +435,9 @@ func (e *Engine) filterExact(sc *queryScratch, p FilterParams) {
 	scanned := 0
 	getObject := func(i int) (object.Object, bool) {
 		if e.cfg.LowMemory {
-			return e.meta.GetObject(e.entries[i].id)
+			return e.meta.GetObject(v.entries[i].id)
 		}
-		return e.objects[i], true
+		return v.objects[i], true
 	}
 
 	sc.order = topSegments(sc.order, sc.qset.Weights, p.QuerySegments)
@@ -449,14 +451,11 @@ func (e *Engine) filterExact(sc *queryScratch, p FilterParams) {
 		}
 		var kept []scoredIdx
 		worst := math.Inf(1)
-		for idx := range e.entries {
+		for idx := range v.entries {
 			if idx%rankCheckStride == 0 && sc.clk.stop() {
 				break
 			}
-			if e.entries[idx].dead {
-				continue
-			}
-			if opt.Restrict != nil && !opt.Restrict[e.entries[idx].id] {
+			if v.isDead(idx) || (opt.Restrict != nil && !opt.Restrict[v.entries[idx].id]) {
 				continue
 			}
 			o, ok := getObject(idx)

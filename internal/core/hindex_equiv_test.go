@@ -5,13 +5,15 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"ferret/internal/object"
 )
 
 // The Hamming index is an accelerator, never an approximation: every query
-// it serves must return bit-identical answers to the arena scan, across the
-// full mutation protocol and on both the serial and the batched path. These
+// it serves must return bit-identical answers to the arena scan, across
+// ingest, delete, seal and merge and on both the serial and the batched path.
+// These
 // tests drive an indexed engine and an unindexed twin through the same
 // workload and compare complete Answers at every step.
 
@@ -54,6 +56,8 @@ func TestHIndexScanEquivalence(t *testing.T) {
 	const d = 10
 	cfgIdx := testConfig(t.TempDir(), d)
 	cfgIdx.HIndex = HIndexParams{Enable: true}
+	// 240 objects seal into seven indexed segments and a 16-entry tail.
+	cfgIdx.Segments = SegmentParams{SealEntries: 32, Interval: -1}
 	ei := openEngine(t, cfgIdx)
 	es := openEngine(t, testConfig(t.TempDir(), d))
 
@@ -120,12 +124,12 @@ func TestHIndexScanEquivalence(t *testing.T) {
 	}
 	check("tombstoned")
 
-	// Compaction renumbers arena rows; the index is remapped in place.
+	// Compaction renumbers arena rows and builds a fresh index over them.
 	ei.Compact()
 	es.Compact()
 	check("compacted")
 
-	// Ingest after compact: online inserts into the remapped index.
+	// Ingest after compact: an unindexed tail beside the one sealed index.
 	for m := 0; m < 20; m++ {
 		ingestBoth(clusterObject(fmt.Sprintf("post-m%02d", m), m%6, d, 3, 0.01, rng))
 	}
@@ -142,6 +146,66 @@ func TestHIndexScanEquivalence(t *testing.T) {
 	}
 }
 
+// TestDefaultEngineStaysIndexServed runs the engine every other test in this
+// package configures away: zero SegmentParams — 1024-entry seals and the
+// background compactor, woken by each seal — fed online with the index on and
+// never Compact()ed. Each cluster's members arrive 870 objects apart,
+// so no storage segment holds enough of a query's neighbours to fill its heap
+// alone: the sealed segments' indexes have to answer as one. Answers must
+// match the unindexed twin, the compactor must have folded the seals into a
+// few tiers on its own, and the index must serve nearly every probed pair.
+func TestDefaultEngineStaysIndexServed(t *testing.T) {
+	const d, members = 10, 6
+	const clusters = (5*defaultSealEntries + 100) / members
+	cfgIdx := testConfig(t.TempDir(), d)
+	cfgIdx.Segments = SegmentParams{}
+	cfgIdx.HIndex = HIndexParams{Enable: true}
+	ei := openEngine(t, cfgIdx)
+	es := openEngine(t, testConfig(t.TempDir(), d))
+
+	rng := rand.New(rand.NewSource(74))
+	for m := 0; m < members; m++ {
+		for c := 0; c < clusters; c++ {
+			o := clusterObject(fmt.Sprintf("c%04d-m%d", c, m), c, d, 3, 0.01, rng)
+			if _, err := ei.Ingest(o, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := es.Ingest(o, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Five seals; wait until the compactor is idle with nothing left to merge.
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		ei.compactMu.Lock()
+		_, n := ei.pickMerge(ei.cur.Load())
+		ei.compactMu.Unlock()
+		if n == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("background compactor still has work after 20s (%d storage segments)", ei.Stat().StorageSegments)
+		}
+	}
+	if err := ei.checkNow(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ei.Stat().StorageSegments; got != 3 {
+		t.Fatalf("%d storage segments after 5 seals, want the four-seal merge, the fifth seal and the tail", got)
+	}
+
+	for qi := 0; qi < 40; qi++ {
+		q := clusterObject(fmt.Sprintf("q%d", qi), rng.Intn(clusters), d, 3, 0.01, rng)
+		queryPair(t, fmt.Sprintf("q%d", qi), ei, es, q,
+			QueryOptions{K: 5, Filter: FilterParams{NearestPerSegment: members - 1}})
+	}
+	reg := ei.Telemetry()
+	probes, fallbacks := reg.Value("ferret_hindex_probes_total"), reg.Value("ferret_hindex_fallback_total")
+	if probes == 0 || fallbacks*4 > probes {
+		t.Fatalf("%v index probes, %v fallbacks to the sweep: the default engine is not index-served", probes, fallbacks)
+	}
+}
+
 // TestHIndexBatchSerialEquivalence checks the batched table descent agrees
 // with the serial probe: SearchBatch answers must match one-at-a-time
 // Search answers on the same indexed engine.
@@ -151,6 +215,7 @@ func TestHIndexBatchSerialEquivalence(t *testing.T) {
 	cfg.HIndex = HIndexParams{Enable: true}
 	e := openEngine(t, cfg)
 	ingestClusters(t, e, 30, 6, d, 3)
+	e.Compact() // seal: only sealed segments are indexed
 
 	rng := rand.New(rand.NewSource(72))
 	queries := make([]object.Object, 8)
@@ -186,24 +251,24 @@ func TestHIndexBatchSerialEquivalence(t *testing.T) {
 }
 
 // TestHIndexMutationEquivalence is the randomized property test: a long
-// interleaving of Ingest, Delete, Compact and queries, applied identically
-// to an indexed and an unindexed engine, must never produce diverging
-// answers. Run with -race this also exercises the scheduler's probe path
-// under the engine lock protocol.
+// interleaving of Ingest, Delete, seals, merge steps, Compact and queries,
+// applied to an indexed engine with a tiny seal threshold and to an unindexed
+// twin that never seals, must never produce diverging answers.
 func TestHIndexMutationEquivalence(t *testing.T) {
 	const d = 8
 	cfgIdx := testConfig(t.TempDir(), d)
 	// Tiny table count stresses bucket overflow chains; a generous
 	// candidate ceiling keeps the index in play as the corpus shrinks.
 	cfgIdx.HIndex = HIndexParams{Enable: true, Tables: 4, MaxCandidateFrac: 0.9}
+	cfgIdx.Segments = SegmentParams{SealEntries: 8, MergeSegments: 3, Interval: -1}
 	ei := openEngine(t, cfgIdx)
 	es := openEngine(t, testConfig(t.TempDir(), d))
 
 	rng := rand.New(rand.NewSource(73))
 	live := map[string]object.ID{} // key -> indexed engine's ID
 	seq := 0
-	for step := 0; step < 300; step++ {
-		switch op := rng.Intn(10); {
+	for step := 0; step < 400; step++ {
+		switch op := rng.Intn(12); {
 		case op < 4 || len(live) < 10: // ingest
 			key := fmt.Sprintf("s%04d", seq)
 			seq++
@@ -231,16 +296,27 @@ func TestHIndexMutationEquivalence(t *testing.T) {
 				delete(live, key)
 				break
 			}
-		case op == 6: // compact both
+		case op == 6: // one merge step (indexed engine only: the twin never seals)
+			ei.compactOnce()
+		case op == 7 && step%5 == 0: // compact both
 			ei.Compact()
 			es.Compact()
 		default: // query
 			q := clusterObject("q", rng.Intn(5), d, 2, 0.02, rng)
 			k := 1 + rng.Intn(12)
-			queryPair(t, fmt.Sprintf("step%d", step), ei, es, q, QueryOptions{K: k})
+			// A small per-segment k lets a descent fill its heap inside the
+			// index radius even from a handful of eight-entry segments.
+			queryPair(t, fmt.Sprintf("step%d", step), ei, es, q,
+				QueryOptions{K: k, Filter: FilterParams{NearestPerSegment: []int{0, 6}[rng.Intn(2)]}})
+		}
+		if err := ei.checkNow(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
 	}
-	if got, want := ei.indexedRows(), es.Stat().Segments; got != want {
-		t.Fatalf("index holds %d rows, scan engine has %d live segments", got, want)
+	reg := ei.Telemetry()
+	for _, name := range []string{"ferret_seal_total", "ferret_merge_total", "ferret_compact_total", "ferret_hindex_probes_total"} {
+		if reg.Value(name) == 0 {
+			t.Fatalf("%s is 0: the interleaving no longer reaches that arm", name)
+		}
 	}
 }

@@ -45,7 +45,7 @@ func TestIngestQueueShed(t *testing.T) {
 	e.ingestMu.Unlock()
 
 	accepted := 0
-	for i := 0; i < producers-shed; i++ {
+	for left := producers - shed; left > 0; left-- {
 		err := <-results
 		switch {
 		case err == nil:

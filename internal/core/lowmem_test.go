@@ -17,8 +17,8 @@ func TestLowMemoryMatchesCached(t *testing.T) {
 
 	ingestClusters(t, cached, 6, 5, d, nseg)
 	ingestClusters(t, low, 6, 5, d, nseg)
-	if len(low.objects) != 0 {
-		t.Fatalf("low-memory engine cached %d objects", len(low.objects))
+	if n := len(low.cur.Load().objects); n != 0 {
+		t.Fatalf("low-memory engine cached %d objects", n)
 	}
 
 	rng := rand.New(rand.NewSource(41))
@@ -60,8 +60,8 @@ func TestLowMemorySurvivesReopen(t *testing.T) {
 	e.Close()
 
 	e2 := openEngine(t, cfg)
-	if len(e2.objects) != 0 {
-		t.Fatalf("reopened low-memory engine cached %d objects", len(e2.objects))
+	if len(e2.cur.Load().objects) != 0 {
+		t.Fatalf("reopened low-memory engine cached %d objects", len(e2.cur.Load().objects))
 	}
 	q := clusterObject("q", 0, d, 2, 0.01, rand.New(rand.NewSource(2)))
 	results, err := e2.Query(q, QueryOptions{Mode: Filtering, K: 3})

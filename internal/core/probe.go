@@ -9,11 +9,12 @@ import (
 	"ferret/internal/telemetry/trace"
 )
 
-// HIndexParams configures the optional multi-table Hamming index over the
-// sketch arena (see internal/hindex and DESIGN.md §12).
+// HIndexParams configures the optional multi-table Hamming index over each
+// sealed segment's arena (see internal/hindex and DESIGN.md §12).
 type HIndexParams struct {
-	// Enable builds and maintains the index; queries probe it whenever the
-	// cost model predicts a win, falling back to the arena scan otherwise.
+	// Enable builds an index for every segment as it is sealed or merged;
+	// queries probe it whenever the cost model predicts a win, falling back
+	// to the arena scan otherwise. The mutable tail is always swept.
 	Enable bool
 	// Tables is the substring table count m: probes answer Hamming radius
 	// m−1 exactly. 0 means hindex.DefaultTables; out-of-range values are
@@ -36,29 +37,33 @@ func (p HIndexParams) withDefaults() HIndexParams {
 	return p
 }
 
-// indexDescent serves one storage segment's index-eligible pairs from its
-// multi-table Hamming index instead of its arena sweep, in two phases: every
-// eligible pair streams its buckets into a sorted candidate list of its own,
-// then each list is verified against its pair's query sketch. It returns the
-// pairs the segment's arena sweep must still serve (cost-model and coverage
-// fallbacks). Caller holds the read lock.
+// indexDescent serves the batch's index-eligible pairs from the sealed
+// segments' Hamming indexes, which answer together as one index over the
+// sealed corpus: however the compactor has split it, a pair is admitted,
+// probed and settled once, against all of it. Per sealed segment the descent
+// runs in two phases — every probed pair streams its buckets into a sorted
+// candidate run of its own, then each run is verified against its pair's
+// query sketch into the pair's temp heap, which persists across segments. It
+// leaves in bs.spairs the pairs the sealed segments' arena sweeps must still
+// serve (cost-model and coverage fallbacks).
 //
-// Correctness: a pair's candidate stream is a superset of every segment row
+// Correctness: a pair's candidate streams are a superset of every sealed row
 // within Hamming radius rEff = min(maxHam, Radius()) of its query sketch
-// (pigeonhole). Candidates are verified with the exact Hamming distance and
-// pushed — into a temp heap, so a failed probe never pollutes the pair's
-// accumulator — under the same (hamming, entry) pair order as the sweep,
-// with the acceptance bound clamped to rEff. Merging the temp heap is
-// bit-identical to sweeping the segment into the accumulator whenever the
-// pair succeeds:
+// (pigeonhole); rows tombstoned since an index was built are still in them
+// and are dropped here, as the sweep drops them on replay. The rest are
+// verified with the exact Hamming distance and pushed — into the temp heap,
+// so a failed probe never pollutes the pair's accumulator — under the same
+// (hamming, entry) pair order as the sweep, with the acceptance bound clamped
+// to rEff. Merging the temp heap is bit-identical to sweeping the sealed
+// segments into the accumulator whenever the pair succeeds:
 //
-//   - rEff == maxHam: the stream covers the whole acceptance radius, so the
-//     replay sees every segment row the sweep would have accepted.
+//   - rEff == maxHam: the streams cover the whole acceptance radius, so the
+//     replay sees every sealed row the sweep would have accepted.
 //   - rEff < maxHam: coverage is only guaranteed up to rEff, so the pair
-//     succeeds only if its temp heap fills within it — then the segment's k
-//     nearest all sit at distance ≤ worst ≤ rEff and were all in the
-//     stream. Any segment row beyond rEff is dominated by those k rows, so
-//     it could not have entered the accumulator either.
+//     succeeds only if its temp heap fills within it — then the sealed
+//     corpus's k nearest all sit at distance ≤ worst ≤ rEff and were all in
+//     the streams. Any sealed row beyond rEff is dominated by those k rows,
+//     so it could not have entered the accumulator either.
 //
 // Cost model (a pair falls back before any verification): the estimated
 // candidate stream length (exact, from bucket populations) must stay below
@@ -67,86 +72,120 @@ func (p HIndexParams) withDefaults() HIndexParams {
 // must be at least k, or the heap provably cannot fill.
 //
 //ferret:noalloc
-func (e *Engine) indexDescent(seg *segment, scs []*queryScratch, bs *batchScratch, ref trace.SpanID) []scanPair {
-	ix := seg.hindex
-	rows := ix.Rows()
-	radius := ix.Radius()
+func (e *Engine) indexDescent(v *view, scs []*queryScratch, bs *batchScratch, ref trace.SpanID) {
+	bs.ppairs, bs.spairs = bs.ppairs[:0], bs.spairs[:0]
+	nix, rows, radius := 0, 0, 0 // indexed segments, their rows, their common radius
+	for _, seg := range v.segs {
+		if seg.probed() {
+			nix++
+			rows += seg.hindex.Rows()
+			radius = seg.hindex.Radius()
+		}
+	}
+	if nix == 0 {
+		return
+	}
 	maxCands := e.cfg.HIndex.MaxCandidateFrac * float64(rows)
-	bs.ppairs, bs.spairs, bs.pends = bs.ppairs[:0], bs.spairs[:0], bs.pends[:0]
-	probe := bs.probe[:0]
-	seen := resizeU64(&bs.seen, (seg.arena.rows()+63)/64)
-
-	probeStart := time.Now()
 	for _, p := range bs.pairs {
-		est := ix.EstimateCandidates(p.qsk)
+		est := 0
+		for _, seg := range v.segs {
+			if seg.probed() {
+				est += seg.hindex.EstimateCandidates(p.qsk)
+			}
+		}
 		if float64(est) > maxCands || (radius < p.maxHam && est < p.heap.k) {
-			e.met.hixFallback.Inc()
-			bs.spairs = append(bs.spairs, p)
+			e.met.hixFallback.Add(nix)
 			continue
 		}
-		lo := len(probe)
-		probe = ix.AppendCandidates(probe, p.qsk, seen)
-		own := probe[lo:]
-		for _, row := range own {
-			seen[row>>6] &^= 1 << (uint(row) & 63)
-		}
-		// Sorted candidates verify in arena order — sparse but monotone row
-		// reads instead of bucket-chain order.
-		slices.Sort(own)
 		bs.ppairs = append(bs.ppairs, p)
-		bs.pends = append(bs.pends, len(probe))
 	}
-	bs.probe = probe
 	if len(bs.ppairs) == 0 {
-		return bs.spairs
+		bs.spairs = append(bs.spairs, bs.pairs...)
+		return
 	}
-	bs.recordProbed(scs, StageHProbe, ref, probeStart)
-
-	// Verify each pair's candidates, then settle the pair: full coverage of
-	// its threshold, or a temp heap filled within the index radius, merges
-	// the temp heap into the pair's accumulator; anything else rejoins the
-	// segment's sweep with the accumulator untouched.
-	verifyStart := time.Now()
-	a := seg.arena
-	lo := 0
+	for len(bs.tmps) < len(bs.ppairs) {
+		bs.tmps = append(bs.tmps, segHeap{})
+	}
+	verified := resizeI32(&bs.verified, len(bs.ppairs))
 	for pi, p := range bs.ppairs {
-		own := probe[lo:bs.pends[pi]]
-		lo = bs.pends[pi]
-		sc := scs[p.req]
-		tmp := &bs.tmp
-		tmp.reset(p.heap.k)
-		bound := min(radius, p.maxHam)
-		for i, row := range own {
-			if i%scanCheckStride == 0 && sc.clk.stop() {
-				break
+		bs.tmps[pi].reset(p.heap.k)
+		verified[pi] = 0
+	}
+
+	for _, seg := range v.segs {
+		if !seg.probed() {
+			continue
+		}
+		// Stream: sorted candidates verify in arena order — sparse but
+		// monotone row reads instead of bucket-chain order.
+		probeStart := time.Now()
+		ix, a := seg.hindex, &seg.arena
+		probe, pends := bs.probe[:0], bs.pends[:0]
+		seen := resizeU64(&bs.seen, (a.rows()+63)/64)
+		for _, p := range bs.ppairs {
+			lo := len(probe)
+			probe = ix.AppendCandidates(probe, p.qsk, seen)
+			own := probe[lo:]
+			for _, row := range own {
+				seen[row>>6] &^= 1 << (uint(row) & 63)
 			}
-			g := seg.loEntry + int(a.entry[row])
-			// Deleted rows never appear (Delete removes them from the
-			// index); only a Restrict set can exclude a candidate.
-			if r := sc.opt.Restrict; r != nil && !r[e.entries[g].id] {
+			slices.Sort(own)
+			pends = append(pends, len(probe))
+		}
+		bs.probe, bs.pends = probe, pends
+		bs.recordProbed(scs, StageHProbe, ref, probeStart)
+
+		verifyStart := time.Now()
+		lo := 0
+		for pi, p := range bs.ppairs {
+			own := probe[lo:pends[pi]]
+			lo = pends[pi]
+			sc := scs[p.req]
+			tmp := &bs.tmps[pi]
+			bound := min(radius, p.maxHam, tmp.worst())
+			for i, row := range own {
+				if i%scanCheckStride == 0 && sc.clk.stop() {
+					break
+				}
+				li := int(a.entry[row])
+				g := seg.loEntry + li
+				if r := sc.opt.Restrict; seg.dead.has(li) || (r != nil && !r[v.entries[g].id]) {
+					continue
+				}
+				if h := sketch.HammingAt(p.qsk, a.words, int(row)*a.wps); h <= bound {
+					tmp.push(g, h)
+					bound = min(bound, tmp.worst())
+				}
+			}
+			verified[pi] += int32(len(own))
+			e.met.hixProbes.Inc()
+			e.met.hixCandidates.Add(len(own))
+			e.met.hixBaseline.Add(ix.Rows())
+		}
+		bs.recordProbed(scs, StageHVerify, ref, verifyStart)
+	}
+
+	// Settle each pair, in pair order: full coverage of its threshold, or a
+	// temp heap filled within the index radius, merges the temp heap into the
+	// pair's accumulator; anything else joins the sealed segments' sweeps with
+	// the accumulator untouched.
+	pi := 0
+	for _, p := range bs.pairs {
+		if pi < len(bs.ppairs) && bs.ppairs[pi].heap == p.heap {
+			tmp := &bs.tmps[pi]
+			pi++
+			if radius >= p.maxHam || tmp.full() {
+				for i := range tmp.entry {
+					p.heap.push(tmp.entry[i], tmp.ham[i])
+				}
+				scs[p.req].idxSegs += nix
+				scs[p.req].scannedN += int(verified[pi-1])
 				continue
 			}
-			if h := sketch.HammingAt(p.qsk, a.words, int(row)*a.wps); h <= bound {
-				tmp.push(g, h)
-				bound = min(bound, tmp.worst())
-			}
+			e.met.hixFallback.Add(nix)
 		}
-		e.met.hixProbes.Inc()
-		e.met.hixCandidates.Add(len(own))
-		e.met.hixBaseline.Add(rows)
-		if radius < p.maxHam && !tmp.full() {
-			e.met.hixFallback.Inc()
-			bs.spairs = append(bs.spairs, p)
-			continue
-		}
-		for i := range tmp.entry {
-			p.heap.push(tmp.entry[i], tmp.ham[i])
-		}
-		sc.idxSegs++
-		sc.scannedN += len(own)
+		bs.spairs = append(bs.spairs, p)
 	}
-	bs.recordProbed(scs, StageHVerify, ref, verifyStart)
-	return bs.spairs
 }
 
 // recordProbed records one phase of a descent (bucket streaming or

@@ -58,12 +58,13 @@ func sortLBCands(lbs []lbCand) {
 // its exact ranking and every not-yet-evaluated candidate is appended in
 // ascending sketch-lower-bound order until K results (degradedResults).
 // The returned bool reports that degradation.
-func (e *Engine) rankCandidates(clk *queryClock, q object.Object, qset *metastore.SketchSet, cands []int, opt QueryOptions, sc *queryScratch) ([]Result, bool) {
+func (e *Engine) rankCandidates(v *view, sc *queryScratch) ([]Result, bool) {
+	clk, q, qset, cands, opt := &sc.clk, sc.q, sc.qset, sc.cands, sc.opt
 	top := newTopK(opt.K)
 	evals, abandoned, pruned := 0, 0, 0
 
 	eval := func(idx int, bound float64) {
-		ent := &e.entries[idx]
+		ent := &v.entries[idx]
 		var o object.Object
 		if e.cfg.LowMemory {
 			var ok bool
@@ -72,7 +73,7 @@ func (e *Engine) rankCandidates(clk *queryClock, q object.Object, qset *metastor
 				return
 			}
 		} else {
-			o = e.objects[idx]
+			o = v.objects[idx]
 		}
 		if e.objDistBounded != nil && !math.IsInf(bound, 1) {
 			d, exact := e.objDistBounded(q, o, bound)
@@ -93,7 +94,7 @@ func (e *Engine) rankCandidates(clk *queryClock, q object.Object, qset *metastor
 	degradeAt := -1
 	var rest []lbCand
 	if e.pruneEnabled(qset) {
-		lbs := e.lowerBounds(qset, cands, e.cfg.SqrtWeights, sc)
+		lbs := e.lowerBounds(v, cands, e.cfg.SqrtWeights, sc)
 		margin := e.cfg.Prune.margin()
 		for i := range lbs {
 			if clk.stop() {
@@ -121,7 +122,7 @@ func (e *Engine) rankCandidates(clk *queryClock, q object.Object, qset *metastor
 			if clk.overBudget() {
 				degradeAt = i
 				if qset != nil && len(qset.Sketches) > 0 {
-					rest = e.lowerBounds(qset, cands[i:], e.cfg.SqrtWeights, sc)
+					rest = e.lowerBounds(v, cands[i:], e.cfg.SqrtWeights, sc)
 				}
 				break
 			}
@@ -133,7 +134,7 @@ func (e *Engine) rankCandidates(clk *queryClock, q object.Object, qset *metastor
 	e.met.heapTrims.Add(top.trims)
 	sc.rankEvals, sc.rankPruned, sc.rankAbandoned = evals, pruned, abandoned
 	if degradeAt >= 0 {
-		return e.degradedResults(top, rest, opt.K), true
+		return degradedResults(v, top, rest, opt.K), true
 	}
 	return top.sorted(), false
 }
@@ -141,13 +142,13 @@ func (e *Engine) rankCandidates(clk *queryClock, q object.Object, qset *metastor
 // degradedResults assembles a budget-expired answer: the exactly ranked
 // results so far, then unranked candidates in ascending sketch-lower-bound
 // order (Distance carries the sketch estimate) until K results.
-func (e *Engine) degradedResults(top *topK, rest []lbCand, k int) []Result {
+func degradedResults(v *view, top *topK, rest []lbCand, k int) []Result {
 	res := top.sorted()
 	for _, c := range rest {
 		if len(res) >= k {
 			break
 		}
-		ent := &e.entries[c.idx]
+		ent := &v.entries[c.idx]
 		res = append(res, Result{ID: ent.id, Key: ent.key, Distance: c.lb})
 	}
 	return res
@@ -157,13 +158,14 @@ func (e *Engine) degradedResults(top *topK, rest []lbCand, k int) []Result {
 // distance (sketch-only databases). Here the lower bound and the ranking
 // distance are derived from the same estimated cost matrix, so the bound is
 // exact (no margin) and pruning provably cannot change the results.
-func (e *Engine) rankSketchCandidates(clk *queryClock, qset *metastore.SketchSet, cands []int, opt QueryOptions, sc *queryScratch) ([]Result, bool) {
+func (e *Engine) rankSketchCandidates(v *view, sc *queryScratch) ([]Result, bool) {
+	clk, qset, cands, opt := &sc.clk, sc.qset, sc.cands, sc.opt
 	top := newTopK(opt.K)
 	evals, pruned := 0, 0
 	degradeAt := -1
 	var rest []lbCand
 	if !e.cfg.Prune.Disable && len(qset.Sketches) > 0 {
-		lbs := e.lowerBounds(qset, cands, false, sc)
+		lbs := e.lowerBounds(v, cands, false, sc)
 		for i := range lbs {
 			if clk.stop() {
 				break
@@ -178,9 +180,9 @@ func (e *Engine) rankSketchCandidates(clk *queryClock, qset *metastore.SketchSet
 				break
 			}
 			idx := lbs[i].idx
-			ent := &e.entries[idx]
+			ent := &v.entries[idx]
 			evals++
-			top.push(Result{ID: ent.id, Key: ent.key, Distance: e.sketchObjectDistanceAt(qset, idx)})
+			top.push(Result{ID: ent.id, Key: ent.key, Distance: e.sketchObjectDistanceAt(v, qset, idx)})
 		}
 		e.met.emdPruned.Add(pruned)
 	} else {
@@ -191,20 +193,20 @@ func (e *Engine) rankSketchCandidates(clk *queryClock, qset *metastore.SketchSet
 			if clk.overBudget() {
 				degradeAt = i
 				if len(qset.Sketches) > 0 {
-					rest = e.lowerBounds(qset, cands[i:], false, sc)
+					rest = e.lowerBounds(v, cands[i:], false, sc)
 				}
 				break
 			}
-			ent := &e.entries[idx]
+			ent := &v.entries[idx]
 			evals++
-			top.push(Result{ID: ent.id, Key: ent.key, Distance: e.sketchObjectDistanceAt(qset, idx)})
+			top.push(Result{ID: ent.id, Key: ent.key, Distance: e.sketchObjectDistanceAt(v, qset, idx)})
 		}
 	}
 	e.met.emdEvals.Add(evals)
 	e.met.heapTrims.Add(top.trims)
 	sc.rankEvals, sc.rankPruned, sc.rankAbandoned = evals, pruned, 0
 	if degradeAt >= 0 {
-		return e.degradedResults(top, rest, opt.K), true
+		return degradedResults(v, top, rest, opt.K), true
 	}
 	return top.sorted(), false
 }
@@ -221,11 +223,11 @@ func (e *Engine) pruneEnabled(qset *metastore.SketchSet) bool {
 // lower bound into pooled scratch and returns them sorted ascending, so the
 // ranking loop meets its likely-nearest candidates first and the prune
 // bound tightens as early as possible.
-func (e *Engine) lowerBounds(qset *metastore.SketchSet, cands []int, sqrtW bool, sc *queryScratch) []lbCand {
-	qw := normalizedWeights(&sc.qw, qset.Weights, sqrtW)
+func (e *Engine) lowerBounds(v *view, cands []int, sqrtW bool, sc *queryScratch) []lbCand {
+	qw := normalizedWeights(&sc.qw, sc.qset.Weights, sqrtW)
 	lbs := sc.lbs[:0]
 	for _, idx := range cands {
-		lbs = append(lbs, lbCand{idx, e.sketchLowerBound(qset, qw, idx, sqrtW, sc)})
+		lbs = append(lbs, lbCand{idx, e.sketchLowerBound(v, qw, idx, sqrtW, sc)})
 	}
 	sc.lbs = lbs
 	sortLBCands(lbs)
@@ -238,9 +240,10 @@ func (e *Engine) lowerBounds(qset *metastore.SketchSet, cands []int, sqrtW bool,
 // independent one-sided minimizations (every unit of supply pays at least
 // its cheapest row cost; symmetrically for demand) — the same inequality as
 // emd.DistanceBounded's abandon bound, over estimated rather than exact costs.
-func (e *Engine) sketchLowerBound(qset *metastore.SketchSet, qw []float64, idx int, sqrtW bool, sc *queryScratch) float64 {
-	seg, li := e.segOf(idx)
-	a := seg.arena
+func (e *Engine) sketchLowerBound(v *view, qw []float64, idx int, sqrtW bool, sc *queryScratch) float64 {
+	qset := sc.qset
+	seg, li := v.segOf(idx)
+	a := &seg.arena
 	lo, hi := a.rowsOf(li)
 	m, n := len(qset.Sketches), hi-lo
 	if m == 0 || n == 0 {
@@ -293,9 +296,9 @@ func normalizedWeights(dst *[]float64, w []float32, sqrtW bool) []float64 {
 // weights with a ground cost matrix of sketch-estimated ℓ₁ distances.
 // Single-segment pairs reduce to one estimated segment distance; an empty
 // side ranks last.
-func (e *Engine) sketchObjectDistanceAt(qset *metastore.SketchSet, idx int) float64 {
-	seg, li := e.segOf(idx)
-	a := seg.arena
+func (e *Engine) sketchObjectDistanceAt(v *view, qset *metastore.SketchSet, idx int) float64 {
+	seg, li := v.segOf(idx)
+	a := &seg.arena
 	lo, hi := a.rowsOf(li)
 	d, err := emd.Transport(qset.Weights, a.weight[lo:hi], func(i, j int) float64 {
 		return e.estimateAt(qset.Sketches[i], a, lo+j)

@@ -19,8 +19,8 @@ import (
 // computes the Hamming distance to every row of every live, unrestricted
 // entry, sorts the lot by (hamming, entry), and keeps the first k within the
 // weight-tightened threshold; the candidate set is the union of the owning
-// entries, ascending. Caller holds the read lock (or is single-threaded).
-func refFilter(e *Engine, qset *metastore.SketchSet, opt QueryOptions) []int {
+// entries, ascending.
+func refFilter(e *Engine, v *view, qset *metastore.SketchSet, opt QueryOptions) []int {
 	p := e.filterParams(&opt).withDefaults(len(qset.Sketches), opt.K)
 	order := make([]int, len(qset.Sketches))
 	for i := range order {
@@ -34,11 +34,11 @@ func refFilter(e *Engine, qset *metastore.SketchSet, opt QueryOptions) []int {
 		frac := p.MaxHammingFrac * (1 - p.WeightTighten*float64(qset.Weights[qi]))
 		maxHam := int(frac * float64(e.builder.N()))
 		var all []pair
-		for g := range e.entries {
-			if e.entries[g].dead || (opt.Restrict != nil && !opt.Restrict[e.entries[g].id]) {
+		for g := range v.entries {
+			if v.isDead(g) || (opt.Restrict != nil && !opt.Restrict[v.entries[g].id]) {
 				continue
 			}
-			seg, li := e.segOf(g)
+			seg, li := v.segOf(g)
 			lo, hi := seg.arena.rowsOf(li)
 			for row := lo; row < hi; row++ {
 				all = append(all, pair{sketch.Hamming(qset.Sketches[qi], seg.arena.at(row)), g})
@@ -60,14 +60,20 @@ func refFilter(e *Engine, qset *metastore.SketchSet, opt QueryOptions) []int {
 }
 
 // TestFilterDifferential drives the filtering unit against the naive
-// reference over seeded random configurations: Hamming index on/off, one
-// arena or sealed storage segments, tombstones, compaction, sketch-only
+// reference over seeded random configurations: Hamming index on/off, a lone
+// unindexed tail or sealed (indexed) storage segments in front of one,
+// tombstones — also inside indexed segments, where only the descent's verify
+// step can drop them — merges, Compact() followed by more ingests, sketch-only
 // stores, restricted queries, and batches of 1, 3 and 8. Every request's
 // candidate set must equal the reference's. A failure names its seed; rerun
 // one with -run 'TestFilterDifferential/seed=N'.
 func TestFilterDifferential(t *testing.T) {
 	const seeds, d = 200, 8
 	idxUnits, scanUnits, walked, restrictSwept := 0, 0, 0, 0
+	// Requests an index served although (a) an unindexed tail had to be swept
+	// beside it, (b) every indexed segment held tombstones, (c) the engine
+	// had been compacted and then fed.
+	tailBesideIndex, tombstonedIndex, compactThenIngest := 0, 0, 0
 	for seed := 0; seed < seeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(seed)))
@@ -80,8 +86,10 @@ func TestFilterDifferential(t *testing.T) {
 				// query outright instead of only when its heap fills.
 				cfg.Filter.MaxHammingFrac = []float64{0, 0.04}[rng.Intn(2)]
 			}
+			// Half the engines seal every few entries, half never do.
+			cfg.Segments = SegmentParams{SealEntries: 1 << 20, Interval: -1}
 			if rng.Intn(2) == 0 {
-				cfg.Segments = SegmentParams{SealEntries: 8 + rng.Intn(24), Interval: -1}
+				cfg.Segments.SealEntries = 8 + rng.Intn(24)
 			}
 			e := openEngine(t, cfg)
 
@@ -112,6 +120,31 @@ func TestFilterDifferential(t *testing.T) {
 				case 1:
 					e.compactOnce()
 				}
+			}
+			fed := rng.Intn(3) == 0
+			if fed { // Compact(), then a tail beside (and tombstones inside) the sealed segment
+				e.Compact()
+				for i := 0; i < 4+rng.Intn(8); i++ {
+					o := clusterObject(fmt.Sprintf("p%03d", i), rng.Intn(clusters), d, 1+rng.Intn(4), noise, rng)
+					id, err := e.Ingest(o, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ids = append(ids, id)
+				}
+				for _, i := range rng.Perm(n)[:rng.Intn(6)] {
+					if err := e.Delete(ids[i]); err != nil { // no-op when already gone
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := e.checkNow(); err != nil {
+				t.Fatal(err)
+			}
+			v := e.cur.Load()
+			allTombstoned := len(v.sealed()) > 0
+			for _, s := range v.sealed() {
+				allTombstoned = allTombstoned && s.deleted > 0
 			}
 
 			for _, nq := range []int{1, 3, 8} {
@@ -147,14 +180,25 @@ func TestFilterDifferential(t *testing.T) {
 					loadScratch(scs[i], q, e.buildSketchSet(q), opt)
 					scs[i].hasQ = !cfg.SketchOnly
 				}
-				e.filterBatch(scs)
+				e.filterBatch(v, scs)
 				for i, sc := range scs {
-					if want := refFilter(e, sc.qset, sc.opt); !slices.Equal(sc.cands, want) {
+					if want := refFilter(e, v, sc.qset, sc.opt); !slices.Equal(sc.cands, want) {
 						t.Fatalf("seed %d, batch of %d, request %d (%+v, mode %q):\n got %v\nwant %v",
 							seed, nq, i, sc.opt.Filter, sc.filterMode(), sc.cands, want)
 					}
 					idxUnits += sc.idxSegs
 					scanUnits += sc.scanSegs
+					if sc.idxSegs > 0 {
+						if v.tail().liveEntries() > 0 {
+							tailBesideIndex++
+						}
+						if allTombstoned {
+							tombstonedIndex++
+						}
+						if fed {
+							compactThenIngest++
+						}
+					}
 					if sc.opt.Restrict != nil && sc.scanSegs > 0 {
 						if sc.walk {
 							walked++
@@ -166,12 +210,16 @@ func TestFilterDifferential(t *testing.T) {
 			}
 		})
 	}
-	if idxUnits == 0 || scanUnits == 0 || walked == 0 || restrictSwept == 0 {
-		t.Fatalf("%d index-served and %d scan-served units, %d walked and %d swept restricted requests: the seeds no longer reach every arm",
-			idxUnits, scanUnits, walked, restrictSwept)
+	if idxUnits == 0 || scanUnits == 0 || walked == 0 || restrictSwept == 0 ||
+		tailBesideIndex == 0 || tombstonedIndex == 0 || compactThenIngest == 0 {
+		t.Fatalf("%d index-served and %d scan-served units, %d walked and %d swept restricted requests, "+
+			"%d index-served requests beside a live tail, %d over tombstoned indexed segments, %d after Compact()-then-ingest: "+
+			"the seeds no longer reach every arm",
+			idxUnits, scanUnits, walked, restrictSwept, tailBesideIndex, tombstonedIndex, compactThenIngest)
 	}
-	t.Logf("%d index-served, %d scan-served (query segment × storage segment) units; %d walked, %d swept restricted requests",
-		idxUnits, scanUnits, walked, restrictSwept)
+	t.Logf("%d index-served, %d scan-served (query segment × storage segment) units; %d walked, %d swept restricted requests; "+
+		"%d index-served requests beside a live tail, %d over tombstoned indexed segments, %d after Compact()-then-ingest",
+		idxUnits, scanUnits, walked, restrictSwept, tailBesideIndex, tombstonedIndex, compactThenIngest)
 }
 
 // TestFilterPathsSelectSameSegments: with equal weights the sketch filter
@@ -185,8 +233,8 @@ func TestFilterPathsSelectSameSegments(t *testing.T) {
 	e := openEngine(t, testConfig(t.TempDir(), d))
 	ids := ingestClusters(t, e, 2, 12, d, 1)
 	inCluster0 := map[int]bool{}
-	for g := range e.entries {
-		inCluster0[g] = slices.Contains(ids[0], e.entries[g].id)
+	for g, ent := range e.cur.Load().entries {
+		inCluster0[g] = slices.Contains(ids[0], ent.id)
 	}
 
 	rng := rand.New(rand.NewSource(77))

@@ -20,17 +20,16 @@ func expectedDegradedResults(t *testing.T, e *Engine, q *queryProbe, opt QueryOp
 	sc := getScratch()
 	defer putScratch(sc)
 	loadScratch(sc, q.obj, q.set, opt)
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	e.filterBatch([]*queryScratch{sc})
-	lbs := e.lowerBounds(q.set, sc.cands, e.cfg.SqrtWeights, sc)
+	v := e.cur.Load()
+	e.filterBatch(v, []*queryScratch{sc})
+	lbs := e.lowerBounds(v, sc.cands, e.cfg.SqrtWeights, sc)
 	k := opt.K
 	if len(lbs) < k {
 		k = len(lbs)
 	}
 	out := make([]Result, 0, k)
 	for _, c := range lbs[:k] {
-		ent := &e.entries[c.idx]
+		ent := &v.entries[c.idx]
 		out = append(out, Result{ID: ent.id, Key: ent.key, Distance: c.lb})
 	}
 	return out

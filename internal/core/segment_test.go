@@ -13,13 +13,14 @@ import (
 
 // The segmented engine's correctness contract: however the corpus is cut
 // into storage segments — and however the background compactor reshuffles
-// them mid-stream — every query must return bit-identical answers to a
-// single-arena engine over the same objects.
+// them mid-stream — every query must return bit-identical answers.
 
-// TestSegmentedEquivalence drives a segmented engine (tiny seal threshold,
-// manual compaction schedule) and a single-arena twin through one random
-// interleaving of Ingest, Delete, compaction and queries, and compares full
-// answers at every query step, with and without the Hamming index.
+// TestSegmentedEquivalence drives two segmentations of one corpus — a tiny
+// seal threshold with a manual merge schedule, and a threshold so large that
+// everything between two Compact() calls sits in the unindexed tail — through
+// one random interleaving of Ingest, Delete, compaction and queries, and
+// compares full answers at every query step, with and without the Hamming
+// index.
 func TestSegmentedEquivalence(t *testing.T) {
 	for _, indexed := range []bool{false, true} {
 		name := "scan"
@@ -31,6 +32,7 @@ func TestSegmentedEquivalence(t *testing.T) {
 			cfgSeg := testConfig(t.TempDir(), d)
 			cfgSeg.Segments = SegmentParams{SealEntries: 6, MergeSegments: 3, Interval: -1}
 			cfgFlat := testConfig(t.TempDir(), d)
+			cfgFlat.Segments.SealEntries = 1 << 20
 			if indexed {
 				hp := HIndexParams{Enable: true, Tables: 4, MaxCandidateFrac: 0.9}
 				cfgSeg.HIndex, cfgFlat.HIndex = hp, hp
@@ -56,8 +58,8 @@ func TestSegmentedEquivalence(t *testing.T) {
 			seq := 0
 			for step := 0; step < 260; step++ {
 				if step == 130 || step == 250 {
-					// Full compaction collapses everything to one segment;
-					// keep it at fixed steps so sealed runs can accumulate
+					// Full compaction collapses everything to one sealed
+					// segment; keep it at fixed steps so sealed runs can accumulate
 					// for the background merges in between.
 					eseg.Compact()
 					eflat.Compact()
@@ -132,9 +134,7 @@ func TestSegmentedEquivalence(t *testing.T) {
 			if reg.Value("ferret_merge_total") == 0 {
 				t.Fatal("background compactor never merged a run")
 			}
-			eseg.mu.RLock()
-			err := eseg.checkSegInvariants()
-			eseg.mu.RUnlock()
+			err := eseg.checkNow()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,25 +176,36 @@ func TestSegmentGeometry(t *testing.T) {
 	}
 	checkArenaAgainstObjects(t, e, byID)
 
-	// Four more ingests: the tail seals at 4 and a fresh tail opens.
+	// Four more ingests: the tail seals at 4 and a fresh tail opens. The
+	// 8-entry merged segment and the 4-entry seal are different size tiers.
 	more := ingestVariedKeys(t, e, "h", 4, d)
-	for _, o := range more {
-		byID[o.ID] = o
-	}
 	if got := e.Stat().StorageSegments; got != 3 {
 		t.Fatalf("%d storage segments after re-ingest, want 3", got)
 	}
-	// The merged segment and the fresh seal form a new adjacent run.
-	if !e.compactOnce() {
-		t.Fatal("compactOnce skipped the merged+sealed run")
+	if e.compactOnce() {
+		t.Fatal("compactOnce merged an 8-entry segment with a 4-entry one")
 	}
-	if got := e.Stat().StorageSegments; got != 2 {
-		t.Fatalf("%d storage segments after second merge, want 2", got)
+	// A second seal pairs up with the first, and their merge with the older
+	// 8-entry segment: equals merge with equals, one tier per step.
+	more = append(more, ingestVariedKeys(t, e, "i", 4, d)...)
+	for _, o := range more {
+		byID[o.ID] = o
+	}
+	for _, want := range []int{3, 2} {
+		if !e.compactOnce() {
+			t.Fatalf("compactOnce found no run to merge with %d storage segments", e.Stat().StorageSegments)
+		}
+		if got := e.Stat().StorageSegments; got != want {
+			t.Fatalf("%d storage segments after a tier merge, want %d", got, want)
+		}
+	}
+	if e.compactOnce() {
+		t.Fatal("compactOnce merged with only one sealed segment")
 	}
 
-	// Tombstone half of the 12-entry sealed segment: the dead fraction
+	// Tombstone half of the 16-entry sealed segment: the dead fraction
 	// reaches TombstoneFrac and the next step solo-rewrites it.
-	for _, o := range objs[:6] {
+	for _, o := range objs[:8] {
 		if err := e.Delete(o.ID); err != nil {
 			t.Fatal(err)
 		}
@@ -206,8 +217,8 @@ func TestSegmentGeometry(t *testing.T) {
 	if got := e.Stat().Deleted; got != 0 {
 		t.Fatalf("%d tombstones after solo rewrite, want 0", got)
 	}
-	if got := len(e.entries); got != 8 {
-		t.Fatalf("%d entries after rewrite, want 8", got)
+	if got := len(e.cur.Load().entries); got != 10 {
+		t.Fatalf("%d entries after rewrite, want 10", got)
 	}
 	checkArenaAgainstObjects(t, e, byID)
 
@@ -218,11 +229,14 @@ func TestSegmentGeometry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A reopened engine rebuilds the segmentation from the metadata store
-	// and answers identically.
+	// A reopened engine loads the stored corpus into one sealed segment and
+	// answers identically.
 	e.Close()
 	e2 := openEngine(t, cfg)
 	checkArenaAgainstObjects(t, e2, byID)
+	if v := e2.cur.Load(); len(v.sealed()) != 1 || v.tail().n != 0 || v.segs[0].hindex.Rows() != v.totalRows() {
+		t.Fatalf("reopened with %d sealed segments and a %d-entry tail, want one fully indexed segment and an empty tail", len(v.sealed()), v.tail().n)
+	}
 	res2, err := e2.Query(q, QueryOptions{K: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -232,9 +246,9 @@ func TestSegmentGeometry(t *testing.T) {
 
 // TestQueriesDuringCompact is the lock-protocol contract of the full
 // compaction: Compact freezes ingest but builds the merged segment outside
-// the engine lock, so queries keep completing while it runs. The compaction
-// is held mid-build via compactStepHook; run under -race this also checks
-// the snapshot/swap protocol against concurrent readers.
+// the writer mutex, so queries and deletes keep completing while it runs.
+// The compaction is held mid-build via compactStepHook; run under -race
+// this also checks the snapshot/swap protocol against concurrent readers.
 func TestQueriesDuringCompact(t *testing.T) {
 	const d = 8
 	e := openEngine(t, testConfig(t.TempDir(), d))
@@ -298,9 +312,7 @@ func TestQueriesDuringCompact(t *testing.T) {
 	if got := e.Stat().Deleted; got != 0 {
 		t.Fatalf("%d tombstones survived the full compaction", got)
 	}
-	e.mu.RLock()
-	err := e.checkSegInvariants()
-	e.mu.RUnlock()
+	err := e.checkNow()
 	if err != nil {
 		t.Fatal(err)
 	}

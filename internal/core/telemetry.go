@@ -84,19 +84,21 @@ type engineMetrics struct {
 	batchSize *telemetry.Histogram // ferret_batch_size
 	queueWait *telemetry.Histogram // ferret_batch_queue_wait_seconds
 
-	// State gauges — maintained incrementally under e.mu so Stat() never
+	// View publication (see segment.go): how long writers queue for the
+	// writer mutex, and how many views they published.
+	writeWait     *telemetry.Histogram // ferret_write_wait_seconds
+	viewPublishes *telemetry.Counter   // ferret_view_publish_total
+
+	// State gauges — maintained incrementally by the writers so Stat() never
 	// has to walk the sketch database.
-	objects         *telemetry.Gauge // ferret_objects
-	deleted         *telemetry.Gauge // ferret_deleted_objects
-	segments        *telemetry.Gauge // ferret_segments
-	indexedSegments *telemetry.Gauge // ferret_indexed_segments
-	hindexTables    *telemetry.Gauge // ferret_hindex_tables
-	hindexLoad      *telemetry.Gauge // ferret_hindex_load_permille
-	storageSegs     *telemetry.Gauge // ferret_storage_segments
-	queueDepth      *telemetry.Gauge // ferret_ingest_queue_depth
-	inflight        *telemetry.Gauge // ferret_inflight_queries
-	poolWorkers     *telemetry.Gauge // ferret_pool_workers
-	poolBusy        *telemetry.Gauge // ferret_pool_busy_workers
+	objects     *telemetry.Gauge // ferret_objects
+	deleted     *telemetry.Gauge // ferret_deleted_objects
+	segments    *telemetry.Gauge // ferret_segments
+	storageSegs *telemetry.Gauge // ferret_storage_segments
+	queueDepth  *telemetry.Gauge // ferret_ingest_queue_depth
+	inflight    *telemetry.Gauge // ferret_inflight_queries
+	poolWorkers *telemetry.Gauge // ferret_pool_workers
+	poolBusy    *telemetry.Gauge // ferret_pool_busy_workers
 
 	// Latency histograms.
 	queryTime   *telemetry.Histogram // ferret_query_seconds
@@ -155,7 +157,7 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 		cacheHits:   reg.Counter("ferret_result_cache_hits_total", "Queries served from the result cache."),
 		cacheMisses: reg.Counter("ferret_result_cache_misses_total", "Cacheable queries that missed the result cache."),
 		cacheInvalidated: reg.Counter("ferret_result_cache_invalidated_total",
-			"Result-cache entries dropped on lookup because the mutation epoch moved."),
+			"Result-cache entries dropped on lookup because a newer view had been published."),
 		cacheEvictions: reg.Counter("ferret_result_cache_evictions_total",
 			"Result-cache entries evicted by the LRU capacity bounds."),
 		cacheCoalesced: reg.Counter("ferret_result_cache_coalesced_total",
@@ -171,13 +173,14 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 		queueWait: reg.Histogram("ferret_batch_queue_wait_seconds",
 			"Time a query waited in the scheduler's coalescing queue.", telemetry.FineTimeBuckets),
 
-		objects:         reg.Gauge("ferret_objects", "Live (non-deleted) objects."),
-		deleted:         reg.Gauge("ferret_deleted_objects", "Tombstoned objects awaiting compaction."),
-		segments:        reg.Gauge("ferret_segments", "Live segment sketches."),
-		indexedSegments: reg.Gauge("ferret_indexed_segments", "Segment rows in the multi-table Hamming index."),
-		hindexTables:    reg.Gauge("ferret_hindex_tables", "Substring tables in the Hamming index (0 = index disabled)."),
-		hindexLoad: reg.Gauge("ferret_hindex_load_permille",
-			"Mean live-slot occupancy of the Hamming index tables, in thousandths."),
+		writeWait: reg.Histogram("ferret_write_wait_seconds",
+			"Time an ingest, delete or merge swap waited for the engine's writer mutex.", telemetry.FineTimeBuckets),
+		viewPublishes: reg.Counter("ferret_view_publish_total",
+			"Read-state views published (one per ingest, delete and merge swap)."),
+
+		objects:     reg.Gauge("ferret_objects", "Live (non-deleted) objects."),
+		deleted:     reg.Gauge("ferret_deleted_objects", "Tombstoned objects awaiting compaction."),
+		segments:    reg.Gauge("ferret_segments", "Live segment sketches."),
 		storageSegs: reg.Gauge("ferret_storage_segments", "Storage segments (sealed + mutable tail)."),
 		queueDepth:  reg.Gauge("ferret_ingest_queue_depth", "Objects waiting in the bounded ingest queue."),
 		inflight:    reg.Gauge("ferret_inflight_queries", "Queries currently executing."),

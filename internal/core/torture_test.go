@@ -254,9 +254,7 @@ func TestCrashTortureEngine(t *testing.T) {
 				if e.Count() != len(got) {
 					fail("engine counts %d objects, store holds %d", e.Count(), len(got))
 				}
-				e.mu.RLock()
-				segErr := e.checkSegInvariants()
-				e.mu.RUnlock()
+				segErr := e.checkNow()
 				if segErr != nil {
 					fail("segment invariants after recovery: %v", segErr)
 				}
@@ -338,9 +336,7 @@ func TestFsyncPoisoningRejectsIngest(t *testing.T) {
 			t.Fatalf("acked object %q lost across reboot", key)
 		}
 	}
-	e2.mu.RLock()
-	segErr := e2.checkSegInvariants()
-	e2.mu.RUnlock()
+	segErr := e2.checkNow()
 	if segErr != nil {
 		t.Fatal(segErr)
 	}

@@ -1,10 +1,9 @@
-// Package hindex implements a dynamic multi-table Hamming index over packed
-// sketch rows (the filtering unit's answer to ROADMAP item 1: sub-linear
-// filter cost in corpus size).
+// Package hindex implements a build-once multi-table Hamming index over
+// packed sketch rows: sub-linear filter cost in corpus size.
 //
 // The scheme is generalized pigeonhole partitioning, in the lineage of
-// Greene/Parnas/Yao multi-index hashing and the dynamic integer-sketch
-// indexes of Kanda & Tabei: an N-bit sketch is split into m contiguous
+// Greene/Parnas/Yao multi-index hashing and the static sketch indexes of
+// Kanda & Tabei: an N-bit sketch is split into m contiguous
 // substrings of near-equal width. If two sketches differ in at most r = m−1
 // bit positions, those differences cannot touch all m substrings, so the
 // sketches collide exactly in at least one substring table. Probing the m
@@ -15,14 +14,14 @@
 //
 // Each table is a compact open-addressing hash (fibonacci hashing, linear
 // probing) from substring value to a bucket of arena row IDs. Buckets are
-// singly linked chains of fixed 64-byte blocks carved from one shared slab
-// with a free list, so Insert and Delete are O(m) amortized and never
-// rebuild the index, and deletes return blocks for reuse instead of
-// fragmenting the heap. Arena compaction renames rows in place via Remap —
-// substring keys are content-derived and do not change when rows move.
+// singly linked chains of fixed 64-byte blocks carved from one shared slab,
+// so Insert is O(m) amortized.
 //
-// The index is not safe for concurrent mutation; the caller (internal/core)
-// serializes writers under the engine lock and probes under its read lock.
+// There is no delete and no rename: the caller (internal/core) inserts a
+// segment's rows once, when the segment stops changing, and publishes the
+// finished index to its readers; after that any number of goroutines may
+// probe it and nobody writes it. Rows the caller has since tombstoned stay
+// in their buckets and are dropped where candidates are verified.
 package hindex
 
 // DefaultTables is the substring table count used when the caller does not
@@ -39,20 +38,19 @@ const blockRows = 15
 // holds ((count−1) mod blockRows)+1 rows; every later block is full.
 type block struct {
 	rows [blockRows]int32
-	next int32 // next block in chain or free list, noBlock at the tail
+	next int32 // next block in chain, noBlock at the tail
 }
 
 const (
-	noBlock  = -1 // chain/free-list terminator
+	noBlock  = -1 // chain terminator
 	slotFree = -2 // slot.head value for a never-used slot (probe terminator)
 )
 
-// slot is one open-addressing hash slot. A slot whose bucket empties keeps
-// its key and stays in place (head = noBlock, count = 0) so linear-probe
-// chains stay intact; stale slots are dropped at the next rehash.
+// slot is one open-addressing hash slot; a slot with a key holds at least
+// one row.
 type slot struct {
 	key   uint64
-	head  int32 // first block of the bucket chain, noBlock or slotFree
+	head  int32 // first block of the bucket chain, or slotFree
 	count int32 // rows in this bucket
 }
 
@@ -66,18 +64,16 @@ type table struct {
 	mask   uint64 // (1<<bits)−1
 	hshift uint   // 64 − log2(len(slots)), for fibonacci hashing
 	slots  []slot
-	live   int // slots with count > 0
-	used   int // slots with an assigned key (live + stale)
+	used   int // slots holding a bucket
 }
 
-// Index is a dynamic multi-table Hamming index over packed sketch rows.
+// Index is a multi-table Hamming index over packed sketch rows.
 type Index struct {
 	nbits  int
 	wps    int // words per sketch row in the backing arena
 	tables []table
 	blocks []block
-	free   int32 // block free-list head, noBlock when empty
-	rows   int   // sketch rows currently indexed
+	rows   int // sketch rows indexed
 }
 
 // fib is 2^64/φ, the fibonacci hashing multiplier: it spreads consecutive
@@ -113,7 +109,7 @@ func ClampTables(tables, nbits int) int {
 // (see ClampTables).
 func New(nbits, wps, tables int) *Index {
 	m := ClampTables(tables, nbits)
-	ix := &Index{nbits: nbits, wps: wps, tables: make([]table, m), free: noBlock}
+	ix := &Index{nbits: nbits, wps: wps, tables: make([]table, m)}
 	// Contiguous substrings of width ⌊nbits/m⌋, the first nbits mod m of
 	// them one bit wider, partition [0, nbits) exactly.
 	off := 0
@@ -158,8 +154,7 @@ func (t *table) key(words []uint64, base int) uint64 {
 }
 
 // find returns the slot index holding key, or −1. Linear probing stops at
-// the first never-used slot; stale (emptied) slots keep their keys so the
-// probe chain stays sound.
+// the first never-used slot.
 func (t *table) find(key uint64) int {
 	mask := uint64(len(t.slots) - 1)
 	i := (key * fib) >> t.hshift
@@ -198,14 +193,9 @@ func (t *table) findOrAdd(key uint64) int {
 	}
 }
 
-// grow rehashes into a table sized for the live slot count — doubling under
-// genuine growth, or same-sized when the fill is mostly stale keys from
-// deleted buckets (which a rehash simply drops).
+// grow rehashes into a table of twice the capacity.
 func (t *table) grow() {
-	cap := len(t.slots)
-	for 2*(t.live+1) >= cap {
-		cap *= 2
-	}
+	cap := 2 * len(t.slots)
 	old := t.slots
 	t.slots = newSlots(cap)
 	t.hshift = 64 - uint(log2(cap))
@@ -213,7 +203,7 @@ func (t *table) grow() {
 	mask := uint64(cap - 1)
 	for si := range old {
 		s := &old[si]
-		if s.count == 0 {
+		if s.head == slotFree {
 			continue
 		}
 		i := (s.key * fib) >> t.hshift
@@ -234,86 +224,23 @@ func log2(n int) int {
 	return b
 }
 
-// newBlock takes a block from the free list (or extends the slab) and links
-// it in front of next.
-func (ix *Index) newBlock(next int32) int32 {
-	if b := ix.free; b != noBlock {
-		ix.free = ix.blocks[b].next
-		ix.blocks[b].next = next
-		return b
-	}
-	ix.blocks = append(ix.blocks, block{next: next})
-	return int32(len(ix.blocks) - 1)
-}
-
-// freeBlock returns a chain block to the free list.
-func (ix *Index) freeBlock(b int32) {
-	ix.blocks[b].next = ix.free
-	ix.free = b
-}
-
-// add appends row to the bucket for key in table t.
+// add appends row to the bucket for key in table t, extending the slab by a
+// block linked in front of the chain when the head block is full.
 func (ix *Index) add(t *table, key uint64, row int32) {
 	si := t.findOrAdd(key)
 	s := &t.slots[si]
-	if s.count == 0 {
-		t.live++
-	}
 	pos := s.count % blockRows
 	if pos == 0 {
-		s.head = ix.newBlock(s.head)
+		ix.blocks = append(ix.blocks, block{next: s.head})
+		s.head = int32(len(ix.blocks) - 1)
 	}
 	ix.blocks[s.head].rows[pos] = row
 	s.count++
 }
 
-// del removes row from the bucket for key in table t, compacting by moving
-// the chain's last element into the hole. Reports whether row was present.
-func (ix *Index) del(t *table, key uint64, row int32) bool {
-	si := t.find(key)
-	if si < 0 {
-		return false
-	}
-	s := &t.slots[si]
-	if s.count == 0 {
-		return false
-	}
-	lastPos := (s.count - 1) % blockRows
-	last := &ix.blocks[s.head].rows[lastPos]
-	if *last != row {
-		found := false
-		fill := lastPos + 1 // head block fill; later blocks are full
-	chain:
-		for b := s.head; b != noBlock; b = ix.blocks[b].next {
-			blk := &ix.blocks[b]
-			for i := int32(0); i < fill; i++ {
-				if blk.rows[i] == row {
-					blk.rows[i] = *last
-					found = true
-					break chain
-				}
-			}
-			fill = blockRows
-		}
-		if !found {
-			return false
-		}
-	}
-	s.count--
-	if lastPos == 0 {
-		// The head block emptied: pop it off the chain for reuse.
-		h := s.head
-		s.head = ix.blocks[h].next
-		ix.freeBlock(h)
-	}
-	if s.count == 0 {
-		t.live-- // slot goes stale; its key stays until the next rehash
-	}
-	return true
-}
-
 // Insert indexes arena row (whose packed words start at row*wps in words)
-// under all m substring tables.
+// under all m substring tables. It must not run once the index is shared
+// with probing goroutines.
 func (ix *Index) Insert(row int32, words []uint64) {
 	base := int(row) * ix.wps
 	for j := range ix.tables {
@@ -321,24 +248,6 @@ func (ix *Index) Insert(row int32, words []uint64) {
 		ix.add(t, t.key(words, base), row)
 	}
 	ix.rows++
-}
-
-// Delete removes arena row from all tables. The row's words must still be
-// present in the arena (keys are recomputed from content). Reports whether
-// the row was indexed.
-func (ix *Index) Delete(row int32, words []uint64) bool {
-	base := int(row) * ix.wps
-	ok := true
-	for j := range ix.tables {
-		t := &ix.tables[j]
-		if !ix.del(t, t.key(words, base), row) {
-			ok = false
-		}
-	}
-	if ok {
-		ix.rows--
-	}
-	return ok
 }
 
 // AppendCandidates appends to dst the row IDs of every bucket the query's
@@ -354,6 +263,7 @@ func (ix *Index) Delete(row int32, words []uint64) bool {
 // bitmap dedup during the descent far cheaper than sorting the raw
 // stream's cross-table duplicates away afterwards. A nil seen appends the
 // raw stream, duplicates included (the shape EstimateCandidates prices).
+//
 //ferret:noalloc
 func (ix *Index) AppendCandidates(dst []int32, q []uint64, seen []uint64) []int32 {
 	for j := range ix.tables {
@@ -388,6 +298,7 @@ func (ix *Index) AppendCandidates(dst []int32, q []uint64, seen []uint64) []int3
 // substrings select — the exact number of rows an AppendCandidates descent
 // visits (cross-table duplicates included, an upper bound on the distinct
 // candidates) in O(m) slot lookups, for the caller's cost model.
+//
 //ferret:noalloc
 func (ix *Index) EstimateCandidates(q []uint64) int {
 	est := 0
@@ -400,61 +311,7 @@ func (ix *Index) EstimateCandidates(q []uint64) int {
 	return est
 }
 
-// Remap renames every indexed row in place: newRow[old] is the row's ID
-// after arena compaction, or a negative value to drop it. Keys are
-// content-derived and rows do not change content when the arena compacts,
-// so no rehash happens — each bucket chain is rebuilt with the renamed
-// rows. Returns the number of rows dropped.
-func (ix *Index) Remap(newRow []int32) int {
-	var buf []int32
-	dropped := 0
-	for j := range ix.tables {
-		t := &ix.tables[j]
-		for si := range t.slots {
-			s := &t.slots[si]
-			if s.count == 0 {
-				continue
-			}
-			// Drain the chain into buf, returning its blocks, then re-add
-			// the surviving renamed rows; the block shape invariant (partial
-			// head, full tail) is rebuilt as a side effect.
-			buf = buf[:0]
-			fill := (s.count-1)%blockRows + 1
-			for b := s.head; b != noBlock; {
-				buf = append(buf, ix.blocks[b].rows[:fill]...)
-				nb := ix.blocks[b].next
-				ix.freeBlock(b)
-				b = nb
-				fill = blockRows
-			}
-			s.head = noBlock
-			s.count = 0
-			t.live--
-			for _, old := range buf {
-				nr := newRow[old]
-				if nr < 0 {
-					if j == 0 {
-						dropped++
-					}
-					continue
-				}
-				if s.count == 0 {
-					t.live++
-				}
-				pos := s.count % blockRows
-				if pos == 0 {
-					s.head = ix.newBlock(s.head)
-				}
-				ix.blocks[s.head].rows[pos] = nr
-				s.count++
-			}
-		}
-	}
-	ix.rows -= dropped
-	return dropped
-}
-
-// Rows returns the number of sketch rows currently indexed.
+// Rows returns the number of sketch rows indexed.
 func (ix *Index) Rows() int { return ix.rows }
 
 // Tables returns the substring table count m.
@@ -467,9 +324,9 @@ func (ix *Index) Radius() int { return len(ix.tables) - 1 }
 // Bits returns the sketch width the index was built for.
 func (ix *Index) Bits() int { return ix.nbits }
 
-// LoadFactor returns the mean live-slot occupancy across tables — the
-// health number surfaced by STATS (rehashes trigger near 0.75 of assigned
-// slots, so values well above that indicate a bug).
+// LoadFactor returns the mean slot occupancy across tables — the health
+// number surfaced by STATS (tables double near 0.75, so values above that
+// indicate a bug).
 func (ix *Index) LoadFactor() float64 {
 	if len(ix.tables) == 0 {
 		return 0
@@ -477,7 +334,7 @@ func (ix *Index) LoadFactor() float64 {
 	sum := 0.0
 	for j := range ix.tables {
 		t := &ix.tables[j]
-		sum += float64(t.live) / float64(len(t.slots))
+		sum += float64(t.used) / float64(len(t.slots))
 	}
 	return sum / float64(len(ix.tables))
 }

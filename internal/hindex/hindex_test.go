@@ -30,19 +30,6 @@ func (o *oracle) insert(row int32, words []uint64) {
 	}
 }
 
-func (o *oracle) delete(row int32, words []uint64) {
-	base := int(row) * o.ix.wps
-	for j := range o.ix.tables {
-		k := o.ix.tables[j].key(words, base)
-		rows := o.tables[j][k]
-		i := slices.Index(rows, row)
-		if i < 0 {
-			continue
-		}
-		o.tables[j][k] = slices.Delete(rows, i, i+1)
-	}
-}
-
 func (o *oracle) candidates(q []uint64) []int32 {
 	var out []int32
 	for j := range o.ix.tables {
@@ -154,141 +141,34 @@ func TestPigeonholeRecall(t *testing.T) {
 	}
 }
 
-// TestMutationFuzz drives random interleaved Insert/Delete/Remap against
-// the map oracle, with bucket sizes chosen to overflow blocks (>15 rows per
-// bucket) and rows deleted then reinserted.
-func TestMutationFuzz(t *testing.T) {
+// TestInsertFuzz builds indexes from random low-entropy rows — few distinct
+// substring values, so buckets overflow blocks (>15 rows per bucket) and
+// tables rehash — probing against the map oracle as the build proceeds.
+func TestInsertFuzz(t *testing.T) {
 	const nbits, wps, maxRows = 128, 2, 400
 	for _, seed := range []int64{1, 2, 3, 99} {
 		rng := rand.New(rand.NewSource(seed))
 		ix := New(nbits, wps, 4)
 		o := newOracle(ix)
-		// Low-entropy rows: few distinct substring values, so buckets grow
-		// past one block and slots go stale and come back.
-		arena := make([]uint64, maxRows*wps)
-		live := make([]bool, maxRows)
-		rowWords := func(row int32) []uint64 { return arena }
-		nLive := 0
-		for step := 0; step < 4000; step++ {
-			switch op := rng.Intn(10); {
-			case op < 5: // insert a new or previously deleted row
-				row := int32(rng.Intn(maxRows))
-				if live[row] {
-					continue
-				}
-				for w := 0; w < wps; w++ {
-					arena[int(row)*wps+w] = uint64(rng.Intn(4)) << uint(rng.Intn(60))
-				}
-				ix.Insert(row, rowWords(row))
-				o.insert(row, arena)
-				live[row] = true
-				nLive++
-			case op < 8: // delete a live row
-				row := int32(rng.Intn(maxRows))
-				if !live[row] {
-					continue
-				}
-				if !ix.Delete(row, rowWords(row)) {
-					t.Fatalf("seed %d step %d: Delete(%d) reported missing", seed, step, row)
-				}
-				o.delete(row, arena)
-				live[row] = false
-				nLive--
-			case op < 9: // probe a random live row's sketch
-				row := int32(rng.Intn(maxRows))
-				if !live[row] {
-					continue
-				}
-				q := arena[int(row)*wps : int(row+1)*wps]
-				got := sortedCandidates(ix, q)
-				want := o.candidates(q)
-				if !slices.Equal(got, want) {
-					t.Fatalf("seed %d step %d: candidates(%d) = %v, oracle %v", seed, step, row, got, want)
-				}
-			default: // identity remap exercises chain rebuild + free list
-				if ix.Remap(identityMap(maxRows)) != 0 {
-					t.Fatalf("seed %d step %d: identity remap dropped rows", seed, step)
-				}
+		arena := make([]uint64, 0, maxRows*wps)
+		for row := int32(0); row < maxRows; row++ {
+			for w := 0; w < wps; w++ {
+				arena = append(arena, uint64(rng.Intn(4))<<uint(rng.Intn(60)))
 			}
-			if ix.Rows() != nLive {
-				t.Fatalf("seed %d step %d: Rows()=%d live=%d", seed, step, ix.Rows(), nLive)
+			ix.Insert(row, arena)
+			o.insert(row, arena)
+			probe := int(rng.Int31n(row + 1))
+			q := arena[probe*wps : (probe+1)*wps]
+			if got, want := sortedCandidates(ix, q), o.candidates(q); !slices.Equal(got, want) {
+				t.Fatalf("seed %d after row %d: candidates(%d) = %v, oracle %v", seed, row, probe, got, want)
+			}
+			if ix.Rows() != int(row)+1 {
+				t.Fatalf("seed %d: Rows()=%d after %d inserts", seed, ix.Rows(), row+1)
 			}
 		}
 		if ix.LoadFactor() > 0.80 {
 			t.Fatalf("seed %d: load factor %.2f exceeds rehash ceiling", seed, ix.LoadFactor())
 		}
-	}
-}
-
-func identityMap(n int) []int32 {
-	m := make([]int32, n)
-	for i := range m {
-		m[i] = int32(i)
-	}
-	return m
-}
-
-// TestRemapCompacts simulates arena compaction: drop a subset of rows,
-// renumber survivors densely, and check the index agrees with an oracle
-// rebuilt over the renamed arena.
-func TestRemapCompacts(t *testing.T) {
-	const nbits, wps, n = 128, 2, 300
-	rng := rand.New(rand.NewSource(11))
-	ix := New(nbits, wps, 4)
-	arena := make([]uint64, 0, n*wps)
-	for row := int32(0); row < n; row++ {
-		for w := 0; w < wps; w++ {
-			arena = append(arena, uint64(rng.Intn(8))<<uint(rng.Intn(60)))
-		}
-		ix.Insert(row, arena)
-	}
-	// Tombstone a third via Delete (the engine's path), then compact: the
-	// remap table renames survivors densely in order.
-	remap := make([]int32, n)
-	var newArena []uint64
-	next := int32(0)
-	for row := int32(0); row < n; row++ {
-		if rng.Intn(3) == 0 {
-			ix.Delete(row, arena)
-			remap[row] = -1
-			continue
-		}
-		remap[row] = next
-		newArena = append(newArena, arena[int(row)*wps:int(row+1)*wps]...)
-		next++
-	}
-	if dropped := ix.Remap(remap); dropped != 0 {
-		t.Fatalf("remap dropped %d rows already deleted", dropped)
-	}
-	if ix.Rows() != int(next) {
-		t.Fatalf("Rows()=%d want %d", ix.Rows(), next)
-	}
-	// Oracle over the compacted arena.
-	ix2 := New(nbits, wps, 4)
-	o := newOracle(ix2)
-	for row := int32(0); row < next; row++ {
-		o.insert(row, newArena)
-	}
-	for row := int32(0); row < next; row++ {
-		q := newArena[int(row)*wps : int(row+1)*wps]
-		got := sortedCandidates(ix, q)
-		if want := o.candidates(q); !slices.Equal(got, want) {
-			t.Fatalf("after remap, candidates(%d) = %v, oracle %v", row, got, want)
-		}
-	}
-	// Remap may also drop rows itself (defensive path).
-	drop := make([]int32, next)
-	for i := range drop {
-		if i%2 == 0 {
-			drop[i] = -1
-		} else {
-			drop[i] = int32(i / 2)
-		}
-	}
-	before := ix.Rows()
-	want := before / 2
-	if dropped := ix.Remap(drop); dropped != before-want || ix.Rows() != want {
-		t.Fatalf("drop remap: dropped=%d rows=%d want %d", dropped, ix.Rows(), want)
 	}
 }
 
@@ -320,30 +200,5 @@ func TestEstimateMatchesAppend(t *testing.T) {
 		if !slices.Equal(slices.Compact(raw), deduped) {
 			t.Fatalf("bitmap dedup diverged from sort+compact")
 		}
-	}
-}
-
-// TestBlockReuse checks deletes return blocks to the free list rather than
-// growing the slab forever.
-func TestBlockReuse(t *testing.T) {
-	const nbits, wps = 64, 1
-	ix := New(nbits, wps, 2)
-	arena := make([]uint64, 600)
-	for row := int32(0); row < 600; row++ {
-		arena[row] = 7 // one bucket per table, 40 blocks each
-		ix.Insert(row, arena)
-	}
-	grown := len(ix.blocks)
-	for row := int32(0); row < 600; row++ {
-		ix.Delete(row, arena)
-	}
-	for row := int32(0); row < 600; row++ {
-		ix.Insert(row, arena)
-	}
-	if len(ix.blocks) != grown {
-		t.Fatalf("slab grew from %d to %d blocks across delete/reinsert", grown, len(ix.blocks))
-	}
-	if got := sortedCandidates(ix, arena[:1]); len(got) != 600 {
-		t.Fatalf("probe found %d of 600 rows", len(got))
 	}
 }
