@@ -1,27 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-fast torture vet lint lint-fast lint-test check ci bench bench-json check-bench bench-pairs loc clean
-
-# Benchmark artifact plumbing. bench-json measures the filter/kernel/pipeline
-# microbenchmarks plus a medium-scale ferret-bench run (Table 2, the
-# closed-loop serving-throughput sweep, the Hamming-index scaling sweep, the
-# mixed-ingest run and the wire-level serving sweep with the result cache
-# off/on) and merges them into $(BENCH_OUT); check-bench re-measures the
-# microbenchmarks and fails if a gated benchmark (filter scan, multi-query
-# Hamming kernel, index probe, concurrent query pipeline with and without
-# trace recording) regressed >20% ns/op vs the committed artifact, or if the
-# committed scaling sweep shows the indexed filter losing to the scan, or if
-# the committed serving sweep's hot-cached arm falls under 2x the uncached
-# throughput.
-# Micro benches run -count=$(BENCH_COUNT) and benchcmp keeps the per-metric
-# minimum, so a transient load spike cannot fail (or hide) a regression.
-# The EMD benchmarks ride along ungated: BenchmarkEMDImagePairs prints
-# pivots/op, so a worse starting basis or pivot rule shows without a profiler.
-BENCH_OUT  ?= BENCH_10.json
-BENCH_TMP  ?= /tmp/ferret-bench
-BENCH_PKGS  = ./internal/core ./internal/sketch ./internal/vector ./internal/emd
-BENCH_RE    = FilterScan|Hamming|QueryPipeline|L1|EMD
-BENCH_COUNT = 3
+.PHONY: all build test race race-fast torture vet lint lint-fast lint-test check ci bench bench-pairs loc clean
 
 all: check
 
@@ -76,25 +55,14 @@ lint-test:
 check: build vet lint test race
 
 # The full pre-merge gate: everything in check plus the analyzer suite's
-# race-mode tests, the timed changed-package lint pass, the crash-torture
-# suite and the benchmark regression guard against the committed artifact.
-ci: check lint-test lint-fast torture check-bench
+# race-mode tests, the timed changed-package lint pass and the crash-torture
+# suite. Performance is not gated here — a fixed ns/op threshold does not
+# survive a change of machine; `go test ./...` smoke-runs benchmark/, and a
+# performance claim is measured with `make bench-pairs`.
+ci: check lint-test lint-fast torture
 
 bench:
 	$(GO) test -bench . -benchtime 1x
-
-bench-json:
-	mkdir -p $(BENCH_TMP)
-	$(GO) test $(BENCH_PKGS) -run '^$$' -bench '$(BENCH_RE)' -count=$(BENCH_COUNT) -benchmem | tee $(BENCH_TMP)/micro.txt
-	$(GO) run ./cmd/ferret-bench -exp table2,throughput,scaling,ingest,serving -scale medium -json $(BENCH_TMP)/pipeline.json
-	$(GO) run ./cmd/ferret-benchcmp -merge -micro $(BENCH_TMP)/micro.txt \
-		-pipeline $(BENCH_TMP)/pipeline.json -out $(BENCH_OUT)
-
-check-bench:
-	mkdir -p $(BENCH_TMP)
-	$(GO) test $(BENCH_PKGS) -run '^$$' -bench '$(BENCH_RE)' -count=$(BENCH_COUNT) -benchmem > $(BENCH_TMP)/micro.txt
-	$(GO) run ./cmd/ferret-benchcmp -merge -micro $(BENCH_TMP)/micro.txt -out $(BENCH_TMP)/new.json
-	$(GO) run ./cmd/ferret-benchcmp -baseline $(BENCH_OUT) -new $(BENCH_TMP)/new.json
 
 # The measurement a performance claim rests on: $(BENCH_PAIRS) alternating
 # parent/change runs of benchmark/run.sh per workload on seeds 1..N, every

@@ -33,7 +33,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "ferretd protocol address")
 	timeout := flag.Duration("timeout", 30*time.Second, "dial and per-request timeout (0 = none)")
-	proto := flag.String("proto", "v2", "wire protocol: v2 upgrades to the binary protocol (text fallback if refused), text stays on the line protocol")
+	proto := flag.String("proto", "v2", "wire framing: v2 upgrades to the binary protocol (staying on text against a server that predates it), text stays on the line protocol")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
@@ -48,8 +48,8 @@ func main() {
 	client.SetTimeout(*timeout)
 	switch *proto {
 	case "v2":
-		// Best-effort upgrade: an old or text-only server answers ERR and
-		// the connection keeps speaking the line protocol.
+		// Best-effort upgrade: a server that predates v2 answers ERR and the
+		// connection keeps speaking the line protocol.
 		if _, err := client.TryUpgradeV2(); err != nil {
 			fatal("negotiating protocol with %s: %v", *addr, err)
 		}

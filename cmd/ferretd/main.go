@@ -63,7 +63,6 @@ func main() {
 		ingQueue  = flag.Int("ingest-queue", 0, "bounded ingest queue depth for ADDFILE and acquisition; producers block when full (0 = no queue)")
 		ingWork   = flag.Int("ingest-workers", 0, "ingest queue drain workers (0 = 1; needs -ingest-queue)")
 		ingShed   = flag.Bool("ingest-shed", false, "reject ingests with BUSY when the queue is full instead of blocking (needs -ingest-queue)")
-		proto     = flag.String("proto", "v2", "wire-protocol policy: v2 accepts binary protocol upgrades (HELLO proto=v2), text refuses them")
 		rcacheOn  = flag.Bool("result-cache", false, "enable the hot-query result cache (invalidated by every write, bit-identical answers)")
 		rcacheMax = flag.Int("result-cache-bytes", 0, "result cache memory bound in bytes (0 = default 8 MiB; needs -result-cache)")
 	)
@@ -95,9 +94,6 @@ func main() {
 	if *rcacheOn {
 		cfg.ResultCache = ferret.ResultCacheParams{Enable: true, MaxBytes: *rcacheMax}
 	}
-	if *proto != "v2" && *proto != "text" {
-		logger.Fatal("invalid -proto", "proto", *proto)
-	}
 	cfg.Store.Logger = logger.With("kvstore")
 	sys, err := ferret.Open(cfg, extractor)
 	if err != nil {
@@ -105,7 +101,7 @@ func main() {
 	}
 	defer sys.Close()
 	sys.SetLogger(logger)
-	sys.SetServerConfig(ferret.ServerConfig{QueryBudget: *budget, MaxConns: *maxConns, Proto: *proto})
+	sys.SetServerConfig(ferret.ServerConfig{QueryBudget: *budget, MaxConns: *maxConns})
 
 	if m != nil {
 		added, err := ingestMatrixOnce(sys, m)

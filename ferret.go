@@ -155,10 +155,6 @@ type ServerConfig struct {
 	ReadTimeout time.Duration
 	// WriteTimeout bounds each response write (0 = none).
 	WriteTimeout time.Duration
-	// Proto selects the wire-protocol policy: "" or "v2" accepts the
-	// binary protocol v2 upgrade (HELLO proto=v2), "text" refuses it and
-	// keeps every connection on the line protocol.
-	Proto string
 }
 
 // System is a running similarity search system: the core engine plus the
@@ -225,7 +221,8 @@ func (s *System) IngestFile(path string, a Attrs) (ID, error) {
 
 // Query runs a similarity search with an extracted query object.
 func (s *System) Query(q Object, opt QueryOptions) ([]Result, error) {
-	return s.engine.Query(q, opt)
+	ans, err := s.engine.Search(context.Background(), q, opt)
+	return ans.Results, err
 }
 
 // Search is Query with cancellation and graceful degradation: ctx aborts
@@ -252,7 +249,7 @@ func (s *System) QueryFile(path string, opt QueryOptions) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.engine.Query(o, opt)
+	return s.Query(o, opt)
 }
 
 // QueryByKey uses an already-ingested object as the query.
@@ -261,7 +258,8 @@ func (s *System) QueryByKey(key string, opt QueryOptions) ([]Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("ferret: unknown object key %q", key)
 	}
-	return s.engine.QueryByID(id, opt)
+	ans, err := s.engine.SearchByID(context.Background(), id, opt)
+	return ans.Results, err
 }
 
 // KeyOf resolves an ID to its external key.
@@ -343,7 +341,6 @@ func (s *System) server() *server.Server {
 			MaxConns:     s.srvCfg.MaxConns,
 			ReadTimeout:  s.srvCfg.ReadTimeout,
 			WriteTimeout: s.srvCfg.WriteTimeout,
-			Proto:        s.srvCfg.Proto,
 			Logger:       s.logger.With("server"),
 		}
 		if s.extractor != nil {

@@ -150,7 +150,7 @@ func TestArenaIntegrityAcrossMutations(t *testing.T) {
 	// Deleted objects must not appear in query results while tombstoned.
 	rng := rand.New(rand.NewSource(9))
 	q := clusterObject("q", 0, d, 3, 0.02, rng)
-	res, err := e.Query(q, QueryOptions{K: len(objs)})
+	res, err := runQuery(e, q, QueryOptions{K: len(objs)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,14 +181,14 @@ func TestArenaIntegrityAcrossMutations(t *testing.T) {
 	checkArenaAgainstObjects(t, e, byID)
 
 	// A reopened engine rebuilds the same arena from the metadata store.
-	res, err = e.Query(q, QueryOptions{K: 10})
+	res, err = runQuery(e, q, QueryOptions{K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.Close()
 	e2 := openEngine(t, cfg)
 	checkArenaAgainstObjects(t, e2, byID)
-	res2, err := e2.Query(q, QueryOptions{K: 10})
+	res2, err := runQuery(e2, q, QueryOptions{K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestQueryConcurrentWithIngestCompact(t *testing.T) {
 				default:
 				}
 				q := clusterObject(fmt.Sprintf("q%d-%d", g, i), i%7, d, 2, 0.02, rng)
-				if _, err := e.Query(q, QueryOptions{K: 5}); err != nil {
+				if _, err := runQuery(e, q, QueryOptions{K: 5}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -262,7 +262,7 @@ func queryAll(t *testing.T, e *Engine, queries []object.Object, k int) ([][]Resu
 	t.Helper()
 	all := make([][]Result, len(queries))
 	for i, q := range queries {
-		res, err := e.Query(q, QueryOptions{K: k})
+		res, err := runQuery(e, q, QueryOptions{K: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,7 +357,7 @@ func TestDedupSingleEvalPerCandidate(t *testing.T) {
 			reg := e.Telemetry()
 			before := int(reg.Value("ferret_rank_distance_evals_total"))
 			beforeCand := int(reg.Value("ferret_filter_candidates_total"))
-			if _, err := e.Query(q, QueryOptions{K: 5, Filter: FilterParams{QuerySegments: 4, NearestPerSegment: 20}}); err != nil {
+			if _, err := runQuery(e, q, QueryOptions{K: 5, Filter: FilterParams{QuerySegments: 4, NearestPerSegment: 20}}); err != nil {
 				t.Fatal(err)
 			}
 			evals := int(reg.Value("ferret_rank_distance_evals_total")) - before

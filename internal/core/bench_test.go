@@ -15,8 +15,7 @@ import (
 // BenchmarkFilterScanArena measures the filtering unit's arena sweep and
 // BenchmarkHammingIndexProbe its Hamming-index descent, each as a batch of
 // one on the same workload — image-style 96-bit sketches, where per-segment
-// call overhead (not memory bandwidth) dominates. `make check-bench` fails
-// on regression against the committed artifact.
+// call overhead (not memory bandwidth) dominates.
 
 const (
 	benchDim     = 14
@@ -135,7 +134,7 @@ func benchPipeline(b *testing.B, disablePrune bool) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Query(q, opt); err != nil {
+		if _, err := runQuery(e, q, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -152,7 +151,7 @@ func BenchmarkQueryPipelineUnpruned(b *testing.B) { benchPipeline(b, true) }
 // closed-loop clients through the coalescing scheduler: ns/op is the
 // amortized per-query wall time under concurrent load. Compare against
 // BenchmarkQueryPipelinePruned (the one-query-at-a-time cost) for the
-// shared-scan win; `make check-bench` gates this one against regression.
+// shared-scan win.
 func BenchmarkQueryPipelineConcurrent(b *testing.B) {
 	e, q, _ := benchEngine(b, func(cfg *Config) {
 		cfg.RankThreshold = 2
@@ -164,7 +163,7 @@ func BenchmarkQueryPipelineConcurrent(b *testing.B) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := e.Query(q, opt); err != nil {
+			if _, err := runQuery(e, q, opt); err != nil {
 				b.Error(err)
 				return
 			}
@@ -180,8 +179,8 @@ func BenchmarkQueryPipelineConcurrent(b *testing.B) {
 // BenchmarkQueryPipelineTraced is BenchmarkQueryPipelineConcurrent with the
 // tracer recording every query but retaining none (head sampling and the
 // slow trigger disabled): the cost of always-on span recording alone, with
-// the retention snapshot path never taken. `make check-bench` gates it so
-// tracing stays ~free on the hot path.
+// the retention snapshot path never taken — compare against the untraced
+// benchmark above: tracing should stay ~free on the hot path.
 func BenchmarkQueryPipelineTraced(b *testing.B) {
 	e, q, _ := benchEngine(b, func(cfg *Config) {
 		cfg.RankThreshold = 2
@@ -194,7 +193,7 @@ func BenchmarkQueryPipelineTraced(b *testing.B) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := e.Query(q, opt); err != nil {
+			if _, err := runQuery(e, q, opt); err != nil {
 				b.Error(err)
 				return
 			}

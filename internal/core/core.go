@@ -700,15 +700,6 @@ func (e *Engine) searchByID(ctx context.Context, id object.ID, opt QueryOptions)
 	return e.search(ctx, nil, set, opt)
 }
 
-// QueryByID is SearchByID without external cancellation or a budget — the
-// pre-context compatibility form.
-//
-//lint:ignore ctxfirst compatibility wrapper: SearchByID is the context-aware form; this delegates immediately
-func (e *Engine) QueryByID(id object.ID, opt QueryOptions) ([]Result, error) {
-	ans, err := e.SearchByID(context.Background(), id, opt)
-	return ans.Results, err
-}
-
 // Search runs a similarity search for the query object q (typically the
 // output of the plug-in segmentation and feature extraction unit applied to
 // the query data). The context cancels the search between scan blocks and
@@ -729,15 +720,6 @@ func (e *Engine) Search(ctx context.Context, q object.Object, opt QueryOptions) 
 		})
 	}
 	return e.search(ctx, &q, nil, opt)
-}
-
-// Query is Search without external cancellation or a budget — the
-// pre-context compatibility form.
-//
-//lint:ignore ctxfirst compatibility wrapper: Search is the context-aware form; this delegates immediately
-func (e *Engine) Query(q object.Object, opt QueryOptions) ([]Result, error) {
-	ans, err := e.Search(context.Background(), q, opt)
-	return ans.Results, err
 }
 
 // cacheLookup is the result cache's fast path for Search and SearchByID: a

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -36,6 +37,17 @@ func openEngine(t testing.TB, cfg Config) *Engine {
 	}
 	t.Cleanup(func() { e.Close() })
 	return e
+}
+
+// runQuery and runQueryByID run a search nothing cancels and return its results.
+func runQuery(e *Engine, q object.Object, opt QueryOptions) ([]Result, error) {
+	ans, err := e.Search(context.Background(), q, opt)
+	return ans.Results, err
+}
+
+func runQueryByID(e *Engine, id object.ID, opt QueryOptions) ([]Result, error) {
+	ans, err := e.SearchByID(context.Background(), id, opt)
+	return ans.Results, err
 }
 
 // clusterObject builds a multi-segment object around a per-cluster base
@@ -110,14 +122,14 @@ func TestIngestValidation(t *testing.T) {
 
 func TestQueryValidation(t *testing.T) {
 	e := openEngine(t, testConfig(t.TempDir(), 4))
-	if _, err := e.Query(object.Object{}, QueryOptions{}); err == nil {
+	if _, err := runQuery(e, object.Object{}, QueryOptions{}); err == nil {
 		t.Fatal("invalid query accepted")
 	}
-	if _, err := e.Query(object.Single("q", []float32{0, 0}), QueryOptions{}); err == nil {
+	if _, err := runQuery(e, object.Single("q", []float32{0, 0}), QueryOptions{}); err == nil {
 		t.Fatal("wrong-dimension query accepted")
 	}
 	good := object.Single("q", []float32{0, 0, 0, 0})
-	if _, err := e.Query(good, QueryOptions{Mode: Mode(99)}); err == nil {
+	if _, err := runQuery(e, good, QueryOptions{Mode: Mode(99)}); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }
@@ -133,7 +145,7 @@ func TestAllModesFindCluster(t *testing.T) {
 	query := clusterObject("query", 3, d, nseg, 0.01, rng)
 
 	for _, mode := range []Mode{BruteForceOriginal, BruteForceSketch, Filtering} {
-		results, err := e.Query(query, QueryOptions{Mode: mode, K: 5})
+		results, err := runQuery(e, query, QueryOptions{Mode: mode, K: 5})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -166,14 +178,14 @@ func TestQueryByID(t *testing.T) {
 	const d, nseg = 8, 3
 	e := openEngine(t, testConfig(t.TempDir(), d))
 	ids := ingestClusters(t, e, 5, 4, d, nseg)
-	results, err := e.QueryByID(ids[2][0], QueryOptions{Mode: BruteForceOriginal, K: 4})
+	results, err := runQueryByID(e, ids[2][0], QueryOptions{Mode: BruteForceOriginal, K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if results[0].ID != ids[2][0] || results[0].Distance > 1e-9 {
 		t.Fatalf("self not ranked first: %+v", results[0])
 	}
-	if _, err := e.QueryByID(9999, QueryOptions{}); err == nil {
+	if _, err := runQueryByID(e, 9999, QueryOptions{}); err == nil {
 		t.Fatal("missing id accepted")
 	}
 }
@@ -184,7 +196,7 @@ func TestResultKeysPopulated(t *testing.T) {
 	ingestClusters(t, e, 3, 3, d, 2)
 	q := clusterObject("q", 1, d, 2, 0.01, rand.New(rand.NewSource(5)))
 	for _, mode := range []Mode{BruteForceOriginal, BruteForceSketch, Filtering} {
-		results, err := e.Query(q, QueryOptions{Mode: mode, K: 3})
+		results, err := runQuery(e, q, QueryOptions{Mode: mode, K: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +225,7 @@ func TestRestrictToAttributeMatches(t *testing.T) {
 	}
 	q := clusterObject("q", 1, d, 2, 0.01, rand.New(rand.NewSource(6)))
 	for _, mode := range []Mode{BruteForceOriginal, BruteForceSketch, Filtering} {
-		results, err := e.Query(q, QueryOptions{Mode: mode, K: 10, Restrict: restrict})
+		results, err := runQuery(e, q, QueryOptions{Mode: mode, K: 10, Restrict: restrict})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,11 +252,11 @@ func TestFilteringAgreesWithBruteForce(t *testing.T) {
 	total := 0
 	for trial := 0; trial < 8; trial++ {
 		q := clusterObject("q", trial, d, nseg, 0.01, rng)
-		bf, err := e.Query(q, QueryOptions{Mode: BruteForceOriginal, K: 5})
+		bf, err := runQuery(e, q, QueryOptions{Mode: BruteForceOriginal, K: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fl, err := e.Query(q, QueryOptions{Mode: Filtering, K: 5})
+		fl, err := runQuery(e, q, QueryOptions{Mode: Filtering, K: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,11 +285,11 @@ func TestExactDistanceFiltering(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for trial := 0; trial < 5; trial++ {
 		q := clusterObject("q", trial, d, nseg, 0.01, rng)
-		bf, err := e.Query(q, QueryOptions{Mode: BruteForceOriginal, K: 5})
+		bf, err := runQuery(e, q, QueryOptions{Mode: BruteForceOriginal, K: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex, err := e.Query(q, QueryOptions{
+		ex, err := runQuery(e, q, QueryOptions{
 			Mode:   Filtering,
 			K:      5,
 			Filter: FilterParams{ExactDistance: true},
@@ -301,7 +313,7 @@ func TestExactDistanceFiltering(t *testing.T) {
 	}
 	// MaxDistance bounds acceptance.
 	q := clusterObject("q", 0, d, nseg, 0.01, rng)
-	results, err := e.Query(q, QueryOptions{
+	results, err := runQuery(e, q, QueryOptions{
 		Mode:   Filtering,
 		K:      50,
 		Filter: FilterParams{ExactDistance: true, MaxDistance: 0.3},
@@ -320,7 +332,7 @@ func TestExactFilteringUnavailableSketchOnly(t *testing.T) {
 	cfg.SketchOnly = true
 	e := openEngine(t, cfg)
 	e.Ingest(object.Single("a", []float32{0, 0, 0, 0}), nil)
-	_, err := e.Query(object.Single("q", []float32{0, 0, 0, 0}), QueryOptions{
+	_, err := runQuery(e, object.Single("q", []float32{0, 0, 0, 0}), QueryOptions{
 		Mode:   Filtering,
 		Filter: FilterParams{ExactDistance: true},
 	})
@@ -337,11 +349,11 @@ func TestSketchOnlyMode(t *testing.T) {
 	ids := ingestClusters(t, e, 4, 4, d, 2)
 
 	q := clusterObject("q", 2, d, 2, 0.01, rand.New(rand.NewSource(8)))
-	if _, err := e.Query(q, QueryOptions{Mode: BruteForceOriginal}); err == nil {
+	if _, err := runQuery(e, q, QueryOptions{Mode: BruteForceOriginal}); err == nil {
 		t.Fatal("BruteForceOriginal allowed in sketch-only mode")
 	}
 	for _, mode := range []Mode{BruteForceSketch, Filtering} {
-		results, err := e.Query(q, QueryOptions{Mode: mode, K: 4})
+		results, err := runQuery(e, q, QueryOptions{Mode: mode, K: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,7 +372,7 @@ func TestSketchOnlyMode(t *testing.T) {
 		}
 	}
 	// QueryByID must work from stored sketches alone.
-	results, err := e.QueryByID(ids[1][0], QueryOptions{Mode: Filtering, K: 4})
+	results, err := runQueryByID(e, ids[1][0], QueryOptions{Mode: Filtering, K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +405,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	}
 	// The restored builder must produce identical sketches: querying with
 	// the exact ingested object must return distance 0 in sketch mode.
-	results, err := e2.Query(o, QueryOptions{Mode: BruteForceSketch, K: 1})
+	results, err := runQuery(e2, o, QueryOptions{Mode: BruteForceSketch, K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +423,7 @@ func TestKLargerThanDataset(t *testing.T) {
 	e := openEngine(t, testConfig(t.TempDir(), d))
 	ingestClusters(t, e, 2, 2, d, 2)
 	q := clusterObject("q", 0, d, 2, 0.01, rand.New(rand.NewSource(4)))
-	results, err := e.Query(q, QueryOptions{Mode: BruteForceOriginal, K: 100})
+	results, err := runQuery(e, q, QueryOptions{Mode: BruteForceOriginal, K: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +437,7 @@ func TestEmptyEngineQuery(t *testing.T) {
 	e := openEngine(t, testConfig(t.TempDir(), d))
 	q := object.Single("q", make([]float32, d))
 	for _, mode := range []Mode{BruteForceOriginal, BruteForceSketch, Filtering} {
-		results, err := e.Query(q, QueryOptions{Mode: mode, K: 5})
+		results, err := runQuery(e, q, QueryOptions{Mode: mode, K: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -453,7 +465,7 @@ func TestConcurrentQueriesDuringIngest(t *testing.T) {
 				default:
 				}
 				q := clusterObject("q", g, d, 2, 0.01, rng)
-				if _, err := e.Query(q, QueryOptions{Mode: Filtering, K: 3}); err != nil {
+				if _, err := runQuery(e, q, QueryOptions{Mode: Filtering, K: 3}); err != nil {
 					t.Error(err)
 					return
 				}

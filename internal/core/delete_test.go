@@ -27,7 +27,7 @@ func TestDeleteRemovesFromResults(t *testing.T) {
 	// The deleted object never appears again, in any mode.
 	q := clusterObject("q", 1, d, 2, 0.01, rand.New(rand.NewSource(3)))
 	for _, mode := range []Mode{BruteForceOriginal, BruteForceSketch, Filtering} {
-		results, err := e.Query(q, QueryOptions{Mode: mode, K: 20})
+		results, err := runQuery(e, q, QueryOptions{Mode: mode, K: 20})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestCompact(t *testing.T) {
 	}
 	// Queries still work and exclude the deleted cluster.
 	q := clusterObject("q", 0, d, 2, 0.01, rand.New(rand.NewSource(8)))
-	results, err := e.Query(q, QueryOptions{Mode: BruteForceOriginal, K: 12})
+	results, err := runQuery(e, q, QueryOptions{Mode: BruteForceOriginal, K: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestDeleteFindsEntryByID(t *testing.T) {
 		}
 	}
 	q := clusterObject("q", 3, d, 2, 0.01, rand.New(rand.NewSource(6)))
-	results, err := e.Query(q, QueryOptions{K: 20})
+	results, err := runQuery(e, q, QueryOptions{K: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,7 +140,7 @@ func BenchmarkFilterQuery10k(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Query(q, QueryOptions{Mode: Filtering, K: 10}); err != nil {
+		if _, err := runQuery(e, q, QueryOptions{Mode: Filtering, K: 10}); err != nil {
 			b.Fatal(err)
 		}
 	}

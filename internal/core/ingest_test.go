@@ -134,11 +134,11 @@ func TestIngestQueueEquivalence(t *testing.T) {
 	}
 	for qi := 0; qi < 5; qi++ {
 		q := clusterObject(fmt.Sprintf("q%d", qi), qi%5, d, 2, 0.02, rng)
-		rq, err := eq.Query(q, QueryOptions{K: 10})
+		rq, err := runQuery(eq, q, QueryOptions{K: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rp, err := ep.Query(q, QueryOptions{K: 10})
+		rp, err := runQuery(ep, q, QueryOptions{K: 10})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,11 +25,11 @@ func TestLowMemoryMatchesCached(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		q := clusterObject("q", trial, d, nseg, 0.01, rng)
 		for _, mode := range []Mode{BruteForceOriginal, BruteForceSketch, Filtering} {
-			rc, err := cached.Query(q, QueryOptions{Mode: mode, K: 5})
+			rc, err := runQuery(cached, q, QueryOptions{Mode: mode, K: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rl, err := low.Query(q, QueryOptions{Mode: mode, K: 5})
+			rl, err := runQuery(low, q, QueryOptions{Mode: mode, K: 5})
 			if err != nil {
 				t.Fatalf("%v low-memory: %v", mode, err)
 			}
@@ -64,7 +64,7 @@ func TestLowMemorySurvivesReopen(t *testing.T) {
 		t.Fatalf("reopened low-memory engine cached %d objects", len(e2.cur.Load().objects))
 	}
 	q := clusterObject("q", 0, d, 2, 0.01, rand.New(rand.NewSource(2)))
-	results, err := e2.Query(q, QueryOptions{Mode: Filtering, K: 3})
+	results, err := runQuery(e2, q, QueryOptions{Mode: Filtering, K: 3})
 	if err != nil || len(results) == 0 {
 		t.Fatalf("query: %v %v", results, err)
 	}
@@ -86,7 +86,7 @@ func TestLowMemoryDeleteAndCompact(t *testing.T) {
 		t.Fatalf("stats %+v", st)
 	}
 	q := clusterObject("q", 1, d, 2, 0.01, rand.New(rand.NewSource(3)))
-	if _, err := e.Query(q, QueryOptions{Mode: BruteForceOriginal, K: 5}); err != nil {
+	if _, err := runQuery(e, q, QueryOptions{Mode: BruteForceOriginal, K: 5}); err != nil {
 		t.Fatal(err)
 	}
 }

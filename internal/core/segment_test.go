@@ -224,7 +224,7 @@ func TestSegmentGeometry(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(17))
 	q := clusterObject("q", 1, d, 2, 0.02, rng)
-	res, err := e.Query(q, QueryOptions{K: 8})
+	res, err := runQuery(e, q, QueryOptions{K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestSegmentGeometry(t *testing.T) {
 	if v := e2.cur.Load(); len(v.sealed()) != 1 || v.tail().n != 0 || v.segs[0].hindex.Rows() != v.totalRows() {
 		t.Fatalf("reopened with %d sealed segments and a %d-entry tail, want one fully indexed segment and an empty tail", len(v.sealed()), v.tail().n)
 	}
-	res2, err := e2.Query(q, QueryOptions{K: 8})
+	res2, err := runQuery(e2, q, QueryOptions{K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestQueriesDuringCompact(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for i := 0; i < 8; i++ {
 		q := clusterObject(fmt.Sprintf("q%d", i), i%7, d, 2, 0.02, rng)
-		if _, err := e.Query(q, QueryOptions{K: 5}); err != nil {
+		if _, err := runQuery(e, q, QueryOptions{K: 5}); err != nil {
 			t.Fatal(err)
 		}
 	}

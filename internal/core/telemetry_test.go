@@ -49,7 +49,7 @@ func TestQueryRecordsStageHistograms(t *testing.T) {
 	reg := e.Telemetry()
 	q := testObj("query", 5, 8)
 	for _, mode := range []Mode{Filtering, BruteForceOriginal, BruteForceSketch} {
-		if _, err := e.Query(q, QueryOptions{Mode: mode, K: 5}); err != nil {
+		if _, err := runQuery(e, q, QueryOptions{Mode: mode, K: 5}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,7 +87,7 @@ func TestQueryRecordsStageHistograms(t *testing.T) {
 
 func TestQueryErrorCounted(t *testing.T) {
 	e := telemetryEngine(t, 4)
-	if _, err := e.Query(testObj("q", 1, 8), QueryOptions{Mode: Mode(99)}); err == nil {
+	if _, err := runQuery(e, testObj("q", 1, 8), QueryOptions{Mode: Mode(99)}); err == nil {
 		t.Fatal("bad mode must error")
 	}
 	if v := e.Telemetry().Value("ferret_query_errors_total"); v != 1 {
@@ -111,7 +111,7 @@ func TestConcurrentQueryTelemetry(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < queriesEach; i++ {
 				mode := []Mode{Filtering, BruteForceSketch, BruteForceOriginal}[i%3]
-				if _, err := e.Query(testObj("q", w*100+i, 8), QueryOptions{Mode: mode, K: 3}); err != nil {
+				if _, err := runQuery(e, testObj("q", w*100+i, 8), QueryOptions{Mode: mode, K: 3}); err != nil {
 					t.Error(err)
 					return
 				}

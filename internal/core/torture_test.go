@@ -312,7 +312,7 @@ func TestFsyncPoisoningRejectsIngest(t *testing.T) {
 	if e.Count() != 2 {
 		t.Fatalf("engine counts %d objects, want 2", e.Count())
 	}
-	res, err := e.Query(tortureObject("a"), QueryOptions{K: 2})
+	res, err := runQuery(e, tortureObject("a"), QueryOptions{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ package evaltool
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -126,15 +127,15 @@ func (r *Runner) Run(sets [][]string) (Report, error) {
 				opt.K = need + 1 // +1 because the query itself may appear
 			}
 			start := time.Now()
-			results, err := r.Engine.QueryByID(query, opt)
+			ans, err := r.Engine.SearchByID(context.TODO(), query, opt)
 			if err != nil {
 				return rep, fmt.Errorf("evaltool: query %d of set: %w", query, err)
 			}
 			lat := time.Since(start)
 			rep.TotalQueryTime += lat
 			rep.latencies = append(rep.latencies, lat)
-			ranked := make([]object.ID, 0, len(results))
-			for _, res := range results {
+			ranked := make([]object.ID, 0, len(ans.Results))
+			for _, res := range ans.Results {
 				if res.ID == query {
 					continue // the query object does not count as a result
 				}

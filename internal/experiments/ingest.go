@@ -185,7 +185,7 @@ func measureIngestArm(e *core.Engine, queries []object.Object, clients int, dur 
 			for i := 0; time.Now().Before(deadline); i++ {
 				q := queries[(c+i*clients)%len(queries)]
 				t0 := time.Now()
-				if _, err := e.Query(q, opt); err != nil {
+				if _, err := e.Search(context.TODO(), q, opt); err != nil {
 					errs[c] = err
 					return
 				}

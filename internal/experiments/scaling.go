@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -9,16 +10,14 @@ import (
 	"ferret/internal/synth"
 )
 
-// The scaling sweep gates the sub-linear filter claim: on the mixed-shape
+// The scaling sweep measures the sub-linear filter claim: on the mixed-shape
 // speed corpus, grow the dataset through scale.SweepFractions and at each
 // size run the same queries against two engines over identical data — one
 // with the plain arena scan, one with the multi-table Hamming index — and
 // compare the filter stage directly. The index is an accelerator, not an
 // approximation, so the sweep also asserts bit-identical results at every
 // point; a row with identical=false is a correctness bug, not a tuning
-// problem. Committed as part of BENCH_7.json, the sweep fails `make
-// check-bench` if the indexed filter stops beating the scan (see
-// ferret-benchcmp).
+// problem.
 
 // ScalingPoint is one dataset size of the sweep: both arms' mean
 // filter-stage time, the speedup, and the index's work profile at that
@@ -112,14 +111,15 @@ func measureScalingPoint(scanE, idxE *core.Engine, queries []object.Object, n in
 	pt := ScalingPoint{N: n, Identical: true}
 	for rep := 0; rep < scalingRepeats; rep++ {
 		for _, q := range queries {
-			scanRes, err := scanE.Query(q, opt)
+			scanAns, err := scanE.Search(context.TODO(), q, opt)
 			if err != nil {
 				return pt, err
 			}
-			idxRes, err := idxE.Query(q, opt)
+			idxAns, err := idxE.Search(context.TODO(), q, opt)
 			if err != nil {
 				return pt, err
 			}
+			scanRes, idxRes := scanAns.Results, idxAns.Results
 			pt.Queries++
 			if len(scanRes) != len(idxRes) {
 				pt.Identical = false

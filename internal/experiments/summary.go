@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"sort"
@@ -67,7 +68,7 @@ func measureQueries(e *core.Engine, queries []object.Object, mode core.Mode, k i
 	for i := range queries {
 		opt := core.QueryOptions{Mode: mode, K: k, Filter: speedFilter}
 		start := time.Now()
-		if _, err := e.Query(queries[i], opt); err != nil {
+		if _, err := e.Search(context.TODO(), queries[i], opt); err != nil {
 			return LatencySummary{}, err
 		}
 		secs = append(secs, time.Since(start).Seconds())

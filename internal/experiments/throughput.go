@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -148,7 +149,7 @@ func measureClosedLoop(e *core.Engine, queries []object.Object, clients, perClie
 			for i := 0; i < perClient; i++ {
 				q := queries[(c*perClient+i)%len(queries)]
 				t0 := time.Now()
-				if _, err := e.Query(q, opt); err != nil {
+				if _, err := e.Search(context.TODO(), q, opt); err != nil {
 					errs[c] = err
 					return
 				}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Binary protocol v2: a compact length-prefixed framing negotiated per
@@ -16,8 +17,8 @@ import (
 //	HELLO proto=v2
 //
 // and receives "OK 1 / proto=v2" switches — with the server — to binary
-// frames in both directions. Servers that predate (or disable) v2 answer
-// ERR and the connection simply stays on the text protocol.
+// frames in both directions. Servers that predate v2 answer ERR and the
+// connection simply stays on the text protocol.
 //
 // Every frame is
 //
@@ -27,9 +28,9 @@ import (
 // noted); float64s are IEEE-754 bit patterns. Request opcodes cover the
 // hot commands (QUERY, BATCHQUERY, INGEST/ADDFILE, STATS, TRACE, PING,
 // COUNT, DELETE); everything else — and queries carrying rare arguments
-// such as keyword or attribute restrictions — tunnels the exact text
-// command line through OpText and gets the raw text response back in a
-// StatusText frame, so v2 never loses protocol surface.
+// such as keyword or attribute restrictions — tunnels its text command
+// line through OpText and gets the text response back in a StatusText
+// frame, so v2 never loses protocol surface (see Command.AppendFrame).
 const (
 	// MaxFrame bounds a frame's length word: parse + encode buffers are
 	// pooled, so a corrupt or hostile length must not drive an allocation.
@@ -61,42 +62,9 @@ const (
 // QueryFlagTrace asks the server to trace a binary QUERY/BATCHQUERY.
 const QueryFlagTrace byte = 1 << 0
 
-// Filter-mode codes in a StatusResults frame.
-const (
-	WireModeNone  byte = 0
-	WireModeIndex byte = 1
-	WireModeScan  byte = 2
-	WireModeMixed byte = 3
-)
-
-// FilterModeString maps a wire filter-mode code to the text protocol's
-// mode flag value ("" for none/unknown).
-func FilterModeString(code byte) string {
-	switch code {
-	case WireModeIndex:
-		return "index"
-	case WireModeScan:
-		return "scan"
-	case WireModeMixed:
-		return "mixed"
-	default:
-		return ""
-	}
-}
-
-// FilterModeCode is the inverse of FilterModeString.
-func FilterModeCode(mode string) byte {
-	switch mode {
-	case "index":
-		return WireModeIndex
-	case "scan":
-		return WireModeScan
-	case "mixed":
-		return WireModeMixed
-	default:
-		return WireModeNone
-	}
-}
+// wireModes are the filter-mode codes of a StatusResults frame, indexed by
+// code: the text protocol's mode flag values, "" for none.
+var wireModes = [...]string{"", "index", "scan", "mixed"}
 
 // HelloV2 is the exact negotiation line (without newline) a client sends
 // to upgrade, and HelloV2Value the proto argument a v2-capable server
@@ -157,18 +125,15 @@ func AppendBytes16(buf, b []byte) []byte {
 	return append(buf, b...)
 }
 
-// BeginFrame appends a frame header (length placeholder + opcode) and
-// returns the header's offset; pass it to EndFrame once the payload is
-// appended.
-func BeginFrame(buf []byte, op byte) ([]byte, int) {
-	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0, op)
-	return buf, start
-}
+// BeginFrame appends a frame header to an empty buffer, to be filled in by
+// EndFrame once the payload is appended behind it.
+func BeginFrame(buf []byte) []byte { return append(buf, 0, 0, 0, 0, 0) }
 
-// EndFrame patches the length word of the frame opened at start.
-func EndFrame(buf []byte, start int) {
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
+// EndFrame completes the frame that is the whole of buf: its opcode, and the
+// length word counting opcode and payload.
+func EndFrame(buf []byte, op byte) {
+	binary.LittleEndian.PutUint32(buf, uint32(len(buf)-4))
+	buf[4] = op
 }
 
 // ReadFrame reads one frame into buf (reusing its capacity, growing only
@@ -194,7 +159,7 @@ func ReadFrame(r *bufio.Reader, buf []byte) (op byte, payload, bufOut []byte, er
 }
 
 // WriteFrame writes one complete frame (a convenience for clients; the
-// server encodes into pooled buffers with BeginFrame/EndFrame).
+// server encodes into pooled buffers between BeginFrame and EndFrame).
 func WriteFrame(w io.Writer, op byte, payload []byte) error {
 	var hdr [5]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(1+len(payload)))
@@ -285,52 +250,75 @@ func (r *BinReader) Err() error {
 	return nil
 }
 
-// ---- client-side message codecs ----
-// (The server appends responses field-by-field into pooled buffers; the
-// client, where allocation is not contractual, uses these.)
+// ---- message codecs ----
+// (Request frames are encoded and decoded in command.go. The response
+// encoders below append one payload each, so the server builds a frame in a
+// pooled buffer; the decoders are the client's.)
 
-// AppendQueryV2 encodes an OpQuery payload: key, k, mode, flags, budget.
+// AppendQueryV2 encodes an OpQuery payload: key, k, mode, flags, budget —
+// Command.AppendFrame's QUERY case for callers that frame by hand.
 func AppendQueryV2(buf []byte, key string, k int, mode string, flags byte, budgetNs uint64) []byte {
-	buf = AppendStr16(buf, key)
-	buf = AppendU16(buf, uint16(k))
-	buf = AppendStr8(buf, mode)
-	buf = append(buf, flags)
-	return AppendU64(buf, budgetNs)
+	if len(mode) > 255 {
+		mode = mode[:255]
+	}
+	return appendQueryTail(AppendStr16(buf, key), k, []byte(mode), flags&QueryFlagTrace != 0, budgetNs)
 }
 
-// AppendBatchQueryV2 encodes an OpBatchQuery payload: keys, then the same
-// option tail as OpQuery.
-func AppendBatchQueryV2(buf []byte, keys []string, k int, mode string, flags byte, budgetNs uint64) []byte {
-	buf = AppendU16(buf, uint16(len(keys)))
-	for _, key := range keys {
-		buf = AppendStr16(buf, key)
+// AppendResultsV2 appends a StatusResults payload: flags, filter mode, trace
+// ID and stage breakdown, then the result rows. A StatusBatch item's body
+// has the same shape.
+func AppendResultsV2(b []byte, results []Result, meta ResponseMeta) []byte {
+	var flags byte
+	if meta.Degraded {
+		flags |= FlagDegraded
 	}
-	buf = AppendU16(buf, uint16(k))
-	buf = AppendStr8(buf, mode)
-	buf = append(buf, flags)
-	return AppendU64(buf, budgetNs)
+	if meta.Cache != "" {
+		flags |= FlagCacheSeen
+		if meta.Cache == "hit" {
+			flags |= FlagCacheHit
+		}
+	}
+	b = append(b, flags, byte(max(slices.Index(wireModes[:], meta.Mode), 0)))
+	b = AppendStr8(b, meta.TraceID)
+	stages := meta.Stages
+	if len(stages) > 255 {
+		stages = stages[:255]
+	}
+	b = append(b, byte(len(stages)))
+	for _, st := range stages {
+		b = AppendU64(AppendStr8(b, st.Name), uint64(st.Dur))
+	}
+	b = AppendU32(b, uint32(len(results)))
+	for _, r := range results {
+		b = AppendF64(AppendStr16(b, r.Key), r.Distance)
+	}
+	return b
 }
 
-// AppendIngestV2 encodes an OpIngest payload: path plus attributes.
-func AppendIngestV2(buf []byte, path string, attrs map[string]string) []byte {
-	buf = AppendStr16(buf, path)
-	buf = AppendU16(buf, uint16(len(attrs)))
-	for k, v := range attrs {
-		buf = AppendStr16(buf, k)
-		buf = AppendStr16(buf, v)
+// AppendPairsV2 appends a StatusPairs payload. A nil map is the binary
+// protocol's bare OK.
+func AppendPairsV2(b []byte, pairs map[string]string) []byte {
+	b = AppendU16(b, uint16(len(pairs)))
+	for k, v := range pairs {
+		b = AppendStr16(AppendStr16(b, k), v)
 	}
-	return buf
+	return b
 }
 
-// AppendTraceV2 encodes an OpTrace payload.
-func AppendTraceV2(buf []byte, n int, slowOnly bool, id string) []byte {
-	buf = AppendU16(buf, uint16(n))
-	slow := byte(0)
-	if slowOnly {
-		slow = 1
+// AppendBatchV2 appends a StatusBatch payload: per item either 1 and its
+// error message, or 0 and a u32-length-prefixed StatusResults-shaped body.
+func AppendBatchV2(b []byte, items []BatchItem) []byte {
+	b = AppendU16(b, uint16(len(items)))
+	for _, it := range items {
+		if it.Err != "" {
+			b = AppendStr16(append(b, 1), it.Err)
+			continue
+		}
+		lenOff := len(b) + 1
+		b = AppendResultsV2(append(b, 0, 0, 0, 0, 0), it.Results, it.Meta)
+		binary.LittleEndian.PutUint32(b[lenOff:], uint32(len(b)-lenOff-4))
 	}
-	buf = append(buf, slow)
-	return AppendStr16(buf, id)
+	return b
 }
 
 // DecodeResults decodes a StatusResults payload into results and meta.
@@ -346,7 +334,9 @@ func DecodeResults(payload []byte) ([]Result, ResponseMeta, error) {
 			meta.Cache = "miss"
 		}
 	}
-	meta.Mode = FilterModeString(r.U8())
+	if code := int(r.U8()); code < len(wireModes) {
+		meta.Mode = wireModes[code]
+	}
 	meta.TraceID = string(r.Bytes8())
 	nstages := int(r.U8())
 	for i := 0; i < nstages; i++ {

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -23,7 +22,7 @@ type Client struct {
 	timeout time.Duration
 
 	// v2 is set once the connection upgraded to the binary protocol
-	// (UpgradeV2). wbuf/fbuf are the encode scratch and frame read buffer,
+	// (UpgradeV2). wbuf/fbuf are the frame encode scratch and read buffer,
 	// reused across requests under mu.
 	v2   bool
 	wbuf []byte
@@ -37,15 +36,9 @@ type deadliner interface {
 }
 
 // Dial connects to a Ferret server at addr (host:port).
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return NewClient(conn), nil
-}
+func Dial(addr string) (*Client, error) { return DialTimeout(addr, 0) }
 
-// DialTimeout is Dial with a connection-establishment timeout.
+// DialTimeout is Dial with a connection-establishment timeout (0 = none).
 func DialTimeout(addr string, d time.Duration) (*Client, error) {
 	conn, err := net.DialTimeout("tcp", addr, d)
 	if err != nil {
@@ -79,11 +72,10 @@ func (c *Client) ProtoV2() bool {
 }
 
 // UpgradeV2 negotiates the binary protocol v2 on the established
-// connection. On success all subsequent requests use binary frames; hot
-// commands get dedicated compact encodings, everything else tunnels the
-// text command line through an OpText frame. A *ServerError means the
-// server doesn't speak (or refuses) v2 — the connection remains usable on
-// the text protocol.
+// connection. On success all subsequent requests use binary frames (see
+// Command.AppendFrame for which commands get compact encodings). A
+// *ServerError means the server doesn't speak v2 — the connection remains
+// usable on the text protocol.
 func (c *Client) UpgradeV2() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -94,17 +86,15 @@ func (c *Client) UpgradeV2() error {
 	if _, err := io.WriteString(c.conn, HelloV2+"\n"); err != nil {
 		return err
 	}
-	lines, _, err := ReadResponseMeta(c.rd)
+	rep, err := readTextReply(c.rd, StatusPairs)
 	if err != nil {
 		return err
 	}
-	for _, line := range lines {
-		if line == "proto="+HelloV2Value {
-			c.v2 = true
-			return nil
-		}
+	if rep.pairs["proto"] != HelloV2Value {
+		return fmt.Errorf("protocol: server accepted HELLO but did not confirm proto=%s", HelloV2Value)
 	}
-	return fmt.Errorf("protocol: server accepted HELLO but did not confirm proto=%s", HelloV2Value)
+	c.v2 = true
+	return nil
 }
 
 // TryUpgradeV2 attempts UpgradeV2 and reports whether the connection is now
@@ -116,10 +106,7 @@ func (c *Client) TryUpgradeV2() (bool, error) {
 	if errors.As(err, &se) {
 		return false, nil
 	}
-	if err != nil {
-		return false, err
-	}
-	return true, nil
+	return err == nil, err
 }
 
 // deadline arms (or clears) the per-request deadline. Caller holds mu.
@@ -133,104 +120,118 @@ func (c *Client) deadline() {
 	}
 }
 
-// binRoundTrip sends one binary frame and reads the response frame. The
-// returned payload aliases the client's frame buffer: it is only valid
-// until the next request, so callers decode before releasing mu.
-// Caller holds mu.
-func (c *Client) binRoundTrip(op byte, payload []byte) (byte, []byte, error) {
-	c.deadline()
-	if err := WriteFrame(c.conn, op, payload); err != nil {
-		return 0, nil, err
+// reply is one decoded response, whichever framing carried it: the payload
+// shape the command answers with is set, the others are zero.
+type reply struct {
+	results []Result
+	meta    ResponseMeta
+	pairs   map[string]string
+	batch   []BatchItem
+}
+
+// replyStatus names the payload shape a command answers with by its v2
+// status code; the text framing has the same three shapes but does not mark
+// them, so the command decides how the lines parse.
+func replyStatus(cmd string) byte {
+	switch cmd {
+	case CmdQuery, CmdQueryFile, CmdSearch:
+		return StatusResults
+	case CmdBatchQuery:
+		return StatusBatch
 	}
-	status, resp, fbuf, err := ReadFrame(c.rd, c.fbuf)
+	return StatusPairs
+}
+
+// do sends one command in the connection's framing — a text line, or once
+// upgraded the v2 frame Command.AppendFrame picks — and decodes the response.
+// A request-level failure is a *ServerError.
+func (c *Client) do(cmd *Command) (reply, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.deadline()
+	want := replyStatus(cmd.Cmd)
+	if !c.v2 {
+		if _, err := io.WriteString(c.conn, cmd.Line()+"\n"); err != nil {
+			return reply{}, err
+		}
+		return readTextReply(c.rd, want)
+	}
+	var op byte
+	op, c.wbuf = cmd.AppendFrame(c.wbuf[:0])
+	if err := WriteFrame(c.conn, op, c.wbuf); err != nil {
+		return reply{}, err
+	}
+	// The payload aliases the client's frame buffer, valid until the next
+	// request: everything is decoded out of it before mu is released.
+	status, payload, fbuf, err := ReadFrame(c.rd, c.fbuf)
 	c.fbuf = fbuf
 	if err != nil {
-		return 0, nil, err
+		return reply{}, err
 	}
-	if status == StatusError {
-		return 0, nil, DecodeError(resp)
+	var rep reply
+	switch status {
+	case StatusError:
+		return rep, DecodeError(payload)
+	case StatusText:
+		return readTextReply(bufio.NewReader(bytes.NewReader(payload)), want)
+	case want:
+	default:
+		return rep, fmt.Errorf("protocol: unexpected response status 0x%02x", status)
 	}
-	return status, resp, nil
+	switch want {
+	case StatusResults:
+		rep.results, rep.meta, err = DecodeResults(payload)
+	case StatusBatch:
+		rep.batch, err = DecodeBatch(payload)
+	default:
+		rep.pairs, err = DecodePairs(payload)
+	}
+	return rep, err
 }
 
-// binPairs runs a binary round trip expecting a StatusPairs response.
-func (c *Client) binPairs(op byte, payload []byte) (map[string]string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	status, resp, err := c.binRoundTrip(op, payload)
+// readTextReply reads one text response and parses its payload lines into
+// the shape want names.
+func readTextReply(rd *bufio.Reader, want byte) (reply, error) {
+	lines, meta, err := ReadResponseMeta(rd)
+	rep := reply{meta: meta}
 	if err != nil {
-		return nil, err
+		return rep, err
 	}
-	if status != StatusPairs {
-		return nil, fmt.Errorf("protocol: unexpected response status 0x%02x", status)
+	switch want {
+	case StatusResults:
+		rep.results = make([]Result, len(lines))
+		for i, line := range lines {
+			if rep.results[i], err = ParseResultLine(line); err != nil {
+				return rep, err
+			}
+		}
+	case StatusBatch:
+		rep.batch, err = ParseBatch(lines)
+	default:
+		rep.pairs, err = ParsePairs(lines)
 	}
-	return DecodePairs(resp)
+	return rep, err
 }
 
-// textTunnel sends a text command line through an OpText frame and parses
-// the raw text response carried back in StatusText. Caller holds mu.
-func (c *Client) textTunnel(line string) ([]string, ResponseMeta, error) {
-	c.wbuf = append(c.wbuf[:0], line...)
-	status, resp, err := c.binRoundTrip(OpText, c.wbuf)
-	if err != nil {
-		return nil, ResponseMeta{}, err
-	}
-	if status != StatusText {
-		return nil, ResponseMeta{}, fmt.Errorf("protocol: unexpected response status 0x%02x", status)
-	}
-	return ReadResponseMeta(bufio.NewReader(bytes.NewReader(resp)))
-}
-
-// roundTrip sends one request and reads the raw response lines.
-func (c *Client) roundTrip(req Request) ([]string, error) {
-	lines, _, err := c.roundTripMeta(req)
-	return lines, err
-}
-
-// roundTripMeta sends one request and reads the raw response lines plus the
-// head-line flags.
-func (c *Client) roundTripMeta(req Request) ([]string, ResponseMeta, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.v2 {
-		// Commands without a dedicated binary encoding tunnel their text
-		// line through an OpText frame.
-		return c.textTunnel(FormatRequest(req))
-	}
-	c.deadline()
-	if _, err := io.WriteString(c.conn, FormatRequest(req)+"\n"); err != nil {
-		return nil, ResponseMeta{}, err
-	}
-	return ReadResponseMeta(c.rd)
+// pairs runs a command that answers with name → value pairs.
+func (c *Client) pairs(cmd *Command) (map[string]string, error) {
+	rep, err := c.do(cmd)
+	return rep.pairs, err
 }
 
 // Ping checks liveness.
 func (c *Client) Ping() error {
-	if c.ProtoV2() {
-		_, err := c.binPairs(OpPing, nil)
-		return err
-	}
-	_, err := c.roundTrip(Request{Cmd: CmdPing})
+	_, err := c.do(&Command{Cmd: CmdPing})
 	return err
 }
 
 // Count returns the number of objects in the server's database.
 func (c *Client) Count() (int, error) {
-	if c.ProtoV2() {
-		pairs, err := c.binPairs(OpCount, nil)
-		if err != nil {
-			return 0, err
-		}
-		return strconv.Atoi(pairs["count"])
-	}
-	lines, err := c.roundTrip(Request{Cmd: CmdCount})
+	pairs, err := c.pairs(&Command{Cmd: CmdCount})
 	if err != nil {
 		return 0, err
 	}
-	if len(lines) != 1 {
-		return 0, fmt.Errorf("protocol: COUNT returned %d lines", len(lines))
-	}
-	return strconv.Atoi(strings.TrimPrefix(lines[0], "count="))
+	return strconv.Atoi(pairs["count"])
 }
 
 // QueryParams carries the tunable query parameters of the command-line
@@ -259,39 +260,20 @@ type QueryParams struct {
 	Trace bool
 }
 
-func (p QueryParams) fill(args map[string]string) {
-	if p.K > 0 {
-		args["k"] = strconv.Itoa(p.K)
-	}
-	if p.Mode != "" {
-		args["mode"] = p.Mode
-	}
-	if len(p.Keywords) > 0 {
-		args["keywords"] = strings.Join(p.Keywords, ",")
-	}
-	for k, v := range p.Attrs {
-		args["attr:"+k] = v
-	}
-	if len(p.SegWeights) > 0 {
-		parts := make([]string, len(p.SegWeights))
-		for i, w := range p.SegWeights {
-			parts[i] = strconv.FormatFloat(w, 'g', -1, 64)
-		}
-		args["segweights"] = strings.Join(parts, ",")
-	}
-	if p.Budget > 0 {
-		args["budget"] = p.Budget.String()
-	}
+// fill sets c's query options from the parameters.
+func (p *QueryParams) fill(c *Command) {
+	// A non-positive K or Budget asks for the server's default.
+	c.K, c.Mode, c.Budget = max(p.K, 0), []byte(p.Mode), max(p.Budget, 0)
+	c.Keywords, c.Attrs = p.Keywords, p.Attrs
 	if p.Trace {
-		args["trace"] = "on"
+		c.Trace = TraceOn
 	}
-}
-
-// binaryEligible reports whether the parameters fit the compact OpQuery
-// encoding; keyword/attribute restrictions and segment-weight adjustments
-// ride the OpText tunnel instead.
-func (p QueryParams) binaryEligible() bool {
-	return len(p.Keywords) == 0 && len(p.Attrs) == 0 && len(p.SegWeights) == 0
+	for i, w := range p.SegWeights {
+		if i > 0 {
+			c.SegWeights += ","
+		}
+		c.SegWeights += strconv.FormatFloat(w, 'g', -1, 64)
+	}
 }
 
 // Query runs a similarity query using an already-ingested object.
@@ -302,36 +284,10 @@ func (c *Client) Query(key string, p QueryParams) ([]Result, error) {
 
 // QueryMeta is Query exposing the response flags (degradation, cache).
 func (c *Client) QueryMeta(key string, p QueryParams) ([]Result, ResponseMeta, error) {
-	if results, meta, ok, err := c.binQuery(key, p); ok {
-		return results, meta, err
-	}
-	args := map[string]string{"key": key}
-	p.fill(args)
-	return c.resultsMeta(Request{Cmd: CmdQuery, Args: args})
-}
-
-// binQuery runs QUERY over the binary protocol; ok is false when the
-// connection is on the text protocol or the parameters need the tunnel.
-func (c *Client) binQuery(key string, p QueryParams) (results []Result, meta ResponseMeta, ok bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.v2 || !p.binaryEligible() {
-		return nil, ResponseMeta{}, false, nil
-	}
-	var flags byte
-	if p.Trace {
-		flags |= QueryFlagTrace
-	}
-	c.wbuf = AppendQueryV2(c.wbuf[:0], key, p.K, p.Mode, flags, uint64(p.Budget))
-	status, resp, err := c.binRoundTrip(OpQuery, c.wbuf)
-	if err != nil {
-		return nil, ResponseMeta{}, true, err
-	}
-	if status != StatusResults {
-		return nil, ResponseMeta{}, true, fmt.Errorf("protocol: unexpected response status 0x%02x", status)
-	}
-	results, meta, err = DecodeResults(resp)
-	return results, meta, true, err
+	cmd := Command{Cmd: CmdQuery, Key: []byte(key)}
+	p.fill(&cmd)
+	rep, err := c.do(&cmd)
+	return rep.results, rep.meta, err
 }
 
 // BatchQuery runs similarity queries for several already-ingested objects as
@@ -339,91 +295,26 @@ func (c *Client) binQuery(key string, p QueryParams) (results []Result, meta Res
 // returned slice is parallel to keys; per-query failures are reported in
 // BatchItem.Err without failing their siblings.
 func (c *Client) BatchQuery(keys []string, p QueryParams) ([]BatchItem, error) {
-	if items, ok, err := c.binBatchQuery(keys, p); ok {
-		if err != nil {
-			return nil, err
-		}
-		if len(items) != len(keys) {
-			return nil, fmt.Errorf("protocol: BATCHQUERY returned %d groups for %d keys", len(items), len(keys))
-		}
-		return items, nil
+	cmd := Command{Cmd: CmdBatchQuery}
+	p.fill(&cmd)
+	for _, key := range keys {
+		cmd.Keys = append(cmd.Keys, []byte(key))
 	}
-	args := map[string]string{"n": strconv.Itoa(len(keys))}
-	for i, k := range keys {
-		args["key"+strconv.Itoa(i)] = k
-	}
-	p.fill(args)
-	lines, err := c.roundTrip(Request{Cmd: CmdBatchQuery, Args: args})
+	rep, err := c.do(&cmd)
 	if err != nil {
 		return nil, err
 	}
-	items, err := ParseBatch(lines)
-	if err != nil {
-		return nil, err
+	if len(rep.batch) != len(keys) {
+		return nil, fmt.Errorf("protocol: BATCHQUERY returned %d groups for %d keys", len(rep.batch), len(keys))
 	}
-	if len(items) != len(keys) {
-		return nil, fmt.Errorf("protocol: BATCHQUERY returned %d groups for %d keys", len(items), len(keys))
-	}
-	return items, nil
-}
-
-// binBatchQuery runs BATCHQUERY over the binary protocol; ok is false when
-// the connection is on the text protocol or the parameters need the tunnel.
-func (c *Client) binBatchQuery(keys []string, p QueryParams) (items []BatchItem, ok bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.v2 || !p.binaryEligible() {
-		return nil, false, nil
-	}
-	var flags byte
-	if p.Trace {
-		flags |= QueryFlagTrace
-	}
-	c.wbuf = AppendBatchQueryV2(c.wbuf[:0], keys, p.K, p.Mode, flags, uint64(p.Budget))
-	status, resp, err := c.binRoundTrip(OpBatchQuery, c.wbuf)
-	if err != nil {
-		return nil, true, err
-	}
-	if status != StatusBatch {
-		return nil, true, fmt.Errorf("protocol: unexpected response status 0x%02x", status)
-	}
-	items, err = DecodeBatch(resp)
-	return items, true, err
+	return rep.batch, nil
 }
 
 // Traces fetches retained query traces, one compact rendering per line,
 // keyed recent<i>/slow<i> in newest-first order. slowOnly restricts the
 // answer to the slow-query log; n caps each list (server default when 0).
 func (c *Client) Traces(n int, slowOnly bool) (map[string]string, error) {
-	if c.ProtoV2() {
-		return c.binPairs(OpTrace, AppendTraceV2(nil, n, slowOnly, ""))
-	}
-	args := map[string]string{}
-	if n > 0 {
-		args["n"] = strconv.Itoa(n)
-	}
-	if slowOnly {
-		args["slow"] = "1"
-	}
-	lines, err := c.roundTrip(Request{Cmd: CmdTrace, Args: args})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]string, len(lines))
-	for _, line := range lines {
-		eq := strings.IndexByte(line, '=')
-		if eq <= 0 {
-			return nil, fmt.Errorf("protocol: malformed TRACE line %q", line)
-		}
-		val := line[eq+1:]
-		if strings.HasPrefix(val, `"`) {
-			if unq, err := strconv.Unquote(val); err == nil {
-				val = unq
-			}
-		}
-		out[line[:eq]] = val
-	}
-	return out, nil
+	return c.pairs(&Command{Cmd: CmdTrace, N: n, Slow: slowOnly})
 }
 
 // QueryFile runs a similarity query on a data file the server extracts with
@@ -435,128 +326,44 @@ func (c *Client) QueryFile(path string, p QueryParams) ([]Result, error) {
 
 // QueryFileMeta is QueryFile exposing the response flags (degradation).
 func (c *Client) QueryFileMeta(path string, p QueryParams) ([]Result, ResponseMeta, error) {
-	args := map[string]string{"path": path}
-	p.fill(args)
-	return c.resultsMeta(Request{Cmd: CmdQueryFile, Args: args})
+	cmd := Command{Cmd: CmdQueryFile, Path: path}
+	p.fill(&cmd)
+	rep, err := c.do(&cmd)
+	return rep.results, rep.meta, err
 }
 
 // AddFile ingests a data file through the server's plug-in extractor,
 // attaching the given attributes.
 func (c *Client) AddFile(path string, attrs map[string]string) error {
-	if c.ProtoV2() {
-		_, err := c.binPairs(OpIngest, AppendIngestV2(nil, path, attrs))
-		return err
-	}
-	args := map[string]string{"path": path}
-	for k, v := range attrs {
-		args["attr:"+k] = v
-	}
-	_, err := c.roundTrip(Request{Cmd: CmdAddFile, Args: args})
+	_, err := c.do(&Command{Cmd: CmdAddFile, Path: path, Attrs: attrs})
 	return err
 }
 
 // Search runs an attribute-based search; results carry distance 0.
 func (c *Client) Search(keywords []string, attrs map[string]string) ([]Result, error) {
-	args := map[string]string{}
-	if len(keywords) > 0 {
-		args["keywords"] = strings.Join(keywords, ",")
-	}
-	for k, v := range attrs {
-		args["attr:"+k] = v
-	}
-	return c.results(Request{Cmd: CmdSearch, Args: args})
+	rep, err := c.do(&Command{Cmd: CmdSearch, Keywords: keywords, Attrs: attrs})
+	return rep.results, err
 }
 
 // Info returns the stored attributes of an object.
 func (c *Client) Info(key string) (map[string]string, error) {
-	lines, err := c.roundTrip(Request{Cmd: CmdInfo, Args: map[string]string{"key": key}})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]string, len(lines))
-	for _, line := range lines {
-		eq := strings.IndexByte(line, '=')
-		if eq <= 0 {
-			return nil, fmt.Errorf("protocol: malformed INFO line %q", line)
-		}
-		name := line[:eq]
-		val := line[eq+1:]
-		if strings.HasPrefix(val, `"`) {
-			if unq, err := strconv.Unquote(val); err == nil {
-				val = unq
-			}
-		}
-		out[name] = val
-	}
-	return out, nil
+	return c.pairs(&Command{Cmd: CmdInfo, Key: []byte(key)})
 }
 
 // Stats returns the server engine's statistics as name → value pairs.
 func (c *Client) Stats() (map[string]string, error) {
-	if c.ProtoV2() {
-		return c.binPairs(OpStats, nil)
-	}
-	lines, err := c.roundTrip(Request{Cmd: CmdStats})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]string, len(lines))
-	for _, line := range lines {
-		eq := strings.IndexByte(line, '=')
-		if eq <= 0 {
-			return nil, fmt.Errorf("protocol: malformed STATS line %q", line)
-		}
-		out[line[:eq]] = line[eq+1:]
-	}
-	return out, nil
+	return c.pairs(&Command{Cmd: CmdStats})
 }
 
 // Telemetry returns the server's runtime telemetry — every registered
 // counter, gauge and histogram summary (count/sum/p50/p90/p99) as flat
 // name → value pairs.
 func (c *Client) Telemetry() (map[string]string, error) {
-	lines, err := c.roundTrip(Request{Cmd: CmdTelemetry})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]string, len(lines))
-	for _, line := range lines {
-		eq := strings.IndexByte(line, '=')
-		if eq <= 0 {
-			return nil, fmt.Errorf("protocol: malformed TELEMETRY line %q", line)
-		}
-		out[line[:eq]] = line[eq+1:]
-	}
-	return out, nil
+	return c.pairs(&Command{Cmd: CmdTelemetry})
 }
 
 // Delete removes an object by key.
 func (c *Client) Delete(key string) error {
-	if c.ProtoV2() {
-		_, err := c.binPairs(OpDelete, AppendStr16(nil, key))
-		return err
-	}
-	_, err := c.roundTrip(Request{Cmd: CmdDelete, Args: map[string]string{"key": key}})
+	_, err := c.do(&Command{Cmd: CmdDelete, Key: []byte(key)})
 	return err
-}
-
-func (c *Client) results(req Request) ([]Result, error) {
-	out, _, err := c.resultsMeta(req)
-	return out, err
-}
-
-func (c *Client) resultsMeta(req Request) ([]Result, ResponseMeta, error) {
-	lines, meta, err := c.roundTripMeta(req)
-	if err != nil {
-		return nil, meta, err
-	}
-	out := make([]Result, 0, len(lines))
-	for _, line := range lines {
-		r, err := ParseResultLine(line)
-		if err != nil {
-			return nil, meta, err
-		}
-		out = append(out, r)
-	}
-	return out, meta, nil
 }

@@ -69,6 +69,10 @@ const (
 	CmdDelete     = "DELETE"     // remove an object by key
 )
 
+// Commands lists every command (the server keeps a request counter for each).
+var Commands = []string{CmdPing, CmdCount, CmdQuery, CmdBatchQuery, CmdQueryFile, CmdAddFile,
+	CmdSearch, CmdInfo, CmdStats, CmdTelemetry, CmdTrace, CmdDelete}
+
 // ParseRequest parses a command line. Values may be bare (no spaces) or
 // Go-quoted.
 func ParseRequest(line string) (Request, error) {
@@ -76,7 +80,7 @@ func ParseRequest(line string) (Request, error) {
 	if err != nil {
 		return Request{}, err
 	}
-	if len(fields) == 0 {
+	if len(fields) == 0 || fields[0] == "" {
 		return Request{}, errors.New("protocol: empty request")
 	}
 	req := Request{Cmd: strings.ToUpper(fields[0]), Args: map[string]string{}}
@@ -138,29 +142,23 @@ func splitQuoted(line string) ([]string, error) {
 }
 
 // FormatRequest renders a request as a protocol line (arguments sorted for
-// determinism, values quoted when needed).
+// determinism, every token quoted when needed).
 func FormatRequest(req Request) string {
-	var sb strings.Builder
-	sb.WriteString(strings.ToUpper(req.Cmd))
-	keys := make([]string, 0, len(req.Args))
-	for k := range req.Args {
+	b := AppendMaybeQuote(nil, strings.ToUpper(req.Cmd))
+	for _, k := range sortedKeys(req.Args) {
+		b = append(AppendMaybeQuote(append(b, ' '), k), '=')
+		b = AppendMaybeQuote(b, req.Args[k])
+	}
+	return string(b)
+}
+
+func sortedKeys(m map[string]string) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	for _, k := range keys {
-		sb.WriteByte(' ')
-		sb.WriteString(k)
-		sb.WriteByte('=')
-		sb.WriteString(maybeQuote(req.Args[k]))
-	}
-	return sb.String()
-}
-
-func maybeQuote(v string) string {
-	if v == "" || strings.ContainsAny(v, " \t\"\\\n") {
-		return strconv.Quote(v)
-	}
-	return v
+	return keys
 }
 
 // AppendMaybeQuote appends v to b under the protocol's quoting rule
@@ -207,36 +205,30 @@ type ResponseMeta struct {
 	Cache string
 }
 
-// flags renders the head-line flag tokens (leading space included).
-func (m ResponseMeta) flags() string {
-	var sb strings.Builder
+// appendFlags appends the head-line flag tokens (each with a leading space).
+func (m ResponseMeta) appendFlags(b []byte) []byte {
 	if m.Degraded {
-		sb.WriteString(" degraded")
+		b = append(b, " degraded"...)
 	}
 	if m.Mode != "" {
-		sb.WriteString(" mode=")
-		sb.WriteString(m.Mode)
+		b = append(append(b, " mode="...), m.Mode...)
 	}
 	if m.TraceID != "" {
-		sb.WriteString(" trace=")
-		sb.WriteString(m.TraceID)
+		b = append(append(b, " trace="...), m.TraceID...)
 	}
 	if m.Cache != "" {
-		sb.WriteString(" cache=")
-		sb.WriteString(m.Cache)
+		b = append(append(b, " cache="...), m.Cache...)
 	}
-	if len(m.Stages) > 0 {
-		sb.WriteString(" stages=")
-		for i, st := range m.Stages {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			sb.WriteString(st.Name)
-			sb.WriteByte(':')
-			sb.WriteString(strconv.FormatInt(st.Dur, 10))
+	for i, st := range m.Stages {
+		if i == 0 {
+			b = append(b, " stages="...)
+		} else {
+			b = append(b, ',')
 		}
+		b = append(append(b, st.Name...), ':')
+		b = strconv.AppendInt(b, st.Dur, 10)
 	}
-	return sb.String()
+	return b
 }
 
 // parseFlag folds one head-line (or batch group header) flag token into the
@@ -266,40 +258,57 @@ func (m *ResponseMeta) parseFlag(f string) {
 	}
 }
 
-// WriteResults writes a successful response with result lines.
-func WriteResults(w io.Writer, results []Result) error {
-	return WriteResultsMeta(w, results, ResponseMeta{})
+// The Append* functions are the text response encoders: each appends one
+// complete response to b, so the server encodes into a pooled buffer and
+// writes once. The Write* forms are the same encodings written to w.
+
+// AppendResults appends a successful response of result lines with its
+// head-line flags.
+func AppendResults(b []byte, results []Result, meta ResponseMeta) []byte {
+	b = strconv.AppendInt(append(b, "OK "...), int64(len(results)), 10)
+	b = append(meta.appendFlags(b), '\n')
+	return appendResultLines(b, results)
 }
 
-// WriteResultsMeta writes a successful response with result lines and
-// head-line flags.
-func WriteResultsMeta(w io.Writer, results []Result, meta ResponseMeta) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "OK %d%s\n", len(results), meta.flags())
+func appendResultLines(b []byte, results []Result) []byte {
 	for _, r := range results {
-		fmt.Fprintf(bw, "%s %g\n", maybeQuote(r.Key), r.Distance)
+		b = append(AppendMaybeQuote(b, r.Key), ' ')
+		b = append(strconv.AppendFloat(b, r.Distance, 'g', -1, 64), '\n')
 	}
-	return bw.Flush()
+	return b
+}
+
+// AppendPairs appends a successful response of name=value lines, sorted by
+// name. A nil map is the bare "OK 0".
+func AppendPairs(b []byte, pairs map[string]string) []byte {
+	b = append(strconv.AppendInt(append(b, "OK "...), int64(len(pairs)), 10), '\n')
+	for _, k := range sortedKeys(pairs) {
+		b = append(append(b, k...), '=')
+		b = append(AppendMaybeQuote(b, pairs[k]), '\n')
+	}
+	return b
+}
+
+// AppendError appends an error response.
+func AppendError(b []byte, msg string) []byte {
+	return append(strconv.AppendQuote(append(b, "ERR "...), msg), '\n')
+}
+
+// WriteResults writes a successful response with result lines.
+func WriteResults(w io.Writer, results []Result) error {
+	_, err := w.Write(AppendResults(nil, results, ResponseMeta{}))
+	return err
 }
 
 // WritePairs writes a successful response of name=value lines (INFO).
 func WritePairs(w io.Writer, pairs map[string]string) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "OK %d\n", len(pairs))
-	keys := make([]string, 0, len(pairs))
-	for k := range pairs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(bw, "%s=%s\n", k, maybeQuote(pairs[k]))
-	}
-	return bw.Flush()
+	_, err := w.Write(AppendPairs(nil, pairs))
+	return err
 }
 
 // WriteError writes an error response.
 func WriteError(w io.Writer, err error) error {
-	_, werr := fmt.Fprintf(w, "ERR %s\n", strconv.Quote(err.Error()))
+	_, werr := w.Write(AppendError(nil, err.Error()))
 	return werr
 }
 
@@ -360,7 +369,7 @@ type BatchItem struct {
 	Err string
 }
 
-// WriteBatch writes a BATCHQUERY response. The payload is framed inside a
+// AppendBatch appends a BATCHQUERY response. The payload is framed inside a
 // normal OK response so generic clients can still consume it line-counted:
 //
 //	OK <total> batch
@@ -368,24 +377,29 @@ type BatchItem struct {
 //	q <i> err <quoted msg>    (failed query: header only)
 //
 // where total counts every payload line (group headers included).
-func WriteBatch(w io.Writer, items []BatchItem) error {
+func AppendBatch(b []byte, items []BatchItem) []byte {
 	total := 0
 	for _, it := range items {
 		total += 1 + len(it.Results)
 	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "OK %d batch\n", total)
+	b = append(strconv.AppendInt(append(b, "OK "...), int64(total), 10), " batch\n"...)
 	for i, it := range items {
+		b = append(strconv.AppendInt(append(b, "q "...), int64(i), 10), ' ')
 		if it.Err != "" {
-			fmt.Fprintf(bw, "q %d err %s\n", i, strconv.Quote(it.Err))
+			b = append(strconv.AppendQuote(append(b, "err "...), it.Err), '\n')
 			continue
 		}
-		fmt.Fprintf(bw, "q %d %d%s\n", i, len(it.Results), it.Meta.flags())
-		for _, r := range it.Results {
-			fmt.Fprintf(bw, "%s %g\n", maybeQuote(r.Key), r.Distance)
-		}
+		b = strconv.AppendInt(b, int64(len(it.Results)), 10)
+		b = append(it.Meta.appendFlags(b), '\n')
+		b = appendResultLines(b, it.Results)
 	}
-	return bw.Flush()
+	return b
+}
+
+// WriteBatch writes a BATCHQUERY response.
+func WriteBatch(w io.Writer, items []BatchItem) error {
+	_, err := w.Write(AppendBatch(nil, items))
+	return err
 }
 
 // ParseBatch reassembles the per-query groups from a BATCHQUERY response's
@@ -452,4 +466,24 @@ func ParseResultLine(line string) (Result, error) {
 		return Result{}, fmt.Errorf("protocol: bad distance in %q: %w", line, err)
 	}
 	return Result{Key: fields[0], Distance: d}, nil
+}
+
+// ParsePairs parses the "<name>=<value>" payload lines of a pairs response
+// (COUNT, INFO, STATS, TELEMETRY, TRACE), unquoting quoted values.
+func ParsePairs(lines []string) (map[string]string, error) {
+	out := make(map[string]string, len(lines))
+	for _, line := range lines {
+		eq := strings.IndexByte(line, '=')
+		if eq <= 0 {
+			return nil, fmt.Errorf("protocol: malformed pair line %q", line)
+		}
+		val := line[eq+1:]
+		if strings.HasPrefix(val, `"`) {
+			if unq, err := strconv.Unquote(val); err == nil {
+				val = unq
+			}
+		}
+		out[line[:eq]] = val
+	}
+	return out, nil
 }

@@ -15,10 +15,10 @@ import (
 	"ferret/internal/sketch"
 )
 
-// startServerV2 is startServer with the result cache switched on and an
-// optional Proto policy; it returns the listen address so tests can dial
-// several clients against the same server.
-func startServerV2(t *testing.T, extract ExtractFunc, proto string) (string, *core.Engine) {
+// startServerV2 is startServer with the result cache switched on; it returns
+// the listen address so tests can dial several clients against the same
+// server.
+func startServerV2(t *testing.T, extract ExtractFunc) (string, *core.Engine) {
 	t.Helper()
 	const d = 6
 	min := make([]float32, d)
@@ -50,7 +50,7 @@ func startServerV2(t *testing.T, extract ExtractFunc, proto string) (string, *co
 		}
 	}
 
-	srv := &Server{Engine: engine, Extract: extract, DefaultK: 5, Proto: proto}
+	srv := &Server{Engine: engine, Extract: extract, DefaultK: 5}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func dialText(t *testing.T, addr string) *protocol.Client {
 // TestV2QueryEquivalence pins that an upgraded connection returns answers
 // bit-identical to the text protocol, across every query mode.
 func TestV2QueryEquivalence(t *testing.T) {
-	addr, _ := startServerV2(t, nil, "")
+	addr, _ := startServerV2(t, nil)
 	tc := dialText(t, addr)
 	bc := dialV2(t, addr)
 
@@ -127,7 +127,7 @@ func TestV2QueryEquivalence(t *testing.T) {
 // TestV2CacheFlag drives the miss-then-hit progression through the binary
 // protocol and checks both clients see the cache= flag.
 func TestV2CacheFlag(t *testing.T) {
-	addr, _ := startServerV2(t, nil, "")
+	addr, _ := startServerV2(t, nil)
 	bc := dialV2(t, addr)
 
 	first, meta1, err := bc.QueryMeta("c2/m1", protocol.QueryParams{K: 3})
@@ -165,9 +165,10 @@ func TestV2CacheFlag(t *testing.T) {
 }
 
 // TestV2Trace asks for tracing over the binary protocol and checks the trace
-// ID and stage breakdown come back, and that the trace is retrievable.
+// ID and stage breakdown — protocol parse first, as on a text connection —
+// come back, and that the trace is retrievable.
 func TestV2Trace(t *testing.T) {
-	addr, _ := startServerV2(t, nil, "")
+	addr, _ := startServerV2(t, nil)
 	bc := dialV2(t, addr)
 
 	_, meta, err := bc.QueryMeta("c0/m2", protocol.QueryParams{K: 3, Trace: true})
@@ -177,8 +178,8 @@ func TestV2Trace(t *testing.T) {
 	if meta.TraceID == "" {
 		t.Fatal("traced v2 query returned no trace ID")
 	}
-	if len(meta.Stages) == 0 {
-		t.Fatal("traced v2 query returned no stages")
+	if len(meta.Stages) == 0 || meta.Stages[0].Name != "parse" {
+		t.Fatalf("traced v2 query's stages %v do not start with the parse span", meta.Stages)
 	}
 	traces, err := bc.Traces(5, false)
 	if err != nil {
@@ -192,7 +193,7 @@ func TestV2Trace(t *testing.T) {
 // TestV2BatchEquivalence compares BATCHQUERY across the two protocols,
 // including the per-item error for an unknown key.
 func TestV2BatchEquivalence(t *testing.T) {
-	addr, _ := startServerV2(t, nil, "")
+	addr, _ := startServerV2(t, nil)
 	tc := dialText(t, addr)
 	bc := dialV2(t, addr)
 
@@ -227,7 +228,7 @@ func TestV2BatchEquivalence(t *testing.T) {
 // DELETE) and the OpText tunnel (INFO, TELEMETRY, SEARCH, keyword-restricted
 // QUERY) over one upgraded connection.
 func TestV2PairsAndTunnel(t *testing.T) {
-	addr, _ := startServerV2(t, nil, "")
+	addr, _ := startServerV2(t, nil)
 	bc := dialV2(t, addr)
 
 	if err := bc.Ping(); err != nil {
@@ -313,7 +314,7 @@ func TestV2Ingest(t *testing.T) {
 		}
 		return object.Single(path, vec), nil
 	}
-	addr, engine := startServerV2(t, extract, "")
+	addr, engine := startServerV2(t, extract)
 	bc := dialV2(t, addr)
 
 	if err := bc.AddFile("new/object", map[string]string{"cluster": "cx"}); err != nil {
@@ -328,29 +329,6 @@ func TestV2Ingest(t *testing.T) {
 	}
 	if info["attr:cluster"] != "cx" {
 		t.Fatalf("ingested attrs = %v", info)
-	}
-}
-
-// TestV2Refused checks a Proto:"text" server declines the upgrade and the
-// connection keeps speaking the text protocol afterwards.
-func TestV2Refused(t *testing.T) {
-	addr, _ := startServerV2(t, nil, "text")
-	c := dialText(t, addr)
-	ok, err := c.TryUpgradeV2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("text-only server accepted the v2 upgrade")
-	}
-	if c.ProtoV2() {
-		t.Fatal("client recorded an upgrade the server refused")
-	}
-	if err := c.Ping(); err != nil {
-		t.Fatalf("text protocol broken after refused upgrade: %v", err)
-	}
-	if _, err := c.Query("c0/m0", protocol.QueryParams{K: 3}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -7,6 +7,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -33,7 +34,7 @@ import (
 // Ferret object.
 type ExtractFunc func(path string) (object.Object, error)
 
-// Server dispatches protocol requests against a core engine.
+// Server serves protocol requests against a core engine.
 type Server struct {
 	Engine *core.Engine
 	// Extract handles QUERYFILE and ADDFILE; nil disables them.
@@ -45,10 +46,6 @@ type Server struct {
 	// flagged degraded (see core.QueryOptions.Budget). Clients may request
 	// a tighter budget per query (budget=...), never a looser one.
 	QueryBudget time.Duration
-	// Proto selects the wire protocols the server speaks: "" or "v2"
-	// accepts binary-protocol upgrades (HELLO proto=v2), "text" refuses
-	// them and keeps every connection on the text protocol.
-	Proto string
 	// MaxConns, when positive, caps concurrent client connections; excess
 	// connections are answered with a single BUSY error and closed
 	// (ferret_conns_shed_total counts them).
@@ -85,13 +82,19 @@ type Server struct {
 }
 
 // connState tracks one client connection; busy is true while a request is
-// being dispatched, so Shutdown can tell in-flight work from idle
-// connections. tr is the connection's trace recording buffer: one request is
-// in flight at a time per connection, so traced requests arm it in place and
-// tracing adds no per-request allocation to the serving layer.
+// being served, so Shutdown can tell in-flight work from idle connections.
+// One request is in flight at a time per connection, so what a request needs
+// lives here and is reused: req is the decoded request (its byte fields alias
+// fbuf, the v2 frame read buffer), rows the scratch a query answer's result
+// rows are converted into, and tr the trace recording buffer traced requests
+// arm in place — serving a request allocates nothing of its own.
 type connState struct {
 	conn net.Conn
 	busy atomic.Bool
+	v2   bool // upgraded by HELLO proto=v2: requests arrive as frames
+	req  protocol.Command
+	fbuf []byte
+	rows []protocol.Result
 	tr   trace.Active
 }
 
@@ -143,7 +146,7 @@ func (s *Server) metrics() *serverMetrics {
 			errors:       reg.Counter("ferret_server_errors_total", "Requests answered with an ERR response."),
 			bytesRead:    reg.Counter("ferret_server_read_bytes_total", "Protocol bytes read from clients."),
 			bytesWritten: reg.Counter("ferret_server_written_bytes_total", "Protocol bytes written to clients."),
-			inflight:     reg.Gauge("ferret_server_inflight_requests", "Requests currently being dispatched."),
+			inflight:     reg.Gauge("ferret_server_inflight_requests", "Requests currently being served."),
 			conns:        reg.Gauge("ferret_server_connections", "Open client connections."),
 			connsTotal:   reg.Counter("ferret_server_connections_total", "Client connections accepted."),
 			shed:         reg.Counter("ferret_conns_shed_total", "Connections refused with BUSY at the connection limit."),
@@ -154,13 +157,8 @@ func (s *Server) metrics() *serverMetrics {
 			wireMisses:   reg.Gauge("ferret_wire_buf_misses_total", "Wire-buffer gets that had to allocate."),
 			wirePuts:     reg.Gauge("ferret_wire_buf_puts_total", "Wire buffers returned to the size-class pools."),
 		}
-		for _, cmd := range []string{
-			protocol.CmdPing, protocol.CmdCount, protocol.CmdQuery,
-			protocol.CmdBatchQuery, protocol.CmdQueryFile, protocol.CmdAddFile,
-			protocol.CmdSearch, protocol.CmdInfo, protocol.CmdStats,
-			protocol.CmdTelemetry, protocol.CmdDelete, protocol.CmdTrace,
-		} {
-			m.requests[cmd] = reg.Counter("ferret_server_requests_total", "Protocol requests dispatched, by command.", "cmd", cmd)
+		for _, cmd := range protocol.Commands {
+			m.requests[cmd] = reg.Counter("ferret_server_requests_total", "Protocol requests served, by command.", "cmd", cmd)
 		}
 		s.met = m
 	})
@@ -333,6 +331,10 @@ func (s *Server) Shutdown(ctx context.Context) (drained, aborted int, err error)
 	return drained, aborted, err
 }
 
+// handleConn serves one connection: text request lines until the client
+// negotiates the binary protocol (HELLO proto=v2), v2 frames from then on.
+// Either way a request is decoded into the connection's Command, served by
+// the one handler table and answered in the framing it arrived in.
 func (s *Server) handleConn(ctx context.Context, st *connState) {
 	conn := st.conn
 	met := s.metrics()
@@ -342,60 +344,62 @@ func (s *Server) handleConn(ctx context.Context, st *connState) {
 	defer func() {
 		conn.Close()
 		met.conns.Add(-1)
+		if st.v2 {
+			met.v2Conns.Add(-1)
+		}
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
 	// The writer is boxed into its interface once per connection, so the
-	// per-request dispatch calls don't re-box it (an allocation the binary
-	// fast path's 0 allocs/op contract cannot afford).
+	// per-request calls don't re-box it (an allocation the v2 QUERY path's
+	// 0 allocs/op contract cannot afford). One reader serves both framings:
+	// bytes the client pipelined behind its HELLO are already binary frames.
 	var w io.Writer = countingWriter{w: conn, c: met.bytesWritten}
 	rd := bufio.NewReaderSize(conn, 1<<16)
-	for {
+	// A transport error drops the connection; a drain lets the request in
+	// flight finish, then hangs up.
+	for err := error(nil); err == nil && !s.draining.Load(); {
 		if s.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.ReadTimeout))
 		}
-		line, err := readLine(rd)
-		if err != nil {
-			return
-		}
-		met.bytesRead.Add(len(line) + 1) // +1 for the newline
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		// Busy from parse to response: Shutdown counts this connection as
-		// in-flight and gives it the drain grace.
-		st.busy.Store(true)
-		if s.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
-		}
-		if line == "HELLO" || strings.HasPrefix(line, "HELLO ") {
-			upgraded, err := s.handleHello(w, line)
-			st.busy.Store(false)
-			if err != nil {
-				return
-			}
-			if upgraded {
-				// The reader carries over: bytes the client pipelined
-				// behind the HELLO are already binary frames.
-				s.serveBinary(ctx, conn, w, rd, st)
-				return
-			}
-			if s.draining.Load() {
-				return
-			}
-			continue
-		}
-		err = s.handleLine(ctx, w, st, line)
-		st.busy.Store(false)
-		if err != nil {
-			return // transport error: drop the connection
-		}
-		if s.draining.Load() {
-			return // finish the drained request, then hang up
+		if st.v2 {
+			err = s.serveFrame(ctx, w, rd, st)
+		} else {
+			err = s.serveLine(ctx, w, rd, st)
 		}
 	}
+}
+
+// begin marks the connection busy, from parse to response: Shutdown counts
+// it as in-flight and gives it the drain grace.
+func (s *Server) begin(st *connState) {
+	st.busy.Store(true)
+	if s.WriteTimeout > 0 {
+		st.conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
+	}
+}
+
+// serveLine reads and serves one text request line (blank lines are
+// skipped). The returned error is a transport error.
+func (s *Server) serveLine(ctx context.Context, w io.Writer, rd *bufio.Reader, st *connState) error {
+	line, err := readLine(rd)
+	if err != nil {
+		return err
+	}
+	s.metrics().bytesRead.Add(len(line) + 1) // +1 for the newline
+	if line = strings.TrimSpace(line); line == "" {
+		return nil
+	}
+	s.begin(st)
+	if line == "HELLO" || strings.HasPrefix(line, "HELLO ") {
+		err = s.handleHello(w, st, line)
+	} else {
+		start := time.Now() // before the decode: a traced request's parse span covers it
+		err = s.serve(ctx, w, st, textEncoder{}, false, start, protocol.DecodeLine(&st.req, line))
+	}
+	st.busy.Store(false)
+	return err
 }
 
 // maxLineBytes bounds one text request line (the old Scanner buffer limit).
@@ -431,181 +435,164 @@ func readLine(rd *bufio.Reader) (string, error) {
 	}
 }
 
-// handleHello answers a HELLO negotiation line: accepting (proto=v2 on a
-// v2-speaking server) writes the confirming pairs response and reports
-// upgraded; refusals write ERR and leave the connection on the text
-// protocol. The returned error is a transport error.
-func (s *Server) handleHello(w io.Writer, line string) (bool, error) {
+// handleHello answers a HELLO negotiation line: proto=v2 is confirmed with a
+// pairs response and switches the connection to v2 frames; anything else is
+// refused with ERR and leaves it on the text protocol. The returned error is
+// a transport error.
+func (s *Server) handleHello(w io.Writer, st *connState, line string) error {
 	req, err := protocol.ParseRequest(line)
+	if proto := req.Args["proto"]; err == nil && proto != protocol.HelloV2Value {
+		err = fmt.Errorf("unsupported protocol %q", proto)
+	}
+	resp := response{pairs: map[string]string{"proto": protocol.HelloV2Value}}
+	werr := s.respond(w, textEncoder{}, false, &resp, err)
+	if werr == nil && err == nil {
+		st.v2 = true
+		s.metrics().v2Upgrades.Inc()
+		s.metrics().v2Conns.Add(1)
+	}
+	return werr
+}
+
+// serveFrame reads and serves one v2 request frame (see
+// internal/protocol/binary.go for the wire format). The returned error — a
+// transport error, or a malformed length word — ends the connection. The
+// frame buffer is reused across requests, but one that a request grew past
+// the largest wire-buffer class is dropped afterwards: like the response
+// buffers (wirebuf.go), a single huge frame must not pin its memory for as
+// long as the client stays connected.
+func (s *Server) serveFrame(ctx context.Context, w io.Writer, rd *bufio.Reader, st *connState) error {
+	op, payload, buf, err := protocol.ReadFrame(rd, st.fbuf)
+	st.fbuf = buf
 	if err != nil {
-		return false, s.writeErr(w, err)
+		return err
 	}
-	if proto := req.Args["proto"]; proto != protocol.HelloV2Value {
-		return false, s.writeErr(w, fmt.Errorf("unsupported protocol %q", proto))
+	s.metrics().bytesRead.Add(len(buf) + 4)
+	s.begin(st)
+	err = s.handleFrame(ctx, w, st, op, payload)
+	st.busy.Store(false)
+	if cap(st.fbuf) > wireClassSizes[wireClasses-1] {
+		st.fbuf = nil
 	}
-	if s.Proto == "text" {
-		return false, s.writeErr(w, errors.New("binary protocol disabled on this server"))
-	}
-	if err := protocol.WritePairs(w, map[string]string{"proto": protocol.HelloV2Value}); err != nil {
-		return false, err
-	}
-	s.metrics().v2Upgrades.Inc()
-	return true, nil
+	return err
 }
 
-// handleLine parses and dispatches one request line, writing exactly one
-// response. The returned error is a transport error. The parse timestamp is
-// taken before ParseRequest so a traced query's first span covers protocol
-// parsing.
-func (s *Server) handleLine(ctx context.Context, w io.Writer, st *connState, line string) error {
-	parseStart := time.Now()
-	req, err := protocol.ParseRequest(line)
-	if err != nil {
-		return s.writeErr(w, err)
+// handleFrame serves one v2 request frame, as serveLine does a line: it
+// takes the parse timestamp, decodes the frame into the connection's Command
+// and picks the encoder that answers in kind — for the OpText tunnel, the
+// text decoder and the text encoder inside a frame.
+func (s *Server) handleFrame(ctx context.Context, w io.Writer, st *connState, op byte, payload []byte) error {
+	start := time.Now()
+	var enc encoder = v2Encoder{}
+	if op == protocol.OpText {
+		enc = textEncoder{}
 	}
-	return s.dispatch(ctx, w, st, req, parseStart)
+	return s.serve(ctx, w, st, enc, true, start, protocol.DecodeFrame(&st.req, op, payload))
 }
 
-// writeErr answers a request-level failure with an ERR response, counting
-// it in the serving-layer error counter.
-func (s *Server) writeErr(w io.Writer, err error) error {
-	s.metrics().errors.Inc()
-	return protocol.WriteError(w, err)
-}
-
-// dispatch handles one request, writing exactly one response. The returned
-// error is a transport error; request-level failures become ERR responses.
-// Every request is counted by command, gauged while in flight, and timed
-// into the server latency histogram. ctx cancels in-flight queries (fired
-// by Shutdown when the drain grace expires).
-func (s *Server) dispatch(ctx context.Context, w io.Writer, st *connState, req protocol.Request, parseStart time.Time) error {
+// serve runs the connection's decoded request (or its decode error) through
+// the handler table and writes exactly one response through enc, framed for
+// an upgraded connection. The returned error is a transport error;
+// request-level failures become error responses. Every request is counted by
+// command, gauged while in flight, and timed from the start of its decode
+// into the server latency histogram (no deferred closure — the v2 QUERY path
+// stays allocation-free). ctx cancels in-flight queries (fired by Shutdown
+// when the drain grace expires).
+func (s *Server) serve(ctx context.Context, w io.Writer, st *connState, enc encoder, framed bool, start time.Time, err error) error {
 	met := s.metrics()
-	if c, ok := met.requests[req.Cmd]; ok {
+	if c, ok := met.requests[st.req.Cmd]; ok {
 		c.Inc()
 	} else {
 		met.unknown.Inc()
 	}
 	met.inflight.Add(1)
-	start := time.Now()
-	defer func() {
-		met.inflight.Add(-1)
-		met.latency.ObserveSince(start)
-	}()
+	var resp response
+	if err == nil {
+		resp, err = s.handle(ctx, st, start)
+	}
+	werr := s.respond(w, enc, framed, &resp, err)
+	met.inflight.Add(-1)
+	met.latency.ObserveSince(start)
+	return werr
+}
 
+// maxK bounds a query's result count at what a v2 frame's u16 can carry. The
+// text framing parses any integer, and the engine sizes its top-k heap by k
+// up front, so an unbounded k is a one-line remote crash.
+const maxK = 0xffff
+
+// maxBatchKeys caps one BATCHQUERY request, keeping a single request's work
+// (and its response) bounded.
+const maxBatchKeys = 256
+
+// handle is the command table: what each command does, once for both
+// framings. It validates the request's options, talks to the engine, and
+// returns the response in one of three shapes for the connection's encoder
+// to render.
+func (s *Server) handle(ctx context.Context, st *connState, start time.Time) (response, error) {
+	req := &st.req
 	switch req.Cmd {
 	case protocol.CmdPing:
-		return protocol.WriteResults(w, nil)
+		return response{}, nil
 
 	case protocol.CmdCount:
-		return protocol.WritePairs(w, map[string]string{"count": strconv.Itoa(s.Engine.Count())})
+		return response{pairs: map[string]string{"count": strconv.Itoa(s.Engine.Count())}}, nil
 
-	case protocol.CmdQuery:
-		key := req.Args["key"]
-		id, ok := s.Engine.Meta().LookupKey(key)
-		if !ok {
-			return s.writeErr(w, fmt.Errorf("unknown object key %q", key))
-		}
-		opt, err := s.queryOptions(req)
-		if err != nil {
-			return s.writeErr(w, err)
-		}
-		tr, err := s.armTrace(req, st, parseStart)
-		if err != nil {
-			return s.writeErr(w, err)
-		}
-		// Safety net for the error returns below; writeAnswer's Finish (after
-		// the write span) disarms the trace, making this a no-op.
-		defer tr.Finish()
-		opt.Trace = tr
-		var ans core.Answer
-		if sw := req.Args["segweights"]; sw != "" {
-			// Adjusted feature-vector weights (paper §4.1.4): rebuild the
-			// query object with scaled segment weights.
-			o, ok := s.Engine.Meta().GetObject(id)
-			if !ok {
-				return s.writeErr(w, errors.New("segweights requires stored feature vectors"))
-			}
-			if err := reweight(&o, sw); err != nil {
-				return s.writeErr(w, err)
-			}
-			ans, err = s.Engine.Search(ctx, o, opt)
-		} else {
-			ans, err = s.Engine.SearchByID(ctx, id, opt)
-		}
-		if err != nil {
-			return s.writeErr(w, err)
-		}
-		return writeAnswer(w, ans, tr)
+	case protocol.CmdQuery, protocol.CmdQueryFile:
+		return s.query(ctx, st, start)
 
 	case protocol.CmdBatchQuery:
-		return s.dispatchBatch(ctx, w, req)
-
-	case protocol.CmdQueryFile:
-		if s.Extract == nil {
-			return s.writeErr(w, errors.New("no extractor plugged in"))
-		}
-		o, err := s.Extract(req.Args["path"])
-		if err != nil {
-			return s.writeErr(w, err)
-		}
-		if sw := req.Args["segweights"]; sw != "" {
-			if err := reweight(&o, sw); err != nil {
-				return s.writeErr(w, err)
-			}
+		// n keys sharing one set of query options, answered through the
+		// engine's batched search so concurrent keys share arena scans.
+		if n := len(req.Keys); n == 0 || n > maxBatchKeys {
+			return response{}, fmt.Errorf("bad batch size %d (1..%d)", n, maxBatchKeys)
 		}
 		opt, err := s.queryOptions(req)
 		if err != nil {
-			return s.writeErr(w, err)
+			return response{}, err
 		}
-		tr, err := s.armTrace(req, st, parseStart)
-		if err != nil {
-			return s.writeErr(w, err)
+		// Tracing a batch: each query gets its own engine-armed,
+		// force-retained trace, and its group's flags carry the trace ID and
+		// stage breakdown. All coalesced groups' scan spans share one Ref
+		// span ID — the shared arena scan they rode.
+		if req.Trace != "" {
+			if _, err := s.tracer(); err != nil {
+				return response{}, err
+			}
+			opt.ForceTrace = true
 		}
-		defer tr.Finish()
-		opt.Trace = tr
-		ans, err := s.Engine.Search(ctx, o, opt)
-		if err != nil {
-			return s.writeErr(w, err)
-		}
-		return writeAnswer(w, ans, tr)
+		return response{shape: shapeBatch, batch: s.runBatch(ctx, req.Keys, opt)}, nil
 
 	case protocol.CmdAddFile:
-		if s.Extract == nil {
-			return s.writeErr(w, errors.New("no extractor plugged in"))
-		}
-		o, err := s.Extract(req.Args["path"])
+		o, err := s.extract(req.Path)
 		if err != nil {
-			return s.writeErr(w, err)
+			return response{}, err
 		}
-		attrs := attrArgs(req)
 		// Through the bounded ingest queue when one is configured: a full
 		// queue blocks this handler (backpressure) or sheds with BUSY.
-		if _, err := s.Engine.IngestQueued(ctx, o, attrs); err != nil {
-			return s.writeErr(w, mutationErr(err))
+		if _, err := s.Engine.IngestQueued(ctx, o, attr.Attrs(req.Attrs)); err != nil {
+			return response{}, mutationErr(err)
 		}
-		return protocol.WriteResults(w, nil)
+		return response{}, nil
 
 	case protocol.CmdSearch:
-		q := attr.Query{Equal: attrArgs(req)}
-		if kw := req.Args["keywords"]; kw != "" {
-			q.Keywords = strings.Split(kw, ",")
+		if len(req.Keywords) == 0 && len(req.Attrs) == 0 {
+			return response{}, errors.New("SEARCH needs keywords or attributes")
 		}
-		if len(q.Keywords) == 0 && len(q.Equal) == 0 {
-			return s.writeErr(w, errors.New("SEARCH needs keywords or attributes"))
+		ids := s.Engine.Attrs().Search(attr.Query{Keywords: req.Keywords, Equal: attr.Attrs(req.Attrs)})
+		resp := response{shape: shapeRows, rows: make([]protocol.Result, len(ids))}
+		for i, id := range ids {
+			resp.rows[i].Key = s.Engine.Meta().Key(id)
 		}
-		ids := s.Engine.Attrs().Search(q)
-		out := make([]protocol.Result, 0, len(ids))
-		for _, id := range ids {
-			out = append(out, protocol.Result{Key: s.Engine.Meta().Key(id)})
-		}
-		return protocol.WriteResults(w, out)
+		return resp, nil
 
 	case protocol.CmdStats:
-		return protocol.WritePairs(w, s.statsPairs())
+		return response{pairs: s.statsPairs()}, nil
 
 	case protocol.CmdTelemetry:
 		// Full telemetry dump: every registered series as flat name=value
 		// pairs, covering both the query pipeline and the serving layer.
+		met := s.metrics()
 		met.refreshWireBuf()
 		pairs := map[string]string{}
 		regs := []*telemetry.Registry{met.reg}
@@ -615,41 +602,140 @@ func (s *Server) dispatch(ctx context.Context, w io.Writer, st *connState, req p
 		for _, reg := range regs {
 			reg.Each(func(name string, v float64) { pairs[name] = formatMetric(v) })
 		}
-		return protocol.WritePairs(w, pairs)
+		return response{pairs: pairs}, nil
 
 	case protocol.CmdDelete:
-		id, ok := s.Engine.Meta().LookupKey(req.Args["key"])
-		if !ok {
-			return s.writeErr(w, fmt.Errorf("unknown object key %q", req.Args["key"]))
+		id, err := s.lookup(req.Key)
+		if err != nil {
+			return response{}, err
 		}
-		if err := s.Engine.Delete(id); err != nil {
-			return s.writeErr(w, mutationErr(err))
-		}
-		return protocol.WriteResults(w, nil)
+		return response{}, mutationErr(s.Engine.Delete(id))
 
 	case protocol.CmdTrace:
-		return s.dispatchTrace(w, req)
+		pairs, err := s.tracePairs(req.N, req.Slow, req.ID)
+		return response{pairs: pairs}, err
 
 	case protocol.CmdInfo:
-		id, ok := s.Engine.Meta().LookupKey(req.Args["key"])
-		if !ok {
-			return s.writeErr(w, fmt.Errorf("unknown object key %q", req.Args["key"]))
+		id, err := s.lookup(req.Key)
+		if err != nil {
+			return response{}, err
 		}
 		attrs, _ := s.Engine.Attrs().Get(id)
-		pairs := map[string]string{"key": req.Args["key"], "id": strconv.FormatUint(uint64(id), 10)}
+		pairs := map[string]string{"key": string(req.Key), "id": strconv.FormatUint(uint64(id), 10)}
 		for k, v := range attrs {
 			pairs["attr:"+k] = v
 		}
-		return protocol.WritePairs(w, pairs)
+		return response{pairs: pairs}, nil
 
 	default:
-		return s.writeErr(w, fmt.Errorf("unknown command %q", req.Cmd))
+		return response{}, fmt.Errorf("unknown command %q", req.Cmd)
 	}
+}
+
+// extract runs the plug-in extractor on a data file (QUERYFILE, ADDFILE).
+func (s *Server) extract(path string) (object.Object, error) {
+	if s.Extract == nil {
+		return object.Object{}, errors.New("no extractor plugged in")
+	}
+	return s.Extract(path)
+}
+
+// lookup resolves an object key straight out of the request (for a v2 frame,
+// out of the read buffer — no string conversion).
+func (s *Server) lookup(key []byte) (object.ID, error) {
+	id, ok := s.Engine.Meta().LookupKeyBytes(key)
+	if !ok {
+		return 0, fmt.Errorf("unknown object key %q", key)
+	}
+	return id, nil
+}
+
+// query answers QUERY (a stored object, by key) and QUERYFILE (a data file
+// run through the plug-in extractor): one similarity search. On a v2 QUERY
+// this is the serving layer's zero-copy contract: the key is resolved out of
+// the request frame, a result-cache hit is converted into the connection's
+// row scratch and encoded from there into a pooled wire buffer — zero heap
+// allocations per request at steady state (TestServePathAllocs).
+func (s *Server) query(ctx context.Context, st *connState, start time.Time) (response, error) {
+	req := &st.req
+	opt, err := s.queryOptions(req)
+	if err != nil {
+		return response{}, err
+	}
+	// The query object: a stored one searches by ID unless its weights are
+	// adjusted, which (like an extracted file) needs the feature vectors.
+	var (
+		id   object.ID
+		o    object.Object
+		byID bool
+	)
+	if req.Cmd == protocol.CmdQuery {
+		if id, err = s.lookup(req.Key); err != nil {
+			return response{}, err
+		}
+		byID = req.SegWeights == ""
+		if !byID {
+			var ok bool
+			if o, ok = s.Engine.Meta().GetObject(id); !ok {
+				return response{}, errors.New("segweights requires stored feature vectors")
+			}
+		}
+	} else if o, err = s.extract(req.Path); err != nil {
+		return response{}, err
+	}
+	if req.SegWeights != "" {
+		if err := reweight(&o, req.SegWeights); err != nil {
+			return response{}, err
+		}
+	}
+	tr, err := s.armTrace(st, start)
+	if err != nil {
+		return response{}, err
+	}
+	opt.Trace = tr
+	var ans core.Answer
+	if byID {
+		ans, err = s.Engine.SearchByID(ctx, id, opt)
+	} else {
+		ans, err = s.Engine.Search(ctx, o, opt)
+	}
+	if err != nil {
+		return response{tr: tr}, err
+	}
+	// For a traced request the head-line flags carry the trace ID and the
+	// aggregated stage breakdown so far; the response write is recorded
+	// afterwards (respond), visible in the retained trace only — it can't
+	// time itself into the bytes it produces.
+	if tr.Armed() {
+		ans.Trace = &core.TraceInfo{ID: tr.ID().String(), Stages: tr.Stages()}
+	}
+	st.rows = appendRows(st.rows[:0], ans.Results)
+	return response{shape: shapeRows, rows: st.rows, meta: answerMeta(&ans), tr: tr}, nil
+}
+
+// appendRows appends an engine answer's results in their wire form.
+func appendRows(dst []protocol.Result, results []core.Result) []protocol.Result {
+	for i := range results {
+		dst = append(dst, protocol.Result{Key: results[i].Key, Distance: results[i].Distance})
+	}
+	return dst
+}
+
+// answerMeta is the wire form of an engine answer's flags and trace.
+func answerMeta(ans *core.Answer) protocol.ResponseMeta {
+	meta := protocol.ResponseMeta{Degraded: ans.Degraded, Mode: ans.FilterMode, Cache: ans.Cache}
+	if ans.Trace != nil {
+		meta.TraceID = ans.Trace.ID
+		for _, st := range ans.Trace.Stages {
+			meta.Stages = append(meta.Stages, protocol.StageTiming{Name: st.Name, Dur: int64(st.Dur)})
+		}
+	}
+	return meta
 }
 
 // statsPairs assembles the STATS response: structural engine statistics,
 // headline pipeline counters, result-cache health and serving-protocol
-// health (shared by the text and binary dispatchers).
+// health.
 func (s *Server) statsPairs() map[string]string {
 	met := s.metrics()
 	st := s.Engine.Stat()
@@ -701,74 +787,53 @@ func (s *Server) statsPairs() map[string]string {
 	return pairs
 }
 
+// tracer returns the engine's tracer, or the error every trace-dependent
+// request answers with when tracing is off.
+func (s *Server) tracer() (*trace.Tracer, error) {
+	if t := s.Engine.Tracer(); t != nil {
+		return t, nil
+	}
+	return nil, errors.New("tracing disabled on this server")
+}
+
 // armTrace arms the connection's trace recording buffer when the request
 // asked for tracing. trace=on|1|new mints a fresh trace ID; any other value
 // is a propagated trace ID to adopt, so a caller that spans several systems
 // can stitch the query into its own trace. Traced requests are always
-// retained (forced), and the protocol parse is backfilled as the first span.
-// Returns nil with no error for untraced requests.
-func (s *Server) armTrace(req protocol.Request, st *connState, parseStart time.Time) (*trace.Active, error) {
-	v := req.Args["trace"]
+// retained (forced), and the protocol parse — timed from start, taken before
+// the request was decoded — is backfilled as the first span. Returns nil
+// with no error for untraced requests.
+func (s *Server) armTrace(st *connState, start time.Time) (*trace.Active, error) {
+	v := st.req.Trace
 	if v == "" {
 		return nil, nil
 	}
-	tracer := s.Engine.Tracer()
-	if tracer == nil {
-		return nil, errors.New("tracing disabled on this server")
+	tracer, err := s.tracer()
+	if err != nil {
+		return nil, err
 	}
 	var id trace.TraceID
 	switch v {
-	case "on", "1", "new":
+	case protocol.TraceOn, "1", "new":
 		// Fresh ID (BeginWith allocates one for 0).
 	default:
-		pid, err := trace.ParseTraceID(v)
-		if err != nil {
+		if id, err = trace.ParseTraceID(v); err != nil {
 			return nil, err
 		}
-		id = pid
 	}
-	tracer.BeginWith(&st.tr, strings.ToLower(req.Cmd), id, true)
-	st.tr.Record("parse", parseStart, time.Since(parseStart))
+	tracer.BeginWith(&st.tr, strings.ToLower(st.req.Cmd), id, true)
+	st.tr.Record("parse", start, time.Since(start))
 	return &st.tr, nil
 }
 
-// stageTimings converts aggregated trace stages to their wire form.
-func stageTimings(stages []trace.Stage) []protocol.StageTiming {
-	out := make([]protocol.StageTiming, len(stages))
-	for i, st := range stages {
-		out[i] = protocol.StageTiming{Name: st.Name, Dur: int64(st.Dur)}
-	}
-	return out
-}
-
-// dispatchTrace answers the TRACE command from the tracer's retained rings
-// as compact one-line renderings, newest first: recent<i> from the sampled
-// ring and slow<i> from the slow-query log. Args: n caps each list (default
-// 10), slow=1 restricts the answer to the slow-query log, id=<hex> looks up
-// one retained trace (key trace0).
-func (s *Server) dispatchTrace(w io.Writer, req protocol.Request) error {
-	n := 0
-	if v := req.Args["n"]; v != "" {
-		k, err := strconv.Atoi(v)
-		if err != nil || k <= 0 {
-			return s.writeErr(w, fmt.Errorf("bad n %q", v))
-		}
-		n = k
-	}
-	pairs, err := s.tracePairs(n, req.Args["slow"] != "", req.Args["id"])
-	if err != nil {
-		return s.writeErr(w, err)
-	}
-	return protocol.WritePairs(w, pairs)
-}
-
-// tracePairs assembles a TRACE answer (shared by the text and binary
-// dispatchers): one retained trace by ID, or the newest-first recent and
-// slow lists capped at n (default 10).
+// tracePairs assembles a TRACE answer from the tracer's retained rings as
+// compact one-line renderings: one retained trace by ID (key trace0), or the
+// newest-first slow<i> (slow-query log) and recent<i> (sampled ring) lists,
+// each capped at n (default 10).
 func (s *Server) tracePairs(n int, slowOnly bool, id string) (map[string]string, error) {
-	tracer := s.Engine.Tracer()
-	if tracer == nil {
-		return nil, errors.New("tracing disabled on this server")
+	tracer, err := s.tracer()
+	if err != nil {
+		return nil, err
 	}
 	if id != "" {
 		tid, err := trace.ParseTraceID(id)
@@ -800,57 +865,18 @@ func (s *Server) tracePairs(n int, slowOnly bool, id string) (map[string]string,
 	return pairs, nil
 }
 
-// maxBatchKeys caps one BATCHQUERY request, keeping a single request line's
-// work (and its response) bounded.
-const maxBatchKeys = 256
-
-// dispatchBatch handles BATCHQUERY: n indexed keys (key0..key{n-1}) sharing
-// one set of query parameters, answered through the engine's batched search
-// so concurrent keys share arena scans. Per-key failures (unknown key,
-// missing feature vectors) are reported inside their group without failing
-// the rest of the batch.
-func (s *Server) dispatchBatch(ctx context.Context, w io.Writer, req protocol.Request) error {
-	n, err := strconv.Atoi(req.Args["n"])
-	if err != nil || n <= 0 || n > maxBatchKeys {
-		return s.writeErr(w, fmt.Errorf("bad batch size %q (1..%d)", req.Args["n"], maxBatchKeys))
-	}
-	opt, err := s.queryOptions(req)
-	if err != nil {
-		return s.writeErr(w, err)
-	}
-	// Tracing a batch: each query gets its own engine-armed, force-retained
-	// trace, and its group's flags carry the trace ID and stage breakdown.
-	// All coalesced groups' scan spans share one Ref span ID — the shared
-	// arena scan they rode.
-	if req.Args["trace"] != "" {
-		if s.Engine.Tracer() == nil {
-			return s.writeErr(w, errors.New("tracing disabled on this server"))
-		}
-		opt.ForceTrace = true
-	}
-	keys := make([]string, n)
-	for i := 0; i < n; i++ {
-		key, ok := req.Args["key"+strconv.Itoa(i)]
-		if !ok {
-			return s.writeErr(w, fmt.Errorf("batch of %d is missing key%d", n, i))
-		}
-		keys[i] = key
-	}
-	return protocol.WriteBatch(w, s.runBatch(ctx, keys, opt))
-}
-
-// runBatch answers one batch of keys through the engine's batched search
-// (shared by the text and binary dispatchers). Per-key failures are
-// reported inside their group without failing the rest.
-func (s *Server) runBatch(ctx context.Context, keys []string, opt core.QueryOptions) []protocol.BatchItem {
+// runBatch answers one batch of keys through the engine's batched search.
+// Per-key failures (unknown key, missing feature vectors) are reported
+// inside their group without failing the rest.
+func (s *Server) runBatch(ctx context.Context, keys [][]byte, opt core.QueryOptions) []protocol.BatchItem {
 	n := len(keys)
 	items := make([]protocol.BatchItem, n)
 	queries := make([]object.Object, 0, n)
 	slots := make([]int, 0, n) // queries[j] answers items[slots[j]]
 	for i, key := range keys {
-		id, ok := s.Engine.Meta().LookupKey(key)
-		if !ok {
-			items[i].Err = fmt.Sprintf("unknown object key %q", key)
+		id, err := s.lookup(key)
+		if err != nil {
+			items[i].Err = err.Error()
 			continue
 		}
 		o, ok := s.Engine.Meta().GetObject(id)
@@ -881,18 +907,10 @@ func (s *Server) runBatch(ctx context.Context, keys []string, opt core.QueryOpti
 
 // answerItem converts one engine answer into a batch response group.
 func answerItem(ans core.Answer) protocol.BatchItem {
-	it := protocol.BatchItem{
-		Results: make([]protocol.Result, len(ans.Results)),
-		Meta:    protocol.ResponseMeta{Degraded: ans.Degraded, Mode: ans.FilterMode, Cache: ans.Cache},
+	return protocol.BatchItem{
+		Results: appendRows(make([]protocol.Result, 0, len(ans.Results)), ans.Results),
+		Meta:    answerMeta(&ans),
 	}
-	if ans.Trace != nil {
-		it.Meta.TraceID = ans.Trace.ID
-		it.Meta.Stages = stageTimings(ans.Trace.Stages)
-	}
-	for i, r := range ans.Results {
-		it.Results[i] = protocol.Result{Key: r.Key, Distance: r.Distance}
-	}
-	return it
 }
 
 // formatMetric renders a telemetry value for a protocol response: integers
@@ -907,52 +925,53 @@ func formatMetric(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// queryOptions translates protocol arguments into engine query options,
-// resolving the attribute restriction into an ID set.
-func (s *Server) queryOptions(req protocol.Request) (core.QueryOptions, error) {
-	opt := core.QueryOptions{K: s.DefaultK}
-	if v := req.Args["k"]; v != "" {
-		k, err := strconv.Atoi(v)
-		if err != nil || k <= 0 {
-			return opt, fmt.Errorf("bad k %q", v)
-		}
-		opt.K = k
+// queryOptions validates the request's query options and translates them
+// into engine options, resolving the attribute restriction into an ID set.
+func (s *Server) queryOptions(req *protocol.Command) (core.QueryOptions, error) {
+	opt := core.QueryOptions{K: s.DefaultK, Budget: s.QueryBudget}
+	if req.K > maxK {
+		return opt, fmt.Errorf("bad k %d (1..%d)", req.K, maxK)
 	}
-	switch strings.ToLower(req.Args["mode"]) {
-	case "", "filtering", "filter":
-		opt.Mode = core.Filtering
-	case "bruteforce", "original":
-		opt.Mode = core.BruteForceOriginal
-	case "sketch", "bruteforcesketch":
-		opt.Mode = core.BruteForceSketch
-	default:
-		return opt, fmt.Errorf("unknown mode %q", req.Args["mode"])
+	if req.K > 0 {
+		opt.K = req.K
+	}
+	var ok bool
+	if opt.Mode, ok = parseMode(req.Mode); !ok {
+		return opt, fmt.Errorf("unknown mode %q", req.Mode)
 	}
 	// Per-query time budget: the server's configured budget, optionally
 	// tightened (never loosened) by the client.
-	opt.Budget = s.QueryBudget
-	if v := req.Args["budget"]; v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			return opt, fmt.Errorf("bad budget %q", v)
-		}
-		if s.QueryBudget <= 0 || d < s.QueryBudget {
-			opt.Budget = d
-		}
+	if req.Budget > 0 && (s.QueryBudget <= 0 || req.Budget < s.QueryBudget) {
+		opt.Budget = req.Budget
 	}
 	// Attribute restriction: run the attribute search first and restrict
 	// the similarity scan to its matches (paper §4.1.2).
-	q := attr.Query{Equal: attrArgs(req)}
-	if kw := req.Args["keywords"]; kw != "" {
-		q.Keywords = strings.Split(kw, ",")
-	}
-	if len(q.Keywords) > 0 || len(q.Equal) > 0 {
+	if len(req.Keywords) > 0 || len(req.Attrs) > 0 {
 		opt.Restrict = map[object.ID]bool{}
-		for _, id := range s.Engine.Attrs().Search(q) {
+		for _, id := range s.Engine.Attrs().Search(attr.Query{Keywords: req.Keywords, Equal: attr.Attrs(req.Attrs)}) {
 			opt.Restrict[id] = true
 		}
 	}
 	return opt, nil
+}
+
+// parseMode maps a wire mode name to the engine mode, case-insensitively,
+// without converting it to a heap string: the switch's string(b) conversions
+// compile to allocation-free comparisons, and only a name that matches
+// nothing as sent pays for lower-casing.
+func parseMode(b []byte) (core.Mode, bool) {
+	switch string(b) {
+	case "", "filtering", "filter":
+		return core.Filtering, true
+	case "bruteforce", "original":
+		return core.BruteForceOriginal, true
+	case "sketch", "bruteforcesketch":
+		return core.BruteForceSketch, true
+	}
+	if lower := bytes.ToLower(b); !bytes.Equal(lower, b) {
+		return parseMode(lower)
+	}
+	return 0, false
 }
 
 // reweight scales the query object's segment weights by the comma-separated
@@ -976,78 +995,4 @@ func reweight(o *object.Object, spec string) error {
 		return fmt.Errorf("adjusted weights produce invalid object: %v", err)
 	}
 	return nil
-}
-
-// attrArgs extracts attr:<name>=<value> arguments.
-func attrArgs(req protocol.Request) attr.Attrs {
-	var out attr.Attrs
-	for k, v := range req.Args {
-		if name, ok := strings.CutPrefix(k, "attr:"); ok {
-			if out == nil {
-				out = attr.Attrs{}
-			}
-			out[name] = v
-		}
-	}
-	return out
-}
-
-// writeAnswer writes one query answer, encoding the text response straight
-// from the engine answer into a pooled wire buffer — no intermediate result
-// slice, no per-response bufio.Writer — and writing it in one call. For a
-// traced request the head-line flags carry the trace ID and the aggregated
-// stage breakdown, the response write itself is recorded as a span (visible
-// in the retained trace, not in the inline breakdown — it can't time itself
-// into the bytes it produces), and the trace is finished, applying
-// retention.
-func writeAnswer(w io.Writer, ans core.Answer, tr *trace.Active) error {
-	est := 64
-	for i := range ans.Results {
-		est += len(ans.Results[i].Key) + 28
-	}
-	wb := getWireBuf(est)
-	b := append(wb.b, "OK "...)
-	b = strconv.AppendInt(b, int64(len(ans.Results)), 10)
-	if ans.Degraded {
-		b = append(b, " degraded"...)
-	}
-	if ans.FilterMode != "" {
-		b = append(b, " mode="...)
-		b = append(b, ans.FilterMode...)
-	}
-	if tr.Armed() {
-		b = append(b, " trace="...)
-		b = append(b, tr.ID().String()...)
-	}
-	if ans.Cache != "" {
-		b = append(b, " cache="...)
-		b = append(b, ans.Cache...)
-	}
-	if tr.Armed() {
-		if stages := tr.Stages(); len(stages) > 0 {
-			b = append(b, " stages="...)
-			for i, st := range stages {
-				if i > 0 {
-					b = append(b, ',')
-				}
-				b = append(b, st.Name...)
-				b = append(b, ':')
-				b = strconv.AppendInt(b, int64(st.Dur), 10)
-			}
-		}
-	}
-	b = append(b, '\n')
-	for i := range ans.Results {
-		b = protocol.AppendMaybeQuote(b, ans.Results[i].Key)
-		b = append(b, ' ')
-		b = strconv.AppendFloat(b, ans.Results[i].Distance, 'g', -1, 64)
-		b = append(b, '\n')
-	}
-	ws := time.Now()
-	_, err := w.Write(b)
-	tr.Record("write", ws, time.Since(ws))
-	tr.Finish()
-	wb.b = b
-	putWireBuf(wb)
-	return err
 }

@@ -81,7 +81,7 @@ func findTrace(engine *core.Engine, id trace.TraceID) *trace.Trace {
 // breakdown covering the whole query path, and the retained trace carries
 // the serving-layer parse and write spans around the engine stages.
 func TestQueryTracedOverWire(t *testing.T) {
-	client, engine, _ := startTraceServer(t, 0)
+	client, engine, addr := startTraceServer(t, 0)
 	results, meta, err := client.QueryMeta("c1/m0", protocol.QueryParams{K: 3, Trace: true})
 	if err != nil {
 		t.Fatal(err)
@@ -112,6 +112,20 @@ func TestQueryTracedOverWire(t *testing.T) {
 	}
 	if _, ok := tr.Span("write"); !ok {
 		t.Fatalf("retained trace lacks the response-write span: %s", tr.Compact())
+	}
+
+	// The same query over an upgraded connection passes the same stages.
+	_, v2meta, err := dialV2(t, addr).QueryMeta("c1/m0", protocol.QueryParams{K: 3, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v2meta.Stages) != len(meta.Stages) {
+		t.Fatalf("v2 stages %v, text stages %v", v2meta.Stages, meta.Stages)
+	}
+	for i, st := range meta.Stages {
+		if v2meta.Stages[i].Name != st.Name {
+			t.Fatalf("v2 stages %v, text stages %v", v2meta.Stages, meta.Stages)
+		}
 	}
 
 	// Untraced requests must not carry trace flags.

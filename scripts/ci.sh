@@ -19,10 +19,10 @@
 #              the segmented ingest pipeline (seal, merge, checkpoint).
 #              Seed printed on failure; rerun one scenario with
 #              FERRET_TORTURE_SEED=<seed>
-#   bench      ferret-benchcmp regression guard vs the committed artifact
-#              (BENCH_10.json: gated microbenchmarks plus the scaling,
-#              ingest and wire-serving pipeline gates — the serving gate
-#              requires the hot-cached arm at >= 2x uncached throughput)
+#
+# Performance is not a step: `go test ./...` smoke-runs benchmark/, and a
+# performance claim is measured with `make bench-pairs` (parent vs change,
+# alternating, on this machine).
 #
 # Every step must pass; the script stops at the first failure. CI systems
 # should invoke exactly this script so the local and remote gates cannot
