@@ -73,9 +73,9 @@ BENCH_PAIRS  ?= 10
 bench-pairs:
 	./scripts/bench-pairs.sh $(BENCH_PARENT) $(BENCH_PAIRS)
 
-# Non-test Go lines in the three packages whose size ROADMAP tracks.
+# Non-test Go lines in the packages whose size ROADMAP tracks.
 loc:
-	@for p in core server protocol; do \
+	@for p in core server protocol hindex; do \
 		printf 'internal/%-9s %s\n' $$p "$$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l)"; \
 	done
 

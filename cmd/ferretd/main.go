@@ -52,9 +52,7 @@ func main() {
 		grace     = flag.Duration("shutdown-grace", 10*time.Second, "drain window for in-flight queries on SIGTERM/SIGINT")
 		batchWin  = flag.Duration("batch-window", 0, "coalescing window for sharing arena scans across concurrent queries (0 = disabled)")
 		batchMax  = flag.Int("batch-max", 0, "max queries per shared arena scan (0 = default 8)")
-		hindexOn  = flag.Bool("hindex", false, "build the multi-table Hamming index over segment sketches (sub-linear filter; falls back to the scan per query segment when the cost model says so)")
-		hindexTbl = flag.Int("hindex-tables", 0, "Hamming index substring table count m; probes answer radius m-1 exactly (0 = default 16)")
-		hindexFrc = flag.Float64("hindex-frac", 0, "Hamming index cost-model threshold: fall back to the arena scan when a probe would visit more than this fraction of indexed rows (0 = default 0.25)")
+		hindexOn  = flag.Bool("hindex", false, "build the multi-table Hamming index over sealed segments' sketches (sub-linear k-nearest filter; a query segment falls back to the scan once its descent has cost as much)")
 		traceEach = flag.Int("trace-sample", 0, "retain every Nth query trace (0 = default 64, negative = sampling off, forced/slow traces still kept)")
 		slowQuery = flag.Duration("slow-query", 0, "slow-query log threshold: traces at least this slow are always retained (0 = default 100ms, negative = off)")
 		sealAt    = flag.Int("seal-entries", 0, "seal (and index) the mutable tail segment at this many entries; sealed segments are compacted in the background (0 = default 1024)")
@@ -83,9 +81,7 @@ func main() {
 		cfg = ferret.RelaxedDurability(cfg)
 	}
 	cfg.Scheduler = ferret.SchedulerParams{Window: *batchWin, MaxBatch: *batchMax}
-	if *hindexOn {
-		cfg.HIndex = ferret.HIndexParams{Enable: true, Tables: *hindexTbl, MaxCandidateFrac: *hindexFrc}
-	}
+	cfg.HIndex = ferret.HIndexParams{Enable: *hindexOn}
 	cfg.Trace = ferret.TraceParams{SampleEvery: *traceEach, SlowThreshold: *slowQuery}
 	cfg.Segments = ferret.SegmentParams{SealEntries: *sealAt, Interval: *compIntv, Pace: *compPace}
 	if *ingQueue > 0 {

@@ -9,6 +9,7 @@ import (
 	"ferret/internal/metastore"
 	"ferret/internal/object"
 	"ferret/internal/sketch"
+	"ferret/internal/synth"
 	"ferret/internal/telemetry/trace"
 )
 
@@ -112,7 +113,7 @@ func BenchmarkFilterRestrict(b *testing.B) {
 // the benchmark rather than silently measuring the scan fallback.
 func BenchmarkHammingIndexProbe(b *testing.B) {
 	e, q, qset := benchEngine(b, func(cfg *Config) {
-		cfg.HIndex = HIndexParams{Enable: true, Tables: 4}
+		cfg.HIndex = HIndexParams{Enable: true}
 	})
 	opt := QueryOptions{K: 10, Filter: FilterParams{QuerySegments: 3, NearestPerSegment: 50, MaxHammingFrac: 0.03}}
 	benchFilter(b, e, q, qset, opt, func(sc *queryScratch) {
@@ -120,6 +121,62 @@ func BenchmarkHammingIndexProbe(b *testing.B) {
 			b.Fatalf("filter mode %q, want %q: the benchmark would measure the scan fallback", mode, FilterModeIndex)
 		}
 	})
+}
+
+// BenchmarkFilterImage96 measures the filtering unit on the benchmark's
+// image_engine shape: synth.MixedImageObjects under 96-bit sketches (three
+// 32-bit substring tables), four sealed, indexed segments and a live tail,
+// default filter parameters at K 20 (four query segments, 200 nearest each),
+// cycling through 32 never-ingested queries. Every pair must be index-served:
+// ns/op is then the k-nearest descent plus the tail sweep.
+func BenchmarkFilterImage96(b *testing.B) {
+	const objects = 20000
+	max := make([]float32, 14)
+	for i := range max {
+		max[i] = 1
+	}
+	cfg := Config{
+		Dir:      b.TempDir(),
+		Sketch:   sketch.Params{N: 96, K: 1, Min: make([]float32, 14), Max: max, Seed: 201},
+		HIndex:   HIndexParams{Enable: true},
+		Segments: SegmentParams{SealEntries: objects/5 + 97, Interval: -1},
+	}
+	e, err := Open(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { e.Close() })
+	for _, o := range synth.MixedImageObjects(objects, 3) {
+		if _, err := e.Ingest(o, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	v := e.cur.Load()
+	if len(v.sealed()) != 4 || v.tail().n == 0 {
+		b.Fatalf("%d sealed segments and a %d-entry tail, want 4 and a live one", len(v.sealed()), v.tail().n)
+	}
+	var scs [32][]*queryScratch
+	for i, q := range synth.MixedImageObjects(len(scs), 1001) {
+		sc := getScratch()
+		defer putScratch(sc)
+		loadScratch(sc, q, e.buildSketchSet(q), QueryOptions{K: 20})
+		scs[i] = []*queryScratch{sc}
+		e.filterBatch(v, scs[i]) // warm the scratch
+	}
+	reg := e.Telemetry()
+	verified, lookups := reg.Value("ferret_hindex_candidates_total"), reg.Value("ferret_hindex_lookups_total")
+	fallbacks := reg.Value("ferret_hindex_fallback_total")
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e.filterBatch(v, scs[i%len(scs)])
+	}
+	b.StopTimer()
+	if reg.Value("ferret_hindex_fallback_total") != fallbacks {
+		b.Fatal("a pair fell back to the sweep: the benchmark would not measure the descent")
+	}
+	b.ReportMetric((reg.Value("ferret_hindex_candidates_total")-verified)/float64(b.N), "rows_verified/op")
+	b.ReportMetric((reg.Value("ferret_hindex_lookups_total")-lookups)/float64(b.N), "lookups/op")
 }
 
 // The QueryPipeline pair measures end-to-end Filtering-mode queries with the

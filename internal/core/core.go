@@ -27,7 +27,6 @@ import (
 
 	"ferret/internal/attr"
 	"ferret/internal/emd"
-	"ferret/internal/hindex"
 	"ferret/internal/kvstore"
 	"ferret/internal/metastore"
 	"ferret/internal/object"
@@ -197,9 +196,9 @@ type Config struct {
 	Scheduler SchedulerParams
 	// HIndex optionally accelerates the filtering unit with a multi-table
 	// Hamming index over each sealed segment's arena (see internal/hindex
-	// and probe.go): sub-linear filter cost in corpus size, bit-identical
-	// to the arena scan, with a cost-model fallback to the scan when a
-	// probe cannot win.
+	// and probe.go): a k-nearest descent, sub-linear in corpus size and
+	// bit-identical to the arena scan, which it falls back to once it has
+	// cost as much.
 	HIndex HIndexParams
 	// Segments configures the LSM-flavored segmented ingest pipeline (see
 	// segment.go and compactor.go): writes land in a small mutable tail
@@ -421,9 +420,6 @@ func Open(cfg Config) (*Engine, error) {
 		e.builder = b
 	}
 
-	if cfg.HIndex.Enable {
-		e.cfg.HIndex = cfg.HIndex.withDefaults()
-	}
 	e.cfg.Segments = cfg.Segments.withDefaults()
 	// The stored corpus loads into one segment, sealed (and indexed, once)
 	// before the first view is published.
@@ -538,8 +534,9 @@ type Stats struct {
 	// them; the tail's rows are swept, not indexed (0 when the index is
 	// disabled).
 	IndexedSegments int
-	// HIndexTables is the Hamming index's substring table count (0 when
-	// the index is disabled).
+	// HIndexTables is the substring table count of the sealed segments'
+	// Hamming indexes — also how far each round of a descent widens the
+	// Hamming radius it covers (0 while nothing is indexed).
 	HIndexTables int
 	// HIndexLoad is the mean slot occupancy of the index tables.
 	HIndexLoad float64
@@ -562,9 +559,9 @@ func (e *Engine) Stat() Stats {
 		StorageSegments: int(e.met.storageSegs.Value()),
 	}
 	if e.cfg.HIndex.Enable {
-		st.HIndexTables = hindex.ClampTables(e.cfg.HIndex.Tables, e.builder.N())
 		sealed := e.cur.Load().sealed()
 		for _, s := range sealed {
+			st.HIndexTables = s.hindex.Tables()
 			st.IndexedSegments += s.hindex.Rows()
 			st.HIndexLoad += s.hindex.LoadFactor() / float64(len(sealed))
 		}

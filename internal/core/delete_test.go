@@ -52,8 +52,8 @@ func TestDeleteRemovesFromResults(t *testing.T) {
 func TestDeleteWithIndex(t *testing.T) {
 	const d = 6
 	cfg := testConfig(t.TempDir(), d)
-	cfg.HIndex = HIndexParams{Enable: true, MaxCandidateFrac: 0.9}
-	cfg.Filter.MaxHammingFrac = 0.04 // inside the index radius: descents cover the query outright
+	cfg.HIndex = HIndexParams{Enable: true}
+	cfg.Filter.MaxHammingFrac = 0.03 // inside the radius round 0 covers (8 tables): descents cover the query outright
 	e := openEngine(t, cfg)
 	ids := ingestClusters(t, e, 30, 4, d, 2)
 	e.Compact() // seal: the victim's rows are in an index from here on

@@ -1,12 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math"
 	rtrace "runtime/trace"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -148,9 +148,7 @@ func resizeI32(s *[]int32, n int) []int32 {
 	return *s
 }
 
-// resizeU64 sizes a pooled dedup bitmap. The all-zero invariant is the
-// caller's: every bit set during a descent is cleared afterwards, and a
-// grow hands out a freshly zeroed slice.
+// resizeU64 sizes a pooled dedup bitmap; the caller clears it before use.
 func resizeU64(s *[]uint64, n int) []uint64 {
 	if cap(*s) < n {
 		*s = make([]uint64, n)
@@ -181,16 +179,9 @@ type batchScratch struct {
 	dist   []int32
 
 	// Hamming-index descent buffers (see indexDescent).
-	probe    []int32    // the probed pairs' candidate rows in one segment, one sorted run per pair
-	pends    []int      // end of each probed pair's run in probe
-	seen     []uint64   // per-row dedup bitmap for the descent (kept zero)
-	ppairs   []scanPair // pairs probed
-	spairs   []scanPair // pairs left for the indexed segments' arena sweeps
-	verified []int32    // candidates verified per probed pair
-	// tmps collect each probed pair's verified candidates across the indexed
-	// segments: a failed probe discards its heap, so the pair's accumulator
-	// never sees rows from a probe that fell back to the sweep.
-	tmps []segHeap
+	probe  []int32    // one step's new candidate rows in one segment
+	seen   []uint64   // a pair's dedup bitmap: one bit per sealed row, across segments and steps
+	spairs []scanPair // pairs left for the indexed segments' arena sweeps
 }
 
 // filterParams resolves a query's filter parameters: its own when any field
@@ -247,15 +238,14 @@ func (e *Engine) buildPairs(v *view, scs []*queryScratch, bs *batchScratch) {
 // threshold, and the deduplicated union of the owning objects is the
 // query's candidate set (sorted entry indices in sc.cands).
 //
-// It descends the view's storage segments once for the whole batch. The
-// pairs the cost model admits go through the sealed segments' Hamming
-// indexes (indexDescent); every segment's arena is then swept once for the
-// pairs still owed it — all of them on the unindexed tail, the index's
-// fallbacks (a probe that cannot win, a radius the index cannot cover) on a
-// sealed segment. Every push applies the global (hamming, entry) pair order,
-// so a pair's heap ends up holding its k smallest pairs no matter how the
-// corpus is segmented, which machinery served it, or what else rode in the
-// batch.
+// It descends the view's storage segments once for the whole batch. Every
+// pair first goes through the sealed segments' Hamming indexes
+// (indexDescent); every segment's arena is then swept once for the pairs
+// still owed it — all of them on the unindexed tail, the descent's fallbacks
+// (it had cost as much as the sweep would) on a sealed segment. Every push
+// applies the global (hamming, entry) pair order, so a pair's heap ends up
+// holding its k smallest pairs no matter how the corpus is segmented, which
+// machinery served it, or what else rode in the batch.
 func (e *Engine) filterBatch(v *view, scs []*queryScratch) {
 	stageStart := time.Now()
 	defer rtrace.StartRegion(scs[0].ctx, "ferret.scan").End()
@@ -441,7 +431,7 @@ func (e *Engine) filterExact(v *view, sc *queryScratch, p FilterParams) {
 	}
 
 	sc.order = topSegments(sc.order, sc.qset.Weights, p.QuerySegments)
-	candidates := make(map[int]struct{})
+	cands := sc.cands[:0]
 	for _, qi := range sc.order {
 		qvec := q.Segments[qi].Vec
 		// Weight-dependent threshold, as on the sketch path.
@@ -478,23 +468,18 @@ func (e *Engine) filterExact(v *view, sc *queryScratch, p FilterParams) {
 				worst = kept[len(kept)-1].dist
 			}
 		}
-		kept = trimScored(kept, p.NearestPerSegment)
-		for _, s := range kept {
-			candidates[s.idx] = struct{}{}
+		for _, s := range trimScored(kept, p.NearestPerSegment) {
+			cands = append(cands, s.idx)
 		}
 	}
-	cands := sc.cands[:0]
-	for idx := range candidates {
-		cands = append(cands, idx)
-	}
-	sort.Ints(cands)
-	sc.cands = cands
+	slices.Sort(cands)
+	sc.cands = slices.Compact(cands)
 	sc.scanSegs++
 	e.met.scanned.Add(scanned)
-	e.met.candidates.Add(len(cands))
+	e.met.candidates.Add(len(sc.cands))
 	e.met.stageExact.ObserveSince(stageStart)
 	sc.trp.Record(StageExactFilter, stageStart, time.Since(stageStart)).
-		SetAttr("candidates", int64(len(cands)))
+		SetAttr("candidates", int64(len(sc.cands)))
 }
 
 // scoredIdx pairs an entry index with an exact segment distance.
@@ -503,11 +488,12 @@ type scoredIdx struct {
 	dist float64
 }
 
-// trimScored keeps the k smallest-distance entries (sorted ascending).
+// trimScored keeps the k smallest entries under the (distance, entry) order
+// of the sketch path, ascending: which of several equally distant entries
+// survive the cut does not depend on when the trims happen.
 func trimScored(s []scoredIdx, k int) []scoredIdx {
-	sort.Slice(s, func(i, j int) bool { return s[i].dist < s[j].dist })
-	if len(s) > k {
-		s = s[:k]
-	}
-	return s
+	slices.SortFunc(s, func(a, b scoredIdx) int {
+		return cmp.Or(cmp.Compare(a.dist, b.dist), cmp.Compare(a.idx, b.idx))
+	})
+	return s[:min(len(s), k)]
 }

@@ -257,9 +257,7 @@ func TestHIndexBatchSerialEquivalence(t *testing.T) {
 func TestHIndexMutationEquivalence(t *testing.T) {
 	const d = 8
 	cfgIdx := testConfig(t.TempDir(), d)
-	// Tiny table count stresses bucket overflow chains; a generous
-	// candidate ceiling keeps the index in play as the corpus shrinks.
-	cfgIdx.HIndex = HIndexParams{Enable: true, Tables: 4, MaxCandidateFrac: 0.9}
+	cfgIdx.HIndex = HIndexParams{Enable: true}
 	cfgIdx.Segments = SegmentParams{SealEntries: 8, MergeSegments: 3, Interval: -1}
 	ei := openEngine(t, cfgIdx)
 	es := openEngine(t, testConfig(t.TempDir(), d))

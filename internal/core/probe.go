@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"time"
 
 	"ferret/internal/hindex"
@@ -12,196 +11,146 @@ import (
 // HIndexParams configures the optional multi-table Hamming index over each
 // sealed segment's arena (see internal/hindex and DESIGN.md §12).
 type HIndexParams struct {
-	// Enable builds an index for every segment as it is sealed or merged;
-	// queries probe it whenever the cost model predicts a win, falling back
-	// to the arena scan otherwise. The mutable tail is always swept.
+	// Enable builds an index for every segment as it is sealed or merged, its
+	// table count derived from the sketch width; a query descends it step by
+	// step until its k nearest sealed rows are provably found, falling back
+	// to the arena scan when the descent has cost as much as the scan would.
+	// The mutable tail is always swept.
 	Enable bool
-	// Tables is the substring table count m: probes answer Hamming radius
-	// m−1 exactly. 0 means hindex.DefaultTables; out-of-range values are
-	// clamped to the sketch width (see hindex.ClampTables).
-	Tables int
-	// MaxCandidateFrac is the cost model's ceiling: a probe whose estimated
-	// candidate stream exceeds this fraction of the indexed rows falls back
-	// to the scan (random-access verification loses to the streaming kernel
-	// well before candidates approach the corpus). 0 means 0.25.
-	MaxCandidateFrac float64
 }
 
-func (p HIndexParams) withDefaults() HIndexParams {
-	if p.Tables <= 0 {
-		p.Tables = hindex.DefaultTables
-	}
-	if p.MaxCandidateFrac <= 0 {
-		p.MaxCandidateFrac = 0.25
-	}
-	return p
-}
+// probeCost prices one bucket look-up or one verified candidate — a dependent
+// random memory access each — in rows of the arena sweep's streaming kernel
+// (measured 7–30; EXPERIMENTS.md "k-nearest descent").
+const probeCost = 8
 
-// indexDescent serves the batch's index-eligible pairs from the sealed
-// segments' Hamming indexes, which answer together as one index over the
-// sealed corpus: however the compactor has split it, a pair is admitted,
-// probed and settled once, against all of it. Per sealed segment the descent
-// runs in two phases — every probed pair streams its buckets into a sorted
-// candidate run of its own, then each run is verified against its pair's
-// query sketch into the pair's temp heap, which persists across segments. It
-// leaves in bs.spairs the pairs the sealed segments' arena sweeps must still
-// serve (cost-model and coverage fallbacks).
+// indexDescent serves the batch's pairs from the sealed segments' Hamming
+// indexes, which answer together as one index over the sealed corpus: however
+// the compactor has split it, a pair descends once, against all of it. Step t
+// probes one substring table of every segment at one substring distance
+// (hindex.AppendStep; one dedup bitmap spans the segments and the steps) and
+// verifies the new candidates against the pair's query sketch into the pair's
+// heap — still empty, the descent comes before any sweep — under the sweep's
+// (hamming, entry) pair order and the sweep's acceptance bound,
+// min(maxHam, worst kept). It leaves in bs.spairs the pairs the sealed
+// segments' arena sweeps must still serve.
 //
-// Correctness: a pair's candidate streams are a superset of every sealed row
-// within Hamming radius rEff = min(maxHam, Radius()) of its query sketch
-// (pigeonhole); rows tombstoned since an index was built are still in them
-// and are dropped here, as the sweep drops them on replay. The rest are
-// verified with the exact Hamming distance and pushed — into the temp heap,
-// so a failed probe never pollutes the pair's accumulator — under the same
-// (hamming, entry) pair order as the sweep, with the acceptance bound clamped
-// to rEff. Merging the temp heap is bit-identical to sweeping the sealed
-// segments into the accumulator whenever the pair succeeds:
+// Correctness: after step t every sealed row within Hamming distance t of the
+// query sketch has been a candidate (pigeonhole, see package hindex). Rows
+// tombstoned since an index was built are among them and are dropped here, as
+// the sweep drops them on replay. The pair is settled — its heap is what a
+// sweep of the sealed segments would have left — as soon as
 //
-//   - rEff == maxHam: the streams cover the whole acceptance radius, so the
-//     replay sees every sealed row the sweep would have accepted.
-//   - rEff < maxHam: coverage is only guaranteed up to rEff, so the pair
-//     succeeds only if its temp heap fills within it — then the sealed
-//     corpus's k nearest all sit at distance ≤ worst ≤ rEff and were all in
-//     the streams. Any sealed row beyond rEff is dominated by those k rows,
-//     so it could not have entered the accumulator either.
+//   - t ≥ maxHam: every sealed row the sweep would have accepted was seen; or
+//   - the heap is full with worst() ≤ t: its k pairs are the smallest among
+//     the rows seen, and every unseen row lies beyond t, so behind all of
+//     them in the pair order.
 //
-// Cost model (a pair falls back before any verification): the estimated
-// candidate stream length (exact, from bucket populations) must stay below
-// MaxCandidateFrac of the indexed rows — beyond that the probe's random
-// row reads lose to the sweep's streaming kernel — and, when rEff < maxHam,
-// must be at least k, or the heap provably cannot fill.
+// Otherwise another step is taken, unless — round 0 done — it would not pay:
+// when the look-ups made and candidates verified so far plus the step's
+// StepKeys look-ups, priced at probeCost, exceed the rows the sweep would
+// stream, the pair's heap is emptied again and the pair joins the sweep. A
+// heap that cannot fill — k above the rows in reach, a selective Restrict —
+// ends this way, having cost about one more sweep at most.
 //
 //ferret:noalloc
 func (e *Engine) indexDescent(v *view, scs []*queryScratch, bs *batchScratch, ref trace.SpanID) {
-	bs.ppairs, bs.spairs = bs.ppairs[:0], bs.spairs[:0]
-	nix, rows, radius := 0, 0, 0 // indexed segments, their rows, their common radius
+	bs.spairs = bs.spairs[:0]
+	var ix *hindex.Index // any sealed segment's index: all share one geometry
+	nix, rows, words := 0, 0, 0
 	for _, seg := range v.segs {
 		if seg.probed() {
+			ix = seg.hindex
 			nix++
-			rows += seg.hindex.Rows()
-			radius = seg.hindex.Radius()
+			rows += ix.Rows()
+			words += (ix.Rows() + 63) / 64
 		}
 	}
 	if nix == 0 {
 		return
 	}
-	maxCands := e.cfg.HIndex.MaxCandidateFrac * float64(rows)
-	for _, p := range bs.pairs {
-		est := 0
-		for _, seg := range v.segs {
-			if seg.probed() {
-				est += seg.hindex.EstimateCandidates(p.qsk)
-			}
+	seen := resizeU64(&bs.seen, words)
+	for lo, hi := 0, 0; lo < len(bs.pairs); lo = hi { // one request's pairs at a time
+		sc := scs[bs.pairs[lo].req]
+		for hi = lo + 1; hi < len(bs.pairs) && bs.pairs[hi].req == bs.pairs[lo].req; hi++ {
 		}
-		if float64(est) > maxCands || (radius < p.maxHam && est < p.heap.k) {
-			e.met.hixFallback.Add(nix)
-			continue
-		}
-		bs.ppairs = append(bs.ppairs, p)
-	}
-	if len(bs.ppairs) == 0 {
-		bs.spairs = append(bs.spairs, bs.pairs...)
-		return
-	}
-	for len(bs.tmps) < len(bs.ppairs) {
-		bs.tmps = append(bs.tmps, segHeap{})
-	}
-	verified := resizeI32(&bs.verified, len(bs.ppairs))
-	for pi, p := range bs.ppairs {
-		bs.tmps[pi].reset(p.heap.k)
-		verified[pi] = 0
-	}
-
-	for _, seg := range v.segs {
-		if !seg.probed() {
-			continue
-		}
-		// Stream: sorted candidates verify in arena order — sparse but
-		// monotone row reads instead of bucket-chain order.
-		probeStart := time.Now()
-		ix, a := seg.hindex, &seg.arena
-		probe, pends := bs.probe[:0], bs.pends[:0]
-		seen := resizeU64(&bs.seen, (a.rows()+63)/64)
-		for _, p := range bs.ppairs {
-			lo := len(probe)
-			probe = ix.AppendCandidates(probe, p.qsk, seen)
-			own := probe[lo:]
-			for _, row := range own {
-				seen[row>>6] &^= 1 << (uint(row) & 63)
-			}
-			slices.Sort(own)
-			pends = append(pends, len(probe))
-		}
-		bs.probe, bs.pends = probe, pends
-		bs.recordProbed(scs, StageHProbe, ref, probeStart)
-
-		verifyStart := time.Now()
-		lo := 0
-		for pi, p := range bs.ppairs {
-			own := probe[lo:pends[pi]]
-			lo = pends[pi]
-			sc := scs[p.req]
-			tmp := &bs.tmps[pi]
-			bound := min(radius, p.maxHam, tmp.worst())
-			for i, row := range own {
-				if i%scanCheckStride == 0 && sc.clk.stop() {
+		start := time.Now()
+		at := start
+		var probeDur, verifyDur time.Duration
+		lookups, cands, radius := 0, 0, 0
+		for _, p := range bs.pairs[lo:hi] {
+			clear(seen)
+			t, spent, settled := 0, 0, false // step; look-ups made plus candidates verified
+			for ; !settled; t++ {
+				keys := nix * ix.StepKeys(t)
+				if t >= ix.Tables() && probeCost*(spent+keys) > rows {
 					break
 				}
-				li := int(a.entry[row])
-				g := seg.loEntry + li
-				if r := sc.opt.Restrict; seg.dead.has(li) || (r != nil && !r[v.entries[g].id]) {
-					continue
-				}
-				if h := sketch.HammingAt(p.qsk, a.words, int(row)*a.wps); h <= bound {
-					tmp.push(g, h)
-					bound = min(bound, tmp.worst())
-				}
-			}
-			verified[pi] += int32(len(own))
-			e.met.hixProbes.Inc()
-			e.met.hixCandidates.Add(len(own))
-			e.met.hixBaseline.Add(ix.Rows())
-		}
-		bs.recordProbed(scs, StageHVerify, ref, verifyStart)
-	}
+				spent += keys
+				lookups += keys
+				off := 0
+				for _, seg := range v.segs {
+					if !seg.probed() {
+						continue
+					}
+					a := &seg.arena
+					bs.probe = seg.hindex.AppendStep(bs.probe[:0], p.qsk, t, seen[off:])
+					off += (seg.hindex.Rows() + 63) / 64
+					now := time.Now()
+					probeDur += now.Sub(at)
+					at = now
 
-	// Settle each pair, in pair order: full coverage of its threshold, or a
-	// temp heap filled within the index radius, merges the temp heap into the
-	// pair's accumulator; anything else joins the sealed segments' sweeps with
-	// the accumulator untouched.
-	pi := 0
-	for _, p := range bs.pairs {
-		if pi < len(bs.ppairs) && bs.ppairs[pi].heap == p.heap {
-			tmp := &bs.tmps[pi]
-			pi++
-			if radius >= p.maxHam || tmp.full() {
-				for i := range tmp.entry {
-					p.heap.push(tmp.entry[i], tmp.ham[i])
+					bound := min(p.maxHam, p.heap.worst())
+					for i, row := range bs.probe {
+						if i%scanCheckStride == 0 && sc.clk.stop() {
+							break
+						}
+						h := sketch.HammingAt(p.qsk, a.words, int(row)*a.wps)
+						if h > bound {
+							continue
+						}
+						li := int(a.entry[row])
+						g := seg.loEntry + li
+						if r := sc.opt.Restrict; seg.dead.has(li) || (r != nil && !r[v.entries[g].id]) {
+							continue
+						}
+						p.heap.push(g, h)
+						bound = min(bound, p.heap.worst())
+					}
+					spent += len(bs.probe)
+					cands += len(bs.probe)
+					now = time.Now()
+					verifyDur += now.Sub(at)
+					at = now
 				}
-				scs[p.req].idxSegs += nix
-				scs[p.req].scannedN += int(verified[pi-1])
-				continue
+				settled = t >= p.maxHam || (p.heap.full() && p.heap.worst() <= t) || sc.clk.stop()
 			}
-			e.met.hixFallback.Add(nix)
+			radius = max(radius, t-1)
+			e.met.hixProbes.Add(nix)
+			e.met.hixBaseline.Add(rows)
+			if settled {
+				sc.idxSegs += nix
+			} else {
+				e.met.hixFallback.Add(nix)
+				p.heap.reset(p.heap.k)
+				bs.spairs = append(bs.spairs, p)
+			}
 		}
-		bs.spairs = append(bs.spairs, p)
-	}
-}
-
-// recordProbed records one phase of a descent (bucket streaming or
-// verification, started at start and ending now) in the trace of every
-// request that had a pair probed. ppairs is grouped by request.
-//
-//ferret:noalloc
-func (bs *batchScratch) recordProbed(scs []*queryScratch, name string, ref trace.SpanID, start time.Time) {
-	dur := time.Since(start)
-	last := -1
-	for _, p := range bs.ppairs {
-		if p.req != last {
-			last = p.req
-			scs[last].trp.RecordShared(name, ref, start, dur).
-				SetAttr("pairs", int64(len(bs.ppairs))).
-				SetAttr("candidates", int64(len(bs.probe)))
+		sc.scannedN += cands
+		e.met.hixCandidates.Add(cands)
+		e.met.hixLookups.Add(lookups)
+		// The two phases alternate step by step; each span carries its phase's
+		// summed time, laid end to end from the descent's start.
+		for _, phase := range [...]struct {
+			name string
+			dur  time.Duration
+		}{{StageHProbe, probeDur}, {StageHVerify, verifyDur}} {
+			sc.trp.RecordShared(phase.name, ref, start, phase.dur).
+				SetAttr("candidates", int64(cands)).
+				SetAttr("rounds", int64(radius/ix.Tables()+1)).
+				SetAttr("lookups", int64(lookups)).
+				SetAttr("radius", int64(radius))
+			start = start.Add(phase.dur)
 		}
 	}
 }

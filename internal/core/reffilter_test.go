@@ -74,6 +74,12 @@ func TestFilterDifferential(t *testing.T) {
 	// beside it, (b) every indexed segment held tombstones, (c) the engine
 	// had been compacted and then fed.
 	tailBesideIndex, tombstonedIndex, compactThenIngest := 0, 0, 0
+	// How descents ended: batches settled in the index with more look-ups
+	// than round 0 makes (served at substring radius ≥ 1), pairs settled by
+	// covering their threshold with the heap not full, (pair, sealed segment)
+	// units that fell back to the sweep, and requests a 96-bit engine's index
+	// served.
+	deepServed, coverageSettled, fellBack, served96 := 0, 0, 0, 0
 	for seed := 0; seed < seeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(seed)))
@@ -81,9 +87,9 @@ func TestFilterDifferential(t *testing.T) {
 			cfg.Sketch.N = []int{64, 96, 256}[rng.Intn(3)]
 			cfg.SketchOnly = rng.Intn(4) == 0
 			if rng.Intn(2) == 0 {
-				cfg.HIndex = HIndexParams{Enable: true, Tables: []int{0, 4}[rng.Intn(2)], MaxCandidateFrac: []float64{0, 0.9}[rng.Intn(2)]}
-				// A threshold inside the index radius lets a descent cover a
-				// query outright instead of only when its heap fills.
+				cfg.HIndex = HIndexParams{Enable: true}
+				// A threshold a few steps away lets a descent cover a query
+				// outright instead of only when its heap fills.
 				cfg.Filter.MaxHammingFrac = []float64{0, 0.04}[rng.Intn(2)]
 			}
 			// Half the engines seal every few entries, half never do.
@@ -94,9 +100,13 @@ func TestFilterDifferential(t *testing.T) {
 			e := openEngine(t, cfg)
 
 			// Many tight clusters keep index buckets selective, so descents
-			// succeed; few loose ones exercise the cost-model and coverage
-			// fallbacks.
+			// settle early; few loose ones send them rounds deep or back to
+			// the sweep. Only in a corpus of a few thousand rows is a round of
+			// one-bit neighbourhoods cheaper than the sweep.
 			n := 40 + rng.Intn(80)
+			if rng.Intn(6) == 0 {
+				n *= 12
+			}
 			clusters := 2 + rng.Intn(30)
 			noise := []float64{0.002, 0.01, 0.05}[rng.Intn(3)]
 			var ids []object.ID
@@ -143,8 +153,13 @@ func TestFilterDifferential(t *testing.T) {
 			}
 			v := e.cur.Load()
 			allTombstoned := len(v.sealed()) > 0
+			nix, tables := 0, 0 // probed indexes and their table count
 			for _, s := range v.sealed() {
 				allTombstoned = allTombstoned && s.deleted > 0
+				if s.probed() {
+					nix++
+					tables = s.hindex.Tables()
+				}
 			}
 
 			for _, nq := range []int{1, 3, 8} {
@@ -180,7 +195,11 @@ func TestFilterDifferential(t *testing.T) {
 					loadScratch(scs[i], q, e.buildSketchSet(q), opt)
 					scs[i].hasQ = !cfg.SketchOnly
 				}
+				lookups, fallbacks := e.met.hixLookups.Value(), e.met.hixFallback.Value()
 				e.filterBatch(v, scs)
+				lookups = e.met.hixLookups.Value() - lookups
+				fellBack += int(e.met.hixFallback.Value() - fallbacks)
+				settled, round0 := nix > 0, 0
 				for i, sc := range scs {
 					if want := refFilter(e, v, sc.qset, sc.opt); !slices.Equal(sc.cands, want) {
 						t.Fatalf("seed %d, batch of %d, request %d (%+v, mode %q):\n got %v\nwant %v",
@@ -188,6 +207,19 @@ func TestFilterDifferential(t *testing.T) {
 					}
 					idxUnits += sc.idxSegs
 					scanUnits += sc.scanSegs
+					if sc.idxSegs > 0 && cfg.Sketch.N == 96 {
+						served96++
+					}
+					round0 += len(sc.order) * tables * nix
+					if nix > 0 && sc.idxSegs == len(sc.order)*nix { // every pair settled in the index
+						for j := range sc.order {
+							if !sc.heaps[j].full() {
+								coverageSettled++
+							}
+						}
+					} else {
+						settled = false
+					}
 					if sc.idxSegs > 0 {
 						if v.tail().liveEntries() > 0 {
 							tailBesideIndex++
@@ -207,19 +239,23 @@ func TestFilterDifferential(t *testing.T) {
 						}
 					}
 				}
+				if settled && int(lookups) > round0 {
+					deepServed++
+				}
 			}
 		})
 	}
+	report := fmt.Sprintf("%d index-served, %d scan-served (query segment × storage segment) units; %d walked, %d swept restricted requests; "+
+		"%d index-served requests beside a live tail, %d over tombstoned indexed segments, %d after Compact()-then-ingest; "+
+		"%d batches served past round 0, %d pairs settled by covering their threshold, %d units fell back, %d requests served by a 96-bit index",
+		idxUnits, scanUnits, walked, restrictSwept, tailBesideIndex, tombstonedIndex, compactThenIngest,
+		deepServed, coverageSettled, fellBack, served96)
 	if idxUnits == 0 || scanUnits == 0 || walked == 0 || restrictSwept == 0 ||
-		tailBesideIndex == 0 || tombstonedIndex == 0 || compactThenIngest == 0 {
-		t.Fatalf("%d index-served and %d scan-served units, %d walked and %d swept restricted requests, "+
-			"%d index-served requests beside a live tail, %d over tombstoned indexed segments, %d after Compact()-then-ingest: "+
-			"the seeds no longer reach every arm",
-			idxUnits, scanUnits, walked, restrictSwept, tailBesideIndex, tombstonedIndex, compactThenIngest)
+		tailBesideIndex == 0 || tombstonedIndex == 0 || compactThenIngest == 0 ||
+		deepServed == 0 || coverageSettled == 0 || fellBack == 0 || served96 == 0 {
+		t.Fatalf("%s: the seeds no longer reach every arm", report)
 	}
-	t.Logf("%d index-served, %d scan-served (query segment × storage segment) units; %d walked, %d swept restricted requests; "+
-		"%d index-served requests beside a live tail, %d over tombstoned indexed segments, %d after Compact()-then-ingest",
-		idxUnits, scanUnits, walked, restrictSwept, tailBesideIndex, tombstonedIndex, compactThenIngest)
+	t.Log(report)
 }
 
 // TestFilterPathsSelectSameSegments: with equal weights the sketch filter
@@ -268,6 +304,53 @@ func TestFilterPathsSelectSameSegments(t *testing.T) {
 			if !inCluster0[g] {
 				t.Fatalf("exact=%v: candidate %d is from cluster 1: the filter was driven by a later query segment", exact, g)
 			}
+		}
+	}
+}
+
+// TestExactFilterBreaksTiesByEntry: the exact-distance filter keeps the k
+// smallest (distance, entry) pairs, like the sketch path. Thirty objects sit
+// at one of three distances from the query, most of them duplicates at the
+// middle one, so k = 3 cuts through a run of equally distant entries after
+// enough of them (> 4k) to force a trim on the way: a cut ordered by distance
+// alone keeps whichever duplicates its unstable sorts left in front.
+func TestExactFilterBreaksTiesByEntry(t *testing.T) {
+	const d, n, k = 8, 30, 3
+	base := clusterObject("", 0, d, 1, 0.01, rand.New(rand.NewSource(91))).Segments[0].Vec
+	q := object.Single("q", base)
+	for seed := int64(0); seed < 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := openEngine(t, testConfig(t.TempDir(), d))
+		type scored struct {
+			off   float32
+			entry int
+		}
+		var all []scored
+		for i := 0; i < n; i++ {
+			off := []float32{0.05, 0.05, 0.05, 0.02, 0.08}[rng.Intn(5)]
+			v := slices.Clone(base)
+			v[0] += off
+			if _, err := e.Ingest(object.Single(fmt.Sprintf("o%02d", i), v), nil); err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, scored{off, i})
+		}
+		slices.SortFunc(all, func(a, b scored) int { return cmp.Or(cmp.Compare(a.off, b.off), cmp.Compare(a.entry, b.entry)) })
+		var want []int
+		for _, s := range all[:k] {
+			want = append(want, s.entry)
+		}
+		slices.Sort(want)
+
+		sc := getScratch()
+		defer putScratch(sc)
+		loadScratch(sc, q, e.buildSketchSet(q), QueryOptions{K: 1, Filter: FilterParams{NearestPerSegment: k, ExactDistance: true}})
+		e.runBatch([]*queryScratch{sc})
+		if sc.err != nil {
+			t.Fatal(sc.err)
+		}
+		if !slices.Equal(sc.cands, want) {
+			t.Fatalf("seed %d: candidates %v, want the %d smallest (distance, entry) pairs %v", seed, sc.cands, k, want)
 		}
 	}
 }

@@ -220,7 +220,7 @@ func (e *Engine) buildIndex(a *sketchArena, pace func()) *hindex.Index {
 	if !e.cfg.HIndex.Enable {
 		return nil
 	}
-	ix := hindex.New(e.builder.N(), a.wps, e.cfg.HIndex.Tables)
+	ix := hindex.New(e.builder.N(), a.wps, 0)
 	for row := 0; row < a.rows(); row++ {
 		ix.Insert(int32(row), a.words)
 		if pace != nil && (row+1)%(compactStride*4) == 0 {

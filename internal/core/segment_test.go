@@ -34,7 +34,7 @@ func TestSegmentedEquivalence(t *testing.T) {
 			cfgFlat := testConfig(t.TempDir(), d)
 			cfgFlat.Segments.SealEntries = 1 << 20
 			if indexed {
-				hp := HIndexParams{Enable: true, Tables: 4, MaxCandidateFrac: 0.9}
+				hp := HIndexParams{Enable: true}
 				cfgSeg.HIndex, cfgFlat.HIndex = hp, hp
 			}
 			eseg := openEngine(t, cfgSeg)

@@ -151,7 +151,7 @@ func TestSnapshotStress(t *testing.T) {
 	const d, k = 8, 5
 	cfg := testConfig(t.TempDir(), d)
 	cfg.Segments = SegmentParams{SealEntries: 4, MergeSegments: 2, TombstoneFrac: 0.3, Interval: -1}
-	cfg.HIndex = HIndexParams{Enable: true, MaxCandidateFrac: 0.9}
+	cfg.HIndex = HIndexParams{Enable: true}
 	// Inside the index radius, so descents cover a query outright; cluster
 	// mates sit a handful of bits apart.
 	cfg.Filter.MaxHammingFrac = 0.05
@@ -291,7 +291,7 @@ func freeze(v *view) frozen {
 		s.dead = slices.Clone(s.dead)
 		f.segs = append(f.segs, s)
 		if s.hindex != nil {
-			f.probes = append(f.probes, s.hindex.AppendCandidates(nil, s.arena.words[:s.arena.wps], nil))
+			f.probes = append(f.probes, s.hindex.AppendCandidates(nil, s.arena.words[:s.arena.wps], make([]uint64, (s.arena.rows()+63)/64)))
 		}
 	}
 	return f

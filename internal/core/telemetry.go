@@ -68,6 +68,7 @@ type engineMetrics struct {
 	hixCandidates *telemetry.Counter // ferret_hindex_candidates_total
 	hixFallback   *telemetry.Counter // ferret_hindex_fallback_total
 	hixBaseline   *telemetry.Counter // ferret_hindex_baseline_rows_total
+	hixLookups    *telemetry.Counter // ferret_hindex_lookups_total
 
 	// Result-cache counters and gauges (see cache.go).
 	cacheHits        *telemetry.Counter // ferret_result_cache_hits_total
@@ -146,13 +147,15 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 		heapTrims: reg.Counter("ferret_rank_heap_trims_total", "Top-K heap evictions while ranking."),
 
 		hixProbes: reg.Counter("ferret_hindex_probes_total",
-			"Hamming-index probe attempts (one per query segment offered to the index)."),
+			"Hamming-index descents, one per (query segment, sealed storage segment) a query offered to the index."),
 		hixCandidates: reg.Counter("ferret_hindex_candidates_total",
 			"Candidate rows streamed out of Hamming-index buckets for verification."),
 		hixFallback: reg.Counter("ferret_hindex_fallback_total",
-			"Index probes that fell back to the arena scan (cost model or radius coverage)."),
+			"Index descents that fell back to the arena scan (they had cost as much as the sweep would)."),
 		hixBaseline: reg.Counter("ferret_hindex_baseline_rows_total",
 			"Indexed rows an unindexed scan would have streamed for the probed segments (candidate-ratio denominator)."),
+		hixLookups: reg.Counter("ferret_hindex_lookups_total",
+			"Bucket look-ups made by Hamming-index descents (substring-neighbourhood keys over all tables, segments and steps)."),
 
 		cacheHits:   reg.Counter("ferret_result_cache_hits_total", "Queries served from the result cache."),
 		cacheMisses: reg.Counter("ferret_result_cache_misses_total", "Cacheable queries that missed the result cache."),

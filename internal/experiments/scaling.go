@@ -151,14 +151,8 @@ func measureScalingPoint(scanE, idxE *core.Engine, queries []object.Object, n in
 	}
 	probes := idxReg.Value("ferret_hindex_probes_total") - probes0
 	fallbacks := idxReg.Value("ferret_hindex_fallback_total") - fallback0
-	if attempts := probes + fallbacks; attempts > 0 {
-		// fallback counts both cost-model rejections (never probed) and
-		// post-verify coverage failures (probed, then re-scanned); served
-		// segments are the attempts that did not fall back.
-		pt.IndexServed = (attempts - fallbacks) / attempts
-		if pt.IndexServed < 0 {
-			pt.IndexServed = 0
-		}
+	if probes > 0 { // every descent counts a probe; the served ones did not fall back
+		pt.IndexServed = 1 - fallbacks/probes
 	}
 	pt.LoadFactor = idxE.Stat().HIndexLoad
 	return pt, nil

@@ -2,15 +2,17 @@
 // packed sketch rows: sub-linear filter cost in corpus size.
 //
 // The scheme is generalized pigeonhole partitioning, in the lineage of
-// Greene/Parnas/Yao multi-index hashing and the static sketch indexes of
-// Kanda & Tabei: an N-bit sketch is split into m contiguous
-// substrings of near-equal width. If two sketches differ in at most r = m−1
-// bit positions, those differences cannot touch all m substrings, so the
-// sketches collide exactly in at least one substring table. Probing the m
-// tables with the query's substrings therefore yields a candidate superset
-// of every row within Hamming radius m−1; candidates are verified by the
-// caller with the same Hamming kernels the arena scan uses, keeping index
-// and scan bit-identical.
+// Greene/Parnas/Yao multi-index hashing and the threshold search of Kanda &
+// Tabei's sketch tries: an N-bit sketch is split into m contiguous substrings
+// of near-equal width, one hash table per substring. The index is probed in
+// steps: step t = s·m + j visits, in table j, the buckets whose key differs
+// from the query's substring in exactly s bits. A row no step up to t has
+// reached differs from the query by more than s bits in substrings 0…j and
+// by at least s bits in the others — more than t in all — so after steps
+// 0…t every row within Hamming distance t has been visited, and one more
+// step widens the radius by one. The caller verifies the rows with the same
+// Hamming kernels the arena scan uses and takes steps until its answer is
+// provably complete, keeping index and scan bit-identical.
 //
 // Each table is a compact open-addressing hash (fibonacci hashing, linear
 // probing) from substring value to a bucket of arena row IDs. Buckets are
@@ -24,11 +26,7 @@
 // in their buckets and are dropped where candidates are verified.
 package hindex
 
-// DefaultTables is the substring table count used when the caller does not
-// choose one: m=16 answers Hamming radius 15 exactly, which covers the
-// within-cluster sketch distances of the stock data types (≈50-bit
-// substrings keep every table selective even at millions of rows).
-const DefaultTables = 16
+import "math/bits"
 
 // blockRows rows plus the chain link make a block exactly 64 bytes — one
 // cache line per probe step.
@@ -61,7 +59,7 @@ type table struct {
 	shift  uint   // bit offset of the substring within word0
 	spans  bool   // substring continues into word0+1
 	lo     uint   // left shift for the high word (64−shift), valid when spans
-	mask   uint64 // (1<<bits)−1
+	mask   uint64 // (1<<width)−1
 	hshift uint   // 64 − log2(len(slots)), for fibonacci hashing
 	slots  []slot
 	used   int // slots holding a bucket
@@ -69,7 +67,6 @@ type table struct {
 
 // Index is a multi-table Hamming index over packed sketch rows.
 type Index struct {
-	nbits  int
 	wps    int // words per sketch row in the backing arena
 	tables []table
 	blocks []block
@@ -83,54 +80,37 @@ const fib = 0x9E3779B97F4A7C15
 
 const minSlots = 16
 
-// ClampTables bounds a requested table count m to the representable range
-// for an nbits sketch: every substring must fit a uint64 key (m ≥
-// ⌈nbits/64⌉) and carry at least two bits of selectivity (m ≤ nbits/2).
-// m ≤ 0 selects DefaultTables.
-func ClampTables(tables, nbits int) int {
+// New builds an empty index over nbits-bit sketches stored wps words per
+// row. tables ≤ 0 derives the table count from the sketch width: substrings
+// of about nbits/16 bits, but no narrower than 32 — a narrower key is shared
+// by too many rows of a large segment, and its one-bit neighbourhood widens
+// the covered radius by too little per look-up — and no wider than the 64 a
+// key holds (96 bits → 3 tables of 32, 800 bits → 16 of 50). An explicit
+// count is bounded to the same representable range.
+func New(nbits, wps, tables int) *Index {
 	m := tables
 	if m <= 0 {
-		m = DefaultTables
+		m = nbits / min(max(nbits/16, 32), 64)
 	}
-	if min := (nbits + 63) / 64; m < min {
-		m = min
-	}
-	if max := nbits / 2; m > max {
-		m = max
-	}
-	if m < 1 {
-		m = 1
-	}
-	return m
-}
-
-// New builds an empty index over nbits-bit sketches stored wps words per
-// row. tables ≤ 0 selects DefaultTables; out-of-range counts are clamped
-// (see ClampTables).
-func New(nbits, wps, tables int) *Index {
-	m := ClampTables(tables, nbits)
-	ix := &Index{nbits: nbits, wps: wps, tables: make([]table, m)}
+	m = max(min(m, nbits), (nbits+63)/64, 1)
+	ix := &Index{wps: wps, tables: make([]table, m)}
 	// Contiguous substrings of width ⌊nbits/m⌋, the first nbits mod m of
 	// them one bit wider, partition [0, nbits) exactly.
 	off := 0
 	for j := range ix.tables {
-		bits := nbits / m
+		width := nbits / m
 		if j < nbits%m {
-			bits++
+			width++
 		}
 		t := &ix.tables[j]
 		t.word0 = off / 64
 		t.shift = uint(off % 64)
-		t.spans = t.shift+uint(bits) > 64
+		t.spans = t.shift+uint(width) > 64
 		t.lo = 64 - t.shift
-		if bits == 64 {
-			t.mask = ^uint64(0)
-		} else {
-			t.mask = (uint64(1) << uint(bits)) - 1
-		}
+		t.mask = ^uint64(0) >> uint(64-width)
 		t.slots = newSlots(minSlots)
 		t.hshift = 64 - 4
-		off += bits
+		off += width
 	}
 	return ix
 }
@@ -250,65 +230,80 @@ func (ix *Index) Insert(row int32, words []uint64) {
 	ix.rows++
 }
 
-// AppendCandidates appends to dst the row IDs of every bucket the query's
-// substrings select — the pigeonhole superset of all rows within Hamming
-// radius Radius() of q. q holds the query sketch's packed words starting at
-// q[0].
+// AppendStep appends to dst the rows step t of a descent selects. Step
+// t = s·m + j visits, in table j, the buckets whose key differs from the
+// query's substring in exactly s bits (enumerated in place, C(width, s)
+// look-ups, no bucket visited twice by a descent): m steps make one round of
+// substring distance s. After steps 0…t the stream holds every row within
+// Hamming distance t of q, whose packed words start at q[0] (see the package
+// comment).
 //
 // seen is the caller's dedup scratch: one bit per row, at least
-// (maxRowID+1+63)/64 words, all-zero on entry. Rows matching in several
-// tables are appended once; their bits are left set in seen, and the
-// caller must clear them (one &^= per appended row) before reusing the
-// scratch — the near-duplicate-heavy streams the index serves make a
-// bitmap dedup during the descent far cheaper than sorting the raw
-// stream's cross-table duplicates away afterwards. A nil seen appends the
-// raw stream, duplicates included (the shape EstimateCandidates prices).
+// (maxRowID+1+63)/64 words, all-zero before step 0. A row is appended once
+// however many steps reach it; its bit stays set, and the caller clears the
+// scratch before the next descent — the near-duplicate-heavy streams the
+// index serves make a bitmap dedup during the descent far cheaper than
+// sorting the cross-table duplicates away afterwards.
 //
 //ferret:noalloc
-func (ix *Index) AppendCandidates(dst []int32, q []uint64, seen []uint64) []int32 {
-	for j := range ix.tables {
-		t := &ix.tables[j]
-		si := t.find(t.key(q, 0))
-		if si < 0 {
-			continue
-		}
-		s := &t.slots[si]
-		if s.count == 0 {
-			continue
-		}
-		fill := (s.count-1)%blockRows + 1
-		for b := s.head; b != noBlock; b = ix.blocks[b].next {
-			if seen == nil {
-				dst = append(dst, ix.blocks[b].rows[:fill]...)
-			} else {
-				for _, row := range ix.blocks[b].rows[:fill] {
-					if seen[row>>6]&(1<<(uint(row)&63)) == 0 {
-						seen[row>>6] |= 1 << (uint(row) & 63)
-						dst = append(dst, row)
-					}
-				}
-			}
-			fill = blockRows
+func (ix *Index) AppendStep(dst []int32, q []uint64, t int, seen []uint64) []int32 {
+	tb := &ix.tables[t%len(ix.tables)]
+	key := tb.key(q, 0)
+	x := uint64(1)<<uint(t/len(ix.tables)) - 1
+	for ok := x <= tb.mask; ok; x, ok = nextMask(x, tb.mask) {
+		if si := tb.find(key ^ x); si >= 0 {
+			dst = ix.appendBucket(dst, &tb.slots[si], seen)
 		}
 	}
 	return dst
 }
 
-// EstimateCandidates returns the total bucket population the query's
-// substrings select — the exact number of rows an AppendCandidates descent
-// visits (cross-table duplicates included, an upper bound on the distinct
-// candidates) in O(m) slot lookups, for the caller's cost model.
+// nextMask returns the next larger value with as many bits set as x (Gosper's
+// hack) and whether it still lies within mask, a run of low ones: walking
+// from the s low bits visits every s-bit mask of the substring once.
+func nextMask(x, mask uint64) (uint64, bool) {
+	r := x + x&-x // 0 when the walk leaves the word, or had no bit to move
+	return r | (r^x)>>2>>uint(bits.TrailingZeros64(x)), r != 0 && r <= mask
+}
+
+// appendBucket appends the bucket's rows not yet marked in seen, marking
+// them.
 //
 //ferret:noalloc
-func (ix *Index) EstimateCandidates(q []uint64) int {
-	est := 0
-	for j := range ix.tables {
-		t := &ix.tables[j]
-		if si := t.find(t.key(q, 0)); si >= 0 {
-			est += int(t.slots[si].count)
+func (ix *Index) appendBucket(dst []int32, s *slot, seen []uint64) []int32 {
+	fill := (s.count-1)%blockRows + 1
+	for b := s.head; b != noBlock; b = ix.blocks[b].next {
+		for _, row := range ix.blocks[b].rows[:fill] {
+			if seen[row>>6]&(1<<(uint(row)&63)) == 0 {
+				seen[row>>6] |= 1 << (uint(row) & 63)
+				dst = append(dst, row)
+			}
 		}
+		fill = blockRows
 	}
-	return est
+	return dst
+}
+
+// AppendCandidates is round 0, steps 0…m−1: the rows sharing a whole
+// substring with q, a superset of those within Hamming distance m−1.
+//
+//ferret:noalloc
+func (ix *Index) AppendCandidates(dst []int32, q []uint64, seen []uint64) []int32 {
+	for t := range ix.tables {
+		dst = ix.AppendStep(dst, q, t, seen)
+	}
+	return dst
+}
+
+// StepKeys returns the number of bucket look-ups step t makes: C(width, s)
+// for its table and substring distance (beyond 2⁴⁰ only "too many").
+func (ix *Index) StepKeys(t int) int {
+	m := len(ix.tables)
+	width, c := bits.OnesCount64(ix.tables[t%m].mask), 1
+	for i := 0; i < t/m && c < 1<<40; i++ {
+		c = c * (width - i) / (i + 1)
+	}
+	return c
 }
 
 // Rows returns the number of sketch rows indexed.
@@ -316,13 +311,6 @@ func (ix *Index) Rows() int { return ix.rows }
 
 // Tables returns the substring table count m.
 func (ix *Index) Tables() int { return len(ix.tables) }
-
-// Radius returns the largest Hamming radius the index answers exactly:
-// m−1, by the pigeonhole argument in the package comment.
-func (ix *Index) Radius() int { return len(ix.tables) - 1 }
-
-// Bits returns the sketch width the index was built for.
-func (ix *Index) Bits() int { return ix.nbits }
 
 // LoadFactor returns the mean slot occupancy across tables — the health
 // number surfaced by STATS (tables double near 0.75, so values above that

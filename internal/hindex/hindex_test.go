@@ -2,6 +2,7 @@ package hindex
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -30,14 +31,29 @@ func (o *oracle) insert(row int32, words []uint64) {
 	}
 }
 
-func (o *oracle) candidates(q []uint64) []int32 {
+// reached returns, ascending, the rows steps 0…t reach: a substring at most
+// t/m bits from q's in tables 0…t%m, one bit fewer in the rest. candidates is
+// round 0.
+func (o *oracle) reached(q []uint64, t int) []int32 {
 	var out []int32
+	m := len(o.tables)
 	for j := range o.ix.tables {
-		out = append(out, o.tables[j][o.ix.tables[j].key(q, 0)]...)
+		qk := o.ix.tables[j].key(q, 0)
+		s := t / m
+		if j > t%m {
+			s--
+		}
+		for k, rows := range o.tables[j] {
+			if bits.OnesCount64(k^qk) <= s {
+				out = append(out, rows...)
+			}
+		}
 	}
 	slices.Sort(out)
 	return slices.Compact(out)
 }
+
+func (o *oracle) candidates(q []uint64) []int32 { return o.reached(q, len(o.tables)-1) }
 
 func sortedCandidates(ix *Index, q []uint64) []int32 {
 	seen := make([]uint64, 1<<16/64)
@@ -99,44 +115,113 @@ func TestKeyPartition(t *testing.T) {
 	}
 }
 
-func TestClampTables(t *testing.T) {
-	if got := ClampTables(0, 800); got != DefaultTables {
-		t.Fatalf("default = %d", got)
-	}
-	if got := ClampTables(4, 800); got != 13 { // 800 bits need ≥13 tables for ≤64-bit keys
-		t.Fatalf("low clamp = %d", got)
-	}
-	if got := ClampTables(1000, 64); got != 32 { // ≥2 bits per substring
-		t.Fatalf("high clamp = %d", got)
+// TestDerivedGeometry pins the table counts New derives from the sketch
+// width and the bounds it puts on an explicit count.
+func TestDerivedGeometry(t *testing.T) {
+	for _, tc := range []struct{ nbits, tables, want int }{
+		{96, 0, 3}, {800, 0, 16}, {64, 0, 2}, {256, 0, 8}, {128, 0, 4}, {1024, 0, 16}, {2048, 0, 32}, {20, 0, 1},
+		{800, 4, 13}, // 800 bits need ≥13 tables for ≤64-bit keys
+		{64, 1000, 64},
+	} {
+		if got := New(tc.nbits, (tc.nbits+63)/64, tc.tables).Tables(); got != tc.want {
+			t.Errorf("New(%d bits, tables %d) has %d tables, want %d", tc.nbits, tc.tables, got, tc.want)
+		}
 	}
 }
 
-// TestPigeonholeRecall verifies the index contract directly: every row
-// within Hamming distance Radius() of the query is a candidate.
-func TestPigeonholeRecall(t *testing.T) {
-	const nbits, wps = 256, 4
-	ix := New(nbits, wps, 8) // radius 7
-	rng := rand.New(rand.NewSource(7))
-	base := randRow(rng, wps)
-	arena := make([]uint64, 0, 64*wps)
-	var within []int32
-	for row := int32(0); row < 64; row++ {
-		w := slices.Clone(base)
-		flips := int(row) % (2 * ix.Tables()) // 0..15 bit flips; ≤7 must be found
-		for f := 0; f < flips; f++ {
-			b := rng.Intn(nbits)
-			w[b/64] ^= uint64(1) << uint(b%64)
+// TestNextMaskEnumeratesOnce: the walk AppendStep makes over a substring's
+// s-bit masks visits each of the C(width, s) masks exactly once, so a step
+// looks every bucket of its neighbourhood up once and steps never overlap.
+func TestNextMaskEnumeratesOnce(t *testing.T) {
+	for _, width := range []int{1, 5, 24, 32, 50, 64} {
+		mask := ^uint64(0) >> uint(64-width)
+		ix := &Index{tables: []table{{mask: mask}}}
+		for s := 0; s <= min(width, 3); s++ {
+			n, prev := 0, uint64(0)
+			for x, ok := uint64(1)<<uint(s)-1, true; ok; x, ok = nextMask(x, mask) {
+				if bits.OnesCount64(x) != s || x&^mask != 0 || (n > 0 && x <= prev) {
+					t.Fatalf("width %d s %d: mask %d is %#x after %#x", width, s, n, x, prev)
+				}
+				n, prev = n+1, x
+			}
+			if n != ix.StepKeys(s) {
+				t.Fatalf("width %d s %d: %d masks, StepKeys says %d", width, s, n, ix.StepKeys(s))
+			}
 		}
-		if flips <= ix.Radius() {
-			within = append(within, row)
+		if got, want := ix.StepKeys(2), width*(width-1)/2; got != want {
+			t.Fatalf("width %d: StepKeys(2) = %d, want %d", width, got, want)
 		}
-		arena = append(arena, w...)
-		ix.Insert(row, arena)
 	}
-	got := sortedCandidates(ix, base)
-	for _, row := range within {
-		if !slices.Contains(got, row) {
-			t.Fatalf("row %d within radius %d missing from candidates %v", row, ix.Radius(), got)
+}
+
+// TestStepsCoverRadius is the index contract, over sketch widths and seeded
+// clustered corpora: after steps 0…t the candidate stream is exactly the rows
+// some table reaches — a substring within t/m bits of the query's, one bit
+// fewer in the tables the round has yet to visit (map oracle) — each once,
+// which includes every row within Hamming distance t (brute force), so
+// m·(s+1)−1 after round s; and a descent allocates nothing.
+func TestStepsCoverRadius(t *testing.T) {
+	const rows = 600
+	for _, nbits := range []int{64, 96, 256, 800} {
+		for seed := int64(1); seed <= 3; seed++ {
+			wps := (nbits + 63) / 64
+			rng := rand.New(rand.NewSource(seed*1000 + int64(nbits)))
+			ix := New(nbits, wps, 0)
+			m := ix.Tables()
+			o := newOracle(ix)
+			centers := make([][]uint64, 6)
+			for c := range centers {
+				centers[c] = randRow(rng, wps)
+				centers[c][wps-1] &= ^uint64(0) >> uint(wps*64-nbits)
+			}
+			near := func(maxFlips int) []uint64 {
+				w := slices.Clone(centers[rng.Intn(len(centers))])
+				for f := rng.Intn(maxFlips + 1); f > 0; f-- {
+					b := rng.Intn(nbits)
+					w[b/64] ^= 1 << uint(b%64)
+				}
+				return w
+			}
+			var arena []uint64
+			for row := int32(0); row < rows; row++ {
+				arena = append(arena, near(3*m)...)
+				ix.Insert(row, arena)
+				o.insert(row, arena)
+			}
+
+			seen := make([]uint64, (rows+63)/64)
+			var stream []int32
+			descend := func(q []uint64, steps int, check func(t int)) {
+				clear(seen)
+				stream = stream[:0]
+				for t := 0; t < steps; t++ {
+					stream = ix.AppendStep(stream, q, t, seen)
+					check(t)
+				}
+			}
+			for trial := 0; trial < 8; trial++ {
+				q := near(2 * m)
+				descend(q, 2*m+m/2+1, func(step int) {
+					got := slices.Clone(stream)
+					slices.Sort(got)
+					if want := o.reached(q, step); !slices.Equal(got, want) {
+						t.Fatalf("%d bits seed %d: after step %d the stream is %v, oracle %v", nbits, seed, step, got, want)
+					}
+					for row := 0; row < rows; row++ {
+						h := 0
+						for w, qw := range q {
+							h += bits.OnesCount64(qw ^ arena[row*wps+w])
+						}
+						if _, ok := slices.BinarySearch(got, int32(row)); !ok && h <= step {
+							t.Fatalf("%d bits seed %d: row %d at distance %d missing after step %d", nbits, seed, row, h, step)
+						}
+					}
+				})
+			}
+			q := near(m)
+			if allocs := testing.AllocsPerRun(20, func() { descend(q, 2*m, func(int) {}) }); allocs != 0 {
+				t.Fatalf("%d bits: a descent allocates %.0f times", nbits, allocs)
+			}
 		}
 	}
 }
@@ -168,37 +253,6 @@ func TestInsertFuzz(t *testing.T) {
 		}
 		if ix.LoadFactor() > 0.80 {
 			t.Fatalf("seed %d: load factor %.2f exceeds rehash ceiling", seed, ix.LoadFactor())
-		}
-	}
-}
-
-// TestEstimateMatchesAppend checks the cost model's estimate equals the
-// actual candidate stream length (duplicates included).
-func TestEstimateMatchesAppend(t *testing.T) {
-	const nbits, wps = 192, 3
-	rng := rand.New(rand.NewSource(5))
-	ix := New(nbits, wps, 6)
-	arena := make([]uint64, 0, 200*wps)
-	for row := int32(0); row < 200; row++ {
-		for w := 0; w < wps; w++ {
-			arena = append(arena, uint64(rng.Intn(16)))
-		}
-		ix.Insert(row, arena)
-	}
-	for trial := 0; trial < 50; trial++ {
-		q := make([]uint64, wps)
-		for w := range q {
-			q[w] = uint64(rng.Intn(16))
-		}
-		got := ix.AppendCandidates(nil, q, nil)
-		if est := ix.EstimateCandidates(q); est != len(got) {
-			t.Fatalf("estimate %d != stream %d", est, len(got))
-		}
-		deduped := sortedCandidates(ix, q)
-		raw := append([]int32(nil), got...)
-		slices.Sort(raw)
-		if !slices.Equal(slices.Compact(raw), deduped) {
-			t.Fatalf("bitmap dedup diverged from sort+compact")
 		}
 	}
 }
