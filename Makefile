@@ -75,8 +75,8 @@ bench-pairs:
 
 # Non-test Go lines in the packages whose size ROADMAP tracks.
 loc:
-	@for p in core server protocol hindex; do \
-		printf 'internal/%-9s %s\n' $$p "$$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l)"; \
+	@for p in core server protocol hindex experiments lint; do \
+		printf 'internal/%-12s %s\n' $$p "$$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l)"; \
 	done
 
 clean:

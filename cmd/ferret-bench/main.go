@@ -5,22 +5,18 @@
 //	ferret-bench -exp table2            # search speed (sketch + filter on)
 //	ferret-bench -exp figure7           # avg precision vs sketch size
 //	ferret-bench -exp figure8           # query time vs dataset size
-//	ferret-bench -exp throughput        # closed-loop concurrent serving QPS
-//	ferret-bench -exp ingest            # query QPS under sustained ingest
-//	ferret-bench -exp scaling           # indexed filter vs arena scan sweep
-//	ferret-bench -exp serving           # wire-level QPS, result cache off/on
+//	ferret-bench -exp ablations         # design-choice studies
 //	ferret-bench -exp all -scale medium
-//	ferret-bench -exp table2,throughput -json results.json
+//	ferret-bench -exp table2,figure8 -json results.json
 //
 // Scales: small (seconds), medium (minutes, default), paper (approaches
 // the paper's dataset sizes; slow). -exp accepts a comma-separated list.
+// Serving throughput, ingest under load and the index-vs-scan cost are
+// measured by the benchmark harness and the core package's benchmarks, not
+// here.
 //
-// The throughput experiment drives closed-loop concurrent clients against
-// the shared-scan query scheduler; -concurrency pins a single client count
-// (default sweeps 1,2,4,8) and -batch skips the unbatched baseline arm.
-//
-// -json writes every experiment's rows — including per-phase latency
-// percentiles and throughput — as one JSON document ("-" = stdout).
+// -json writes every experiment's rows — including per-query latency
+// percentiles — as one JSON document ("-" = stdout).
 package main
 
 import (
@@ -34,11 +30,9 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiments (comma-separated): table1, table2, figure7, figure8, ablations, ingest, throughput, scaling, serving or all")
+	exp := flag.String("exp", "all", "experiments (comma-separated): table1, table2, figure7, figure8, ablations or all")
 	scaleName := flag.String("scale", "medium", "dataset scale: small, medium or paper")
 	jsonPath := flag.String("json", "", "write a machine-readable JSON summary to this file (\"-\" = stdout)")
-	concurrency := flag.Int("concurrency", 0, "throughput: closed-loop client count (0 = sweep 1,2,4,8)")
-	batchOnly := flag.Bool("batch", false, "throughput: only the batched (shared-scan scheduler) arm")
 	flag.Parse()
 
 	scale, ok := experiments.ByName(*scaleName)
@@ -122,54 +116,6 @@ func main() {
 				return nil, err
 			}
 			experiments.FprintAblations(os.Stdout, rows)
-			return rows, nil
-		})
-	}
-	if want("scaling") {
-		ran = true
-		run("scaling", "Scaling: Hamming index vs arena scan", func() (any, error) {
-			points, err := experiments.Scaling(scale)
-			if err != nil {
-				return nil, err
-			}
-			experiments.FprintScaling(os.Stdout, points)
-			return points, nil
-		})
-	}
-	if want("ingest") {
-		ran = true
-		run("ingest", "Mixed ingest: query QPS under sustained writes", func() (any, error) {
-			rows, err := experiments.Ingest(scale)
-			if err != nil {
-				return nil, err
-			}
-			experiments.FprintIngest(os.Stdout, rows)
-			return rows, nil
-		})
-	}
-	if want("serving") {
-		ran = true
-		run("serving", "Wire serving: binary protocol v2, result cache off/on", func() (any, error) {
-			rows, err := experiments.Serving(scale)
-			if err != nil {
-				return nil, err
-			}
-			experiments.FprintServing(os.Stdout, rows)
-			return rows, nil
-		})
-	}
-	if want("throughput") {
-		ran = true
-		run("throughput", "Serving throughput: shared-scan scheduler", func() (any, error) {
-			opts := experiments.ThroughputOptions{BatchedOnly: *batchOnly}
-			if *concurrency > 0 {
-				opts.Concurrencies = []int{*concurrency}
-			}
-			rows, err := experiments.Throughput(scale, opts)
-			if err != nil {
-				return nil, err
-			}
-			experiments.FprintThroughput(os.Stdout, rows)
 			return rows, nil
 		})
 	}

@@ -50,8 +50,6 @@ func main() {
 		budget    = flag.Duration("query-budget", 0, "per-query time budget; expired queries answer degraded (0 = unbounded)")
 		maxConns  = flag.Int("max-conns", 0, "max concurrent protocol connections; excess get a BUSY error (0 = unlimited)")
 		grace     = flag.Duration("shutdown-grace", 10*time.Second, "drain window for in-flight queries on SIGTERM/SIGINT")
-		batchWin  = flag.Duration("batch-window", 0, "coalescing window for sharing arena scans across concurrent queries (0 = disabled)")
-		batchMax  = flag.Int("batch-max", 0, "max queries per shared arena scan (0 = default 8)")
 		hindexOn  = flag.Bool("hindex", false, "build the multi-table Hamming index over sealed segments' sketches (sub-linear k-nearest filter; a query segment falls back to the scan once its descent has cost as much)")
 		traceEach = flag.Int("trace-sample", 0, "retain every Nth query trace (0 = default 64, negative = sampling off, forced/slow traces still kept)")
 		slowQuery = flag.Duration("slow-query", 0, "slow-query log threshold: traces at least this slow are always retained (0 = default 100ms, negative = off)")
@@ -80,7 +78,6 @@ func main() {
 	if *relaxed {
 		cfg = ferret.RelaxedDurability(cfg)
 	}
-	cfg.Scheduler = ferret.SchedulerParams{Window: *batchWin, MaxBatch: *batchMax}
 	cfg.HIndex = ferret.HIndexParams{Enable: *hindexOn}
 	cfg.Trace = ferret.TraceParams{SampleEvery: *traceEach, SlowThreshold: *slowQuery}
 	cfg.Segments = ferret.SegmentParams{SealEntries: *sealAt, Interval: *compIntv, Pace: *compPace}

@@ -75,9 +75,6 @@ type (
 	SketchParams = sketch.Params
 	// FilterParams tunes the filtering unit.
 	FilterParams = core.FilterParams
-	// SchedulerParams configures the shared-scan query scheduler that
-	// coalesces concurrent searches into batched arena passes.
-	SchedulerParams = core.SchedulerParams
 	// HIndexParams configures the multi-table Hamming index built over each
 	// sealed segment (sub-linear filtering); the Config.HIndex field.
 	HIndexParams = core.HIndexParams

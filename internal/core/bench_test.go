@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"ferret/internal/metastore"
 	"ferret/internal/object"
@@ -205,59 +204,114 @@ func BenchmarkQueryPipelinePruned(b *testing.B)   { benchPipeline(b, false) }
 func BenchmarkQueryPipelineUnpruned(b *testing.B) { benchPipeline(b, true) }
 
 // BenchmarkQueryPipelineConcurrent drives Filtering-mode queries from eight
-// closed-loop clients through the coalescing scheduler: ns/op is the
-// amortized per-query wall time under concurrent load. Compare against
-// BenchmarkQueryPipelinePruned (the one-query-at-a-time cost) for the
-// shared-scan win.
-func BenchmarkQueryPipelineConcurrent(b *testing.B) {
-	e, q, _ := benchEngine(b, func(cfg *Config) {
-		cfg.RankThreshold = 2
-		cfg.Scheduler = SchedulerParams{Window: 200 * time.Microsecond, MaxBatch: 8}
-	})
-	opt := benchFilterOpts()
-	b.SetParallelism(8) // 8 client goroutines at GOMAXPROCS=1
-	b.ResetTimer()
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := runQuery(e, q, opt); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	reg := e.Telemetry()
-	if n := reg.Value("ferret_batches_total"); n > 0 {
-		b.ReportMetric(reg.Value("ferret_queries_coalesced_total")/n, "coalesced/batch")
-	}
-}
+// closed-loop clients, each Search running on its client's goroutine: ns/op
+// is the amortized per-query wall time under concurrent load, on the arena
+// scan and on the Hamming index. Compare against BenchmarkQueryPipelinePruned
+// (the one-query-at-a-time cost) and run at -cpu 1,2 to see how the clients
+// spread over cores.
+func BenchmarkQueryPipelineConcurrent(b *testing.B) { benchConcurrent(b, false) }
 
 // BenchmarkQueryPipelineTraced is BenchmarkQueryPipelineConcurrent with the
 // tracer recording every query but retaining none (head sampling and the
 // slow trigger disabled): the cost of always-on span recording alone, with
 // the retention snapshot path never taken — compare against the untraced
 // benchmark above: tracing should stay ~free on the hot path.
-func BenchmarkQueryPipelineTraced(b *testing.B) {
-	e, q, _ := benchEngine(b, func(cfg *Config) {
-		cfg.RankThreshold = 2
-		cfg.Scheduler = SchedulerParams{Window: 200 * time.Microsecond, MaxBatch: 8}
-		cfg.Trace = trace.Params{SampleEvery: -1, SlowThreshold: -1}
-	})
-	opt := benchFilterOpts()
-	b.SetParallelism(8)
-	b.ResetTimer()
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := runQuery(e, q, opt); err != nil {
-				b.Error(err)
-				return
-			}
+func BenchmarkQueryPipelineTraced(b *testing.B) { benchConcurrent(b, true) }
+
+// benchConcurrent runs the eight-client closed loop as two sub-benchmarks,
+// scan and index, over the benchEngine corpus.
+func benchConcurrent(b *testing.B, traced bool) {
+	for _, index := range []bool{false, true} {
+		name := "scan"
+		if index {
+			name = "index"
 		}
-	})
-	b.StopTimer()
-	if got := e.Telemetry().Value("ferret_traces_retained_total"); got != 0 {
-		b.Fatalf("%g traces retained with retention disabled", got)
+		b.Run(name, func(b *testing.B) {
+			e, q, _ := benchEngine(b, func(cfg *Config) {
+				cfg.RankThreshold = 2
+				cfg.HIndex.Enable = index
+				if traced {
+					cfg.Trace = trace.Params{SampleEvery: -1, SlowThreshold: -1}
+				}
+			})
+			opt := benchFilterOpts()
+			b.SetParallelism(8) // 8 client goroutines at GOMAXPROCS=1
+			b.ResetTimer()
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					if _, err := runQuery(e, q, opt); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+			b.StopTimer()
+			if got := e.Telemetry().Value("ferret_traces_retained_total"); traced && got != 0 {
+				b.Fatalf("%g traces retained with retention disabled", got)
+			}
+		})
+	}
+}
+
+// BenchmarkFilterSmallCorpus measures the filtering unit where the Hamming
+// index is known to pay least: 5 000 single-segment 544-d shape objects
+// (synth.MixedShapeObjects, 800-bit sketches) fed online into a default
+// engine that is never compacted — four sealed 1024-entry segments and a
+// 904-entry tail — at the speed-run filter shape (k 50 nearest per query
+// segment), cycling through 16 never-ingested queries. The index and scan
+// sub-benchmarks run the same corpus; fallbacks/op counts index descents
+// that gave up for the sweep, lookups/op the bucket look-ups made.
+func BenchmarkFilterSmallCorpus(b *testing.B) {
+	const objects, dim = 5000, 544
+	max := make([]float32, dim)
+	for i := range max {
+		max[i] = 2
+	}
+	objs := synth.MixedShapeObjects(objects, 301)
+	queries := synth.MixedShapeObjects(16, 909)
+	for _, index := range []bool{true, false} {
+		name := "scan"
+		if index {
+			name = "index"
+		}
+		b.Run(name, func(b *testing.B) {
+			cfg := Config{
+				Dir:    b.TempDir(),
+				Sketch: sketch.Params{N: 800, K: 1, Min: make([]float32, dim), Max: max, Seed: 203},
+				HIndex: HIndexParams{Enable: index},
+				// No background merges: the segment layout stays as fed.
+				Segments: SegmentParams{Interval: -1},
+			}
+			e, err := Open(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { e.Close() })
+			for _, o := range objs {
+				if _, err := e.Ingest(o, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			v := e.cur.Load()
+			scs := make([][]*queryScratch, len(queries))
+			for i, q := range queries {
+				sc := getScratch()
+				defer putScratch(sc)
+				loadScratch(sc, q, e.buildSketchSet(q), benchFilterOpts())
+				scs[i] = []*queryScratch{sc}
+				e.filterBatch(v, scs[i]) // warm the scratch
+			}
+			reg := e.Telemetry()
+			fallbacks, lookups := reg.Value("ferret_hindex_fallback_total"), reg.Value("ferret_hindex_lookups_total")
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e.filterBatch(v, scs[i%len(scs)])
+			}
+			b.StopTimer()
+			b.ReportMetric((reg.Value("ferret_hindex_fallback_total")-fallbacks)/float64(b.N), "fallbacks/op")
+			b.ReportMetric((reg.Value("ferret_hindex_lookups_total")-lookups)/float64(b.N), "lookups/op")
+		})
 	}
 }

@@ -189,11 +189,6 @@ type Config struct {
 	// Prune tunes the ranking unit's sketch lower-bound EMD pruning. Only
 	// effective with the built-in EMD object distance (ObjectDistance nil).
 	Prune PruneParams
-	// Scheduler configures the shared-scan query scheduler that coalesces
-	// concurrent Search calls into batched arena passes (see scheduler.go).
-	// The zero value disables coalescing; SearchBatch still batches
-	// explicitly.
-	Scheduler SchedulerParams
 	// HIndex optionally accelerates the filtering unit with a multi-table
 	// Hamming index over each sealed segment's arena (see internal/hindex
 	// and probe.go): a k-nearest descent, sub-linear in corpus size and
@@ -331,12 +326,10 @@ type Engine struct {
 	met            *engineMetrics
 	tracer         *trace.Tracer
 
-	// pool is the persistent rank worker pool (started at Open,
-	// stopped by Close); sched, when non-nil, coalesces concurrent Search
-	// calls into shared arena scans; queue, when non-nil, is the bounded
-	// ingest queue (see ingest.go).
+	// pool is the persistent rank worker pool SearchBatch fans out to
+	// (started at Open, stopped by Close); queue, when non-nil, is the
+	// bounded ingest queue (see ingest.go).
 	pool  *workerPool
-	sched *scheduler
 	queue *ingestQueue
 
 	// rcache is the hot-query result cache (nil when disabled), invalidated
@@ -463,9 +456,6 @@ func Open(cfg Config) (*Engine, error) {
 	// Two workers: a batch's rank tasks fan out to them, and whatever no
 	// worker is free for ranks on the batch leader.
 	e.pool = newWorkerPool(2, e.met)
-	if cfg.Scheduler.Window > 0 {
-		e.sched = newScheduler(e, cfg.Scheduler)
-	}
 	if e.cfg.Segments.Interval > 0 {
 		e.compactStop = make(chan struct{})
 		e.compactDone = make(chan struct{})
@@ -481,9 +471,9 @@ func Open(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Close shuts the engine down: the scheduler stops accepting queries and
-// fails anything still queued, the worker pool drains, and the metadata
-// store is released. Safe to call more than once.
+// Close shuts the engine down: the ingest queue drains, the background
+// compactor stops, the worker pool's goroutines exit, and the metadata store
+// is released. Safe to call more than once.
 func (e *Engine) Close() error {
 	if e.queue != nil {
 		e.queue.close()
@@ -492,9 +482,6 @@ func (e *Engine) Close() error {
 		close(e.compactStop)
 		<-e.compactDone
 		e.compactStop = nil
-	}
-	if e.sched != nil {
-		e.sched.close()
 	}
 	if e.pool != nil {
 		e.pool.close()
@@ -738,11 +725,10 @@ func (e *Engine) cacheLookup(key cacheKey, tr *trace.Active) (Answer, bool) {
 }
 
 // search runs one uncached query through the pipeline: a batch of one,
-// executed on the calling goroutine with pooled scratch, unless the
-// coalescing scheduler is on and can fold it into a shared batch. q is nil
-// for a by-ID query of a sketch-only store, whose stored sketch set qset
-// stands in for the query's; otherwise qset is nil and built here. opt.K
-// must already be resolved.
+// executed on the calling goroutine with pooled scratch. q is nil for a
+// by-ID query of a sketch-only store, whose stored sketch set qset stands in
+// for the query's; otherwise qset is nil and built here. opt.K must already
+// be resolved.
 func (e *Engine) search(ctx context.Context, q *object.Object, qset *metastore.SketchSet, opt QueryOptions) (Answer, error) {
 	if err := e.checkQuery(q); err != nil {
 		e.met.queryErrors.Inc()
@@ -754,12 +740,8 @@ func (e *Engine) search(ctx context.Context, q *object.Object, qset *metastore.S
 	sc := getScratch()
 	defer putScratch(sc)
 	e.begin(ctx, sc, q, qset, opt)
-	if e.sched != nil && e.batchable(&sc.opt) {
-		e.sched.do(sc)
-	} else {
-		one := [1]*queryScratch{sc}
-		e.runBatch(one[:])
-	}
+	one := [1]*queryScratch{sc}
+	e.runBatch(one[:])
 	return e.finish(sc)
 }
 
@@ -795,9 +777,9 @@ func (e *Engine) begin(ctx context.Context, sc *queryScratch, q *object.Object, 
 	}
 }
 
-// finish converts a request that has been through runBatch (or was failed
-// by the scheduler) into the Search return values, recording the per-query
-// metrics and finishing an engine-armed trace.
+// finish converts a request that has been through runBatch into the Search
+// return values, recording the per-query metrics and finishing an
+// engine-armed trace.
 func (e *Engine) finish(sc *queryScratch) (Answer, error) {
 	if sc.err != nil {
 		e.met.queryErrors.Inc()

@@ -27,7 +27,7 @@ type queryReq struct {
 	qset  *metastore.SketchSet
 	opt   QueryOptions
 	start time.Time // pipeline entry, for ferret_query_seconds
-	enq   time.Time // scheduler submit, for ferret_batch_queue_wait_seconds
+	enq   time.Time // SearchBatch admission, for ferret_batch_queue_wait_seconds
 
 	// trp points at the query's active trace recording buffer — the
 	// scratch's own, or the caller-supplied one from QueryOptions.Trace. nil
@@ -46,11 +46,6 @@ type queryReq struct {
 // nothing on the filter path (verified by TestFilterPathAllocs).
 type queryScratch struct {
 	queryReq // cleared by putScratch: pooled scratch never pins caller memory
-
-	// done hands a scheduled request back to its waiting Search call: the
-	// dispatcher sends once per submitted request, so the channel (capacity
-	// 1) is reused across the scratch's lifetimes.
-	done chan struct{}
 
 	order []int      // query segments by descending weight
 	cands []int      // candidate entry indices (union over query segments)
@@ -131,27 +126,11 @@ const batchRows = 512
 // walk is 14× faster at ten allowed objects, the sweep 1.7× at half.
 const restrictWalkDiv = 4
 
-// resizeF64 grows (or shrinks) a pooled float64 slice to length n.
-func resizeF64(s *[]float64, n int) []float64 {
+// resize grows (or shrinks) a pooled slice to length n; grown contents are
+// zero, reused ones are stale, so callers clear what they read first.
+func resize[T any](s *[]T, n int) []T {
 	if cap(*s) < n {
-		*s = make([]float64, n)
-	}
-	*s = (*s)[:n]
-	return *s
-}
-
-func resizeI32(s *[]int32, n int) []int32 {
-	if cap(*s) < n {
-		*s = make([]int32, n)
-	}
-	*s = (*s)[:n]
-	return *s
-}
-
-// resizeU64 sizes a pooled dedup bitmap; the caller clears it before use.
-func resizeU64(s *[]uint64, n int) []uint64 {
-	if cap(*s) < n {
-		*s = make([]uint64, n)
+		*s = make([]T, n)
 	}
 	*s = (*s)[:n]
 	return *s
@@ -351,10 +330,10 @@ func (e *Engine) arenaSweep(v *view, seg *segment, scs []*queryScratch, bs *batc
 		return
 	}
 
-	bounds := resizeI32(&bs.bounds, np)
-	ns := resizeI32(&bs.ns, np)
-	idx := resizeI32(&bs.idx, np*batchRows)
-	dist := resizeI32(&bs.dist, np*batchRows)
+	bounds := resize(&bs.bounds, np)
+	ns := resize(&bs.ns, np)
+	idx := resize(&bs.idx, np*batchRows)
+	dist := resize(&bs.dist, np*batchRows)
 	bs.qsks = bs.qsks[:0]
 	for _, p := range pairs {
 		bs.qsks = append(bs.qsks, p.qsk)

@@ -69,7 +69,7 @@ func (e *Engine) indexDescent(v *view, scs []*queryScratch, bs *batchScratch, re
 	if nix == 0 {
 		return
 	}
-	seen := resizeU64(&bs.seen, words)
+	seen := resize(&bs.seen, words)
 	for lo, hi := 0, 0; lo < len(bs.pairs); lo = hi { // one request's pairs at a time
 		sc := scs[bs.pairs[lo].req]
 		for hi = lo + 1; hi < len(bs.pairs) && bs.pairs[hi].req == bs.pairs[lo].req; hi++ {

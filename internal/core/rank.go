@@ -252,7 +252,7 @@ func (e *Engine) sketchLowerBound(v *view, qw []float64, idx int, sqrtW bool, sc
 	if m == 1 && n == 1 {
 		return e.estimateAt(qset.Sketches[0], a, lo)
 	}
-	colMin := resizeF64(&sc.colMin, n)
+	colMin := resize(&sc.colMin, n)
 	for j := range colMin {
 		colMin[j] = math.Inf(1)
 	}
@@ -283,7 +283,7 @@ func (e *Engine) sketchLowerBound(v *view, qw []float64, idx int, sqrtW bool, sc
 // normalizedWeights normalizes float32 segment weights into pooled scratch
 // with the default EMD's own weight handling.
 func normalizedWeights(dst *[]float64, w []float32, sqrtW bool) []float64 {
-	out := resizeF64(dst, len(w))
+	out := resize(dst, len(w))
 	for i, f := range w {
 		out[i] = float64(f)
 	}

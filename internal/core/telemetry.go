@@ -17,9 +17,10 @@ const (
 	StageExactFilter = "exact_filter"
 	StageRank        = "rank"
 
-	// Trace-only span names (no stage histogram of their own): queue wait
-	// is the scheduler histogram ferret_batch_queue_wait_seconds, and the
-	// shared arena scan is observed into the filter stage histogram. The
+	// Trace-only span names (no stage histogram of their own): queue wait —
+	// how long a SearchBatch query waited behind the call's earlier groups —
+	// is the histogram ferret_batch_queue_wait_seconds, and the shared arena
+	// scan is observed into the filter stage histogram. The
 	// Hamming-index spans split an indexed filter stage into its bucket
 	// descent and its candidate verification, so /debug/traces shows
 	// probe-vs-verify time directly.
@@ -79,9 +80,8 @@ type engineMetrics struct {
 	cacheEntries     *telemetry.Gauge   // ferret_result_cache_entries
 	cacheBytes       *telemetry.Gauge   // ferret_result_cache_bytes
 
-	// Batch-scheduler counters and histograms (see scheduler.go).
+	// SearchBatch group counters and histograms (see batch.go).
 	batches   *telemetry.Counter   // ferret_batches_total
-	coalesced *telemetry.Counter   // ferret_queries_coalesced_total
 	batchSize *telemetry.Histogram // ferret_batch_size
 	queueWait *telemetry.Histogram // ferret_batch_queue_wait_seconds
 
@@ -168,13 +168,11 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 		cacheEntries: reg.Gauge("ferret_result_cache_entries", "Result-cache entries resident."),
 		cacheBytes:   reg.Gauge("ferret_result_cache_bytes", "Approximate result-cache resident bytes."),
 
-		batches: reg.Counter("ferret_batches_total", "Shared-scan query batches executed."),
-		coalesced: reg.Counter("ferret_queries_coalesced_total",
-			"Queries answered by a shared arena scan with at least one other query."),
-		batchSize: reg.Histogram("ferret_batch_size", "Queries per shared-scan batch.",
+		batches: reg.Counter("ferret_batches_total", "Shared-scan query groups executed by SearchBatch."),
+		batchSize: reg.Histogram("ferret_batch_size", "Queries per SearchBatch shared-scan group.",
 			[]float64{1, 2, 4, 8, 16, 32}),
 		queueWait: reg.Histogram("ferret_batch_queue_wait_seconds",
-			"Time a query waited in the scheduler's coalescing queue.", telemetry.FineTimeBuckets),
+			"Time a SearchBatch query waited behind the call's earlier groups.", telemetry.FineTimeBuckets),
 
 		writeWait: reg.Histogram("ferret_write_wait_seconds",
 			"Time an ingest, delete or merge swap waited for the engine's writer mutex.", telemetry.FineTimeBuckets),

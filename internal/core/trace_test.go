@@ -87,7 +87,7 @@ func TestDescentSpans(t *testing.T) {
 	}
 }
 
-// TestBatchTraceSharedScanSpan: every query of one coalesced batch must
+// TestBatchTraceSharedScanSpan: every query of one SearchBatch group must
 // retain a trace whose scan span references the same shared span ID — the
 // cross-trace proof that the batch rode one physical arena scan — and the
 // queue and rank stages must be present per query.
@@ -205,7 +205,7 @@ func TestDegradedQueryInSlowLog(t *testing.T) {
 	}
 }
 
-// TestSerialSearchTraced: the unbatched pipeline (no scheduler) must produce
+// TestSerialSearchTraced: the unbatched pipeline (a Search) must produce
 // a complete forced trace too — sketch, filter, and rank spans plus the
 // aggregated breakdown on the answer.
 func TestSerialSearchTraced(t *testing.T) {

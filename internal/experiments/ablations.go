@@ -358,17 +358,3 @@ func Ablations(scale Scale) ([]AblationRow, error) {
 	}
 	return all, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

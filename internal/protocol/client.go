@@ -291,7 +291,7 @@ func (c *Client) QueryMeta(key string, p QueryParams) ([]Result, ResponseMeta, e
 }
 
 // BatchQuery runs similarity queries for several already-ingested objects as
-// one request: the server coalesces them into shared arena scans. The
+// one request: the server groups them into shared arena scans. The
 // returned slice is parallel to keys; per-query failures are reported in
 // BatchItem.Err without failing their siblings.
 func (c *Client) BatchQuery(keys []string, p QueryParams) ([]BatchItem, error) {

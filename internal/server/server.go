@@ -543,7 +543,7 @@ func (s *Server) handle(ctx context.Context, st *connState, start time.Time) (re
 
 	case protocol.CmdBatchQuery:
 		// n keys sharing one set of query options, answered through the
-		// engine's batched search so concurrent keys share arena scans.
+		// engine's batched search so the keys share arena scans.
 		if n := len(req.Keys); n == 0 || n > maxBatchKeys {
 			return response{}, fmt.Errorf("bad batch size %d (1..%d)", n, maxBatchKeys)
 		}
@@ -553,7 +553,7 @@ func (s *Server) handle(ctx context.Context, st *connState, start time.Time) (re
 		}
 		// Tracing a batch: each query gets its own engine-armed,
 		// force-retained trace, and its group's flags carry the trace ID and
-		// stage breakdown. All coalesced groups' scan spans share one Ref
+		// stage breakdown. The scan spans of one batch group share one Ref
 		// span ID — the shared arena scan they rode.
 		if req.Trace != "" {
 			if _, err := s.tracer(); err != nil {

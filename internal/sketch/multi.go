@@ -2,8 +2,8 @@ package sketch
 
 import "math/bits"
 
-// Multi-query kernels. Under concurrent load the engine coalesces in-flight
-// queries and scans the arena once for all of them: each packed row is loaded
+// Multi-query kernels. An explicit query batch (the engine's SearchBatch)
+// scans the arena once for all of its queries: each packed row is loaded
 // from memory a single time and scored against Q query sketches, so the
 // per-query memory traffic drops from rows·wps·8 bytes to (rows·wps·8)/Q.
 // On hosts where the scalar scan is compute-bound rather than bandwidth-bound

@@ -2,19 +2,19 @@
 // pipeline traces with sampling retention and an always-on slow-query log.
 //
 // Aggregate metrics (package telemetry) answer "how slow are queries?";
-// traces answer "why was *this* query slow?" — since the shared-scan
-// scheduler landed, a query's latency is a function of which coalesced
-// batch it joined and how long it waited in the queue, which no histogram
-// can attribute. A trace is a bounded set of spans (name, start offset,
-// duration, parent, integer attrs) recorded while one query runs.
+// traces answer "why was *this* query slow?" — whether its filter was an
+// index descent or a sweep, how many EMD evaluations its rank ran, which
+// explicit batch group it rode and how long that group waited, which no
+// histogram can attribute. A trace is a bounded set of spans (name, start
+// offset, duration, parent, integer attrs) recorded while one query runs.
 //
 // The design splits *recording* from *retention* so tracing can stay
 // always-on without perturbing the measured system:
 //
 //   - Recording is allocation-free. An Active is a fixed-capacity span
 //     buffer that callers embed by value inside state they already
-//     allocate or pool per query (the scheduler's batchReq, the engine's
-//     pooled queryScratch, the server's per-connection state). Starting a
+//     allocate or pool per query (the engine's pooled queryScratch, the
+//     server's per-connection state). Starting a
 //     span, setting an attr and ending it are a mutex-guarded array write
 //     each — no heap allocation, verified by TestFilterPathAllocs and
 //     BenchmarkQueryPipelineTraced.
@@ -28,9 +28,9 @@
 // exposed over the TRACE protocol command and the /debug/traces JSON
 // endpoint (see Handler).
 //
-// Spans in different traces can be correlated: the scheduler records the
-// shared arena scan once per coalesced query with the same Ref span ID, so
-// all Q traces of one batch provably point at the same physical scan.
+// Spans in different traces can be correlated: an explicit batch records
+// its shared arena scan once per query with the same Ref span ID, so all Q
+// traces of one batch group provably point at the same physical scan.
 package trace
 
 import (
@@ -88,9 +88,9 @@ func nextID() uint64 {
 // NewTraceID allocates a fresh trace ID.
 func NewTraceID() TraceID { return TraceID(nextID()) }
 
-// NewSpanID allocates a fresh span ID — used by the scheduler to mint the
-// shared scan span's identity once per batch and link it from every
-// coalesced query's trace (SpanData.Ref).
+// NewSpanID allocates a fresh span ID — used by a batched filter pass to
+// mint the shared scan span's identity once per group and link it from
+// every member query's trace (SpanData.Ref).
 func NewSpanID() SpanID { return SpanID(nextID()) }
 
 // Capacity limits. MaxSpans bounds one trace's recording buffer (a large
@@ -261,8 +261,8 @@ type spanRec struct {
 // methods are also safe on a nil receiver, so "no trace" needs no branches
 // at call sites. An Active may be re-armed after Finish (pooled reuse).
 //
-// Recording is mutex-guarded: the scheduler's leader, pool workers and the
-// serving goroutine may record into one query's Active concurrently.
+// Recording is mutex-guarded: a batch's calling goroutine, pool workers and
+// the serving goroutine may record into one query's Active concurrently.
 type Active struct {
 	mu      sync.Mutex
 	t       *Tracer
@@ -417,7 +417,7 @@ func (a *Active) Record(name string, start time.Time, d time.Duration) Span {
 }
 
 // RecordShared is Record carrying a Ref span ID: the span stands for work
-// physically shared with other traces (the coalesced arena scan), and every
+// physically shared with other traces (a batch's arena scan), and every
 // participating trace records it with the same ref, linking them.
 //ferret:noalloc
 func (a *Active) RecordShared(name string, ref SpanID, start time.Time, d time.Duration) Span {
