@@ -178,6 +178,62 @@ func BenchmarkFilterImage96(b *testing.B) {
 	b.ReportMetric((reg.Value("ferret_hindex_lookups_total")-lookups)/float64(b.N), "lookups/op")
 }
 
+// BenchmarkRankImage measures the rank stage alone on the benchmark's
+// image_engine shape (BenchmarkFilterImage96's corpus and queries, rank
+// threshold 2): each of the 32 queries is filtered once, then only rankStage
+// is timed — the sketch lower bounds, their sort, the exact EMDs and their
+// abandons. evals/op, pruned/op and abandoned/op say how the pruning tiers
+// split the candidates, so a kernel change that moves them is visible here.
+func BenchmarkRankImage(b *testing.B) {
+	const objects = 20000
+	max := make([]float32, 14)
+	for i := range max {
+		max[i] = 1
+	}
+	cfg := Config{
+		Dir:           b.TempDir(),
+		Sketch:        sketch.Params{N: 96, K: 1, Min: make([]float32, 14), Max: max, Seed: 201},
+		RankThreshold: 2,
+		HIndex:        HIndexParams{Enable: true},
+		Segments:      SegmentParams{SealEntries: objects/5 + 97, Interval: -1},
+	}
+	e, err := Open(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { e.Close() })
+	for _, o := range synth.MixedImageObjects(objects, 3) {
+		if _, err := e.Ingest(o, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	v := e.cur.Load()
+	if len(v.segs) != 5 {
+		b.Fatalf("%d storage segments, want 5", len(v.segs))
+	}
+	var scs [32]*queryScratch
+	for i, q := range synth.MixedImageObjects(len(scs), 1001) {
+		sc := getScratch()
+		defer putScratch(sc)
+		loadScratch(sc, q, e.buildSketchSet(q), QueryOptions{K: 20})
+		e.filterBatch(v, []*queryScratch{sc})
+		e.rankStage(v, sc) // warm the scratch and the EMD workspace pool
+		scs[i] = sc
+	}
+	evals, pruned, abandoned := 0, 0, 0
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sc := scs[i%len(scs)]
+		e.rankStage(v, sc)
+		evals, pruned, abandoned = evals+sc.rankEvals, pruned+sc.rankPruned, abandoned+sc.rankAbandoned
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+	b.ReportMetric(float64(pruned)/float64(b.N), "pruned/op")
+	b.ReportMetric(float64(abandoned)/float64(b.N), "abandoned/op")
+}
+
 // The QueryPipeline pair measures end-to-end Filtering-mode queries with the
 // sketch lower-bound EMD prune on (default) and off.
 

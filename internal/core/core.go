@@ -322,9 +322,11 @@ type Engine struct {
 	// built-in EMD distance): it may stop once a lower bound over the
 	// exact ground costs proves the distance exceeds the bound.
 	objDistBounded func(a, b object.Object, bound float64) (float64, bool)
-	segDist        vector.Func
-	met            *engineMetrics
-	tracer         *trace.Tracer
+	// est[h] is the estimated segment distance at Hamming distance h.
+	est     []float64
+	segDist vector.Func
+	met     *engineMetrics
+	tracer  *trace.Tracer
 
 	// pool is the persistent rank worker pool SearchBatch fans out to
 	// (started at Open, stopped by Close); queue, when non-nil, is the
@@ -412,6 +414,7 @@ func Open(cfg Config) (*Engine, error) {
 		}
 		e.builder = b
 	}
+	e.est = estimateTable(e.builder, cfg.RankThreshold)
 
 	e.cfg.Segments = cfg.Segments.withDefaults()
 	// The stored corpus loads into one segment, sealed (and indexed, once)
@@ -895,7 +898,8 @@ func (e *Engine) rankStage(v *view, sc *queryScratch) {
 	sc.trp.Record(StageRank, tr, time.Since(tr)).
 		SetAttr("evals", int64(sc.rankEvals)).
 		SetAttr("pruned", int64(sc.rankPruned)).
-		SetAttr("cands", int64(len(sc.cands)))
+		SetAttr("cands", int64(len(sc.cands))).
+		SetAttr("abandoned", int64(sc.rankAbandoned))
 	sc.settle(results, degraded)
 }
 

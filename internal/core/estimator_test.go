@@ -83,8 +83,10 @@ func TestSketchDistancePreservesEMDOrdering(t *testing.T) {
 // sketchObjectDistanceSet is sketchObjectDistanceAt over two free-standing
 // sketch sets (no arena entry).
 func (e *Engine) sketchObjectDistanceSet(qset, oset *metastore.SketchSet) float64 {
-	d, err := emd.Transport(qset.Weights, oset.Weights, func(i, j int) float64 {
-		return e.estimateSketches(qset.Sketches[i], oset.Sketches[j])
+	d, err := emd.Transport(qset.Weights, oset.Weights, func(i int, row []float64) {
+		for j := range row {
+			row[j] = e.estimateSketches(qset.Sketches[i], oset.Sketches[j])
+		}
 	})
 	if err != nil {
 		return infinity
@@ -94,11 +96,7 @@ func (e *Engine) sketchObjectDistanceSet(qset, oset *metastore.SketchSet) float6
 
 // estimateSketches is estimateAt for two free-standing sketches.
 func (e *Engine) estimateSketches(a, b sketch.Sketch) float64 {
-	d := e.builder.EstimateL1(sketch.Hamming(a, b))
-	if t := e.cfg.RankThreshold; t > 0 && d > t {
-		d = t
-	}
-	return d
+	return e.est[sketch.Hamming(a, b)]
 }
 
 // bug guard: sketchObjectDistance must use the query's own sketches, not

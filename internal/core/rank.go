@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"ferret/internal/emd"
@@ -240,6 +241,10 @@ func (e *Engine) lowerBounds(v *view, cands []int, sqrtW bool, sc *queryScratch)
 // independent one-sided minimizations (every unit of supply pays at least
 // its cheapest row cost; symmetrically for demand) — the same inequality as
 // emd.DistanceBounded's abandon bound, over estimated rather than exact costs.
+// The m×n cells are one call-free loop over the entry's contiguous arena
+// rows: popcount of the XOR (two-word sketches unrolled), a table read.
+//
+//ferret:noalloc
 func (e *Engine) sketchLowerBound(v *view, qw []float64, idx int, sqrtW bool, sc *queryScratch) float64 {
 	qset := sc.qset
 	seg, li := v.segOf(idx)
@@ -256,17 +261,24 @@ func (e *Engine) sketchLowerBound(v *view, qw []float64, idx int, sqrtW bool, sc
 	for j := range colMin {
 		colMin[j] = math.Inf(1)
 	}
+	est, wps := e.est, a.wps
+	words := a.words[lo*wps : hi*wps]
 	var lbSupply float64
 	for i, qsk := range qset.Sketches {
+		qsk = qsk[:wps]
 		rowMin := math.Inf(1)
-		for j := 0; j < n; j++ {
-			d := e.estimateAt(qsk, a, lo+j)
-			if d < rowMin {
-				rowMin = d
+		for j := range colMin {
+			var h int
+			if wps == 2 {
+				w := words[2*j : 2*j+2]
+				h = bits.OnesCount64(qsk[0]^w[0]) + bits.OnesCount64(qsk[1]^w[1])
+			} else {
+				h = sketch.HammingAt(qsk, words, j*wps) // inlined
 			}
-			if d < colMin[j] {
-				colMin[j] = d
-			}
+			// Table entries are never NaN or −0: min is the branch-free <.
+			d := est[h]
+			rowMin = min(rowMin, d)
+			colMin[j] = min(colMin[j], d)
 		}
 		lbSupply += qw[i] * rowMin
 	}
@@ -300,8 +312,13 @@ func (e *Engine) sketchObjectDistanceAt(v *view, qset *metastore.SketchSet, idx 
 	seg, li := v.segOf(idx)
 	a := &seg.arena
 	lo, hi := a.rowsOf(li)
-	d, err := emd.Transport(qset.Weights, a.weight[lo:hi], func(i, j int) float64 {
-		return e.estimateAt(qset.Sketches[i], a, lo+j)
+	if len(qset.Sketches) == 1 && hi-lo == 1 {
+		return e.estimateAt(qset.Sketches[0], a, lo)
+	}
+	d, err := emd.Transport(qset.Weights, a.weight[lo:hi], func(i int, row []float64) {
+		for j := range row {
+			row[j] = e.estimateAt(qset.Sketches[i], a, lo+j)
+		}
 	})
 	if err != nil {
 		return infinity
@@ -309,13 +326,23 @@ func (e *Engine) sketchObjectDistanceAt(v *view, qset *metastore.SketchSet, idx 
 	return d
 }
 
-// estimateAt converts the Hamming distance between a query sketch and a row
-// of the given segment arena into an estimated segment distance, applying
-// the rank threshold when configured.
+// estimateAt is the estimated segment distance between a query sketch and a
+// row of the given segment arena: the estimate-table entry at their Hamming
+// distance.
 func (e *Engine) estimateAt(q sketch.Sketch, a *sketchArena, row int) float64 {
-	d := e.builder.EstimateL1(sketch.HammingAt(q, a.words, row*a.wps))
-	if t := e.cfg.RankThreshold; t > 0 && d > t {
-		d = t
+	return e.est[sketch.HammingAt(q, a.words, row*a.wps)]
+}
+
+// estimateTable tabulates the estimator for every Hamming distance h of a
+// b.N()-bit sketch: b.EstimateL1(h), capped at a positive threshold.
+func estimateTable(b *sketch.Builder, threshold float64) []float64 {
+	est := make([]float64, b.N()+1)
+	for h := range est {
+		d := b.EstimateL1(h)
+		if threshold > 0 && d > threshold {
+			d = threshold
+		}
+		est[h] = d
 	}
-	return d
+	return est
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"testing"
 
 	"ferret/internal/object"
@@ -80,5 +82,46 @@ func TestRankPathAllocs(t *testing.T) {
 	}
 	if e.Telemetry().Value("ferret_rank_distance_evals_total") == evals {
 		t.Fatal("no EMD was evaluated; the alloc check never reached the rank stage")
+	}
+}
+
+// TestEstimateTable: the rank stage's Hamming→estimate table holds, for every
+// Hamming distance a sketch can take, exactly the value the per-cell
+// estimator gives — EstimateL1(h), capped at the rank threshold — for both
+// benchmark widths, the K = 1 shortcut and the math.Pow branch of XOR-folded
+// sketches, with and without a threshold.
+func TestEstimateTable(t *testing.T) {
+	for _, bitsN := range []int{96, 800} {
+		for _, k := range []int{1, 3} {
+			for _, threshold := range []float64{0, 2} {
+				name := fmt.Sprintf("N=%d/K=%d/threshold=%g", bitsN, k, threshold)
+				min, max := make([]float32, 14), make([]float32, 14)
+				for i := range max {
+					max[i] = 1
+				}
+				b, err := sketch.NewBuilder(sketch.Params{N: bitsN, K: k, Min: min, Max: max, Seed: 5})
+				if err != nil {
+					t.Fatal(err)
+				}
+				est := estimateTable(b, threshold)
+				if len(est) != bitsN+1 {
+					t.Fatalf("%s: %d entries, want %d", name, len(est), bitsN+1)
+				}
+				capped := 0
+				for h, got := range est {
+					want := b.EstimateL1(h)
+					if threshold > 0 && want > threshold {
+						want = threshold
+						capped++
+					}
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s: est[%d] = %x, estimator %x", name, h, math.Float64bits(got), math.Float64bits(want))
+					}
+				}
+				if threshold > 0 && capped == 0 {
+					t.Fatalf("%s: no entry reached the threshold; the cap is untested", name)
+				}
+			}
+		}
 	}
 }

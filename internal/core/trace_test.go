@@ -207,11 +207,15 @@ func TestDegradedQueryInSlowLog(t *testing.T) {
 
 // TestSerialSearchTraced: the unbatched pipeline (a Search) must produce
 // a complete forced trace too — sketch, filter, and rank spans plus the
-// aggregated breakdown on the answer.
+// aggregated breakdown on the answer — and the rank span carries the whole
+// rank ledger: every candidate was evaluated, abandoned or pruned, in the
+// counts the engine's counters recorded.
 func TestSerialSearchTraced(t *testing.T) {
 	const d, nseg = 8, 3
-	e := openEngine(t, traceTestConfig(t.TempDir(), d))
-	ingestClusters(t, e, 5, 5, d, nseg)
+	cfg := traceTestConfig(t.TempDir(), d)
+	cfg.RankThreshold = 0.05
+	e := openEngine(t, cfg)
+	ingestClusters(t, e, 8, 8, d, nseg)
 
 	rng := rand.New(rand.NewSource(41))
 	q := clusterObject("q", 2, d, nseg, 0.02, rng)
@@ -227,6 +231,25 @@ func TestSerialSearchTraced(t *testing.T) {
 	}
 	if len(e.tracer.Slow()) != 0 {
 		t.Fatal("healthy query leaked into the slow-query log")
+	}
+
+	rank, _ := tr.Span(StageRank)
+	ledger := map[string]int64{}
+	for _, at := range rank.Attrs {
+		ledger[at.Key] = at.Val
+	}
+	reg := e.Telemetry()
+	for key, metric := range map[string]string{
+		"evals":     "ferret_rank_distance_evals_total",
+		"pruned":    "ferret_rank_emd_pruned_total",
+		"abandoned": "ferret_rank_emd_abandoned_total",
+	} {
+		if got, ok := ledger[key]; !ok || float64(got) != reg.Value(metric) {
+			t.Fatalf("rank span %s = %d (present %v), %s = %v: %s", key, got, ok, metric, reg.Value(metric), tr.Compact())
+		}
+	}
+	if ledger["evals"]+ledger["pruned"]+ledger["abandoned"] != ledger["cands"] || ledger["abandoned"] == 0 {
+		t.Fatalf("rank ledger %v: want evals + pruned + abandoned = cands with abandoned > 0", ledger)
 	}
 }
 

@@ -125,28 +125,14 @@ func DistanceBounded(x, y object.Object, opt Options, bound float64) (float64, b
 		return 0, false, fmt.Errorf("emd: dimension mismatch (%d vs %d)", x.Dim(), y.Dim())
 	}
 	ground := opt.Ground
-	capped := ground == nil && opt.Threshold > 0
-	if ground == nil {
-		ground = vector.L1
-	}
-	// With the default ℓ₁ ground and a positive threshold every cost is capped
-	// anyway, so the capped kernel's early exit returns the identical value
-	// while skipping the tail of far-apart vectors.
-	cost := func(i, j int) float64 {
-		a, b := x.Segments[i].Vec, y.Segments[j].Vec
-		if capped {
-			return vector.L1Capped(a, b, opt.Threshold)
-		}
-		d := ground(a, b)
-		if opt.Threshold > 0 && d > opt.Threshold {
-			d = opt.Threshold
-		}
-		return d
+	limit := math.Inf(1)
+	if opt.Threshold > 0 {
+		limit = opt.Threshold
 	}
 	// Fast path: single-segment objects (3D shape, genomic) reduce to the
 	// ground distance itself.
 	if m == 1 && n == 1 {
-		return cost(0, 0), true, nil
+		return groundCost(ground, x.Segments[0].Vec, y.Segments[0].Vec, limit), true, nil
 	}
 	ws := getWorkspace(m, n)
 	defer wsPool.Put(ws)
@@ -156,20 +142,46 @@ func DistanceBounded(x, y object.Object, opt Options, bound float64) (float64, b
 	for j := range ws.b {
 		ws.b[j] = float64(y.Segments[j].Weight)
 	}
-	return ws.transport(opt.SqrtWeights, bound, cost)
+	ys := y.Segments
+	return ws.transport(opt.SqrtWeights, bound, func(i int, row []float64) {
+		a, last := x.Segments[i].Vec, len(row)-1
+		if ground != nil {
+			for j := range row {
+				row[j] = groundCost(ground, a, ys[j].Vec, limit)
+			}
+			return
+		}
+		// ℓ₁: four columns per kernel call; a short last group repeats the
+		// last column, whose lanes then compute (and store) the same value.
+		for j := 0; j <= last; j += 4 {
+			j1, j2, j3 := min(j+1, last), min(j+2, last), min(j+3, last)
+			row[j], row[j1], row[j2], row[j3] = vector.L1x4(a, ys[j].Vec, ys[j1].Vec, ys[j2].Vec, ys[j3].Vec, limit)
+		}
+	})
+}
+
+// groundCost is one ground distance capped at limit (+Inf: uncapped); nil
+// ground is ℓ₁, whose capped kernel skips the tail of far-apart vectors.
+func groundCost(ground vector.Func, a, b []float32, limit float64) float64 {
+	if ground == nil {
+		return vector.L1Capped(a, b, limit)
+	}
+	d := ground(a, b)
+	if d > limit {
+		return limit
+	}
+	return d
 }
 
 // Transport is the EMD between two weighted sets known only through their
-// raw weights and a ground cost cost(i, j) between member i of the first and
-// member j of the second — the form the engine uses to estimate object
-// distances from sketches alone. Weights are normalized as in Distance.
-func Transport(xw, yw []float32, cost func(i, j int) float64) (float64, error) {
+// raw weights and a ground cost row(i, dst), which fills dst[j] with the
+// cost between member i of the first and member j of the second — the form
+// the engine uses to estimate object distances from sketches alone. Weights
+// are normalized as in Distance. A 1×1 problem solves to its one cost.
+func Transport(xw, yw []float32, row func(i int, dst []float64)) (float64, error) {
 	m, n := len(xw), len(yw)
 	if m == 0 || n == 0 {
 		return 0, errors.New("emd: empty weighted set")
-	}
-	if m == 1 && n == 1 {
-		return cost(0, 0), nil
 	}
 	ws := getWorkspace(m, n)
 	defer wsPool.Put(ws)
@@ -179,19 +191,19 @@ func Transport(xw, yw []float32, cost func(i, j int) float64) (float64, error) {
 	for j, w := range yw {
 		ws.b[j] = float64(w)
 	}
-	d, _, err := ws.transport(false, math.Inf(1), cost)
+	d, _, err := ws.transport(false, math.Inf(1), row)
 	return d, err
 }
 
 // transport is the one distance body: normalize the loaded weights, fill the
-// costs under the abandon bound, solve.
-func (ws *workspace) transport(sqrtWeights bool, bound float64, cost func(i, j int) float64) (float64, bool, error) {
+// costs row by row under the abandon bound, solve.
+func (ws *workspace) transport(sqrtWeights bool, bound float64, row func(i int, dst []float64)) (float64, bool, error) {
 	if bound < 0 {
 		bound = math.Inf(1)
 	}
 	NormalizeWeights(ws.a, sqrtWeights)
 	NormalizeWeights(ws.b, sqrtWeights)
-	if lb, ok := ws.fill(bound, cost); !ok {
+	if lb, ok := ws.fill(bound, row); !ok {
 		return lb, false, nil
 	}
 	val, err := ws.solve()

@@ -2,6 +2,8 @@ package emd_test
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -77,16 +79,21 @@ func sameRanking(t *testing.T, what string, got, want []core.Result) {
 // tiers on, and prunes, abandons and evaluates exactly as many candidates as
 // the parent commit did on this corpus and these queries (the counts are the
 // parent's, measured there with this test: the pruning logic did not move).
+// The Filtering answers and a BruteForceSketch pass are also pinned bit for
+// bit: an FNV-64a digest over every (ID, Float64bits(Distance)) in order, so
+// a kernel change that moves any distance by one ulp fails here.
 func TestEngineRankingMatchesOracle(t *testing.T) {
 	opts := emd.Options{Threshold: 2.0}
 	builtin := imageEngine(t, nil)
 	oracle := imageEngine(t, emd.OracleObjectDistance(opts))
 	queries := synth.MixedImageObjects(16, 1001)
+	for i := range queries {
+		queries[i].Key = "q-" + queries[i].Key
+	}
 	ctx := context.Background()
 	strict := 0
 	compare := func(mode core.Mode) {
 		for _, q := range queries {
-			q.Key = "q-" + q.Key
 			opt := core.QueryOptions{K: 20, Mode: mode}
 			got, err := builtin.Search(ctx, q, opt)
 			if err != nil {
@@ -104,6 +111,22 @@ func TestEngineRankingMatchesOracle(t *testing.T) {
 			}
 		}
 	}
+	digest := func(mode core.Mode) uint64 {
+		h := fnv.New64a()
+		var buf [16]byte
+		for _, q := range queries {
+			ans, err := builtin.Search(ctx, q, core.QueryOptions{K: 20, Mode: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range ans.Results {
+				binary.LittleEndian.PutUint64(buf[:8], uint64(r.ID))
+				binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(r.Distance))
+				h.Write(buf[:])
+			}
+		}
+		return h.Sum64()
+	}
 	compare(core.Filtering)
 	reg := builtin.Telemetry()
 	for name, want := range map[string]float64{
@@ -113,6 +136,14 @@ func TestEngineRankingMatchesOracle(t *testing.T) {
 	} {
 		if got := reg.Value(name); got != want {
 			t.Errorf("%s = %v over the 16 Filtering queries, parent commit %v", name, got, want)
+		}
+	}
+	for mode, want := range map[core.Mode]uint64{
+		core.Filtering:        0xe9f53453e2276304,
+		core.BruteForceSketch: 0x78851ae4f6413e88,
+	} {
+		if got := digest(mode); got != want {
+			t.Errorf("mode %v: answer digest %#x, parent commit %#x", mode, got, want)
 		}
 	}
 	compare(core.BruteForceOriginal)

@@ -99,9 +99,10 @@ func NormalizeWeights(w []float64, sqrt bool) {
 	}
 }
 
-// fill computes the cost matrix row by row from cost(i, j) together with the
-// independent-minimization lower bound on the optimum: every unit of supply
-// pays at least its row's cheapest cell, and symmetrically for demand, so
+// fill computes the cost matrix one row(i, dst) call per row together with
+// the independent-minimization lower bound on the optimum: every unit of
+// supply pays at least its row's cheapest cell, and symmetrically for
+// demand, so
 //
 //	LB = max( Σᵢ aᵢ·minⱼ cᵢⱼ , Σⱼ bⱼ·minᵢ cᵢⱼ ) ≤ EMD
 //
@@ -112,19 +113,18 @@ func NormalizeWeights(w []float64, sqrt bool) {
 // be normalized.
 //
 //ferret:noalloc
-func (ws *workspace) fill(bound float64, cost func(i, j int) float64) (float64, bool) {
+func (ws *workspace) fill(bound float64, row func(i int, dst []float64)) (float64, bool) {
 	n := ws.n
 	for j := range ws.colMin {
 		ws.colMin[j] = math.Inf(1)
 	}
 	var lbS float64
 	for i, a := range ws.a {
-		row := ws.cost[i*n : i*n+n]
+		r := ws.cost[i*n : i*n+n]
+		//lint:ignore noalloc the row callback is the caller's stack closure over the ℓ₁ row kernel or a sketch estimate
+		row(i, r)
 		rowMin := math.Inf(1)
-		for j := range row {
-			//lint:ignore noalloc the cost callback is the caller's stack closure over the ℓ₁ kernel or a sketch estimate
-			c := cost(i, j)
-			row[j] = c
+		for j, c := range r {
 			if c < rowMin {
 				rowMin = c
 			}

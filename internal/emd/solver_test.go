@@ -267,3 +267,21 @@ func BenchmarkEMDImagePairs(b *testing.B) {
 	}
 	b.ReportMetric(float64(pivots)/float64(len(pairs)), "pivots/op")
 }
+
+// BenchmarkEMDAudioPairs is the multi-segment, wide-vector case no benchmark
+// workload runs: 192-d audio objects of 5 to 12 segments, thresholded so that
+// unrelated segment pairs pass the threshold inside their first 64-element
+// block. It watches what the ground-distance fill does with a threshold on
+// vectors long enough for the block kernel.
+func BenchmarkEMDAudioPairs(b *testing.B) {
+	objs := synth.MixedAudioObjects(49, 17)
+	opts := Options{Threshold: 100}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % (len(objs) - 1)
+		if _, err := Distance(objs[k], objs[k+1], opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

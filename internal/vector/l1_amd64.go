@@ -1,6 +1,6 @@
 package vector
 
-// AVX-512 block kernel for the ℓ₁ distance, the ground distance of every
+// Vector kernels for the ℓ₁ distance, the ground distance of every
 // default EMD configuration and therefore the rank stage's hottest loop.
 // The scalar loop converts, subtracts, and accumulates one element at a
 // time with a loop-carried dependency on the float64 sum; the vector kernel
@@ -8,6 +8,9 @@ package vector
 // per-element values match the scalar path) and keeps 8 independent
 // partial sums, reduced pairwise once per 64-element block. Requires
 // AVX-512F and OS support for ZMM state, detected at startup.
+// L1x4's AVX tail kernel keeps each lane's scalar order and puts the four
+// lane sums in one register, masking the sign where Go's math.Abs goes
+// through a general register.
 
 // cpuid executes CPUID with the given leaf and subleaf.
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -21,10 +24,28 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func l1Block64AVX512(a, b *float32) float64
 
+// l1Tail4AVX returns sₖ + Σᵢ |aᵢ − bₖᵢ| over n ≥ 1 elements.
+//
+//go:noescape
+func l1Tail4AVX(a, b0, b1, b2, b3 *float32, n int, s0, s1, s2, s3 float64) (r0, r1, r2, r3 float64)
+
 func init() {
+	if detectAVX() {
+		l1Tail4 = l1Tail4AVX
+	}
 	if detectAVX512F() {
 		l1Block64 = l1Block64AVX512
 	}
+}
+
+func detectAVX() bool {
+	_, _, c1, _ := cpuid(1, 0)
+	const osxsave, avx = 1 << 27, 1 << 28
+	if c1&(osxsave|avx) != osxsave|avx {
+		return false
+	}
+	lo, _ := xgetbv()
+	return lo&0x6 == 0x6 // XCR0: SSE and YMM state
 }
 
 func detectAVX512F() bool {

@@ -30,7 +30,15 @@ func checkLen(a, b []float32) {
 // which path is active; the kernel's lane-parallel reduction order differs
 // from the scalar sum, so absolute results may differ from the scalar
 // build by ordinary float64 rounding.
+//
+//ferret:noalloc
 var l1Block64 func(a, b *float32) float64
+
+// l1Tail4 is an optional AVX form of L1x4's scalar tail, bit-identical to
+// it: each lane sums in index order (see l1_amd64.go).
+//
+//ferret:noalloc
+var l1Tail4 func(a, b0, b1, b2, b3 *float32, n int, s0, s1, s2, s3 float64) (r0, r1, r2, r3 float64)
 
 // l1Scalar64 is the scalar 64-element block used when no vector kernel is
 // available; its accumulation order matches the plain element loop.
@@ -95,6 +103,54 @@ func L1Capped(a, b []float32, limit float64) float64 {
 		return limit
 	}
 	return s
+}
+
+// L1x4 returns L1Capped(a, bₖ, limit) for four vectors at once, the EMD
+// cost fill's row kernel (+Inf limit: uncapped L1). Each lane sums in L1's
+// exact order — blocks through the same kernel, then the tail element by
+// element — so every result is bit-identical to its one-vector call; only
+// the four tail chains now run side by side. A lane whose sum reaches limit
+// after a block skips its remaining blocks, as L1Capped returns early.
+//
+//ferret:noalloc
+func L1x4(a, b0, b1, b2, b3 []float32, limit float64) (s0, s1, s2, s3 float64) {
+	n := len(a)
+	if len(b0) != n || len(b1) != n || len(b2) != n || len(b3) != n {
+		panic("vector: dimension mismatch")
+	}
+	i := 0
+	for ; i+64 <= n; i += 64 {
+		s0 = l1BlockAdd(s0, limit, a[i:], b0[i:])
+		s1 = l1BlockAdd(s1, limit, a[i:], b1[i:])
+		s2 = l1BlockAdd(s2, limit, a[i:], b2[i:])
+		s3 = l1BlockAdd(s3, limit, a[i:], b3[i:])
+	}
+	a, b0, b1, b2, b3 = a[i:], b0[i:n], b1[i:n], b2[i:n], b3[i:n]
+	if l1Tail4 != nil && len(a) > 0 {
+		s0, s1, s2, s3 = l1Tail4(&a[0], &b0[0], &b1[0], &b2[0], &b3[0], len(a), s0, s1, s2, s3)
+	} else {
+		for k, ak := range a {
+			x := float64(ak)
+			s0 += math.Abs(x - float64(b0[k]))
+			s1 += math.Abs(x - float64(b1[k]))
+			s2 += math.Abs(x - float64(b2[k]))
+			s3 += math.Abs(x - float64(b3[k]))
+		}
+	}
+	// The sums are never −0, so min caps exactly as L1Capped compares.
+	return min(s0, limit), min(s1, limit), min(s2, limit), min(s3, limit)
+}
+
+// l1BlockAdd adds the ℓ₁ sum of a[:64] and b[:64], through the block kernel
+// L1 uses, to s — unless s has already reached limit.
+func l1BlockAdd(s, limit float64, a, b []float32) float64 {
+	switch {
+	case s >= limit:
+		return s
+	case l1Block64 != nil:
+		return s + l1Block64(&a[0], &b[0])
+	}
+	return s + l1Scalar64(a, b)
 }
 
 // L2 returns the ℓ₂ (Euclidean) distance sqrt(Σ(aᵢ−bᵢ)²).

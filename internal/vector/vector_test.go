@@ -295,6 +295,57 @@ func TestL1BlockKernel(t *testing.T) {
 	}
 }
 
+// TestL1x4Bits: every lane of the four-vector row kernel must equal its own
+// L1 call bit for bit (and L1Capped under a limit), for every length up to
+// 600 — blocks and tails in every mix — with random, equal and
+// large-magnitude operands, under the vector block and tail kernels (when
+// the CPU has them) and the scalar ones.
+func TestL1x4Bits(t *testing.T) {
+	type kernels struct {
+		name  string
+		block func(a, b *float32) float64
+		tail  func(a, b0, b1, b2, b3 *float32, n int, s0, s1, s2, s3 float64) (r0, r1, r2, r3 float64)
+	}
+	cases := []kernels{{name: "scalar"}, {"vector", l1Block64, l1Tail4}}
+	defer func(k kernels) { l1Block64, l1Tail4 = k.block, k.tail }(cases[1])
+	if l1Block64 == nil && l1Tail4 == nil {
+		cases = cases[:1]
+	}
+	bits := math.Float64bits
+	for _, c := range cases {
+		name := c.name
+		l1Block64, l1Tail4 = c.block, c.tail
+		rng := rand.New(rand.NewSource(13))
+		for n := 1; n <= 600; n++ {
+			vecs := make([][]float32, 5)
+			for v := range vecs {
+				vecs[v] = make([]float32, n)
+			}
+			for i := 0; i < n; i++ {
+				vecs[0][i] = (rng.Float32() - 0.5) * 4
+				vecs[1][i] = (rng.Float32() - 0.5) * 4
+				vecs[3][i] = (rng.Float32() - 0.5) * 3e38 // large magnitude: the float64 sum must not saturate differently
+				vecs[4][i] = rng.Float32() * 1e-30
+			}
+			copy(vecs[2], vecs[0]) // equal operands: all-zero differences
+			a, b := vecs[0], vecs[1:]
+			full := L1(a, b[0])
+			for _, limit := range []float64{math.Inf(1), full, full * 0.3, 1e-9} {
+				s0, s1, s2, s3 := L1x4(a, b[0], b[1], b[2], b[3], limit)
+				for lane, got := range []float64{s0, s1, s2, s3} {
+					want := L1(a, b[lane])
+					if !math.IsInf(limit, 1) {
+						want = L1Capped(a, b[lane], limit)
+					}
+					if bits(got) != bits(want) {
+						t.Fatalf("%s kernel, n=%d, limit %g, lane %d: L1x4 %x, one-vector call %x", name, n, limit, lane, bits(got), bits(want))
+					}
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkL1(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	x := make([]float32, 544)
