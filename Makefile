@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-fast torture vet lint lint-fast lint-test check ci bench bench-pairs loc clean
+.PHONY: all build test race race-fast torture vet lint lint-test check ci bench bench-pairs loc clean
 
 all: check
 
@@ -40,12 +40,6 @@ vet:
 lint:
 	$(GO) run ./cmd/ferret-lint ./...
 
-# Edit-loop accelerator: only the analyzers whose trigger constructs appear
-# in the working diff (vs $LINT_FAST_BASE, default HEAD), timed. Full `make
-# lint` remains the merge gate.
-lint-fast:
-	./scripts/lint-fast.sh
-
 # The analyzer suite's own tests under the race detector: the module-wide
 # analyzers memoize per-function summaries on shared Program state, so their
 # tests run with -race explicitly in CI ahead of the whole-tree race pass.
@@ -55,11 +49,10 @@ lint-test:
 check: build vet lint test race
 
 # The full pre-merge gate: everything in check plus the analyzer suite's
-# race-mode tests, the timed changed-package lint pass and the crash-torture
-# suite. Performance is not gated here — a fixed ns/op threshold does not
+# race-mode tests and the crash-torture suite. Performance is not gated here — a fixed ns/op threshold does not
 # survive a change of machine; `go test ./...` smoke-runs benchmark/, and a
 # performance claim is measured with `make bench-pairs`.
-ci: check lint-test lint-fast torture
+ci: check lint-test torture
 
 bench:
 	$(GO) test -bench . -benchtime 1x
@@ -73,10 +66,14 @@ BENCH_PAIRS  ?= 10
 bench-pairs:
 	./scripts/bench-pairs.sh $(BENCH_PARENT) $(BENCH_PAIRS)
 
-# Non-test Go lines in the packages whose size ROADMAP tracks.
+# Non-test Go lines in the packages whose size ROADMAP tracks, then the
+# sizes of the two documents it tracks, in KB.
 loc:
-	@for p in core server protocol hindex experiments lint; do \
-		printf 'internal/%-12s %s\n' $$p "$$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l)"; \
+	@for p in core server protocol hindex experiments lint telemetry; do \
+		printf 'internal/%-12s %s\n' $$p "$$(ls internal/$$p/*.go internal/$$p/*/*.go 2>/dev/null | grep -v _test.go | xargs cat | wc -l)"; \
+	done
+	@for f in DESIGN.md EXPERIMENTS.md; do \
+		printf '%-21s %s KB\n' $$f "$$(( $$(wc -c < $$f) / 1024 ))"; \
 	done
 
 clean:

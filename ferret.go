@@ -230,9 +230,9 @@ func (s *System) Search(ctx context.Context, q Object, opt QueryOptions) (Answer
 	return s.engine.Search(ctx, q, opt)
 }
 
-// SearchBatch runs several queries as one batched unit sharing arena scans
-// (see core.Engine.SearchBatch); the returned slices are parallel to
-// queries.
+// SearchBatch runs several queries as concurrent Search calls, at most
+// GOMAXPROCS at a time (see core.Engine.SearchBatch); the returned slices
+// are parallel to queries.
 func (s *System) SearchBatch(ctx context.Context, queries []Object, opt QueryOptions) ([]Answer, []error) {
 	return s.engine.SearchBatch(ctx, queries, opt)
 }

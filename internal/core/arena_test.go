@@ -377,14 +377,14 @@ func TestDedupSingleEvalPerCandidate(t *testing.T) {
 
 // loadScratch loads one query into a scratch the way Engine.begin does,
 // minus the trace and the sketch build, so tests can drive the filtering
-// unit (filterBatch) directly.
+// unit (filter) directly.
 func loadScratch(sc *queryScratch, q object.Object, qset *metastore.SketchSet, opt QueryOptions) {
 	sc.ctx, sc.q, sc.hasQ, sc.qset, sc.opt = context.Background(), q, true, qset, opt
 	sc.clk.reset(sc.ctx, 0)
 }
 
 // TestFilterPathAllocs pins the zero-allocation property of the filtering
-// unit: with pooled scratch, a steady-state batch-of-one filter pass over
+// unit: with pooled scratch, a steady-state filter pass over
 // the arena performs no heap allocations.
 func TestFilterPathAllocs(t *testing.T) {
 	const d = 10
@@ -396,9 +396,8 @@ func TestFilterPathAllocs(t *testing.T) {
 	sc := getScratch()
 	defer putScratch(sc)
 	loadScratch(sc, q, e.buildSketchSet(q), QueryOptions{K: 10})
-	one := []*queryScratch{sc}
 
-	allocs := testing.AllocsPerRun(50, func() { e.filterBatch(e.cur.Load(), one) })
+	allocs := testing.AllocsPerRun(50, func() { e.filter(e.cur.Load(), sc) })
 	if allocs != 0 {
 		t.Fatalf("filter scan allocates %.1f objects per query, want 0", allocs)
 	}
@@ -413,7 +412,7 @@ func TestFilterPathAllocs(t *testing.T) {
 		t.Fatal("engine tracer is disabled")
 	}
 	sc.trp = &sc.own
-	allocs = testing.AllocsPerRun(50, func() { e.filterBatch(e.cur.Load(), one) })
+	allocs = testing.AllocsPerRun(50, func() { e.filter(e.cur.Load(), sc) })
 	sc.own.Finish()
 	if allocs != 0 {
 		t.Fatalf("traced filter scan allocates %.1f objects per query, want 0", allocs)
@@ -437,10 +436,9 @@ func TestFilterPathAllocsIndexed(t *testing.T) {
 	sc := getScratch()
 	defer putScratch(sc)
 	loadScratch(sc, q, e.buildSketchSet(q), QueryOptions{K: 10, Filter: FilterParams{NearestPerSegment: 8}})
-	one := []*queryScratch{sc}
 
 	before := e.Telemetry().Value("ferret_hindex_probes_total")
-	allocs := testing.AllocsPerRun(50, func() { e.filterBatch(e.cur.Load(), one) })
+	allocs := testing.AllocsPerRun(50, func() { e.filter(e.cur.Load(), sc) })
 	if allocs != 0 {
 		t.Fatalf("indexed filter allocates %.1f objects per query, want 0", allocs)
 	}

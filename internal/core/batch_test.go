@@ -6,19 +6,51 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"ferret/internal/attr"
 	"ferret/internal/object"
+	"ferret/internal/telemetry/trace"
 )
 
-// TestBatchMatchesSerial: SearchBatch must return exactly what Q independent
+// sameAnswer fails unless a batch answer equals the serial one: same
+// Degraded flag, same results byte for byte (IDs, keys, distances).
+func sameAnswer(t *testing.T, label string, got, want Answer) {
+	t.Helper()
+	if got.Degraded != want.Degraded || len(got.Results) != len(want.Results) {
+		t.Fatalf("%s: batch %+v serial %+v", label, got, want)
+	}
+	for r := range want.Results {
+		if got.Results[r] != want.Results[r] {
+			t.Fatalf("%s rank %d: batch %v serial %v", label, r, got.Results[r], want.Results[r])
+		}
+	}
+}
+
+// serialAnswers runs each query through its own Search call. ForceTrace makes
+// the queries uncacheable, so the reference always runs the pipeline — a
+// cached batch answer is checked against a computed one.
+func serialAnswers(t *testing.T, e *Engine, queries []object.Object, opt QueryOptions) []Answer {
+	t.Helper()
+	opt.ForceTrace = true
+	want := make([]Answer, len(queries))
+	for i, q := range queries {
+		var err error
+		if want[i], err = e.Search(context.Background(), q, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return want
+}
+
+// TestBatchMatchesSerial: SearchBatch must return exactly what independent
 // Search calls return — same IDs, same distances, same Degraded flags — over
-// randomized corpora, batch sizes, and query shapes; the comparison demands
-// byte-identical results, not just tie-equivalence.
+// randomized corpora, batch sizes (up to 33, more than GOMAXPROCS), query
+// shapes and modes, with the result cache on (hit answers included) and beside a
+// concurrent Ingest/Delete writer; the comparison demands byte-identical
+// results, not just tie-equivalence.
 func TestBatchMatchesSerial(t *testing.T) {
 	const d = 8
 	rng := rand.New(rand.NewSource(99))
@@ -28,43 +60,184 @@ func TestBatchMatchesSerial(t *testing.T) {
 		e := openEngine(t, cfg)
 		ingestClusters(t, e, 5+trial, 4, d, nseg)
 		if trial%2 == 1 {
-			// Exercise the tombstone-aware shared scan too.
+			// Exercise tombstones too.
 			if err := e.Delete(object.ID(1 + trial)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for _, nq := range []int{1, 2, 3, 8, 11} {
+		for _, nq := range []int{1, 2, 3, 8, 11, 33} {
 			queries := make([]object.Object, nq)
 			for i := range queries {
 				queries[i] = clusterObject(fmt.Sprintf("q%d", i), rng.Intn(8), d, nseg, 0.02, rng)
 			}
 			opt := QueryOptions{K: 1 + rng.Intn(7)}
 			answers, errs := e.SearchBatch(context.Background(), queries, opt)
-			for i, q := range queries {
+			want := serialAnswers(t, e, queries, opt)
+			for i := range queries {
 				if errs[i] != nil {
 					t.Fatalf("trial %d nq %d query %d: batch error %v", trial, nq, i, errs[i])
 				}
-				want, err := e.Search(context.Background(), q, opt)
+				sameAnswer(t, fmt.Sprintf("trial %d nq %d query %d", trial, nq, i), answers[i], want[i])
+			}
+		}
+		// The brute-force modes and a Restrict set take the same route.
+		queries := make([]object.Object, 5)
+		for i := range queries {
+			queries[i] = clusterObject(fmt.Sprintf("m%d", i), rng.Intn(8), d, nseg, 0.02, rng)
+		}
+		for _, opt := range []QueryOptions{
+			{Mode: BruteForceOriginal, K: 3},
+			{Mode: BruteForceSketch, K: 3},
+			{K: 3, Restrict: map[object.ID]bool{1: true, 3: true, 5: true, 8: true}},
+		} {
+			answers, errs := e.SearchBatch(context.Background(), queries, opt)
+			want := serialAnswers(t, e, queries, opt)
+			for i := range queries {
+				if errs[i] != nil {
+					t.Fatalf("trial %d %v query %d: batch error %v", trial, opt.Mode, i, errs[i])
+				}
+				sameAnswer(t, fmt.Sprintf("trial %d %v query %d", trial, opt.Mode, i), answers[i], want[i])
+			}
+		}
+	}
+
+	t.Run("cache", func(t *testing.T) {
+		cfg := testConfig(t.TempDir(), d)
+		cfg.ResultCache = ResultCacheParams{Enable: true}
+		e := openEngine(t, cfg)
+		ingestClusters(t, e, 6, 4, d, 3)
+		// Six distinct query contents, each twice in the batch: the second
+		// copy hits the cache or shares the first's computation.
+		queries := make([]object.Object, 12)
+		for i := range queries {
+			queries[i] = clusterObject(fmt.Sprintf("q%d", i), i%6, d, 3, 0.02, rand.New(rand.NewSource(int64(i%6))))
+		}
+		opt := QueryOptions{K: 4}
+		want := serialAnswers(t, e, queries, opt)
+		for round := 0; round < 2; round++ {
+			answers, errs := e.SearchBatch(context.Background(), queries, opt)
+			for i := range queries {
+				if errs[i] != nil {
+					t.Fatal(errs[i])
+				}
+				if round == 1 && answers[i].Cache != CacheHit {
+					t.Fatalf("round 1 query %d: cache %q, want a hit", i, answers[i].Cache)
+				}
+				sameAnswer(t, fmt.Sprintf("round %d query %d", round, i), answers[i], want[i])
+			}
+		}
+	})
+
+	t.Run("writer", func(t *testing.T) {
+		// The writer ingests and deletes objects outside the queries'
+		// Restrict set while seals and merges publish new views under the
+		// batches, so every answer must stay what it was before it started.
+		e := openEngine(t, stressConfig(t.TempDir(), d))
+		ids := ingestClusters(t, e, 6, 6, d, 2)
+		restrict := map[object.ID]bool{}
+		for _, c := range ids {
+			for _, id := range c {
+				restrict[id] = true
+			}
+		}
+		queries := make([]object.Object, 9)
+		for i := range queries {
+			queries[i] = clusterObject(fmt.Sprintf("q%d", i), i%6, d, 2, 0.02, rng)
+		}
+		opt := QueryOptions{K: 5, Restrict: restrict}
+		want := serialAnswers(t, e, queries, opt)
+		seals := e.Telemetry().Value("ferret_seal_total")
+
+		stop := make(chan struct{})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			wrng := rand.New(rand.NewSource(5))
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id, err := e.Ingest(clusterObject(fmt.Sprintf("w%d", i), wrng.Intn(6), d, 2, 0.01, wrng), nil)
+				if err == nil && i%2 == 1 {
+					err = e.Delete(id)
+				}
 				if err != nil {
-					t.Fatal(err)
+					t.Error(err)
+					return
 				}
-				got := answers[i]
-				if got.Degraded != want.Degraded || len(got.Results) != len(want.Results) {
-					t.Fatalf("trial %d nq %d query %d: batch %+v serial %+v", trial, nq, i, got, want)
+			}
+		}()
+		// At least 20 batches, and on until the writer has sealed a tail.
+		for round := 0; round < 20 || (e.Telemetry().Value("ferret_seal_total") == seals && round < 5000); round++ {
+			answers, errs := e.SearchBatch(context.Background(), queries, opt)
+			for i := range queries {
+				if errs[i] != nil {
+					t.Fatal(errs[i])
 				}
-				for r := range want.Results {
-					if got.Results[r] != want.Results[r] {
-						t.Fatalf("trial %d nq %d query %d rank %d: batch %v serial %v",
-							trial, nq, i, r, got.Results[r], want.Results[r])
-					}
-				}
+				sameAnswer(t, fmt.Sprintf("round %d query %d", round, i), answers[i], want[i])
+			}
+		}
+		close(stop)
+		<-done
+		if e.Telemetry().Value("ferret_seal_total") == seals {
+			t.Fatal("no tail was sealed: the batches never raced a seal")
+		}
+	})
+}
+
+// TestBatchIgnoresCallerTrace: every SearchBatch query records into its own
+// engine-armed trace, whichever path it takes. With the caller's
+// QueryOptions.Trace armed and ForceTrace set, a brute-force batch and a
+// Restrict batch leave the caller's buffer without a span, and every answer
+// carries a retained trace of its own.
+func TestBatchIgnoresCallerTrace(t *testing.T) {
+	const d, nseg = 8, 2
+	e := openEngine(t, testConfig(t.TempDir(), d))
+	ids := ingestClusters(t, e, 3, 3, d, nseg)
+	rng := rand.New(rand.NewSource(13))
+	queries := []object.Object{
+		clusterObject("qa", 0, d, nseg, 0.02, rng),
+		clusterObject("qb", 1, d, nseg, 0.02, rng),
+		clusterObject("qc", 2, d, nseg, 0.02, rng),
+	}
+	restrict := map[object.ID]bool{ids[0][0]: true, ids[1][0]: true}
+	for _, opt := range []QueryOptions{
+		{Mode: BruteForceSketch, K: 2},
+		{K: 2, Restrict: restrict},
+	} {
+		var caller trace.Active
+		if !e.tracer.Begin(&caller, "caller") {
+			t.Fatal("engine tracer is disabled")
+		}
+		opt.Trace, opt.ForceTrace = &caller, true
+		answers, errs := e.SearchBatch(context.Background(), queries, opt)
+		if st := caller.Stages(); len(st) != 1 {
+			t.Fatalf("%v batch recorded into the caller's trace: %v", opt.Mode, st)
+		}
+		callerID := caller.ID().String()
+		caller.Finish()
+		seen := map[string]bool{}
+		for i := range answers {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			ti := answers[i].Trace
+			tr := findTrace(t, e, ti)
+			if ti.ID == callerID || seen[ti.ID] {
+				t.Fatalf("%v query %d: trace %s is not its own", opt.Mode, i, ti.ID)
+			}
+			seen[ti.ID] = true
+			if _, ok := tr.Span(StageRank); !ok {
+				t.Fatalf("%v query %d: no rank span in %s", opt.Mode, i, tr.Compact())
 			}
 		}
 	}
 }
 
 // TestBatchDegradedMatchesSerial: a query whose budget has already expired
-// must degrade identically through the shared scan and the serial pipeline
+// must degrade identically through SearchBatch and the serial pipeline
 // (filter completes, rank returns sketch-ordered results, Degraded set).
 func TestBatchDegradedMatchesSerial(t *testing.T) {
 	const d, nseg = 8, 3
@@ -121,88 +294,6 @@ func TestBatchCancelled(t *testing.T) {
 	}
 }
 
-// TestBatchableRouting: SearchBatch must route the options a shared scan
-// cannot serve — the two brute-force modes and a Restrict set — through one
-// Search each, and every answer must equal the Search answer.
-func TestBatchableRouting(t *testing.T) {
-	const d, nseg = 8, 2
-	e := openEngine(t, testConfig(t.TempDir(), d))
-	ids := ingestClusters(t, e, 3, 3, d, nseg)
-
-	rng := rand.New(rand.NewSource(13))
-	queries := []object.Object{
-		clusterObject("qa", 0, d, nseg, 0.02, rng),
-		clusterObject("qb", 1, d, nseg, 0.02, rng),
-	}
-	restrict := map[object.ID]bool{ids[0][0]: true, ids[1][0]: true}
-	for _, opt := range []QueryOptions{
-		{Mode: BruteForceOriginal, K: 2},
-		{Mode: BruteForceSketch, K: 2},
-		{K: 2, Restrict: restrict},
-	} {
-		if e.batchable(&opt) {
-			t.Fatalf("opt %+v unexpectedly batchable", opt)
-		}
-		answers, errs := e.SearchBatch(context.Background(), queries, opt)
-		for i, q := range queries {
-			if errs[i] != nil {
-				t.Fatal(errs[i])
-			}
-			want, err := e.Search(context.Background(), q, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := answers[i]
-			if len(got.Results) == 0 || len(got.Results) != len(want.Results) {
-				t.Fatalf("opt %+v query %d: batch %+v serial %+v", opt, i, got, want)
-			}
-			for r := range want.Results {
-				if got.Results[r] != want.Results[r] {
-					t.Fatalf("opt %+v query %d rank %d: batch %v serial %v", opt, i, r, got.Results[r], want.Results[r])
-				}
-			}
-		}
-	}
-}
-
-// TestBatchTelemetry reads every batch metric the README and DESIGN name:
-// a SearchBatch of 11 queries runs as two groups (8 + 3), each query waits
-// once behind its call's earlier groups, and a plain Search — a batch of one
-// on its caller's goroutine — records no group at all.
-func TestBatchTelemetry(t *testing.T) {
-	const d, nseg = 8, 2
-	e := openEngine(t, testConfig(t.TempDir(), d))
-	ingestClusters(t, e, 4, 4, d, nseg)
-	rng := rand.New(rand.NewSource(17))
-	queries := make([]object.Object, 11)
-	for i := range queries {
-		queries[i] = clusterObject(fmt.Sprintf("q%d", i), i%4, d, nseg, 0.02, rng)
-	}
-	if _, errs := e.SearchBatch(context.Background(), queries, QueryOptions{K: 3}); errs[0] != nil {
-		t.Fatal(errs[0])
-	}
-	if _, err := e.Search(context.Background(), queries[0], QueryOptions{K: 3}); err != nil {
-		t.Fatal(err)
-	}
-	reg := e.Telemetry()
-	for name, want := range map[string]float64{
-		"ferret_batches_total":                  2,
-		"ferret_batch_size_count":               2,
-		"ferret_batch_size_sum":                 11,
-		"ferret_batch_queue_wait_seconds_count": 11,
-		"ferret_query_total":                    12,
-	} {
-		if got := reg.Value(name); got != want {
-			t.Errorf("%s = %g, want %g", name, got, want)
-		}
-	}
-	reg.Each(func(name string, _ float64) {
-		if strings.HasPrefix(name, "ferret_queries_coalesced") {
-			t.Errorf("metric %s is registered, but Search calls are never coalesced", name)
-		}
-	})
-}
-
 // stressConfig is a default engine — background compactor running — with
 // the Hamming index on and a small tail, so concurrent writers seal and merge
 // segments under the readers.
@@ -215,7 +306,7 @@ func stressConfig(dir string, d int) Config {
 
 // TestConcurrentSearchStress hammers Search, SearchBatch, Ingest, and Delete
 // from many goroutines while seals and background merges publish new views;
-// run under -race this is the view/pool/compactor synchronization test.
+// run under -race this is the view/compactor synchronization test.
 // Correctness of the answers is covered elsewhere — here every operation
 // just has to finish cleanly.
 func TestConcurrentSearchStress(t *testing.T) {
@@ -277,9 +368,9 @@ func TestConcurrentSearchStress(t *testing.T) {
 	}
 }
 
-// TestCloseLeavesNoGoroutines: after Close, the rank pool, the background
-// compactor and the ingest queue's drain workers are gone, and queries that
-// race Close return instead of hanging.
+// TestCloseLeavesNoGoroutines: after Close, the background compactor, the
+// ingest queue's drain workers and SearchBatch's goroutines are gone, and
+// queries that race Close return instead of hanging.
 func TestCloseLeavesNoGoroutines(t *testing.T) {
 	const d, nseg = 8, 2
 	before := runtime.NumGoroutine()

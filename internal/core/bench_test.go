@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
+	"ferret/internal/kvstore"
 	"ferret/internal/metastore"
 	"ferret/internal/object"
 	"ferret/internal/sketch"
@@ -13,8 +16,8 @@ import (
 )
 
 // BenchmarkFilterScanArena measures the filtering unit's arena sweep and
-// BenchmarkHammingIndexProbe its Hamming-index descent, each as a batch of
-// one on the same workload — image-style 96-bit sketches, where per-segment
+// BenchmarkHammingIndexProbe its Hamming-index descent, each on the same
+// workload — image-style 96-bit sketches, where per-segment
 // call overhead (not memory bandwidth) dominates.
 
 const (
@@ -60,14 +63,13 @@ func benchFilterOpts() QueryOptions {
 	return QueryOptions{K: 10, Filter: FilterParams{QuerySegments: 3, NearestPerSegment: 50}}
 }
 
-// benchFilter runs the filtering unit for one query as a batch of one, b.N
-// times, after one warm-up pass that check (when non-nil) inspects.
+// benchFilter runs the filtering unit for one query b.N times, after one
+// warm-up pass that check (when non-nil) inspects.
 func benchFilter(b *testing.B, e *Engine, q object.Object, qset *metastore.SketchSet, opt QueryOptions, check func(*queryScratch)) {
 	sc := getScratch()
 	defer putScratch(sc)
 	loadScratch(sc, q, qset, opt)
-	one := []*queryScratch{sc}
-	e.filterBatch(e.cur.Load(), one)
+	e.filter(e.cur.Load(), sc)
 	if len(sc.cands) == 0 {
 		b.Fatal("no candidates")
 	}
@@ -77,7 +79,7 @@ func benchFilter(b *testing.B, e *Engine, q object.Object, qset *metastore.Sketc
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.filterBatch(e.cur.Load(), one)
+		e.filter(e.cur.Load(), sc)
 	}
 }
 
@@ -122,25 +124,22 @@ func BenchmarkHammingIndexProbe(b *testing.B) {
 	})
 }
 
-// BenchmarkFilterImage96 measures the filtering unit on the benchmark's
-// image_engine shape: synth.MixedImageObjects under 96-bit sketches (three
-// 32-bit substring tables), four sealed, indexed segments and a live tail,
-// default filter parameters at K 20 (four query segments, 200 nearest each),
-// cycling through 32 never-ingested queries. Every pair must be index-served:
-// ns/op is then the k-nearest descent plus the tail sweep.
-func BenchmarkFilterImage96(b *testing.B) {
+// imageBenchEngine is the benchmark's image_engine shape: synth.MixedImageObjects
+// under 96-bit sketches (three 32-bit substring tables), four sealed, indexed
+// segments and a live tail, rank threshold 2.
+func imageBenchEngine(b *testing.B) *Engine {
 	const objects = 20000
 	max := make([]float32, 14)
 	for i := range max {
 		max[i] = 1
 	}
-	cfg := Config{
-		Dir:      b.TempDir(),
-		Sketch:   sketch.Params{N: 96, K: 1, Min: make([]float32, 14), Max: max, Seed: 201},
-		HIndex:   HIndexParams{Enable: true},
-		Segments: SegmentParams{SealEntries: objects/5 + 97, Interval: -1},
-	}
-	e, err := Open(cfg)
+	e, err := Open(Config{
+		Dir:           b.TempDir(),
+		Sketch:        sketch.Params{N: 96, K: 1, Min: make([]float32, 14), Max: max, Seed: 201},
+		RankThreshold: 2,
+		HIndex:        HIndexParams{Enable: true},
+		Segments:      SegmentParams{SealEntries: objects/5 + 97, Interval: -1},
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -150,17 +149,26 @@ func BenchmarkFilterImage96(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	v := e.cur.Load()
-	if len(v.sealed()) != 4 || v.tail().n == 0 {
+	if v := e.cur.Load(); len(v.sealed()) != 4 || v.tail().n == 0 {
 		b.Fatalf("%d sealed segments and a %d-entry tail, want 4 and a live one", len(v.sealed()), v.tail().n)
 	}
-	var scs [32][]*queryScratch
+	return e
+}
+
+// BenchmarkFilterImage96 measures the filtering unit on imageBenchEngine's corpus
+// at default filter parameters and K 20 (four query segments, 200 nearest
+// each), cycling through 32 never-ingested queries. Every pair must be
+// index-served: ns/op is then the k-nearest descent plus the tail sweep.
+func BenchmarkFilterImage96(b *testing.B) {
+	e := imageBenchEngine(b)
+	v := e.cur.Load()
+	var scs [32]*queryScratch
 	for i, q := range synth.MixedImageObjects(len(scs), 1001) {
 		sc := getScratch()
 		defer putScratch(sc)
 		loadScratch(sc, q, e.buildSketchSet(q), QueryOptions{K: 20})
-		scs[i] = []*queryScratch{sc}
-		e.filterBatch(v, scs[i]) // warm the scratch
+		scs[i] = sc
+		e.filter(v, sc) // warm the scratch
 	}
 	reg := e.Telemetry()
 	verified, lookups := reg.Value("ferret_hindex_candidates_total"), reg.Value("ferret_hindex_lookups_total")
@@ -168,7 +176,7 @@ func BenchmarkFilterImage96(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.filterBatch(v, scs[i%len(scs)])
+		e.filter(v, scs[i%len(scs)])
 	}
 	b.StopTimer()
 	if reg.Value("ferret_hindex_fallback_total") != fallbacks {
@@ -178,45 +186,21 @@ func BenchmarkFilterImage96(b *testing.B) {
 	b.ReportMetric((reg.Value("ferret_hindex_lookups_total")-lookups)/float64(b.N), "lookups/op")
 }
 
-// BenchmarkRankImage measures the rank stage alone on the benchmark's
-// image_engine shape (BenchmarkFilterImage96's corpus and queries, rank
-// threshold 2): each of the 32 queries is filtered once, then only rankStage
-// is timed — the sketch lower bounds, their sort, the exact EMDs and their
-// abandons. evals/op, pruned/op and abandoned/op say how the pruning tiers
-// split the candidates, so a kernel change that moves them is visible here.
+// BenchmarkRankImage measures the rank stage alone on imageBenchEngine's corpus
+// and BenchmarkFilterImage96's queries: each of the 32 queries is filtered
+// once, then only rankStage is timed — the sketch lower bounds, their sort,
+// the exact EMDs and their abandons. evals/op, pruned/op and abandoned/op
+// say how the pruning tiers split the candidates, so a kernel change that
+// moves them is visible here.
 func BenchmarkRankImage(b *testing.B) {
-	const objects = 20000
-	max := make([]float32, 14)
-	for i := range max {
-		max[i] = 1
-	}
-	cfg := Config{
-		Dir:           b.TempDir(),
-		Sketch:        sketch.Params{N: 96, K: 1, Min: make([]float32, 14), Max: max, Seed: 201},
-		RankThreshold: 2,
-		HIndex:        HIndexParams{Enable: true},
-		Segments:      SegmentParams{SealEntries: objects/5 + 97, Interval: -1},
-	}
-	e, err := Open(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { e.Close() })
-	for _, o := range synth.MixedImageObjects(objects, 3) {
-		if _, err := e.Ingest(o, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
+	e := imageBenchEngine(b)
 	v := e.cur.Load()
-	if len(v.segs) != 5 {
-		b.Fatalf("%d storage segments, want 5", len(v.segs))
-	}
 	var scs [32]*queryScratch
 	for i, q := range synth.MixedImageObjects(len(scs), 1001) {
 		sc := getScratch()
 		defer putScratch(sc)
 		loadScratch(sc, q, e.buildSketchSet(q), QueryOptions{K: 20})
-		e.filterBatch(v, []*queryScratch{sc})
+		e.filter(v, sc)
 		e.rankStage(v, sc) // warm the scratch and the EMD workspace pool
 		scs[i] = sc
 	}
@@ -232,6 +216,75 @@ func BenchmarkRankImage(b *testing.B) {
 	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
 	b.ReportMetric(float64(pruned)/float64(b.N), "pruned/op")
 	b.ReportMetric(float64(abandoned)/float64(b.N), "abandoned/op")
+}
+
+// BenchmarkSearchBatch measures SearchBatch, 8 queries per op at K 20, on two
+// corpora: imageBenchEngine's (four sealed segments and a live tail, EMD-ranked)
+// and 40 000 single-segment 544-d shapes under 800-bit sketches in a default
+// indexed engine. The serial sub-benchmark runs the same 8 queries as 8
+// Search calls on one goroutine — the baseline a batch has to beat. Run at
+// -cpu 1,2: at 1 the batch can only match it.
+func BenchmarkSearchBatch(b *testing.B) {
+	const batch = 8
+	corpora := []struct {
+		name    string
+		open    func(b *testing.B) *Engine
+		queries []object.Object
+	}{
+		{"image", imageBenchEngine, synth.MixedImageObjects(batch, 1001)},
+		{"shape", shapeBenchEngine, synth.MixedShapeObjects(batch, 909)},
+	}
+	for _, c := range corpora {
+		b.Run(c.name, func(b *testing.B) {
+			e := c.open(b)
+			ctx, opt := context.Background(), QueryOptions{K: 20}
+			b.Run("batch", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, errs := e.SearchBatch(ctx, c.queries, opt); errs[0] != nil {
+						b.Fatal(errs[0])
+					}
+				}
+			})
+			b.Run("serial", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for _, q := range c.queries {
+						if _, err := e.Search(ctx, q, opt); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			})
+		})
+	}
+}
+
+// shapeBenchEngine is the benchmark's shape corpus: 40 000 single-segment
+// 544-d shapes (synth.MixedShapeObjects) under 800-bit sketches with the
+// Hamming index on, compacted into one sealed segment.
+func shapeBenchEngine(b *testing.B) *Engine {
+	const objects, dim = 40000, 544
+	max := make([]float32, dim)
+	for i := range max {
+		max[i] = 2
+	}
+	e, err := Open(Config{
+		Dir:      b.TempDir(),
+		Sketch:   sketch.Params{N: 800, K: 1, Min: make([]float32, dim), Max: max, Seed: 203},
+		Store:    kvstore.Options{Sync: kvstore.SyncPeriodic, SyncInterval: time.Second},
+		HIndex:   HIndexParams{Enable: true},
+		Segments: SegmentParams{Interval: -1},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { e.Close() })
+	for _, o := range synth.MixedShapeObjects(objects, 301) {
+		if _, err := e.Ingest(o, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	e.Compact()
+	return e
 }
 
 // The QueryPipeline pair measures end-to-end Filtering-mode queries with the
@@ -350,20 +403,20 @@ func BenchmarkFilterSmallCorpus(b *testing.B) {
 				}
 			}
 			v := e.cur.Load()
-			scs := make([][]*queryScratch, len(queries))
+			scs := make([]*queryScratch, len(queries))
 			for i, q := range queries {
 				sc := getScratch()
 				defer putScratch(sc)
 				loadScratch(sc, q, e.buildSketchSet(q), benchFilterOpts())
-				scs[i] = []*queryScratch{sc}
-				e.filterBatch(v, scs[i]) // warm the scratch
+				scs[i] = sc
+				e.filter(v, sc) // warm the scratch
 			}
 			reg := e.Telemetry()
 			fallbacks, lookups := reg.Value("ferret_hindex_fallback_total"), reg.Value("ferret_hindex_lookups_total")
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				e.filterBatch(v, scs[i%len(scs)])
+				e.filter(v, scs[i%len(scs)])
 			}
 			b.StopTimer()
 			b.ReportMetric((reg.Value("ferret_hindex_fallback_total")-fallbacks)/float64(b.N), "fallbacks/op")

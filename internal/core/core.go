@@ -328,10 +328,7 @@ type Engine struct {
 	met     *engineMetrics
 	tracer  *trace.Tracer
 
-	// pool is the persistent rank worker pool SearchBatch fans out to
-	// (started at Open, stopped by Close); queue, when non-nil, is the
-	// bounded ingest queue (see ingest.go).
-	pool  *workerPool
+	// queue, when non-nil, is the bounded ingest queue (see ingest.go).
 	queue *ingestQueue
 
 	// rcache is the hot-query result cache (nil when disabled), invalidated
@@ -456,9 +453,6 @@ func Open(cfg Config) (*Engine, error) {
 	}
 	e.met.storageSegs.Set(int64(len(v.segs)))
 	e.cur.Store(v)
-	// Two workers: a batch's rank tasks fan out to them, and whatever no
-	// worker is free for ranks on the batch leader.
-	e.pool = newWorkerPool(2, e.met)
 	if e.cfg.Segments.Interval > 0 {
 		e.compactStop = make(chan struct{})
 		e.compactDone = make(chan struct{})
@@ -475,8 +469,8 @@ func Open(cfg Config) (*Engine, error) {
 }
 
 // Close shuts the engine down: the ingest queue drains, the background
-// compactor stops, the worker pool's goroutines exit, and the metadata store
-// is released. Safe to call more than once.
+// compactor stops, and the metadata store is released. Safe to call more
+// than once.
 func (e *Engine) Close() error {
 	if e.queue != nil {
 		e.queue.close()
@@ -485,9 +479,6 @@ func (e *Engine) Close() error {
 		close(e.compactStop)
 		<-e.compactDone
 		e.compactStop = nil
-	}
-	if e.pool != nil {
-		e.pool.close()
 	}
 	return e.meta.Close()
 }
@@ -727,11 +718,10 @@ func (e *Engine) cacheLookup(key cacheKey, tr *trace.Active) (Answer, bool) {
 	return ans, true
 }
 
-// search runs one uncached query through the pipeline: a batch of one,
-// executed on the calling goroutine with pooled scratch. q is nil for a
-// by-ID query of a sketch-only store, whose stored sketch set qset stands in
-// for the query's; otherwise qset is nil and built here. opt.K must already
-// be resolved.
+// search runs one uncached query through the pipeline on the calling
+// goroutine with pooled scratch. q is nil for a by-ID query of a sketch-only
+// store, whose stored sketch set qset stands in for the query's; otherwise
+// qset is nil and built here. opt.K must already be resolved.
 func (e *Engine) search(ctx context.Context, q *object.Object, qset *metastore.SketchSet, opt QueryOptions) (Answer, error) {
 	if err := e.checkQuery(q); err != nil {
 		e.met.queryErrors.Inc()
@@ -743,8 +733,7 @@ func (e *Engine) search(ctx context.Context, q *object.Object, qset *metastore.S
 	sc := getScratch()
 	defer putScratch(sc)
 	e.begin(ctx, sc, q, qset, opt)
-	one := [1]*queryScratch{sc}
-	e.runBatch(one[:])
+	e.run(sc)
 	return e.finish(sc)
 }
 
@@ -780,7 +769,7 @@ func (e *Engine) begin(ctx context.Context, sc *queryScratch, q *object.Object, 
 	}
 }
 
-// finish converts a request that has been through runBatch into the Search
+// finish converts a request that has been through run into the Search
 // return values, recording the per-query metrics and finishing an
 // engine-armed trace.
 func (e *Engine) finish(sc *queryScratch) (Answer, error) {
@@ -829,52 +818,23 @@ func finishOwnTrace(own *trace.Active, force bool, ans *Answer) {
 	own.Finish()
 }
 
-// runBatch executes a batch of one or many requests on one view of the
-// engine: it loads the published view once — the query path takes no lock —
-// runs the filtering unit for the whole batch, then ranks — inline for a
-// batch of one, fanned out to the worker pool for several. A batch of
-// several holds only batchable requests (see batchable); the brute-force
-// modes and the exact-distance filter are the paper's other algorithms and
-// run as a batch of one through their own stages. Each request's outcome is
-// left in its scratch (ans or err).
-func (e *Engine) runBatch(scs []*queryScratch) {
-	for _, sc := range scs {
-		sc.clk.reset(sc.ctx, sc.opt.Budget)
-	}
+// run executes one query on one view of the engine: it loads the published
+// view once — the query path takes no lock — runs the filtering unit, then
+// ranks. The brute-force modes are the paper's other algorithms and run
+// through their own stage. The outcome is left in the scratch (ans or err).
+func (e *Engine) run(sc *queryScratch) {
+	sc.clk.reset(sc.ctx, sc.opt.Budget)
 	v := e.cur.Load()
-	first := scs[0]
-	switch p := e.filterParams(&first.opt); {
-	case first.opt.Mode != Filtering:
-		e.rankEvery(v, first)
+	switch p := e.filterParams(&sc.opt); {
+	case sc.opt.Mode != Filtering:
+		e.rankEvery(v, sc)
 		return
 	case p.ExactDistance:
-		e.filterExact(v, first, p.withDefaults(len(first.qset.Sketches), first.opt.K))
+		e.filterExact(v, sc, p.withDefaults(len(sc.qset.Sketches), sc.opt.K))
 	default:
-		e.filterBatch(v, scs)
+		e.filter(v, sc)
 	}
-	if len(scs) == 1 {
-		e.rankStage(v, first)
-		return
-	}
-	e.rankFanOut(v, scs)
-}
-
-// rankFanOut ranks each request of a batch as one task on the persistent
-// pool; tasks no free worker picks up run on the caller. Each task uses its
-// request's own scratch, clock and budget, so degradation stays per query.
-func (e *Engine) rankFanOut(v *view, scs []*queryScratch) {
-	var wg sync.WaitGroup
-	for _, sc := range scs {
-		wg.Add(1)
-		fn := func() {
-			defer wg.Done()
-			e.rankStage(v, sc)
-		}
-		if !e.pool.dispatch(fn) {
-			fn()
-		}
-	}
-	wg.Wait()
+	e.rankStage(v, sc)
 }
 
 // rankStage runs the ranking unit over a filtered request's candidate set,

@@ -17,10 +17,10 @@ import (
 //     results ranked so far with the remainder filled in sketch-distance
 //     order and Answer.Degraded set.
 //
-// Both signals latch atomically — a batch's filter pass and the request's
-// own rank task may run on different goroutines — and "degraded" reflects
-// only expiry observed by a rank loop: a budget that runs out after the last
-// evaluation does not taint a complete answer.
+// Both signals latch atomically, so reading a clock from another goroutine
+// stays race-free, and "degraded" reflects only expiry observed by a rank
+// loop: a budget that runs out after the last evaluation does not taint a
+// complete answer.
 type queryClock struct {
 	ctx context.Context
 	// deadline is the budget expiry instant; zero means no budget.

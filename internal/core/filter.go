@@ -27,7 +27,6 @@ type queryReq struct {
 	qset  *metastore.SketchSet
 	opt   QueryOptions
 	start time.Time // pipeline entry, for ferret_query_seconds
-	enq   time.Time // SearchBatch admission, for ferret_batch_queue_wait_seconds
 
 	// trp points at the query's active trace recording buffer — the
 	// scratch's own, or the caller-supplied one from QueryOptions.Trace. nil
@@ -59,7 +58,20 @@ type queryScratch struct {
 	// scans walk entries instead of sweeping rows (set by buildPairs).
 	walk bool
 
-	batch batchScratch // filter buffers of the batch this request leads
+	// Filter buffers: the query-segment pairs, their sketches packed for the
+	// multi-sketch kernel, the per-pair bounds and hit blocks.
+	pairs  []scanPair
+	ms     sketch.MultiSketch // the swept pairs' sketches, packed for the kernel
+	qsks   []sketch.Sketch    // ms's input
+	bounds []int32
+	ns     []int32
+	idx    []int32
+	dist   []int32
+
+	// Hamming-index descent buffers (see indexDescent).
+	probe  []int32    // one step's new candidate rows in one segment
+	seen   []uint64   // a pair's dedup bitmap: one bit per sealed row, across segments and steps
+	spairs []scanPair // pairs left for the indexed segments' arena sweeps
 
 	// Ranking-unit scratch (sketch lower-bound pruning).
 	lbs    []lbCand
@@ -136,31 +148,12 @@ func resize[T any](s *[]T, n int) []T {
 	return *s
 }
 
-// scanPair is one (query, query-segment) unit of the filter: the segment's
-// sketch, the pair's acceptance threshold and its private k-nearest heap.
+// scanPair is one query-segment unit of the filter: the segment's sketch,
+// the pair's acceptance threshold and its private k-nearest heap.
 type scanPair struct {
-	req    int // index of the owning request in the batch
 	qsk    sketch.Sketch
 	maxHam int
 	heap   *segHeap
-}
-
-// batchScratch holds the filter's per-batch buffers: the packed multi-query
-// sketches, the per-pair bounds and hit blocks, and the pair bookkeeping. A
-// batch uses the one pooled in its first request's scratch.
-type batchScratch struct {
-	pairs  []scanPair
-	ms     sketch.MultiSketch // the swept pairs' sketches, packed for the kernel
-	qsks   []sketch.Sketch    // ms's input
-	bounds []int32
-	ns     []int32
-	idx    []int32
-	dist   []int32
-
-	// Hamming-index descent buffers (see indexDescent).
-	probe  []int32    // one step's new candidate rows in one segment
-	seen   []uint64   // a pair's dedup bitmap: one bit per sealed row, across segments and steps
-	spairs []scanPair // pairs left for the indexed segments' arena sweeps
 }
 
 // filterParams resolves a query's filter parameters: its own when any field
@@ -189,132 +182,105 @@ func topSegments(buf []int, weights []float32, r int) []int {
 	return order[:r]
 }
 
-// buildPairs expands a batch into its (query, query-segment) pair list: for
-// each request the r highest-weight query segments, each with its
-// weight-tightened Hamming threshold and a private k-nearest heap.
-func (e *Engine) buildPairs(v *view, scs []*queryScratch, bs *batchScratch) {
+// buildPairs expands a query into its pair list: the r highest-weight query
+// segments, each with its weight-tightened Hamming threshold and a private
+// k-nearest heap.
+func (e *Engine) buildPairs(v *view, sc *queryScratch) {
 	n := float64(e.builder.N())
-	bs.pairs = bs.pairs[:0]
-	for i, sc := range scs {
-		sc.walk = sc.opt.Restrict != nil && len(sc.opt.Restrict)*restrictWalkDiv < len(v.entries)
-		p := e.filterParams(&sc.opt).withDefaults(len(sc.qset.Sketches), sc.opt.K)
-		sc.order = topSegments(sc.order, sc.qset.Weights, p.QuerySegments)
-		for j, qi := range sc.order {
-			frac := p.MaxHammingFrac * (1 - p.WeightTighten*float64(sc.qset.Weights[qi]))
-			bs.pairs = append(bs.pairs, scanPair{
-				req:    i,
-				qsk:    sc.qset.Sketches[qi],
-				maxHam: int(frac * n),
-				heap:   sc.heap(j, p.NearestPerSegment),
-			})
-		}
+	sc.pairs = sc.pairs[:0]
+	sc.walk = sc.opt.Restrict != nil && len(sc.opt.Restrict)*restrictWalkDiv < len(v.entries)
+	p := e.filterParams(&sc.opt).withDefaults(len(sc.qset.Sketches), sc.opt.K)
+	sc.order = topSegments(sc.order, sc.qset.Weights, p.QuerySegments)
+	for j, qi := range sc.order {
+		frac := p.MaxHammingFrac * (1 - p.WeightTighten*float64(sc.qset.Weights[qi]))
+		sc.pairs = append(sc.pairs, scanPair{
+			qsk:    sc.qset.Sketches[qi],
+			maxHam: int(frac * n),
+			heap:   sc.heap(j, p.NearestPerSegment),
+		})
 	}
 }
 
-// filterBatch is the filtering unit (paper §4.1.1) for a batch of one or
-// many requests: for each of a query's r highest-weight segments it keeps
-// the k nearest dataset segment sketches within a weight-dependent Hamming
-// threshold, and the deduplicated union of the owning objects is the
-// query's candidate set (sorted entry indices in sc.cands).
+// filter is the filtering unit (paper §4.1.1): for each of the query's r
+// highest-weight segments it keeps the k nearest dataset segment sketches
+// within a weight-dependent Hamming threshold, and the deduplicated union of
+// the owning objects is the query's candidate set (sorted entry indices in
+// sc.cands).
 //
-// It descends the view's storage segments once for the whole batch. Every
-// pair first goes through the sealed segments' Hamming indexes
-// (indexDescent); every segment's arena is then swept once for the pairs
-// still owed it — all of them on the unindexed tail, the descent's fallbacks
-// (it had cost as much as the sweep would) on a sealed segment. Every push
-// applies the global (hamming, entry) pair order, so a pair's heap ends up
-// holding its k smallest pairs no matter how the corpus is segmented, which
-// machinery served it, or what else rode in the batch.
-func (e *Engine) filterBatch(v *view, scs []*queryScratch) {
+// It descends the view's storage segments once. Every pair first goes
+// through the sealed segments' Hamming indexes (indexDescent); every
+// segment's arena is then swept once for the pairs still owed it — all of
+// them on the unindexed tail, the descent's fallbacks (it had cost as much
+// as the sweep would) on a sealed segment. Every push applies the global
+// (hamming, entry) pair order, so a pair's heap ends up holding its k
+// smallest pairs no matter how the corpus is segmented or which machinery
+// served it.
+func (e *Engine) filter(v *view, sc *queryScratch) {
 	stageStart := time.Now()
-	defer rtrace.StartRegion(scs[0].ctx, "ferret.scan").End()
-	bs := &scs[0].batch
-	e.buildPairs(v, scs, bs)
-
-	// A pass that served several queries is recorded in each one's trace as
-	// a scan span carrying one shared ref, so equal refs prove the queries
-	// rode one physical pass; a private pass is the query's filter span.
-	name, ref := StageFilter, trace.SpanID(0)
-	if len(scs) > 1 {
-		name, ref = StageScan, trace.NewSpanID()
-	}
-	e.indexDescent(v, scs, bs, ref)
+	defer rtrace.StartRegion(sc.ctx, "ferret.scan").End()
+	e.buildPairs(v, sc)
+	e.indexDescent(v, sc)
 	for _, seg := range v.segs {
 		if seg.liveEntries() == 0 {
 			continue
 		}
-		pairs := bs.pairs
+		pairs := sc.pairs
 		if seg.probed() {
-			pairs = bs.spairs
+			pairs = sc.spairs
 		}
 		if len(pairs) > 0 {
-			e.arenaSweep(v, seg, scs, bs, pairs)
+			e.arenaSweep(v, seg, sc, pairs)
 		}
 	}
 
-	// Dedup each query's candidate union: one ranking evaluation per
-	// distinct object, no matter how many query segments (or index buckets)
-	// reached it.
-	pi := 0
-	for i, sc := range scs {
-		cands := sc.cands[:0]
-		for ; pi < len(bs.pairs) && bs.pairs[pi].req == i; pi++ {
-			cands = append(cands, bs.pairs[pi].heap.items()...)
-		}
-		slices.Sort(cands)
-		sc.cands = slices.Compact(cands)
+	// Dedup the candidate union: one ranking evaluation per distinct object,
+	// no matter how many query segments (or index buckets) reached it.
+	cands := sc.cands[:0]
+	for _, p := range sc.pairs {
+		cands = append(cands, p.heap.items()...)
 	}
+	slices.Sort(cands)
+	sc.cands = slices.Compact(cands)
 	dur := time.Since(stageStart)
-	for _, sc := range scs {
-		e.met.scanned.Add(sc.scannedN)
-		e.met.candidates.Add(len(sc.cands))
-		e.met.stageFilter.Observe(dur.Seconds())
-		sc.trp.RecordShared(name, ref, stageStart, dur).
-			SetAttr("batch", int64(len(scs))).
-			SetAttr("scanned", int64(sc.scannedN)).
-			SetAttr("candidates", int64(len(sc.cands)))
-	}
+	e.met.scanned.Add(sc.scannedN)
+	e.met.candidates.Add(len(sc.cands))
+	e.met.stageFilter.Observe(dur.Seconds())
+	sc.trp.Record(StageFilter, stageStart, dur).
+		SetAttr("scanned", int64(sc.scannedN)).
+		SetAttr("candidates", int64(len(sc.cands)))
 }
 
 // arenaSweep streams one storage segment's arena once for the given pairs.
-// Blocks of rows go through the fused multi-query select kernel under each
+// Blocks of rows go through the fused multi-sketch select kernel under each
 // pair's block-entry bound; the (few) selected rows then replay the exact
 // push/tighten logic, skipping tombstoned and Restrict-excluded entries, so
 // each pair's heap ends up identical to a row-by-row scan of the live,
 // unrestricted rows while misses never leave the kernel.
 //
-// A request under a selective Restrict set (sc.walk) walks the segment's
+// A query under a selective Restrict set (sc.walk) walks the segment's
 // entries instead: one set lookup per entry and Hamming distances for the
 // allowed ones only. Its few allowed objects never fill the heaps, so the
 // sweep's bound would stay at the threshold and about half of every block
 // would be selected and looked up.
 //
 //ferret:noalloc
-func (e *Engine) arenaSweep(v *view, seg *segment, scs []*queryScratch, bs *batchScratch, pairs []scanPair) {
+func (e *Engine) arenaSweep(v *view, seg *segment, sc *queryScratch, pairs []scanPair) {
 	a := &seg.arena
 	np := len(pairs)
-	swept := 0
-	for lo, hi := 0, 0; lo < np; lo = hi { // one request's pairs at a time
-		sc := scs[pairs[lo].req]
-		for hi = lo + 1; hi < np && pairs[hi].req == pairs[lo].req; hi++ {
-		}
-		sc.scanSegs += hi - lo
-		if !sc.walk {
-			sc.scannedN += (hi - lo) * seg.liveEntries()
-			swept += hi - lo
-			continue
-		}
+	restrict := sc.opt.Restrict
+	sc.scanSegs += np
+	if sc.walk {
 		for li := 0; li < seg.n; li++ {
 			if li%scanCheckStride == 0 && sc.clk.stop() {
 				break
 			}
 			g := seg.loEntry + li
-			if seg.dead.has(li) || !sc.opt.Restrict[v.entries[g].id] {
+			if seg.dead.has(li) || !restrict[v.entries[g].id] {
 				continue
 			}
-			sc.scannedN += hi - lo
+			sc.scannedN += np
 			rlo, rhi := a.rowsOf(li)
-			for pi := lo; pi < hi; pi++ {
+			for pi := range pairs {
 				p := &pairs[pi]
 				bound := min(p.maxHam, p.heap.worst())
 				for row := rlo; row < rhi; row++ {
@@ -325,38 +291,30 @@ func (e *Engine) arenaSweep(v *view, seg *segment, scs []*queryScratch, bs *batc
 				}
 			}
 		}
-	}
-	if swept == 0 {
 		return
 	}
+	sc.scannedN += np * seg.liveEntries()
 
-	bounds := resize(&bs.bounds, np)
-	ns := resize(&bs.ns, np)
-	idx := resize(&bs.idx, np*batchRows)
-	dist := resize(&bs.dist, np*batchRows)
-	bs.qsks = bs.qsks[:0]
+	bounds := resize(&sc.bounds, np)
+	ns := resize(&sc.ns, np)
+	idx := resize(&sc.idx, np*batchRows)
+	dist := resize(&sc.dist, np*batchRows)
+	sc.qsks = sc.qsks[:0]
 	for _, p := range pairs {
-		bs.qsks = append(bs.qsks, p.qsk)
+		sc.qsks = append(sc.qsks, p.qsk)
 	}
-	bs.ms.Reset(bs.qsks)
+	sc.ms.Reset(sc.qsks)
+	check := seg.deleted > 0 || restrict != nil
 	rows := a.rows()
 	for base := 0; base < rows; base += batchRows {
+		// Cancellation is checked once per block.
+		if sc.clk.stop() {
+			return
+		}
 		nb := min(batchRows, rows-base)
-		// Cancellation is checked once per block; a stopped request's pairs
-		// (and a walked one's) select nothing from here on (bound −1) while
-		// the sweep continues for the rest.
-		active := false
 		for pi := range pairs {
 			p := &pairs[pi]
-			if sc := scs[p.req]; sc.walk || sc.clk.stop() {
-				bounds[pi] = -1
-				continue
-			}
-			active = true
 			bounds[pi] = int32(min(p.maxHam, p.heap.worst()))
-		}
-		if !active {
-			return
 		}
 		// The kernel prefilters with the block-entry bound, ties included —
 		// a row at the worst kept distance can still enter by winning the
@@ -364,12 +322,10 @@ func (e *Engine) arenaSweep(v *view, seg *segment, scs []*queryScratch, bs *batc
 		// mid-block, so the selected rows are a superset of the acceptable
 		// ones and the replay below decides exactly as a row-by-row scan
 		// would.
-		sketch.HammingSelectMulti(&bs.ms, a.words, base*a.wps, nb, bounds, idx, dist, batchRows, ns)
+		sketch.HammingSelectMulti(&sc.ms, a.words, base*a.wps, nb, bounds, idx, dist, batchRows, ns)
 		for pi := range pairs {
 			p := &pairs[pi]
 			bound := bounds[pi]
-			restrict := scs[p.req].opt.Restrict
-			check := seg.deleted > 0 || restrict != nil
 			hits, ds := idx[pi*batchRows:], dist[pi*batchRows:]
 			for k := 0; k < int(ns[pi]); k++ {
 				h := ds[k]

@@ -99,11 +99,11 @@ func (t *topK) sorted() []Result {
 // The lexicographic pair order is a strict total order, which makes the
 // final heap content the k smallest pairs regardless of push order. That
 // order-independence is what lets the Hamming-index descent and the arena
-// sweep — over one arena or many storage segments, for one query or a whole
-// batch — return bit-identical candidate sets: they visit rows in different
-// orders but converge on the same k pairs (TestHIndexScanEquivalence relies
-// on this; with ties broken by arrival order instead, eviction under equal
-// distances would depend on the visit schedule).
+// sweep — over one arena or many storage segments — return bit-identical
+// candidate sets: they visit rows in different orders but converge on the
+// same k pairs (TestHIndexScanEquivalence relies on this; with ties broken
+// by arrival order instead, eviction under equal distances would depend on
+// the visit schedule).
 type segHeap struct {
 	k     int
 	entry []int // owning entry index per slot

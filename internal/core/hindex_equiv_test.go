@@ -51,7 +51,7 @@ func queryPair(t *testing.T, label string, ei, es *Engine, q object.Object, opt 
 // TestHIndexScanEquivalence checks indexed and unindexed engines agree on
 // every query across interleaved Ingest, Delete and Compact, including
 // radii past the index's exact horizon (cost-model and coverage fallbacks)
-// and restricted queries (which bypass the batch path).
+// and restricted queries.
 func TestHIndexScanEquivalence(t *testing.T) {
 	const d = 10
 	cfgIdx := testConfig(t.TempDir(), d)
@@ -95,8 +95,8 @@ func TestHIndexScanEquivalence(t *testing.T) {
 			queryPair(t, fmt.Sprintf("%s/wide/q%d", label, qi), ei, es, q,
 				QueryOptions{K: 50, Filter: FilterParams{MaxHammingFrac: 0.49, NearestPerSegment: 500}})
 		}
-		// Restricted queries never share a batch: the descent and the sweep
-		// check the Restrict set per hit.
+		// Restricted queries: the descent and the sweep check the Restrict set
+		// per hit.
 		restrict := map[object.ID]bool{}
 		for i := 0; i < len(objs); i += 2 {
 			if id, ok := ei.Meta().LookupKey(objs[i].Key); ok {
@@ -206,9 +206,8 @@ func TestDefaultEngineStaysIndexServed(t *testing.T) {
 	}
 }
 
-// TestHIndexBatchSerialEquivalence checks the batched table descent agrees
-// with the serial probe: SearchBatch answers must match one-at-a-time
-// Search answers on the same indexed engine.
+// TestHIndexBatchSerialEquivalence: SearchBatch answers must match
+// one-at-a-time Search answers on the same indexed engine.
 func TestHIndexBatchSerialEquivalence(t *testing.T) {
 	const d = 10
 	cfg := testConfig(t.TempDir(), d)

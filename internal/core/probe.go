@@ -5,7 +5,6 @@ import (
 
 	"ferret/internal/hindex"
 	"ferret/internal/sketch"
-	"ferret/internal/telemetry/trace"
 )
 
 // HIndexParams configures the optional multi-table Hamming index over each
@@ -24,7 +23,7 @@ type HIndexParams struct {
 // (measured 7–30; EXPERIMENTS.md "k-nearest descent").
 const probeCost = 8
 
-// indexDescent serves the batch's pairs from the sealed segments' Hamming
+// indexDescent serves the query's pairs from the sealed segments' Hamming
 // indexes, which answer together as one index over the sealed corpus: however
 // the compactor has split it, a pair descends once, against all of it. Step t
 // probes one substring table of every segment at one substring distance
@@ -32,7 +31,7 @@ const probeCost = 8
 // verifies the new candidates against the pair's query sketch into the pair's
 // heap — still empty, the descent comes before any sweep — under the sweep's
 // (hamming, entry) pair order and the sweep's acceptance bound,
-// min(maxHam, worst kept). It leaves in bs.spairs the pairs the sealed
+// min(maxHam, worst kept). It leaves in sc.spairs the pairs the sealed
 // segments' arena sweeps must still serve.
 //
 // Correctness: after step t every sealed row within Hamming distance t of the
@@ -54,8 +53,8 @@ const probeCost = 8
 // ends this way, having cost about one more sweep at most.
 //
 //ferret:noalloc
-func (e *Engine) indexDescent(v *view, scs []*queryScratch, bs *batchScratch, ref trace.SpanID) {
-	bs.spairs = bs.spairs[:0]
+func (e *Engine) indexDescent(v *view, sc *queryScratch) {
+	sc.spairs = sc.spairs[:0]
 	var ix *hindex.Index // any sealed segment's index: all share one geometry
 	nix, rows, words := 0, 0, 0
 	for _, seg := range v.segs {
@@ -69,89 +68,84 @@ func (e *Engine) indexDescent(v *view, scs []*queryScratch, bs *batchScratch, re
 	if nix == 0 {
 		return
 	}
-	seen := resize(&bs.seen, words)
-	for lo, hi := 0, 0; lo < len(bs.pairs); lo = hi { // one request's pairs at a time
-		sc := scs[bs.pairs[lo].req]
-		for hi = lo + 1; hi < len(bs.pairs) && bs.pairs[hi].req == bs.pairs[lo].req; hi++ {
-		}
-		start := time.Now()
-		at := start
-		var probeDur, verifyDur time.Duration
-		lookups, cands, radius := 0, 0, 0
-		for _, p := range bs.pairs[lo:hi] {
-			clear(seen)
-			t, spent, settled := 0, 0, false // step; look-ups made plus candidates verified
-			for ; !settled; t++ {
-				keys := nix * ix.StepKeys(t)
-				if t >= ix.Tables() && probeCost*(spent+keys) > rows {
-					break
+	seen := resize(&sc.seen, words)
+	start := time.Now()
+	at := start
+	var probeDur, verifyDur time.Duration
+	lookups, cands, radius := 0, 0, 0
+	for _, p := range sc.pairs {
+		clear(seen)
+		t, spent, settled := 0, 0, false // step; look-ups made plus candidates verified
+		for ; !settled; t++ {
+			keys := nix * ix.StepKeys(t)
+			if t >= ix.Tables() && probeCost*(spent+keys) > rows {
+				break
+			}
+			spent += keys
+			lookups += keys
+			off := 0
+			for _, seg := range v.segs {
+				if !seg.probed() {
+					continue
 				}
-				spent += keys
-				lookups += keys
-				off := 0
-				for _, seg := range v.segs {
-					if !seg.probed() {
+				a := &seg.arena
+				sc.probe = seg.hindex.AppendStep(sc.probe[:0], p.qsk, t, seen[off:])
+				off += (seg.hindex.Rows() + 63) / 64
+				now := time.Now()
+				probeDur += now.Sub(at)
+				at = now
+
+				bound := min(p.maxHam, p.heap.worst())
+				for i, row := range sc.probe {
+					if i%scanCheckStride == 0 && sc.clk.stop() {
+						break
+					}
+					h := sketch.HammingAt(p.qsk, a.words, int(row)*a.wps)
+					if h > bound {
 						continue
 					}
-					a := &seg.arena
-					bs.probe = seg.hindex.AppendStep(bs.probe[:0], p.qsk, t, seen[off:])
-					off += (seg.hindex.Rows() + 63) / 64
-					now := time.Now()
-					probeDur += now.Sub(at)
-					at = now
-
-					bound := min(p.maxHam, p.heap.worst())
-					for i, row := range bs.probe {
-						if i%scanCheckStride == 0 && sc.clk.stop() {
-							break
-						}
-						h := sketch.HammingAt(p.qsk, a.words, int(row)*a.wps)
-						if h > bound {
-							continue
-						}
-						li := int(a.entry[row])
-						g := seg.loEntry + li
-						if r := sc.opt.Restrict; seg.dead.has(li) || (r != nil && !r[v.entries[g].id]) {
-							continue
-						}
-						p.heap.push(g, h)
-						bound = min(bound, p.heap.worst())
+					li := int(a.entry[row])
+					g := seg.loEntry + li
+					if r := sc.opt.Restrict; seg.dead.has(li) || (r != nil && !r[v.entries[g].id]) {
+						continue
 					}
-					spent += len(bs.probe)
-					cands += len(bs.probe)
-					now = time.Now()
-					verifyDur += now.Sub(at)
-					at = now
+					p.heap.push(g, h)
+					bound = min(bound, p.heap.worst())
 				}
-				settled = t >= p.maxHam || (p.heap.full() && p.heap.worst() <= t) || sc.clk.stop()
+				spent += len(sc.probe)
+				cands += len(sc.probe)
+				now = time.Now()
+				verifyDur += now.Sub(at)
+				at = now
 			}
-			radius = max(radius, t-1)
-			e.met.hixProbes.Add(nix)
-			e.met.hixBaseline.Add(rows)
-			if settled {
-				sc.idxSegs += nix
-			} else {
-				e.met.hixFallback.Add(nix)
-				p.heap.reset(p.heap.k)
-				bs.spairs = append(bs.spairs, p)
-			}
+			settled = t >= p.maxHam || (p.heap.full() && p.heap.worst() <= t) || sc.clk.stop()
 		}
-		sc.scannedN += cands
-		e.met.hixCandidates.Add(cands)
-		e.met.hixLookups.Add(lookups)
-		// The two phases alternate step by step; each span carries its phase's
-		// summed time, laid end to end from the descent's start.
-		for _, phase := range [...]struct {
-			name string
-			dur  time.Duration
-		}{{StageHProbe, probeDur}, {StageHVerify, verifyDur}} {
-			sc.trp.RecordShared(phase.name, ref, start, phase.dur).
-				SetAttr("candidates", int64(cands)).
-				SetAttr("rounds", int64(radius/ix.Tables()+1)).
-				SetAttr("lookups", int64(lookups)).
-				SetAttr("radius", int64(radius))
-			start = start.Add(phase.dur)
+		radius = max(radius, t-1)
+		e.met.hixProbes.Add(nix)
+		e.met.hixBaseline.Add(rows)
+		if settled {
+			sc.idxSegs += nix
+		} else {
+			e.met.hixFallback.Add(nix)
+			p.heap.reset(p.heap.k)
+			sc.spairs = append(sc.spairs, p)
 		}
+	}
+	sc.scannedN += cands
+	e.met.hixCandidates.Add(cands)
+	e.met.hixLookups.Add(lookups)
+	// The two phases alternate step by step; each span carries its phase's
+	// summed time, laid end to end from the descent's start.
+	for _, phase := range [...]struct {
+		name string
+		dur  time.Duration
+	}{{StageHProbe, probeDur}, {StageHVerify, verifyDur}} {
+		sc.trp.Record(phase.name, start, phase.dur).
+			SetAttr("candidates", int64(cands)).
+			SetAttr("rounds", int64(radius/ix.Tables()+1)).
+			SetAttr("lookups", int64(lookups)).
+			SetAttr("radius", int64(radius))
+		start = start.Add(phase.dur)
 	}
 }
 

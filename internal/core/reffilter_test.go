@@ -4,10 +4,15 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ferret/internal/metastore"
 	"ferret/internal/object"
@@ -64,7 +69,7 @@ func refFilter(e *Engine, v *view, qset *metastore.SketchSet, opt QueryOptions) 
 // unindexed tail or sealed (indexed) storage segments in front of one,
 // tombstones — also inside indexed segments, where only the descent's verify
 // step can drop them — merges, Compact() followed by more ingests, sketch-only
-// stores, restricted queries, and batches of 1, 3 and 8. Every request's
+// stores, restricted queries, and groups of 1, 3 and 8 queries. Every request's
 // candidate set must equal the reference's. A failure names its seed; rerun
 // one with -run 'TestFilterDifferential/seed=N'.
 func TestFilterDifferential(t *testing.T) {
@@ -74,7 +79,7 @@ func TestFilterDifferential(t *testing.T) {
 	// beside it, (b) every indexed segment held tombstones, (c) the engine
 	// had been compacted and then fed.
 	tailBesideIndex, tombstonedIndex, compactThenIngest := 0, 0, 0
-	// How descents ended: batches settled in the index with more look-ups
+	// How descents ended: query groups settled in the index with more look-ups
 	// than round 0 makes (served at substring radius ≥ 1), pairs settled by
 	// covering their threshold with the heap not full, (pair, sealed segment)
 	// units that fell back to the sweep, and requests a 96-bit engine's index
@@ -196,13 +201,15 @@ func TestFilterDifferential(t *testing.T) {
 					scs[i].hasQ = !cfg.SketchOnly
 				}
 				lookups, fallbacks := e.met.hixLookups.Value(), e.met.hixFallback.Value()
-				e.filterBatch(v, scs)
+				for _, sc := range scs {
+					e.filter(v, sc)
+				}
 				lookups = e.met.hixLookups.Value() - lookups
 				fellBack += int(e.met.hixFallback.Value() - fallbacks)
 				settled, round0 := nix > 0, 0
 				for i, sc := range scs {
 					if want := refFilter(e, v, sc.qset, sc.opt); !slices.Equal(sc.cands, want) {
-						t.Fatalf("seed %d, batch of %d, request %d (%+v, mode %q):\n got %v\nwant %v",
+						t.Fatalf("seed %d, group of %d, request %d (%+v, mode %q):\n got %v\nwant %v",
 							seed, nq, i, sc.opt.Filter, sc.filterMode(), sc.cands, want)
 					}
 					idxUnits += sc.idxSegs
@@ -247,7 +254,7 @@ func TestFilterDifferential(t *testing.T) {
 	}
 	report := fmt.Sprintf("%d index-served, %d scan-served (query segment × storage segment) units; %d walked, %d swept restricted requests; "+
 		"%d index-served requests beside a live tail, %d over tombstoned indexed segments, %d after Compact()-then-ingest; "+
-		"%d batches served past round 0, %d pairs settled by covering their threshold, %d units fell back, %d requests served by a 96-bit index",
+		"%d groups served past round 0, %d pairs settled by covering their threshold, %d units fell back, %d requests served by a 96-bit index",
 		idxUnits, scanUnits, walked, restrictSwept, tailBesideIndex, tombstonedIndex, compactThenIngest,
 		deepServed, coverageSettled, fellBack, served96)
 	if idxUnits == 0 || scanUnits == 0 || walked == 0 || restrictSwept == 0 ||
@@ -293,7 +300,7 @@ func TestFilterPathsSelectSameSegments(t *testing.T) {
 		defer putScratch(sc)
 		opt := QueryOptions{K: 5, Filter: FilterParams{QuerySegments: 2, NearestPerSegment: 4, ExactDistance: exact}}
 		loadScratch(sc, q, e.buildSketchSet(q), opt)
-		e.runBatch([]*queryScratch{sc})
+		e.run(sc)
 		if sc.err != nil {
 			t.Fatal(sc.err)
 		}
@@ -345,7 +352,7 @@ func TestExactFilterBreaksTiesByEntry(t *testing.T) {
 		sc := getScratch()
 		defer putScratch(sc)
 		loadScratch(sc, q, e.buildSketchSet(q), QueryOptions{K: 1, Filter: FilterParams{NearestPerSegment: k, ExactDistance: true}})
-		e.runBatch([]*queryScratch{sc})
+		e.run(sc)
 		if sc.err != nil {
 			t.Fatal(sc.err)
 		}
@@ -355,47 +362,70 @@ func TestExactFilterBreaksTiesByEntry(t *testing.T) {
 	}
 }
 
-// TestSingleQueryRanksInline: a batch of one must rank on the calling
-// goroutine — handing a lone query's rank to a pool worker and parking was
-// the whole batched-at-1-client gap (ROADMAP 1(b)). The object-distance
-// plug-in samples ferret_pool_busy_workers from inside the rank stage: it is
-// 0 when the caller ranks, at least 1 when a pool worker does.
+// goid returns the calling goroutine's ID, parsed from its stack header
+// ("goroutine 42 [running]:").
+func goid() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
+// TestSingleQueryRanksInline: a query ranks on the goroutine that asked for
+// it — a lone Search and a SearchBatch of one hand nothing to another
+// goroutine. The object-distance plug-in records the goroutines it runs on.
+// Positive control: with two Ps, a batch of several spreads its queries over
+// more than one goroutine.
 func TestSingleQueryRanksInline(t *testing.T) {
 	const d = 8
-	var e *Engine
-	var busyMax atomic.Int64
+	var mu sync.Mutex
+	ranked := map[string]bool{}
+	var slow atomic.Bool
 	cfg := testConfig(t.TempDir(), d)
 	cfg.ObjectDistance = func(a, b object.Object) float64 {
-		if busy := e.met.poolBusy.Value(); busy > busyMax.Load() {
-			busyMax.Store(busy)
+		mu.Lock()
+		ranked[goid()] = true
+		mu.Unlock()
+		if slow.Load() {
+			time.Sleep(time.Millisecond) // long enough for the batch's second goroutine to start
 		}
 		return float64(len(a.Segments) + len(b.Segments))
 	}
-	e = openEngine(t, cfg)
+	e := openEngine(t, cfg)
 	ingestClusters(t, e, 4, 6, d, 2)
 	rng := rand.New(rand.NewSource(88))
 	qs := make([]object.Object, 4)
 	for i := range qs {
 		qs[i] = clusterObject("q", i, d, 2, 0.02, rng)
 	}
+	rankers := func() map[string]bool {
+		mu.Lock()
+		defer mu.Unlock()
+		got := maps.Clone(ranked)
+		clear(ranked)
+		return got
+	}
 
-	ctx := context.Background()
+	ctx, caller := context.Background(), goid()
 	if _, err := e.Search(ctx, qs[0], QueryOptions{K: 3}); err != nil {
 		t.Fatal(err)
+	}
+	if got := rankers(); len(got) != 1 || !got[caller] {
+		t.Fatalf("a Search ranked on goroutines %v, want only the caller's %s", got, caller)
 	}
 	if _, errs := e.SearchBatch(ctx, qs[:1], QueryOptions{K: 3}); errs[0] != nil {
 		t.Fatal(errs[0])
 	}
-	if got := busyMax.Load(); got != 0 {
-		t.Fatalf("a single query ranked with %d pool workers busy, want 0: its rank was dispatched to the pool", got)
+	if got := rankers(); len(got) != 1 || !got[caller] {
+		t.Fatalf("a SearchBatch of one ranked on goroutines %v, want only the caller's %s", got, caller)
 	}
 
-	// Positive control: a batch of several does fan out (the leader ranks
-	// only the tasks no free worker takes, and two workers are free).
+	if runtime.GOMAXPROCS(0) < 2 {
+		return
+	}
+	slow.Store(true)
 	if _, errs := e.SearchBatch(ctx, qs, QueryOptions{K: 3}); errs[0] != nil {
 		t.Fatal(errs[0])
 	}
-	if busyMax.Load() == 0 {
-		t.Fatal("a batch of four never ranked on a pool worker: the gauge cannot tell inline from dispatched")
+	if got := rankers(); len(got) < 2 {
+		t.Fatalf("a batch of four ranked on goroutines %v only: the check cannot tell inline from spread", got)
 	}
 }

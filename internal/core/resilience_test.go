@@ -21,7 +21,7 @@ func expectedDegradedResults(t *testing.T, e *Engine, q *queryProbe, opt QueryOp
 	defer putScratch(sc)
 	loadScratch(sc, q.obj, q.set, opt)
 	v := e.cur.Load()
-	e.filterBatch(v, []*queryScratch{sc})
+	e.filter(v, sc)
 	lbs := e.lowerBounds(v, sc.cands, e.cfg.SqrtWeights, sc)
 	k := opt.K
 	if len(lbs) < k {

@@ -17,15 +17,10 @@ const (
 	StageExactFilter = "exact_filter"
 	StageRank        = "rank"
 
-	// Trace-only span names (no stage histogram of their own): queue wait —
-	// how long a SearchBatch query waited behind the call's earlier groups —
-	// is the histogram ferret_batch_queue_wait_seconds, and the shared arena
-	// scan is observed into the filter stage histogram. The
+	// Trace-only span names (no stage histogram of their own): the
 	// Hamming-index spans split an indexed filter stage into its bucket
 	// descent and its candidate verification, so /debug/traces shows
 	// probe-vs-verify time directly.
-	StageQueue   = "queue"
-	StageScan    = "scan"
 	StageHProbe  = "hindex_probe"
 	StageHVerify = "hindex_verify"
 
@@ -80,11 +75,6 @@ type engineMetrics struct {
 	cacheEntries     *telemetry.Gauge   // ferret_result_cache_entries
 	cacheBytes       *telemetry.Gauge   // ferret_result_cache_bytes
 
-	// SearchBatch group counters and histograms (see batch.go).
-	batches   *telemetry.Counter   // ferret_batches_total
-	batchSize *telemetry.Histogram // ferret_batch_size
-	queueWait *telemetry.Histogram // ferret_batch_queue_wait_seconds
-
 	// View publication (see segment.go): how long writers queue for the
 	// writer mutex, and how many views they published.
 	writeWait     *telemetry.Histogram // ferret_write_wait_seconds
@@ -98,8 +88,6 @@ type engineMetrics struct {
 	storageSegs *telemetry.Gauge // ferret_storage_segments
 	queueDepth  *telemetry.Gauge // ferret_ingest_queue_depth
 	inflight    *telemetry.Gauge // ferret_inflight_queries
-	poolWorkers *telemetry.Gauge // ferret_pool_workers
-	poolBusy    *telemetry.Gauge // ferret_pool_busy_workers
 
 	// Latency histograms.
 	queryTime   *telemetry.Histogram // ferret_query_seconds
@@ -115,8 +103,8 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 		reg = telemetry.NewRegistry()
 	}
 	telemetry.RegisterBuildInfo(reg)
-	// Queue waits and pipeline stages sit well under a millisecond on the
-	// batched path, so every latency histogram here uses the fine grid.
+	// Pipeline stages sit well under a millisecond, so every latency
+	// histogram here uses the fine grid.
 	stageHist := func(stage string) *telemetry.Histogram {
 		return reg.Histogram("ferret_query_stage_seconds",
 			"Per-stage query pipeline latency in seconds.", telemetry.FineTimeBuckets, "stage", stage)
@@ -168,12 +156,6 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 		cacheEntries: reg.Gauge("ferret_result_cache_entries", "Result-cache entries resident."),
 		cacheBytes:   reg.Gauge("ferret_result_cache_bytes", "Approximate result-cache resident bytes."),
 
-		batches: reg.Counter("ferret_batches_total", "Shared-scan query groups executed by SearchBatch."),
-		batchSize: reg.Histogram("ferret_batch_size", "Queries per SearchBatch shared-scan group.",
-			[]float64{1, 2, 4, 8, 16, 32}),
-		queueWait: reg.Histogram("ferret_batch_queue_wait_seconds",
-			"Time a SearchBatch query waited behind the call's earlier groups.", telemetry.FineTimeBuckets),
-
 		writeWait: reg.Histogram("ferret_write_wait_seconds",
 			"Time an ingest, delete or merge swap waited for the engine's writer mutex.", telemetry.FineTimeBuckets),
 		viewPublishes: reg.Counter("ferret_view_publish_total",
@@ -185,8 +167,6 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 		storageSegs: reg.Gauge("ferret_storage_segments", "Storage segments (sealed + mutable tail)."),
 		queueDepth:  reg.Gauge("ferret_ingest_queue_depth", "Objects waiting in the bounded ingest queue."),
 		inflight:    reg.Gauge("ferret_inflight_queries", "Queries currently executing."),
-		poolWorkers: reg.Gauge("ferret_pool_workers", "Persistent rank worker pool size."),
-		poolBusy:    reg.Gauge("ferret_pool_busy_workers", "Pool workers currently running a task."),
 
 		queryTime:   reg.Histogram("ferret_query_seconds", "End-to-end query latency in seconds.", telemetry.FineTimeBuckets),
 		ingestTime:  reg.Histogram("ferret_ingest_seconds", "Ingest latency in seconds.", nil),

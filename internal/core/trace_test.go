@@ -87,69 +87,10 @@ func TestDescentSpans(t *testing.T) {
 	}
 }
 
-// TestBatchTraceSharedScanSpan: every query of one SearchBatch group must
-// retain a trace whose scan span references the same shared span ID — the
-// cross-trace proof that the batch rode one physical arena scan — and the
-// queue and rank stages must be present per query.
-func TestBatchTraceSharedScanSpan(t *testing.T) {
-	const d, nseg = 8, 3
-	e := openEngine(t, traceTestConfig(t.TempDir(), d))
-	ingestClusters(t, e, 6, 5, d, nseg)
-
-	rng := rand.New(rand.NewSource(21))
-	queries := make([]object.Object, 5)
-	for i := range queries {
-		queries[i] = clusterObject(fmt.Sprintf("q%d", i), i%6, d, nseg, 0.02, rng)
-	}
-	answers, errs := e.SearchBatch(context.Background(), queries, QueryOptions{K: 4, ForceTrace: true})
-
-	var sharedRef trace.SpanID
-	seen := map[string]bool{}
-	for i := range answers {
-		if errs[i] != nil {
-			t.Fatalf("query %d: %v", i, errs[i])
-		}
-		ti := answers[i].Trace
-		tr := findTrace(t, e, ti)
-		if seen[ti.ID] {
-			t.Fatalf("query %d: trace ID %s reused across queries", i, ti.ID)
-		}
-		seen[ti.ID] = true
-
-		sp, ok := tr.Span(StageScan)
-		if !ok {
-			t.Fatalf("query %d: no scan span in %s", i, tr.Compact())
-		}
-		if sp.Ref == 0 {
-			t.Fatalf("query %d: scan span has no shared ref: %s", i, tr.Compact())
-		}
-		if sharedRef == 0 {
-			sharedRef = sp.Ref
-		} else if sp.Ref != sharedRef {
-			t.Fatalf("query %d: scan ref %s, batch siblings have %s", i, sp.Ref, sharedRef)
-		}
-		for _, name := range []string{StageSketch, StageQueue, StageRank} {
-			if _, ok := tr.Span(name); !ok {
-				t.Fatalf("query %d: no %s span in %s", i, name, tr.Compact())
-			}
-		}
-		// The wire-facing stage aggregation must cover the pipeline too.
-		stages := map[string]bool{}
-		for _, st := range ti.Stages {
-			stages[st.Name] = true
-		}
-		for _, name := range []string{StageQueue, StageScan, StageRank, "total"} {
-			if !stages[name] {
-				t.Fatalf("query %d: stage breakdown %v missing %s", i, ti.Stages, name)
-			}
-		}
-	}
-}
-
 // TestDegradedQueryInSlowLog: a budget-degraded query must always appear in
 // the slow-query log — with sampling and the duration trigger both disabled,
-// only the degraded marking can have put it there — carrying the queue,
-// shared-scan, and rank spans that explain where its time went.
+// only the degraded marking can have put it there — carrying the sketch,
+// filter, and rank spans that explain where its time went.
 func TestDegradedQueryInSlowLog(t *testing.T) {
 	const d, nseg = 8, 3
 	e := openEngine(t, traceTestConfig(t.TempDir(), d))
@@ -188,7 +129,7 @@ func TestDegradedQueryInSlowLog(t *testing.T) {
 		if !tr.Slow {
 			t.Fatalf("query %d: retained trace not marked slow: %s", i, tr.Compact())
 		}
-		for _, name := range []string{StageQueue, StageScan, StageRank} {
+		for _, name := range []string{StageSketch, StageFilter, StageRank} {
 			if _, ok := tr.Span(name); !ok {
 				t.Fatalf("query %d: slow trace lacks %s span: %s", i, name, tr.Compact())
 			}
@@ -205,7 +146,7 @@ func TestDegradedQueryInSlowLog(t *testing.T) {
 	}
 }
 
-// TestSerialSearchTraced: the unbatched pipeline (a Search) must produce
+// TestSerialSearchTraced: a Search must produce
 // a complete forced trace too — sketch, filter, and rank spans plus the
 // aggregated breakdown on the answer — and the rank span carries the whole
 // rank ledger: every candidate was evaluated, abandoned or pruned, in the

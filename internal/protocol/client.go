@@ -291,8 +291,8 @@ func (c *Client) QueryMeta(key string, p QueryParams) ([]Result, ResponseMeta, e
 }
 
 // BatchQuery runs similarity queries for several already-ingested objects as
-// one request: the server groups them into shared arena scans. The
-// returned slice is parallel to keys; per-query failures are reported in
+// one request: the server answers each key as its own query, several at a
+// time. The returned slice is parallel to keys; per-query failures are reported in
 // BatchItem.Err without failing their siblings.
 func (c *Client) BatchQuery(keys []string, p QueryParams) ([]BatchItem, error) {
 	cmd := Command{Cmd: CmdBatchQuery}

@@ -542,8 +542,8 @@ func (s *Server) handle(ctx context.Context, st *connState, start time.Time) (re
 		return s.query(ctx, st, start)
 
 	case protocol.CmdBatchQuery:
-		// n keys sharing one set of query options, answered through the
-		// engine's batched search so the keys share arena scans.
+		// n keys sharing one set of query options, answered through
+		// SearchBatch: one Search per key, run concurrently.
 		if n := len(req.Keys); n == 0 || n > maxBatchKeys {
 			return response{}, fmt.Errorf("bad batch size %d (1..%d)", n, maxBatchKeys)
 		}
@@ -553,8 +553,7 @@ func (s *Server) handle(ctx context.Context, st *connState, start time.Time) (re
 		}
 		// Tracing a batch: each query gets its own engine-armed,
 		// force-retained trace, and its group's flags carry the trace ID and
-		// stage breakdown. The scan spans of one batch group share one Ref
-		// span ID — the shared arena scan they rode.
+		// stage breakdown.
 		if req.Trace != "" {
 			if _, err := s.tracer(); err != nil {
 				return response{}, err
@@ -865,7 +864,7 @@ func (s *Server) tracePairs(n int, slowOnly bool, id string) (map[string]string,
 	return pairs, nil
 }
 
-// runBatch answers one batch of keys through the engine's batched search.
+// runBatch answers one batch of keys through Engine.SearchBatch.
 // Per-key failures (unknown key, missing feature vectors) are reported
 // inside their group without failing the rest.
 func (s *Server) runBatch(ctx context.Context, keys [][]byte, opt core.QueryOptions) []protocol.BatchItem {
@@ -881,8 +880,8 @@ func (s *Server) runBatch(ctx context.Context, keys [][]byte, opt core.QueryOpti
 		}
 		o, ok := s.Engine.Meta().GetObject(id)
 		if !ok {
-			// Sketch-only store: no feature vectors to batch on. Answer this
-			// key through the per-query sketch path instead.
+			// Sketch-only store: no feature vectors to search with. Answer
+			// this key through the per-query sketch path instead.
 			ans, err := s.Engine.SearchByID(ctx, id, opt)
 			if err != nil {
 				items[i].Err = err.Error()

@@ -2,14 +2,14 @@ package sketch
 
 import "math/bits"
 
-// Multi-query kernels. An explicit query batch (the engine's SearchBatch)
-// scans the arena once for all of its queries: each packed row is loaded
-// from memory a single time and scored against Q query sketches, so the
-// per-query memory traffic drops from rows·wps·8 bytes to (rows·wps·8)/Q.
-// On hosts where the scalar scan is compute-bound rather than bandwidth-bound
-// the win instead comes from the vectorized fused-select kernel installed by
-// the amd64 init (see multi_amd64.go), which keeps the whole row in vector
-// registers while it scores every query.
+// Multi-sketch kernels. The engine's filter sweeps an arena once for all r
+// filtering segments of one query: each packed row is loaded from memory a
+// single time and scored against the Q = r query sketches, so the memory
+// traffic per sketch drops from rows·wps·8 bytes to (rows·wps·8)/Q. On hosts
+// where the scalar scan is compute-bound rather than bandwidth-bound the win
+// instead comes from the vectorized fused-select kernel installed by the
+// amd64 init (see multi_amd64.go), which keeps the whole row in vector
+// registers while it scores every sketch.
 
 // chunkWords rounds a word-per-sketch count up to a whole 8-word (512-bit)
 // SIMD chunk.
@@ -19,7 +19,7 @@ func chunkWords(wps int) int { return (wps + 7) &^ 7 }
 // the multi-query kernels. Each query occupies chunkWords(wps) words; the
 // padding words are zero, so vector kernels can load full chunks from the
 // query side without masking (zero XOR masked-zero row lanes contribute no
-// popcount). Reset reuses the buffer across batches; the zero value is ready
+// popcount). Reset reuses the buffer across calls; the zero value is ready
 // to use.
 type MultiSketch struct {
 	words []uint64
@@ -67,7 +67,7 @@ func (m *MultiSketch) query(i int) Sketch {
 // HammingMultiAt computes the Hamming distance between every packed query
 // and the single sketch stored at word offset off in a flat arena, writing
 // dst[q] for each query. The row is loaded once and scored against all
-// queries — the kernel behind the tombstone-aware shared scan.
+// queries.
 //ferret:noalloc
 func HammingMultiAt(m *MultiSketch, arena []uint64, off int, dst []int32) {
 	w := arena[off : off+m.wps]
@@ -161,14 +161,13 @@ func MultiKernel() string {
 	return "scalar"
 }
 
-// HammingSelectMulti is the shared scan's fused kernel: for each packed
+// HammingSelectMulti is the arena sweep's fused kernel: for each packed
 // query q it scores count consecutive sketches starting at word offset off
 // and records the rows with distance at or under bounds[q] — block-relative
 // row index into idx[q*stride+n], distance into dist[q*stride+n] — setting
 // ns[q] to the hit count. A negative bound selects nothing. Hits appear in
 // ascending row order, exactly as Q independent HammingSelect calls would
-// produce, so per-query consumers cannot tell a shared scan from a private
-// one. idx and dist must hold len(bounds)*stride values and stride must be
+// produce, so a consumer cannot tell one fused sweep from Q separate ones. idx and dist must hold len(bounds)*stride values and stride must be
 // at least count.
 //ferret:noalloc
 func HammingSelectMulti(m *MultiSketch, arena []uint64, off, count int, bounds, idx, dist []int32, stride int, ns []int32) {

@@ -3,7 +3,7 @@ package sketch
 // AVX-512 fused multi-query select. The scalar select kernel is
 // compute-bound (~2.5 cycles per word on current hardware, flat across
 // working-set sizes), so amortizing row loads alone does not speed up a
-// shared scan. The vector kernel removes the compute wall: one masked
+// multi-sketch sweep. The vector kernel removes the compute wall: one masked
 // 512-bit load per row chunk, then per query a VPXORQ+VPOPCNTQ pair and a
 // horizontal sum — roughly 5× fewer instructions per (query, row) pair than
 // the scalar loop. Requires AVX-512F plus the VPOPCNTDQ extension and OS

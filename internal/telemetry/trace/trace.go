@@ -3,8 +3,7 @@
 //
 // Aggregate metrics (package telemetry) answer "how slow are queries?";
 // traces answer "why was *this* query slow?" — whether its filter was an
-// index descent or a sweep, how many EMD evaluations its rank ran, which
-// explicit batch group it rode and how long that group waited, which no
+// index descent or a sweep, how many EMD evaluations its rank ran — which no
 // histogram can attribute. A trace is a bounded set of spans (name, start
 // offset, duration, parent, integer attrs) recorded while one query runs.
 //
@@ -27,10 +26,6 @@
 // Completed traces land in lock-free fixed-size rings (recent + slow),
 // exposed over the TRACE protocol command and the /debug/traces JSON
 // endpoint (see Handler).
-//
-// Spans in different traces can be correlated: an explicit batch records
-// its shared arena scan once per query with the same Ref span ID, so all Q
-// traces of one batch group provably point at the same physical scan.
 package trace
 
 import (
@@ -88,21 +83,15 @@ func nextID() uint64 {
 // NewTraceID allocates a fresh trace ID.
 func NewTraceID() TraceID { return TraceID(nextID()) }
 
-// NewSpanID allocates a fresh span ID — used by a batched filter pass to
-// mint the shared scan span's identity once per group and link it from
-// every member query's trace (SpanData.Ref).
-func NewSpanID() SpanID { return SpanID(nextID()) }
-
-// Capacity limits. MaxSpans bounds one trace's recording buffer (a large
-// explicit batch overflows it; overflow is counted, never reallocated) and
-// maxAttrs bounds per-span attributes.
+// Capacity limits. MaxSpans bounds one trace's recording buffer (overflow
+// is counted, never reallocated) and maxAttrs bounds per-span attributes.
 const (
 	MaxSpans = 24
 	maxAttrs = 4
 )
 
 // Attr is one integer span attribute (EMD evaluations, pruned candidates,
-// batch size, ...). Integer-only keeps recording allocation-free.
+// look-ups, ...). Integer-only keeps recording allocation-free.
 type Attr struct {
 	Key string `json:"k"`
 	Val int64  `json:"v"`
@@ -245,7 +234,6 @@ func (r *ring) snapshot() []*Trace {
 type spanRec struct {
 	id     SpanID
 	parent SpanID
-	ref    SpanID
 	name   string
 	start  time.Duration // offset from trace start
 	dur    time.Duration
@@ -261,8 +249,8 @@ type spanRec struct {
 // methods are also safe on a nil receiver, so "no trace" needs no branches
 // at call sites. An Active may be re-armed after Finish (pooled reuse).
 //
-// Recording is mutex-guarded: a batch's calling goroutine, pool workers and
-// the serving goroutine may record into one query's Active concurrently.
+// Recording is mutex-guarded, so an Active handed from one goroutine to
+// another (the serving goroutine's, the engine's) stays consistent.
 type Active struct {
 	mu      sync.Mutex
 	t       *Tracer
@@ -413,19 +401,6 @@ func (a *Active) StartSpan(name string) Span {
 // common form for stages that are timed anyway for histograms.
 //ferret:noalloc
 func (a *Active) Record(name string, start time.Time, d time.Duration) Span {
-	return a.record(name, 0, start, d)
-}
-
-// RecordShared is Record carrying a Ref span ID: the span stands for work
-// physically shared with other traces (a batch's arena scan), and every
-// participating trace records it with the same ref, linking them.
-//ferret:noalloc
-func (a *Active) RecordShared(name string, ref SpanID, start time.Time, d time.Duration) Span {
-	return a.record(name, ref, start, d)
-}
-
-//ferret:noalloc
-func (a *Active) record(name string, ref SpanID, start time.Time, d time.Duration) Span {
 	if a == nil {
 		return Span{}
 	}
@@ -442,7 +417,6 @@ func (a *Active) record(name string, ref SpanID, start time.Time, d time.Duratio
 	a.spans[i] = spanRec{
 		id:     SpanID(nextID()),
 		parent: a.spans[0].id,
-		ref:    ref,
 		name:   name,
 		start:  off,
 		dur:    d,
@@ -592,7 +566,6 @@ func (a *Active) Finish() *Trace {
 		sd := SpanData{
 			ID:     sp.id,
 			Parent: sp.parent,
-			Ref:    sp.ref,
 			Name:   sp.name,
 			Start:  sp.start,
 			Dur:    sp.dur,
@@ -632,7 +605,6 @@ type Trace struct {
 type SpanData struct {
 	ID     SpanID        `json:"id"`
 	Parent SpanID        `json:"parent,omitempty"`
-	Ref    SpanID        `json:"ref,omitempty"`
 	Name   string        `json:"name"`
 	Start  time.Duration `json:"start_ns"`
 	Dur    time.Duration `json:"duration_ns"`
@@ -651,7 +623,7 @@ func (tr *Trace) Span(name string) (SpanData, bool) {
 
 // Compact renders the trace as one protocol-friendly line:
 //
-//	<id> <root> <dur> [slow] [forced] | <span> <dur> [ref=<id>] [k=v ...] | ...
+//	<id> <root> <dur> [slow] [forced] | <span> <dur> [k=v ...] | ...
 func (tr *Trace) Compact() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s %s %s", tr.ID, tr.Root, tr.Dur.Round(time.Microsecond))
@@ -663,9 +635,6 @@ func (tr *Trace) Compact() string {
 	}
 	for _, sp := range tr.Spans[1:] {
 		fmt.Fprintf(&sb, " | %s %s", sp.Name, sp.Dur.Round(time.Microsecond))
-		if sp.Ref != 0 {
-			fmt.Fprintf(&sb, " ref=%s", sp.Ref)
-		}
 		for _, at := range sp.Attrs {
 			fmt.Fprintf(&sb, " %s=%d", at.Key, at.Val)
 		}
@@ -712,7 +681,7 @@ func (t *Tracer) Find(id TraceID) *Trace {
 }
 
 // FormatStages renders aggregated stage timings for human consumption:
-// "parse 12µs → queue 340µs → scan 1.1ms → rank 420µs (total 1.9ms)".
+// "parse 12µs → sketch 8µs → filter 1.1ms → rank 420µs (total 1.6ms)".
 func FormatStages(stages []Stage) string {
 	var parts []string
 	total := ""

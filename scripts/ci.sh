@@ -12,8 +12,6 @@
 #   race       go test -race ./...
 #   lint-test  go test -race ./internal/lint — the analyzer suite's own
 #              tests explicitly under the race detector
-#   lint-fast  scripts/lint-fast.sh — the changed-package analyzer
-#              selection, timed in the output so CI tracks its cost
 #   torture    crash-torture suites under -race: the kvstore fault matrix
 #              plus the engine-level suite driving the same faults through
 #              the segmented ingest pipeline (seal, merge, checkpoint).
