@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"ferret/internal/emd"
 	"ferret/internal/metastore"
 	"ferret/internal/object"
 )
@@ -256,26 +257,39 @@ func TestQueryConcurrentWithIngestCompact(t *testing.T) {
 	}
 }
 
-// queryAll runs the same queries against an engine and returns the results
-// plus the engine's total object-distance evaluation and prune counts.
-func queryAll(t *testing.T, e *Engine, queries []object.Object, k int) ([][]Result, int, int) {
+// unprunedRanking is the in-test reference for the ranking unit: the
+// white-box filter, then the full ranking distance of every candidate in
+// candidate order into a top-K heap — no lower bound, no prune, no abandon.
+// It returns the answer and the candidate count.
+func unprunedRanking(t *testing.T, e *Engine, q object.Object, opt QueryOptions) ([]Result, int) {
 	t.Helper()
-	all := make([][]Result, len(queries))
-	for i, q := range queries {
-		res, err := runQuery(e, q, QueryOptions{K: k})
-		if err != nil {
-			t.Fatal(err)
+	sc := getScratch()
+	defer putScratch(sc)
+	loadScratch(sc, q, e.buildSketchSet(q), opt)
+	v := e.cur.Load()
+	e.filter(v, sc)
+	top := newTopK(opt.K)
+	for _, idx := range sc.cands {
+		var d float64
+		if e.cfg.SketchOnly {
+			d = e.sketchObjectDistanceAt(v, sc.qset, idx)
+		} else {
+			o, ok := e.object(v, idx)
+			if !ok {
+				t.Fatalf("candidate %d has no feature vectors", idx)
+			}
+			d = e.objDist(q, o)
 		}
-		all[i] = res
+		ent := &v.entries[idx]
+		top.push(Result{ID: ent.id, Key: ent.key, Distance: d})
 	}
-	reg := e.Telemetry()
-	return all, int(reg.Value("ferret_rank_distance_evals_total")),
-		int(reg.Value("ferret_rank_emd_pruned_total"))
+	return top.sorted(), len(sc.cands)
 }
 
-// TestPruningPreservesResults is the tentpole's correctness contract: with
-// pruning on, Filtering-mode results must be identical (IDs and distances)
-// to the unpruned pipeline — only the evaluation counts may differ.
+// TestPruningPreservesResults is the ranking unit's correctness contract:
+// with pruning on, Filtering-mode results must be identical (IDs and
+// distances) to the unpruned reference (unprunedRanking) — only the
+// evaluation counts may differ.
 func TestPruningPreservesResults(t *testing.T) {
 	for _, sketchOnly := range []bool{false, true} {
 		name := "emd"
@@ -284,49 +298,54 @@ func TestPruningPreservesResults(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			const d = 10
-			mk := func(disable bool) *Engine {
-				cfg := testConfig(t.TempDir(), d)
-				cfg.SketchOnly = sketchOnly
-				cfg.Prune.Disable = disable
-				e := openEngine(t, cfg)
-				ingestVaried(t, e, 120, d)
-				return e
-			}
-			pruned, unpruned := mk(false), mk(true)
+			cfg := testConfig(t.TempDir(), d)
+			cfg.SketchOnly = sketchOnly
+			e := openEngine(t, cfg)
+			ingestVaried(t, e, 120, d)
 
 			rng := rand.New(rand.NewSource(33))
-			queries := make([]object.Object, 15)
-			for i := range queries {
-				queries[i] = clusterObject(fmt.Sprintf("q%02d", i), i%7, d, 1+i%4, 0.02, rng)
-			}
-			resP, evalsP, prunedCount := queryAll(t, pruned, queries, 8)
-			resU, evalsU, _ := queryAll(t, unpruned, queries, 8)
-
-			for qi := range queries {
-				if len(resP[qi]) != len(resU[qi]) {
-					t.Fatalf("query %d: %d pruned results vs %d unpruned", qi, len(resP[qi]), len(resU[qi]))
+			opt := QueryOptions{K: 8}
+			reg := e.Telemetry()
+			evalsU := 0
+			for qi := 0; qi < 15; qi++ {
+				q := clusterObject(fmt.Sprintf("q%02d", qi), qi%7, d, 1+qi%4, 0.02, rng)
+				want, cands := unprunedRanking(t, e, q, opt)
+				evalsU += cands
+				got, err := runQuery(e, q, opt)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for i := range resP[qi] {
-					if resP[qi][i].ID != resU[qi][i].ID || resP[qi][i].Distance != resU[qi][i].Distance {
-						t.Fatalf("query %d result %d diverged: pruned %+v, unpruned %+v",
-							qi, i, resP[qi][i], resU[qi][i])
+				if len(got) != len(want) {
+					t.Fatalf("query %d: %d pruned results vs %d unpruned", qi, len(got), len(want))
+				}
+				for i := range got {
+					if got[i].ID != want[i].ID || got[i].Distance != want[i].Distance {
+						t.Fatalf("query %d result %d diverged: pruned %+v, unpruned %+v", qi, i, got[i], want[i])
 					}
 				}
 			}
+			evalsP := int(reg.Value("ferret_rank_distance_evals_total"))
+			prunedCount := int(reg.Value("ferret_rank_emd_pruned_total"))
+			abandoned := int(reg.Value("ferret_rank_emd_abandoned_total"))
 			if prunedCount <= 0 {
 				t.Fatalf("prune counter %d: lower-bound prune never fired", prunedCount)
+			}
+			if evalsP+prunedCount+abandoned != evalsU {
+				t.Fatalf("%d evaluated + %d pruned + %d abandoned, but %d candidates", evalsP, prunedCount, abandoned, evalsU)
 			}
 			if evalsP >= evalsU {
 				t.Fatalf("pruned pipeline did %d evals, unpruned %d: pruning saved nothing", evalsP, evalsU)
 			}
-			t.Logf("%s: evals %d → %d (pruned %d)", name, evalsU, evalsP, prunedCount)
+			t.Logf("%s: evals %d → %d (pruned %d, abandoned %d)", name, evalsU, evalsP, prunedCount, abandoned)
 		})
 	}
 }
 
-// TestDedupSingleEvalPerCandidate guards the candidate-set dedup: however
-// many query segments (or index probe buckets) reach an object, the ranking
-// unit must evaluate it exactly once.
+// TestDedupSingleEvalPerCandidate guards the candidate-set dedup and the
+// rank accounting: however many query segments (or index probe buckets)
+// reach an object, the ranking unit settles it exactly once — evaluated,
+// pruned by its lower bound or abandoned mid-solve — for every kind of
+// ranking distance.
 func TestDedupSingleEvalPerCandidate(t *testing.T) {
 	for _, indexed := range []bool{false, true} {
 		name := "scan"
@@ -334,42 +353,66 @@ func TestDedupSingleEvalPerCandidate(t *testing.T) {
 			name = "hindex"
 		}
 		t.Run(name, func(t *testing.T) {
-			const d = 10
-			cfg := testConfig(t.TempDir(), d)
-			cfg.Prune.Disable = true // count raw per-candidate evaluations
-			if indexed {
-				cfg.HIndex = HIndexParams{Enable: true}
-			}
-			e := openEngine(t, cfg)
-			ingestClusters(t, e, 5, 10, d, 3)
+			for _, kind := range []string{"emd", "sketch-only", "plug-in"} {
+				t.Run(kind, func(t *testing.T) {
+					const d = 10
+					cfg := testConfig(t.TempDir(), d)
+					switch kind {
+					case "sketch-only":
+						cfg.SketchOnly = true
+					case "plug-in":
+						cfg.ObjectDistance = emd.ObjectDistance(emd.Options{})
+					}
+					if indexed {
+						cfg.HIndex = HIndexParams{Enable: true}
+					}
+					e := openEngine(t, cfg)
+					ingestClusters(t, e, 5, 10, d, 3)
 
-			// Four identical query segments: every query segment nominates
-			// the same nearest dataset segments, so without dedup the same
-			// candidates would be ranked four times.
-			rng := rand.New(rand.NewSource(44))
-			base := clusterObject("q", 2, d, 1, 0.02, rng)
-			vec := base.Segments[0].Vec
-			q, err := object.New("q4", []float32{1, 1, 1, 1}, [][]float32{vec, vec, vec, vec})
-			if err != nil {
-				t.Fatal(err)
-			}
+					// Four identical query segments: every query segment
+					// nominates the same nearest dataset segments, so without
+					// dedup the same candidates would be ranked four times.
+					rng := rand.New(rand.NewSource(44))
+					base := clusterObject("q", 2, d, 1, 0.02, rng)
+					vec := base.Segments[0].Vec
+					q, err := object.New("q4", []float32{1, 1, 1, 1}, [][]float32{vec, vec, vec, vec})
+					if err != nil {
+						t.Fatal(err)
+					}
 
-			reg := e.Telemetry()
-			before := int(reg.Value("ferret_rank_distance_evals_total"))
-			beforeCand := int(reg.Value("ferret_filter_candidates_total"))
-			if _, err := runQuery(e, q, QueryOptions{K: 5, Filter: FilterParams{QuerySegments: 4, NearestPerSegment: 20}}); err != nil {
-				t.Fatal(err)
-			}
-			evals := int(reg.Value("ferret_rank_distance_evals_total")) - before
-			cands := int(reg.Value("ferret_filter_candidates_total")) - beforeCand
-			if cands == 0 {
-				t.Fatal("filter produced no candidates")
-			}
-			if evals != cands {
-				t.Fatalf("%d evaluations for %d distinct candidates: dedup broken", evals, cands)
-			}
-			if cands > e.Count() {
-				t.Fatalf("%d candidates exceed %d live objects: candidate set not deduplicated", cands, e.Count())
+					reg := e.Telemetry()
+					counters := []string{
+						"ferret_rank_distance_evals_total",
+						"ferret_rank_emd_pruned_total",
+						"ferret_rank_emd_abandoned_total",
+						"ferret_filter_candidates_total",
+					}
+					before := make([]int, len(counters))
+					for i, c := range counters {
+						before[i] = int(reg.Value(c))
+					}
+					if _, err := runQuery(e, q, QueryOptions{K: 5, Filter: FilterParams{QuerySegments: 4, NearestPerSegment: 20}}); err != nil {
+						t.Fatal(err)
+					}
+					delta := make([]int, len(counters))
+					for i, c := range counters {
+						delta[i] = int(reg.Value(c)) - before[i]
+					}
+					evals, pruned, abandoned, cands := delta[0], delta[1], delta[2], delta[3]
+					if cands == 0 {
+						t.Fatal("filter produced no candidates")
+					}
+					if evals+pruned+abandoned != cands {
+						t.Fatalf("%d evaluated + %d pruned + %d abandoned for %d distinct candidates: dedup or rank accounting broken",
+							evals, pruned, abandoned, cands)
+					}
+					if kind == "plug-in" && evals != cands {
+						t.Fatalf("plug-in distance: %d evaluations for %d candidates, want every candidate evaluated", evals, cands)
+					}
+					if cands > e.Count() {
+						t.Fatalf("%d candidates exceed %d live objects: candidate set not deduplicated", cands, e.Count())
+					}
+				})
 			}
 		})
 	}

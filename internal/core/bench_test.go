@@ -287,14 +287,12 @@ func shapeBenchEngine(b *testing.B) *Engine {
 	return e
 }
 
-// The QueryPipeline pair measures end-to-end Filtering-mode queries with the
-// sketch lower-bound EMD prune on (default) and off.
-
-func benchPipeline(b *testing.B, disablePrune bool) {
-	e, q, _ := benchEngine(b, func(cfg *Config) {
-		cfg.RankThreshold = 2
-		cfg.Prune.Disable = disablePrune
-	})
+// BenchmarkQueryPipeline measures end-to-end Filtering-mode queries. Beside
+// ns/op it reports the ranking unit's work: candidates/op is what an
+// unpruned rank would evaluate, emd_evals/op and emd_pruned/op what the
+// sketch lower-bound prune left and skipped.
+func BenchmarkQueryPipeline(b *testing.B) {
+	e, q, _ := benchEngine(b, func(cfg *Config) { cfg.RankThreshold = 2 })
 	opt := benchFilterOpts()
 	b.ResetTimer()
 	b.ReportAllocs()
@@ -305,17 +303,15 @@ func benchPipeline(b *testing.B, disablePrune bool) {
 	}
 	b.StopTimer()
 	reg := e.Telemetry()
+	b.ReportMetric(reg.Value("ferret_filter_candidates_total")/float64(b.N), "candidates/op")
 	b.ReportMetric(reg.Value("ferret_rank_distance_evals_total")/float64(b.N), "emd_evals/op")
 	b.ReportMetric(reg.Value("ferret_rank_emd_pruned_total")/float64(b.N), "emd_pruned/op")
 }
 
-func BenchmarkQueryPipelinePruned(b *testing.B)   { benchPipeline(b, false) }
-func BenchmarkQueryPipelineUnpruned(b *testing.B) { benchPipeline(b, true) }
-
 // BenchmarkQueryPipelineConcurrent drives Filtering-mode queries from eight
 // closed-loop clients, each Search running on its client's goroutine: ns/op
 // is the amortized per-query wall time under concurrent load, on the arena
-// scan and on the Hamming index. Compare against BenchmarkQueryPipelinePruned
+// scan and on the Hamming index. Compare against BenchmarkQueryPipeline
 // (the one-query-at-a-time cost) and run at -cpu 1,2 to see how the clients
 // spread over cores.
 func BenchmarkQueryPipelineConcurrent(b *testing.B) { benchConcurrent(b, false) }

@@ -71,7 +71,6 @@ type canonOpts struct {
 	mode   Mode
 	k      int
 	filter FilterParams
-	prune  PruneParams
 }
 
 // cacheKey identifies one cacheable query. byID queries key on the stored
@@ -85,33 +84,15 @@ type cacheKey struct {
 	opt    canonOpts
 }
 
-// canonOpt resolves opt into its canonical form. It mirrors the filter
-// stage's own resolution (FilterParams.withDefaults) except for the
-// per-query segment-count cap, which depends only on query content — and
-// the content is already part of the key.
+// canonOpt resolves opt into its canonical form: the filter stage's own
+// resolution (FilterParams.withDefaults) minus the per-query segment-count
+// cap, which depends only on query content — and the content is already
+// part of the key.
 func (e *Engine) canonOpt(opt *QueryOptions) canonOpts {
 	c := canonOpts{mode: opt.Mode, k: opt.K}
 	if opt.Mode == Filtering {
-		f := e.filterParams(opt)
-		if f.QuerySegments <= 0 {
-			f.QuerySegments = 4
-		}
-		if f.NearestPerSegment <= 0 {
-			f.NearestPerSegment = 10 * opt.K
-			if f.NearestPerSegment < 32 {
-				f.NearestPerSegment = 32
-			}
-		}
-		if f.MaxHammingFrac <= 0 {
-			f.MaxHammingFrac = 0.49
-		}
-		if f.WeightTighten <= 0 {
-			f.WeightTighten = 0.2
-		}
-		c.filter = f
+		c.filter = e.filterParams(opt).withDefaults(math.MaxInt, opt.K)
 	}
-	c.prune = e.cfg.Prune
-	c.prune.Margin = c.prune.margin()
 	return c
 }
 

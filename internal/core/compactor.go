@@ -100,13 +100,12 @@ func (e *Engine) swapMerged(cur *view, si int, snaps []*segment, merged sketchAr
 	for _, sn := range snaps {
 		reclaimed += sn.deleted
 	}
-	cached := !e.cfg.SketchOnly && !e.cfg.LowMemory
 
 	next := &view{
 		entries: append(make([]sketchEntry, 0, len(cur.entries)-reclaimed), cur.entries[:gLo]...),
 		segs:    slices.Clone(cur.segs[:si]),
 	}
-	if cached {
+	if e.resident {
 		next.objects = append(make([]object.Object, 0, len(cur.objects)-reclaimed), cur.objects[:gLo]...)
 	}
 	ms := &segment{loEntry: gLo, arena: merged, hindex: idx}
@@ -124,14 +123,14 @@ func (e *Engine) swapMerged(cur *view, si int, snaps []*segment, merged sketchAr
 				ms.deleted++
 			}
 			next.entries = append(next.entries, cur.entries[sn.loEntry+li])
-			if cached {
+			if e.resident {
 				next.objects = append(next.objects, cur.objects[sn.loEntry+li])
 			}
 			ms.n++
 		}
 	}
 	next.entries = append(next.entries, cur.entries[gHi:]...)
-	if cached {
+	if e.resident {
 		next.objects = append(next.objects, cur.objects[gHi:]...)
 	}
 	next.deleted = cur.deleted - reclaimed

@@ -108,31 +108,6 @@ type FilterParams struct {
 	MaxDistance float64
 }
 
-// PruneParams tunes the ranking unit's sketch lower-bound pruning: before
-// an EMD evaluation, a lower bound on the candidate's object distance is
-// estimated from the already-resident sketches (see DESIGN.md), and
-// candidates whose bound exceeds the current top-K kth distance are skipped
-// without touching their feature vectors.
-type PruneParams struct {
-	// Disable turns rank-stage pruning off (every candidate gets a full
-	// object-distance evaluation, as in the unpruned pipeline).
-	Disable bool
-	// Margin scales the sketch-estimated lower bound before it is compared
-	// to the kth distance: a candidate is pruned only when Margin·LB
-	// exceeds it. Values below 1 absorb sketch estimation noise; 0 means
-	// 0.85. Disable also turns off the (result-preserving) exact-cost early
-	// abandon inside the EMD solve, so Disable gives a clean unpruned
-	// pipeline for A/B comparison of evaluation counts.
-	Margin float64
-}
-
-func (p PruneParams) margin() float64 {
-	if p.Margin <= 0 {
-		return 0.85
-	}
-	return p.Margin
-}
-
 func (p FilterParams) withDefaults(nseg, resultK int) FilterParams {
 	if p.QuerySegments <= 0 {
 		p.QuerySegments = 4
@@ -186,9 +161,6 @@ type Config struct {
 	SketchOnly bool
 	// Filter tunes the filtering unit.
 	Filter FilterParams
-	// Prune tunes the ranking unit's sketch lower-bound EMD pruning. Only
-	// effective with the built-in EMD object distance (ObjectDistance nil).
-	Prune PruneParams
 	// HIndex optionally accelerates the filtering unit with a multi-table
 	// Hamming index over each sealed segment's arena (see internal/hindex
 	// and probe.go): a k-nearest descent, sub-linear in corpus size and
@@ -328,6 +300,11 @@ type Engine struct {
 	met     *engineMetrics
 	tracer  *trace.Tracer
 
+	// resident reports that views hold every object's feature vectors
+	// (neither SketchOnly nor LowMemory), decided once in Open; otherwise
+	// object reads them from the metadata store.
+	resident bool
+
 	// queue, when non-nil, is the bounded ingest queue (see ingest.go).
 	queue *ingestQueue
 
@@ -371,7 +348,8 @@ func Open(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, meta: meta, attrs: attr.New(meta.KV()), met: met}
+	e := &Engine{cfg: cfg, meta: meta, attrs: attr.New(meta.KV()), met: met,
+		resident: !cfg.SketchOnly && !cfg.LowMemory}
 	e.tracer = trace.New(cfg.Trace, met.reg)
 
 	e.segDist = cfg.SegmentDistance
@@ -427,7 +405,7 @@ func Open(cfg Config) (*Engine, error) {
 	for i := range v.entries {
 		v.entries[i].key = meta.Key(v.entries[i].id)
 	}
-	if !cfg.SketchOnly && !cfg.LowMemory {
+	if e.resident {
 		meta.ForEachObject(func(o object.Object) bool {
 			v.objects = append(v.objects, o)
 			return true
@@ -628,9 +606,9 @@ func (e *Engine) Ingest(o object.Object, attrs attr.Attrs) (object.ID, error) {
 		return 0, err
 	}
 	o.ID = id
-	cached := &o
-	if e.cfg.SketchOnly || e.cfg.LowMemory {
-		cached = nil
+	var cached *object.Object
+	if e.resident {
+		cached = &o
 	}
 	cur := e.lockWrite()
 	e.publish(e.appended(cur, sketchEntry{id: id, key: o.Key}, cached, set.Weights, set.Sketches))
@@ -760,7 +738,7 @@ func (e *Engine) begin(ctx context.Context, sc *queryScratch, q *object.Object, 
 	sc.trp = e.armTrace(&sc.opt, &sc.own)
 	sc.start = time.Now()
 	if q != nil {
-		sc.q, sc.hasQ = *q, true
+		sc.q, sc.hasQ = *q, !e.cfg.SketchOnly
 	}
 	if qset == nil {
 		sc.qset = e.buildSketchSet(sc.q)
@@ -838,22 +816,14 @@ func (e *Engine) run(sc *queryScratch) {
 }
 
 // rankStage runs the ranking unit over a filtered request's candidate set,
-// timing the stage, and settles its outcome. A request without a query
-// object (or a sketch-only store) ranks by sketch-estimated distances.
+// timing the stage, and settles its outcome.
 func (e *Engine) rankStage(v *view, sc *queryScratch) {
 	if sc.err != nil {
 		return
 	}
 	defer rtrace.StartRegion(sc.ctx, "ferret.rank").End()
 	tr := time.Now()
-	sc.rankEvals, sc.rankPruned, sc.rankAbandoned = 0, 0, 0
-	var results []Result
-	var degraded bool
-	if !sc.hasQ || e.cfg.SketchOnly {
-		results, degraded = e.rankSketchCandidates(v, sc)
-	} else {
-		results, degraded = e.rankCandidates(v, sc)
-	}
+	results, degraded := e.rankCandidates(v, sc)
 	e.met.stageRank.ObserveSince(tr)
 	sc.trp.Record(StageRank, tr, time.Since(tr)).
 		SetAttr("evals", int64(sc.rankEvals)).
@@ -877,7 +847,7 @@ func (e *Engine) rankEvery(v *view, sc *queryScratch) {
 	case sc.opt.Mode != BruteForceOriginal:
 		sc.err = fmt.Errorf("core: unknown mode %d", sc.opt.Mode)
 		return
-	case !sc.hasQ || e.cfg.SketchOnly:
+	case !sc.hasQ:
 		sc.err = errors.New("core: BruteForceOriginal unavailable in sketch-only mode")
 		return
 	default:
@@ -905,15 +875,22 @@ func (e *Engine) buildSketchSet(q object.Object) *metastore.SketchSet {
 // fetched from the metadata store as the scan reaches it.
 func (e *Engine) rankAll(v *view, sc *queryScratch) []Result {
 	return e.rankScan(v, sc, func(i int) (float64, bool) {
-		if !e.cfg.LowMemory {
-			return e.objDist(sc.q, v.objects[i]), true
-		}
-		o, ok := e.meta.GetObject(v.entries[i].id)
+		o, ok := e.object(v, i)
 		if !ok {
 			return 0, false
 		}
 		return e.objDist(sc.q, o), true
 	})
+}
+
+// object returns entry idx's feature vectors: the view's resident copy, or
+// in LowMemory mode a metadata-store read — false when the object has been
+// deleted since v was published.
+func (e *Engine) object(v *view, idx int) (object.Object, bool) {
+	if e.resident {
+		return v.objects[idx], true
+	}
+	return e.meta.GetObject(v.entries[idx].id)
 }
 
 // rankAllSketch is BruteForceSketch: sketch-estimated object distance

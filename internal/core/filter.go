@@ -20,8 +20,9 @@ import (
 // buffer it records into, and its outcome.
 type queryReq struct {
 	ctx context.Context
-	// q is the query object; hasQ is false for a by-ID query of a
-	// sketch-only store, which ranks by the stored sketches in qset.
+	// q is the query object; hasQ reports that the engine can rank it by
+	// feature vectors — false in a sketch-only store, whose queries rank by
+	// the sketches in qset (a by-ID query's are the stored ones).
 	q     object.Object
 	hasQ  bool
 	qset  *metastore.SketchSet
@@ -351,20 +352,13 @@ func (e *Engine) arenaSweep(v *view, seg *segment, sc *queryScratch, pairs []sca
 // metadata (paper §4.1.1's alternative to the sketch comparison). It leaves
 // the candidate set in sc.cands or the failure in sc.err.
 func (e *Engine) filterExact(v *view, sc *queryScratch, p FilterParams) {
-	if !sc.hasQ || e.cfg.SketchOnly {
+	if !sc.hasQ {
 		sc.err = errors.New("core: exact-distance filtering requires stored feature vectors")
 		return
 	}
 	stageStart := time.Now()
 	q, opt := &sc.q, &sc.opt
 	scanned := 0
-	getObject := func(i int) (object.Object, bool) {
-		if e.cfg.LowMemory {
-			return e.meta.GetObject(v.entries[i].id)
-		}
-		return v.objects[i], true
-	}
-
 	sc.order = topSegments(sc.order, sc.qset.Weights, p.QuerySegments)
 	cands := sc.cands[:0]
 	for _, qi := range sc.order {
@@ -383,7 +377,7 @@ func (e *Engine) filterExact(v *view, sc *queryScratch, p FilterParams) {
 			if v.isDead(idx) || (opt.Restrict != nil && !opt.Restrict[v.entries[idx].id]) {
 				continue
 			}
-			o, ok := getObject(idx)
+			o, ok := e.object(v, idx)
 			if !ok {
 				continue
 			}

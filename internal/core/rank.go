@@ -7,7 +7,6 @@ import (
 
 	"ferret/internal/emd"
 	"ferret/internal/metastore"
-	"ferret/internal/object"
 	"ferret/internal/sketch"
 )
 
@@ -36,106 +35,131 @@ func sortLBCands(lbs []lbCand) {
 	})
 }
 
+// pruneMargin scales a candidate's sketch-estimated EMD lower bound before
+// it is compared to the kth-best distance: the candidate is pruned only when
+// pruneMargin·LB exceeds it. Below 1 it absorbs sketch estimation noise —
+// the bound is over estimated costs, the distance over exact ones.
+const pruneMargin = 0.85
+
+// evalOutcome is what became of one candidate's distance evaluation.
+type evalOutcome uint8
+
+const (
+	evalExact     evalOutcome = iota // the exact distance: a top-K contender
+	evalAbandoned                    // stopped early: provably beyond the bound
+	evalAbsent                       // not evaluated: the object is gone
+)
+
 // rankCandidates is the ranking unit for Filtering mode: the accurate
-// object distance over the candidate set, kept in a top-K heap.
+// object distance over the candidate set, kept in a top-K heap. It picks
+// the per-candidate distance and its prune margin for rankLoop:
 //
-// When the engine uses the built-in EMD object distance, two pruning tiers
-// cut evaluations without changing the ranked results (up to ties):
-//
-//  1. Sketch lower bound: each candidate's object distance is
-//     lower-bounded from the already-resident sketches (no feature-vector
-//     access), candidates are ranked by ascending bound, and once
-//     Margin·LB of the next candidate exceeds the kth-best distance the
-//     remaining tail is skipped (ferret_rank_emd_pruned_total).
-//  2. Exact-cost early abandon: each surviving EMD evaluation accumulates
-//     an exact lower bound while it fills its ground cost matrix, row by
-//     row, and stops — sometimes before the matrix is complete, always
-//     before the solve — once the candidate provably cannot enter the top K
-//     (ferret_rank_emd_abandoned_total). This tier never changes results.
-//
-// Both ranking units also honor the query clock: context cancellation stops
-// the loop outright (the caller discards the partial answer and returns the
-// context's error), while budget expiry degrades — the evaluated head keeps
-// its exact ranking and every not-yet-evaluated candidate is appended in
-// ascending sketch-lower-bound order until K results (degradedResults).
-// The returned bool reports that degradation.
+//  1. The built-in EMD (margin pruneMargin): an exact solve that
+//     accumulates an exact lower bound while it fills its ground cost
+//     matrix, row by row, and abandons — sometimes before the matrix is
+//     complete, always before the solve — once the candidate provably
+//     cannot enter the top K (ferret_rank_emd_abandoned_total). Abandoning
+//     never changes results.
+//  2. A plug-in ObjectDistance (no margin): the sketch bound is a bound on
+//     EMD, not on an arbitrary plug-in, so every candidate is evaluated.
+//  3. A sketch-only store (margin 1): the sketch-estimated EMD. Its lower
+//     bound comes from the same estimated cost matrix, so it is exact and
+//     pruning provably cannot change the results.
 func (e *Engine) rankCandidates(v *view, sc *queryScratch) ([]Result, bool) {
-	clk, q, qset, cands, opt := &sc.clk, sc.q, sc.qset, sc.cands, sc.opt
-	top := newTopK(opt.K)
-	evals, abandoned, pruned := 0, 0, 0
-
-	eval := func(idx int, bound float64) {
-		ent := &v.entries[idx]
-		var o object.Object
-		if e.cfg.LowMemory {
-			var ok bool
-			o, ok = e.meta.GetObject(ent.id)
-			if !ok {
-				return
-			}
-		} else {
-			o = v.objects[idx]
-		}
-		if e.objDistBounded != nil && !math.IsInf(bound, 1) {
-			d, exact := e.objDistBounded(q, o, bound)
-			if !exact {
-				abandoned++
-				return
-			}
-			evals++
-			top.push(Result{ID: ent.id, Key: ent.key, Distance: d})
-			return
-		}
-		evals++
-		top.push(Result{ID: ent.id, Key: ent.key, Distance: e.objDist(q, o)})
+	if !sc.hasQ {
+		return e.rankLoop(v, sc, 1, false, func(idx int, _ float64) (float64, evalOutcome) {
+			return e.sketchObjectDistanceAt(v, sc.qset, idx), evalExact
+		})
 	}
-
-	// rest collects the unevaluated tail (LB-ascending) when the budget
-	// expires; degradeAt < 0 means the rank ran to completion.
-	degradeAt := -1
-	var rest []lbCand
-	if e.pruneEnabled(qset) {
-		lbs := e.lowerBounds(v, cands, e.cfg.SqrtWeights, sc)
-		margin := e.cfg.Prune.margin()
-		for i := range lbs {
-			if clk.stop() {
-				break
-			}
-			// Every evaluation is a full EMD solve, so the budget is
-			// checked per candidate.
-			if clk.overBudget() {
-				degradeAt = i
-				rest = lbs[i:]
-				break
-			}
-			if top.full() && lbs[i].lb*margin > top.bound() {
-				pruned += len(lbs) - i
-				break
-			}
-			eval(lbs[i].idx, top.bound())
+	margin := 0.0
+	if e.objDistBounded != nil {
+		margin = pruneMargin
+	}
+	return e.rankLoop(v, sc, margin, e.cfg.SqrtWeights, func(idx int, bound float64) (float64, evalOutcome) {
+		o, ok := e.object(v, idx)
+		if !ok {
+			return 0, evalAbsent
 		}
-		e.met.emdPruned.Add(pruned)
-	} else {
-		for i, idx := range cands {
-			if clk.stop() {
+		if math.IsInf(bound, 1) { // always so without a margin
+			return e.objDist(sc.q, o), evalExact
+		}
+		d, exact := e.objDistBounded(sc.q, o, bound)
+		if !exact {
+			return d, evalAbandoned
+		}
+		return d, evalExact
+	})
+}
+
+// rankLoop is the one Filtering rank loop. dist evaluates candidate idx
+// against bound: the current kth-best distance (+Inf until the heap is
+// full), or +Inf throughout when the loop walks candidate order.
+//
+// With a positive margin and query sketches to bound with, each
+// candidate's object distance is first lower-bounded from the
+// already-resident sketches (no feature-vector access, see lowerBounds) and
+// the candidates are walked by ascending bound; once margin·LB of the next
+// exceeds the kth-best distance the remaining tail is skipped
+// (ferret_rank_emd_pruned_total). Otherwise they are walked in candidate
+// order.
+//
+// The loop honors the query clock per candidate, since every evaluation is
+// a full solve: context cancellation stops it outright (the caller discards
+// the partial answer and returns the context's error), while budget expiry
+// degrades — the evaluated head keeps its exact ranking and every
+// not-yet-evaluated candidate is appended in ascending sketch-lower-bound
+// order until K results (degradedResults). The bool reports that
+// degradation.
+func (e *Engine) rankLoop(v *view, sc *queryScratch, margin float64, sqrtW bool, dist func(idx int, bound float64) (float64, evalOutcome)) ([]Result, bool) {
+	clk, cands := &sc.clk, sc.cands
+	hasSketches := len(sc.qset.Sketches) > 0
+	var lbs []lbCand // nil: candidate order
+	if margin > 0 && hasSketches {
+		lbs = e.lowerBounds(v, cands, sqrtW, sc)
+	}
+	top := newTopK(sc.opt.K)
+	evals, pruned, abandoned := 0, 0, 0
+	// rest is the unevaluated tail, LB-ascending, once the budget expires.
+	degraded := false
+	var rest []lbCand
+	for i := range cands {
+		if clk.stop() {
+			break
+		}
+		if clk.overBudget() {
+			degraded = true
+			if lbs != nil {
+				rest = lbs[i:]
+			} else if hasSketches {
+				rest = e.lowerBounds(v, cands[i:], sqrtW, sc)
+			}
+			break
+		}
+		idx, bound := cands[i], math.Inf(1)
+		if lbs != nil {
+			if top.full() && lbs[i].lb*margin > top.bound() {
+				pruned = len(lbs) - i
 				break
 			}
-			if clk.overBudget() {
-				degradeAt = i
-				if qset != nil && len(qset.Sketches) > 0 {
-					rest = e.lowerBounds(v, cands[i:], e.cfg.SqrtWeights, sc)
-				}
-				break
-			}
-			eval(idx, math.Inf(1))
+			idx, bound = lbs[i].idx, top.bound()
+		}
+		d, outcome := dist(idx, bound)
+		switch outcome {
+		case evalExact:
+			evals++
+			ent := &v.entries[idx]
+			top.push(Result{ID: ent.id, Key: ent.key, Distance: d})
+		case evalAbandoned:
+			abandoned++
 		}
 	}
 	e.met.emdEvals.Add(evals)
+	e.met.emdPruned.Add(pruned)
 	e.met.emdAbandoned.Add(abandoned)
 	e.met.heapTrims.Add(top.trims)
 	sc.rankEvals, sc.rankPruned, sc.rankAbandoned = evals, pruned, abandoned
-	if degradeAt >= 0 {
-		return degradedResults(v, top, rest, opt.K), true
+	if degraded {
+		return degradedResults(v, top, rest, sc.opt.K), true
 	}
 	return top.sorted(), false
 }
@@ -153,71 +177,6 @@ func degradedResults(v *view, top *topK, rest []lbCand, k int) []Result {
 		res = append(res, Result{ID: ent.id, Key: ent.key, Distance: c.lb})
 	}
 	return res
-}
-
-// rankSketchCandidates ranks candidates with the sketch-estimated object
-// distance (sketch-only databases). Here the lower bound and the ranking
-// distance are derived from the same estimated cost matrix, so the bound is
-// exact (no margin) and pruning provably cannot change the results.
-func (e *Engine) rankSketchCandidates(v *view, sc *queryScratch) ([]Result, bool) {
-	clk, qset, cands, opt := &sc.clk, sc.qset, sc.cands, sc.opt
-	top := newTopK(opt.K)
-	evals, pruned := 0, 0
-	degradeAt := -1
-	var rest []lbCand
-	if !e.cfg.Prune.Disable && len(qset.Sketches) > 0 {
-		lbs := e.lowerBounds(v, cands, false, sc)
-		for i := range lbs {
-			if clk.stop() {
-				break
-			}
-			if clk.overBudget() {
-				degradeAt = i
-				rest = lbs[i:]
-				break
-			}
-			if top.full() && lbs[i].lb > top.bound() {
-				pruned += len(lbs) - i
-				break
-			}
-			idx := lbs[i].idx
-			ent := &v.entries[idx]
-			evals++
-			top.push(Result{ID: ent.id, Key: ent.key, Distance: e.sketchObjectDistanceAt(v, qset, idx)})
-		}
-		e.met.emdPruned.Add(pruned)
-	} else {
-		for i, idx := range cands {
-			if clk.stop() {
-				break
-			}
-			if clk.overBudget() {
-				degradeAt = i
-				if len(qset.Sketches) > 0 {
-					rest = e.lowerBounds(v, cands[i:], false, sc)
-				}
-				break
-			}
-			ent := &v.entries[idx]
-			evals++
-			top.push(Result{ID: ent.id, Key: ent.key, Distance: e.sketchObjectDistanceAt(v, qset, idx)})
-		}
-	}
-	e.met.emdEvals.Add(evals)
-	e.met.heapTrims.Add(top.trims)
-	sc.rankEvals, sc.rankPruned, sc.rankAbandoned = evals, pruned, 0
-	if degradeAt >= 0 {
-		return degradedResults(v, top, rest, opt.K), true
-	}
-	return top.sorted(), false
-}
-
-// pruneEnabled reports whether sketch lower-bound pruning applies: it needs
-// the built-in EMD object distance (the bound is a bound on EMD, not on an
-// arbitrary plug-in) and query sketches to bound with.
-func (e *Engine) pruneEnabled(qset *metastore.SketchSet) bool {
-	return !e.cfg.Prune.Disable && e.objDistBounded != nil &&
-		qset != nil && len(qset.Sketches) > 0
 }
 
 // lowerBounds computes each candidate's sketch-estimated object-distance

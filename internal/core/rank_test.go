@@ -51,7 +51,7 @@ func imageQueries(n int) []object.Object {
 // the lower-bound scratch and the candidate list are all pooled. Measured: 8
 // plus one per query segment (14–23 here). The per-segment ones are the
 // query's sketches; the 8 are the sketch set and its two slices, the top-K
-// heap, the sorted answer slice, the rank loop's closure and the answer's
+// heap, the sorted answer slice, its sort's swapper and the answer's
 // filter-mode bookkeeping. The bound of 64 leaves room for a query of 40
 // segments and still fails on a single allocation per candidate.
 func TestRankPathAllocs(t *testing.T) {

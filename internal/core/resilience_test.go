@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"ferret/internal/emd"
 	"ferret/internal/metastore"
 	"ferret/internal/object"
 )
@@ -14,7 +15,8 @@ import (
 // expectedDegradedResults computes, white-box, what a Filtering query whose
 // budget expires before the first rank evaluation must return: the filter's
 // candidate set in ascending sketch-lower-bound order, truncated to K, with
-// Distance carrying the lower-bound estimate.
+// Distance carrying the lower-bound estimate. The bound weighs segments as
+// the ranking distance does: sketch-only ranking takes the plain weights.
 func expectedDegradedResults(t *testing.T, e *Engine, q *queryProbe, opt QueryOptions) []Result {
 	t.Helper()
 	sc := getScratch()
@@ -22,7 +24,7 @@ func expectedDegradedResults(t *testing.T, e *Engine, q *queryProbe, opt QueryOp
 	loadScratch(sc, q.obj, q.set, opt)
 	v := e.cur.Load()
 	e.filter(v, sc)
-	lbs := e.lowerBounds(v, sc.cands, e.cfg.SqrtWeights, sc)
+	lbs := e.lowerBounds(v, sc.cands, e.cfg.SqrtWeights && !e.cfg.SketchOnly, sc)
 	k := opt.K
 	if len(lbs) < k {
 		k = len(lbs)
@@ -50,51 +52,64 @@ func newQueryProbe(e *Engine, d, nseg int) *queryProbe {
 // query whose budget has already expired when ranking starts must return the
 // candidate set in ascending sketch-lower-bound order (Distance = the sketch
 // estimate), flagged Degraded, and bump ferret_queries_degraded_total —
-// never an error, never a hang, never exact-looking distances.
+// never an error, never a hang, never exact-looking distances. It holds for
+// every ranking distance: the built-in EMD (lower-bound order), a plug-in
+// ObjectDistance (candidate order) and a sketch-only store.
 func TestBudgetExpiryDegradesToSketchOrder(t *testing.T) {
-	const d, nseg = 6, 3
-	e := openEngine(t, testConfig(t.TempDir(), d))
-	ingestClusters(t, e, 4, 12, d, nseg)
-	q := newQueryProbe(e, d, nseg)
-	opt := QueryOptions{K: 5}
+	for _, kind := range []string{"emd", "plug-in", "sketch-only"} {
+		t.Run(kind, func(t *testing.T) {
+			const d, nseg = 6, 3
+			cfg := testConfig(t.TempDir(), d)
+			switch kind {
+			case "plug-in":
+				cfg.ObjectDistance = emd.ObjectDistance(emd.Options{})
+			case "sketch-only":
+				cfg.SketchOnly = true
+			}
+			e := openEngine(t, cfg)
+			ingestClusters(t, e, 4, 12, d, nseg)
+			q := newQueryProbe(e, d, nseg)
+			opt := QueryOptions{K: 5}
 
-	want := expectedDegradedResults(t, e, q, opt)
-	if len(want) != opt.K {
-		t.Fatalf("white-box expectation produced %d results, want %d", len(want), opt.K)
-	}
+			want := expectedDegradedResults(t, e, q, opt)
+			if len(want) != opt.K {
+				t.Fatalf("white-box expectation produced %d results, want %d", len(want), opt.K)
+			}
 
-	before := e.Telemetry().Value("ferret_queries_degraded_total")
-	optB := opt
-	optB.Budget = time.Nanosecond
-	ans, err := e.Search(context.Background(), q.obj, optB)
-	if err != nil {
-		t.Fatalf("budget-expired Search: %v", err)
-	}
-	if !ans.Degraded {
-		t.Fatal("budget-expired Search returned Degraded=false")
-	}
-	if got := e.Telemetry().Value("ferret_queries_degraded_total"); got != before+1 {
-		t.Fatalf("ferret_queries_degraded_total = %v, want %v", got, before+1)
-	}
-	if len(ans.Results) != len(want) {
-		t.Fatalf("degraded Search returned %d results, want %d", len(ans.Results), len(want))
-	}
-	for i := range want {
-		got := ans.Results[i]
-		if got.ID != want[i].ID || got.Key != want[i].Key {
-			t.Errorf("result %d: got %d/%q, want %d/%q (sketch-LB order violated)",
-				i, got.ID, got.Key, want[i].ID, want[i].Key)
-		}
-		if got.Distance != want[i].Distance {
-			t.Errorf("result %d: Distance = %v, want sketch lower bound %v",
-				i, got.Distance, want[i].Distance)
-		}
-	}
-	for i := 1; i < len(ans.Results); i++ {
-		if ans.Results[i].Distance < ans.Results[i-1].Distance {
-			t.Errorf("degraded results not ascending at %d: %v < %v",
-				i, ans.Results[i].Distance, ans.Results[i-1].Distance)
-		}
+			before := e.Telemetry().Value("ferret_queries_degraded_total")
+			optB := opt
+			optB.Budget = time.Nanosecond
+			ans, err := e.Search(context.Background(), q.obj, optB)
+			if err != nil {
+				t.Fatalf("budget-expired Search: %v", err)
+			}
+			if !ans.Degraded {
+				t.Fatal("budget-expired Search returned Degraded=false")
+			}
+			if got := e.Telemetry().Value("ferret_queries_degraded_total"); got != before+1 {
+				t.Fatalf("ferret_queries_degraded_total = %v, want %v", got, before+1)
+			}
+			if len(ans.Results) != len(want) {
+				t.Fatalf("degraded Search returned %d results, want %d", len(ans.Results), len(want))
+			}
+			for i := range want {
+				got := ans.Results[i]
+				if got.ID != want[i].ID || got.Key != want[i].Key {
+					t.Errorf("result %d: got %d/%q, want %d/%q (sketch-LB order violated)",
+						i, got.ID, got.Key, want[i].ID, want[i].Key)
+				}
+				if got.Distance != want[i].Distance {
+					t.Errorf("result %d: Distance = %v, want sketch lower bound %v",
+						i, got.Distance, want[i].Distance)
+				}
+			}
+			for i := 1; i < len(ans.Results); i++ {
+				if ans.Results[i].Distance < ans.Results[i-1].Distance {
+					t.Errorf("degraded results not ascending at %d: %v < %v",
+						i, ans.Results[i].Distance, ans.Results[i-1].Distance)
+				}
+			}
+		})
 	}
 }
 

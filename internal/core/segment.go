@@ -300,7 +300,7 @@ func (e *Engine) checkSegInvariants(v *view) error {
 	if next != len(v.entries) {
 		return fmt.Errorf("segments: segments tile %d entries, engine has %d", next, len(v.entries))
 	}
-	if !e.cfg.SketchOnly && !e.cfg.LowMemory && len(v.objects) != len(v.entries) {
+	if e.resident && len(v.objects) != len(v.entries) {
 		return fmt.Errorf("segments: %d cached objects for %d entries", len(v.objects), len(v.entries))
 	}
 	// Delete finds an entry by binary search on its ID.

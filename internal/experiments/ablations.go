@@ -26,6 +26,8 @@ type AblationRow struct {
 	Config       string
 	AvgPrecision float64
 	Seconds      float64
+	// Fsyncs is the WAL fsync count of a durability row (0 elsewhere).
+	Fsyncs int
 }
 
 // FprintAblations renders rows grouped by experiment.
@@ -42,6 +44,9 @@ func FprintAblations(w io.Writer, rows []AblationRow) {
 		}
 		if r.Seconds >= 0 {
 			fmt.Fprintf(w, "  time=%.5fs", r.Seconds)
+		}
+		if r.Fsyncs > 0 {
+			fmt.Fprintf(w, "  fsyncs=%d", r.Fsyncs)
 		}
 		fmt.Fprintln(w)
 	}
@@ -210,8 +215,10 @@ func AblationFilterPath(scale Scale) ([]AblationRow, error) {
 	return rows, nil
 }
 
-// AblationDurability measures ingest throughput under the two durability
-// policies of §4.1.3: per-commit fsync vs periodic sync.
+// AblationDurability measures ingest under the two durability policies of
+// §4.1.3, per-commit fsync vs periodic sync: its wall time, and the WAL
+// fsyncs that are the mechanism behind the difference (counted through
+// Close, whose final fsync every run pays).
 func AblationDurability(scale Scale) ([]AblationRow, error) {
 	objs := synth.MixedImageObjects(min(scale.MixedImageN, 2000), 404)
 	dt := imageType()
@@ -253,6 +260,7 @@ func AblationDurability(scale Scale) ([]AblationRow, error) {
 			Config:       mode.name,
 			AvgPrecision: -1,
 			Seconds:      elapsed,
+			Fsyncs:       int(e.Telemetry().Value("ferret_store_wal_fsyncs_total")),
 		})
 	}
 	return rows, nil

@@ -59,8 +59,9 @@ type Options struct {
 	// Logger, when set, logs recovery and checkpoint events (a nil logger
 	// discards them).
 	Logger *telemetry.Logger
-	// Telemetry, when set, receives the store's health gauges (currently
-	// ferret_store_poisoned: 1 after a durability failure has frozen writes).
+	// Telemetry, when set, receives the store's health gauge
+	// (ferret_store_poisoned: 1 after a durability failure has frozen
+	// writes) and its WAL fsync count (ferret_store_wal_fsyncs_total).
 	Telemetry *telemetry.Registry
 
 	// fs overrides the filesystem (crash-fault injection in tests); nil
@@ -125,9 +126,12 @@ func Open(opts Options) (*Store, error) {
 		tables: tables,
 		closed: make(chan struct{}),
 	}
+	fsyncs := new(telemetry.Counter)
 	if opts.Telemetry != nil {
 		s.metPoisoned = opts.Telemetry.Gauge("ferret_store_poisoned",
 			"1 when the store has frozen writes after a durability failure.")
+		fsyncs = opts.Telemetry.Counter("ferret_store_wal_fsyncs_total",
+			"fsyncs of the write-ahead log (per commit, per periodic tick, at checkpoints and close).")
 	}
 	walPath := filepath.Join(opts.Dir, "wal.log")
 	applied, maxTxn, err := replayWAL(fs, walPath, s.applyRecord)
@@ -141,7 +145,7 @@ func Open(opts Options) (*Store, error) {
 		"wal_records", applied,
 		"next_txn", s.nextTxn,
 		"tables", len(tables))
-	s.log, err = openWAL(fs, walPath)
+	s.log, err = openWAL(fs, walPath, fsyncs)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+
+	"ferret/internal/telemetry"
 )
 
 // The write-ahead log is a sequence of self-delimiting records, one per
@@ -134,9 +136,11 @@ type wal struct {
 	// size is the current byte length of the log, used for the checkpoint
 	// threshold.
 	size int64
+	// fsyncs counts the log file's fsyncs.
+	fsyncs *telemetry.Counter
 }
 
-func openWAL(fs FS, path string) (*wal, error) {
+func openWAL(fs FS, path string, fsyncs *telemetry.Counter) (*wal, error) {
 	f, err := fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
@@ -146,7 +150,7 @@ func openWAL(fs FS, path string) (*wal, error) {
 		f.Close()
 		return nil, err
 	}
-	return &wal{f: f, buf: bufio.NewWriterSize(f, 1<<16), size: size}, nil
+	return &wal{f: f, buf: bufio.NewWriterSize(f, 1<<16), size: size, fsyncs: fsyncs}, nil
 }
 
 // append writes a record to the log buffer (not yet durable).
@@ -173,6 +177,12 @@ func (w *wal) sync() error {
 	if err := w.buf.Flush(); err != nil {
 		return err
 	}
+	return w.fsync()
+}
+
+// fsync makes the log file's written contents durable.
+func (w *wal) fsync() error {
+	w.fsyncs.Inc()
 	return w.f.Sync()
 }
 
@@ -189,7 +199,7 @@ func (w *wal) reset() error {
 		return err
 	}
 	w.size = 0
-	return w.f.Sync()
+	return w.fsync()
 }
 
 func (w *wal) close() error {
@@ -197,7 +207,7 @@ func (w *wal) close() error {
 		w.f.Close()
 		return err
 	}
-	if err := w.f.Sync(); err != nil {
+	if err := w.fsync(); err != nil {
 		w.f.Close()
 		return err
 	}
