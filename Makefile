@@ -30,8 +30,11 @@ race-fast:
 torture:
 	$(GO) test -race -run 'TestCrashTorture|TestFsyncPoisoning|TestFreshWALSurvivesImmediatePowerCut' -v ./internal/kvstore ./internal/core
 
+# The second pass type-checks the portable fallbacks of the amd64 kernels
+# (vector, sketch), which no amd64 build compiles.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # Project-specific static analysis: layering, atomicfield, poolescape,
 # floatcmp, errclose, ctxfirst plus the interprocedural lockorder, lockpath

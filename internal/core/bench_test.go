@@ -218,6 +218,33 @@ func BenchmarkRankImage(b *testing.B) {
 	b.ReportMetric(float64(abandoned)/float64(b.N), "abandoned/op")
 }
 
+// BenchmarkLowerBoundsImage measures the rank stage's first phase alone on
+// BenchmarkRankImage's filtered queries: each candidate's sketch lower bound
+// and their sort, with no feature vector touched. cands/op is the candidate
+// count the pass bounds.
+func BenchmarkLowerBoundsImage(b *testing.B) {
+	e := imageBenchEngine(b)
+	v := e.cur.Load()
+	var scs [32]*queryScratch
+	for i, q := range synth.MixedImageObjects(len(scs), 1001) {
+		sc := getScratch()
+		defer putScratch(sc)
+		loadScratch(sc, q, e.buildSketchSet(q), QueryOptions{K: 20})
+		e.filter(v, sc)
+		e.lowerBounds(v, sc.cands, e.cfg.SqrtWeights, sc) // warm the scratch
+		scs[i] = sc
+	}
+	cands := 0
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sc := scs[i%len(scs)]
+		cands += len(e.lowerBounds(v, sc.cands, e.cfg.SqrtWeights, sc))
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(cands)/float64(b.N), "cands/op")
+}
+
 // BenchmarkSearchBatch measures SearchBatch, 8 queries per op at K 20, on two
 // corpora: imageBenchEngine's (four sealed segments and a live tail, EMD-ranked)
 // and 40 000 single-segment 544-d shapes under 800-bit sketches in a default

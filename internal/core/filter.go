@@ -62,7 +62,7 @@ type queryScratch struct {
 	// Filter buffers: the query-segment pairs, their sketches packed for the
 	// multi-sketch kernel, the per-pair bounds and hit blocks.
 	pairs  []scanPair
-	ms     sketch.MultiSketch // the swept pairs' sketches, packed for the kernel
+	ms     sketch.MultiSketch // packed sketches: the swept pairs' in filter, all the query's in rank
 	qsks   []sketch.Sketch    // ms's input
 	bounds []int32
 	ns     []int32
@@ -76,7 +76,8 @@ type queryScratch struct {
 
 	// Ranking-unit scratch (sketch lower-bound pruning).
 	lbs    []lbCand
-	colMin []float64
+	rowMin []int32
+	colMin []int32
 	qw     []float64
 	ow     []float64
 

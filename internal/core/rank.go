@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/bits"
 	"slices"
 
 	"ferret/internal/emd"
@@ -182,9 +181,11 @@ func degradedResults(v *view, top *topK, rest []lbCand, k int) []Result {
 // lowerBounds computes each candidate's sketch-estimated object-distance
 // lower bound into pooled scratch and returns them sorted ascending, so the
 // ranking loop meets its likely-nearest candidates first and the prune
-// bound tightens as early as possible.
+// bound tightens as early as possible. The query sketches are packed for
+// the cross-min kernel once here, not once per candidate.
 func (e *Engine) lowerBounds(v *view, cands []int, sqrtW bool, sc *queryScratch) []lbCand {
 	qw := normalizedWeights(&sc.qw, sc.qset.Weights, sqrtW)
+	sc.ms.Reset(sc.qset.Sketches)
 	lbs := sc.lbs[:0]
 	for _, idx := range cands {
 		lbs = append(lbs, lbCand{idx, e.sketchLowerBound(v, qw, idx, sqrtW, sc)})
@@ -200,8 +201,13 @@ func (e *Engine) lowerBounds(v *view, cands []int, sqrtW bool, sc *queryScratch)
 // independent one-sided minimizations (every unit of supply pays at least
 // its cheapest row cost; symmetrically for demand) — the same inequality as
 // emd.DistanceBounded's abandon bound, over estimated rather than exact costs.
-// The m×n cells are one call-free loop over the entry's contiguous arena
-// rows: popcount of the XOR (two-word sketches unrolled), a table read.
+// The m×n cells never become estimates: sketch.HammingCrossMin reduces them
+// to each row's and each column's least Hamming distance, and the estimate
+// table, being non-decreasing (see estimateTable), maps a least distance to
+// the least estimate — est[min h] = min est[h] — so m+n table reads give the
+// bits m·n would.
+//
+// sc.ms must hold the query's sketches (lowerBounds packs them).
 //
 //ferret:noalloc
 func (e *Engine) sketchLowerBound(v *view, qw []float64, idx int, sqrtW bool, sc *queryScratch) float64 {
@@ -216,34 +222,16 @@ func (e *Engine) sketchLowerBound(v *view, qw []float64, idx int, sqrtW bool, sc
 	if m == 1 && n == 1 {
 		return e.estimateAt(qset.Sketches[0], a, lo)
 	}
-	colMin := resize(&sc.colMin, n)
-	for j := range colMin {
-		colMin[j] = math.Inf(1)
-	}
-	est, wps := e.est, a.wps
-	words := a.words[lo*wps : hi*wps]
+	rowMin, colMin := resize(&sc.rowMin, m), resize(&sc.colMin, n)
+	sketch.HammingCrossMin(&sc.ms, a.words, lo*a.wps, n, rowMin, colMin)
+	est := e.est
 	var lbSupply float64
-	for i, qsk := range qset.Sketches {
-		qsk = qsk[:wps]
-		rowMin := math.Inf(1)
-		for j := range colMin {
-			var h int
-			if wps == 2 {
-				w := words[2*j : 2*j+2]
-				h = bits.OnesCount64(qsk[0]^w[0]) + bits.OnesCount64(qsk[1]^w[1])
-			} else {
-				h = sketch.HammingAt(qsk, words, j*wps) // inlined
-			}
-			// Table entries are never NaN or −0: min is the branch-free <.
-			d := est[h]
-			rowMin = min(rowMin, d)
-			colMin[j] = min(colMin[j], d)
-		}
-		lbSupply += qw[i] * rowMin
+	for i, h := range rowMin {
+		lbSupply += qw[i] * est[h]
 	}
 	var lbDemand float64
 	for j, w := range normalizedWeights(&sc.ow, a.weight[lo:hi], sqrtW) {
-		lbDemand += w * colMin[j]
+		lbDemand += w * est[colMin[j]]
 	}
 	if lbDemand > lbSupply {
 		return lbDemand
@@ -293,7 +281,10 @@ func (e *Engine) estimateAt(q sketch.Sketch, a *sketchArena, row int) float64 {
 }
 
 // estimateTable tabulates the estimator for every Hamming distance h of a
-// b.N()-bit sketch: b.EstimateL1(h), capped at a positive threshold.
+// b.N()-bit sketch: b.EstimateL1(h), capped at a positive threshold. The
+// table is non-decreasing in h (TestEstimateTableMonotone), which
+// sketchLowerBound relies on to look up only each row's and column's least
+// Hamming distance.
 func estimateTable(b *sketch.Builder, threshold float64) []float64 {
 	est := make([]float64, b.N()+1)
 	for h := range est {

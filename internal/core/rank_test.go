@@ -125,3 +125,30 @@ func TestEstimateTable(t *testing.T) {
 		}
 	}
 }
+
+// TestEstimateTableMonotone pins the property sketchLowerBound's cross-min
+// rests on: est[h] ≤ est[h+1] for every sketch width from 64 to 1 024 bits,
+// XOR-fold factors 1–4, with and without a rank-threshold cap. Were it
+// broken, est[min h] could exceed min est[h] and the lower bound would move.
+func TestEstimateTableMonotone(t *testing.T) {
+	min, max := make([]float32, 14), make([]float32, 14)
+	for i := range max {
+		max[i] = 1
+	}
+	for bitsN := 64; bitsN <= 1024; bitsN++ {
+		for k := 1; k <= 4; k++ {
+			b, err := sketch.NewBuilder(sketch.Params{N: bitsN, K: k, Min: min, Max: max, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, threshold := range []float64{0, 2} {
+				est := estimateTable(b, threshold)
+				for h := 0; h+1 < len(est); h++ {
+					if !(est[h] <= est[h+1]) {
+						t.Fatalf("N=%d K=%d threshold=%g: est[%d] = %v > est[%d] = %v", bitsN, k, threshold, h, est[h], h+1, est[h+1])
+					}
+				}
+			}
+		}
+	}
+}

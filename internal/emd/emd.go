@@ -143,6 +143,15 @@ func DistanceBounded(x, y object.Object, opt Options, bound float64) (float64, b
 		ws.b[j] = float64(y.Segments[j].Weight)
 	}
 	ys := y.Segments
+	if dim := x.Dim(); ground == nil && dim < 64 {
+		// ℓ₁ below one 64-element block, where L1x4 would run only its
+		// tail: y's vectors are transposed once into the workspace and each
+		// cost row is one row-kernel call over all of them.
+		bt, stride := ws.transpose(ys, dim)
+		return ws.transport(opt.SqrtWeights, bound, func(i int, row []float64) {
+			vector.L1Transposed(x.Segments[i].Vec, bt, stride, row, limit)
+		})
+	}
 	return ws.transport(opt.SqrtWeights, bound, func(i int, row []float64) {
 		a, last := x.Segments[i].Vec, len(row)-1
 		if ground != nil {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"sync"
+
+	"ferret/internal/object"
 )
 
 // epsilon is the tolerance used when comparing flows and reduced costs.
@@ -23,11 +25,14 @@ type workspace struct {
 	pivots int // pivots taken by the last solve
 
 	fbuf   []float64
+	bt     []float32 // the demand side's vectors, transposed (see transpose)
 	a, b   []float64 // supply, demand; consumed by leastCostStart
 	cost   []float64 // m×n, row-major
 	colMin []float64 // n: per-column minimum cost, for the demand-side bound
 	pot    []float64 // m+n: dual potentials (uᵢ at i, vⱼ at m+j)
 	bflow  []float64 // m+n−1: flow on each basic cell
+
+	rkey []uint64 // m: each row's cached cheapest-open key (see leastCostStart)
 
 	ibuf   []int32
 	bi, bj []int32 // m+n−1: the basic cells (row, column)
@@ -63,6 +68,10 @@ func getWorkspace(m, n int) *workspace {
 	takeF := func(k int) []float64 { s := f[:k:k]; f = f[k:]; return s }
 	ws.cost, ws.a, ws.b, ws.colMin = takeF(m*n), takeF(m), takeF(n), takeF(n)
 	ws.pot, ws.bflow = takeF(nodes), takeF(nodes-1)
+	if cap(ws.rkey) < m {
+		ws.rkey = make([]uint64, m)
+	}
+	ws.rkey = ws.rkey[:m]
 	if ni := 10 * nodes; cap(ws.ibuf) < ni {
 		ws.ibuf = make([]int32, ni)
 	}
@@ -72,6 +81,30 @@ func getWorkspace(m, n int) *workspace {
 	ws.head, ws.parent, ws.pedge = takeI(nodes), takeI(nodes), takeI(nodes)
 	ws.depth, ws.queue, ws.loop = takeI(nodes), takeI(nodes), takeI(nodes)
 	return ws
+}
+
+// transpose lays the demand side's segment vectors out dimension-major in
+// the workspace for vector.L1Transposed — bt[k·stride+j] is ys[j].Vec[k] —
+// with the columns padded to whole 8-lane chunks. Like the rest of the
+// workspace, the buffer grows only when a larger problem arrives.
+//
+//ferret:noalloc
+func (ws *workspace) transpose(ys []object.Segment, dim int) ([]float32, int) {
+	stride := (len(ys) + 7) &^ 7
+	if cap(ws.bt) < dim*stride {
+		ws.bt = make([]float32, dim*stride)
+	}
+	bt := ws.bt[:dim*stride]
+	for j := range ys {
+		v := ys[j].Vec
+		if len(v) != dim {
+			panic("vector: dimension mismatch")
+		}
+		for k, p := 0, j; k < len(v); k, p = k+1, p+stride {
+			bt[p] = v[k]
+		}
+	}
+	return bt, stride
 }
 
 // NormalizeWeights turns raw segment weights into a distribution in place:
@@ -200,34 +233,26 @@ func (ws *workspace) leastCostStart() {
 	for x := range closed {
 		closed[x] = 0
 	}
+	ordered := bitOrdered(ws.cost)
 	for i := 0; i < m; i++ {
-		arg[i] = ws.cheapestOpen(closed, i)
+		arg[i] = ws.cheapestOpen(closed, i, ordered)
 	}
 	rows, cols := m, n
 	for k := range ws.bi {
-		bi, bj := -1, 0
+		var bi, bj int
 		for {
-			best := 0.0
-			for i := 0; i < m; i++ {
-				if closed[i] != 0 {
-					continue
-				}
-				if c := ws.cost[i*n+int(arg[i])]; bi < 0 || c < best {
-					bi, best = i, c
-				}
-			}
+			bi = ws.cheapestRow(closed, arg, ordered)
 			if bj = int(arg[bi]); closed[m+bj] == 0 {
 				break
 			}
-			arg[bi] = ws.cheapestOpen(closed, bi)
-			bi = -1
+			arg[bi] = ws.cheapestOpen(closed, bi, ordered)
 		}
 		q := math.Min(ws.a[bi], ws.b[bj])
 		ws.bi[k], ws.bj[k], ws.bflow[k] = int32(bi), int32(bj), q
 		ws.a[bi] -= q
 		ws.b[bj] -= q
 		if cols == 1 || (rows > 1 && ws.a[bi] <= ws.b[bj]) {
-			closed[bi] = 1
+			closed[bi], ws.rkey[bi] = 1, math.MaxUint64
 			rows--
 		} else {
 			closed[m+bj] = 1
@@ -236,13 +261,74 @@ func (ws *workspace) leastCostStart() {
 	}
 }
 
-// cheapestOpen returns the lowest open column holding row i's minimum cost.
+// bitOrdered reports that every cost is a non-negative number (+Inf
+// included, −0 and NaN not). On such costs the float64 order is the order of
+// the raw bits read as uint64 — ties included, since no two distinct bit
+// patterns compare equal — so the start's argmins can run on integer keys,
+// with a closed line's key forced to MaxUint64, and no data-dependent
+// branch. The built-in ℓ₁ ground and the sketch estimates always qualify; a
+// plug-in ground that yields a NaN or a negative cost keeps the float
+// comparisons, and with them its exact behaviour.
 //
 //ferret:noalloc
-func (ws *workspace) cheapestOpen(closed []int32, i int) int32 {
+func bitOrdered(cost []float64) bool {
+	var hi uint64
+	for _, c := range cost {
+		hi = max(hi, math.Float64bits(c))
+	}
+	return hi <= math.Float64bits(math.Inf(1))
+}
+
+// lineMask is a line's key mask: 0 while open, all ones once closed.
+func lineMask(closed int32) uint64 { return -uint64(closed) }
+
+// cheapestRow returns the lowest open row whose cached cheapest open cell
+// (arg) costs least. On bitOrdered costs that is the least cached key, a
+// closed row's key being MaxUint64.
+//
+//ferret:noalloc
+func (ws *workspace) cheapestRow(closed, arg []int32, ordered bool) int {
+	if ordered {
+		bi, best := 0, uint64(math.MaxUint64)
+		for i, key := range ws.rkey {
+			if key < best {
+				bi, best = i, key
+			}
+		}
+		return bi
+	}
+	n, cost := ws.n, ws.cost
+	bi, best := -1, 0.0
+	for i, c := range closed[:ws.m] {
+		if c != 0 {
+			continue
+		}
+		if c := cost[i*n+int(arg[i])]; bi < 0 || c < best {
+			bi, best = i, c
+		}
+	}
+	return bi
+}
+
+// cheapestOpen returns the lowest open column holding row i's minimum cost;
+// on bitOrdered costs it also caches that cell's key for cheapestRow.
+//
+//ferret:noalloc
+func (ws *workspace) cheapestOpen(closed []int32, i int, ordered bool) int32 {
+	row, cols := ws.cost[i*ws.n:(i+1)*ws.n], closed[ws.m:ws.m+ws.n]
+	if ordered {
+		bj, best := 0, uint64(math.MaxUint64)
+		for j, c := range row {
+			if key := math.Float64bits(c) | lineMask(cols[j]); key < best {
+				bj, best = j, key
+			}
+		}
+		ws.rkey[i] = best
+		return int32(bj)
+	}
 	bj, best := -1, 0.0
-	for j, c := range ws.cost[i*ws.n : (i+1)*ws.n] {
-		if closed[ws.m+j] == 0 && (bj < 0 || c < best) {
+	for j, c := range row {
+		if cols[j] == 0 && (bj < 0 || c < best) {
 			bj, best = j, c
 		}
 	}

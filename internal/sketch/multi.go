@@ -1,6 +1,9 @@
 package sketch
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Multi-sketch kernels. The engine's filter sweeps an arena once for all r
 // filtering segments of one query: each packed row is loaded from memory a
@@ -230,5 +233,65 @@ func hammingSelectMultiGeneric(m *MultiSketch, arena []uint64, off, count int, b
 				}
 			}
 		}
+	}
+}
+
+// crossMinASM, when non-nil, is a platform-specific vectorized
+// HammingCrossMin for 1- and 2-word sketches, installed by init in
+// multi_amd64.go when the CPU supports it. It must produce output identical
+// to hammingCrossMinGeneric; rowMin arrives filled with math.MaxInt32.
+//
+//ferret:noalloc
+var crossMinASM func(m *MultiSketch, w []uint64, n int, rowMin, colMin []int32)
+
+// HammingCrossMin scores one candidate's n consecutive sketches, packed from
+// word offset off, against every packed query and keeps only the two sets of
+// minima the rank stage's lower bound needs: rowMin[q] is query q's nearest
+// candidate sketch, colMin[j] candidate sketch j's nearest query, both as
+// Hamming distances. rowMin must hold m.Len() values and colMin n; with
+// n = 0 every rowMin is math.MaxInt32.
+//
+//ferret:noalloc
+func HammingCrossMin(m *MultiSketch, arena []uint64, off, n int, rowMin, colMin []int32) {
+	rowMin, colMin = rowMin[:m.nq], colMin[:n]
+	w := arena[off : off+n*m.wps]
+	for q := range rowMin {
+		rowMin[q] = math.MaxInt32
+	}
+	if n == 0 || m.nq == 0 {
+		return
+	}
+	if crossMinASM != nil && m.wps <= 2 {
+		crossMinASM(m, w, n, rowMin, colMin)
+		return
+	}
+	hammingCrossMinGeneric(m, w, n, rowMin, colMin)
+}
+
+// hammingCrossMinGeneric is the portable HammingCrossMin: queries outer,
+// candidate sketches inner, integer minima only.
+//
+//ferret:noalloc
+func hammingCrossMinGeneric(m *MultiSketch, w []uint64, n int, rowMin, colMin []int32) {
+	for j := range colMin {
+		colMin[j] = math.MaxInt32
+	}
+	wps := m.wps
+	for q := range rowMin {
+		qw := m.words[q*m.pad : q*m.pad+wps]
+		rm := rowMin[q]
+		for j := range colMin {
+			var h int32
+			if wps == 2 {
+				h = int32(bits.OnesCount64(qw[0]^w[2*j]) + bits.OnesCount64(qw[1]^w[2*j+1]))
+			} else {
+				for k, x := range w[j*wps : j*wps+wps] {
+					h += int32(bits.OnesCount64(qw[k] ^ x))
+				}
+			}
+			rm = min(rm, h)
+			colMin[j] = min(colMin[j], h)
+		}
+		rowMin[q] = rm
 	}
 }

@@ -27,10 +27,42 @@ func hammingSelectMulti1(q *uint64, nq int, w *uint64, rows, wps int, mask uint6
 //go:noescape
 func hammingSelectMulti2(q *uint64, nq int, w *uint64, rows, wps int, mask uint64, bounds, idx, dist *int32, stride int, ns *int32)
 
+// hammingCrossMin1 and hammingCrossMin2 are HammingCrossMin's kernels for
+// 1- and 2-word sketches: the candidate's rows are loaded eight at a time,
+// then per query one XOR+popcount (two for 2-word rows), a VPMINUQ into the
+// column minima and a horizontal min into rowMin[q]. Queries are packed with
+// an 8-word stride; rowMin must arrive filled with math.MaxInt32.
+//
+//go:noescape
+func hammingCrossMin1(q *uint64, nq int, w *uint64, n int, rowMin, colMin *int32)
+
+//go:noescape
+func hammingCrossMin2(q *uint64, nq int, w *uint64, n int, rowMin, colMin *int32)
+
 func init() {
 	if detectAVX512() {
 		selectMultiASM = selectMultiAVX512
+		if detectAVX512VL() {
+			crossMinASM = crossMinAVX512
+		}
 	}
+}
+
+// detectAVX512VL reports the AVX-512 vector-length extension, which the
+// cross-min kernels' YMM and XMM minimum steps use; call it only after
+// detectAVX512.
+func detectAVX512VL() bool {
+	_, b7, _, _ := cpuid(7, 0)
+	const avx512vl = 1 << 31 // EBX
+	return b7&avx512vl != 0
+}
+
+func crossMinAVX512(m *MultiSketch, w []uint64, n int, rowMin, colMin []int32) {
+	if m.wps == 1 {
+		hammingCrossMin1(&m.words[0], m.nq, &w[0], n, &rowMin[0], &colMin[0])
+		return
+	}
+	hammingCrossMin2(&m.words[0], m.nq, &w[0], n, &rowMin[0], &colMin[0])
 }
 
 func detectAVX512() bool {

@@ -168,3 +168,157 @@ skip2:
 done2:
 	VZEROUPPER
 	RET
+
+// Cross-min kernels (see HammingCrossMin). Lane l of a chunk is candidate
+// row 8c+l; lanes past the candidate's last row are masked out of the row
+// load and the colMin store, and forced to all ones before the horizontal
+// min so they never win rowMin.
+
+DATA crossLo<>+0(SB)/8, $0
+DATA crossLo<>+8(SB)/8, $2
+DATA crossLo<>+16(SB)/8, $4
+DATA crossLo<>+24(SB)/8, $6
+DATA crossLo<>+32(SB)/8, $8
+DATA crossLo<>+40(SB)/8, $10
+DATA crossLo<>+48(SB)/8, $12
+DATA crossLo<>+56(SB)/8, $14
+GLOBL crossLo<>(SB), RODATA|NOPTR, $64
+
+DATA crossHi<>+0(SB)/8, $1
+DATA crossHi<>+8(SB)/8, $3
+DATA crossHi<>+16(SB)/8, $5
+DATA crossHi<>+24(SB)/8, $7
+DATA crossHi<>+32(SB)/8, $9
+DATA crossHi<>+40(SB)/8, $11
+DATA crossHi<>+48(SB)/8, $13
+DATA crossHi<>+56(SB)/8, $15
+GLOBL crossHi<>(SB), RODATA|NOPTR, $64
+
+// CHUNKMASK sets BX = min(DX, 8), the chunk's row count, K3 to its lanes
+// and K4 to the rest.
+#define CHUNKMASK \
+	MOVQ    $8, BX \
+	CMPQ    DX, BX \
+	CMOVQLT DX, BX \
+	MOVQ    BX, CX \
+	MOVL    $1, AX \
+	SHLQ    CX, AX \
+	DECQ    AX \
+	KMOVW   AX, K3 \
+	KNOTW   K3, K4
+
+// ROWMIN folds the chunk's distances in Z6 (Z5: all ones past the last
+// row) to their minimum and lowers rowMin[CX] to it.
+#define ROWMIN \
+	VPORQ         Z5, Z6, Z6 \
+	VEXTRACTI64X4 $1, Z6, Y7 \
+	VPMINUQ       Y7, Y6, Y6 \
+	VEXTRACTI128  $1, Y6, X7 \
+	VPMINUQ       X7, X6, X6 \
+	VPSHUFD       $0x4E, X6, X7 \
+	VPMINUQ       X7, X6, X6 \
+	VMOVQ         X6, AX \
+	MOVL          (R12)(CX*4), BX \
+	CMPL          AX, BX \
+	CMOVLLT       AX, BX \
+	MOVL          BX, (R12)(CX*4)
+
+// func hammingCrossMin1(q *uint64, nq int, w *uint64, n int, rowMin, colMin *int32)
+//
+// Register plan: R8 query base, R9 nq, SI row cursor, DX rows left, R12
+// rowMin, R13 colMin cursor, DI/CX query cursor, Z2 the chunk's rows, Z4
+// column minima, Z29 all ones.
+TEXT ·hammingCrossMin1(SB), NOSPLIT, $0-48
+	MOVQ q+0(FP), R8
+	MOVQ nq+8(FP), R9
+	MOVQ w+16(FP), SI
+	MOVQ n+24(FP), DX
+	MOVQ rowMin+32(FP), R12
+	MOVQ colMin+40(FP), R13
+	VPTERNLOGQ $0xff, Z29, Z29, Z29
+
+chunk1:
+	CHUNKMASK
+	VMOVDQU64.Z (SI), K3, Z2
+	VMOVDQA64   Z29, Z4
+	VMOVDQA64.Z Z29, K4, Z5
+	MOVQ R8, DI
+	XORQ CX, CX
+
+q1:
+	VPXORQ.BCST (DI), Z2, Z6
+	VPOPCNTQ    Z6, Z6
+	VPMINUQ     Z6, Z4, Z4
+	ROWMIN
+	ADDQ $64, DI
+	INCQ CX
+	CMPQ CX, R9
+	JLT  q1
+
+	VPMOVQD Z4, K3, (R13)
+	ADDQ $64, SI
+	ADDQ $32, R13
+	SUBQ $8, DX
+	JGT  chunk1
+	VZEROUPPER
+	RET
+
+// func hammingCrossMin2(q *uint64, nq int, w *uint64, n int, rowMin, colMin *int32)
+//
+// As hammingCrossMin1, but a chunk of eight 2-word rows spans two masked
+// loads (K1, K2), which VPERMI2Q splits into the rows' low words (Z2) and
+// high words (Z3).
+TEXT ·hammingCrossMin2(SB), NOSPLIT, $0-48
+	MOVQ q+0(FP), R8
+	MOVQ nq+8(FP), R9
+	MOVQ w+16(FP), SI
+	MOVQ n+24(FP), DX
+	MOVQ rowMin+32(FP), R12
+	MOVQ colMin+40(FP), R13
+	VPTERNLOGQ $0xff, Z29, Z29, Z29
+	VMOVDQU64  crossLo<>(SB), Z30
+	VMOVDQU64  crossHi<>(SB), Z31
+
+chunk2:
+	CHUNKMASK
+	// The chunk's 2·BX words: K1 the first eight, K2 the rest.
+	MOVQ  BX, CX
+	SHLQ  $1, CX
+	MOVL  $1, AX
+	SHLQ  CX, AX
+	DECQ  AX
+	KMOVW AX, K1
+	SHRQ  $8, AX
+	KMOVW AX, K2
+
+	VMOVDQU64.Z (SI), K1, Z0
+	VMOVDQU64.Z 64(SI), K2, Z1
+	VMOVDQA64   Z30, Z2
+	VPERMI2Q    Z1, Z0, Z2
+	VMOVDQA64   Z31, Z3
+	VPERMI2Q    Z1, Z0, Z3
+	VMOVDQA64   Z29, Z4
+	VMOVDQA64.Z Z29, K4, Z5
+	MOVQ R8, DI
+	XORQ CX, CX
+
+q2x:
+	VPXORQ.BCST (DI), Z2, Z6
+	VPOPCNTQ    Z6, Z6
+	VPXORQ.BCST 8(DI), Z3, Z7
+	VPOPCNTQ    Z7, Z7
+	VPADDQ      Z7, Z6, Z6
+	VPMINUQ     Z6, Z4, Z4
+	ROWMIN
+	ADDQ $64, DI
+	INCQ CX
+	CMPQ CX, R9
+	JLT  q2x
+
+	VPMOVQD Z4, K3, (R13)
+	ADDQ $128, SI
+	ADDQ $32, R13
+	SUBQ $8, DX
+	JGT  chunk2
+	VZEROUPPER
+	RET

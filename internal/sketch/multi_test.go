@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -243,5 +244,65 @@ func BenchmarkHammingMultiBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		HammingMultiBatch(&m, arena, 0, rows, dst)
+	}
+}
+
+// TestHammingCrossMin checks every HammingCrossMin implementation against
+// per-pair HammingAt minima: widths 1–16 words, 1–20 candidate rows (so more
+// than two 8-row chunks), 1–16 queries, at an offset that is not a whole
+// number of rows into the arena.
+func TestHammingCrossMin(t *testing.T) {
+	impls := []struct {
+		name string
+		asm  func(*MultiSketch, []uint64, int, []int32, []int32)
+	}{{"scalar", nil}}
+	if crossMinASM != nil {
+		impls = append(impls, struct {
+			name string
+			asm  func(*MultiSketch, []uint64, int, []int32, []int32)
+		}{"avx512", crossMinASM})
+	}
+	saved := crossMinASM
+	defer func() { crossMinASM = saved }()
+
+	for _, impl := range impls {
+		t.Run(impl.name, func(t *testing.T) {
+			crossMinASM = impl.asm
+			rng := rand.New(rand.NewSource(4))
+			for wps := 1; wps <= 16; wps++ {
+				for n := 1; n <= 20; n++ {
+					for _, nq := range []int{1, 2, 3, 7, 8, 9, 16} {
+						off := 3 + rng.Intn(5)
+						arena := randomRows(rng, off+n*wps, 1) // ends at the last row
+						qs := randomQueries(rng, nq, wps)
+						if n > 2 {
+							copy(qs[0], arena[off+wps:off+2*wps]) // a zero distance
+						}
+						var m MultiSketch
+						m.Reset(qs)
+						rowMin, colMin := make([]int32, nq), make([]int32, n)
+						HammingCrossMin(&m, arena, off, n, rowMin, colMin)
+						for q := 0; q < nq; q++ {
+							want := int32(math.MaxInt32)
+							for j := 0; j < n; j++ {
+								want = min(want, int32(HammingAt(qs[q], arena, off+j*wps)))
+							}
+							if rowMin[q] != want {
+								t.Fatalf("wps=%d n=%d nq=%d: rowMin[%d] = %d, want %d", wps, n, nq, q, rowMin[q], want)
+							}
+						}
+						for j := 0; j < n; j++ {
+							want := int32(math.MaxInt32)
+							for q := 0; q < nq; q++ {
+								want = min(want, int32(HammingAt(qs[q], arena, off+j*wps)))
+							}
+							if colMin[j] != want {
+								t.Fatalf("wps=%d n=%d nq=%d: colMin[%d] = %d, want %d", wps, n, nq, j, colMin[j], want)
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }

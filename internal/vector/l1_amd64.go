@@ -10,7 +10,8 @@ package vector
 // AVX-512F and OS support for ZMM state, detected at startup.
 // L1x4's AVX tail kernel keeps each lane's scalar order and puts the four
 // lane sums in one register, masking the sign where Go's math.Abs goes
-// through a general register.
+// through a general register. L1Transposed's AVX-512 kernel runs the same
+// per-lane sequence over eight columns of a transposed block at a time.
 
 // cpuid executes CPUID with the given leaf and subleaf.
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -29,12 +30,20 @@ func l1Block64AVX512(a, b *float32) float64
 //go:noescape
 func l1Tail4AVX(a, b0, b1, b2, b3 *float32, n int, s0, s1, s2, s3 float64) (r0, r1, r2, r3 float64)
 
+// l1RowsAVX512 writes dst[j] = min(Σₖ |aₖ − bt[k·stride+j]|, limit) for
+// j < n (n ≥ 1), eight columns to a ZMM register of float64 lane sums, each
+// lane accumulated in index order from +0.
+//
+//go:noescape
+func l1RowsAVX512(a *float32, dim int, bt *float32, stride int, dst *float64, n int, limit float64)
+
 func init() {
 	if detectAVX() {
 		l1Tail4 = l1Tail4AVX
 	}
 	if detectAVX512F() {
 		l1Block64 = l1Block64AVX512
+		l1Rows = l1RowsAVX512
 	}
 }
 

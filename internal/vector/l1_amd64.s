@@ -105,3 +105,107 @@ tail4loop:
 	VMOVUPD Y4, r0+80(FP)
 	VZEROUPPER
 	RET
+
+// LANEMASK sets K1 to the low min(CX, 8) lanes (CX ≥ 1); clobbers AX, BX, CX.
+#define LANEMASK \
+	MOVQ    $8, BX \
+	CMPQ    CX, BX \
+	CMOVQLT CX, BX \
+	MOVQ    BX, CX \
+	MOVL    $1, AX \
+	SHLQ    CX, AX \
+	DECQ    AX \
+	KMOVW   AX, K1
+
+// ROWLANES adds |aₖ − bt[k·stride + lanes]| for one 8-column chunk at
+// offset off of the row-k cursor BX into the float64 lane sums acc; Z2
+// holds aₖ broadcast, Z31 the abs mask.
+#define ROWLANES(off, t, acc) \
+	VCVTPS2PD off(BX), t \
+	VSUBPD    t, Z2, t   \
+	VPANDQ    Z31, t, t  \
+	VADDPD    t, acc, acc
+
+// CAPLANES caps the lane sums in acc at the limit broadcast in Z30 with Go's
+// own lowering of min(s, limit): MIN(s, limit), whose NaN case yields the
+// limit, then MIN of that and s, whose NaN case yields s, ORed together —
+// so NaN and signed-zero lanes come out exactly as the portable loop's.
+#define CAPLANES(acc) \
+	VMINPD Z30, acc, Z5 \
+	VMINPD acc, Z5, Z6  \
+	VPORQ  Z5, Z6, acc
+
+// func l1RowsAVX512(a *float32, dim int, bt *float32, stride int, dst *float64, n int, limit float64)
+//
+// dst[j] = min(Σₖ |aₖ − bt[k·stride+j]|, limit) for j < n, n ≥ 1, dim ≥ 1: columns go
+// sixteen at a time (two independent accumulator chains, Z0 and Z1), the
+// last one to sixteen as one or two chunks, with a masked store for a
+// partial chunk. Each lane's float64 operations — widen (exact), subtract,
+// clear the sign, add — run in index order from +0, the scalar loop's exact
+// sequence. Register plan: SI a, R8 dim, R9 the chunk's column base in bt,
+// R10 row bytes, DI dst cursor, DX columns left, BX row-k cursor, CX k.
+TEXT ·l1RowsAVX512(SB), NOSPLIT, $0-56
+	MOVQ a+0(FP), SI
+	MOVQ dim+8(FP), R8
+	MOVQ bt+16(FP), R9
+	MOVQ stride+24(FP), R10
+	SHLQ $2, R10
+	MOVQ dst+32(FP), DI
+	MOVQ n+40(FP), DX
+	VBROADCASTSD limit+48(FP), Z30
+	MOVQ $0x7FFFFFFFFFFFFFFF, AX
+	VPBROADCASTQ AX, Z31
+
+rows16:
+	CMPQ DX, $8
+	JLE  rows8
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	MOVQ   R9, BX
+	XORQ   CX, CX
+
+k16:
+	VBROADCASTSS (SI)(CX*4), Y2
+	VCVTPS2PD    Y2, Z2
+	ROWLANES(0, Z3, Z0)
+	ROWLANES(32, Z4, Z1)
+	ADDQ R10, BX
+	INCQ CX
+	CMPQ CX, R8
+	JLT  k16
+
+	CAPLANES(Z0)
+	CAPLANES(Z1)
+	VMOVUPD Z0, (DI)
+	MOVQ    DX, CX
+	SUBQ    $8, CX
+	LANEMASK
+	VMOVUPD Z1, K1, 64(DI)
+	ADDQ    $64, R9
+	ADDQ    $128, DI
+	SUBQ    $16, DX
+	JGT     rows16
+	JMP     rowsdone
+
+rows8:
+	VPXORQ Z0, Z0, Z0
+	MOVQ   R9, BX
+	XORQ   CX, CX
+
+k8:
+	VBROADCASTSS (SI)(CX*4), Y2
+	VCVTPS2PD    Y2, Z2
+	ROWLANES(0, Z3, Z0)
+	ADDQ R10, BX
+	INCQ CX
+	CMPQ CX, R8
+	JLT  k8
+
+	CAPLANES(Z0)
+	MOVQ    DX, CX
+	LANEMASK
+	VMOVUPD Z0, K1, (DI)
+
+rowsdone:
+	VZEROUPPER
+	RET

@@ -153,6 +153,51 @@ func l1BlockAdd(s, limit float64, a, b []float32) float64 {
 	return s + l1Scalar64(a, b)
 }
 
+// l1Rows is an optional AVX-512 form of L1Transposed for len(a) ≥ 1, set at
+// startup (see l1_amd64.go): each lane sums in index order from +0 and is
+// capped as Go's min caps — the portable loop's exact sequence, eight lanes
+// to a register.
+//
+//ferret:noalloc
+var l1Rows func(a *float32, dim int, bt *float32, stride int, dst *float64, n int, limit float64)
+
+// L1Transposed is the EMD cost fill's row kernel for vectors under 64
+// dimensions: dst[j] = min(Σₖ |a[k] − bⱼ[k]|, limit) for every column j <
+// len(dst), where the bⱼ are stored transposed — bt[k·stride+j] is bⱼ[k] —
+// so that one pass over a's dimensions serves all the columns at once. Each
+// column sums in index order from +0 and is then capped, which is L1x4's
+// tail exactly: below 64 dimensions every result is bit-identical to L1x4's
+// lane, and so to L1Capped(a, bⱼ, limit) on NaN-free input (+Inf limit:
+// uncapped L1). stride must be a
+// multiple of 8, at least len(dst), and bt exactly len(a)·stride long; the
+// lanes between len(dst) and stride are computed and discarded.
+//
+//ferret:noalloc
+func L1Transposed(a, bt []float32, stride int, dst []float64, limit float64) {
+	n := len(dst)
+	if stride%8 != 0 || stride < n || len(bt) != len(a)*stride {
+		panic("vector: dimension mismatch")
+	}
+	if n == 0 {
+		return
+	}
+	if l1Rows != nil && len(a) > 0 {
+		l1Rows(&a[0], len(a), &bt[0], stride, &dst[0], n, limit)
+		return
+	}
+	clear(dst)
+	for k, ak := range a {
+		x := float64(ak)
+		for j, b := range bt[k*stride : k*stride+n] {
+			dst[j] += math.Abs(x - float64(b))
+		}
+	}
+	// The sums are never −0, so min caps exactly as L1Capped compares.
+	for j, s := range dst {
+		dst[j] = min(s, limit)
+	}
+}
+
 // L2 returns the ℓ₂ (Euclidean) distance sqrt(Σ(aᵢ−bᵢ)²).
 func L2(a, b []float32) float64 {
 	checkLen(a, b)

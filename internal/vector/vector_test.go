@@ -346,6 +346,84 @@ func TestL1x4Bits(t *testing.T) {
 	}
 }
 
+// TestL1TransposedBits: every column of the transposed row kernel must equal
+// L1x4's lane and L1Capped for the same pair bit for bit, for every
+// dimension under 64 and 1–20 columns (so full, partial and paired 8-lane
+// chunks), under +Inf and limits that cap some columns, with the AVX-512
+// kernel (when the CPU has it) and the portable loop. One column carries a
+// NaN, whose capped bits only L1x4 (Go's min) defines.
+func TestL1TransposedBits(t *testing.T) {
+	impls := []struct {
+		name string
+		rows func(a *float32, dim int, bt *float32, stride int, dst *float64, n int, limit float64)
+	}{{"scalar", nil}, {"avx512", l1Rows}}
+	if l1Rows == nil {
+		impls = impls[:1]
+	}
+	saved := l1Rows
+	defer func() { l1Rows = saved }()
+	bits := math.Float64bits
+	for _, impl := range impls {
+		l1Rows = impl.rows
+		rng := rand.New(rand.NewSource(17))
+		for dim := 1; dim < 64; dim++ {
+			for n := 1; n <= 20; n++ {
+				a := make([]float32, dim)
+				for k := range a {
+					a[k] = (rng.Float32() - 0.5) * 4
+				}
+				cols := make([][]float32, n)
+				for j := range cols {
+					cols[j] = make([]float32, dim)
+					for k := range cols[j] {
+						switch j % 4 {
+						case 0:
+							copy(cols[j], a) // all-zero differences
+						case 1:
+							cols[j][k] = (rng.Float32() - 0.5) * 3e38
+						default:
+							cols[j][k] = (rng.Float32() - 0.5) * 4
+						}
+					}
+				}
+				const nanCol = 6 // a NaN feature: the cap must treat it as Go's min does
+				if n > nanCol {
+					cols[nanCol][dim/2] = float32(math.NaN())
+				}
+				stride := (n + 7) &^ 7
+				bt := make([]float32, dim*stride)
+				for k := range bt {
+					bt[k] = float32(math.NaN()) // padding lanes are computed and discarded
+				}
+				for j, c := range cols {
+					for k, x := range c {
+						bt[k*stride+j] = x
+					}
+				}
+				dst := make([]float64, n)
+				for _, limit := range []float64{math.Inf(1), 0.5 * float64(dim), 1e-9} {
+					L1Transposed(a, bt, stride, dst, limit)
+					for j := range cols {
+						quad := j &^ 3
+						lanes := [4][]float32{}
+						for l := range lanes {
+							lanes[l] = cols[min(quad+l, n-1)]
+						}
+						s0, s1, s2, s3 := L1x4(a, lanes[0], lanes[1], lanes[2], lanes[3], limit)
+						want := [4]float64{s0, s1, s2, s3}[j-quad]
+						if capped := L1Capped(a, cols[j], limit); j != nanCol && bits(capped) != bits(want) {
+							t.Fatalf("dim=%d: L1x4 %x and L1Capped %x disagree", dim, bits(want), bits(capped))
+						}
+						if bits(dst[j]) != bits(want) {
+							t.Fatalf("%s kernel, dim=%d n=%d limit %g, column %d: %x, L1x4 %x", impl.name, dim, n, limit, j, bits(dst[j]), bits(want))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkL1(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	x := make([]float32, 544)

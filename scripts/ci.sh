@@ -4,7 +4,8 @@
 # Runs the full verification chain from a clean checkout:
 #
 #   build      go build ./...
-#   vet        go vet ./...
+#   vet        go vet ./..., then GOARCH=arm64 go vet ./... so the portable
+#              fallbacks of the amd64 assembly kernels keep compiling
 #   lint       ferret-lint, all nine analyzers (layering, atomicfield,
 #              poolescape, floatcmp, errclose, ctxfirst, lockorder,
 #              lockpath, noalloc)
