@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-fast torture vet lint lint-test check ci bench bench-pairs loc clean
+.PHONY: all build test race race-fast torture vet lint lint-test check ci bench bench-smoke bench-pairs loc clean
 
 all: check
 
@@ -52,13 +52,21 @@ lint-test:
 check: build vet lint test race
 
 # The full pre-merge gate: everything in check plus the analyzer suite's
-# race-mode tests and the crash-torture suite. Performance is not gated here — a fixed ns/op threshold does not
-# survive a change of machine; `go test ./...` smoke-runs benchmark/, and a
+# race-mode tests, the crash-torture suite and the microbenchmark smoke run.
+# Performance is not gated here — a fixed ns/op threshold does not survive a
+# change of machine; `go test ./...` smoke-runs benchmark/, and a
 # performance claim is measured with `make bench-pairs`.
-ci: check lint-test torture
+ci: check lint-test torture bench-smoke
 
 bench:
 	$(GO) test -bench . -benchtime 1x
+
+# One iteration of every filter, rank and select-kernel microbenchmark, so
+# their set-up guards keep running: BenchmarkFilterImage96 fails on a
+# descent that fell back to the sweep, the image corpus on a layout other
+# than four sealed segments and a live tail. Times are not checked.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'Filter|Rank|LowerBounds|TailSweep|HammingSelect' -benchtime 1x ./internal/core ./internal/sketch
 
 # The measurement a performance claim rests on: $(BENCH_PAIRS) alternating
 # parent/change runs of benchmark/run.sh per workload on seeds 1..N, every

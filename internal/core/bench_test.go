@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -184,6 +185,53 @@ func BenchmarkFilterImage96(b *testing.B) {
 	}
 	b.ReportMetric((reg.Value("ferret_hindex_candidates_total")-verified)/float64(b.N), "rows_verified/op")
 	b.ReportMetric((reg.Value("ferret_hindex_lookups_total")-lookups)/float64(b.N), "lookups/op")
+}
+
+// BenchmarkTailSweepImage measures the live tail's arena sweep alone on
+// imageBenchEngine's corpus and BenchmarkFilterImage96's queries, with the
+// heaps the sealed segments' descent leaves — the filter's last sweep. Each
+// op restores one query's post-descent heaps, then sweeps the tail for all
+// its pairs; rows/op is the tail rows the kernel scored.
+func BenchmarkTailSweepImage(b *testing.B) {
+	e := imageBenchEngine(b)
+	v := e.cur.Load()
+	tail := v.tail()
+	type query struct {
+		sc    *queryScratch
+		heaps []segHeap // the descent's heaps, restored before every sweep
+	}
+	var qs [32]query
+	for i, q := range synth.MixedImageObjects(len(qs), 1001) {
+		sc := getScratch()
+		defer putScratch(sc)
+		loadScratch(sc, q, e.buildSketchSet(q), QueryOptions{K: 20})
+		e.buildPairs(v, sc)
+		e.indexDescent(v, sc)
+		if len(sc.spairs) > 0 {
+			b.Fatal("a pair fell back to the sweep: its heap would not be the descent's")
+		}
+		qs[i].sc = sc
+		for _, p := range sc.pairs {
+			h := *p.heap
+			h.cnt, h.pairs = slices.Clone(h.cnt), slices.Clone(h.pairs)
+			qs[i].heaps = append(qs[i].heaps, h)
+		}
+		e.arenaSweep(v, tail, sc, sc.pairs) // warm the scratch
+	}
+	rows := 0
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		q := &qs[i%len(qs)]
+		for j, p := range q.sc.pairs {
+			cnt, pairs := p.heap.cnt, p.heap.pairs
+			*p.heap = q.heaps[j]
+			p.heap.cnt, p.heap.pairs = append(cnt[:0], q.heaps[j].cnt...), append(pairs[:0], q.heaps[j].pairs...)
+		}
+		rows += e.arenaSweep(v, tail, q.sc, q.sc.pairs)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
 }
 
 // BenchmarkRankImage measures the rank stage alone on imageBenchEngine's corpus

@@ -522,7 +522,7 @@ func TestTopK(t *testing.T) {
 }
 
 func TestSegHeap(t *testing.T) {
-	h := newSegHeap(3)
+	h := newSegHeap(3, 64)
 	for i, ham := range []int{50, 10, 40, 5, 30, 20} {
 		if ham < h.worst() {
 			h.push(i, ham)
@@ -534,8 +534,8 @@ func TestSegHeap(t *testing.T) {
 	}
 	// The three nearest were entries 1 (10), 3 (5), 5 (20).
 	want := map[int]bool{1: true, 3: true, 5: true}
-	for _, e := range items {
-		if !want[e] {
+	for _, key := range items {
+		if e := int(uint32(key)); !want[e] {
 			t.Fatalf("items = %v", items)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/bits"
 	rtrace "runtime/trace"
 	"slices"
 	"sync"
@@ -71,7 +72,7 @@ type queryScratch struct {
 
 	// Hamming-index descent buffers (see indexDescent).
 	probe  []int32    // one step's new candidate rows in one segment
-	seen   []uint64   // a pair's dedup bitmap: one bit per sealed row, across segments and steps
+	seen   []uint64   // a pair's dedup bitmap: one bit per sealed row, across segments and steps; then the candidate union, one bit per entry
 	spairs []scanPair // pairs left for the indexed segments' arena sweeps
 
 	// Ranking-unit scratch (sketch lower-bound pruning).
@@ -110,12 +111,13 @@ func putScratch(sc *queryScratch) {
 	scratchPool.Put(sc)
 }
 
-// heap returns the i-th pooled segment heap reset to capacity k.
-func (sc *queryScratch) heap(i, k int) *segHeap {
+// heap returns the i-th pooled segment heap reset to capacity k and
+// distances 0…n.
+func (sc *queryScratch) heap(i, k, n int) *segHeap {
 	for len(sc.heaps) <= i {
-		sc.heaps = append(sc.heaps, newSegHeap(k))
+		sc.heaps = append(sc.heaps, new(segHeap))
 	}
-	sc.heaps[i].reset(k)
+	sc.heaps[i].reset(k, n)
 	return sc.heaps[i]
 }
 
@@ -188,7 +190,7 @@ func topSegments(buf []int, weights []float32, r int) []int {
 // segments, each with its weight-tightened Hamming threshold and a private
 // k-nearest heap.
 func (e *Engine) buildPairs(v *view, sc *queryScratch) {
-	n := float64(e.builder.N())
+	n := e.builder.N()
 	sc.pairs = sc.pairs[:0]
 	sc.walk = sc.opt.Restrict != nil && len(sc.opt.Restrict)*restrictWalkDiv < len(v.entries)
 	p := e.filterParams(&sc.opt).withDefaults(len(sc.qset.Sketches), sc.opt.K)
@@ -197,8 +199,8 @@ func (e *Engine) buildPairs(v *view, sc *queryScratch) {
 		frac := p.MaxHammingFrac * (1 - p.WeightTighten*float64(sc.qset.Weights[qi]))
 		sc.pairs = append(sc.pairs, scanPair{
 			qsk:    sc.qset.Sketches[qi],
-			maxHam: int(frac * n),
-			heap:   sc.heap(j, p.NearestPerSegment),
+			maxHam: int(frac * float64(n)),
+			heap:   sc.heap(j, p.NearestPerSegment, n),
 		})
 	}
 }
@@ -222,6 +224,7 @@ func (e *Engine) filter(v *view, sc *queryScratch) {
 	defer rtrace.StartRegion(sc.ctx, "ferret.scan").End()
 	e.buildPairs(v, sc)
 	e.indexDescent(v, sc)
+	swept := 0
 	for _, seg := range v.segs {
 		if seg.liveEntries() == 0 {
 			continue
@@ -231,28 +234,39 @@ func (e *Engine) filter(v *view, sc *queryScratch) {
 			pairs = sc.spairs
 		}
 		if len(pairs) > 0 {
-			e.arenaSweep(v, seg, sc, pairs)
+			swept += e.arenaSweep(v, seg, sc, pairs)
 		}
 	}
 
-	// Dedup the candidate union: one ranking evaluation per distinct object,
-	// no matter how many query segments (or index buckets) reached it.
-	cands := sc.cands[:0]
+	// Dedup the candidate union in a bitmap over the entries: one ranking
+	// evaluation per distinct object, no matter how many query segments (or
+	// index buckets) reached it, in ascending entry order.
+	union := resize(&sc.seen, (len(v.entries)+63)/64)
+	clear(union)
 	for _, p := range sc.pairs {
-		cands = append(cands, p.heap.items()...)
+		for _, key := range p.heap.items() {
+			union[uint32(key)/64] |= 1 << (key % 64)
+		}
 	}
-	slices.Sort(cands)
-	sc.cands = slices.Compact(cands)
+	cands := sc.cands[:0]
+	for w, x := range union {
+		for ; x != 0; x &= x - 1 {
+			cands = append(cands, w*64+bits.TrailingZeros64(x))
+		}
+	}
+	sc.cands = cands
 	dur := time.Since(stageStart)
 	e.met.scanned.Add(sc.scannedN)
 	e.met.candidates.Add(len(sc.cands))
 	e.met.stageFilter.Observe(dur.Seconds())
 	sc.trp.Record(StageFilter, stageStart, dur).
 		SetAttr("scanned", int64(sc.scannedN)).
+		SetAttr("swept_rows", int64(swept)).
 		SetAttr("candidates", int64(len(sc.cands)))
 }
 
-// arenaSweep streams one storage segment's arena once for the given pairs.
+// arenaSweep streams one storage segment's arena once for the given pairs
+// and returns the rows it scored.
 // Blocks of rows go through the fused multi-sketch select kernel under each
 // pair's block-entry bound; the (few) selected rows then replay the exact
 // push/tighten logic, skipping tombstoned and Restrict-excluded entries, so
@@ -266,7 +280,7 @@ func (e *Engine) filter(v *view, sc *queryScratch) {
 // would be selected and looked up.
 //
 //ferret:noalloc
-func (e *Engine) arenaSweep(v *view, seg *segment, sc *queryScratch, pairs []scanPair) {
+func (e *Engine) arenaSweep(v *view, seg *segment, sc *queryScratch, pairs []scanPair) (swept int) {
 	a := &seg.arena
 	np := len(pairs)
 	restrict := sc.opt.Restrict
@@ -282,6 +296,7 @@ func (e *Engine) arenaSweep(v *view, seg *segment, sc *queryScratch, pairs []sca
 			}
 			sc.scannedN += np
 			rlo, rhi := a.rowsOf(li)
+			swept += rhi - rlo
 			for pi := range pairs {
 				p := &pairs[pi]
 				bound := min(p.maxHam, p.heap.worst())
@@ -293,7 +308,7 @@ func (e *Engine) arenaSweep(v *view, seg *segment, sc *queryScratch, pairs []sca
 				}
 			}
 		}
-		return
+		return swept
 	}
 	sc.scannedN += np * seg.liveEntries()
 
@@ -311,7 +326,7 @@ func (e *Engine) arenaSweep(v *view, seg *segment, sc *queryScratch, pairs []sca
 	for base := 0; base < rows; base += batchRows {
 		// Cancellation is checked once per block.
 		if sc.clk.stop() {
-			return
+			return base
 		}
 		nb := min(batchRows, rows-base)
 		for pi := range pairs {
@@ -346,6 +361,7 @@ func (e *Engine) arenaSweep(v *view, seg *segment, sc *queryScratch, pairs []sca
 			}
 		}
 	}
+	return rows
 }
 
 // filterExact is the filtering unit's exact path: the user-supplied segment

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -91,103 +92,105 @@ func (t *topK) sorted() []Result {
 	return out
 }
 
-// segHeap keeps the k nearest dataset segments for one query segment: a
-// bounded max-heap ordered on the (hamming, entry) pair. Once full, its
-// root (the worst kept pair) tightens the acceptance bound, so scans over
-// large datasets reject most segments with a single comparison.
+// segHeap keeps the k nearest dataset segments for one query segment under
+// the (hamming, entry) pair order, as an integer bucket queue: distances are
+// 0…N for N-bit sketches, so a count per distance replaces a comparison heap.
+// Pairs at or under the cut-off c are appended; when the k-th arrives, c
+// becomes the k-th smallest distance, and after that c walks down while the
+// pairs below it number k or more. c is thus always the k-th smallest pushed
+// distance, counted with multiplicity — the root distance of a bounded
+// max-heap of the k smallest pairs — so worst() and full() are that heap's
+// bounds after every push. Pairs left above c are dropped lazily.
 //
-// The lexicographic pair order is a strict total order, which makes the
-// final heap content the k smallest pairs regardless of push order. That
-// order-independence is what lets the Hamming-index descent and the arena
-// sweep — over one arena or many storage segments — return bit-identical
-// candidate sets: they visit rows in different orders but converge on the
-// same k pairs (TestHIndexScanEquivalence relies on this; with ties broken
-// by arrival order instead, eviction under equal distances would depend on
-// the visit schedule).
+// The pair order is a strict total order on distinct pairs, so the kept set
+// is the k smallest pairs regardless of push order. That is what lets the
+// Hamming-index descent and the arena sweep — over one arena or many
+// storage segments — return bit-identical candidate sets: they visit rows in
+// different orders but converge on the same k pairs (TestHIndexScanEquivalence
+// relies on this; ties broken by arrival order would make eviction under
+// equal distances depend on the visit schedule).
 type segHeap struct {
-	k     int
-	entry []int // owning entry index per slot
-	ham   []int // hamming distance per slot; slot 0 is the max
+	k, c  int      // capacity; cut-off distance, maxInt until k pairs were pushed
+	n     int      // pairs pushed, saturating at k
+	below int      // pushed pairs below c, once full
+	cnt   []int32  // pushed pairs per distance, 0…N; stale above c
+	pairs []uint64 // pushed pairs at or under c when pushed, as pairKeys
 }
 
-func newSegHeap(k int) *segHeap {
-	return &segHeap{k: k, entry: make([]int, 0, k), ham: make([]int, 0, k)}
-}
+// pairKey packs a (hamming, entry) pair into one integer in pair order: the
+// distance above the entry's 32 bits (entry indices stay far below 2³² in
+// any corpus that fits in memory).
+func pairKey(hamming, entry int) uint64 { return uint64(hamming)<<32 | uint64(uint32(entry)) }
 
-// reset prepares a pooled heap for reuse with capacity k, keeping its
-// backing arrays.
-func (h *segHeap) reset(k int) {
-	h.k = k
-	h.entry = h.entry[:0]
-	h.ham = h.ham[:0]
+// reset prepares a pooled heap for reuse with capacity k and distances 0…n,
+// keeping its backing arrays.
+func (h *segHeap) reset(k, n int) {
+	h.k, h.c, h.n, h.below = k, math.MaxInt, 0, 0
+	clear(resize(&h.cnt, n+1))
+	h.pairs = h.pairs[:0]
 }
 
 // worst returns the current rejection bound: a push with a distance above
 // it cannot enter a full heap, and a push at it enters only if its entry
-// index beats the root's in the pair order. Kernel prefilters therefore
+// index beats a kept one in the pair order. Kernel prefilters therefore
 // accept rows at distance ≤ worst() and let push settle ties.
-func (h *segHeap) worst() int {
-	if len(h.ham) < h.k {
-		return int(^uint(0) >> 1) // max int: heap not yet full
-	}
-	return h.ham[0]
-}
+func (h *segHeap) worst() int { return h.c }
 
 // full reports whether the heap holds k pairs.
-func (h *segHeap) full() bool { return len(h.ham) >= h.k }
-
-// pairLess orders (ham, entry) pairs lexicographically.
-func pairLess(ham1, entry1, ham2, entry2 int) bool {
-	return ham1 < ham2 || (ham1 == ham2 && entry1 < entry2)
-}
+func (h *segHeap) full() bool { return h.n >= h.k }
 
 // push offers one (entry, hamming) pair.
 //
 //ferret:noalloc
 func (h *segHeap) push(entry, hamming int) {
-	if len(h.ham) < h.k {
-		h.entry = append(h.entry, entry)
-		h.ham = append(h.ham, hamming)
-		// Sift up.
-		i := len(h.ham) - 1
-		for i > 0 {
-			parent := (i - 1) / 2
-			if !pairLess(h.ham[parent], h.entry[parent], h.ham[i], h.entry[i]) {
-				break
+	if hamming > h.c {
+		return
+	}
+	h.pairs = append(h.pairs, pairKey(hamming, entry))
+	h.cnt[hamming]++
+	if h.n < h.k {
+		if h.n++; h.n == h.k {
+			for h.c = 0; h.below+int(h.cnt[h.c]) < h.k; h.c++ {
+				h.below += int(h.cnt[h.c])
 			}
-			h.ham[parent], h.ham[i] = h.ham[i], h.ham[parent]
-			h.entry[parent], h.entry[i] = h.entry[i], h.entry[parent]
-			i = parent
 		}
-		return
+	} else if hamming < h.c {
+		for h.below++; h.below >= h.k; h.below -= int(h.cnt[h.c]) {
+			h.c--
+		}
 	}
-	if !pairLess(hamming, entry, h.ham[0], h.entry[0]) {
-		return
-	}
-	h.ham[0] = hamming
-	h.entry[0] = entry
-	// Sift down.
-	i, n := 0, len(h.ham)
-	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < n && pairLess(h.ham[largest], h.entry[largest], h.ham[l], h.entry[l]) {
-			largest = l
-		}
-		if r < n && pairLess(h.ham[largest], h.entry[largest], h.ham[r], h.entry[r]) {
-			largest = r
-		}
-		if largest == i {
-			return
-		}
-		h.ham[i], h.ham[largest] = h.ham[largest], h.ham[i]
-		h.entry[i], h.entry[largest] = h.entry[largest], h.entry[i]
-		i = largest
+	if len(h.pairs) >= 4*h.k {
+		h.items()
 	}
 }
 
-// items returns the kept entry indices (duplicates possible when one object
-// owns several near segments; the caller's candidate-set union dedups).
-func (h *segHeap) items() []int {
-	return h.entry
+// items trims the pushed pairs to the kept ones and returns them as
+// pairKeys: every pair below c and the smallest k−below at c, k in all once
+// full, with multiplicity (one entry may appear more than once when it owns
+// several near segments; the caller's candidate-set union dedups). A pair
+// dropped here has k smaller ones ahead of it and c only falls, so it could
+// never be kept again.
+//
+//ferret:noalloc
+func (h *segHeap) items() []uint64 {
+	if !h.full() {
+		return h.pairs
+	}
+	lo, at := 0, len(h.pairs) // below c from the front, at c from the back
+	for i := 0; i < at; {
+		switch p := h.pairs[i]; {
+		case int(p>>32) < h.c:
+			h.pairs[lo] = p
+			lo, i = lo+1, i+1
+		case int(p>>32) == h.c:
+			at--
+			h.pairs[i], h.pairs[at] = h.pairs[at], p
+		default:
+			i++
+		}
+	}
+	ties := h.pairs[at:]
+	slices.Sort(ties)
+	h.pairs = h.pairs[:lo+copy(h.pairs[lo:], ties[:h.k-h.below])]
+	return h.pairs
 }

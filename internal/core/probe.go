@@ -20,7 +20,8 @@ type HIndexParams struct {
 
 // probeCost prices one bucket look-up or one verified candidate — a dependent
 // random memory access each — in rows of the arena sweep's streaming kernel
-// (measured 7–30; EXPERIMENTS.md "k-nearest descent").
+// (measured 7–30 under the per-row select kernel; ≈ 37 rows of a four-pair
+// sweep for 2-word rows under the row-parallel one, DESIGN.md §12.2).
 const probeCost = 8
 
 // indexDescent serves the query's pairs from the sealed segments' Hamming
@@ -127,7 +128,7 @@ func (e *Engine) indexDescent(v *view, sc *queryScratch) {
 			sc.idxSegs += nix
 		} else {
 			e.met.hixFallback.Add(nix)
-			p.heap.reset(p.heap.k)
+			p.heap.reset(p.heap.k, len(p.heap.cnt)-1)
 			sc.spairs = append(sc.spairs, p)
 		}
 	}

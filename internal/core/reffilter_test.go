@@ -252,6 +252,7 @@ func TestFilterDifferential(t *testing.T) {
 			}
 		})
 	}
+	t.Run("ties", testFilterTies)
 	report := fmt.Sprintf("%d index-served, %d scan-served (query segment × storage segment) units; %d walked, %d swept restricted requests; "+
 		"%d index-served requests beside a live tail, %d over tombstoned indexed segments, %d after Compact()-then-ingest; "+
 		"%d groups served past round 0, %d pairs settled by covering their threshold, %d units fell back, %d requests served by a 96-bit index",
@@ -263,6 +264,62 @@ func TestFilterDifferential(t *testing.T) {
 		t.Fatalf("%s: the seeds no longer reach every arm", report)
 	}
 	t.Log(report)
+}
+
+// testFilterTies is TestFilterDifferential's tie-heavy arm: zero-noise
+// copies of three objects, so hundreds of rows share each distance and a
+// pair's cut-off falls inside a run of equal distances, where only the entry
+// order decides which pairs are kept. Swept and index-served engines, sealed
+// segments with tombstones beside a live tail, k from 1 to 200.
+func testFilterTies(t *testing.T) {
+	const d = 8
+	maxTies := 0 // most rows at one pair's cut-off distance
+	for _, index := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(28))
+		cfg := testConfig(t.TempDir(), d)
+		cfg.Sketch.N = 96
+		cfg.HIndex = HIndexParams{Enable: index}
+		cfg.Segments = SegmentParams{SealEntries: 97, Interval: -1}
+		e := openEngine(t, cfg)
+		for i := 0; i < 600; i++ {
+			id, err := e.Ingest(clusterObject(fmt.Sprintf("t%03d", i), rng.Intn(3), d, 1+rng.Intn(3), 0, rng), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%7 == 0 {
+				if err := e.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		v := e.cur.Load()
+		for i := 0; i < 16; i++ {
+			q := clusterObject("q", rng.Intn(4), d, 1+rng.Intn(4), 0, rng)
+			opt := QueryOptions{K: 10, Filter: FilterParams{NearestPerSegment: []int{1, 7, 50, 200}[i%4]}}
+			sc := getScratch()
+			defer putScratch(sc)
+			loadScratch(sc, q, e.buildSketchSet(q), opt)
+			e.filter(v, sc)
+			if want := refFilter(e, v, sc.qset, sc.opt); !slices.Equal(sc.cands, want) {
+				t.Fatalf("index %v, query %d (k %d, mode %q):\n got %v\nwant %v",
+					index, i, opt.Filter.NearestPerSegment, sc.filterMode(), sc.cands, want)
+			}
+			for j, p := range sc.pairs {
+				ties := 0
+				for _, seg := range v.segs {
+					for row := 0; row < seg.arena.rows(); row++ {
+						if sketch.Hamming(p.qsk, seg.arena.at(row)) == sc.heaps[j].worst() {
+							ties++
+						}
+					}
+				}
+				maxTies = max(maxTies, ties)
+			}
+		}
+	}
+	if maxTies < 100 {
+		t.Fatalf("at most %d rows at a cut-off distance: the corpus no longer ties", maxTies)
+	}
 }
 
 // TestFilterPathsSelectSameSegments: with equal weights the sketch filter

@@ -87,6 +87,53 @@ func TestDescentSpans(t *testing.T) {
 	}
 }
 
+// TestFilterSpanSweptRows: the filter span's swept_rows attribute counts
+// the arena rows the sweep scored — every row of an unindexed engine, only
+// the live tail's beside index-served sealed segments.
+func TestFilterSpanSweptRows(t *testing.T) {
+	const d, nseg = 8, 3
+	for _, index := range []bool{false, true} {
+		cfg := traceTestConfig(t.TempDir(), d)
+		cfg.HIndex = HIndexParams{Enable: index}
+		e := openEngine(t, cfg)
+		ingestClusters(t, e, 30, 6, d, nseg)
+		e.Compact()
+		rng := rand.New(rand.NewSource(22))
+		for i := 0; i < 5; i++ { // a live tail
+			if _, err := e.Ingest(clusterObject(fmt.Sprintf("tail%d", i), i, d, nseg, 0.01, rng), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := 0
+		for _, seg := range e.cur.Load().segs {
+			if !index || !seg.probed() {
+				want += seg.arena.rows()
+			}
+		}
+		q := clusterObject("q", 3, d, nseg, 0.01, rng)
+		ans, err := e.Search(context.Background(), q, QueryOptions{K: 4, ForceTrace: true, Filter: FilterParams{NearestPerSegment: 5}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if index && ans.FilterMode != FilterModeMixed {
+			t.Fatalf("filter mode %q, want %q: the sealed segment should be index-served", ans.FilterMode, FilterModeMixed)
+		}
+		filter, ok := findTrace(t, e, ans.Trace).Span(StageFilter)
+		if !ok {
+			t.Fatal("no filter span")
+		}
+		got := int64(-1)
+		for _, at := range filter.Attrs {
+			if at.Key == "swept_rows" {
+				got = at.Val
+			}
+		}
+		if got != int64(want) {
+			t.Fatalf("index %v: swept_rows %d, want %d", index, got, want)
+		}
+	}
+}
+
 // TestDegradedQueryInSlowLog: a budget-degraded query must always appear in
 // the slow-query log — with sampling and the duration trigger both disabled,
 // only the degraded marking can have put it there — carrying the sketch,

@@ -71,6 +71,7 @@ func (m *MultiSketch) query(i int) Sketch {
 // and the single sketch stored at word offset off in a flat arena, writing
 // dst[q] for each query. The row is loaded once and scored against all
 // queries.
+//
 //ferret:noalloc
 func HammingMultiAt(m *MultiSketch, arena []uint64, off int, dst []int32) {
 	w := arena[off : off+m.wps]
@@ -105,6 +106,7 @@ func HammingMultiAt(m *MultiSketch, arena []uint64, off int, dst []int32) {
 // Rows are the outer loop, so each packed row is loaded from memory once for
 // all Q queries. A single packed query falls back to the benchmarked serial
 // kernel.
+//
 //ferret:noalloc
 func HammingMultiBatch(m *MultiSketch, arena []uint64, off, count int, dst []int32) {
 	if count == 0 || m.nq == 0 {
@@ -152,8 +154,19 @@ func HammingMultiBatch(m *MultiSketch, arena []uint64, off, count int, dst []int
 // implementation of the fused multi-query select. It is installed by init in
 // multi_amd64.go when the CPU supports it and must produce output identical
 // to the portable loop below (same hits, same ascending row order).
+//
 //ferret:noalloc
 var selectMultiASM func(m *MultiSketch, arena []uint64, off, count int, bounds, idx, dist []int32, stride int, ns []int32)
+
+// selectRowsASM, when non-nil, is a platform-specific vectorized fused
+// select for 1- and 2-word sketches that scores several rows per query at
+// once, installed by init in multi_amd64.go when the CPU supports it. It
+// serves any query count, one included, and must produce output identical
+// to the portable loops (same hits, same ascending row order); ns arrives
+// zeroed and w holds exactly count rows.
+//
+//ferret:noalloc
+var selectRowsASM func(m *MultiSketch, w []uint64, count int, bounds, idx, dist []int32, stride int, ns []int32)
 
 // MultiKernel names the fused-select implementation in use ("avx512" or
 // "scalar"), for logs and experiment output.
@@ -172,6 +185,7 @@ func MultiKernel() string {
 // ascending row order, exactly as Q independent HammingSelect calls would
 // produce, so a consumer cannot tell one fused sweep from Q separate ones. idx and dist must hold len(bounds)*stride values and stride must be
 // at least count.
+//
 //ferret:noalloc
 func HammingSelectMulti(m *MultiSketch, arena []uint64, off, count int, bounds, idx, dist []int32, stride int, ns []int32) {
 	if len(bounds) != m.nq || len(ns) != m.nq {
@@ -186,6 +200,10 @@ func HammingSelectMulti(m *MultiSketch, arena []uint64, off, count int, bounds, 
 	if stride < count {
 		panic("sketch: HammingSelectMulti stride shorter than block")
 	}
+	if selectRowsASM != nil && m.wps <= 2 {
+		selectRowsASM(m, arena[off:off+count*m.wps], count, bounds, idx, dist, stride, ns)
+		return
+	}
 	if m.nq == 1 {
 		ns[0] = int32(HammingSelect(m.query(0), arena, off, count, bounds[0], idx[:stride], dist[:stride]))
 		return
@@ -199,6 +217,7 @@ func HammingSelectMulti(m *MultiSketch, arena []uint64, off, count int, bounds, 
 
 // hammingSelectMultiGeneric is the portable fused select: rows outer, queries
 // inner, so each row is loaded once per block regardless of Q.
+//
 //ferret:noalloc
 func hammingSelectMultiGeneric(m *MultiSketch, arena []uint64, off, count int, bounds, idx, dist []int32, stride int, ns []int32) {
 	wps := m.wps

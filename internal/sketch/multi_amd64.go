@@ -6,8 +6,11 @@ package sketch
 // multi-sketch sweep. The vector kernel removes the compute wall: one masked
 // 512-bit load per row chunk, then per query a VPXORQ+VPOPCNTQ pair and a
 // horizontal sum — roughly 5× fewer instructions per (query, row) pair than
-// the scalar loop. Requires AVX-512F plus the VPOPCNTDQ extension and OS
-// support for ZMM state, detected at startup.
+// the scalar loop. A 1- or 2-word row would fill only a quarter of the
+// chunk, so those widths get row-parallel kernels instead: eight rows per
+// chunk, scored against each query side by side with no horizontal sum, hits
+// compressed out under a compare mask (AVX-512VL). Requires AVX-512F plus the
+// VPOPCNTDQ extension and OS support for ZMM state, detected at startup.
 
 // cpuid executes CPUID with the given leaf and subleaf.
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -27,6 +30,18 @@ func hammingSelectMulti1(q *uint64, nq int, w *uint64, rows, wps int, mask uint6
 //go:noescape
 func hammingSelectMulti2(q *uint64, nq int, w *uint64, rows, wps int, mask uint64, bounds, idx, dist *int32, stride int, ns *int32)
 
+// hammingSelectRows1 and hammingSelectRows2 are HammingSelectMulti's kernels
+// for 1- and 2-word sketches: eight rows per chunk, scored against each
+// query side by side (one XOR+popcount per query and word), compared with
+// the query's bound, and the hits compressed into idx/dist in ascending row
+// order. Queries are packed with an 8-word stride.
+//
+//go:noescape
+func hammingSelectRows1(q *uint64, nq int, w *uint64, rows int, bounds, idx, dist *int32, stride int, ns *int32)
+
+//go:noescape
+func hammingSelectRows2(q *uint64, nq int, w *uint64, rows int, bounds, idx, dist *int32, stride int, ns *int32)
+
 // hammingCrossMin1 and hammingCrossMin2 are HammingCrossMin's kernels for
 // 1- and 2-word sketches: the candidate's rows are loaded eight at a time,
 // then per query one XOR+popcount (two for 2-word rows), a VPMINUQ into the
@@ -43,18 +58,27 @@ func init() {
 	if detectAVX512() {
 		selectMultiASM = selectMultiAVX512
 		if detectAVX512VL() {
+			selectRowsASM = selectRowsAVX512
 			crossMinASM = crossMinAVX512
 		}
 	}
 }
 
 // detectAVX512VL reports the AVX-512 vector-length extension, which the
-// cross-min kernels' YMM and XMM minimum steps use; call it only after
-// detectAVX512.
+// row-select kernels' YMM compare and compress and the cross-min kernels'
+// YMM and XMM minimum steps use; call it only after detectAVX512.
 func detectAVX512VL() bool {
 	_, b7, _, _ := cpuid(7, 0)
 	const avx512vl = 1 << 31 // EBX
 	return b7&avx512vl != 0
+}
+
+func selectRowsAVX512(m *MultiSketch, w []uint64, count int, bounds, idx, dist []int32, stride int, ns []int32) {
+	if m.wps == 1 {
+		hammingSelectRows1(&m.words[0], m.nq, &w[0], count, &bounds[0], &idx[0], &dist[0], stride, &ns[0])
+		return
+	}
+	hammingSelectRows2(&m.words[0], m.nq, &w[0], count, &bounds[0], &idx[0], &dist[0], stride, &ns[0])
 }
 
 func crossMinAVX512(m *MultiSketch, w []uint64, n int, rowMin, colMin []int32) {

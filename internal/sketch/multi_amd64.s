@@ -322,3 +322,153 @@ q2x:
 	JGT  chunk2
 	VZEROUPPER
 	RET
+
+// Row-parallel select kernels for 1- and 2-word rows (see HammingSelectMulti).
+// Lane l of a chunk is block row 8c+l: a chunk's eight distances to one
+// query are computed side by side, narrowed to dwords, compared with the
+// query's bound under the chunk's lanes, and the hits' row indices and
+// distances compressed into the query's idx/dist block — ascending, as the
+// portable loop writes them.
+
+DATA rowIdx<>+0(SB)/4, $0
+DATA rowIdx<>+4(SB)/4, $1
+DATA rowIdx<>+8(SB)/4, $2
+DATA rowIdx<>+12(SB)/4, $3
+DATA rowIdx<>+16(SB)/4, $4
+DATA rowIdx<>+20(SB)/4, $5
+DATA rowIdx<>+24(SB)/4, $6
+DATA rowIdx<>+28(SB)/4, $7
+GLOBL rowIdx<>(SB), RODATA|NOPTR, $32
+
+// ROWSETUP loads the arguments shared by both row kernels: R8 query base,
+// R9 nq, SI row cursor, DX rows left, R12 bounds, R13 idx, R14 dist−idx in
+// bytes, R10 stride in bytes, R15 ns, Y28 the chunk's row indices, Y27
+// eight in every lane.
+#define ROWSETUP \
+	MOVQ         q+0(FP), R8 \
+	MOVQ         nq+8(FP), R9 \
+	MOVQ         w+16(FP), SI \
+	MOVQ         rows+24(FP), DX \
+	MOVQ         bounds+32(FP), R12 \
+	MOVQ         idx+40(FP), R13 \
+	MOVQ         dist+48(FP), R14 \
+	SUBQ         R13, R14 \
+	MOVQ         stride+56(FP), R10 \
+	SHLQ         $2, R10 \
+	MOVQ         ns+64(FP), R15 \
+	VMOVDQU32    rowIdx<>(SB), Y28 \
+	MOVL         $8, AX \
+	VPBROADCASTD AX, Y27
+
+// ROWCMP narrows the chunk's distances to query CX in Z6 to dwords and sets
+// K5 (and AX) to the lanes of K3 within bounds[CX].
+#define ROWCMP \
+	VPMOVQD     Z6, Y6 \
+	VPCMPD.BCST $2, (R12)(CX*4), Y6, K3, K5 \
+	KMOVW       K5, AX
+
+// ROWHIT appends the K5 lanes' row indices and distances at
+// idx[CX*stride+ns[CX]] (R11 points at the query's idx block) and adds
+// their count to ns[CX].
+#define ROWHIT \
+	MOVLQSX     (R15)(CX*4), BX \
+	LEAQ        (R11)(BX*4), BX \
+	VPCOMPRESSD Y28, K5, (BX) \
+	VPCOMPRESSD Y6, K5, (BX)(R14*1) \
+	POPCNTL     AX, AX \
+	ADDL        AX, (R15)(CX*4)
+
+// func hammingSelectRows1(q *uint64, nq int, w *uint64, rows int,
+//	bounds, idx, dist *int32, stride int, ns *int32)
+//
+// One masked load holds a chunk of eight 1-word rows; per query one
+// broadcast XOR and one popcount score all eight.
+TEXT ·hammingSelectRows1(SB), NOSPLIT, $0-72
+	ROWSETUP
+
+chunkr1:
+	CHUNKMASK
+	VMOVDQU64.Z (SI), K3, Z2
+	MOVQ R8, DI
+	MOVQ R13, R11
+	XORQ CX, CX
+
+qr1:
+	VPXORQ.BCST (DI), Z2, Z6
+	VPOPCNTQ    Z6, Z6
+	ROWCMP
+	TESTL AX, AX
+	JZ    nextr1
+	ROWHIT
+
+nextr1:
+	ADDQ $64, DI
+	ADDQ R10, R11
+	INCQ CX
+	CMPQ CX, R9
+	JLT  qr1
+
+	VPADDD Y27, Y28, Y28
+	ADDQ   $64, SI
+	SUBQ   $8, DX
+	JGT    chunkr1
+	VZEROUPPER
+	RET
+
+// func hammingSelectRows2(q *uint64, nq int, w *uint64, rows int,
+//	bounds, idx, dist *int32, stride int, ns *int32)
+//
+// A chunk of eight 2-word rows spans two masked loads (K1, K2), which
+// VPERMI2Q splits into the rows' low words (Z2) and high words (Z3); per
+// query two broadcast XORs, two popcounts and an add score all eight.
+TEXT ·hammingSelectRows2(SB), NOSPLIT, $0-72
+	ROWSETUP
+	VMOVDQU64 crossLo<>(SB), Z30
+	VMOVDQU64 crossHi<>(SB), Z31
+
+chunkr2:
+	CHUNKMASK
+	// The chunk's 2·BX words: K1 the first eight, K2 the rest.
+	MOVQ  BX, CX
+	SHLQ  $1, CX
+	MOVL  $1, AX
+	SHLQ  CX, AX
+	DECQ  AX
+	KMOVW AX, K1
+	SHRQ  $8, AX
+	KMOVW AX, K2
+
+	VMOVDQU64.Z (SI), K1, Z0
+	VMOVDQU64.Z 64(SI), K2, Z1
+	VMOVDQA64   Z30, Z2
+	VPERMI2Q    Z1, Z0, Z2
+	VMOVDQA64   Z31, Z3
+	VPERMI2Q    Z1, Z0, Z3
+	MOVQ R8, DI
+	MOVQ R13, R11
+	XORQ CX, CX
+
+qr2:
+	VPXORQ.BCST (DI), Z2, Z6
+	VPOPCNTQ    Z6, Z6
+	VPXORQ.BCST 8(DI), Z3, Z7
+	VPOPCNTQ    Z7, Z7
+	VPADDQ      Z7, Z6, Z6
+	ROWCMP
+	TESTL AX, AX
+	JZ    nextr2
+	ROWHIT
+
+nextr2:
+	ADDQ $64, DI
+	ADDQ R10, R11
+	INCQ CX
+	CMPQ CX, R9
+	JLT  qr2
+
+	VPADDD Y27, Y28, Y28
+	ADDQ   $128, SI
+	SUBQ   $8, DX
+	JGT    chunkr2
+	VZEROUPPER
+	RET

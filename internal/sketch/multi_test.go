@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -76,8 +77,9 @@ func TestHammingMultiBatch(t *testing.T) {
 }
 
 // checkSelectMulti compares HammingSelectMulti against nq independent
-// HammingSelect calls: identical hit counts, rows, and distances.
-func checkSelectMulti(t *testing.T, rng *rand.Rand, wps, nq, count int) {
+// HammingSelect calls: identical hit counts, rows, and distances. bound
+// gives query q's bound; nil mixes no-hit (−1), sparse and all-hit bounds.
+func checkSelectMulti(t *testing.T, rng *rand.Rand, wps, nq, count int, bound func(q int) int32) {
 	t.Helper()
 	arena := randomRows(rng, count+2, wps)
 	off := wps // skip one row so off ≠ 0 is exercised
@@ -87,8 +89,11 @@ func checkSelectMulti(t *testing.T, rng *rand.Rand, wps, nq, count int) {
 
 	bounds := make([]int32, nq)
 	for q := range bounds {
-		// Mix no-hit (-1), sparse, and all-hit bounds.
-		bounds[q] = int32(rng.Intn(wps*64+2)) - 1
+		if bound != nil {
+			bounds[q] = bound(q)
+		} else {
+			bounds[q] = int32(rng.Intn(wps*64+2)) - 1
+		}
 	}
 	stride := count + 1
 	if count == 0 {
@@ -116,36 +121,102 @@ func checkSelectMulti(t *testing.T, rng *rand.Rand, wps, nq, count int) {
 	}
 }
 
+// TestHammingSelectMulti checks every fused-select implementation against
+// independent HammingSelect calls. The asm arm runs the row-parallel kernels
+// for 1- and 2-word rows (any query count) and the per-row kernels for
+// wider ones; block sizes straddle the eight-row chunk and the arena
+// sweep's 512-row block, bounds select nothing, only exact zeros, or every
+// row.
 func TestHammingSelectMulti(t *testing.T) {
-	impls := []struct {
-		name string
-		asm  func(*MultiSketch, []uint64, int, int, []int32, []int32, []int32, int, []int32)
-	}{{"scalar", nil}}
-	if selectMultiASM != nil {
-		impls = append(impls, struct {
-			name string
-			asm  func(*MultiSketch, []uint64, int, int, []int32, []int32, []int32, int, []int32)
-		}{"avx512", selectMultiASM})
+	type impl struct {
+		name  string
+		multi func(*MultiSketch, []uint64, int, int, []int32, []int32, []int32, int, []int32)
+		rows  func(*MultiSketch, []uint64, int, []int32, []int32, []int32, int, []int32)
 	}
-	saved := selectMultiASM
-	defer func() { selectMultiASM = saved }()
+	impls := []impl{{"scalar", nil, nil}}
+	if selectMultiASM != nil || selectRowsASM != nil {
+		impls = append(impls, impl{"avx512", selectMultiASM, selectRowsASM})
+	}
+	savedMulti, savedRows := selectMultiASM, selectRowsASM
+	defer func() { selectMultiASM, selectRowsASM = savedMulti, savedRows }()
 
 	for _, impl := range impls {
 		t.Run(impl.name, func(t *testing.T) {
-			selectMultiASM = impl.asm
+			selectMultiASM, selectRowsASM = impl.multi, impl.rows
 			rng := rand.New(rand.NewSource(3))
 			for _, wps := range []int{1, 2, 3, 7, 8, 9, 13, 16, 17} {
 				for _, nq := range []int{1, 2, 3, 8} {
 					for _, count := range []int{0, 1, 5, 257} {
-						checkSelectMulti(t, rng, wps, nq, count)
+						checkSelectMulti(t, rng, wps, nq, count, nil)
 					}
+				}
+			}
+			for _, wps := range []int{1, 2, 3, 13} {
+				bounds := []func(int) int32{
+					func(int) int32 { return -1 },              // no hit
+					func(int) int32 { return 0 },               // exact matches only
+					func(int) int32 { return int32(wps * 64) }, // every row
+					func(q int) int32 { return int32(q*wps*64/16) - 1 },
+					nil,
+				}
+				for _, nq := range []int{1, 2, 4, 7, 16} {
+					for _, count := range []int{7, 8, 9, 15, 16, 17, 511, 512, 513} {
+						for _, b := range bounds {
+							checkSelectMulti(t, rng, wps, nq, count, b)
+						}
+					}
+				}
+			}
+			// Rows equal to a query hit at distance 0 under the zero bound.
+			for _, wps := range []int{1, 2} {
+				for _, count := range []int{9, 17, 513} {
+					checkSelectDuplicates(t, rng, wps, count)
 				}
 			}
 			// Many randomized shapes for the hit-slot bookkeeping.
 			for i := 0; i < 200; i++ {
-				checkSelectMulti(t, rng, 1+rng.Intn(17), 1+rng.Intn(9), rng.Intn(64))
+				checkSelectMulti(t, rng, 1+rng.Intn(17), 1+rng.Intn(16), rng.Intn(64), nil)
 			}
 		})
+	}
+}
+
+// checkSelectDuplicates plants copies of each query among random rows and
+// selects at bound 0: exactly the copies must come back, in row order.
+func checkSelectDuplicates(t *testing.T, rng *rand.Rand, wps, count int) {
+	t.Helper()
+	const nq = 3
+	qs := randomQueries(rng, nq, wps)
+	arena := randomRows(rng, count, wps)
+	for i := 0; i < count; i++ {
+		if q := rng.Intn(2 * nq); q < nq {
+			copy(arena[i*wps:], qs[q])
+		}
+	}
+	want := make([][]int32, nq)
+	for q := range want {
+		for i := 0; i < count; i++ {
+			if Hamming(qs[q], Sketch(arena[i*wps:i*wps+wps])) == 0 {
+				want[q] = append(want[q], int32(i))
+			}
+		}
+	}
+	var m MultiSketch
+	m.Reset(qs)
+	idx := make([]int32, nq*count)
+	dist := make([]int32, nq*count)
+	ns := make([]int32, nq)
+	HammingSelectMulti(&m, arena, 0, count, make([]int32, nq), idx, dist, count, ns)
+	for q := range want {
+		got := idx[q*count : q*count+int(ns[q])]
+		if !slices.Equal(got, want[q]) {
+			t.Fatalf("wps=%d count=%d q=%d: rows %v, want %v", wps, count, q, got, want[q])
+		}
+		for _, d := range dist[q*count : q*count+int(ns[q])] {
+			if d != 0 {
+				t.Fatalf("wps=%d count=%d q=%d: distance %d at bound 0", wps, count, q, d)
+			}
+		}
 	}
 }
 
@@ -194,25 +265,39 @@ func benchRows(b *testing.B, rows, wps, nq int) ([]uint64, []Sketch) {
 }
 
 func BenchmarkHammingSelectMulti(b *testing.B) {
-	const rows, wps = 4096, 13
 	for _, nq := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("q%d", nq), func(b *testing.B) {
-			arena, qs := benchRows(b, rows, wps, nq)
-			var m MultiSketch
-			m.Reset(qs)
-			bounds := make([]int32, nq)
-			for q := range bounds {
-				bounds[q] = benchSelectBound
-			}
-			idx := make([]int32, nq*rows)
-			dist := make([]int32, nq*rows)
-			ns := make([]int32, nq)
-			b.SetBytes(int64(rows * wps * 8))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				HammingSelectMulti(&m, arena, 0, rows, bounds, idx, dist, rows, ns)
-			}
+			benchSelectMulti(b, 13, nq, benchSelectBound)
 		})
+	}
+	// The 1- and 2-word widths (image sketches are 96 bits) at bounds about
+	// four standard deviations under the mean: the sweep of an arena whose
+	// heaps are already full, where nearly every row misses.
+	for _, wps := range []int{1, 2} {
+		for _, nq := range []int{1, 4} {
+			b.Run(fmt.Sprintf("wps%d_q%d", wps, nq), func(b *testing.B) {
+				benchSelectMulti(b, wps, nq, int32(wps*32-wps*16))
+			})
+		}
+	}
+}
+
+func benchSelectMulti(b *testing.B, wps, nq int, bound int32) {
+	const rows = 4096
+	arena, qs := benchRows(b, rows, wps, nq)
+	var m MultiSketch
+	m.Reset(qs)
+	bounds := make([]int32, nq)
+	for q := range bounds {
+		bounds[q] = bound
+	}
+	idx := make([]int32, nq*rows)
+	dist := make([]int32, nq*rows)
+	ns := make([]int32, nq)
+	b.SetBytes(int64(rows * wps * 8))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		HammingSelectMulti(&m, arena, 0, rows, bounds, idx, dist, rows, ns)
 	}
 }
 

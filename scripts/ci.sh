@@ -18,6 +18,11 @@
 #              the segmented ingest pipeline (seal, merge, checkpoint).
 #              Seed printed on failure; rerun one scenario with
 #              FERRET_TORTURE_SEED=<seed>
+#   bench-smoke  one iteration of every filter, rank and select-kernel
+#              microbenchmark (internal/core, internal/sketch), so their
+#              guards — an index-served descent with no fallback, the
+#              four-sealed-segments-plus-tail image corpus — cannot bit-rot;
+#              times are not checked
 #
 # Performance is not a step: `go test ./...` smoke-runs benchmark/, and a
 # performance claim is measured with `make bench-pairs` (parent vs change,
