@@ -64,9 +64,13 @@ bench:
 # One iteration of every filter, rank and select-kernel microbenchmark, so
 # their set-up guards keep running: BenchmarkFilterImage96 fails on a
 # descent that fell back to the sweep, the image corpus on a layout other
-# than four sealed segments and a live tail. Times are not checked.
+# than four sealed segments and a live tail. The filter, rank and
+# lower-bound set runs at -cpu 1 and 2: with no query helper and with one,
+# so both the caller-only path and the fan-out path keep running. Times are
+# not checked.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Filter|Rank|LowerBounds|TailSweep|HammingSelect' -benchtime 1x ./internal/core ./internal/sketch
+	$(GO) test -run '^$$' -bench 'Filter|Rank|LowerBounds' -benchtime 1x -cpu 1,2 ./internal/core
+	$(GO) test -run '^$$' -bench 'TailSweep|HammingSelect' -benchtime 1x ./internal/core ./internal/sketch
 
 # The measurement a performance claim rests on: $(BENCH_PAIRS) alternating
 # parent/change runs of benchmark/run.sh per workload on seeds 1..N, every

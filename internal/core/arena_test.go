@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -428,8 +429,10 @@ func loadScratch(sc *queryScratch, q object.Object, qset *metastore.SketchSet, o
 
 // TestFilterPathAllocs pins the zero-allocation property of the filtering
 // unit: with pooled scratch, a steady-state filter pass over
-// the arena performs no heap allocations.
+// the arena performs no heap allocations. The engine is opened at
+// GOMAXPROCS 2, so it has a query helper to share stages with.
 func TestFilterPathAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const d = 10
 	e := openEngine(t, testConfig(t.TempDir(), d))
 	ingestClusters(t, e, 5, 40, d, 3)
@@ -465,8 +468,11 @@ func TestFilterPathAllocs(t *testing.T) {
 // TestFilterPathAllocsIndexed is the same zero-alloc contract on the
 // indexed filter path: once the descent scratch is warm, serving a segment
 // from the Hamming index (bucket descent, sort, verification) must not
-// allocate either.
+// allocate either. The engine is opened at GOMAXPROCS 2 and its helper
+// takes a share of the descent: AllocsPerRun measures at GOMAXPROCS 1, so
+// the helper runs its share while the caller waits at the join.
 func TestFilterPathAllocsIndexed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const d = 10
 	cfg := testConfig(t.TempDir(), d)
 	cfg.HIndex = HIndexParams{Enable: true}
@@ -481,9 +487,17 @@ func TestFilterPathAllocsIndexed(t *testing.T) {
 	loadScratch(sc, q, e.buildSketchSet(q), QueryOptions{K: 10, Filter: FilterParams{NearestPerSegment: 8}})
 
 	before := e.Telemetry().Value("ferret_hindex_probes_total")
-	allocs := testing.AllocsPerRun(50, func() { e.filter(e.cur.Load(), sc) })
+	e.filter(e.cur.Load(), sc) // warm the helper's buffers
+	shared := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		e.filter(e.cur.Load(), sc)
+		shared += int(sc.fan.joined.Load())
+	})
 	if allocs != 0 {
 		t.Fatalf("indexed filter allocates %.1f objects per query, want 0", allocs)
+	}
+	if shared == 0 {
+		t.Fatal("no helper took a share of the descent; the alloc check tested the caller alone")
 	}
 	if e.Telemetry().Value("ferret_hindex_probes_total") == before {
 		t.Fatal("filter never probed the Hamming index; the alloc check tested the scan path")

@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	rtrace "runtime/trace"
 	"slices"
 	"strings"
@@ -292,8 +293,9 @@ type Engine struct {
 	objDist func(a, b object.Object) float64
 	// objDistBounded is objDist's early-abandon form (non-nil only for the
 	// built-in EMD distance): it may stop once a lower bound over the
-	// exact ground costs proves the distance exceeds the bound.
-	objDistBounded func(a, b object.Object, bound float64) (float64, bool)
+	// exact ground costs, lb, proves the distance exceeds the bound (lb >
+	// bound; emd.BoundedObjectDistance).
+	objDistBounded func(a, b object.Object, bound float64) (d, lb float64)
 	// est[h] is the estimated segment distance at Hamming distance h.
 	est     []float64
 	segDist vector.Func
@@ -304,6 +306,11 @@ type Engine struct {
 	// (neither SketchOnly nor LowMemory), decided once in Open; otherwise
 	// object reads them from the metadata store.
 	resident bool
+
+	// GOMAXPROCS−1 helpers take query stages from jobs until quit (fanout.go).
+	helpers int
+	jobs    chan *fanout
+	quit    chan struct{}
 
 	// queue, when non-nil, is the bounded ingest queue (see ingest.go).
 	queue *ingestQueue
@@ -443,15 +450,25 @@ func Open(cfg Config) (*Engine, error) {
 	if cfg.ResultCache.Enable {
 		e.rcache = newResultCache(cfg.ResultCache.withDefaults(), e.met)
 	}
+	e.helpers, e.jobs, e.quit = runtime.GOMAXPROCS(0)-1, make(chan *fanout), make(chan struct{})
+	for range e.helpers {
+		go e.help(e.quit)
+	}
 	return e, nil
 }
 
 // Close shuts the engine down: the ingest queue drains, the background
-// compactor stops, and the metadata store is released. Safe to call more
-// than once.
+// compactor and the query helpers stop, and the metadata store is released.
+// Safe to call more than once.
 func (e *Engine) Close() error {
 	if e.queue != nil {
 		e.queue.close()
+	}
+	if e.quit != nil { // each helper takes one quit and returns
+		for range e.helpers {
+			e.quit <- struct{}{}
+		}
+		e.quit = nil
 	}
 	if e.compactStop != nil {
 		close(e.compactStop)
@@ -579,14 +596,7 @@ func (e *Engine) Ingest(o object.Object, attrs attr.Attrs) (object.ID, error) {
 	if o.Dim() != e.builder.Dim() {
 		return 0, fmt.Errorf("core: object %q has dimension %d, engine expects %d", o.Key, o.Dim(), e.builder.Dim())
 	}
-	set := &metastore.SketchSet{
-		Weights:  make([]float32, len(o.Segments)),
-		Sketches: make([]sketch.Sketch, len(o.Segments)),
-	}
-	for i, seg := range o.Segments {
-		set.Weights[i] = seg.Weight
-		set.Sketches[i] = e.builder.Build(seg.Vec)
-	}
+	set := e.buildSketchSet(o)
 	var extra func(txn *kvstore.Txn, id object.ID)
 	if len(attrs) > 0 {
 		extra = func(txn *kvstore.Txn, id object.ID) { e.attrs.Set(txn, id, attrs) }
@@ -829,7 +839,8 @@ func (e *Engine) rankStage(v *view, sc *queryScratch) {
 		SetAttr("evals", int64(sc.rankEvals)).
 		SetAttr("pruned", int64(sc.rankPruned)).
 		SetAttr("cands", int64(len(sc.cands))).
-		SetAttr("abandoned", int64(sc.rankAbandoned))
+		SetAttr("abandoned", int64(sc.rankAbandoned)).
+		SetAttr("workers", int64(sc.rankWorkers))
 	sc.settle(results, degraded)
 }
 

@@ -70,17 +70,17 @@ type queryScratch struct {
 	idx    []int32
 	dist   []int32
 
-	// Hamming-index descent buffers (see indexDescent).
-	probe  []int32    // one step's new candidate rows in one segment
-	seen   []uint64   // a pair's dedup bitmap: one bit per sealed row, across segments and steps; then the candidate union, one bit per entry
+	seen   []uint64   // the candidate union, one bit per entry
 	spairs []scanPair // pairs left for the indexed segments' arena sweeps
 
-	// Ranking-unit scratch (sketch lower-bound pruning).
-	lbs    []lbCand
-	rowMin []int32
-	colMin []int32
-	qw     []float64
-	ow     []float64
+	// Ranking-unit scratch (sketch lower-bound pruning, the walk's outcomes).
+	lbs  []lbCand
+	qw   []float64
+	outs []walkSlot
+
+	// The stage being shared with idle helpers and its workers' buffers.
+	fan     fanout
+	workers []fanWorker
 
 	// clk is the query's cancellation/budget clock, pooled here so arming
 	// it never allocates.
@@ -93,7 +93,7 @@ type queryScratch struct {
 
 	// Ranking-unit statistics for the rank trace span, reset and read by
 	// rankStage and written where the rank metrics are published.
-	rankEvals, rankPruned, rankAbandoned int
+	rankEvals, rankPruned, rankAbandoned, rankWorkers int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
@@ -158,6 +158,7 @@ type scanPair struct {
 	qsk    sketch.Sketch
 	maxHam int
 	heap   *segHeap
+	swept  bool // the sealed segments' sweeps still owe the pair its heap (indexDescent)
 }
 
 // filterParams resolves a query's filter parameters: its own when any field
@@ -170,19 +171,14 @@ func (e *Engine) filterParams(opt *QueryOptions) FilterParams {
 }
 
 // topSegments orders a query's segments by descending weight into buf and
-// returns the r heaviest. Insertion sort: segment counts are small, and it
-// is stable (equal weights keep segment order, so every filter path picks
-// the same segments) and allocation-free.
+// returns the r heaviest. The sort is stable: equal weights keep segment
+// order, so every filter path picks the same segments.
 func topSegments(buf []int, weights []float32, r int) []int {
 	order := buf[:0]
 	for i := range weights {
 		order = append(order, i)
 	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && weights[order[j]] > weights[order[j-1]]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(weights[b], weights[a]) })
 	return order[:r]
 }
 
@@ -223,7 +219,7 @@ func (e *Engine) filter(v *view, sc *queryScratch) {
 	stageStart := time.Now()
 	defer rtrace.StartRegion(sc.ctx, "ferret.scan").End()
 	e.buildPairs(v, sc)
-	e.indexDescent(v, sc)
+	workers := e.indexDescent(v, sc)
 	swept := 0
 	for _, seg := range v.segs {
 		if seg.liveEntries() == 0 {
@@ -262,7 +258,8 @@ func (e *Engine) filter(v *view, sc *queryScratch) {
 	sc.trp.Record(StageFilter, stageStart, dur).
 		SetAttr("scanned", int64(sc.scannedN)).
 		SetAttr("swept_rows", int64(swept)).
-		SetAttr("candidates", int64(len(sc.cands)))
+		SetAttr("candidates", int64(len(sc.cands))).
+		SetAttr("workers", int64(workers))
 }
 
 // arenaSweep streams one storage segment's arena once for the given pairs

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
-	"sort"
 )
 
 // topK keeps the K smallest-distance results seen so far in a bounded
@@ -80,15 +80,7 @@ func (t *topK) bound() float64 {
 // by ID for determinism).
 func (t *topK) sorted() []Result {
 	out := append([]Result(nil), t.items...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Distance < out[j].Distance {
-			return true
-		}
-		if out[i].Distance > out[j].Distance {
-			return false
-		}
-		return out[i].ID < out[j].ID
-	})
+	slices.SortFunc(out, func(a, b Result) int { return cmp.Or(cmp.Compare(a.Distance, b.Distance), cmp.Compare(a.ID, b.ID)) })
 	return out
 }
 

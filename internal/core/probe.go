@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"ferret/internal/hindex"
 	"ferret/internal/sketch"
 )
 
@@ -53,51 +52,92 @@ const probeCost = 8
 // heap that cannot fill — k above the rows in reach, a selective Restrict —
 // ends this way, having cost about one more sweep at most.
 //
+// Each pair descends whole on one worker (fanOut); it returns the worker count.
+//
 //ferret:noalloc
-func (e *Engine) indexDescent(v *view, sc *queryScratch) {
+func (e *Engine) indexDescent(v *view, sc *queryScratch) int {
 	sc.spairs = sc.spairs[:0]
-	var ix *hindex.Index // any sealed segment's index: all share one geometry
-	nix, rows, words := 0, 0, 0
+	f := &sc.fan
+	f.ix, f.nix, f.rows, f.words = nil, 0, 0, 0
 	for _, seg := range v.segs {
 		if seg.probed() {
-			ix = seg.hindex
-			nix++
-			rows += ix.Rows()
-			words += (ix.Rows() + 63) / 64
+			f.ix = seg.hindex
+			f.nix++
+			f.rows += f.ix.Rows()
+			f.words += (f.ix.Rows() + 63) / 64
 		}
 	}
-	if nix == 0 {
-		return
+	if f.nix == 0 {
+		return 1
 	}
-	seen := resize(&sc.seen, words)
 	start := time.Now()
-	at := start
-	var probeDur, verifyDur time.Duration
+	workers := e.fanOut(v, sc, (*Engine).descend, len(sc.pairs), true)
+	e.descend(f, 0)
+	f.join() //lint:ignore noalloc WaitGroup.Wait parks on a semaphore and allocates nothing (TestFilterPathAllocsIndexed)
 	lookups, cands, radius := 0, 0, 0
+	for _, w := range sc.workers[:workers] {
+		lookups, cands, radius = lookups+w.lookups, cands+w.cands, max(radius, w.radius)
+	}
 	for _, p := range sc.pairs {
+		if p.swept {
+			sc.spairs = append(sc.spairs, p)
+		}
+	}
+	sc.idxSegs += f.nix * (len(sc.pairs) - len(sc.spairs))
+	sc.scannedN += cands
+	e.met.hixProbes.Add(f.nix * len(sc.pairs))
+	e.met.hixBaseline.Add(f.rows * len(sc.pairs))
+	e.met.hixFallback.Add(f.nix * len(sc.spairs))
+	e.met.hixCandidates.Add(cands)
+	e.met.hixLookups.Add(lookups)
+	// Each phase's span carries the caller's own time in it, laid end to end.
+	for _, phase := range [...]struct {
+		name string
+		dur  time.Duration
+	}{{StageHProbe, sc.workers[0].probeDur}, {StageHVerify, sc.workers[0].verifyDur}} {
+		sc.trp.Record(phase.name, start, phase.dur).
+			SetAttr("candidates", int64(cands)).
+			SetAttr("rounds", int64(radius/f.ix.Tables()+1)).
+			SetAttr("lookups", int64(lookups)).
+			SetAttr("radius", int64(radius))
+		start = start.Add(phase.dur)
+	}
+	return workers
+}
+
+// descend is worker w's share of indexDescent, tallied in sc.workers[w].
+//
+//ferret:noalloc
+func (e *Engine) descend(f *fanout, w int) {
+	v, sc, ix, nix, wk := f.v, f.sc, f.ix, f.nix, &f.sc.workers[w]
+	seen := resize(&wk.seen, f.words)
+	wk.lookups, wk.cands, wk.radius, wk.probeDur, wk.verifyDur = 0, 0, 0, 0, 0
+	at := time.Now()
+	for j := f.claim(); j < f.units; j = f.claim() {
+		p := sc.pairs[j]
 		clear(seen)
 		t, spent, settled := 0, 0, false // step; look-ups made plus candidates verified
 		for ; !settled; t++ {
 			keys := nix * ix.StepKeys(t)
-			if t >= ix.Tables() && probeCost*(spent+keys) > rows {
+			if t >= ix.Tables() && probeCost*(spent+keys) > f.rows {
 				break
 			}
 			spent += keys
-			lookups += keys
+			wk.lookups += keys
 			off := 0
 			for _, seg := range v.segs {
 				if !seg.probed() {
 					continue
 				}
 				a := &seg.arena
-				sc.probe = seg.hindex.AppendStep(sc.probe[:0], p.qsk, t, seen[off:])
+				wk.probe = seg.hindex.AppendStep(wk.probe[:0], p.qsk, t, seen[off:])
 				off += (seg.hindex.Rows() + 63) / 64
 				now := time.Now()
-				probeDur += now.Sub(at)
+				wk.probeDur += now.Sub(at)
 				at = now
 
 				bound := min(p.maxHam, p.heap.worst())
-				for i, row := range sc.probe {
+				for i, row := range wk.probe {
 					if i%scanCheckStride == 0 && sc.clk.stop() {
 						break
 					}
@@ -113,40 +153,18 @@ func (e *Engine) indexDescent(v *view, sc *queryScratch) {
 					p.heap.push(g, h)
 					bound = min(bound, p.heap.worst())
 				}
-				spent += len(sc.probe)
-				cands += len(sc.probe)
+				spent += len(wk.probe)
+				wk.cands += len(wk.probe)
 				now = time.Now()
-				verifyDur += now.Sub(at)
+				wk.verifyDur += now.Sub(at)
 				at = now
 			}
 			settled = t >= p.maxHam || (p.heap.full() && p.heap.worst() <= t) || sc.clk.stop()
 		}
-		radius = max(radius, t-1)
-		e.met.hixProbes.Add(nix)
-		e.met.hixBaseline.Add(rows)
-		if settled {
-			sc.idxSegs += nix
-		} else {
-			e.met.hixFallback.Add(nix)
+		wk.radius = max(wk.radius, t-1)
+		if sc.pairs[j].swept = !settled; !settled {
 			p.heap.reset(p.heap.k, len(p.heap.cnt)-1)
-			sc.spairs = append(sc.spairs, p)
 		}
-	}
-	sc.scannedN += cands
-	e.met.hixCandidates.Add(cands)
-	e.met.hixLookups.Add(lookups)
-	// The two phases alternate step by step; each span carries its phase's
-	// summed time, laid end to end from the descent's start.
-	for _, phase := range [...]struct {
-		name string
-		dur  time.Duration
-	}{{StageHProbe, probeDur}, {StageHVerify, verifyDur}} {
-		sc.trp.Record(phase.name, start, phase.dur).
-			SetAttr("candidates", int64(cands)).
-			SetAttr("rounds", int64(radius/ix.Tables()+1)).
-			SetAttr("lookups", int64(lookups)).
-			SetAttr("radius", int64(radius))
-		start = start.Add(phase.dur)
 	}
 }
 

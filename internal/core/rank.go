@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"slices"
 
 	"ferret/internal/emd"
@@ -40,18 +41,9 @@ func sortLBCands(lbs []lbCand) {
 // the bound is over estimated costs, the distance over exact ones.
 const pruneMargin = 0.85
 
-// evalOutcome is what became of one candidate's distance evaluation.
-type evalOutcome uint8
-
-const (
-	evalExact     evalOutcome = iota // the exact distance: a top-K contender
-	evalAbandoned                    // stopped early: provably beyond the bound
-	evalAbsent                       // not evaluated: the object is gone
-)
-
 // rankCandidates is the ranking unit for Filtering mode: the accurate
 // object distance over the candidate set, kept in a top-K heap. It picks
-// the per-candidate distance and its prune margin for rankLoop:
+// the prune margin for rankLoop, and so the distance evalPosition uses:
 //
 //  1. The built-in EMD (margin pruneMargin): an exact solve that
 //     accumulates an exact lower bound while it fills its ground cost
@@ -65,34 +57,18 @@ const (
 //     bound comes from the same estimated cost matrix, so it is exact and
 //     pruning provably cannot change the results.
 func (e *Engine) rankCandidates(v *view, sc *queryScratch) ([]Result, bool) {
-	if !sc.hasQ {
-		return e.rankLoop(v, sc, 1, false, func(idx int, _ float64) (float64, evalOutcome) {
-			return e.sketchObjectDistanceAt(v, sc.qset, idx), evalExact
-		})
+	switch {
+	case !sc.hasQ:
+		return e.rankLoop(v, sc, 1, false)
+	case e.objDistBounded != nil:
+		return e.rankLoop(v, sc, pruneMargin, e.cfg.SqrtWeights)
 	}
-	margin := 0.0
-	if e.objDistBounded != nil {
-		margin = pruneMargin
-	}
-	return e.rankLoop(v, sc, margin, e.cfg.SqrtWeights, func(idx int, bound float64) (float64, evalOutcome) {
-		o, ok := e.object(v, idx)
-		if !ok {
-			return 0, evalAbsent
-		}
-		if math.IsInf(bound, 1) { // always so without a margin
-			return e.objDist(sc.q, o), evalExact
-		}
-		d, exact := e.objDistBounded(sc.q, o, bound)
-		if !exact {
-			return d, evalAbandoned
-		}
-		return d, evalExact
-	})
+	return e.rankLoop(v, sc, 0, e.cfg.SqrtWeights)
 }
 
-// rankLoop is the one Filtering rank loop. dist evaluates candidate idx
-// against bound: the current kth-best distance (+Inf until the heap is
-// full), or +Inf throughout when the loop walks candidate order.
+// rankLoop is the one Filtering rank loop. It walks the candidates and
+// evaluates each against bound: the current kth-best distance (+Inf until
+// the heap is full), or +Inf throughout when the loop walks candidate order.
 //
 // With a positive margin and query sketches to bound with, each
 // candidate's object distance is first lower-bounded from the
@@ -102,14 +78,20 @@ func (e *Engine) rankCandidates(v *view, sc *queryScratch) ([]Result, bool) {
 // (ferret_rank_emd_pruned_total). Otherwise they are walked in candidate
 // order.
 //
-// The loop honors the query clock per candidate, since every evaluation is
+// The walk's positions are spread over the query's workers (fanOut), who
+// evaluate against the published bound — the committed prefix's kth-best
+// distance — while the caller commits outcomes in position order, applying
+// the prune rule and the abandon test (lb > bound) with each position's own
+// bound. Stop, pushes and counts are a lone caller's (DESIGN.md §7).
+//
+// The loop honors the query clock per position, since every evaluation is
 // a full solve: context cancellation stops it outright (the caller discards
 // the partial answer and returns the context's error), while budget expiry
-// degrades — the evaluated head keeps its exact ranking and every
-// not-yet-evaluated candidate is appended in ascending sketch-lower-bound
+// degrades — the committed head keeps its exact ranking and every
+// uncommitted candidate is appended in ascending sketch-lower-bound
 // order until K results (degradedResults). The bool reports that
 // degradation.
-func (e *Engine) rankLoop(v *view, sc *queryScratch, margin float64, sqrtW bool, dist func(idx int, bound float64) (float64, evalOutcome)) ([]Result, bool) {
+func (e *Engine) rankLoop(v *view, sc *queryScratch, margin float64, sqrtW bool) ([]Result, bool) {
 	clk, cands := &sc.clk, sc.cands
 	hasSketches := len(sc.qset.Sketches) > 0
 	var lbs []lbCand // nil: candidate order
@@ -117,40 +99,55 @@ func (e *Engine) rankLoop(v *view, sc *queryScratch, margin float64, sqrtW bool,
 		lbs = e.lowerBounds(v, cands, sqrtW, sc)
 	}
 	top := newTopK(sc.opt.K)
-	evals, pruned, abandoned := 0, 0, 0
-	// rest is the unevaluated tail, LB-ascending, once the budget expires.
-	degraded := false
-	var rest []lbCand
-	for i := range cands {
+	clear(resize(&sc.outs, len(cands)))
+	f, outs := &sc.fan, sc.outs
+	f.lbs, f.margin = lbs, margin
+	f.published.Store(math.Float64bits(math.Inf(1)))
+	sc.rankWorkers = e.fanOut(v, sc, (*Engine).speculate, len(cands), lbs != nil)
+	alone := sc.rankWorkers == 1 // no claims or publishes: locked ops fence off the next candidate's loads
+	evals, pruned, abandoned, i, degraded := 0, 0, 0, 0, false
+	for ; i < len(cands); i++ {
 		if clk.stop() {
 			break
 		}
 		if clk.overBudget() {
 			degraded = true
-			if lbs != nil {
-				rest = lbs[i:]
-			} else if hasSketches {
-				rest = e.lowerBounds(v, cands[i:], sqrtW, sc)
-			}
 			break
 		}
-		idx, bound := cands[i], math.Inf(1)
-		if lbs != nil {
-			if top.full() && lbs[i].lb*margin > top.bound() {
-				pruned = len(lbs) - i
-				break
+		if lbs != nil && top.full() && lbs[i].lb*margin > top.bound() {
+			pruned = len(lbs) - i
+			break
+		}
+		if alone {
+			e.evalPosition(f, i, top.bound())
+		}
+		for !alone && !outs[i].ready.Load() {
+			if j := f.claim(); j < len(cands) {
+				e.evalPosition(f, j, top.bound())
+				outs[j].ready.Store(true)
+			} else {
+				runtime.Gosched()
 			}
-			idx, bound = lbs[i].idx, top.bound()
 		}
-		d, outcome := dist(idx, bound)
-		switch outcome {
-		case evalExact:
-			evals++
-			ent := &v.entries[idx]
-			top.push(Result{ID: ent.id, Key: ent.key, Distance: d})
-		case evalAbandoned:
+		switch {
+		case outs[i].absent:
+		case outs[i].lb > top.bound(): // abandoned under this position's own bound
 			abandoned++
+		default:
+			evals++
+			ent := &v.entries[outs[i].idx]
+			if top.push(Result{ID: ent.id, Key: ent.key, Distance: outs[i].d}); !alone {
+				f.published.Store(math.Float64bits(top.bound()))
+			}
 		}
+	}
+	f.join()
+	// rest is the uncommitted tail, LB-ascending, once the budget expires.
+	var rest []lbCand
+	if degraded && lbs != nil {
+		rest = lbs[i:]
+	} else if degraded && hasSketches {
+		rest = e.lowerBounds(v, cands[i:], sqrtW, sc)
 	}
 	e.met.emdEvals.Add(evals)
 	e.met.emdPruned.Add(pruned)
@@ -161,6 +158,27 @@ func (e *Engine) rankLoop(v *view, sc *queryScratch, margin float64, sqrtW bool,
 		return degradedResults(v, top, rest, sc.opt.K), true
 	}
 	return top.sorted(), false
+}
+
+// evalPosition evaluates walk position i into its slot under bound (a helper's: the published one).
+func (e *Engine) evalPosition(f *fanout, i int, bound float64) {
+	s, sc := &f.sc.outs[i], f.sc
+	if s.idx = sc.cands[i]; f.lbs != nil {
+		s.idx = f.lbs[i].idx
+	} else {
+		bound = math.Inf(1) // candidate order: no bound
+	}
+	if f.lbs != nil && f.lbs[i].lb*f.margin > bound {
+		s.lb = math.Inf(1) // skipped: the walk stops at or before it
+	} else if !sc.hasQ {
+		s.d = e.sketchObjectDistanceAt(f.v, sc.qset, s.idx)
+	} else if o, ok := e.object(f.v, s.idx); !ok {
+		s.absent = true // the object is gone
+	} else if e.objDistBounded == nil {
+		s.d = e.objDist(sc.q, o)
+	} else {
+		s.d, s.lb = e.objDistBounded(sc.q, o, bound)
+	}
 }
 
 // degradedResults assembles a budget-expired answer: the exactly ranked
@@ -182,17 +200,31 @@ func degradedResults(v *view, top *topK, rest []lbCand, k int) []Result {
 // lower bound into pooled scratch and returns them sorted ascending, so the
 // ranking loop meets its likely-nearest candidates first and the prune
 // bound tightens as early as possible. The query sketches are packed for
-// the cross-min kernel once here, not once per candidate.
+// the cross-min kernel once here, not once per candidate. Chunks of
+// candidates are spread over the query's workers (fanOut).
 func (e *Engine) lowerBounds(v *view, cands []int, sqrtW bool, sc *queryScratch) []lbCand {
-	qw := normalizedWeights(&sc.qw, sc.qset.Weights, sqrtW)
+	normalizedWeights(&sc.qw, sc.qset.Weights, sqrtW)
 	sc.ms.Reset(sc.qset.Sketches)
-	lbs := sc.lbs[:0]
-	for _, idx := range cands {
-		lbs = append(lbs, lbCand{idx, e.sketchLowerBound(v, qw, idx, sqrtW, sc)})
-	}
-	sc.lbs = lbs
+	lbs := resize(&sc.lbs, len(cands))
+	sc.fan.cands, sc.fan.sqrtW = cands, sqrtW
+	e.fanOut(v, sc, (*Engine).boundChunks, (len(cands)+boundChunk-1)/boundChunk, true)
+	e.boundChunks(&sc.fan, 0)
+	sc.fan.join()
 	sortLBCands(lbs)
 	return lbs
+}
+
+// boundChunk is how many candidates one unit of the bounds stage bounds.
+const boundChunk = 64
+
+// boundChunks is worker w's share of lowerBounds.
+func (e *Engine) boundChunks(f *fanout, w int) {
+	sc, wk := f.sc, &f.sc.workers[w]
+	for c := f.claim(); c < f.units; c = f.claim() {
+		for i := c * boundChunk; i < min(len(f.cands), (c+1)*boundChunk); i++ {
+			sc.lbs[i] = lbCand{f.cands[i], e.sketchLowerBound(f.v, sc.qw, f.cands[i], f.sqrtW, sc, wk)}
+		}
+	}
 }
 
 // sketchLowerBound lower-bounds the EMD between the query's sketch set and
@@ -207,10 +239,10 @@ func (e *Engine) lowerBounds(v *view, cands []int, sqrtW bool, sc *queryScratch)
 // the least estimate — est[min h] = min est[h] — so m+n table reads give the
 // bits m·n would.
 //
-// sc.ms must hold the query's sketches (lowerBounds packs them).
+// sc.ms must hold the query's sketches (lowerBounds packs them); wk is the worker.
 //
 //ferret:noalloc
-func (e *Engine) sketchLowerBound(v *view, qw []float64, idx int, sqrtW bool, sc *queryScratch) float64 {
+func (e *Engine) sketchLowerBound(v *view, qw []float64, idx int, sqrtW bool, sc *queryScratch, wk *fanWorker) float64 {
 	qset := sc.qset
 	seg, li := v.segOf(idx)
 	a := &seg.arena
@@ -222,7 +254,7 @@ func (e *Engine) sketchLowerBound(v *view, qw []float64, idx int, sqrtW bool, sc
 	if m == 1 && n == 1 {
 		return e.estimateAt(qset.Sketches[0], a, lo)
 	}
-	rowMin, colMin := resize(&sc.rowMin, m), resize(&sc.colMin, n)
+	rowMin, colMin := resize(&wk.rowMin, m), resize(&wk.colMin, n)
 	sketch.HammingCrossMin(&sc.ms, a.words, lo*a.wps, n, rowMin, colMin)
 	est := e.est
 	var lbSupply float64
@@ -230,7 +262,7 @@ func (e *Engine) sketchLowerBound(v *view, qw []float64, idx int, sqrtW bool, sc
 		lbSupply += qw[i] * est[h]
 	}
 	var lbDemand float64
-	for j, w := range normalizedWeights(&sc.ow, a.weight[lo:hi], sqrtW) {
+	for j, w := range normalizedWeights(&wk.ow, a.weight[lo:hi], sqrtW) {
 		lbDemand += w * est[colMin[j]]
 	}
 	if lbDemand > lbSupply {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"ferret/internal/object"
@@ -14,8 +15,8 @@ import (
 // imageEngine opens an engine configured like the benchmark's image_engine
 // workload (14-d segments, 96-bit sketches, rank threshold 2, Hamming index,
 // several sealed storage segments, no background compactor) over n
-// MixedImageObjects.
-func imageEngine(t testing.TB, n int) *Engine {
+// MixedImageObjects; tune, when given, adjusts the configuration first.
+func imageEngine(t testing.TB, n int, tune ...func(*Config)) *Engine {
 	t.Helper()
 	min, max := make([]float32, 14), make([]float32, 14)
 	for i := range max {
@@ -27,6 +28,9 @@ func imageEngine(t testing.TB, n int) *Engine {
 		RankThreshold: 2.0,
 		HIndex:        HIndexParams{Enable: true},
 		Segments:      SegmentParams{SealEntries: n/5 + 1, Interval: -1},
+	}
+	for _, f := range tune {
+		f(&cfg)
 	}
 	e := openEngine(t, cfg)
 	for _, o := range synth.MixedImageObjects(n, 3) {
@@ -48,16 +52,18 @@ func imageQueries(n int) []object.Object {
 // TestRankPathAllocs is TestFilterPathAllocs for the rank stage: a
 // steady-state Filtering query over a multi-segment image corpus allocates a
 // fixed handful of objects, none of them per candidate — the EMD workspace,
-// the lower-bound scratch and the candidate list are all pooled. Measured: 8
-// plus one per query segment (14–23 here). The per-segment ones are the
-// query's sketches; the 8 are the sketch set and its two slices, the top-K
-// heap, the sorted answer slice, its sort's swapper and the answer's
-// filter-mode bookkeeping. The bound of 64 leaves room for a query of 40
-// segments and still fails on a single allocation per candidate.
+// the lower-bound scratch and the candidate list are all pooled. Measured: 5
+// plus one per query segment (11–20 here). The per-segment ones are the
+// query's sketches; the 5 are the sketch set and its two slices, the top-K
+// heap and the sorted answer slice. The bound of 64 leaves room for a query of 40
+// segments and still fails on a single allocation per candidate. The engine
+// is opened at GOMAXPROCS 2, so its helper takes shares of the descent, the
+// lower bounds and the EMD walk.
 func TestRankPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds entries under -race")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	e := imageEngine(t, 2000)
 	qs := imageQueries(8)
 	opt := QueryOptions{K: 20}

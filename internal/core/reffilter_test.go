@@ -426,9 +426,11 @@ func goid() string {
 	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
 }
 
-// TestSingleQueryRanksInline: a query ranks on the goroutine that asked for
-// it — a lone Search and a SearchBatch of one hand nothing to another
-// goroutine. The object-distance plug-in records the goroutines it runs on.
+// TestSingleQueryRanksInline: a query ranked by a plug-in ObjectDistance
+// ranks on the goroutine that asked for it — a lone Search and a SearchBatch
+// of one hand no plug-in call to another goroutine (the built-in EMD's walk
+// is what the engine shares with idle helpers, DESIGN.md §7). The
+// object-distance plug-in records the goroutines it runs on.
 // Positive control: with two Ps, a batch of several spreads its queries over
 // more than one goroutine.
 func TestSingleQueryRanksInline(t *testing.T) {

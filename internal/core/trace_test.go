@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -40,50 +41,77 @@ func findTrace(t *testing.T, e *Engine, ti *TraceInfo) *trace.Trace {
 // TestDescentSpans: an index-served query's trace carries one hindex_probe and
 // one hindex_verify span inside its filter span, each saying how deep the
 // descent went — rounds begun, bucket look-ups made, Hamming radius covered —
-// and the look-ups land in ferret_hindex_lookups_total.
+// and the look-ups land in ferret_hindex_lookups_total. The filter span says
+// how many workers shared the descent: one on an engine opened at GOMAXPROCS
+// 1; at GOMAXPROCS 2 the query is repeated until a helper took a share, and
+// the two spans must still nest inside the filter span.
 func TestDescentSpans(t *testing.T) {
 	const d, nseg = 8, 3
-	cfg := traceTestConfig(t.TempDir(), d)
-	cfg.HIndex = HIndexParams{Enable: true}
-	e := openEngine(t, cfg)
-	ingestClusters(t, e, 30, 6, d, nseg)
-	e.Compact()
-	tables := int64(e.Stat().HIndexTables)
+	for _, procs := range []int{1, 2} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			cfg := traceTestConfig(t.TempDir(), d)
+			cfg.HIndex = HIndexParams{Enable: true}
+			e := openEngine(t, cfg)
+			ingestClusters(t, e, 30, 6, d, nseg)
+			e.Compact()
+			tables := int64(e.Stat().HIndexTables)
 
-	q := clusterObject("q", 3, d, nseg, 0.01, rand.New(rand.NewSource(22)))
-	ans, err := e.Search(context.Background(), q, QueryOptions{K: 4, ForceTrace: true, Filter: FilterParams{NearestPerSegment: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ans.FilterMode != FilterModeIndex {
-		t.Fatalf("filter mode %q, want %q", ans.FilterMode, FilterModeIndex)
-	}
-	tr := findTrace(t, e, ans.Trace)
-	filter, ok := tr.Span(StageFilter)
-	if !ok {
-		t.Fatalf("no filter span in %s", tr.Compact())
-	}
-	var lookups int64
-	for _, name := range []string{StageHProbe, StageHVerify} {
-		sp, ok := tr.Span(name)
-		if !ok {
-			t.Fatalf("no %s span in %s", name, tr.Compact())
-		}
-		if sp.Start < filter.Start || sp.Start+sp.Dur > filter.Start+filter.Dur {
-			t.Fatalf("%s span lies outside the filter span: %s", name, tr.Compact())
-		}
-		attrs := map[string]int64{}
-		for _, at := range sp.Attrs {
-			attrs[at.Key] = at.Val
-		}
-		// A step covers one more bit of radius and makes at least one look-up.
-		if attrs["rounds"] != attrs["radius"]/tables+1 || attrs["lookups"] <= attrs["radius"] || attrs["candidates"] < 1 {
-			t.Fatalf("%s attrs %v: want rounds = radius/%d + 1, lookups > radius, candidates ≥ 1", name, attrs, tables)
-		}
-		lookups = attrs["lookups"]
-	}
-	if got := e.Telemetry().Value("ferret_hindex_lookups_total"); int64(got) != lookups {
-		t.Fatalf("ferret_hindex_lookups_total = %v after one query whose spans report %d look-ups", got, lookups)
+			q := clusterObject("q", 3, d, nseg, 0.01, rand.New(rand.NewSource(22)))
+			var lookups int64
+			for try := 0; ; try++ {
+				ans, err := e.Search(context.Background(), q, QueryOptions{K: 4, ForceTrace: true, Filter: FilterParams{NearestPerSegment: 5}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ans.FilterMode != FilterModeIndex {
+					t.Fatalf("filter mode %q, want %q", ans.FilterMode, FilterModeIndex)
+				}
+				tr := findTrace(t, e, ans.Trace)
+				filter, ok := tr.Span(StageFilter)
+				if !ok {
+					t.Fatalf("no filter span in %s", tr.Compact())
+				}
+				workers := int64(0)
+				for _, at := range filter.Attrs {
+					if at.Key == "workers" {
+						workers = at.Val
+					}
+				}
+				if workers < 1 || workers > int64(procs) {
+					t.Fatalf("GOMAXPROCS %d: the filter span reports %d workers: %s", procs, workers, tr.Compact())
+				}
+				for _, name := range []string{StageHProbe, StageHVerify} {
+					sp, ok := tr.Span(name)
+					if !ok {
+						t.Fatalf("no %s span in %s", name, tr.Compact())
+					}
+					if sp.Start < filter.Start || sp.Start+sp.Dur > filter.Start+filter.Dur {
+						t.Fatalf("GOMAXPROCS %d, %d workers: %s span lies outside the filter span: %s", procs, workers, name, tr.Compact())
+					}
+					attrs := map[string]int64{}
+					for _, at := range sp.Attrs {
+						attrs[at.Key] = at.Val
+					}
+					// A step covers one more bit of radius and makes at least one look-up.
+					if attrs["rounds"] != attrs["radius"]/tables+1 || attrs["lookups"] <= attrs["radius"] || attrs["candidates"] < 1 {
+						t.Fatalf("%s attrs %v: want rounds = radius/%d + 1, lookups > radius, candidates ≥ 1", name, attrs, tables)
+					}
+					if name == StageHVerify {
+						lookups += attrs["lookups"]
+					}
+				}
+				if workers == int64(procs) {
+					break
+				}
+				if try == 100 {
+					t.Fatalf("GOMAXPROCS %d: no helper took a share of the descent in 100 queries", procs)
+				}
+			}
+			if got := e.Telemetry().Value("ferret_hindex_lookups_total"); int64(got) != lookups {
+				t.Fatalf("ferret_hindex_lookups_total = %v after queries whose spans report %d look-ups", got, lookups)
+			}
+		}()
 	}
 }
 

@@ -119,9 +119,9 @@ func TestBoundedObjectDistanceErrorIsInf(t *testing.T) {
 	f := BoundedObjectDistance(Options{})
 	good := obj([]float32{1}, []float32{0})
 	var empty object.Object
-	d, ok := f(good, empty, 1)
-	if !ok || !math.IsInf(d, 1) {
-		t.Fatalf("error case = (%g, %v), want (+Inf, true)", d, ok)
+	d, lb := f(good, empty, 1)
+	if lb > 1 || !math.IsInf(d, 1) {
+		t.Fatalf("error case = (%g, lb %g), want +Inf, not abandoned", d, lb)
 	}
 }
 

@@ -103,7 +103,7 @@ type Options struct {
 // It returns an error only for structurally invalid inputs (no segments or
 // dimension mismatch).
 func Distance(x, y object.Object, opt Options) (float64, error) {
-	d, _, err := DistanceBounded(x, y, opt, math.Inf(1))
+	d, _, _, err := distanceBounded(x, y, opt, math.Inf(1))
 	return d, err
 }
 
@@ -117,12 +117,21 @@ func Distance(x, y object.Object, opt Options) (float64, error) {
 // answers whether or not abandonment fired. A negative or +Inf bound
 // disables abandonment.
 func DistanceBounded(x, y object.Object, opt Options, bound float64) (float64, bool, error) {
+	d, _, exact, err := distanceBounded(x, y, opt, bound)
+	return d, exact, err
+}
+
+// distanceBounded is DistanceBounded that also returns lb, the lower bound
+// over the exact ground costs that the abandon test compared with bound: the
+// whole matrix's when the distance is exact, the partial one that exceeded
+// bound when abandoned, 0 for single segments (which never abandon).
+func distanceBounded(x, y object.Object, opt Options, bound float64) (d, lb float64, exact bool, err error) {
 	m, n := len(x.Segments), len(y.Segments)
 	if m == 0 || n == 0 {
-		return 0, false, errors.New("emd: object with no segments")
+		return 0, 0, false, errors.New("emd: object with no segments")
 	}
 	if x.Dim() != y.Dim() {
-		return 0, false, fmt.Errorf("emd: dimension mismatch (%d vs %d)", x.Dim(), y.Dim())
+		return 0, 0, false, fmt.Errorf("emd: dimension mismatch (%d vs %d)", x.Dim(), y.Dim())
 	}
 	ground := opt.Ground
 	limit := math.Inf(1)
@@ -132,7 +141,7 @@ func DistanceBounded(x, y object.Object, opt Options, bound float64) (float64, b
 	// Fast path: single-segment objects (3D shape, genomic) reduce to the
 	// ground distance itself.
 	if m == 1 && n == 1 {
-		return groundCost(ground, x.Segments[0].Vec, y.Segments[0].Vec, limit), true, nil
+		return groundCost(ground, x.Segments[0].Vec, y.Segments[0].Vec, limit), 0, true, nil
 	}
 	ws := getWorkspace(m, n)
 	defer wsPool.Put(ws)
@@ -200,23 +209,25 @@ func Transport(xw, yw []float32, row func(i int, dst []float64)) (float64, error
 	for j, w := range yw {
 		ws.b[j] = float64(w)
 	}
-	d, _, err := ws.transport(false, math.Inf(1), row)
+	d, _, _, err := ws.transport(false, math.Inf(1), row)
 	return d, err
 }
 
 // transport is the one distance body: normalize the loaded weights, fill the
-// costs row by row under the abandon bound, solve.
-func (ws *workspace) transport(sqrtWeights bool, bound float64, row func(i int, dst []float64)) (float64, bool, error) {
+// costs row by row under the abandon bound, solve. lb is the fill's bound
+// (see distanceBounded).
+func (ws *workspace) transport(sqrtWeights bool, bound float64, row func(i int, dst []float64)) (val, lb float64, exact bool, err error) {
 	if bound < 0 {
 		bound = math.Inf(1)
 	}
 	NormalizeWeights(ws.a, sqrtWeights)
 	NormalizeWeights(ws.b, sqrtWeights)
-	if lb, ok := ws.fill(bound, row); !ok {
-		return lb, false, nil
+	lb, ok := ws.fill(bound, row)
+	if !ok {
+		return lb, lb, false, nil
 	}
-	val, err := ws.solve()
-	return val, true, err
+	val, err = ws.solve()
+	return val, lb, true, err
 }
 
 // ObjectDistance returns an object distance function (the paper's
@@ -233,15 +244,19 @@ func ObjectDistance(opt Options) func(a, b object.Object) float64 {
 	}
 }
 
-// BoundedObjectDistance is ObjectDistance's early-abandon form: the second
-// result reports whether the returned value is the exact distance (true) or
-// a lower bound that already exceeded bound (false).
-func BoundedObjectDistance(opt Options) func(a, b object.Object, bound float64) (float64, bool) {
-	return func(a, b object.Object, bound float64) (float64, bool) {
-		d, exact, err := DistanceBounded(a, b, opt, bound)
+// BoundedObjectDistance is ObjectDistance's early-abandon form for a bound
+// ≥ 0. lb is the lower bound over the exact ground costs that the abandon
+// test compared with bound (0 for single segments and invalid pairings,
+// which never abandon): the candidate was abandoned, and d is lb, exactly
+// when lb > bound; otherwise d is the exact distance, the same bits under
+// any bound. A caller that learns a tighter bound b after the call can so
+// still tell whether a call under b would have abandoned: lb > b.
+func BoundedObjectDistance(opt Options) func(a, b object.Object, bound float64) (d, lb float64) {
+	return func(a, b object.Object, bound float64) (float64, float64) {
+		d, lb, _, err := distanceBounded(a, b, opt, bound)
 		if err != nil {
-			return math.Inf(1), true
+			return math.Inf(1), 0
 		}
-		return d, exact
+		return d, lb
 	}
 }

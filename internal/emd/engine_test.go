@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"ferret/internal/core"
@@ -15,11 +16,13 @@ import (
 )
 
 // imageEngine opens an engine configured like the benchmark's image_engine
-// workload over 2000 MixedImageObjects in five storage segments. dist nil
+// workload over 2000 MixedImageObjects in five storage segments, at
+// GOMAXPROCS procs: the engine starts procs−1 query helpers. dist nil
 // means the built-in EMD with both pruning tiers; a plug-in distance ranks
 // every candidate in full.
-func imageEngine(t *testing.T, dist func(a, b object.Object) float64) *core.Engine {
+func imageEngine(t *testing.T, procs int, dist func(a, b object.Object) float64) *core.Engine {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	const n = 2000
 	min, max := make([]float32, 14), make([]float32, 14)
 	for i := range max {
@@ -82,10 +85,18 @@ func sameRanking(t *testing.T, what string, got, want []core.Result) {
 // The Filtering answers and a BruteForceSketch pass are also pinned bit for
 // bit: an FNV-64a digest over every (ID, Float64bits(Distance)) in order, so
 // a kernel change that moves any distance by one ulp fails here.
+//
+// The engines under count are opened at GOMAXPROCS 1, with no query helper,
+// so every rank walk is the caller's alone. A second pass repeats the
+// Filtering queries on an engine with one helper, whose walks fan out: its
+// digests and counts must be the same. Each outcome is counted under its
+// own position's bound, so the split between solved and abandoned holds
+// too, though a helper may have solved a candidate the counts call
+// abandoned.
 func TestEngineRankingMatchesOracle(t *testing.T) {
 	opts := emd.Options{Threshold: 2.0}
-	builtin := imageEngine(t, nil)
-	oracle := imageEngine(t, emd.OracleObjectDistance(opts))
+	builtin := imageEngine(t, 1, nil)
+	oracle := imageEngine(t, 1, emd.OracleObjectDistance(opts))
 	queries := synth.MixedImageObjects(16, 1001)
 	for i := range queries {
 		queries[i].Key = "q-" + queries[i].Key
@@ -111,11 +122,11 @@ func TestEngineRankingMatchesOracle(t *testing.T) {
 			}
 		}
 	}
-	digest := func(mode core.Mode) uint64 {
+	digest := func(e *core.Engine, mode core.Mode) uint64 {
 		h := fnv.New64a()
 		var buf [16]byte
 		for _, q := range queries {
-			ans, err := builtin.Search(ctx, q, core.QueryOptions{K: 20, Mode: mode})
+			ans, err := e.Search(ctx, q, core.QueryOptions{K: 20, Mode: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,25 +140,49 @@ func TestEngineRankingMatchesOracle(t *testing.T) {
 	}
 	compare(core.Filtering)
 	reg := builtin.Telemetry()
-	for name, want := range map[string]float64{
+	counts := map[string]float64{
 		"ferret_rank_distance_evals_total": 833,
 		"ferret_rank_emd_abandoned_total":  660,
 		"ferret_rank_emd_pruned_total":     6117,
-	} {
+	}
+	for name, want := range counts {
 		if got := reg.Value(name); got != want {
 			t.Errorf("%s = %v over the 16 Filtering queries, parent commit %v", name, got, want)
 		}
 	}
-	for mode, want := range map[core.Mode]uint64{
+	digests := map[core.Mode]uint64{
 		core.Filtering:        0xe9f53453e2276304,
 		core.BruteForceSketch: 0x78851ae4f6413e88,
-	} {
-		if got := digest(mode); got != want {
+	}
+	for mode, want := range digests {
+		if got := digest(builtin, mode); got != want {
 			t.Errorf("mode %v: answer digest %#x, parent commit %#x", mode, got, want)
 		}
 	}
 	compare(core.BruteForceOriginal)
 	if strict < 100 {
 		t.Fatalf("only %d results strictly inside their K-th distance: the comparison is all ties", strict)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	fan := imageEngine(t, 2, nil)
+	for _, q := range queries {
+		if _, err := fan.Search(ctx, q, core.QueryOptions{K: 20}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg = fan.Telemetry()
+	if got := reg.Value("ferret_rank_distance_evals_total") + reg.Value("ferret_rank_emd_abandoned_total"); got != 833+660 {
+		t.Errorf("GOMAXPROCS 2: evaluated + abandoned = %v over the 16 Filtering queries, parent commit %d", got, 833+660)
+	}
+	for name, want := range counts {
+		if got := reg.Value(name); got != want {
+			t.Errorf("GOMAXPROCS 2: %s = %v over the 16 Filtering queries, parent commit %v", name, got, want)
+		}
+	}
+	for mode, want := range digests {
+		if got := digest(fan, mode); got != want {
+			t.Errorf("GOMAXPROCS 2, mode %v: answer digest %#x, parent commit %#x", mode, got, want)
+		}
 	}
 }

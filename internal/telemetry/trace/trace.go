@@ -87,7 +87,7 @@ func NewTraceID() TraceID { return TraceID(nextID()) }
 // is counted, never reallocated) and maxAttrs bounds per-span attributes.
 const (
 	MaxSpans = 24
-	maxAttrs = 4
+	maxAttrs = 5
 )
 
 // Attr is one integer span attribute (EMD evaluations, pruned candidates,

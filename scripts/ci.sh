@@ -22,7 +22,9 @@
 #              microbenchmark (internal/core, internal/sketch), so their
 #              guards — an index-served descent with no fallback, the
 #              four-sealed-segments-plus-tail image corpus — cannot bit-rot;
-#              times are not checked
+#              the filter, rank and lower-bound set runs at -cpu 1,2, so
+#              both the caller-only path and the path that shares a query's
+#              stages with an idle helper run; times are not checked
 #
 # Performance is not a step: `go test ./...` smoke-runs benchmark/, and a
 # performance claim is measured with `make bench-pairs` (parent vs change,
