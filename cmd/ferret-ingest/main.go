@@ -9,8 +9,8 @@
 //
 // With -daemon it becomes a sustained-rate ingest driver: it rescans the
 // data directory every -scan-interval until SIGTERM/SIGINT, pacing ingests
-// at -ingest-rate objects per second through the engine's bounded ingest
-// queue (-queue/-queue-workers), with the segmented pipeline
+// at -ingest-rate objects per second through the engine's ingest
+// admission (-queue/-queue-workers), with the segmented pipeline
 // (-seal-entries) absorbing the stream without stop-the-world compaction.
 //
 //	ferret-ingest -dir ./db -type image -data ./incoming -daemon \
@@ -45,8 +45,8 @@ func main() {
 		daemon   = flag.Bool("daemon", false, "keep rescanning -data until SIGTERM/SIGINT (sustained-rate ingest driver)")
 		scanIntv = flag.Duration("scan-interval", 10*time.Second, "rescan interval in daemon mode")
 		ingRate  = flag.Float64("ingest-rate", 0, "pace ingestion at this many objects per second (0 = unpaced)")
-		queue    = flag.Int("queue", 0, "bounded ingest queue depth; the scan blocks when full (0 = no queue)")
-		queueWk  = flag.Int("queue-workers", 0, "ingest queue drain workers (0 = 1; needs -queue)")
+		queue    = flag.Int("queue", 0, "how many ingests may wait for a run slot; the scan blocks when full (0 = no bound)")
+		queueWk  = flag.Int("queue-workers", 0, "admitted ingests that run at once, each on its producer's goroutine (0 = 1; needs -queue)")
 		sealAt   = flag.Int("seal-entries", 0, "seal (and index) the mutable tail segment at this many entries, compact sealed segments in the background (0 = default 1024)")
 	)
 	flag.Parse()

@@ -56,9 +56,9 @@ func main() {
 		sealAt    = flag.Int("seal-entries", 0, "seal (and index) the mutable tail segment at this many entries; sealed segments are compacted in the background (0 = default 1024)")
 		compIntv  = flag.Duration("compact-interval", 0, "background compaction wake-up interval (0 = default 1s, negative = off)")
 		compPace  = flag.Duration("compact-pace", 0, "background compaction pause per 64 merged entries while queries are in flight (0 = yield only)")
-		ingQueue  = flag.Int("ingest-queue", 0, "bounded ingest queue depth for ADDFILE and acquisition; producers block when full (0 = no queue)")
-		ingWork   = flag.Int("ingest-workers", 0, "ingest queue drain workers (0 = 1; needs -ingest-queue)")
-		ingShed   = flag.Bool("ingest-shed", false, "reject ingests with BUSY when the queue is full instead of blocking (needs -ingest-queue)")
+		ingQueue  = flag.Int("ingest-queue", 0, "how many ADDFILE and acquisition ingests may wait for a run slot; producers block when full (0 = no bound)")
+		ingWork   = flag.Int("ingest-workers", 0, "admitted ingests that run at once, each on its producer's goroutine (0 = 1; needs -ingest-queue)")
+		ingShed   = flag.Bool("ingest-shed", false, "reject ingests with BUSY when every slot is taken instead of blocking (needs -ingest-queue)")
 		rcacheOn  = flag.Bool("result-cache", false, "enable the hot-query result cache (invalidated by every write, bit-identical answers)")
 		rcacheMax = flag.Int("result-cache-bytes", 0, "result cache memory bound in bytes (0 = default 8 MiB; needs -result-cache)")
 	)

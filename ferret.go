@@ -82,8 +82,8 @@ type (
 	// immutable segments + background compaction); the Config.Segments
 	// field. The zero value takes the defaults.
 	SegmentParams = core.SegmentParams
-	// IngestParams configures the bounded ingest queue (backpressure or
-	// shed between producers and the engine's serialized write path); the
+	// IngestParams configures ingest admission (backpressure or shed
+	// between producers and the engine's serialized write path); the
 	// Config.Ingest field.
 	IngestParams = core.IngestParams
 	// TraceParams configures the query tracer (sampling retention and the
@@ -189,16 +189,17 @@ func (s *System) Count() int { return s.engine.Count() }
 // Ingest adds one extracted object with attributes.
 func (s *System) Ingest(o Object, a Attrs) (ID, error) { return s.engine.Ingest(o, a) }
 
-// IngestQueued adds one object through the bounded ingest queue when one is
-// configured (Config.Ingest): under backpressure the call blocks until the
-// queue drains (ctx cancels the wait); under the shed policy a full queue
-// rejects with core.ErrOverloaded. Without a queue it is exactly Ingest.
+// IngestQueued adds one object through ingest admission when it is
+// configured (Config.Ingest): under backpressure the call blocks until a
+// slot frees (ctx cancels the wait); under the shed policy it rejects with
+// core.ErrOverloaded when every slot is taken. Without admission it is
+// exactly Ingest.
 func (s *System) IngestQueued(ctx context.Context, o Object, a Attrs) (ID, error) {
 	return s.engine.IngestQueued(ctx, o, a)
 }
 
-// IngestQueueDepth reports the bounded ingest queue's current backlog (0
-// when no queue is configured) — the ingest daemon's overload signal.
+// IngestQueueDepth reports how many admitted ingests are not yet running (0
+// without admission) — the ingest daemon's overload signal.
 func (s *System) IngestQueueDepth() int { return s.engine.IngestQueueDepth() }
 
 // IngestFile extracts and ingests a data file through the plug-in.
@@ -373,8 +374,8 @@ func (s *System) NewScanner(dir string, exts []string) *acquire.Scanner {
 			return ok
 		},
 		Ingest: func(o Object, a Attrs) error {
-			// Through the bounded ingest queue when one is configured, so a
-			// fast scan slows to the engine's commit rate instead of piling
+			// Through ingest admission when it is configured, so a fast
+			// scan slows to the engine's commit rate instead of piling
 			// goroutines onto the write path.
 			_, err := s.engine.IngestQueued(context.Background(), o, a)
 			return err

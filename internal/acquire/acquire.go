@@ -35,7 +35,7 @@ type Scanner struct {
 	Ingest func(o object.Object, a attr.Attrs) error
 	// Rate, when positive, paces ingestion at this many objects per second
 	// — the sustained-rate regime of the ingest daemon. Pacing sleeps
-	// between ingest calls; backpressure from a bounded ingest queue adds
+	// between ingest calls; backpressure from ingest admission adds
 	// on top, so the effective rate is min(Rate, engine commit rate).
 	Rate float64
 	// OnError, when set, observes per-file failures (which are otherwise

@@ -369,8 +369,8 @@ func TestConcurrentSearchStress(t *testing.T) {
 }
 
 // TestCloseLeavesNoGoroutines: after Close, the background compactor, the
-// ingest queue's drain workers and SearchBatch's goroutines are gone, and
-// queries that race Close return instead of hanging.
+// query helpers and SearchBatch's goroutines are gone, and queries that race
+// Close return instead of hanging.
 func TestCloseLeavesNoGoroutines(t *testing.T) {
 	const d, nseg = 8, 2
 	before := runtime.NumGoroutine()

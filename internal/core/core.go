@@ -174,9 +174,9 @@ type Config struct {
 	// merges sealed segments incrementally. The zero value takes the
 	// defaults.
 	Segments SegmentParams
-	// Ingest configures the bounded ingest queue (see ingest.go):
-	// backpressure between producers and the engine's serialized write path.
-	// The zero value admits writers directly with no queue.
+	// Ingest configures ingest admission (see ingest.go): a bound on the
+	// producers IngestQueued lets wait for the engine's serialized write
+	// path. The zero value admits writers directly.
 	Ingest IngestParams
 	// ResultCache configures the engine-level hot-query result cache (see
 	// cache.go): exact answers keyed on (query identity, canonicalized
@@ -312,8 +312,8 @@ type Engine struct {
 	jobs    chan *fanout
 	quit    chan struct{}
 
-	// queue, when non-nil, is the bounded ingest queue (see ingest.go).
-	queue *ingestQueue
+	// admit, when non-nil, is IngestQueued's admission (see ingest.go).
+	admit *admission
 
 	// rcache is the hot-query result cache (nil when disabled), invalidated
 	// by the published view's id. See cache.go for the soundness protocol.
@@ -445,7 +445,7 @@ func Open(cfg Config) (*Engine, error) {
 		go e.compactLoop()
 	}
 	if cfg.Ingest.Workers > 0 || cfg.Ingest.Depth > 0 {
-		e.queue = newIngestQueue(e, e.cfg.Ingest.withDefaults())
+		e.admit = newAdmission(cfg.Ingest)
 	}
 	if cfg.ResultCache.Enable {
 		e.rcache = newResultCache(cfg.ResultCache.withDefaults(), e.met)
@@ -457,13 +457,10 @@ func Open(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Close shuts the engine down: the ingest queue drains, the background
-// compactor and the query helpers stop, and the metadata store is released.
-// Safe to call more than once.
+// Close shuts the engine down: the background compactor and the query
+// helpers stop, and the metadata store is released. Callers must not race
+// Ingest or IngestQueued with Close. Safe to call more than once.
 func (e *Engine) Close() error {
-	if e.queue != nil {
-		e.queue.close()
-	}
 	if e.quit != nil { // each helper takes one quit and returns
 		for range e.helpers {
 			e.quit <- struct{}{}

@@ -3,177 +3,111 @@ package core
 import (
 	"context"
 	"errors"
-	"sync"
 
 	"ferret/internal/attr"
 	"ferret/internal/object"
 )
 
-// The bounded ingest queue: overload robustness for the write path. The
-// engine's Ingest is internally serialized (ingestMu), so unbounded
-// concurrent producers would pile goroutines onto one mutex; the queue
-// bounds that pile and gives producers an explicit overload signal instead.
-// Two policies:
+// Ingest admission: overload robustness for the write path. Ingest
+// serializes its commit on ingestMu, so unbounded concurrent producers
+// would pile goroutines onto one mutex; admission bounds that pile and
+// gives producers an explicit overload signal instead. A producer takes one
+// of Depth+Workers slots, then one of Workers run tokens, and calls Ingest
+// on its own goroutine. Two policies govern the slot wait:
 //
-//   - backpressure (default): a full queue blocks the producer until a
-//     drain worker frees a slot — sustained-rate producers slow down to the
-//     engine's commit rate.
-//   - shed (IngestParams.Shed): a full queue rejects immediately with
-//     ErrOverloaded — latency-sensitive producers keep their deadline and
-//     retry later. Shed rejections count into ferret_ingest_rejected_total.
+//   - backpressure (default): with every slot taken the producer blocks
+//     until one frees, so sustained-rate producers slow to the engine's
+//     commit rate; its context cancels the wait.
+//   - shed (IngestParams.Shed): with every slot taken the producer is
+//     refused at once with ErrOverloaded, counted in
+//     ferret_ingest_rejected_total.
 //
-// Drain workers run the full Ingest pipeline, so sketch construction for
-// queued objects overlaps across Workers goroutines even though the final
-// commit is serialized.
+// Up to Workers producers run Ingest at once, so their sketch construction
+// overlaps even though the final commit is serialized.
 
-// ErrOverloaded reports that the bounded ingest queue is full and the shed
+// ErrOverloaded reports that every admission slot is taken and the shed
 // policy is active. The server maps it to a BUSY wire error so clients back
 // off instead of timing out.
 var ErrOverloaded = errors.New("core: ingest queue full")
 
-// errQueueClosed reports an enqueue against a closing engine.
-var errQueueClosed = errors.New("core: ingest queue closed")
-
-// IngestParams configures the bounded ingest queue. The zero value disables
-// the queue: IngestQueued then commits synchronously, exactly like Ingest.
+// IngestParams configures ingest admission. The zero value disables it:
+// IngestQueued then commits directly, exactly like Ingest.
 type IngestParams struct {
-	// Depth is the queue capacity. 0 means 256 once the queue is enabled
-	// (see Workers).
+	// Depth is how many admitted producers may wait for a run token. 0
+	// means 256 once admission is enabled (see Workers).
 	Depth int
-	// Shed makes a full queue reject with ErrOverloaded instead of blocking
-	// the producer.
+	// Shed makes a producer that finds every slot taken fail with
+	// ErrOverloaded instead of blocking.
 	Shed bool
-	// Workers is the number of drain goroutines. 0 means 1. Setting Depth
-	// or Workers enables the queue.
+	// Workers is how many admitted producers run Ingest at once. 0 means 1.
+	// Setting Depth or Workers enables admission.
 	Workers int
 }
 
-func (p IngestParams) withDefaults() IngestParams {
+// admission holds the two semaphores: slots counts admitted producers,
+// waiting or running (Depth+Workers), run those inside Ingest (Workers).
+type admission struct {
+	slots, run chan struct{}
+	shed       bool
+}
+
+func newAdmission(p IngestParams) *admission {
 	if p.Depth <= 0 {
 		p.Depth = 256
 	}
 	if p.Workers <= 0 {
 		p.Workers = 1
 	}
-	return p
+	return &admission{slots: make(chan struct{}, p.Depth+p.Workers), run: make(chan struct{}, p.Workers), shed: p.Shed}
 }
 
-type ingestRes struct {
-	id  object.ID
-	err error
-}
+// waiting counts the admitted producers not yet running. The two lengths
+// are read apart, so clamp a transiently negative difference.
+func (a *admission) waiting() int64 { return int64(max(0, len(a.slots)-len(a.run))) }
 
-type ingestReq struct {
-	o     object.Object
-	attrs attr.Attrs
-	done  chan ingestRes // buffered(1): the responder never blocks
-}
-
-type ingestQueue struct {
-	e      *Engine
-	p      IngestParams
-	ch     chan ingestReq
-	closed chan struct{}
-	wg     sync.WaitGroup
-	once   sync.Once
-}
-
-func newIngestQueue(e *Engine, p IngestParams) *ingestQueue {
-	q := &ingestQueue{e: e, p: p, ch: make(chan ingestReq, p.Depth), closed: make(chan struct{})}
-	q.wg.Add(p.Workers)
-	for i := 0; i < p.Workers; i++ {
-		go q.worker()
-	}
-	return q
-}
-
-func (q *ingestQueue) worker() {
-	defer q.wg.Done()
-	for {
-		select {
-		case req := <-q.ch:
-			id, err := q.e.Ingest(req.o, req.attrs)
-			q.e.met.queueDepth.Set(int64(len(q.ch)))
-			req.done <- ingestRes{id: id, err: err}
-		case <-q.closed:
-			return
-		}
-	}
-}
-
-func (q *ingestQueue) enqueue(ctx context.Context, req ingestReq) error {
-	if q.p.Shed {
-		select {
-		case <-q.closed:
-			return errQueueClosed
-		case q.ch <- req:
-			q.e.met.queueDepth.Set(int64(len(q.ch)))
-			return nil
-		default:
-			q.e.met.ingestRejected.Inc()
-			return ErrOverloaded
-		}
-	}
-	// A cancelled producer never enqueues, even when a slot is free — the
-	// blocking select below picks pseudo-randomly among ready cases.
-	select {
-	case <-q.closed:
-		return errQueueClosed
-	case <-ctx.Done():
-		return ctx.Err()
-	default:
-	}
-	select {
-	case <-q.closed:
-		return errQueueClosed
-	case <-ctx.Done():
-		return ctx.Err()
-	case q.ch <- req:
-		q.e.met.queueDepth.Set(int64(len(q.ch)))
-		return nil
-	}
-}
-
-// close stops the drain workers and fails whatever is still queued. Like
-// the rest of the engine, callers must not race IngestQueued with Close.
-func (q *ingestQueue) close() {
-	q.once.Do(func() {
-		close(q.closed)
-		q.wg.Wait()
-		for {
-			select {
-			case req := <-q.ch:
-				req.done <- ingestRes{err: errQueueClosed}
-			default:
-				return
-			}
-		}
-	})
-}
-
-// IngestQueued routes one object through the bounded ingest queue when one
-// is configured (Config.Ingest): the producer blocks while the queue is
-// full — or is shed with ErrOverloaded under the shed policy — then waits
-// for its object's commit and gets the same result Ingest would return.
-// Without a queue it is exactly Ingest. The context covers only the queue
-// wait: once the object is accepted, its commit is not cancelable.
+// IngestQueued commits one object through admission when it is configured
+// (Config.Ingest): the producer waits for a slot — or, under the shed
+// policy, is refused with ErrOverloaded — then for a run token, and gets
+// what Ingest returns. Without admission it is exactly Ingest. The context
+// covers only the slot wait: once admitted, the commit is not cancellable.
 func (e *Engine) IngestQueued(ctx context.Context, o object.Object, attrs attr.Attrs) (object.ID, error) {
-	if e.queue == nil {
+	a := e.admit
+	if a == nil {
 		return e.Ingest(o, attrs)
 	}
-	req := ingestReq{o: o, attrs: attrs, done: make(chan ingestRes, 1)}
-	if err := e.queue.enqueue(ctx, req); err != nil {
-		return 0, err
+	if a.shed {
+		select {
+		case a.slots <- struct{}{}:
+		default:
+			e.met.ingestRejected.Inc()
+			return 0, ErrOverloaded
+		}
+	} else {
+		// A cancelled producer is refused even when a slot is free: select
+		// picks pseudo-randomly among ready cases.
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		select {
+		case a.slots <- struct{}{}:
+		case <-ctx.Done():
+			return 0, ctx.Err()
+		}
 	}
-	res := <-req.done
-	return res.id, res.err
+	e.met.queueDepth.Set(a.waiting())
+	a.run <- struct{}{}
+	e.met.queueDepth.Set(a.waiting())
+	id, err := e.Ingest(o, attrs)
+	<-a.run
+	<-a.slots
+	return id, err
 }
 
-// IngestQueueDepth reports the bounded ingest queue's current backlog (0
-// when no queue is configured) — the daemon's overload signal.
+// IngestQueueDepth reports how many admitted producers are not yet running
+// Ingest (0 without admission) — the daemon's overload signal.
 func (e *Engine) IngestQueueDepth() int {
-	if e.queue == nil {
+	if e.admit == nil {
 		return 0
 	}
-	return len(e.queue.ch)
+	return int(e.admit.waiting())
 }

@@ -10,11 +10,11 @@ import (
 	"ferret/internal/object"
 )
 
-// TestIngestWorkersOrderIndependence pins the multi-worker ingest queue's
+// TestIngestWorkersOrderIndependence pins multi-worker admission's
 // correctness contract: the same object set committed through concurrent
-// producers and several drain workers — in a different arrival order on each
+// producers with several run tokens — in a different arrival order on each
 // engine — must produce engines that answer identically. Run under -race
-// this also exercises the queue's producer/worker interleavings.
+// this also exercises admission's producer interleavings.
 func TestIngestWorkersOrderIndependence(t *testing.T) {
 	const (
 		d       = 8
@@ -32,7 +32,7 @@ func TestIngestWorkersOrderIndependence(t *testing.T) {
 		cfg.Ingest = IngestParams{Depth: 16, Workers: workers}
 		e := openEngine(t, cfg)
 		// Concurrent producers sharded over the permuted order: arrival
-		// order at the queue is the permutation further scrambled by
+		// order at admission is the permutation further scrambled by
 		// scheduling, which is exactly the point.
 		var wg sync.WaitGroup
 		errs := make([]error, workers)

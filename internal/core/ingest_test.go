@@ -5,15 +5,19 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"ferret/internal/object"
 )
 
 // TestIngestQueueShed pins the shed policy: with the commit path frozen
-// (the test holds ingestMu), a 1-worker/1-slot queue can absorb at most two
-// producers — anything beyond is rejected immediately with ErrOverloaded and
-// counted, and every accepted object still commits once the path thaws.
+// (the test holds ingestMu), a 1-worker/1-slot admission holds exactly
+// Depth+Workers = 2 producers — one parked in Ingest, one waiting for the
+// run token — so exactly producers−2 are rejected with ErrOverloaded and
+// counted, without waiting for the frozen commit path, and every admitted
+// object commits once the path thaws.
 func TestIngestQueueShed(t *testing.T) {
 	const d = 8
 	cfg := testConfig(t.TempDir(), d)
@@ -22,7 +26,7 @@ func TestIngestQueueShed(t *testing.T) {
 
 	e.ingestMu.Lock()
 	rng := rand.New(rand.NewSource(7))
-	const producers = 3
+	const producers, admitted = 4, 2
 	results := make(chan error, producers)
 	for i := 0; i < producers; i++ {
 		o := clusterObject(fmt.Sprintf("p%d", i), i, d, 1, 0.02, rng)
@@ -31,44 +35,32 @@ func TestIngestQueueShed(t *testing.T) {
 			results <- err
 		}(o)
 	}
-	// With the drain worker parked on ingestMu, capacity is worker+slot = 2:
-	// at least one producer must shed, and sheds return without waiting for
-	// the frozen commit path.
-	shed := 0
-	for shed < producers-2 {
-		if err := <-results; errors.Is(err, ErrOverloaded) {
-			shed++
-		} else {
+	for shed := 0; shed < producers-admitted; shed++ {
+		if err := <-results; !errors.Is(err, ErrOverloaded) {
 			t.Fatalf("producer finished with err=%v while the commit path was frozen", err)
 		}
 	}
+	if got := int(e.Telemetry().Value("ferret_ingest_rejected_total")); got != producers-admitted {
+		t.Fatalf("ferret_ingest_rejected_total = %d, want %d", got, producers-admitted)
+	}
 	e.ingestMu.Unlock()
 
-	accepted := 0
-	for left := producers - shed; left > 0; left-- {
-		err := <-results
-		switch {
-		case err == nil:
-			accepted++
-		case errors.Is(err, ErrOverloaded):
-			shed++
-		default:
-			t.Fatal(err)
+	for i := 0; i < admitted; i++ {
+		if err := <-results; err != nil {
+			t.Fatalf("admitted producer got err=%v", err)
 		}
 	}
-	if shed < 1 || accepted != producers-shed {
-		t.Fatalf("%d shed / %d accepted of %d producers", shed, accepted, producers)
+	if got := int(e.Telemetry().Value("ferret_ingest_rejected_total")); got != producers-admitted {
+		t.Fatalf("ferret_ingest_rejected_total = %d after the thaw, want %d", got, producers-admitted)
 	}
-	if got := int(e.Telemetry().Value("ferret_ingest_rejected_total")); got != shed {
-		t.Fatalf("ferret_ingest_rejected_total = %d, want %d", got, shed)
-	}
-	if got := e.Count(); got != accepted {
-		t.Fatalf("%d objects committed, want %d", got, accepted)
+	if got := e.Count(); got != admitted {
+		t.Fatalf("%d objects committed, want %d", got, admitted)
 	}
 }
 
 // TestIngestQueueBackpressure pins the default policy: producers past the
-// queue capacity block instead of shedding, and every one of them commits.
+// admission capacity block instead of shedding, and every one of them
+// commits.
 // A producer whose context is already cancelled is refused up front.
 func TestIngestQueueBackpressure(t *testing.T) {
 	const d = 8
@@ -112,7 +104,7 @@ func TestIngestQueueBackpressure(t *testing.T) {
 	}
 }
 
-// TestIngestQueueEquivalence checks the queued path is just a routed Ingest:
+// TestIngestQueueEquivalence checks the admitted path is just Ingest:
 // a corpus loaded through IngestQueued answers queries identically to one
 // loaded through plain Ingest.
 func TestIngestQueueEquivalence(t *testing.T) {
@@ -144,4 +136,37 @@ func TestIngestQueueEquivalence(t *testing.T) {
 		}
 		sameAnswers(t, fmt.Sprintf("q%d", qi), rq, rp)
 	}
+}
+
+// TestIngestAdmissionStartsNoGoroutines: admission runs on the producers'
+// own goroutines, so an engine opened with Config.Ingest starts no more
+// goroutines than one opened without it.
+func TestIngestAdmissionStartsNoGoroutines(t *testing.T) {
+	const d = 8
+	base := settledGoroutines()
+	openEngine(t, testConfig(t.TempDir(), d))
+	plain := settledGoroutines()
+	cfg := testConfig(t.TempDir(), d)
+	cfg.Ingest = IngestParams{Depth: 8, Workers: 4}
+	openEngine(t, cfg)
+	admitted := settledGoroutines()
+	if admitted-plain > plain-base {
+		t.Fatalf("an engine with admission started %d goroutines, one without %d", admitted-plain, plain-base)
+	}
+}
+
+// settledGoroutines returns the goroutine count once three reads 5 ms apart
+// agree (or after a second), so goroutines still exiting from earlier tests
+// do not skew a difference.
+func settledGoroutines() int {
+	n, same := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(time.Second); same < 2 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
 }

@@ -123,7 +123,7 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 		seals:  reg.Counter("ferret_seal_total", "Mutable tail segments sealed."),
 		merges: reg.Counter("ferret_merge_total", "Background segment merges completed."),
 		ingestRejected: reg.Counter("ferret_ingest_rejected_total",
-			"Ingests rejected up front (poisoned store or shed by the bounded ingest queue)."),
+			"Ingests rejected up front (poisoned store or shed by ingest admission)."),
 
 		scanned:    reg.Counter("ferret_filter_objects_scanned_total", "Live objects visited by the filtering unit."),
 		candidates: reg.Counter("ferret_filter_candidates_total", "Candidate objects surviving the filter stage."),
@@ -165,7 +165,7 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 		deleted:     reg.Gauge("ferret_deleted_objects", "Tombstoned objects awaiting compaction."),
 		segments:    reg.Gauge("ferret_segments", "Live segment sketches."),
 		storageSegs: reg.Gauge("ferret_storage_segments", "Storage segments (sealed + mutable tail)."),
-		queueDepth:  reg.Gauge("ferret_ingest_queue_depth", "Objects waiting in the bounded ingest queue."),
+		queueDepth:  reg.Gauge("ferret_ingest_queue_depth", "Ingests admitted but not yet running."),
 		inflight:    reg.Gauge("ferret_inflight_queries", "Queries currently executing."),
 
 		queryTime:   reg.Histogram("ferret_query_seconds", "End-to-end query latency in seconds.", telemetry.FineTimeBuckets),

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// TestBatchRoundTrip: WriteBatch → ReadResponse → ParseBatch must reproduce
+// TestBatchRoundTrip: AppendBatch → ReadResponseMeta → ParseBatch must reproduce
 // the items, including flags, per-query errors, and keys needing quoting.
 func TestBatchRoundTrip(t *testing.T) {
 	items := []BatchItem{
@@ -22,7 +22,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		}},
 	}
 	var buf bytes.Buffer
-	if err := WriteBatch(&buf, items); err != nil {
+	if _, err := buf.Write(AppendBatch(nil, items)); err != nil {
 		t.Fatal(err)
 	}
 	lines, meta, err := ReadResponseMeta(bufio.NewReader(&buf))

@@ -32,9 +32,9 @@ func TestClientPingCount(t *testing.T) {
 	c := fakeServer(t, func(req Request, w net.Conn) {
 		switch req.Cmd {
 		case CmdPing:
-			WriteResults(w, nil)
+			w.Write(AppendResults(nil, nil, ResponseMeta{}))
 		case CmdCount:
-			WritePairs(w, map[string]string{"count": "42"})
+			w.Write(AppendPairs(nil, map[string]string{"count": "42"}))
 		}
 	})
 	if err := c.Ping(); err != nil {
@@ -50,7 +50,7 @@ func TestClientQuerySendsParams(t *testing.T) {
 	var got Request
 	c := fakeServer(t, func(req Request, w net.Conn) {
 		got = req
-		WriteResults(w, []Result{{Key: "a b.jpg", Distance: 1.5}})
+		w.Write(AppendResults(nil, []Result{{Key: "a b.jpg", Distance: 1.5}}, ResponseMeta{}))
 	})
 	results, err := c.Query("seed.jpg", QueryParams{
 		K: 7, Mode: "sketch",
@@ -74,7 +74,7 @@ func TestClientQueryFileAndAdd(t *testing.T) {
 	var cmds []string
 	c := fakeServer(t, func(req Request, w net.Conn) {
 		cmds = append(cmds, req.Cmd)
-		WriteResults(w, nil)
+		w.Write(AppendResults(nil, nil, ResponseMeta{}))
 	})
 	if _, err := c.QueryFile("/tmp/x.png", QueryParams{K: 2}); err != nil {
 		t.Fatal(err)
@@ -91,9 +91,9 @@ func TestClientSearchAndInfo(t *testing.T) {
 	c := fakeServer(t, func(req Request, w net.Conn) {
 		switch req.Cmd {
 		case CmdSearch:
-			WriteResults(w, []Result{{Key: "x"}, {Key: "y"}})
+			w.Write(AppendResults(nil, []Result{{Key: "x"}, {Key: "y"}}, ResponseMeta{}))
 		case CmdInfo:
-			WritePairs(w, map[string]string{"key": "x", "attr:note": "two words"})
+			w.Write(AppendPairs(nil, map[string]string{"key": "x", "attr:note": "two words"}))
 		}
 	})
 	results, err := c.Search([]string{"dog"}, nil)

@@ -27,7 +27,7 @@ func TestParseRequestNeverPanics(t *testing.T) {
 // TestReadResponseNeverPanics: arbitrary response bytes must read or error.
 func TestReadResponseNeverPanics(t *testing.T) {
 	f := func(body string) bool {
-		_, err := ReadResponse(bufio.NewReader(strings.NewReader(body)))
+		_, _, err := ReadResponseMeta(bufio.NewReader(strings.NewReader(body)))
 		_ = err
 		return true
 	}

@@ -294,30 +294,10 @@ func AppendError(b []byte, msg string) []byte {
 	return append(strconv.AppendQuote(append(b, "ERR "...), msg), '\n')
 }
 
-// WriteResults writes a successful response with result lines.
-func WriteResults(w io.Writer, results []Result) error {
-	_, err := w.Write(AppendResults(nil, results, ResponseMeta{}))
-	return err
-}
-
-// WritePairs writes a successful response of name=value lines (INFO).
-func WritePairs(w io.Writer, pairs map[string]string) error {
-	_, err := w.Write(AppendPairs(nil, pairs))
-	return err
-}
-
 // WriteError writes an error response.
 func WriteError(w io.Writer, err error) error {
 	_, werr := w.Write(AppendError(nil, err.Error()))
 	return werr
-}
-
-// ReadResponse reads a response: the raw payload lines of an OK response,
-// or an error carrying the server's message. Head-line flags are discarded;
-// use ReadResponseMeta to observe them.
-func ReadResponse(r *bufio.Reader) ([]string, error) {
-	lines, _, err := ReadResponseMeta(r)
-	return lines, err
 }
 
 // ReadResponseMeta reads a response along with its head-line flags. Unknown
@@ -396,14 +376,8 @@ func AppendBatch(b []byte, items []BatchItem) []byte {
 	return b
 }
 
-// WriteBatch writes a BATCHQUERY response.
-func WriteBatch(w io.Writer, items []BatchItem) error {
-	_, err := w.Write(AppendBatch(nil, items))
-	return err
-}
-
 // ParseBatch reassembles the per-query groups from a BATCHQUERY response's
-// payload lines (as returned by ReadResponse).
+// payload lines (as returned by ReadResponseMeta).
 func ParseBatch(lines []string) ([]BatchItem, error) {
 	var items []BatchItem
 	i := 0

@@ -59,13 +59,13 @@ func TestFormatParseRoundTrip(t *testing.T) {
 
 func TestWriteReadResults(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteResults(&buf, []Result{
+	if _, err := buf.Write(AppendResults(nil, []Result{
 		{Key: "a.jpg", Distance: 0.5},
 		{Key: "with space.jpg", Distance: 1.25},
-	}); err != nil {
+	}, ResponseMeta{})); err != nil {
 		t.Fatal(err)
 	}
-	lines, err := ReadResponse(bufio.NewReader(&buf))
+	lines, _, err := ReadResponseMeta(bufio.NewReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestWriteReadError(t *testing.T) {
 	if err := WriteError(&buf, errors.New("no such key \"x\"")); err != nil {
 		t.Fatal(err)
 	}
-	_, err := ReadResponse(bufio.NewReader(&buf))
+	_, _, err := ReadResponseMeta(bufio.NewReader(&buf))
 	var se *ServerError
 	if !errors.As(err, &se) {
 		t.Fatalf("got %T %v", err, err)
@@ -99,10 +99,10 @@ func TestWriteReadError(t *testing.T) {
 
 func TestWritePairs(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePairs(&buf, map[string]string{"count": "42", "name": "two words"}); err != nil {
+	if _, err := buf.Write(AppendPairs(nil, map[string]string{"count": "42", "name": "two words"})); err != nil {
 		t.Fatal(err)
 	}
-	lines, err := ReadResponse(bufio.NewReader(&buf))
+	lines, _, err := ReadResponseMeta(bufio.NewReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestReadResponseMalformed(t *testing.T) {
 		"OK 2\nonly-one-line\n",
 	}
 	for _, src := range cases {
-		if _, err := ReadResponse(bufio.NewReader(strings.NewReader(src))); err == nil {
+		if _, _, err := ReadResponseMeta(bufio.NewReader(strings.NewReader(src))); err == nil {
 			t.Errorf("accepted %q", src)
 		}
 	}

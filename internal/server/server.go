@@ -182,7 +182,7 @@ func (cw countingWriter) Write(p []byte) (int, error) {
 // transient and back off instead of failing the run.
 var errBusy = errors.New("BUSY: server at connection limit, retry later")
 
-// errIngestBusy is the bounded ingest queue's shed response. Same BUSY
+// errIngestBusy is ingest admission's shed response. Same BUSY
 // marker as the connection limit: transient, back off and retry.
 var errIngestBusy = errors.New("BUSY: ingest queue full, retry later")
 
@@ -567,8 +567,8 @@ func (s *Server) handle(ctx context.Context, st *connState, start time.Time) (re
 		if err != nil {
 			return response{}, err
 		}
-		// Through the bounded ingest queue when one is configured: a full
-		// queue blocks this handler (backpressure) or sheds with BUSY.
+		// Through ingest admission when it is configured: with every slot
+		// taken this handler blocks (backpressure) or sheds with BUSY.
 		if _, err := s.Engine.IngestQueued(ctx, o, attr.Attrs(req.Attrs)); err != nil {
 			return response{}, mutationErr(err)
 		}

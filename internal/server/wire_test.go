@@ -56,7 +56,7 @@ func TestHugeKRejected(t *testing.T) {
 	defer conn.Close()
 	rd := bufio.NewReader(conn)
 	fmt.Fprintf(conn, "%s\n", protocol.HelloV2)
-	if _, err := protocol.ReadResponse(rd); err != nil {
+	if _, _, err := protocol.ReadResponseMeta(rd); err != nil {
 		t.Fatal(err)
 	}
 	if err := protocol.WriteFrame(conn, protocol.OpQuery, protocol.AppendQueryV2(nil, "c0/m0", maxK, "bruteforce", 0, 0)); err != nil {

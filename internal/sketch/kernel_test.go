@@ -41,37 +41,6 @@ func TestHammingAtMatchesHamming(t *testing.T) {
 	}
 }
 
-func TestHammingBatchMatchesHamming(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for _, wps := range []int{1, 2, 3, 4, 7, 10} {
-		for _, count := range []int{0, 1, 5, 64} {
-			arena, sks := buildArena(count, wps, rng)
-			q := randSketch(wps, rng)
-			dst := make([]int32, count)
-			HammingBatch(q, arena, 0, count, dst)
-			for i, sk := range sks {
-				if want := Hamming(q, sk); int(dst[i]) != want {
-					t.Fatalf("wps=%d count=%d row=%d: batch=%d want=%d", wps, count, i, dst[i], want)
-				}
-			}
-		}
-	}
-}
-
-func TestHammingBatchOffset(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	const wps, count = 4, 32
-	arena, sks := buildArena(count, wps, rng)
-	q := randSketch(wps, rng)
-	dst := make([]int32, count-8)
-	HammingBatch(q, arena, 8*wps, count-8, dst)
-	for i := range dst {
-		if want := Hamming(q, sks[8+i]); int(dst[i]) != want {
-			t.Fatalf("offset row %d: got %d want %d", i, dst[i], want)
-		}
-	}
-}
-
 func TestHammingSelectMatchesThresholdScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for _, wps := range []int{1, 2, 3, 4, 7, 10} {
@@ -145,8 +114,8 @@ func TestEstimateL1K1FastPath(t *testing.T) {
 	}
 }
 
-// The microbenchmarks stream a 64k-segment arena through the row-at-a-time
-// and the batch kernels.
+// The microbenchmark streams a 64k-segment arena through the row-at-a-time
+// kernel.
 
 const (
 	benchSketches = 1 << 16 // 64k segments
@@ -168,29 +137,5 @@ func BenchmarkHammingArenaScan(b *testing.B) {
 			h += HammingAt(q, arena, row*benchWords)
 		}
 		benchSink = h
-	}
-}
-
-func BenchmarkHammingBatchScan(b *testing.B) {
-	rng := rand.New(rand.NewSource(52))
-	arena, _ := buildArena(benchSketches, benchWords, rng)
-	q := randSketch(benchWords, rng)
-	dst := make([]int32, 512)
-	b.SetBytes(int64(benchSketches * benchWords * 8))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h := int32(0)
-		for row := 0; row < benchSketches; row += len(dst) {
-			n := benchSketches - row
-			if n > len(dst) {
-				n = len(dst)
-			}
-			HammingBatch(q, arena, row*benchWords, n, dst)
-			for _, d := range dst[:n] {
-				h += d
-			}
-		}
-		benchSink = int(h)
 	}
 }

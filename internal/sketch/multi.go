@@ -67,89 +67,6 @@ func (m *MultiSketch) query(i int) Sketch {
 	return Sketch(m.words[off : off+m.wps])
 }
 
-// HammingMultiAt computes the Hamming distance between every packed query
-// and the single sketch stored at word offset off in a flat arena, writing
-// dst[q] for each query. The row is loaded once and scored against all
-// queries.
-//
-//ferret:noalloc
-func HammingMultiAt(m *MultiSketch, arena []uint64, off int, dst []int32) {
-	w := arena[off : off+m.wps]
-	dst = dst[:m.nq]
-	switch m.wps {
-	case 1:
-		w0 := w[0]
-		for q := range dst {
-			dst[q] = int32(bits.OnesCount64(m.words[q*m.pad] ^ w0))
-		}
-	case 2:
-		w0, w1 := w[0], w[1]
-		for q := range dst {
-			j := q * m.pad
-			dst[q] = int32(bits.OnesCount64(m.words[j]^w0) + bits.OnesCount64(m.words[j+1]^w1))
-		}
-	default:
-		for q := range dst {
-			qw := m.words[q*m.pad : q*m.pad+m.wps]
-			var h int
-			for k, x := range qw {
-				h += bits.OnesCount64(x ^ w[k])
-			}
-			dst[q] = int32(h)
-		}
-	}
-}
-
-// HammingMultiBatch computes the Hamming distances between every packed
-// query and count consecutive sketches starting at word offset off, writing
-// dst query-major: dst[q*count+i] is the distance from query q to row i.
-// Rows are the outer loop, so each packed row is loaded from memory once for
-// all Q queries. A single packed query falls back to the benchmarked serial
-// kernel.
-//
-//ferret:noalloc
-func HammingMultiBatch(m *MultiSketch, arena []uint64, off, count int, dst []int32) {
-	if count == 0 || m.nq == 0 {
-		return
-	}
-	if m.nq == 1 {
-		HammingBatch(m.query(0), arena, off, count, dst)
-		return
-	}
-	wps := m.wps
-	w := arena[off : off+count*wps]
-	dst = dst[:m.nq*count]
-	switch wps {
-	case 1:
-		for i := 0; i < count; i++ {
-			w0 := w[i]
-			for q := 0; q < m.nq; q++ {
-				dst[q*count+i] = int32(bits.OnesCount64(m.words[q*m.pad] ^ w0))
-			}
-		}
-	case 2:
-		for i := 0; i < count; i++ {
-			w0, w1 := w[2*i], w[2*i+1]
-			for q := 0; q < m.nq; q++ {
-				j := q * m.pad
-				dst[q*count+i] = int32(bits.OnesCount64(m.words[j]^w0) + bits.OnesCount64(m.words[j+1]^w1))
-			}
-		}
-	default:
-		for i := 0; i < count; i++ {
-			row := w[i*wps : i*wps+wps]
-			for q := 0; q < m.nq; q++ {
-				qw := m.words[q*m.pad : q*m.pad+wps]
-				var h int
-				for k, x := range qw {
-					h += bits.OnesCount64(x ^ row[k])
-				}
-				dst[q*count+i] = int32(h)
-			}
-		}
-	}
-}
-
 // selectMultiASM, when non-nil, is a platform-specific vectorized
 // implementation of the fused multi-query select. It is installed by init in
 // multi_amd64.go when the CPU supports it and must produce output identical
@@ -167,15 +84,6 @@ var selectMultiASM func(m *MultiSketch, arena []uint64, off, count int, bounds, 
 //
 //ferret:noalloc
 var selectRowsASM func(m *MultiSketch, w []uint64, count int, bounds, idx, dist []int32, stride int, ns []int32)
-
-// MultiKernel names the fused-select implementation in use ("avx512" or
-// "scalar"), for logs and experiment output.
-func MultiKernel() string {
-	if selectMultiASM != nil {
-		return "avx512"
-	}
-	return "scalar"
-}
 
 // HammingSelectMulti is the arena sweep's fused kernel: for each packed
 // query q it scores count consecutive sketches starting at word offset off

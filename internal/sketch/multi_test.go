@@ -27,55 +27,6 @@ func randomQueries(rng *rand.Rand, nq, wps int) []Sketch {
 	return qs
 }
 
-func TestHammingMultiAt(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, wps := range []int{1, 2, 4, 10, 13, 17} {
-		arena := randomRows(rng, 20, wps)
-		for _, nq := range []int{1, 2, 5} {
-			qs := randomQueries(rng, nq, wps)
-			var m MultiSketch
-			m.Reset(qs)
-			dst := make([]int32, nq)
-			for row := 0; row < 20; row++ {
-				HammingMultiAt(&m, arena, row*wps, dst)
-				for q := 0; q < nq; q++ {
-					want := HammingAt(qs[q], arena, row*wps)
-					if int(dst[q]) != want {
-						t.Fatalf("wps=%d nq=%d row=%d q=%d: got %d want %d", wps, nq, row, q, dst[q], want)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestHammingMultiBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, wps := range []int{1, 2, 4, 13, 17} {
-		for _, nq := range []int{1, 2, 7} {
-			for _, count := range []int{0, 1, 33} {
-				arena := randomRows(rng, count+3, wps)
-				off := 2 * wps
-				qs := randomQueries(rng, nq, wps)
-				var m MultiSketch
-				m.Reset(qs)
-				dst := make([]int32, nq*count)
-				HammingMultiBatch(&m, arena, off, count, dst)
-				want := make([]int32, count)
-				for q := 0; q < nq; q++ {
-					HammingBatch(qs[q], arena, off, count, want)
-					for i := 0; i < count; i++ {
-						if dst[q*count+i] != want[i] {
-							t.Fatalf("wps=%d nq=%d count=%d q=%d i=%d: got %d want %d",
-								wps, nq, count, q, i, dst[q*count+i], want[i])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // checkSelectMulti compares HammingSelectMulti against nq independent
 // HammingSelect calls: identical hit counts, rows, and distances. bound
 // gives query q's bound; nil mixes no-hit (−1), sparse and all-hit bounds.
@@ -316,19 +267,6 @@ func BenchmarkHammingSelectSerial(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkHammingMultiBatch(b *testing.B) {
-	const rows, wps, nq = 4096, 13, 8
-	arena, qs := benchRows(b, rows, wps, nq)
-	var m MultiSketch
-	m.Reset(qs)
-	dst := make([]int32, nq*rows)
-	b.SetBytes(int64(rows * wps * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		HammingMultiBatch(&m, arena, 0, rows, dst)
 	}
 }
 

@@ -78,49 +78,6 @@ func HammingAt(q Sketch, arena []uint64, off int) int {
 	return h
 }
 
-// HammingBatch computes the Hamming distances between q and count
-// consecutive sketches packed back to back (stride len(q) words) in a flat
-// arena starting at word offset off, writing the distances to dst[:count].
-// Small word counts — the common sketch sizes — get unrolled inner loops.
-//ferret:noalloc
-func HammingBatch(q Sketch, arena []uint64, off, count int, dst []int32) {
-	wps := len(q)
-	if count == 0 {
-		return
-	}
-	w := arena[off : off+count*wps]
-	dst = dst[:count]
-	switch wps {
-	case 1:
-		q0 := q[0]
-		for i := range dst {
-			dst[i] = int32(bits.OnesCount64(q0 ^ w[i]))
-		}
-	case 2:
-		q0, q1 := q[0], q[1]
-		for i := range dst {
-			j := 2 * i
-			dst[i] = int32(bits.OnesCount64(q0^w[j]) + bits.OnesCount64(q1^w[j+1]))
-		}
-	case 4:
-		q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
-		for i := range dst {
-			j := 4 * i
-			dst[i] = int32(bits.OnesCount64(q0^w[j]) + bits.OnesCount64(q1^w[j+1]) +
-				bits.OnesCount64(q2^w[j+2]) + bits.OnesCount64(q3^w[j+3]))
-		}
-	default:
-		for i := range dst {
-			row := w[i*wps : i*wps+wps]
-			var h int
-			for k, qw := range q {
-				h += bits.OnesCount64(qw ^ row[k])
-			}
-			dst[i] = int32(h)
-		}
-	}
-}
-
 // HammingSelect is the filter scan's fused kernel: it computes the Hamming
 // distance between q and count consecutive sketches starting at word offset
 // off, and records only the rows at or under bound — the block-relative row

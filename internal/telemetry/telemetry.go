@@ -156,7 +156,10 @@ func renderLabels(labels []string) string {
 	return sb.String()
 }
 
-func (r *Registry) lookup(name, help string, kind metricKind, labels []string) *metric {
+// lookup returns the series registered under name and labels, creating it —
+// value included, under the registry lock, so a concurrent scrape never sees
+// a series without one — on first use.
+func (r *Registry) lookup(name, help string, kind metricKind, buckets []float64, labels []string) *metric {
 	rendered := renderLabels(labels)
 	key := name + "{" + rendered + "}"
 	r.mu.Lock()
@@ -168,6 +171,14 @@ func (r *Registry) lookup(name, help string, kind metricKind, labels []string) *
 		return m
 	}
 	m := &metric{name: name, labels: rendered, help: help, kind: kind}
+	switch kind {
+	case kindCounter:
+		m.counter = &Counter{}
+	case kindGauge:
+		m.gauge = &Gauge{}
+	case kindHistogram:
+		m.hist = NewHistogram(buckets)
+	}
 	r.metrics[key] = m
 	return m
 }
@@ -175,30 +186,18 @@ func (r *Registry) lookup(name, help string, kind metricKind, labels []string) *
 // Counter returns the counter registered under name (and optional k, v
 // label pairs), creating it on first use.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	m := r.lookup(name, help, kindCounter, labels)
-	if m.counter == nil {
-		m.counter = &Counter{}
-	}
-	return m.counter
+	return r.lookup(name, help, kindCounter, nil, labels).counter
 }
 
 // Gauge returns the gauge registered under name, creating it on first use.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	m := r.lookup(name, help, kindGauge, labels)
-	if m.gauge == nil {
-		m.gauge = &Gauge{}
-	}
-	return m.gauge
+	return r.lookup(name, help, kindGauge, nil, labels).gauge
 }
 
 // Histogram returns the histogram registered under name, creating it with
 // the given bucket upper bounds on first use (nil = DefTimeBuckets).
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...string) *Histogram {
-	m := r.lookup(name, help, kindHistogram, labels)
-	if m.hist == nil {
-		m.hist = NewHistogram(buckets)
-	}
-	return m.hist
+	return r.lookup(name, help, kindHistogram, buckets, labels).hist
 }
 
 // snapshot returns the registered metrics sorted by base name then labels —
