@@ -84,7 +84,7 @@ bench-pairs:
 # Non-test Go lines in the packages whose size ROADMAP tracks, then the
 # sizes of the two documents it tracks, in KB.
 loc:
-	@for p in core server protocol sketch hindex experiments lint telemetry; do \
+	@for p in core server protocol sketch hindex metastore kvstore object experiments lint telemetry; do \
 		printf 'internal/%-12s %s\n' $$p "$$(ls internal/$$p/*.go internal/$$p/*/*.go 2>/dev/null | grep -v _test.go | xargs cat | wc -l)"; \
 	done
 	@for f in DESIGN.md EXPERIMENTS.md; do \

@@ -275,7 +275,7 @@ func unprunedRanking(t *testing.T, e *Engine, q object.Object, opt QueryOptions)
 		if e.cfg.SketchOnly {
 			d = e.sketchObjectDistanceAt(v, sc.qset, idx)
 		} else {
-			o, ok := e.object(v, idx)
+			o, ok := e.meta.GetObject(v.entries[idx].id)
 			if !ok {
 				t.Fatalf("candidate %d has no feature vectors", idx)
 			}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ferret/internal/hindex"
-	"ferret/internal/object"
 	"ferret/internal/sketch"
 )
 
@@ -89,7 +88,7 @@ func (e *Engine) buildMerged(snaps []*segment) (sketchArena, *hindex.Index) {
 // the inputs — cur's segments [si, si+len(snaps)), the same segments as snaps
 // but for tombstones set since. Those are carried over as tombstones of the
 // merged segment (its index keeps the rows; the filter drops them), the
-// entry/object arrays are rebuilt without the reclaimed entries, and later
+// entry array is rebuilt without the reclaimed entries, and later
 // segments get headers shifted down by that many. Merging the tail leaves a
 // fresh empty one. Returns the view and the number of tombstones reclaimed.
 // Caller holds compactMu and e.mu.
@@ -104,9 +103,6 @@ func (e *Engine) swapMerged(cur *view, si int, snaps []*segment, merged sketchAr
 	next := &view{
 		entries: append(make([]sketchEntry, 0, len(cur.entries)-reclaimed), cur.entries[:gLo]...),
 		segs:    slices.Clone(cur.segs[:si]),
-	}
-	if e.resident {
-		next.objects = append(make([]object.Object, 0, len(cur.objects)-reclaimed), cur.objects[:gLo]...)
 	}
 	ms := &segment{loEntry: gLo, arena: merged, hindex: idx}
 	for k, sn := range snaps {
@@ -123,16 +119,10 @@ func (e *Engine) swapMerged(cur *view, si int, snaps []*segment, merged sketchAr
 				ms.deleted++
 			}
 			next.entries = append(next.entries, cur.entries[sn.loEntry+li])
-			if e.resident {
-				next.objects = append(next.objects, cur.objects[sn.loEntry+li])
-			}
 			ms.n++
 		}
 	}
 	next.entries = append(next.entries, cur.entries[gHi:]...)
-	if e.resident {
-		next.objects = append(next.objects, cur.objects[gHi:]...)
-	}
 	next.deleted = cur.deleted - reclaimed
 
 	if ms.n > 0 {

@@ -148,6 +148,8 @@ type Config struct {
 	SegmentDistance vector.Func
 	// ObjectDistance is the plug-in obj_distance; nil means EMD with
 	// SegmentDistance as the ground distance and RankThreshold applied.
+	// Neither plug-in may modify the vectors it is given: a stored
+	// object's alias the metadata store's records.
 	ObjectDistance func(a, b object.Object) float64
 	// RankThreshold, when positive, caps segment distances inside the
 	// default EMD object distance (thresholded EMD, paper §5.1). It is
@@ -183,13 +185,6 @@ type Config struct {
 	// options), invalidated by every published view (ingest, delete, seal,
 	// compaction swap). The zero value disables caching.
 	ResultCache ResultCacheParams
-	// LowMemory keeps only sketches resident: the ranking unit fetches
-	// candidate feature vectors from the metadata store on demand instead
-	// of caching every vector in RAM — the paper's large-dataset regime,
-	// where sketches are "an order of magnitude smaller than the feature
-	// vector metadata". BruteForceOriginal degrades to per-object store
-	// reads in this mode; Filtering only reads the (small) candidate set.
-	LowMemory bool
 	// Telemetry is the metric registry the engine records into. nil gives
 	// the engine a private registry (reachable via Engine.Telemetry);
 	// passing one in lets the engine share a registry with the serving
@@ -276,10 +271,14 @@ type TraceInfo struct {
 // sketchEntry is the per-object record of the in-memory sketch database.
 // The sketch words and segment weights themselves live in the owning
 // segment's sketchArena (see arena.go), and deletion in its tombstone bitmap;
-// the entry only carries identity.
+// the entry carries identity and rec, the object's feature-vector record:
+// the metadata store's own immutable value, which Engine.object views in
+// place (nil in a sketch-only store). A view holding an entry keeps its
+// record readable after the object is deleted or overwritten in the store.
 type sketchEntry struct {
 	id  object.ID
 	key string
+	rec []byte
 }
 
 // Engine is the core similarity search engine. Queries run lock-free on the
@@ -301,11 +300,6 @@ type Engine struct {
 	segDist vector.Func
 	met     *engineMetrics
 	tracer  *trace.Tracer
-
-	// resident reports that views hold every object's feature vectors
-	// (neither SketchOnly nor LowMemory), decided once in Open; otherwise
-	// object reads them from the metadata store.
-	resident bool
 
 	// GOMAXPROCS−1 helpers take query stages from jobs until quit (fanout.go).
 	helpers int
@@ -339,8 +333,8 @@ type Engine struct {
 
 // Open opens or creates an engine. On reopen, the persisted sketch builder
 // is restored so new sketches stay compatible with stored ones; the
-// in-memory sketch database (and feature-vector cache) is rebuilt from the
-// metadata store.
+// in-memory sketch database is rebuilt from the metadata store, each entry
+// holding the store's feature-vector record.
 func Open(cfg Config) (*Engine, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("core: Dir is required")
@@ -355,8 +349,7 @@ func Open(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, meta: meta, attrs: attr.New(meta.KV()), met: met,
-		resident: !cfg.SketchOnly && !cfg.LowMemory}
+	e := &Engine{cfg: cfg, meta: meta, attrs: attr.New(meta.KV()), met: met}
 	e.tracer = trace.New(cfg.Trace, met.reg)
 
 	e.segDist = cfg.SegmentDistance
@@ -412,23 +405,10 @@ func Open(cfg Config) (*Engine, error) {
 	for i := range v.entries {
 		v.entries[i].key = meta.Key(v.entries[i].id)
 	}
-	if e.resident {
-		meta.ForEachObject(func(o object.Object) bool {
-			v.objects = append(v.objects, o)
-			return true
-		})
-		// The ranking unit indexes objects by sketch-entry position, so the
-		// two caches must be exactly parallel.
-		if len(v.objects) != len(v.entries) {
+	if !cfg.SketchOnly {
+		if err := attachRecords(meta, v.entries); err != nil {
 			meta.Close()
-			return nil, fmt.Errorf("core: %d feature-vector records but %d sketch records (corrupt store?)",
-				len(v.objects), len(v.entries))
-		}
-		for i := range v.objects {
-			if v.objects[i].ID != v.entries[i].id {
-				meta.Close()
-				return nil, fmt.Errorf("core: object/sketch record mismatch at position %d", i)
-			}
+			return nil, err
 		}
 	}
 	e.met.objects.Set(int64(len(v.entries)))
@@ -612,16 +592,19 @@ func (e *Engine) Ingest(o object.Object, attrs attr.Attrs) (object.ID, error) {
 		}
 		return 0, err
 	}
-	o.ID = id
-	var cached *object.Object
-	if e.resident {
-		cached = &o
+	ent := sketchEntry{id: id, key: o.Key}
+	if !e.cfg.SketchOnly {
+		ent.rec, _ = e.meta.ObjectRecord(id)
 	}
-	cur := e.lockWrite()
-	e.publish(e.appended(cur, sketchEntry{id: id, key: o.Key}, cached, set.Weights, set.Sketches))
-	e.met.objects.Add(1)
-	e.met.segments.Add(int64(len(set.Sketches)))
-	e.mu.Unlock()
+	// A missing record was deleted by ID before this ingest published it:
+	// the delete found no entry to tombstone, so none is published.
+	if ent.rec != nil || e.cfg.SketchOnly {
+		cur := e.lockWrite()
+		e.publish(e.appended(cur, ent, set.Weights, set.Sketches))
+		e.met.objects.Add(1)
+		e.met.segments.Add(int64(len(set.Sketches)))
+		e.mu.Unlock()
+	}
 	e.ingestMu.Unlock()
 	e.met.ingests.Inc()
 	e.met.ingestTime.ObserveSince(start)
@@ -879,32 +862,52 @@ func (e *Engine) buildSketchSet(q object.Object) *metastore.SketchSet {
 }
 
 // rankAll is BruteForceOriginal: the accurate object distance against every
-// (non-restricted) object. In LowMemory mode each feature-vector record is
-// fetched from the metadata store as the scan reaches it.
+// (non-restricted) object.
 func (e *Engine) rankAll(v *view, sc *queryScratch) []Result {
-	return e.rankScan(v, sc, func(i int) (float64, bool) {
-		o, ok := e.object(v, i)
-		if !ok {
-			return 0, false
-		}
-		return e.objDist(sc.q, o), true
-	})
+	return e.rankScan(v, sc, func(i int) float64 { return e.objDist(sc.q, e.object(v, i, &sc.segs)) })
 }
 
-// object returns entry idx's feature vectors: the view's resident copy, or
-// in LowMemory mode a metadata-store read — false when the object has been
-// deleted since v was published.
-func (e *Engine) object(v *view, idx int) (object.Object, bool) {
-	if e.resident {
-		return v.objects[idx], true
+// object returns entry idx's object, its segments viewed in place over the
+// entry's record (metastore.ViewRecord) into *segs, the calling worker's
+// buffer: they are valid until its next call. Not for a sketch-only store.
+func (e *Engine) object(v *view, idx int, segs *[]object.Segment) object.Object {
+	ent := &v.entries[idx]
+	*segs, _ = metastore.ViewRecord(ent.rec, *segs) // Open and Ingest checked the record
+	return object.Object{ID: ent.id, Key: ent.key, Segments: *segs}
+}
+
+// attachRecords gives each entry its feature-vector record from one scan of
+// the store, failing unless every entry has one of the same ID that views
+// cleanly; entries and records both ascend by ID.
+func attachRecords(meta *metastore.Store, entries []sketchEntry) error {
+	var segs []object.Segment
+	var err error
+	n := 0
+	meta.ForEachObjectRecord(func(id object.ID, rec []byte) bool {
+		if n < len(entries) {
+			if entries[n].id != id {
+				err = fmt.Errorf("core: object/sketch record mismatch at position %d", n)
+				return false
+			}
+			if segs, err = metastore.ViewRecord(rec, segs); err != nil {
+				err = fmt.Errorf("core: object %d: %w", id, err)
+				return false
+			}
+			entries[n].rec = rec
+		}
+		n++
+		return true
+	})
+	if err == nil && n != len(entries) {
+		err = fmt.Errorf("core: %d feature-vector records but %d sketch records (corrupt store?)", n, len(entries))
 	}
-	return e.meta.GetObject(v.entries[idx].id)
+	return err
 }
 
 // rankAllSketch is BruteForceSketch: sketch-estimated object distance
 // against every object.
 func (e *Engine) rankAllSketch(v *view, sc *queryScratch) []Result {
-	return e.rankScan(v, sc, func(i int) (float64, bool) { return e.sketchObjectDistanceAt(v, sc.qset, i), true })
+	return e.rankScan(v, sc, func(i int) float64 { return e.sketchObjectDistanceAt(v, sc.qset, i) })
 }
 
 // rankScan runs a distance function over every live, unrestricted entry of
@@ -912,7 +915,7 @@ func (e *Engine) rankAllSketch(v *view, sc *queryScratch) []Result {
 // cancellation aborts the scan (the caller surfaces the error), budget
 // expiry stops it early — the caller reads the latched expiry (budgetHit)
 // and marks the answer degraded.
-func (e *Engine) rankScan(v *view, sc *queryScratch, distance func(idx int) (float64, bool)) []Result {
+func (e *Engine) rankScan(v *view, sc *queryScratch, distance func(idx int) float64) []Result {
 	restrict := sc.opt.Restrict
 	top := newTopK(sc.opt.K)
 	evals := 0
@@ -924,10 +927,8 @@ func (e *Engine) rankScan(v *view, sc *queryScratch, distance func(idx int) (flo
 		if v.isDead(i) || (restrict != nil && !restrict[ent.id]) {
 			continue
 		}
-		if d, ok := distance(i); ok {
-			evals++
-			top.push(Result{ID: ent.id, Key: ent.key, Distance: d})
-		}
+		evals++
+		top.push(Result{ID: ent.id, Key: ent.key, Distance: distance(i)})
 	}
 	e.met.emdEvals.Add(evals)
 	e.met.heapTrims.Add(top.trims)

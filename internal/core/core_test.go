@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -378,6 +379,37 @@ func TestSketchOnlyMode(t *testing.T) {
 	}
 	if results[0].ID != ids[1][0] {
 		t.Fatalf("self not first: %+v", results)
+	}
+}
+
+// TestLongKeyRefused: the feature-vector record stores its key's length in
+// 16 bits, so a longer key is refused at ingest instead of corrupting the
+// store, and the engine still reopens with every object it accepted.
+func TestLongKeyRefused(t *testing.T) {
+	const d = 4
+	cfg := testConfig(t.TempDir(), d)
+	e, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec := []float32{0.1, 0.2, 0.3, 0.4}
+	if _, err := e.Ingest(object.Single(strings.Repeat("k", 70000), vec), nil); err == nil {
+		t.Fatal("a 70 000-byte key was ingested")
+	}
+	for _, key := range []string{"short", strings.Repeat("m", math.MaxUint16)} {
+		if _, err := e.Ingest(object.Single(key, vec), nil); err != nil {
+			t.Fatalf("%d-byte key: %v", len(key), err)
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e2 := openEngine(t, cfg)
+	if e2.Count() != 2 {
+		t.Fatalf("reopened engine counts %d objects, want 2", e2.Count())
+	}
+	if err := e2.checkSegInvariants(e2.cur.Load()); err != nil {
+		t.Fatal(err)
 	}
 }
 

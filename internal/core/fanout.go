@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ferret/internal/hindex"
+	"ferret/internal/object"
 )
 
 // help is one of the engine's helpers: it runs stages from jobs until it takes a quit.
@@ -41,8 +42,10 @@ type fanout struct {
 	published        atomic.Uint64 // walk: Float64bits of the committed prefix's kth-best distance
 }
 
-// fanWorker is one worker's buffers.
+// fanWorker is one worker's buffers (the caller's object buffer is sc.segs).
 type fanWorker struct {
+	segs []object.Segment // Engine.object's
+
 	seen                   []uint64 // the descent's dedup bitmap for the pair at hand
 	probe                  []int32  // one descent step's new candidate rows in one segment
 	rowMin, colMin         []int32  // sketchLowerBound's cross minima
@@ -53,10 +56,9 @@ type fanWorker struct {
 
 // walkSlot is a walk position's outcome (d, or lb past its bound), ready once written.
 type walkSlot struct {
-	idx    int
-	d, lb  float64
-	absent bool
-	ready  atomic.Bool
+	idx   int
+	d, lb float64
+	ready atomic.Bool
 }
 
 // fanOut arms sc.fan, hands it without waiting to up to units−1 idle helpers
@@ -96,12 +98,12 @@ func (f *fanout) join() {
 }
 
 // speculate is a helper's share of the walk (see rankLoop).
-func (e *Engine) speculate(f *fanout, _ int) {
+func (e *Engine) speculate(f *fanout, w int) {
 	for i := f.claim(); i < f.units; i = f.claim() {
 		if walkLag != nil {
 			walkLag(i)
 		}
-		e.evalPosition(f, i, math.Float64frombits(f.published.Load()))
+		e.evalPosition(f, i, math.Float64frombits(f.published.Load()), &f.sc.workers[w].segs)
 		f.sc.outs[i].ready.Store(true)
 	}
 }

@@ -204,7 +204,11 @@ func checkDegraded(t *testing.T, e *Engine, q object.Object, res []Result, k int
 	lbs := slices.Clone(e.lowerBounds(v, sc.cands, e.cfg.SqrtWeights, sc))
 	exact := make([]float64, len(lbs))
 	for i, c := range lbs {
-		exact[i] = e.objDist(q, v.objects[c.idx])
+		o, ok := e.meta.GetObject(v.entries[c.idx].id)
+		if !ok {
+			t.Fatalf("candidate %d has no feature-vector record", c.idx)
+		}
+		exact[i] = e.objDist(q, o)
 	}
 	same := func(r Result, idx int, d float64) bool {
 		return r.ID == v.entries[idx].id && math.Float64bits(r.Distance) == math.Float64bits(d)

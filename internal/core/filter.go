@@ -77,6 +77,7 @@ type queryScratch struct {
 	lbs  []lbCand
 	qw   []float64
 	outs []walkSlot
+	segs []object.Segment // Engine.object's buffer on the calling goroutine
 
 	// The stage being shared with idle helpers and its workers' buffers.
 	fan     fanout
@@ -391,10 +392,7 @@ func (e *Engine) filterExact(v *view, sc *queryScratch, p FilterParams) {
 			if v.isDead(idx) || (opt.Restrict != nil && !opt.Restrict[v.entries[idx].id]) {
 				continue
 			}
-			o, ok := e.object(v, idx)
-			if !ok {
-				continue
-			}
+			o := e.object(v, idx, &sc.segs)
 			scanned++
 			best := math.Inf(1)
 			for si := range o.Segments {

@@ -7,6 +7,7 @@ import (
 
 	"ferret/internal/emd"
 	"ferret/internal/metastore"
+	"ferret/internal/object"
 	"ferret/internal/sketch"
 )
 
@@ -119,21 +120,19 @@ func (e *Engine) rankLoop(v *view, sc *queryScratch, margin float64, sqrtW bool)
 			break
 		}
 		if alone {
-			e.evalPosition(f, i, top.bound())
+			e.evalPosition(f, i, top.bound(), &sc.segs)
 		}
 		for !alone && !outs[i].ready.Load() {
 			if j := f.claim(); j < len(cands) {
-				e.evalPosition(f, j, top.bound())
+				e.evalPosition(f, j, top.bound(), &sc.segs)
 				outs[j].ready.Store(true)
 			} else {
 				runtime.Gosched()
 			}
 		}
-		switch {
-		case outs[i].absent:
-		case outs[i].lb > top.bound(): // abandoned under this position's own bound
+		if outs[i].lb > top.bound() { // abandoned under this position's own bound
 			abandoned++
-		default:
+		} else {
 			evals++
 			ent := &v.entries[outs[i].idx]
 			if top.push(Result{ID: ent.id, Key: ent.key, Distance: outs[i].d}); !alone {
@@ -160,8 +159,9 @@ func (e *Engine) rankLoop(v *view, sc *queryScratch, margin float64, sqrtW bool)
 	return top.sorted(), false
 }
 
-// evalPosition evaluates walk position i into its slot under bound (a helper's: the published one).
-func (e *Engine) evalPosition(f *fanout, i int, bound float64) {
+// evalPosition evaluates walk position i into its slot under bound (a
+// helper's: the published one); segs is the worker's object buffer.
+func (e *Engine) evalPosition(f *fanout, i int, bound float64, segs *[]object.Segment) {
 	s, sc := &f.sc.outs[i], f.sc
 	if s.idx = sc.cands[i]; f.lbs != nil {
 		s.idx = f.lbs[i].idx
@@ -172,12 +172,10 @@ func (e *Engine) evalPosition(f *fanout, i int, bound float64) {
 		s.lb = math.Inf(1) // skipped: the walk stops at or before it
 	} else if !sc.hasQ {
 		s.d = e.sketchObjectDistanceAt(f.v, sc.qset, s.idx)
-	} else if o, ok := e.object(f.v, s.idx); !ok {
-		s.absent = true // the object is gone
 	} else if e.objDistBounded == nil {
-		s.d = e.objDist(sc.q, o)
+		s.d = e.objDist(sc.q, e.object(f.v, s.idx, segs))
 	} else {
-		s.d, s.lb = e.objDistBounded(sc.q, o, bound)
+		s.d, s.lb = e.objDistBounded(sc.q, e.object(f.v, s.idx, segs), bound)
 	}
 }
 

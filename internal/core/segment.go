@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ferret/internal/hindex"
-	"ferret/internal/object"
 	"ferret/internal/sketch"
 )
 
@@ -34,7 +33,7 @@ import (
 //   - a seal builds the tail's Hamming index — once — and opens an empty
 //     tail behind it; the index is never edited, and the filter drops
 //     tombstoned candidates where it verifies them,
-//   - a merge swap publishes fresh entry/object arrays and new headers for
+//   - a merge swap publishes a fresh entry array and new headers for
 //     the segments whose global offsets moved.
 //
 // Geometry: segment s owns the contiguous global entry range
@@ -142,8 +141,7 @@ type view struct {
 	// one's id plus one, so it is also the result cache's invalidation
 	// clock (see cache.go).
 	id      uint64
-	entries []sketchEntry   // per-object records, ascending ID order
-	objects []object.Object // in-memory feature vectors (unless SketchOnly/LowMemory)
+	entries []sketchEntry // per-object records, ascending ID order
 	// segs tiles entries: the sealed segments, then the mutable tail (always
 	// present, possibly empty). Copy-on-write, like the headers it points to.
 	segs    []*segment
@@ -232,14 +230,10 @@ func (e *Engine) buildIndex(a *sketchArena, pace func()) *hindex.Index {
 
 // appended derives from cur the view with one more object at the tail,
 // sealing the tail and opening a fresh one when it reaches capacity. The
-// caller holds e.mu and publishes the result. o is nil when feature vectors
-// are not cached.
-func (e *Engine) appended(cur *view, ent sketchEntry, o *object.Object, weights []float32, sketches []sketch.Sketch) *view {
+// caller holds e.mu and publishes the result.
+func (e *Engine) appended(cur *view, ent sketchEntry, weights []float32, sketches []sketch.Sketch) *view {
 	next := *cur
 	next.entries = append(cur.entries, ent)
-	if o != nil {
-		next.objects = append(cur.objects, *o)
-	}
 	t := *cur.tail()
 	t.arena.appendEntry(weights, sketches)
 	t.n++
@@ -300,13 +294,13 @@ func (e *Engine) checkSegInvariants(v *view) error {
 	if next != len(v.entries) {
 		return fmt.Errorf("segments: segments tile %d entries, engine has %d", next, len(v.entries))
 	}
-	if e.resident && len(v.objects) != len(v.entries) {
-		return fmt.Errorf("segments: %d cached objects for %d entries", len(v.objects), len(v.entries))
-	}
 	// Delete finds an entry by binary search on its ID.
-	for i := 1; i < len(v.entries); i++ {
-		if v.entries[i].id <= v.entries[i-1].id {
+	for i := range v.entries {
+		if i > 0 && v.entries[i].id <= v.entries[i-1].id {
 			return fmt.Errorf("segments: entry %d has id %d after id %d, want ascending", i, v.entries[i].id, v.entries[i-1].id)
+		}
+		if (v.entries[i].rec == nil) != e.cfg.SketchOnly {
+			return fmt.Errorf("segments: entry %d (id %d) holds a record: %t", i, v.entries[i].id, v.entries[i].rec != nil)
 		}
 	}
 	if dead != v.deleted || int64(dead) != e.met.deleted.Value() {

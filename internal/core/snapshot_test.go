@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ferret/internal/object"
 	"ferret/internal/vector"
@@ -274,15 +276,15 @@ func TestSnapshotStress(t *testing.T) {
 // frozen is a deep copy of everything a query can read from a view.
 type frozen struct {
 	entries []sketchEntry
-	objects []object.ID
+	recs    [][]byte  // the entries' record bytes, cloned
 	segs    []segment // arena slices, tombstones cloned
 	probes  [][]int32 // each indexed segment's candidates for its own first row
 }
 
 func freeze(v *view) frozen {
 	f := frozen{entries: slices.Clone(v.entries)}
-	for _, o := range v.objects {
-		f.objects = append(f.objects, o.ID)
+	for _, ent := range v.entries {
+		f.recs = append(f.recs, slices.Clone(ent.rec))
 	}
 	for _, sp := range v.segs {
 		s := *sp
@@ -328,7 +330,9 @@ func TestPublishedViewIsNeverWritten(t *testing.T) {
 	ingestVariedKeys(t, e, "last", 3, d)
 	e.Compact()
 
-	if got := freeze(held); !slices.Equal(got.entries, want.entries) || !slices.Equal(got.objects, want.objects) ||
+	if got := freeze(held); !slices.EqualFunc(got.entries, want.entries, func(a, b sketchEntry) bool {
+		return a.id == b.id && a.key == b.key && unsafe.SliceData(a.rec) == unsafe.SliceData(b.rec) && len(a.rec) == len(b.rec)
+	}) || !slices.EqualFunc(got.recs, want.recs, bytes.Equal) ||
 		!slices.EqualFunc(got.probes, want.probes, slices.Equal[[]int32]) ||
 		!slices.EqualFunc(got.segs, want.segs, func(a, b segment) bool {
 			return a.loEntry == b.loEntry && a.n == b.n && a.deleted == b.deleted && a.hindex == b.hindex &&

@@ -250,8 +250,10 @@ func (s *Store) Close() error {
 	return s.log.close()
 }
 
-// Get returns the value under key in table. The returned slice must not be
-// modified.
+// Get returns the value under key in table. Values are immutable: the store
+// never writes into one it holds (an overwrite or delete replaces the slot,
+// a checkpoint only reads), so the slice may be retained for as long as the
+// caller likes, but must not be modified.
 func (s *Store) Get(table string, key []byte) ([]byte, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -263,8 +265,8 @@ func (s *Store) Get(table string, key []byte) ([]byte, bool) {
 }
 
 // Scan visits entries of table with from ≤ key < to in key order (nil
-// bounds are open). The visitor must not retain or modify the slices; it
-// returns false to stop.
+// bounds are open). The visitor must not modify the slices and may retain
+// a value, as with Get. It returns false to stop.
 func (s *Store) Scan(table string, from, to []byte, fn func(k, v []byte) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -518,3 +518,57 @@ func BenchmarkCommitSingleOp(b *testing.B) {
 		}
 	}
 }
+
+// TestRetainedValuesStayUnchanged is the retention contract of Get and Scan:
+// a value slice handed out keeps its bytes across overwrites and deletes of
+// its key and its neighbours (node splits, borrows and merges) and across a
+// checkpoint.
+func TestRetainedValuesStayUnchanged(t *testing.T) {
+	s := openTestStore(t, t.TempDir())
+	defer s.Close()
+	const n = 500 // several levels of 63-key nodes
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%04d", i)) }
+	val := func(i, gen int) []byte { return bytes.Repeat([]byte{byte(i), byte(gen)}, 1+i%7) }
+	for i := 0; i < n; i++ {
+		if err := s.Put("t", key(i), val(i, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([][]byte, n)
+	for i := 0; i < n; i += 2 {
+		got[i], _ = s.Get("t", key(i))
+	}
+	i := 1
+	s.Scan("t", nil, nil, func(k, v []byte) bool {
+		if bytes.Equal(k, key(i)) {
+			got[i] = v
+			i += 2
+		}
+		return true
+	})
+	for i := 0; i < n; i++ {
+		var err error
+		switch i % 3 {
+		case 0:
+			err = s.Put("t", key(i), val(i, 1))
+		case 1:
+			err = s.Delete("t", key(i))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i := n; i < 2*n; i++ {
+		if err := s.Put("t", key(i), val(i, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, v := range got {
+		if !bytes.Equal(v, val(i, 0)) {
+			t.Fatalf("retained value of %s is %v, was %v", key(i), v, val(i, 0))
+		}
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"ferret/internal/kvstore"
@@ -105,6 +106,9 @@ func (s *Store) AddObject(o object.Object, set *SketchSet, sketchOnly bool, extr
 	if o.Key == "" {
 		return 0, errors.New("metastore: object key is empty")
 	}
+	if len(o.Key) > math.MaxUint16 { // the record stores its length in 16 bits
+		return 0, fmt.Errorf("metastore: key is %d bytes, longest allowed is %d", len(o.Key), math.MaxUint16)
+	}
 	if _, exists := s.kv.Get(tableKeys, []byte(o.Key)); exists {
 		return 0, fmt.Errorf("metastore: key %q already present", o.Key)
 	}
@@ -134,23 +138,44 @@ func (s *Store) AddObject(o object.Object, set *SketchSet, sketchOnly bool, extr
 	return id, nil
 }
 
-// GetObject returns the stored feature-vector record for id. In sketch-only
-// databases this reports false for every object.
+// GetObject returns the stored feature-vector record for id, decoded into a
+// copy. In sketch-only databases this reports false for every object.
 func (s *Store) GetObject(id object.ID) (object.Object, bool) {
-	v, ok := s.kv.Get(tableObjects, idKey(id))
+	rec, ok := s.ObjectRecord(id)
 	if !ok {
 		return object.Object{}, false
 	}
-	o, err := decodeObjectRecord(v)
+	key, enc, err := splitRecord(rec)
 	if err != nil {
 		return object.Object{}, false
 	}
-	o.ID = id
+	o, err := object.Unmarshal(enc)
+	if err != nil {
+		return object.Object{}, false
+	}
+	o.ID, o.Key = id, string(key)
 	return o, true
 }
 
+// ObjectRecord returns id's feature-vector record: the store's own
+// immutable value, which the caller may keep but must not modify (read it
+// with ViewRecord).
+func (s *Store) ObjectRecord(id object.ID) ([]byte, bool) {
+	return s.kv.Get(tableObjects, idKey(id))
+}
+
+// ViewRecord views a feature-vector record's segments in place into
+// segs[:0] (object.View): rec must stay unmodified while they are in use.
+func ViewRecord(rec []byte, segs []object.Segment) ([]object.Segment, error) {
+	_, enc, err := splitRecord(rec)
+	if err != nil {
+		return segs[:0], err
+	}
+	return object.View(enc, segs)
+}
+
 // encodeObjectRecord stores the external key alongside the segment data so
-// streaming scans can populate Object.Key without extra lookups:
+// GetObject can populate Object.Key without a second lookup:
 // keyLen(uint16) | key | object.Marshal().
 func encodeObjectRecord(o *object.Object) []byte {
 	seg := o.Marshal()
@@ -161,20 +186,17 @@ func encodeObjectRecord(o *object.Object) []byte {
 	return buf
 }
 
-func decodeObjectRecord(data []byte) (object.Object, error) {
-	if len(data) < 2 {
-		return object.Object{}, errors.New("metastore: short object record")
+// splitRecord splits an encodeObjectRecord record into the key and the
+// object.Marshal encoding.
+func splitRecord(rec []byte) (key, enc []byte, err error) {
+	if len(rec) < 2 {
+		return nil, nil, errors.New("metastore: short object record")
 	}
-	klen := int(binary.LittleEndian.Uint16(data[0:]))
-	if 2+klen > len(data) {
-		return object.Object{}, errors.New("metastore: truncated object key")
+	klen := int(binary.LittleEndian.Uint16(rec[0:]))
+	if 2+klen > len(rec) {
+		return nil, nil, errors.New("metastore: truncated object key")
 	}
-	o, err := object.Unmarshal(data[2+klen:])
-	if err != nil {
-		return object.Object{}, err
-	}
-	o.Key = string(data[2 : 2+klen])
-	return o, nil
+	return rec[2 : 2+klen], rec[2+klen:], nil
 }
 
 // GetSketchSet returns the sketch record for id.
@@ -219,17 +241,12 @@ func (s *Store) Key(id object.ID) string {
 // Count returns the number of ingested objects.
 func (s *Store) Count() int { return s.kv.Len(tableNames) }
 
-// ForEachObject streams all feature-vector records in ID order. The object
-// passed to fn is freshly decoded and owned by the callee. fn returns false
-// to stop.
-func (s *Store) ForEachObject(fn func(o object.Object) bool) {
+// ForEachObjectRecord streams all feature-vector records in ID order. Each
+// record is the store's own immutable value (see ObjectRecord). fn returns
+// false to stop.
+func (s *Store) ForEachObjectRecord(fn func(id object.ID, rec []byte) bool) {
 	s.kv.Scan(tableObjects, nil, nil, func(k, v []byte) bool {
-		o, err := decodeObjectRecord(v)
-		if err != nil {
-			return true // skip undecodable records rather than abort the scan
-		}
-		o.ID = parseID(k)
-		return fn(o)
+		return fn(parseID(k), v)
 	})
 }
 

@@ -2,6 +2,7 @@ package metastore
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"ferret/internal/kvstore"
@@ -147,15 +148,19 @@ func TestIDsPersistAcrossReopen(t *testing.T) {
 	}
 }
 
-func TestForEachObjectOrderAndStop(t *testing.T) {
+func TestForEachObjectRecordOrderAndStop(t *testing.T) {
 	s := openTest(t, t.TempDir())
 	defer s.Close()
 	for i := 0; i < 10; i++ {
 		s.AddObject(makeObj(fmt.Sprintf("k%d", i), 1), nil, false, nil)
 	}
 	var ids []object.ID
-	s.ForEachObject(func(o object.Object) bool {
-		ids = append(ids, o.ID)
+	s.ForEachObjectRecord(func(id object.ID, rec []byte) bool {
+		ids = append(ids, id)
+		o, _ := s.GetObject(id)
+		if segs, err := ViewRecord(rec, nil); err != nil || len(segs) != 1 || !slices.Equal(segs[0].Vec, o.Segments[0].Vec) {
+			t.Errorf("record %d views as %v, %v; GetObject gives %v", id, segs, err, o.Segments)
+		}
 		return len(ids) < 5
 	})
 	if len(ids) != 5 {
@@ -301,7 +306,8 @@ func TestCrashConsistentIngest(t *testing.T) {
 	if s2.Count() != 20 {
 		t.Fatalf("Count = %d", s2.Count())
 	}
-	s2.ForEachObject(func(o object.Object) bool {
+	s2.ForEachObjectRecord(func(id object.ID, _ []byte) bool {
+		o, _ := s2.GetObject(id)
 		if _, ok := s2.GetSketchSet(o.ID); !ok {
 			t.Errorf("object %d has no sketch set", o.ID)
 		}

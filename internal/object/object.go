@@ -16,6 +16,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
+	"unsafe"
 )
 
 // ID identifies a data object within one Ferret database. IDs are assigned
@@ -180,33 +183,72 @@ func (o *Object) Marshal() []byte {
 	return buf
 }
 
-// Unmarshal decodes segments produced by Marshal.
+// Unmarshal decodes segments produced by Marshal into an object that owns
+// its vectors: View's segments with all vectors copied into one new array.
 func Unmarshal(data []byte) (Object, error) {
+	segs, err := View(data, nil)
+	if err != nil {
+		return Object{}, err
+	}
+	if len(segs) > 0 {
+		d := len(segs[0].Vec)
+		flat := make([]float32, len(segs)*d)
+		for i := range segs {
+			v := flat[i*d : (i+1)*d : (i+1)*d]
+			copy(v, segs[i].Vec)
+			segs[i].Vec = v
+		}
+	}
+	return Object{Segments: segs}, nil
+}
+
+// viewInPlace reports that View can alias an encoding's floats: the host
+// stores float32 little-endian and loads it from any address.
+const viewInPlace = runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64"
+
+// View decodes a Marshal encoding into segs[:0], growing it only when its
+// capacity is short, and returns the segments. On amd64 and arm64 each
+// Segment.Vec aliases data's float bytes, so data must stay unmodified
+// while the segments are in use; other hosts get a decoded copy. A caller
+// that views one object at a time into the same buffer allocates nothing.
+func View(data []byte, segs []Segment) ([]Segment, error) {
 	if len(data) < 8 {
-		return Object{}, errors.New("object: truncated encoding")
+		return segs[:0], errors.New("object: truncated encoding")
 	}
 	k := int(binary.LittleEndian.Uint32(data[0:]))
 	d := int(binary.LittleEndian.Uint32(data[4:]))
 	// Caps keep the size arithmetic below free of overflow and bound the
 	// allocation an adversarial header could request.
 	if k < 0 || d < 0 || k > 1<<24 || d > 1<<24 {
-		return Object{}, errors.New("object: implausible counts in encoding")
+		return segs[:0], errors.New("object: implausible counts in encoding")
 	}
-	want := 8 + k*(4+4*d)
-	if len(data) != want {
-		return Object{}, fmt.Errorf("object: encoding is %d bytes, want %d", len(data), want)
+	if want := 8 + k*(4+4*d); len(data) != want {
+		return segs[:0], fmt.Errorf("object: encoding is %d bytes, want %d", len(data), want)
 	}
-	o := Object{Segments: make([]Segment, k)}
-	off := 8
-	for i := 0; i < k; i++ {
-		w := math.Float32frombits(binary.LittleEndian.Uint32(data[off:]))
-		off += 4
-		vec := make([]float32, d)
-		for j := 0; j < d; j++ {
-			vec[j] = math.Float32frombits(binary.LittleEndian.Uint32(data[off:]))
-			off += 4
+	segs = slices.Grow(segs[:0], k)[:k]
+	for i, off := 0, 8; i < k; i, off = i+1, off+4+4*d {
+		segs[i] = Segment{
+			Weight: math.Float32frombits(binary.LittleEndian.Uint32(data[off:])),
+			Vec:    floats(data[off+4 : off+4+4*d]),
 		}
-		o.Segments[i] = Segment{Weight: w, Vec: vec}
 	}
-	return o, nil
+	return segs, nil
+}
+
+// floats returns b's little-endian float32s as a slice whose capacity is
+// its length: b itself where the host allows (viewInPlace), a decoded copy
+// elsewhere.
+func floats(b []byte) []float32 {
+	d := len(b) / 4
+	if d == 0 {
+		return nil
+	}
+	if viewInPlace {
+		return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), d)
+	}
+	vec := make([]float32, d)
+	for j := range vec {
+		vec[j] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*j:]))
+	}
+	return vec
 }

@@ -180,3 +180,65 @@ func TestMarshalRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestViewAliasesEncoding: View fills the caller's buffer without
+// allocating, and on hosts that view in place its vectors are the
+// encoding's own bytes.
+func TestViewAliasesEncoding(t *testing.T) {
+	o, _ := New("v", []float32{1, 3}, [][]float32{{0.5, -1.25, 3e7}, {2, 0, -0.001}})
+	enc := o.Marshal()
+	buf := make([]Segment, 0, 2)
+	if allocs := testing.AllocsPerRun(100, func() { buf, _ = View(enc, buf) }); allocs != 0 && viewInPlace {
+		t.Fatalf("View allocates %.0f objects into a buffer of room enough", allocs)
+	}
+	segs, err := View(enc, buf)
+	if err != nil || len(segs) != 2 || segs[1].Vec[2] != -0.001 || segs[1].Weight != 0.75 {
+		t.Fatalf("View = %+v, %v", segs, err)
+	}
+	if viewInPlace {
+		enc[len(enc)-1] ^= 0x80 // the sign bit of the last float
+		if segs[1].Vec[2] != 0.001 {
+			t.Fatalf("viewed vector does not alias the encoding: %v", segs[1].Vec)
+		}
+	}
+}
+
+// FuzzObjectView: on any input View and Unmarshal either both fail or give
+// bit-identical segments, and neither panics.
+func FuzzObjectView(f *testing.F) {
+	two, _ := New("x", []float32{1, 3}, [][]float32{{0.5, -1.25, 3e7}, {2, 0, -0.001}})
+	one := Single("s", []float32{1, 2, 3})
+	for _, enc := range [][]byte{two.Marshal(), one.Marshal(), (&Object{}).Marshal()} {
+		f.Add(enc)
+		f.Add(enc[:len(enc)-1])
+		f.Add(enc[:4])
+	}
+	implausible := make([]byte, 8)
+	implausible[3], implausible[7] = 0xff, 0xff
+	f.Add(implausible)
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0}) // one zero-dimensional segment, weight missing
+	f.Fuzz(func(t *testing.T, data []byte) {
+		segs, errV := View(data, nil)
+		o, errU := Unmarshal(data)
+		if (errV == nil) != (errU == nil) {
+			t.Fatalf("View error %v, Unmarshal error %v", errV, errU)
+		}
+		if errV != nil {
+			return
+		}
+		if len(segs) != len(o.Segments) {
+			t.Fatalf("View gives %d segments, Unmarshal %d", len(segs), len(o.Segments))
+		}
+		for i, s := range segs {
+			u := o.Segments[i]
+			if math.Float32bits(s.Weight) != math.Float32bits(u.Weight) || len(s.Vec) != len(u.Vec) {
+				t.Fatalf("segment %d: View %v/%d floats, Unmarshal %v/%d", i, s.Weight, len(s.Vec), u.Weight, len(u.Vec))
+			}
+			for j := range s.Vec {
+				if math.Float32bits(s.Vec[j]) != math.Float32bits(u.Vec[j]) {
+					t.Fatalf("segment %d dim %d: View %v, Unmarshal %v", i, j, s.Vec[j], u.Vec[j])
+				}
+			}
+		}
+	})
+}
