@@ -1,11 +1,17 @@
 GO ?= go
 
-.PHONY: all build test race race-fast torture vet lint lint-test check ci bench bench-smoke bench-pairs loc clean
+.PHONY: all build fmt test race race-fast torture vet lint lint-test check ci bench bench-smoke bench-pairs loc clean
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# gofmt is the formatting bar: any Go file it would rewrite fails the check.
+# Dot directories are skipped (.bench_build holds other checkouts' sources).
+fmt:
+	@out=$$(gofmt -l $$(find . -path './.*' -prune -o -name '*.go' -print)); \
+	if [ -n "$$out" ]; then echo "gofmt would rewrite:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -49,7 +55,7 @@ lint:
 lint-test:
 	$(GO) test -race ./internal/lint
 
-check: build vet lint test race
+check: fmt build vet lint test race
 
 # The full pre-merge gate: everything in check plus the analyzer suite's
 # race-mode tests, the crash-torture suite and the microbenchmark smoke run.

@@ -495,3 +495,37 @@ func BenchmarkFilterSmallCorpus(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRankShapeCold measures one cold shape query's filter and rank
+// stages on shapeBenchEngine's corpus (40 000 single-segment 544-d shapes,
+// 800-bit sketches, indexed and compacted) at K 20: the index descent, the
+// sketch lower bounds and the walk over the candidates' records. The 256
+// queries are the next objects of the corpus's own stream, never ingested,
+// and are cycled in order, so the ~50 000 candidate records one cycle
+// touches — about 110 MB — leave each query's candidates cold in L2.
+// positions/op is the walk positions evaluated, abandoned ones included.
+func BenchmarkRankShapeCold(b *testing.B) {
+	const objects, queries = 40000, 256
+	e := shapeBenchEngine(b)
+	v := e.cur.Load()
+	scs := make([]*queryScratch, queries)
+	for i, q := range synth.MixedShapeObjects(objects+queries, 301)[objects:] {
+		sc := getScratch()
+		defer putScratch(sc)
+		loadScratch(sc, q, e.buildSketchSet(q), QueryOptions{K: 20})
+		e.filter(v, sc)
+		e.rankStage(v, sc) // warm the scratch
+		scs[i] = sc
+	}
+	positions := 0
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sc := scs[i%len(scs)]
+		e.filter(v, sc)
+		e.rankStage(v, sc)
+		positions += sc.rankEvals + sc.rankAbandoned
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(positions)/float64(b.N), "positions/op")
+}

@@ -633,17 +633,24 @@ func (e *Engine) SearchByID(ctx context.Context, id object.ID, opt QueryOptions)
 }
 
 // searchByID resolves the stored object (or its sketch set in sketch-only
-// stores) and runs the pipeline without consulting the cache.
+// stores) and runs the pipeline without consulting the cache. The query
+// object's segments are viewed in place over the store's immutable record
+// (metastore.ViewRecord) into the scratch's pooled buffer, not copied.
 func (e *Engine) searchByID(ctx context.Context, id object.ID, opt QueryOptions) (Answer, error) {
-	if o, ok := e.meta.GetObject(id); ok {
-		return e.search(ctx, &o, nil, opt)
+	sc := getScratch()
+	defer putScratch(sc)
+	if rec, ok := e.meta.ObjectRecord(id); ok {
+		var err error
+		if sc.qsegs, err = metastore.ViewRecord(rec, sc.qsegs); err == nil {
+			return e.searchIn(ctx, sc, &object.Object{ID: id, Segments: sc.qsegs}, nil, opt)
+		}
 	}
 	// Sketch-only store: the stored sketches stand in for the query's.
 	set, ok := e.meta.GetSketchSet(id)
 	if !ok {
 		return Answer{}, fmt.Errorf("core: no object with id %d", id)
 	}
-	return e.search(ctx, nil, set, opt)
+	return e.searchIn(ctx, sc, nil, set, opt)
 }
 
 // Search runs a similarity search for the query object q (typically the
@@ -691,6 +698,13 @@ func (e *Engine) cacheLookup(key cacheKey, tr *trace.Active) (Answer, bool) {
 // store, whose stored sketch set qset stands in for the query's; otherwise
 // qset is nil and built here. opt.K must already be resolved.
 func (e *Engine) search(ctx context.Context, q *object.Object, qset *metastore.SketchSet, opt QueryOptions) (Answer, error) {
+	sc := getScratch()
+	defer putScratch(sc)
+	return e.searchIn(ctx, sc, q, qset, opt)
+}
+
+// searchIn is search on a scratch the caller got (and puts back).
+func (e *Engine) searchIn(ctx context.Context, sc *queryScratch, q *object.Object, qset *metastore.SketchSet, opt QueryOptions) (Answer, error) {
 	if err := e.checkQuery(q); err != nil {
 		e.met.queryErrors.Inc()
 		return Answer{}, err
@@ -698,8 +712,6 @@ func (e *Engine) search(ctx context.Context, q *object.Object, qset *metastore.S
 	e.met.inflight.Add(1)
 	defer e.met.inflight.Add(-1)
 	defer rtrace.StartRegion(ctx, "ferret.search").End()
-	sc := getScratch()
-	defer putScratch(sc)
 	e.begin(ctx, sc, q, qset, opt)
 	e.run(sc)
 	return e.finish(sc)

@@ -70,14 +70,16 @@ type queryScratch struct {
 	idx    []int32
 	dist   []int32
 
-	seen   []uint64   // the candidate union, one bit per entry
-	spairs []scanPair // pairs left for the indexed segments' arena sweeps
+	seen   []uint64    // the candidate union, one bit per entry
+	spairs []scanPair  // pairs left for the indexed segments' arena sweeps
+	kept   []scoredIdx // filterExact's nearest entries to the query segment at hand
 
 	// Ranking-unit scratch (sketch lower-bound pruning, the walk's outcomes).
-	lbs  []lbCand
-	qw   []float64
-	outs []walkSlot
-	segs []object.Segment // Engine.object's buffer on the calling goroutine
+	lbs   []lbCand
+	qw    []float64
+	outs  []walkSlot
+	segs  []object.Segment // Engine.object's buffer on the calling goroutine
+	qsegs []object.Segment // a by-ID query's segments, viewed over its stored record
 
 	// The stage being shared with idle helpers and its workers' buffers.
 	fan     fanout
@@ -383,7 +385,7 @@ func (e *Engine) filterExact(v *view, sc *queryScratch, p FilterParams) {
 		if p.MaxDistance > 0 {
 			maxDist = p.MaxDistance * (1 - p.WeightTighten*float64(q.Segments[qi].Weight))
 		}
-		var kept []scoredIdx
+		kept := sc.kept[:0]
 		worst := math.Inf(1)
 		for idx := range v.entries {
 			if idx%rankCheckStride == 0 && sc.clk.stop() {
@@ -412,6 +414,7 @@ func (e *Engine) filterExact(v *view, sc *queryScratch, p FilterParams) {
 		for _, s := range trimScored(kept, p.NearestPerSegment) {
 			cands = append(cands, s.idx)
 		}
+		sc.kept = kept
 	}
 	slices.Sort(cands)
 	sc.cands = slices.Compact(cands)

@@ -9,6 +9,7 @@ import (
 	"ferret/internal/metastore"
 	"ferret/internal/object"
 	"ferret/internal/sketch"
+	"ferret/internal/vector"
 )
 
 // lbCand pairs a candidate entry index with its sketch-estimated
@@ -106,8 +107,17 @@ func (e *Engine) rankLoop(v *view, sc *queryScratch, margin float64, sqrtW bool)
 	f.published.Store(math.Float64bits(math.Inf(1)))
 	sc.rankWorkers = e.fanOut(v, sc, (*Engine).speculate, len(cands), lbs != nil)
 	alone := sc.rankWorkers == 1 // no claims or publishes: locked ops fence off the next candidate's loads
+	for j := range min(len(cands), entryAhead) {
+		f.prefetch(j, j < recordAhead)
+	}
 	evals, pruned, abandoned, i, degraded := 0, 0, 0, 0, false
 	for ; i < len(cands); i++ {
+		if j := i + entryAhead; j < len(cands) {
+			f.prefetch(j, false)
+		}
+		if j := i + recordAhead; j < len(cands) {
+			f.prefetch(j, true)
+		}
 		if clk.stop() {
 			break
 		}
@@ -157,6 +167,36 @@ func (e *Engine) rankLoop(v *view, sc *queryScratch, margin float64, sqrtW bool)
 		return degradedResults(v, top, rest, sc.opt.K), true
 	}
 	return top.sorted(), false
+}
+
+// The walk prefetches ahead of the position it is about to commit: the
+// sketchEntry of the position entryAhead on, then — the entry long since
+// arrived — the whole record of the position recordAhead on, so the first
+// touch of a candidate's record (its header, then its vectors) finds it in
+// cache instead of waiting on memory. A prefetch is only a cache hint; no
+// value, answer or count depends on it. Measured on BenchmarkRankShapeCold's
+// corpus at one core, alternating rounds of its 256 queries in one process:
+// the rank stage took 0.71× the time unhinted (20 of 20 rounds); record
+// distances 2–8 were within 1 % of each other and 1 was 5 % slower; entry
+// distances 5–8 tied and 12–16 were 1 % slower.
+const (
+	recordAhead = 4
+	entryAhead  = 2 * recordAhead
+)
+
+// prefetch issues the cache hints for walk position i: its sketchEntry, or
+// with record its feature-vector record (nil, and no hint, in sketch-only
+// stores).
+func (f *fanout) prefetch(i int, record bool) {
+	idx := f.sc.cands[i]
+	if f.lbs != nil {
+		idx = f.lbs[i].idx
+	}
+	if record {
+		vector.Prefetch(f.v.entries[idx].rec)
+	} else {
+		vector.Prefetch(f.v.entries[idx : idx+1])
+	}
 }
 
 // evalPosition evaluates walk position i into its slot under bound (a
@@ -215,11 +255,24 @@ func (e *Engine) lowerBounds(v *view, cands []int, sqrtW bool, sc *queryScratch)
 // boundChunk is how many candidates one unit of the bounds stage bounds.
 const boundChunk = 64
 
+// boundAhead is how many candidates ahead of the one being bounded the
+// bounds stage prefetches its sketch rows; the candidate's arena start
+// offsets, which locate the rows, are prefetched twice as far ahead.
+// Measured as recordAhead is: the bounds stage took 0.87× the time unhinted
+// (16 of 20 rounds); 4 tied with 8, 16 and 32 were 1–3 % slower.
+const boundAhead = 8
+
 // boundChunks is worker w's share of lowerBounds.
 func (e *Engine) boundChunks(f *fanout, w int) {
 	sc, wk := f.sc, &f.sc.workers[w]
 	for c := f.claim(); c < f.units; c = f.claim() {
 		for i := c * boundChunk; i < min(len(f.cands), (c+1)*boundChunk); i++ {
+			if j := i + 2*boundAhead; j < len(f.cands) {
+				f.v.prefetchStart(f.cands[j])
+			}
+			if j := i + boundAhead; j < len(f.cands) {
+				f.v.prefetchRows(f.cands[j])
+			}
 			sc.lbs[i] = lbCand{f.cands[i], e.sketchLowerBound(f.v, sc.qw, f.cands[i], f.sqrtW, sc, wk)}
 		}
 	}

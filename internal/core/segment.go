@@ -8,6 +8,7 @@ import (
 
 	"ferret/internal/hindex"
 	"ferret/internal/sketch"
+	"ferret/internal/vector"
 )
 
 // The LSM-flavored segmented sketch store, published to queries as immutable
@@ -174,6 +175,20 @@ func (v *view) segIndex(g int) int {
 func (v *view) segOf(g int) (*segment, int) {
 	s := v.segs[v.segIndex(g)]
 	return s, g - s.loEntry
+}
+
+// prefetchStart hints entry g's arena start offsets into cache.
+func (v *view) prefetchStart(g int) {
+	s, li := v.segOf(g)
+	vector.Prefetch(s.arena.start[li : li+2])
+}
+
+// prefetchRows hints entry g's arena sketch rows into cache.
+func (v *view) prefetchRows(g int) {
+	s, li := v.segOf(g)
+	a := &s.arena
+	lo, hi := a.rowsOf(li)
+	vector.Prefetch(a.words[lo*a.wps : hi*a.wps])
 }
 
 // isDead reports whether global entry g is tombstoned.

@@ -478,11 +478,11 @@ func (prog *Program) typeFieldClass(t types.Type, field string) (lockClass, bool
 // is acquired. Via describes the witness ("(*Engine).Ingest at core.go:659",
 // possibly through a callee chain).
 type LockEdge struct {
-	From, To           LockID
-	FromMode, ToMode   lockMode
-	Pos                token.Pos
-	Via                string
-	cycleReported      bool
+	From, To         LockID
+	FromMode, ToMode lockMode
+	Pos              token.Pos
+	Via              string
+	cycleReported    bool
 }
 
 // SortLockEdges orders edges deterministically for dumps and diagnostics.

@@ -333,6 +333,7 @@ var noallocExtPkgs = map[string]bool{
 	"math":        true,
 	"math/bits":   true,
 	"sync/atomic": true,
+	"unsafe":      true, // compile-time operations: none allocates
 }
 
 // noallocExtFuncs are individually trusted external functions.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync/atomic"
+	"unsafe"
 )
 
 type counter struct{ n atomic.Int64 }
@@ -37,6 +38,14 @@ func clean(sc *scratch, c *counter, words []uint64, q uint64, n int) int {
 	}
 	c.n.Add(int64(total))
 	return total
+}
+
+// wordBytes views words as bytes: package unsafe's operations are
+// compile-time and allocate nothing.
+//
+//ferret:noalloc
+func wordBytes(words []uint64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), uintptr(len(words))*unsafe.Sizeof(words[0]))
 }
 
 // kernel is installed with an allocation-free implementation; calls through

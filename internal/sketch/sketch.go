@@ -68,6 +68,7 @@ func (s Sketch) Bit(n int) bool { return s[n/64]&(1<<(n%64)) != 0 }
 // check is hoisted to a single sub-slice operation, so the popcount loop
 // runs with no per-word checks and no per-sketch slice-header loads — the
 // kernel the arena-backed filter scan is built on.
+//
 //ferret:noalloc
 func HammingAt(q Sketch, arena []uint64, off int) int {
 	w := arena[off : off+len(q)]
@@ -86,6 +87,7 @@ func HammingAt(q Sketch, arena []uint64, off int) int {
 // tightens) cost one compare and no stores, which is what lets the scan
 // approach the raw XOR+popcount throughput of the arena sweep. idx and dist
 // must each hold at least count values.
+//
 //ferret:noalloc
 func HammingSelect(q Sketch, arena []uint64, off, count int, bound int32, idx, dist []int32) int {
 	wps := len(q)

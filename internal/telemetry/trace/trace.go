@@ -375,6 +375,7 @@ type Span struct {
 
 // StartSpan opens a span named name, parented on the root, starting now.
 // Close it with End.
+//
 //ferret:noalloc
 func (a *Active) StartSpan(name string) Span {
 	if a == nil {
@@ -399,6 +400,7 @@ func (a *Active) StartSpan(name string) Span {
 
 // Record adds a completed span from an already-measured interval — the
 // common form for stages that are timed anyway for histograms.
+//
 //ferret:noalloc
 func (a *Active) Record(name string, start time.Time, d time.Duration) Span {
 	if a == nil {
@@ -451,6 +453,7 @@ func (s Span) ID() SpanID {
 
 // SetAttr attaches an integer attribute; chainable. Attrs beyond the
 // per-span capacity are dropped silently.
+//
 //ferret:noalloc
 func (s Span) SetAttr(key string, v int64) Span {
 	if s.a == nil {
@@ -467,6 +470,7 @@ func (s Span) SetAttr(key string, v int64) Span {
 }
 
 // End closes a span opened with StartSpan, fixing its duration.
+//
 //ferret:noalloc
 func (s Span) End() {
 	if s.a == nil {
