@@ -529,3 +529,31 @@ func BenchmarkRankShapeCold(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(positions)/float64(b.N), "positions/op")
 }
+
+// BenchmarkRankShapeColdByID is BenchmarkRankShapeCold's corpus queried
+// through SearchByID, as a by-key wire query reaches the engine: the stored
+// record and sketches viewed in place, filter, rank and the answer. The 512
+// keys are spread over the corpus by a seeded permutation and cycled, so a
+// query's candidates are as cold as there.
+func BenchmarkRankShapeColdByID(b *testing.B) {
+	const keys = 512
+	e := shapeBenchEngine(b)
+	v := e.cur.Load()
+	ids := make([]object.ID, keys)
+	for i, j := range rand.New(rand.NewSource(1)).Perm(len(v.entries))[:keys] {
+		ids[i] = v.entries[j].id
+	}
+	opt := QueryOptions{K: 20}
+	for _, id := range ids { // warm the pools
+		if _, err := runQueryByID(e, id, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := runQueryByID(e, ids[i%keys], opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -14,7 +14,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -295,11 +294,13 @@ type Engine struct {
 	// exact ground costs, lb, proves the distance exceeds the bound (lb >
 	// bound; emd.BoundedObjectDistance).
 	objDistBounded func(a, b object.Object, bound float64) (d, lb float64)
-	// est[h] is the estimated segment distance at Hamming distance h.
-	est     []float64
-	segDist vector.Func
-	met     *engineMetrics
-	tracer  *trace.Tracer
+	// est[h] is the estimated segment distance at Hamming distance h;
+	// estClass[h] is the least h' with est[h'] = est[h] (pairBounds).
+	est      []float64
+	estClass []uint32
+	segDist  vector.Func
+	met      *engineMetrics
+	tracer   *trace.Tracer
 
 	// GOMAXPROCS−1 helpers take query stages from jobs until quit (fanout.go).
 	helpers int
@@ -390,6 +391,7 @@ func Open(cfg Config) (*Engine, error) {
 		e.builder = b
 	}
 	e.est = estimateTable(e.builder, cfg.RankThreshold)
+	e.estClass = estimateClasses(e.est)
 
 	e.cfg.Segments = cfg.Segments.withDefaults()
 	// The stored corpus loads into one segment, sealed (and indexed, once)
@@ -534,11 +536,7 @@ func (e *Engine) Delete(id object.ID) error {
 	}
 	cur := e.lockWrite()
 	defer e.mu.Unlock()
-	// Entries are in ascending ID order (ingest appends under ingestMu,
-	// compaction preserves order), so the lookup is a binary search.
-	g, ok := slices.BinarySearchFunc(cur.entries, id, func(ent sketchEntry, id object.ID) int {
-		return cmp.Compare(ent.id, id)
-	})
+	g, ok := cur.find(id)
 	if !ok {
 		return nil
 	}
@@ -635,22 +633,44 @@ func (e *Engine) SearchByID(ctx context.Context, id object.ID, opt QueryOptions)
 // searchByID resolves the stored object (or its sketch set in sketch-only
 // stores) and runs the pipeline without consulting the cache. The query
 // object's segments are viewed in place over the store's immutable record
-// (metastore.ViewRecord) into the scratch's pooled buffer, not copied.
+// (metastore.ViewRecord) into the scratch's pooled buffer, not copied, and
+// its sketches are the published view's own arena rows (storedSketches),
+// not built again; only an object the view does not hold yet has them built.
 func (e *Engine) searchByID(ctx context.Context, id object.ID, opt QueryOptions) (Answer, error) {
 	sc := getScratch()
 	defer putScratch(sc)
+	set := sc.storedSketches(e.cur.Load(), id)
 	if rec, ok := e.meta.ObjectRecord(id); ok {
 		var err error
 		if sc.qsegs, err = metastore.ViewRecord(rec, sc.qsegs); err == nil {
-			return e.searchIn(ctx, sc, &object.Object{ID: id, Segments: sc.qsegs}, nil, opt)
+			return e.searchIn(ctx, sc, &object.Object{ID: id, Segments: sc.qsegs}, set, opt)
 		}
 	}
 	// Sketch-only store: the stored sketches stand in for the query's.
-	set, ok := e.meta.GetSketchSet(id)
-	if !ok {
-		return Answer{}, fmt.Errorf("core: no object with id %d", id)
+	if set == nil {
+		var ok bool
+		if set, ok = e.meta.GetSketchSet(id); !ok {
+			return Answer{}, fmt.Errorf("core: no object with id %d", id)
+		}
 	}
 	return e.searchIn(ctx, sc, nil, set, opt)
+}
+
+// storedSketches views live entry id's sketch set in v — its arena rows and
+// weights — into the scratch's pooled set, or returns nil when v holds no
+// live entry id.
+func (sc *queryScratch) storedSketches(v *view, id object.ID) *metastore.SketchSet {
+	g, ok := v.find(id)
+	if !ok || v.isDead(g) {
+		return nil
+	}
+	seg, li := v.segOf(g)
+	lo, hi := seg.arena.rowsOf(li)
+	sc.stored.Weights = seg.arena.weight[lo:hi]
+	for i := range resize(&sc.stored.Sketches, hi-lo) {
+		sc.stored.Sketches[i] = seg.arena.at(lo + i)
+	}
+	return &sc.stored
 }
 
 // Search runs a similarity search for the query object q (typically the
@@ -734,7 +754,7 @@ func (e *Engine) checkQuery(q *object.Object) error {
 
 // begin loads one validated query into its scratch: it arms the trace,
 // stamps the start time and builds the query's sketches unless the caller
-// supplied them.
+// supplied the stored ones, timing the sketch stage either way.
 func (e *Engine) begin(ctx context.Context, sc *queryScratch, q *object.Object, qset *metastore.SketchSet, opt QueryOptions) {
 	sc.ctx, sc.opt, sc.qset = ctx, opt, qset
 	sc.trp = e.armTrace(&sc.opt, &sc.own)
@@ -744,9 +764,9 @@ func (e *Engine) begin(ctx context.Context, sc *queryScratch, q *object.Object, 
 	}
 	if qset == nil {
 		sc.qset = e.buildSketchSet(sc.q)
-		e.met.stageSketch.ObserveSince(sc.start)
-		sc.trp.Record(StageSketch, sc.start, time.Since(sc.start))
 	}
+	e.met.stageSketch.ObserveSince(sc.start)
+	sc.trp.Record(StageSketch, sc.start, time.Since(sc.start))
 }
 
 // finish converts a request that has been through run into the Search

@@ -75,11 +75,13 @@ type queryScratch struct {
 	kept   []scoredIdx // filterExact's nearest entries to the query segment at hand
 
 	// Ranking-unit scratch (sketch lower-bound pruning, the walk's outcomes).
-	lbs   []lbCand
-	qw    []float64
-	outs  []walkSlot
-	segs  []object.Segment // Engine.object's buffer on the calling goroutine
-	qsegs []object.Segment // a by-ID query's segments, viewed over its stored record
+	lbs    []lbCand
+	qw     []float64
+	outs   []walkSlot
+	keys   []uint64            // pairBounds' (estimate class, entry) keys
+	segs   []object.Segment    // Engine.object's buffer on the calling goroutine
+	qsegs  []object.Segment    // a by-ID query's segments, viewed over its stored record
+	stored metastore.SketchSet // a by-ID query's sketches, viewed over its arena rows
 
 	// The stage being shared with idle helpers and its workers' buffers.
 	fan     fanout
@@ -103,9 +105,10 @@ var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
 
 func getScratch() *queryScratch {
 	sc := scratchPool.Get().(*queryScratch)
-	// Brute-force queries never run the filter stage, and a reused scratch
-	// must not leak the previous query's FilterMode.
+	// Brute-force queries run no filter, exact-distance ones build no pairs:
+	// a reused scratch must not leak the previous query's counts or pairs.
 	sc.idxSegs, sc.scanSegs, sc.scannedN = 0, 0, 0
+	sc.pairs = sc.pairs[:0]
 	return sc
 }
 

@@ -157,32 +157,47 @@ func (h *segHeap) push(entry, hamming int) {
 }
 
 // items trims the pushed pairs to the kept ones and returns them as
-// pairKeys: every pair below c and the smallest k−below at c, k in all once
-// full, with multiplicity (one entry may appear more than once when it owns
-// several near segments; the caller's candidate-set union dedups). A pair
-// dropped here has k smaller ones ahead of it and c only falls, so it could
-// never be kept again.
+// pairKeys: once full, the k smallest in pair order — every pair below c and
+// the smallest k−below at c — selected, not sorted, and with multiplicity
+// (one entry may appear more than once when it owns several near segments;
+// the caller's candidate-set union dedups). A pair dropped here has k
+// smaller ones ahead of it and c only falls, so it could never be kept again.
 //
 //ferret:noalloc
 func (h *segHeap) items() []uint64 {
-	if !h.full() {
-		return h.pairs
+	if h.full() {
+		selectLeast(h.pairs, h.k)
+		h.pairs = h.pairs[:h.k]
 	}
-	lo, at := 0, len(h.pairs) // below c from the front, at c from the back
-	for i := 0; i < at; {
-		switch p := h.pairs[i]; {
-		case int(p>>32) < h.c:
-			h.pairs[lo] = p
-			lo, i = lo+1, i+1
-		case int(p>>32) == h.c:
-			at--
-			h.pairs[i], h.pairs[at] = h.pairs[at], p
+	return h.pairs
+}
+
+// selectLeast moves the n smallest values of s to s[:n], in no set order: a
+// quickselect whose three-way partitions end it early on runs of equal keys.
+//
+//ferret:noalloc
+func selectLeast(s []uint64, n int) {
+	for lo, hi := 0, len(s); hi-lo > 1; {
+		p, lt, gt := s[lo+(hi-lo)/2], lo, hi // s[lo:lt] < p, s[gt:hi] > p
+		for i := lo; i < gt; {
+			switch {
+			case s[i] < p:
+				s[lt], s[i] = s[i], s[lt]
+				lt, i = lt+1, i+1
+			case s[i] > p:
+				gt--
+				s[i], s[gt] = s[gt], s[i]
+			default:
+				i++
+			}
+		}
+		switch {
+		case n < lt:
+			hi = lt
+		case n > gt:
+			lo = gt
 		default:
-			i++
+			return
 		}
 	}
-	ties := h.pairs[at:]
-	slices.Sort(ties)
-	h.pairs = h.pairs[:lo+copy(h.pairs[lo:], ties[:h.k-h.below])]
-	return h.pairs
 }

@@ -130,3 +130,50 @@ func checkSegHeapItems(t *testing.T, where string, h *segHeap, ref *refSegHeap) 
 		t.Fatalf("%s: kept %v, want %v", where, got, want)
 	}
 }
+
+// TestSegHeapItemsSelectsTies: items keeps the pairs at the cut-off by
+// selection, not by sorting them all. On tie-heavy streams — a handful of
+// distances, entries pushed again and again — its kept multiset must be the
+// k smallest of everything pushed, as sorting the whole stream and cutting
+// it at k gives, after every trim; and selectLeast must move exactly the n
+// smallest values to the front for every n.
+func TestSegHeapItemsSelectsTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for stream := 0; stream < 300; stream++ {
+		k := 1 + rng.Intn(60)
+		h := newSegHeap(k, 800)
+		var pushed []uint64
+		for i, n := 0, rng.Intn(20*k); i < n; i++ {
+			e, ham := rng.Intn(2*k+3), 100+rng.Intn(1+rng.Intn(4))
+			h.push(e, ham)
+			pushed = append(pushed, pairKey(ham, e))
+			if rng.Intn(k+5) == 0 || i == n-1 {
+				got := slices.Clone(h.items())
+				want := slices.Clone(pushed)
+				slices.Sort(got)
+				slices.Sort(want)
+				if want = want[:min(k, len(want))]; !slices.Equal(got, want) {
+					t.Fatalf("stream %d k=%d after %d pushes: kept %v, the sorted stream's first k %v", stream, k, i+1, got, want)
+				}
+			}
+		}
+	}
+	for trial := 0; trial < 500; trial++ {
+		s := make([]uint64, rng.Intn(40))
+		for i := range s {
+			s[i] = uint64(rng.Intn(1 + rng.Intn(6)))
+		}
+		sorted := slices.Clone(s)
+		slices.Sort(sorted)
+		for n := 0; n <= len(s); n++ {
+			got := slices.Clone(s)
+			selectLeast(got, n)
+			head := slices.Clone(got[:n])
+			slices.Sort(head)
+			slices.Sort(got)
+			if !slices.Equal(head, sorted[:n]) || !slices.Equal(got, sorted) {
+				t.Fatalf("selectLeast(%v, %d) left %v", s, n, got)
+			}
+		}
+	}
+}

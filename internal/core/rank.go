@@ -98,7 +98,9 @@ func (e *Engine) rankLoop(v *view, sc *queryScratch, margin float64, sqrtW bool)
 	hasSketches := len(sc.qset.Sketches) > 0
 	var lbs []lbCand // nil: candidate order
 	if margin > 0 && hasSketches {
-		lbs = e.lowerBounds(v, cands, sqrtW, sc)
+		if lbs = e.pairBounds(v, sc); lbs == nil {
+			lbs = e.lowerBounds(v, cands, sqrtW, sc)
+		}
 	}
 	top := newTopK(sc.opt.K)
 	clear(resize(&sc.outs, len(cands)))
@@ -252,6 +254,43 @@ func (e *Engine) lowerBounds(v *view, cands []int, sqrtW bool, sc *queryScratch)
 	return lbs
 }
 
+// pairBounds is lowerBounds read off the filter's own (Hamming, entry)
+// pairs, or nil when the query does not qualify: one query sketch, so one
+// pair, over entries that own one arena row each (a segment's rows then
+// number its entries), so the pair's kept entries are the candidates. A
+// candidate's bound is sketchLowerBound's one-cell case, est[h] for the h the
+// filter pushed. Each key becomes estClass[h]<<32 | entry: est is
+// non-decreasing, so classes compare as their estimates do — ties across h
+// from the rank threshold's cap or EstimateL1's saturation included — and
+// ascending keys are exactly sortLBCands' (lb, idx) order.
+func (e *Engine) pairBounds(v *view, sc *queryScratch) []lbCand {
+	if pairBoundsOff || len(sc.pairs) != 1 || len(sc.qset.Sketches) != 1 {
+		return nil
+	}
+	for _, s := range v.segs {
+		if s.arena.rows() != s.n {
+			return nil
+		}
+	}
+	items := sc.pairs[0].heap.items()
+	if len(items) != len(sc.cands) {
+		return nil
+	}
+	keys := resize(&sc.keys, len(items))
+	for i, p := range items {
+		keys[i] = uint64(e.estClass[p>>32])<<32 | p&math.MaxUint32
+	}
+	slices.Sort(keys)
+	lbs := resize(&sc.lbs, len(keys))
+	for i, k := range keys {
+		lbs[i] = lbCand{int(uint32(k)), e.est[k>>32]}
+	}
+	return lbs
+}
+
+// pairBoundsOff, set by tests, sends every query through lowerBounds.
+var pairBoundsOff bool
+
 // boundChunk is how many candidates one unit of the bounds stage bounds.
 const boundChunk = 64
 
@@ -361,6 +400,18 @@ func (e *Engine) sketchObjectDistanceAt(v *view, qset *metastore.SketchSet, idx 
 // distance.
 func (e *Engine) estimateAt(q sketch.Sketch, a *sketchArena, row int) float64 {
 	return e.est[sketch.HammingAt(q, a.words, row*a.wps)]
+}
+
+// estimateClasses maps each Hamming distance h to the least h' with
+// est[h'] = est[h], where est's run of equal entries starts.
+func estimateClasses(est []float64) []uint32 {
+	class := make([]uint32, len(est))
+	for h := 1; h < len(est); h++ {
+		if class[h] = uint32(h); !(est[h] > est[h-1]) {
+			class[h] = class[h-1]
+		}
+	}
+	return class
 }
 
 // estimateTable tabulates the estimator for every Hamming distance h of a

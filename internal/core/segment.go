@@ -1,12 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
 	"time"
 
 	"ferret/internal/hindex"
+	"ferret/internal/object"
 	"ferret/internal/sketch"
 	"ferret/internal/vector"
 )
@@ -152,6 +154,14 @@ type view struct {
 func (v *view) tail() *segment     { return v.segs[len(v.segs)-1] }
 func (v *view) sealed() []*segment { return v.segs[:len(v.segs)-1] }
 
+// find locates entry id by binary search: entries ascend by ID (ingest
+// appends under ingestMu, compaction preserves order).
+func (v *view) find(id object.ID) (int, bool) {
+	return slices.BinarySearchFunc(v.entries, id, func(ent sketchEntry, id object.ID) int {
+		return cmp.Compare(ent.id, id)
+	})
+}
+
 // segIndex locates the segment owning global entry index g.
 //
 //ferret:noalloc
@@ -227,8 +237,9 @@ func (e *Engine) publish(next *view) {
 	}
 }
 
-// buildIndex indexes every row of a finished arena (nil when the engine is
-// unindexed); pace, when non-nil, is called between strides.
+// buildIndex indexes every row of a finished arena and lays its buckets out
+// (nil when the engine is unindexed); pace, when non-nil, is called between
+// strides of the count pass.
 func (e *Engine) buildIndex(a *sketchArena, pace func()) *hindex.Index {
 	if !e.cfg.HIndex.Enable {
 		return nil
@@ -240,6 +251,7 @@ func (e *Engine) buildIndex(a *sketchArena, pace func()) *hindex.Index {
 			pace()
 		}
 	}
+	ix.Build()
 	return ix
 }
 

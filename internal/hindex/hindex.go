@@ -15,41 +15,27 @@
 // provably complete, keeping index and scan bit-identical.
 //
 // Each table is a compact open-addressing hash (fibonacci hashing, linear
-// probing) from substring value to a bucket of arena row IDs. Buckets are
-// singly linked chains of fixed 64-byte blocks carved from one shared slab,
-// so Insert is O(m) amortized.
+// probing) from substring value to a bucket of arena row IDs. The buckets are
+// laid out flat, once: Insert counts each row into its m buckets, and Build
+// gives every bucket a contiguous run of one shared row array (a count pass,
+// then a fill pass), so a probe step reads each bucket as one slice.
 //
 // There is no delete and no rename: the caller (internal/core) inserts a
-// segment's rows once, when the segment stops changing, and publishes the
-// finished index to its readers; after that any number of goroutines may
-// probe it and nobody writes it. Rows the caller has since tombstoned stay
-// in their buckets and are dropped where candidates are verified.
+// segment's rows once, when the segment stops changing, builds the layout and
+// publishes the finished index to its readers; after that any number of
+// goroutines may probe it and nobody writes it. Rows the caller has since
+// tombstoned stay in their buckets and are dropped where candidates are
+// verified.
 package hindex
 
 import "math/bits"
 
-// blockRows rows plus the chain link make a block exactly 64 bytes — one
-// cache line per probe step.
-const blockRows = 15
-
-// block is one cache-line-sized bucket segment. The head block of a chain
-// holds ((count−1) mod blockRows)+1 rows; every later block is full.
-type block struct {
-	rows [blockRows]int32
-	next int32 // next block in chain, noBlock at the tail
-}
-
-const (
-	noBlock  = -1 // chain terminator
-	slotFree = -2 // slot.head value for a never-used slot (probe terminator)
-)
-
-// slot is one open-addressing hash slot; a slot with a key holds at least
-// one row.
+// slot is one open-addressing hash slot: a substring value and its bucket,
+// rows[off : off+count] of the index's row array. A slot with no rows is free
+// (the probe terminator).
 type slot struct {
-	key   uint64
-	head  int32 // first block of the bucket chain, or slotFree
-	count int32 // rows in this bucket
+	key        uint64
+	off, count int32
 }
 
 // table is one substring's hash table plus the precomputed extraction plan
@@ -69,8 +55,10 @@ type table struct {
 type Index struct {
 	wps    int // words per sketch row in the backing arena
 	tables []table
-	blocks []block
-	rows   int // sketch rows indexed
+	rows   []int32  // every bucket's rows, one contiguous run each (Build)
+	n      int      // sketch rows indexed
+	built  int      // rows laid out in rows: n once Build has run
+	words  []uint64 // the inserted rows' packed sketches, until Build
 }
 
 // fib is 2^64/φ, the fibonacci hashing multiplier: it spreads consecutive
@@ -108,19 +96,11 @@ func New(nbits, wps, tables int) *Index {
 		t.spans = t.shift+uint(width) > 64
 		t.lo = 64 - t.shift
 		t.mask = ^uint64(0) >> uint(64-width)
-		t.slots = newSlots(minSlots)
+		t.slots = make([]slot, minSlots)
 		t.hshift = 64 - 4
 		off += width
 	}
 	return ix
-}
-
-func newSlots(n int) []slot {
-	s := make([]slot, n)
-	for i := range s {
-		s[i].head = slotFree
-	}
-	return s
 }
 
 // key extracts the table's substring from a packed sketch whose first word
@@ -140,7 +120,7 @@ func (t *table) find(key uint64) int {
 	i := (key * fib) >> t.hshift
 	for {
 		s := &t.slots[i]
-		if s.head == slotFree {
+		if s.count == 0 {
 			return -1
 		}
 		if s.key == key {
@@ -150,9 +130,10 @@ func (t *table) find(key uint64) int {
 	}
 }
 
-// findOrAdd returns the slot index for key, claiming a fresh slot (and
-// growing the table first when it is ¾ full) if the key is new.
-func (t *table) findOrAdd(key uint64) int {
+// findOrAdd returns the slot for key, claiming a fresh one (and growing the
+// table first when it is ¾ full) if the key is new; the caller counts its row
+// in at once.
+func (t *table) findOrAdd(key uint64) *slot {
 	if 4*(t.used+1) >= 3*len(t.slots) {
 		t.grow()
 	}
@@ -160,14 +141,13 @@ func (t *table) findOrAdd(key uint64) int {
 	i := (key * fib) >> t.hshift
 	for {
 		s := &t.slots[i]
-		if s.head == slotFree {
+		if s.count == 0 {
 			s.key = key
-			s.head = noBlock
 			t.used++
-			return int(i)
+			return s
 		}
 		if s.key == key {
-			return int(i)
+			return s
 		}
 		i = (i + 1) & mask
 	}
@@ -177,17 +157,17 @@ func (t *table) findOrAdd(key uint64) int {
 func (t *table) grow() {
 	cap := 2 * len(t.slots)
 	old := t.slots
-	t.slots = newSlots(cap)
+	t.slots = make([]slot, cap)
 	t.hshift = 64 - uint(log2(cap))
 	t.used = 0
 	mask := uint64(cap - 1)
 	for si := range old {
 		s := &old[si]
-		if s.head == slotFree {
+		if s.count == 0 {
 			continue
 		}
 		i := (s.key * fib) >> t.hshift
-		for t.slots[i].head != slotFree {
+		for t.slots[i].count != 0 {
 			i = (i + 1) & mask
 		}
 		t.slots[i] = *s
@@ -204,30 +184,49 @@ func log2(n int) int {
 	return b
 }
 
-// add appends row to the bucket for key in table t, extending the slab by a
-// block linked in front of the chain when the head block is full.
-func (ix *Index) add(t *table, key uint64, row int32) {
-	si := t.findOrAdd(key)
-	s := &t.slots[si]
-	pos := s.count % blockRows
-	if pos == 0 {
-		ix.blocks = append(ix.blocks, block{next: s.head})
-		s.head = int32(len(ix.blocks) - 1)
-	}
-	ix.blocks[s.head].rows[pos] = row
-	s.count++
-}
-
-// Insert indexes arena row (whose packed words start at row*wps in words)
-// under all m substring tables. It must not run once the index is shared
-// with probing goroutines.
+// Insert counts arena row (whose packed words start at row*wps in words) into
+// its bucket in each of the m substring tables. Rows are inserted in order 0,
+// 1, 2, …, and words must hold every row inserted so far. The rows reach
+// their buckets at Build, or at the first probe after an Insert. Neither may
+// run once the index is shared with probing goroutines.
 func (ix *Index) Insert(row int32, words []uint64) {
+	if int(row) != ix.n {
+		panic("hindex: rows must be inserted in order 0, 1, 2, …")
+	}
 	base := int(row) * ix.wps
 	for j := range ix.tables {
 		t := &ix.tables[j]
-		ix.add(t, t.key(words, base), row)
+		t.findOrAdd(t.key(words, base)).count++
 	}
-	ix.rows++
+	ix.n++
+	ix.words = words
+}
+
+// Build lays the buckets out: table by table, slot by slot, each bucket takes
+// the next count entries of one row array, and a fill pass over the inserted
+// rows writes every row into its m buckets, ascending within each.
+func (ix *Index) Build() {
+	if ix.built == ix.n {
+		return
+	}
+	ix.rows = make([]int32, len(ix.tables)*ix.n)
+	end := int32(0)
+	for j := range ix.tables {
+		for si := range ix.tables[j].slots {
+			s := &ix.tables[j].slots[si]
+			end += s.count
+			s.off = end // filled downward to its start
+		}
+	}
+	for row := ix.n - 1; row >= 0; row-- {
+		for j := range ix.tables {
+			t := &ix.tables[j]
+			s := &t.slots[t.find(t.key(ix.words, row*ix.wps))]
+			s.off--
+			ix.rows[s.off] = int32(row)
+		}
+	}
+	ix.built, ix.words = ix.n, nil
 }
 
 // AppendStep appends to dst the rows step t of a descent selects. Step
@@ -247,12 +246,16 @@ func (ix *Index) Insert(row int32, words []uint64) {
 //
 //ferret:noalloc
 func (ix *Index) AppendStep(dst []int32, q []uint64, t int, seen []uint64) []int32 {
+	if ix.built != ix.n {
+		ix.Build() //lint:ignore noalloc only a probe right after Insert builds; an index is built before it is shared
+	}
 	tb := &ix.tables[t%len(ix.tables)]
 	key := tb.key(q, 0)
 	x := uint64(1)<<uint(t/len(ix.tables)) - 1
 	for ok := x <= tb.mask; ok; x, ok = nextMask(x, tb.mask) {
 		if si := tb.find(key ^ x); si >= 0 {
-			dst = ix.appendBucket(dst, &tb.slots[si], seen)
+			s := &tb.slots[si]
+			dst = appendBucket(dst, ix.rows[s.off:s.off+s.count], seen)
 		}
 	}
 	return dst
@@ -266,20 +269,15 @@ func nextMask(x, mask uint64) (uint64, bool) {
 	return r | (r^x)>>2>>uint(bits.TrailingZeros64(x)), r != 0 && r <= mask
 }
 
-// appendBucket appends the bucket's rows not yet marked in seen, marking
-// them.
+// appendBucket appends the bucket's rows not yet marked in seen, marking them.
 //
 //ferret:noalloc
-func (ix *Index) appendBucket(dst []int32, s *slot, seen []uint64) []int32 {
-	fill := (s.count-1)%blockRows + 1
-	for b := s.head; b != noBlock; b = ix.blocks[b].next {
-		for _, row := range ix.blocks[b].rows[:fill] {
-			if seen[row>>6]&(1<<(uint(row)&63)) == 0 {
-				seen[row>>6] |= 1 << (uint(row) & 63)
-				dst = append(dst, row)
-			}
+func appendBucket(dst, bucket []int32, seen []uint64) []int32 {
+	for _, row := range bucket {
+		if seen[row>>6]&(1<<(uint(row)&63)) == 0 {
+			seen[row>>6] |= 1 << (uint(row) & 63)
+			dst = append(dst, row)
 		}
-		fill = blockRows
 	}
 	return dst
 }
@@ -307,7 +305,7 @@ func (ix *Index) StepKeys(t int) int {
 }
 
 // Rows returns the number of sketch rows indexed.
-func (ix *Index) Rows() int { return ix.rows }
+func (ix *Index) Rows() int { return ix.n }
 
 // Tables returns the substring table count m.
 func (ix *Index) Tables() int { return len(ix.tables) }
@@ -327,12 +325,12 @@ func (ix *Index) LoadFactor() float64 {
 	return sum / float64(len(ix.tables))
 }
 
-// MemoryBytes estimates the index's heap footprint: slot arrays plus the
-// block slab.
+// MemoryBytes returns the index's heap footprint once built: the slot arrays
+// (16 bytes a slot) plus the row array (4 bytes for each row in each table).
 func (ix *Index) MemoryBytes() int {
 	slots := 0
 	for j := range ix.tables {
 		slots += len(ix.tables[j].slots)
 	}
-	return slots*16 + len(ix.blocks)*64
+	return slots*16 + len(ix.tables)*ix.n*4
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // oracle is the reference implementation: per-table map from substring key
@@ -188,6 +189,8 @@ func TestStepsCoverRadius(t *testing.T) {
 				ix.Insert(row, arena)
 				o.insert(row, arena)
 			}
+			ix.Build()
+			checkLayout(t, ix, arena)
 
 			seen := make([]uint64, (rows+63)/64)
 			var stream []int32
@@ -227,8 +230,10 @@ func TestStepsCoverRadius(t *testing.T) {
 }
 
 // TestInsertFuzz builds indexes from random low-entropy rows — few distinct
-// substring values, so buckets overflow blocks (>15 rows per bucket) and
-// tables rehash — probing against the map oracle as the build proceeds.
+// substring values, so buckets hold many rows and tables rehash — probing
+// against the map oracle as the build proceeds: each probe after an Insert
+// lays the rows inserted so far out again, and every few rows the layout is
+// checked against the rows.
 func TestInsertFuzz(t *testing.T) {
 	const nbits, wps, maxRows = 128, 2, 400
 	for _, seed := range []int64{1, 2, 3, 99} {
@@ -250,9 +255,87 @@ func TestInsertFuzz(t *testing.T) {
 			if ix.Rows() != int(row)+1 {
 				t.Fatalf("seed %d: Rows()=%d after %d inserts", seed, ix.Rows(), row+1)
 			}
+			if row%37 == 0 {
+				checkLayout(t, ix, arena)
+			}
 		}
 		if ix.LoadFactor() > 0.80 {
 			t.Fatalf("seed %d: load factor %.2f exceeds rehash ceiling", seed, ix.LoadFactor())
 		}
+	}
+}
+
+// checkLayout checks a built index's flat layout against the rows it holds:
+// table j's buckets tile rows[j·n, (j+1)·n) in slot order, each holds the
+// rows whose substring is its key, once each and ascending, and MemoryBytes
+// counts exactly the slot arrays and the row array.
+func checkLayout(t *testing.T, ix *Index, words []uint64) {
+	t.Helper()
+	if ix.built != ix.n || len(ix.rows) != len(ix.tables)*ix.n {
+		t.Fatalf("%d of %d rows built, row array of %d", ix.built, ix.n, len(ix.rows))
+	}
+	bytes := len(ix.rows) * int(unsafe.Sizeof(int32(0)))
+	for j := range ix.tables {
+		tb := &ix.tables[j]
+		next := int32(j * ix.n)
+		for _, s := range tb.slots {
+			if s.count == 0 {
+				continue
+			}
+			if s.off != next {
+				t.Fatalf("table %d: bucket %#x starts at %d, want %d", j, s.key, s.off, next)
+			}
+			next += s.count
+			for i, row := range ix.rows[s.off : s.off+s.count] {
+				if k := tb.key(words, int(row)*ix.wps); k != s.key || (i > 0 && row <= ix.rows[s.off+int32(i)-1]) {
+					t.Fatalf("table %d: bucket %#x holds row %d (key %#x) at %d", j, s.key, row, k, i)
+				}
+			}
+		}
+		if next != int32((j+1)*ix.n) {
+			t.Fatalf("table %d: buckets end at %d, want %d", j, next, (j+1)*ix.n)
+		}
+		bytes += len(tb.slots) * int(unsafe.Sizeof(slot{}))
+	}
+	if ix.MemoryBytes() != bytes {
+		t.Fatalf("MemoryBytes() = %d, slots and rows take %d", ix.MemoryBytes(), bytes)
+	}
+}
+
+// TestBuildEdges: an empty index builds, probes to nothing and counts only
+// its slot arrays; an index whose rows are all equal puts every row in one
+// bucket per table, which a probe returns whole, in row order, and a query
+// differing in every substring misses at round 0.
+func TestBuildEdges(t *testing.T) {
+	const nbits, wps, rows = 128, 2, 300
+	empty := New(nbits, wps, 0)
+	empty.Build()
+	checkLayout(t, empty, nil)
+	seen := make([]uint64, 1)
+	if got := empty.AppendCandidates(nil, []uint64{0, 0}, seen); len(got) != 0 || empty.Rows() != 0 {
+		t.Fatalf("empty index: %d rows, candidates %v", empty.Rows(), got)
+	}
+
+	same := New(nbits, wps, 0)
+	arena := make([]uint64, 0, rows*wps)
+	for row := int32(0); row < rows; row++ {
+		arena = append(arena, 0x5555, 0xAAAA)
+		same.Insert(row, arena)
+	}
+	same.Build()
+	checkLayout(t, same, arena)
+	for j := range same.tables {
+		if same.tables[j].used != 1 {
+			t.Fatalf("table %d holds %d buckets, want 1", j, same.tables[j].used)
+		}
+	}
+	seen = make([]uint64, (rows+63)/64)
+	got := same.AppendCandidates(nil, arena[:wps], seen)
+	if len(got) != rows || !slices.IsSorted(got) {
+		t.Fatalf("probe of the shared value returned %d rows (sorted %t), want all %d", len(got), slices.IsSorted(got), rows)
+	}
+	clear(seen)
+	if got := same.AppendCandidates(nil, []uint64{^uint64(0x5555), ^uint64(0xAAAA)}, seen); len(got) != 0 {
+		t.Fatalf("a query differing in every bit reached %d rows at round 0", len(got))
 	}
 }
