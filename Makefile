@@ -20,10 +20,11 @@ race:
 	$(GO) test -race ./...
 
 # Quick race pass over just the concurrency-heavy packages (telemetry hot
-# paths, parallel query scans, the TCP server and the transactional store)
-# for tight edit-compile loops; `make race` covers the whole tree.
+# paths and the tracer's Active, which the server hands to the engine;
+# parallel query scans, the TCP server and the transactional store) for
+# tight edit-compile loops; `make race` covers the whole tree.
 race-fast:
-	$(GO) test -race ./internal/telemetry ./internal/core ./internal/server ./internal/kvstore
+	$(GO) test -race ./internal/telemetry/... ./internal/core ./internal/server ./internal/kvstore
 
 # The crash-torture suites under the race detector: every write/sync
 # boundary of a seeded workload is failed in every fault mode and recovery

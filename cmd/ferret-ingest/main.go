@@ -21,6 +21,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
 	"syscall"
@@ -28,7 +29,6 @@ import (
 
 	"ferret"
 	"ferret/internal/evaltool"
-	"ferret/internal/telemetry"
 )
 
 func main() {
@@ -51,35 +51,36 @@ func main() {
 	)
 	flag.Parse()
 
-	level, err := telemetry.ParseLevel(*logLevel)
-	if err != nil {
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
 		os.Stderr.WriteString(err.Error() + "\n")
 		os.Exit(2)
 	}
-	logger := telemetry.NewLogger(os.Stderr, level).With("ferret-ingest")
+	base := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+	logger := base.With("component", "ferret-ingest")
 
 	cfg, extractor, exts, err := systemFor(*dtype, *dir, *rate, *matrix, *distance)
 	if err != nil {
-		logger.Fatal("configuration failed", "err", err)
+		fatal(logger, "configuration failed", "err", err)
 	}
-	cfg.Store.Logger = logger.With("kvstore")
+	cfg.Store.Logger = base.With("component", "ferret-ingest/kvstore")
 	cfg.Segments = ferret.SegmentParams{SealEntries: *sealAt}
 	if *queue > 0 {
 		cfg.Ingest = ferret.IngestParams{Depth: *queue, Workers: *queueWk}
 	}
 	sys, err := ferret.Open(ferret.RelaxedDurability(cfg), extractor)
 	if err != nil {
-		logger.Fatal("opening system failed", "dir", *dir, "err", err)
+		fatal(logger, "opening system failed", "dir", *dir, "err", err)
 	}
 	defer sys.Close()
 
 	if *daemon {
 		if *data == "" {
-			logger.Fatal("daemon mode needs -data")
+			fatal(logger, "daemon mode needs -data")
 		}
 		runDaemon(sys, logger, *data, exts, *scanIntv, *ingRate)
 		if err := sys.Checkpoint(); err != nil {
-			logger.Fatal("checkpoint failed", "err", err)
+			fatal(logger, "checkpoint failed", "err", err)
 		}
 		return
 	}
@@ -87,11 +88,11 @@ func main() {
 	if *dtype == "genomic" && *matrix != "" {
 		m, err := ferret.ParseMatrixTSV(*matrix)
 		if err != nil {
-			logger.Fatal("parsing matrix failed", "path", *matrix, "err", err)
+			fatal(logger, "parsing matrix failed", "path", *matrix, "err", err)
 		}
 		added, err := sys.IngestMatrix(m, nil)
 		if err != nil {
-			logger.Fatal("matrix ingest failed", "path", *matrix, "err", err)
+			fatal(logger, "matrix ingest failed", "path", *matrix, "err", err)
 		}
 		fmt.Printf("ingested %d genes\n", added)
 	} else if *data != "" {
@@ -102,34 +103,34 @@ func main() {
 		start := time.Now()
 		added, err := sc.ScanOnce()
 		if err != nil {
-			logger.Fatal("scan failed", "dir", *data, "err", err)
+			fatal(logger, "scan failed", "dir", *data, "err", err)
 		}
 		fmt.Printf("ingested %d objects in %v (database now holds %d)\n",
 			added, time.Since(start).Round(time.Millisecond), sys.Count())
 	} else {
-		logger.Fatal("nothing to do (pass -data or -matrix)")
+		fatal(logger, "nothing to do (pass -data or -matrix)")
 	}
 	if err := sys.Checkpoint(); err != nil {
-		logger.Fatal("checkpoint failed", "err", err)
+		fatal(logger, "checkpoint failed", "err", err)
 	}
 
 	if *evalFile != "" {
 		f, err := os.Open(*evalFile)
 		if err != nil {
-			logger.Fatal("opening benchmark failed", "path", *evalFile, "err", err)
+			fatal(logger, "opening benchmark failed", "path", *evalFile, "err", err)
 		}
 		sets, err := evaltool.ParseBenchmark(f)
 		f.Close()
 		if err != nil {
-			logger.Fatal("parsing benchmark failed", "path", *evalFile, "err", err)
+			fatal(logger, "parsing benchmark failed", "path", *evalFile, "err", err)
 		}
 		m, err := ferret.ParseMode(*mode)
 		if err != nil {
-			logger.Fatal("bad mode", "mode", *mode, "err", err)
+			fatal(logger, "bad mode", "mode", *mode, "err", err)
 		}
 		rep, err := sys.Evaluate(sets, ferret.QueryOptions{Mode: m})
 		if err != nil {
-			logger.Fatal("evaluation failed", "err", err)
+			fatal(logger, "evaluation failed", "err", err)
 		}
 		fmt.Println(rep)
 	}
@@ -139,7 +140,7 @@ func main() {
 // until a signal arrives, pacing ingests at rate objects per second. Each
 // scan's outcome is logged with the queue backlog and the rejection
 // counter, so an operator watching the log sees backpressure as it happens.
-func runDaemon(sys *ferret.System, logger *telemetry.Logger, data string, exts []string, interval time.Duration, rate float64) {
+func runDaemon(sys *ferret.System, logger *slog.Logger, data string, exts []string, interval time.Duration, rate float64) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	sc := sys.NewScanner(data, exts)
@@ -191,4 +192,10 @@ func systemFor(dtype, dir string, rate int, matrix, distance string) (ferret.Con
 	default:
 		return ferret.Config{}, nil, nil, fmt.Errorf("unknown data type %q", dtype)
 	}
+}
+
+// fatal logs msg and its key-value pairs at error level, then exits 1.
+func fatal(logger *slog.Logger, msg string, args ...any) {
+	logger.Error(msg, args...)
+	os.Exit(1)
 }

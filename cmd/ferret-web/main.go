@@ -11,6 +11,7 @@ package main
 
 import (
 	"flag"
+	"log/slog"
 	"net/http"
 	"os"
 
@@ -29,20 +30,20 @@ func main() {
 	)
 	flag.Parse()
 
-	level, err := telemetry.ParseLevel(*logLevel)
-	if err != nil {
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
 		os.Stderr.WriteString(err.Error() + "\n")
 		os.Exit(2)
 	}
-	logger := telemetry.NewLogger(os.Stderr, level).With("ferret-web")
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level})).With("component", "ferret-web")
 
 	client, err := protocol.Dial(*server)
 	if err != nil {
-		logger.Fatal("connecting to backend failed", "server", *server, "err", err)
+		fatal(logger, "connecting to backend failed", "server", *server, "err", err)
 	}
 	defer client.Close()
 	if err := client.Ping(); err != nil {
-		logger.Fatal("backend ping failed", "server", *server, "err", err)
+		fatal(logger, "backend ping failed", "server", *server, "err", err)
 	}
 
 	reg := telemetry.NewRegistry()
@@ -59,6 +60,12 @@ func main() {
 
 	logger.Info("web interface serving", "url", "http://"+*addr+"/", "backend", *server)
 	if err := http.ListenAndServe(*addr, handler); err != nil {
-		logger.Fatal("serve failed", "err", err)
+		fatal(logger, "serve failed", "err", err)
 	}
+}
+
+// fatal logs msg and its key-value pairs at error level, then exits 1.
+func fatal(logger *slog.Logger, msg string, args ...any) {
+	logger.Error(msg, args...)
+	os.Exit(1)
 }

@@ -11,9 +11,10 @@
 //
 // Observability: -debug-addr serves Prometheus metrics at /metrics, expvar
 // JSON at /debug/vars, runtime profiles at /debug/pprof/ and retained query
-// traces at /debug/traces on a private listener; logs are structured
-// key=value lines on stderr (-log-level). -trace-sample and -slow-query
-// tune the query tracer's head sampling and slow-query log.
+// traces at /debug/traces on a private listener; logs are log/slog text
+// lines on stderr, one component= tag each (-log-level). -trace-sample and
+// -slow-query tune the query tracer's head sampling and slow-query log;
+// both negative retain only the traces clients ask for.
 package main
 
 import (
@@ -21,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"html/template"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/url"
@@ -30,7 +32,6 @@ import (
 	"time"
 
 	"ferret"
-	"ferret/internal/telemetry"
 )
 
 func main() {
@@ -64,16 +65,17 @@ func main() {
 	)
 	flag.Parse()
 
-	level, err := telemetry.ParseLevel(*logLevel)
-	if err != nil {
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	logger := telemetry.NewLogger(os.Stderr, level).With("ferretd")
+	base := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+	logger := base.With("component", "ferretd")
 
 	cfg, extractor, exts, m, err := buildSystem(*dtype, *dir, *rate, *matrix, *distance)
 	if err != nil {
-		logger.Fatal("configuration failed", "err", err)
+		fatal(logger, "configuration failed", "err", err)
 	}
 	if *relaxed {
 		cfg = ferret.RelaxedDurability(cfg)
@@ -87,19 +89,19 @@ func main() {
 	if *rcacheOn {
 		cfg.ResultCache = ferret.ResultCacheParams{Enable: true, MaxBytes: *rcacheMax}
 	}
-	cfg.Store.Logger = logger.With("kvstore")
+	cfg.Store.Logger = base.With("component", "ferretd/kvstore")
 	sys, err := ferret.Open(cfg, extractor)
 	if err != nil {
-		logger.Fatal("opening system failed", "dir", *dir, "err", err)
+		fatal(logger, "opening system failed", "dir", *dir, "err", err)
 	}
 	defer sys.Close()
-	sys.SetLogger(logger)
+	sys.SetLogger(base.With("component", "ferretd/server"))
 	sys.SetServerConfig(ferret.ServerConfig{QueryBudget: *budget, MaxConns: *maxConns})
 
 	if m != nil {
 		added, err := ingestMatrixOnce(sys, m)
 		if err != nil {
-			logger.Fatal("ingesting matrix failed", "path", *matrix, "err", err)
+			fatal(logger, "ingesting matrix failed", "path", *matrix, "err", err)
 		}
 		if added > 0 {
 			logger.Info("ingested matrix", "genes", added, "path", *matrix)
@@ -159,7 +161,7 @@ func main() {
 
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
-		logger.Fatal("listen failed", "addr", *addr, "err", err)
+		fatal(logger, "listen failed", "addr", *addr, "err", err)
 	}
 	logger.Info("query protocol serving", "addr", *addr,
 		"query_budget", budget.String(), "max_conns", *maxConns)
@@ -168,7 +170,7 @@ func main() {
 	select {
 	case err := <-serveErr:
 		if err != nil && ctx.Err() == nil {
-			logger.Fatal("serve failed", "err", err)
+			fatal(logger, "serve failed", "err", err)
 		}
 	case <-ctx.Done():
 		// SIGTERM/SIGINT: drain in-flight queries within the grace window,
@@ -260,4 +262,10 @@ func ingestMatrixOnce(sys *ferret.System, m *ferret.Matrix) (int, error) {
 		added++
 	}
 	return added, nil
+}
+
+// fatal logs msg and its key-value pairs at error level, then exits 1.
+func fatal(logger *slog.Logger, msg string, args ...any) {
+	logger.Error(msg, args...)
+	os.Exit(1)
 }

@@ -33,6 +33,7 @@ package ferret
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"sync"
@@ -160,7 +161,7 @@ type ServerConfig struct {
 type System struct {
 	engine    *core.Engine
 	extractor Extractor
-	logger    *telemetry.Logger
+	logger    *slog.Logger
 
 	srvCfg  ServerConfig
 	srvOnce sync.Once
@@ -283,7 +284,7 @@ func (s *System) Telemetry() *telemetry.Registry { return s.engine.Telemetry() }
 // SetLogger attaches a structured logger; the protocol server logs
 // connection lifecycle events through it. A nil logger (the default)
 // discards them.
-func (s *System) SetLogger(l *telemetry.Logger) { s.logger = l }
+func (s *System) SetLogger(l *slog.Logger) { s.logger = l }
 
 // DebugHandler returns the observability HTTP handler for this system:
 // Prometheus text at /metrics, expvar JSON at /debug/vars, runtime profiles
@@ -339,7 +340,7 @@ func (s *System) server() *server.Server {
 			MaxConns:     s.srvCfg.MaxConns,
 			ReadTimeout:  s.srvCfg.ReadTimeout,
 			WriteTimeout: s.srvCfg.WriteTimeout,
-			Logger:       s.logger.With("server"),
+			Logger:       s.logger,
 		}
 		if s.extractor != nil {
 			srv.Extract = s.extractor.Extract

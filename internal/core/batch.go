@@ -17,17 +17,31 @@ import (
 // engine-armed trace: opt.Trace is ignored, since one caller buffer cannot
 // serve N queries.
 func (e *Engine) SearchBatch(ctx context.Context, queries []object.Object, opt QueryOptions) ([]Answer, []error) {
-	answers := make([]Answer, len(queries))
-	errs := make([]error, len(queries))
 	opt.Trace = nil
+	return runBatch(len(queries), func(i int) (Answer, error) { return e.Search(ctx, queries[i], opt) })
+}
+
+// SearchBatchByID is SearchBatch for stored objects: each ID runs as an
+// ordinary SearchByID call, so a batched query shares its result-cache
+// entry with the same query asked alone.
+func (e *Engine) SearchBatchByID(ctx context.Context, ids []object.ID, opt QueryOptions) ([]Answer, []error) {
+	opt.Trace = nil
+	return runBatch(len(ids), func(i int) (Answer, error) { return e.SearchByID(ctx, ids[i], opt) })
+}
+
+// runBatch answers queries 0..n-1 with search on up to GOMAXPROCS
+// goroutines, the caller's among them.
+func runBatch(n int, search func(i int) (Answer, error)) ([]Answer, []error) {
+	answers := make([]Answer, n)
+	errs := make([]error, n)
 	var next atomic.Int64
 	work := func() {
-		for i := int(next.Add(1)) - 1; i < len(queries); i = int(next.Add(1)) - 1 {
-			answers[i], errs[i] = e.Search(ctx, queries[i], opt)
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			answers[i], errs[i] = search(i)
 		}
 	}
 	var wg sync.WaitGroup
-	for range min(len(queries), runtime.GOMAXPROCS(0)) - 1 {
+	for range min(n, runtime.GOMAXPROCS(0)) - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -208,9 +208,7 @@ func TestBatchIgnoresCallerTrace(t *testing.T) {
 		{K: 2, Restrict: restrict},
 	} {
 		var caller trace.Active
-		if !e.tracer.Begin(&caller, "caller") {
-			t.Fatal("engine tracer is disabled")
-		}
+		e.tracer.Begin(&caller, "caller")
 		opt.Trace, opt.ForceTrace = &caller, true
 		answers, errs := e.SearchBatch(context.Background(), queries, opt)
 		if st := caller.Stages(); len(st) != 1 {

@@ -48,16 +48,14 @@ type ResultCacheParams struct {
 	// MaxBytes bounds the cache's resident memory (keys + result rows,
 	// approximate accounting). 0 means 8 MiB.
 	MaxBytes int
-	// MaxEntries caps the entry count. 0 means 4096.
-	MaxEntries int
 }
+
+// maxCacheEntries caps the result cache's entry count.
+const maxCacheEntries = 4096
 
 func (p ResultCacheParams) withDefaults() ResultCacheParams {
 	if p.MaxBytes <= 0 {
 		p.MaxBytes = 8 << 20
-	}
-	if p.MaxEntries <= 0 {
-		p.MaxEntries = 4096
 	}
 	return p
 }
@@ -179,9 +177,8 @@ type cacheFlight struct {
 // mutex (held for a map probe and a list splice — nanoseconds); flights
 // have their own, taken only on misses.
 type resultCache struct {
-	maxBytes   int
-	maxEntries int
-	met        *engineMetrics
+	maxBytes int
+	met      *engineMetrics
 
 	mu      sync.Mutex
 	entries map[cacheKey]*list.Element // of *cacheEntry
@@ -194,11 +191,10 @@ type resultCache struct {
 
 func newResultCache(p ResultCacheParams, met *engineMetrics) *resultCache {
 	c := &resultCache{
-		maxBytes:   p.MaxBytes,
-		maxEntries: p.MaxEntries,
-		met:        met,
-		entries:    make(map[cacheKey]*list.Element),
-		flights:    make(map[cacheKey]*cacheFlight),
+		maxBytes: p.MaxBytes,
+		met:      met,
+		entries:  make(map[cacheKey]*list.Element),
+		flights:  make(map[cacheKey]*cacheFlight),
 	}
 	return c
 }
@@ -244,7 +240,7 @@ func (c *resultCache) put(key cacheKey, epoch uint64, ans Answer) {
 	ent := &cacheEntry{key: key, epoch: epoch, ans: ans, size: size}
 	c.entries[key] = c.lru.PushFront(ent)
 	c.bytes += size
-	for c.bytes > c.maxBytes || len(c.entries) > c.maxEntries {
+	for c.bytes > c.maxBytes || len(c.entries) > maxCacheEntries {
 		back := c.lru.Back()
 		if back == nil {
 			break

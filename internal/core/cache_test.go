@@ -220,12 +220,13 @@ func TestResultCacheDegradedNeverCached(t *testing.T) {
 	}
 }
 
-// TestResultCacheBounds pins the capacity accounting: entry and byte
-// bounds evict LRU-first and the gauges track residency.
+// TestResultCacheBounds pins the capacity accounting: the byte bound
+// evicts LRU-first and the gauges track residency.
 func TestResultCacheBounds(t *testing.T) {
 	const d = 8
 	cfg := cachedConfig(t.TempDir(), d)
-	cfg.ResultCache.MaxEntries = 2
+	// Room for two answers of four 7-byte keys (444 bytes each), not three.
+	cfg.ResultCache.MaxBytes = 1000
 	e := openEngine(t, cfg)
 	ids := ingestClusters(t, e, 3, 4, d, 2)
 	ctx := context.Background()
@@ -235,10 +236,13 @@ func TestResultCacheBounds(t *testing.T) {
 		}
 	}
 	if got := cacheCounter(e, "ferret_result_cache_evictions_total"); got == 0 {
-		t.Fatal("no evictions with MaxEntries=2 and 3 distinct queries")
+		t.Fatal("no evictions with room for 2 answers and 3 distinct queries")
 	}
-	if got := cacheCounter(e, "ferret_result_cache_entries"); got > 2 {
-		t.Fatalf("entries gauge %d exceeds MaxEntries", got)
+	if got := cacheCounter(e, "ferret_result_cache_entries"); got != 2 {
+		t.Fatalf("entries gauge %d, want 2", got)
+	}
+	if got := cacheCounter(e, "ferret_result_cache_bytes"); got > 1000 {
+		t.Fatalf("bytes gauge %d exceeds MaxBytes", got)
 	}
 }
 

@@ -191,8 +191,8 @@ type Config struct {
 	Telemetry *telemetry.Registry
 	// Trace configures the engine's query tracer (see
 	// internal/telemetry/trace): head-sampled retention of per-query
-	// pipeline traces plus the always-on slow-query log. The zero value
-	// enables tracing with defaults; set Trace.Disable to turn it off.
+	// pipeline traces plus the always-on slow-query log. Every query is
+	// recorded; the zero value retains with defaults.
 	Trace trace.Params
 }
 
@@ -227,7 +227,8 @@ type QueryOptions struct {
 	// query's pipeline spans land in — the server arms one per traced
 	// request so the trace also covers protocol parse and response write.
 	// nil lets the engine arm (and head-sample) its own. Single queries
-	// only; SearchBatch arms per-query engine traces regardless.
+	// only; SearchBatch and SearchBatchByID arm per-query engine traces
+	// regardless.
 	Trace *trace.Active
 	// ForceTrace forces retention of the engine-armed trace and attaches
 	// its identity and stage breakdown to the Answer — the programmatic
@@ -689,10 +690,10 @@ func (e *Engine) Search(ctx context.Context, q object.Object, opt QueryOptions) 
 			return ans, nil
 		}
 		return e.flightCompute(ctx, key, func() (Answer, error) {
-			return e.search(ctx, &q, nil, opt)
+			return e.search(ctx, &q, opt)
 		})
 	}
-	return e.search(ctx, &q, nil, opt)
+	return e.search(ctx, &q, opt)
 }
 
 // cacheLookup is the result cache's fast path for Search and SearchByID: a
@@ -714,16 +715,16 @@ func (e *Engine) cacheLookup(key cacheKey, tr *trace.Active) (Answer, bool) {
 }
 
 // search runs one uncached query through the pipeline on the calling
-// goroutine with pooled scratch. q is nil for a by-ID query of a sketch-only
-// store, whose stored sketch set qset stands in for the query's; otherwise
-// qset is nil and built here. opt.K must already be resolved.
-func (e *Engine) search(ctx context.Context, q *object.Object, qset *metastore.SketchSet, opt QueryOptions) (Answer, error) {
+// goroutine with pooled scratch. opt.K must already be resolved.
+func (e *Engine) search(ctx context.Context, q *object.Object, opt QueryOptions) (Answer, error) {
 	sc := getScratch()
 	defer putScratch(sc)
-	return e.searchIn(ctx, sc, q, qset, opt)
+	return e.searchIn(ctx, sc, q, nil, opt)
 }
 
-// searchIn is search on a scratch the caller got (and puts back).
+// searchIn is search on a scratch the caller got (and puts back). q is nil
+// for a by-ID query of a sketch-only store; qset, when not nil, is the
+// stored sketch set that stands in for the query's.
 func (e *Engine) searchIn(ctx context.Context, sc *queryScratch, q *object.Object, qset *metastore.SketchSet, opt QueryOptions) (Answer, error) {
 	if err := e.checkQuery(q); err != nil {
 		e.met.queryErrors.Inc()
@@ -794,14 +795,12 @@ func (e *Engine) finish(sc *queryScratch) (Answer, error) {
 
 // armTrace resolves which trace buffer a query records into: the caller's
 // (QueryOptions.Trace) or the engine-armed own buffer, force-retained when
-// the query asked for its trace back. Returns nil when tracing is off.
+// the query asked for its trace back.
 func (e *Engine) armTrace(opt *QueryOptions, own *trace.Active) *trace.Active {
 	if opt.Trace != nil {
 		return opt.Trace
 	}
-	if !e.tracer.Begin(own, "search") {
-		return nil
-	}
+	e.tracer.Begin(own, "search")
 	if opt.ForceTrace {
 		own.Force()
 	}

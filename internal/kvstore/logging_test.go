@@ -2,16 +2,15 @@ package kvstore
 
 import (
 	"bytes"
+	"log/slog"
 	"strings"
 	"testing"
-
-	"ferret/internal/telemetry"
 )
 
 func TestRecoveryAndCheckpointLogged(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer
-	logger := telemetry.NewLogger(&buf, telemetry.LevelInfo).With("kvstore")
+	logger := slog.New(slog.NewTextHandler(&buf, nil)).With("component", "kvstore")
 
 	s, err := Open(Options{Dir: dir, Logger: logger})
 	if err != nil {
@@ -33,7 +32,7 @@ func TestRecoveryAndCheckpointLogged(t *testing.T) {
 		"wal_records=0",
 		`msg="checkpoint written"`,
 		"component=kvstore",
-		"level=info",
+		"level=INFO",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("log output missing %q:\n%s", want, out)

@@ -16,6 +16,8 @@ package kvstore
 import (
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -58,7 +60,7 @@ type Options struct {
 	CheckpointBytes int64
 	// Logger, when set, logs recovery and checkpoint events (a nil logger
 	// discards them).
-	Logger *telemetry.Logger
+	Logger *slog.Logger
 	// Telemetry, when set, receives the store's health gauge
 	// (ferret_store_poisoned: 1 after a durability failure has frozen
 	// writes) and its WAL fsync count (ferret_store_wal_fsyncs_total).
@@ -107,6 +109,9 @@ func Open(opts Options) (*Store, error) {
 	}
 	if opts.CheckpointBytes <= 0 {
 		opts.CheckpointBytes = 64 << 20
+	}
+	if opts.Logger == nil {
+		opts.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	fs := opts.FS
 	if fs == nil {

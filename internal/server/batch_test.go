@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -60,5 +61,29 @@ func TestBatchQueryBadArgs(t *testing.T) {
 	}
 	if _, err := client.BatchQuery(keys, protocol.QueryParams{}); err == nil {
 		t.Fatal("oversized batch accepted")
+	}
+}
+
+// TestBatchQuerySharesQueryCache: a batched key is the same by-ID query as
+// its QUERY, so it is answered from the result-cache entry QUERY left.
+func TestBatchQuerySharesQueryCache(t *testing.T) {
+	addr, _ := startServerV2(t, nil)
+	bc := dialV2(t, addr)
+	want, meta, err := bc.QueryMeta("c1/m2", protocol.QueryParams{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Cache != "miss" {
+		t.Fatalf("QUERY cache = %q, want miss", meta.Cache)
+	}
+	items, err := bc.BatchQuery([]string{"c1/m2"}, protocol.QueryParams{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if items[0].Err != "" || items[0].Meta.Cache != "hit" {
+		t.Fatalf("batch item: cache %q, err %q; want a hit", items[0].Meta.Cache, items[0].Err)
+	}
+	if !slices.Equal(items[0].Results, want) {
+		t.Fatalf("batch hit %v, QUERY %v", items[0].Results, want)
 	}
 }

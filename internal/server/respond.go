@@ -66,12 +66,17 @@ type encoder interface {
 // recorded as a span of its trace, which is then finished, applying
 // retention. The returned error is a transport error.
 func (s *Server) respond(w io.Writer, enc encoder, framed bool, resp *response, err error) error {
+	met := s.metrics()
 	var msg string
 	if err != nil {
-		s.metrics().errors.Inc()
+		met.errors.Inc()
 		msg = err.Error()
 	}
-	wb := getWireBuf(resp.sizeHint() + len(msg))
+	wb, miss := getWireBuf(resp.sizeHint() + len(msg))
+	met.wireGets.Inc()
+	if miss {
+		met.wireMisses.Inc()
+	}
 	b := wb.b
 	if framed {
 		b = protocol.BeginFrame(b)
@@ -102,6 +107,7 @@ func (s *Server) respond(w io.Writer, enc encoder, framed bool, resp *response, 
 	}
 	wb.b = b
 	putWireBuf(wb)
+	met.wirePuts.Inc()
 	return werr
 }
 

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net"
 	"strconv"
@@ -60,7 +61,7 @@ type Server struct {
 	// the serving layer and the query pipeline.
 	Telemetry *telemetry.Registry
 	// Logger, when set, logs connection lifecycle events.
-	Logger *telemetry.Logger
+	Logger *slog.Logger
 
 	metOnce sync.Once
 	met     *serverMetrics
@@ -115,17 +116,20 @@ type serverMetrics struct {
 	latency      *telemetry.Histogram          // ferret_server_request_seconds
 	v2Conns      *telemetry.Gauge              // ferret_server_v2_connections
 	v2Upgrades   *telemetry.Counter            // ferret_server_v2_upgrades_total
-	wireGets     *telemetry.Gauge              // ferret_wire_buf_gets_total
-	wireMisses   *telemetry.Gauge              // ferret_wire_buf_misses_total
-	wirePuts     *telemetry.Gauge              // ferret_wire_buf_puts_total
+	wireGets     *telemetry.Counter            // ferret_wire_buf_gets_total
+	wireMisses   *telemetry.Counter            // ferret_wire_buf_misses_total
+	wirePuts     *telemetry.Counter            // ferret_wire_buf_puts_total
 }
 
-// refreshWireBuf publishes the wire-buffer pool counters into their
-// telemetry gauges (called when a stats or telemetry dump is assembled).
-func (m *serverMetrics) refreshWireBuf() {
-	m.wireGets.Set(wireBufGets.Load())
-	m.wireMisses.Set(wireBufMisses.Load())
-	m.wirePuts.Set(wireBufPuts.Load())
+// discardLogger stands in for a nil Server.Logger.
+var discardLogger = slog.New(slog.NewTextHandler(io.Discard, nil))
+
+// logger is the Logger field, or a logger that discards when it is nil.
+func (s *Server) logger() *slog.Logger {
+	if s.Logger != nil {
+		return s.Logger
+	}
+	return discardLogger
 }
 
 // metrics lazily resolves the registry (Telemetry field, else the engine's)
@@ -153,9 +157,9 @@ func (s *Server) metrics() *serverMetrics {
 			latency:      reg.Histogram("ferret_server_request_seconds", "Protocol request latency in seconds.", nil),
 			v2Conns:      reg.Gauge("ferret_server_v2_connections", "Open connections speaking the binary protocol v2."),
 			v2Upgrades:   reg.Counter("ferret_server_v2_upgrades_total", "Successful HELLO proto=v2 negotiations."),
-			wireGets:     reg.Gauge("ferret_wire_buf_gets_total", "Wire buffers drawn from the size-class pools."),
-			wireMisses:   reg.Gauge("ferret_wire_buf_misses_total", "Wire-buffer gets that had to allocate."),
-			wirePuts:     reg.Gauge("ferret_wire_buf_puts_total", "Wire buffers returned to the size-class pools."),
+			wireGets:     reg.Counter("ferret_wire_buf_gets_total", "Wire buffers drawn from the size-class pools."),
+			wireMisses:   reg.Counter("ferret_wire_buf_misses_total", "Wire-buffer gets that had to allocate."),
+			wirePuts:     reg.Counter("ferret_wire_buf_puts_total", "Wire buffers returned to the size-class pools."),
 		}
 		for _, cmd := range protocol.Commands {
 			m.requests[cmd] = reg.Counter("ferret_server_requests_total", "Protocol requests served, by command.", "cmd", cmd)
@@ -263,7 +267,7 @@ func (s *Server) shedConn(conn net.Conn) {
 	}
 	protocol.WriteError(conn, errBusy)
 	conn.Close()
-	s.Logger.Warn("connection shed: at connection limit",
+	s.logger().Warn("connection shed: at connection limit",
 		"remote", conn.RemoteAddr().String(), "max_conns", s.MaxConns)
 }
 
@@ -340,7 +344,7 @@ func (s *Server) handleConn(ctx context.Context, st *connState) {
 	met := s.metrics()
 	met.conns.Add(1)
 	met.connsTotal.Inc()
-	s.Logger.Debug("connection opened", "remote", conn.RemoteAddr().String())
+	s.logger().Debug("connection opened", "remote", conn.RemoteAddr().String())
 	defer func() {
 		conn.Close()
 		met.conns.Add(-1)
@@ -543,7 +547,7 @@ func (s *Server) handle(ctx context.Context, st *connState, start time.Time) (re
 
 	case protocol.CmdBatchQuery:
 		// n keys sharing one set of query options, answered through
-		// SearchBatch: one Search per key, run concurrently.
+		// SearchBatchByID: one SearchByID per key, run concurrently.
 		if n := len(req.Keys); n == 0 || n > maxBatchKeys {
 			return response{}, fmt.Errorf("bad batch size %d (1..%d)", n, maxBatchKeys)
 		}
@@ -554,12 +558,7 @@ func (s *Server) handle(ctx context.Context, st *connState, start time.Time) (re
 		// Tracing a batch: each query gets its own engine-armed,
 		// force-retained trace, and its group's flags carry the trace ID and
 		// stage breakdown.
-		if req.Trace != "" {
-			if _, err := s.tracer(); err != nil {
-				return response{}, err
-			}
-			opt.ForceTrace = true
-		}
+		opt.ForceTrace = req.Trace != ""
 		return response{shape: shapeBatch, batch: s.runBatch(ctx, req.Keys, opt)}, nil
 
 	case protocol.CmdAddFile:
@@ -592,7 +591,6 @@ func (s *Server) handle(ctx context.Context, st *connState, start time.Time) (re
 		// Full telemetry dump: every registered series as flat name=value
 		// pairs, covering both the query pipeline and the serving layer.
 		met := s.metrics()
-		met.refreshWireBuf()
 		pairs := map[string]string{}
 		regs := []*telemetry.Registry{met.reg}
 		if er := s.Engine.Telemetry(); er != met.reg {
@@ -777,22 +775,12 @@ func (s *Server) statsPairs() map[string]string {
 	}
 	// Serving-protocol health: binary-protocol adoption and wire-buffer
 	// pool effectiveness.
-	met.refreshWireBuf()
 	pairs["v2_connections"] = strconv.FormatInt(met.v2Conns.Value(), 10)
 	pairs["v2_upgrades_total"] = strconv.FormatUint(met.v2Upgrades.Value(), 10)
-	pairs["wire_buf_gets_total"] = strconv.FormatInt(wireBufGets.Load(), 10)
-	pairs["wire_buf_misses_total"] = strconv.FormatInt(wireBufMisses.Load(), 10)
-	pairs["wire_buf_puts_total"] = strconv.FormatInt(wireBufPuts.Load(), 10)
+	pairs["wire_buf_gets_total"] = strconv.FormatUint(met.wireGets.Value(), 10)
+	pairs["wire_buf_misses_total"] = strconv.FormatUint(met.wireMisses.Value(), 10)
+	pairs["wire_buf_puts_total"] = strconv.FormatUint(met.wirePuts.Value(), 10)
 	return pairs
-}
-
-// tracer returns the engine's tracer, or the error every trace-dependent
-// request answers with when tracing is off.
-func (s *Server) tracer() (*trace.Tracer, error) {
-	if t := s.Engine.Tracer(); t != nil {
-		return t, nil
-	}
-	return nil, errors.New("tracing disabled on this server")
 }
 
 // armTrace arms the connection's trace recording buffer when the request
@@ -807,20 +795,17 @@ func (s *Server) armTrace(st *connState, start time.Time) (*trace.Active, error)
 	if v == "" {
 		return nil, nil
 	}
-	tracer, err := s.tracer()
-	if err != nil {
-		return nil, err
-	}
 	var id trace.TraceID
 	switch v {
 	case protocol.TraceOn, "1", "new":
 		// Fresh ID (BeginWith allocates one for 0).
 	default:
+		var err error
 		if id, err = trace.ParseTraceID(v); err != nil {
 			return nil, err
 		}
 	}
-	tracer.BeginWith(&st.tr, strings.ToLower(st.req.Cmd), id, true)
+	s.Engine.Tracer().BeginWith(&st.tr, strings.ToLower(st.req.Cmd), id, true)
 	st.tr.Record("parse", start, time.Since(start))
 	return &st.tr, nil
 }
@@ -830,10 +815,7 @@ func (s *Server) armTrace(st *connState, start time.Time) (*trace.Active, error)
 // newest-first slow<i> (slow-query log) and recent<i> (sampled ring) lists,
 // each capped at n (default 10).
 func (s *Server) tracePairs(n int, slowOnly bool, id string) (map[string]string, error) {
-	tracer, err := s.tracer()
-	if err != nil {
-		return nil, err
-	}
+	tracer := s.Engine.Tracer()
 	if id != "" {
 		tid, err := trace.ParseTraceID(id)
 		if err != nil {
@@ -864,36 +846,24 @@ func (s *Server) tracePairs(n int, slowOnly bool, id string) (map[string]string,
 	return pairs, nil
 }
 
-// runBatch answers one batch of keys through Engine.SearchBatch.
-// Per-key failures (unknown key, missing feature vectors) are reported
-// inside their group without failing the rest.
+// runBatch answers one batch of keys through Engine.SearchBatchByID.
+// Per-key failures (unknown key, a failed query) are reported inside their
+// group without failing the rest.
 func (s *Server) runBatch(ctx context.Context, keys [][]byte, opt core.QueryOptions) []protocol.BatchItem {
 	n := len(keys)
 	items := make([]protocol.BatchItem, n)
-	queries := make([]object.Object, 0, n)
-	slots := make([]int, 0, n) // queries[j] answers items[slots[j]]
+	ids := make([]object.ID, 0, n)
+	slots := make([]int, 0, n) // ids[j] answers items[slots[j]]
 	for i, key := range keys {
 		id, err := s.lookup(key)
 		if err != nil {
 			items[i].Err = err.Error()
 			continue
 		}
-		o, ok := s.Engine.Meta().GetObject(id)
-		if !ok {
-			// Sketch-only store: no feature vectors to search with. Answer
-			// this key through the per-query sketch path instead.
-			ans, err := s.Engine.SearchByID(ctx, id, opt)
-			if err != nil {
-				items[i].Err = err.Error()
-				continue
-			}
-			items[i] = answerItem(ans)
-			continue
-		}
-		queries = append(queries, o)
+		ids = append(ids, id)
 		slots = append(slots, i)
 	}
-	answers, errs := s.Engine.SearchBatch(ctx, queries, opt)
+	answers, errs := s.Engine.SearchBatchByID(ctx, ids, opt)
 	for j, slot := range slots {
 		if errs[j] != nil {
 			items[slot].Err = errs[j].Error()

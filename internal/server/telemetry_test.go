@@ -180,3 +180,36 @@ func TestMetricsEndpointMonotone(t *testing.T) {
 		t.Fatalf("ferret_query_total = %g after two queries", second["ferret_query_total"])
 	}
 }
+
+// TestMetricsWireBufCounters: /metrics reports the wire-buffer counters as
+// counters that are current after every response, with no STATS or
+// TELEMETRY request to refresh them.
+func TestMetricsWireBufCounters(t *testing.T) {
+	addr, engine := startServerV2(t, nil)
+	bc := dialV2(t, addr)
+	const n = 20
+	for i := 0; i < n; i++ {
+		if _, err := bc.Query("c0/m0", protocol.QueryParams{K: 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := httptest.NewRecorder()
+	telemetry.DebugHandler(engine.Telemetry()).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	out := rec.Body.String()
+	if !strings.Contains(out, "# TYPE ferret_wire_buf_gets_total counter\n") {
+		t.Fatalf("ferret_wire_buf_gets_total is not a counter:\n%s", out)
+	}
+	i := strings.Index(out, "\nferret_wire_buf_gets_total ")
+	if i < 0 {
+		t.Fatal("no ferret_wire_buf_gets_total sample")
+	}
+	line := out[i+1:]
+	line = line[:strings.IndexByte(line, '\n')]
+	gets, err := strconv.ParseFloat(strings.Fields(line)[1], 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gets < n {
+		t.Fatalf("ferret_wire_buf_gets_total = %g after %d queries", gets, n)
+	}
+}

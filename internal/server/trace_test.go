@@ -231,46 +231,3 @@ func TestTraceCommand(t *testing.T) {
 		t.Fatalf("degraded query missing from TRACE slow=1: %v", slow)
 	}
 }
-
-// TestTracingDisabled: with the tracer off, trace requests and the TRACE
-// command answer ERR instead of silently returning nothing.
-func TestTracingDisabled(t *testing.T) {
-	const d = 4
-	min := make([]float32, d)
-	max := []float32{1, 1, 1, 1}
-	engine, err := core.Open(core.Config{
-		Dir:    t.TempDir(),
-		Sketch: sketch.Params{N: 64, K: 1, Min: min, Max: max, Seed: 3},
-		Trace:  trace.Params{Disable: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { engine.Close() })
-	if _, err := engine.Ingest(object.Single("o", []float32{0.1, 0.2, 0.3, 0.4}), nil); err != nil {
-		t.Fatal(err)
-	}
-	srv := &Server{Engine: engine, DefaultK: 3}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(context.Background(), l)
-	t.Cleanup(func() { srv.Close() })
-	client, err := protocol.Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { client.Close() })
-
-	if _, _, err := client.QueryMeta("o", protocol.QueryParams{Trace: true}); err == nil {
-		t.Fatal("traced query accepted with tracing disabled")
-	}
-	if _, err := client.Traces(0, false); err == nil {
-		t.Fatal("TRACE accepted with tracing disabled")
-	}
-	// Untraced queries still work.
-	if _, err := client.Query("o", protocol.QueryParams{K: 1}); err != nil {
-		t.Fatal(err)
-	}
-}

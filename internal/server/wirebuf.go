@@ -1,9 +1,6 @@
 package server
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Pooled wire buffers (mbuf-style, per the zero-copy serving path): every
 // response — text or binary — is encoded by appending into a buffer drawn
@@ -32,14 +29,6 @@ type wireBuf struct {
 
 var wireBufPools [wireClasses]sync.Pool
 
-// Wire-buffer pool telemetry, published by the serving layer's metrics:
-// gets, puts and misses (a get that found an empty pool and allocated).
-var (
-	wireBufGets   atomic.Int64
-	wireBufMisses atomic.Int64
-	wireBufPuts   atomic.Int64
-)
-
 // wireClass maps a size hint to the smallest class that fits (-1 when no
 // class does).
 func wireClass(n int) int {
@@ -52,27 +41,25 @@ func wireClass(n int) int {
 }
 
 // getWireBuf returns a buffer with at least n bytes of capacity and zero
-// length. The caller must hand it back with putWireBuf.
-func getWireBuf(n int) *wireBuf {
-	wireBufGets.Add(1)
+// length, and whether it had to allocate (a miss). The caller must hand it
+// back with putWireBuf.
+func getWireBuf(n int) (wb *wireBuf, miss bool) {
 	c := wireClass(n)
 	if c < 0 {
-		wireBufMisses.Add(1)
-		return &wireBuf{b: make([]byte, 0, n), class: -1}
+		return &wireBuf{b: make([]byte, 0, n), class: -1}, true
 	}
 	wb, ok := wireBufPools[c].Get().(*wireBuf)
 	if !ok {
-		wireBufMisses.Add(1)
-		return &wireBuf{b: make([]byte, 0, wireClassSizes[c]), class: c}
+		return &wireBuf{b: make([]byte, 0, wireClassSizes[c]), class: c}, true
 	}
 	if cap(wb.b) < n {
 		// A demoted buffer whose capacity sits below the hint inside the
 		// same class: regrow to the full class size once.
-		wireBufMisses.Add(1)
 		wb.b = make([]byte, 0, wireClassSizes[c])
+		miss = true
 	}
 	wb.b = wb.b[:0]
-	return wb
+	return wb, miss
 }
 
 // putWireBuf returns a buffer to its pool. Buffers that grew past their
@@ -80,7 +67,6 @@ func getWireBuf(n int) *wireBuf {
 // fits, so pooled capacity converges on what responses actually need;
 // oversize buffers are dropped for the garbage collector.
 func putWireBuf(wb *wireBuf) {
-	wireBufPuts.Add(1)
 	c := wireClass(cap(wb.b))
 	if wb.class >= 0 && c == wb.class {
 		wireBufPools[c].Put(wb)

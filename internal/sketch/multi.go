@@ -58,9 +58,6 @@ func (m *MultiSketch) Reset(qs []Sketch) {
 // Len returns the number of packed queries.
 func (m *MultiSketch) Len() int { return m.nq }
 
-// Wps returns the per-sketch word length of the packed queries.
-func (m *MultiSketch) Wps() int { return m.wps }
-
 // query returns the unpadded view of packed query i.
 func (m *MultiSketch) query(i int) Sketch {
 	off := i * m.pad

@@ -180,8 +180,8 @@ func TestMultiSketchReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	qs := randomQueries(rng, 3, 13)
 	m.Reset(qs)
-	if m.Len() != 3 || m.Wps() != 13 || m.pad != 16 {
-		t.Fatalf("Len=%d Wps=%d pad=%d", m.Len(), m.Wps(), m.pad)
+	if m.Len() != 3 || m.wps != 13 || m.pad != 16 {
+		t.Fatalf("Len=%d Wps=%d pad=%d", m.Len(), m.wps, m.pad)
 	}
 	for q := 0; q < 3; q++ {
 		for k := 13; k < 16; k++ {
@@ -192,8 +192,8 @@ func TestMultiSketchReset(t *testing.T) {
 	}
 	// Reuse with fewer, shorter queries must re-zero padding.
 	m.Reset(randomQueries(rng, 2, 2))
-	if m.Len() != 2 || m.Wps() != 2 || m.pad != 8 {
-		t.Fatalf("after reuse: Len=%d Wps=%d pad=%d", m.Len(), m.Wps(), m.pad)
+	if m.Len() != 2 || m.wps != 2 || m.pad != 8 {
+		t.Fatalf("after reuse: Len=%d Wps=%d pad=%d", m.Len(), m.wps, m.pad)
 	}
 	for q := 0; q < 2; q++ {
 		for k := 2; k < 8; k++ {

@@ -11,15 +11,8 @@ import (
 //	?slow=1   only the slow-query log
 //	?id=<id>  one trace by hex ID (404 if not retained)
 //	?n=<k>    cap the number of traces returned
-//
-// A nil-tracer handler answers 503 so probes can tell "tracing off" from
-// "no traces yet".
 func Handler(t *Tracer) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if t == nil {
-			http.Error(w, "tracing disabled", http.StatusServiceUnavailable)
-			return
-		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

@@ -13,10 +13,9 @@
 //   - Recording is allocation-free. An Active is a fixed-capacity span
 //     buffer that callers embed by value inside state they already
 //     allocate or pool per query (the engine's pooled queryScratch, the
-//     server's per-connection state). Starting a
-//     span, setting an attr and ending it are a mutex-guarded array write
-//     each — no heap allocation, verified by TestFilterPathAllocs and
-//     BenchmarkQueryPipelineTraced.
+//     server's per-connection state). Recording a span and setting an
+//     attr are a mutex-guarded array write each — no heap allocation,
+//     verified by TestFilterPathAllocs and BenchmarkQueryPipelineTraced.
 //   - Retention is decided at Finish: a trace is snapshotted (the only
 //     allocation) and published only when it was explicitly requested
 //     (Force), head-sampled (every Nth finished trace), or slower than the
@@ -97,12 +96,10 @@ type Attr struct {
 	Val int64  `json:"v"`
 }
 
-// Params configures a Tracer. The zero value is an enabled tracer with
-// defaults; Disable turns tracing off entirely.
+// Params configures a Tracer's retention. The zero value retains with
+// defaults; SampleEvery and SlowThreshold both negative retain only forced
+// traces.
 type Params struct {
-	// Disable turns the tracer off: New returns nil and every recording
-	// call no-ops.
-	Disable bool
 	// SampleEvery retains every Nth finished trace in the recent ring
 	// (head sampling). 0 means 64; negative disables head sampling —
 	// forced and slow traces are still retained.
@@ -111,10 +108,13 @@ type Params struct {
 	// slow-query log. 0 means 100ms; negative disables the log. Budget-
 	// degraded queries are always treated as slow regardless of duration.
 	SlowThreshold time.Duration
-	// RecentSize and SlowSize are the ring capacities (0 = 64 and 32).
-	RecentSize int
-	SlowSize   int
 }
+
+// Ring capacities: the recent (sampled) ring and the slow-query log.
+const (
+	recentSize = 64
+	slowSize   = 32
+)
 
 func (p Params) sampleEvery() uint64 {
 	switch {
@@ -138,22 +138,7 @@ func (p Params) slowThreshold() time.Duration {
 	}
 }
 
-func (p Params) recentSize() int {
-	if p.RecentSize <= 0 {
-		return 64
-	}
-	return p.RecentSize
-}
-
-func (p Params) slowSize() int {
-	if p.SlowSize <= 0 {
-		return 32
-	}
-	return p.SlowSize
-}
-
-// Tracer owns the retention policy and the completed-trace rings. A nil
-// Tracer is valid and records nothing.
+// Tracer owns the retention policy and the completed-trace rings.
 type Tracer struct {
 	sampleEvery uint64        // head sampling period; 0 = off
 	slow        time.Duration // tail-latency trigger; 0 = off
@@ -170,18 +155,14 @@ type Tracer struct {
 }
 
 // New builds a Tracer, registering its accounting counters in reg (nil reg
-// skips registration). Returns nil when p.Disable is set; a nil Tracer is
-// safe to use everywhere.
+// skips registration).
 func New(p Params, reg *telemetry.Registry) *Tracer {
-	if p.Disable {
-		return nil
-	}
 	t := &Tracer{
 		sampleEvery: p.sampleEvery(),
 		slow:        p.slowThreshold(),
 	}
-	t.recent.init(p.recentSize())
-	t.slowR.init(p.slowSize())
+	t.recent.init(recentSize)
+	t.slowR.init(slowSize)
 	if reg != nil {
 		t.cFinished = reg.Counter("ferret_traces_finished_total", "Query traces finished (retained or not).")
 		t.cRetained = reg.Counter("ferret_traces_retained_total", "Query traces retained in the recent ring.")
@@ -192,12 +173,7 @@ func New(p Params, reg *telemetry.Registry) *Tracer {
 }
 
 // SlowThreshold reports the tail-latency trigger (0 = disabled).
-func (t *Tracer) SlowThreshold() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return t.slow
-}
+func (t *Tracer) SlowThreshold() time.Duration { return t.slow }
 
 // ring is a lock-free fixed-size ring of completed traces: writers claim a
 // slot with one atomic add and publish with one atomic pointer store;
@@ -239,7 +215,6 @@ type spanRec struct {
 	dur    time.Duration
 	attrs  [maxAttrs]Attr
 	nattrs int8
-	open   bool
 }
 
 // Active is one query's in-flight trace recording state. Embed it by value
@@ -264,19 +239,15 @@ type Active struct {
 	armed   bool
 }
 
-// Begin arms a for a new trace rooted at root with a fresh ID. It reports
-// whether recording is on (false for a nil/disabled tracer).
-func (t *Tracer) Begin(a *Active, root string) bool {
-	return t.BeginWith(a, root, 0, false)
+// Begin arms a for a new trace rooted at root with a fresh ID.
+func (t *Tracer) Begin(a *Active, root string) {
+	t.BeginWith(a, root, 0, false)
 }
 
 // BeginWith is Begin with an explicit trace ID (0 allocates one) and a
 // forced-retention flag — the wire propagation entry point: a client that
 // passed trace=<id> gets its trace retained regardless of sampling.
-func (t *Tracer) BeginWith(a *Active, root string, id TraceID, force bool) bool {
-	if t == nil || a == nil {
-		return false
-	}
+func (t *Tracer) BeginWith(a *Active, root string, id TraceID, force bool) {
 	if id == 0 {
 		id = NewTraceID()
 	}
@@ -289,9 +260,8 @@ func (t *Tracer) BeginWith(a *Active, root string, id TraceID, force bool) bool 
 	a.forced = force
 	a.slow = false
 	a.armed = true
-	a.spans[0] = spanRec{id: SpanID(nextID()), name: root, open: true}
+	a.spans[0] = spanRec{id: SpanID(nextID()), name: root}
 	a.mu.Unlock()
-	return true
 }
 
 // Armed reports whether a is currently recording.
@@ -315,19 +285,6 @@ func (a *Active) ID() TraceID {
 		return 0
 	}
 	return a.id
-}
-
-// Elapsed returns the time since the trace began.
-func (a *Active) Elapsed() time.Duration {
-	if a == nil {
-		return 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.armed {
-		return 0
-	}
-	return time.Since(a.start)
 }
 
 // Force marks the trace for unconditional retention at Finish.
@@ -373,31 +330,6 @@ type Span struct {
 	i int32
 }
 
-// StartSpan opens a span named name, parented on the root, starting now.
-// Close it with End.
-//
-//ferret:noalloc
-func (a *Active) StartSpan(name string) Span {
-	if a == nil {
-		return Span{}
-	}
-	a.mu.Lock()
-	i := a.alloc()
-	if i < 0 {
-		a.mu.Unlock()
-		return Span{}
-	}
-	a.spans[i] = spanRec{
-		id:     SpanID(nextID()),
-		parent: a.spans[0].id,
-		name:   name,
-		start:  time.Since(a.start),
-		open:   true,
-	}
-	a.mu.Unlock()
-	return Span{a: a, i: i}
-}
-
 // Record adds a completed span from an already-measured interval — the
 // common form for stages that are timed anyway for histograms.
 //
@@ -441,16 +373,6 @@ func (a *Active) Root() Span {
 	return Span{a: a, i: 0}
 }
 
-// ID returns the span's ID (0 for a no-op handle).
-func (s Span) ID() SpanID {
-	if s.a == nil {
-		return 0
-	}
-	s.a.mu.Lock()
-	defer s.a.mu.Unlock()
-	return s.a.spans[s.i].id
-}
-
 // SetAttr attaches an integer attribute; chainable. Attrs beyond the
 // per-span capacity are dropped silently.
 //
@@ -467,22 +389,6 @@ func (s Span) SetAttr(key string, v int64) Span {
 	}
 	s.a.mu.Unlock()
 	return s
-}
-
-// End closes a span opened with StartSpan, fixing its duration.
-//
-//ferret:noalloc
-func (s Span) End() {
-	if s.a == nil {
-		return
-	}
-	s.a.mu.Lock()
-	sp := &s.a.spans[s.i]
-	if s.a.armed && sp.open {
-		sp.dur = time.Since(s.a.start) - sp.start
-		sp.open = false
-	}
-	s.a.mu.Unlock()
 }
 
 // Stage is one aggregated per-stage timing, the payload of the wire-level
@@ -541,7 +447,6 @@ func (a *Active) Finish() *Trace {
 	t := a.t
 	dur := time.Since(a.start)
 	a.spans[0].dur = dur
-	a.spans[0].open = false
 	if t.cFinished != nil {
 		t.cFinished.Inc()
 	}
@@ -651,26 +556,17 @@ func (tr *Trace) Compact() string {
 
 // Recent returns retained traces, newest first.
 func (t *Tracer) Recent() []*Trace {
-	if t == nil {
-		return nil
-	}
 	return t.recent.snapshot()
 }
 
 // Slow returns the slow-query log, newest first.
 func (t *Tracer) Slow() []*Trace {
-	if t == nil {
-		return nil
-	}
 	return t.slowR.snapshot()
 }
 
 // Find looks a retained trace up by ID (slow ring first: slow traces
 // outlive the recent ring's churn).
 func (t *Tracer) Find(id TraceID) *Trace {
-	if t == nil {
-		return nil
-	}
 	for _, tr := range t.slowR.snapshot() {
 		if tr.ID == id {
 			return tr
@@ -682,26 +578,4 @@ func (t *Tracer) Find(id TraceID) *Trace {
 		}
 	}
 	return nil
-}
-
-// FormatStages renders aggregated stage timings for human consumption:
-// "parse 12µs → sketch 8µs → filter 1.1ms → rank 420µs (total 1.6ms)".
-func FormatStages(stages []Stage) string {
-	var parts []string
-	total := ""
-	for _, st := range stages {
-		if st.Name == "total" {
-			total = st.Dur.Round(time.Microsecond).String()
-			continue
-		}
-		parts = append(parts, fmt.Sprintf("%s %s", st.Name, st.Dur.Round(time.Microsecond)))
-	}
-	s := strings.Join(parts, " → ")
-	if total != "" {
-		if s != "" {
-			s += " "
-		}
-		s += "(total " + total + ")"
-	}
-	return s
 }

@@ -39,35 +39,18 @@ func TestIDRoundTrip(t *testing.T) {
 }
 
 func TestNilSafety(t *testing.T) {
-	var tr *Tracer
 	var a *Active
-	if tr.Begin(a, "q") {
-		t.Fatal("nil tracer armed a trace")
-	}
 	// Every recording call must no-op on nil/zero values.
-	a.StartSpan("x").SetAttr("k", 1).End()
-	a.Record("y", time.Now(), time.Millisecond)
+	a.Record("y", time.Now(), time.Millisecond).SetAttr("k", 1)
 	a.MarkSlow()
 	a.Force()
 	if a.Finish() != nil || a.Armed() || a.ID() != 0 {
 		t.Fatal("nil Active not inert")
 	}
 	var zero Active
-	zero.StartSpan("x").End()
+	zero.Record("x", time.Now(), time.Millisecond)
 	if zero.Finish() != nil {
 		t.Fatal("disarmed Active retained a trace")
-	}
-	if tr.Recent() != nil || tr.Slow() != nil || tr.Find(1) != nil {
-		t.Fatal("nil tracer returned traces")
-	}
-	if tr.SlowThreshold() != 0 {
-		t.Fatal("nil tracer has slow threshold")
-	}
-}
-
-func TestDisableReturnsNil(t *testing.T) {
-	if New(Params{Disable: true}, nil) != nil {
-		t.Fatal("Disable did not return nil tracer")
 	}
 }
 
@@ -75,9 +58,7 @@ func TestForcedRetention(t *testing.T) {
 	// Head sampling off: only forced/slow traces survive.
 	tr := New(Params{SampleEvery: -1, SlowThreshold: time.Hour}, nil)
 	var a Active
-	if !tr.Begin(&a, "search") {
-		t.Fatal("Begin failed")
-	}
+	tr.Begin(&a, "search")
 	if a.Finish() != nil {
 		t.Fatal("unforced trace retained with sampling off")
 	}
@@ -202,44 +183,20 @@ func TestStagesAggregates(t *testing.T) {
 	if stages[2].Name != "total" || stages[2].Dur <= 0 {
 		t.Fatalf("total stage = %+v", stages[2])
 	}
-	s := FormatStages(stages)
-	if !strings.Contains(s, "rank 5ms") || !strings.Contains(s, "(total ") {
-		t.Fatalf("FormatStages = %q", s)
-	}
 	a.Finish()
 }
 
-func TestStartSpanEnd(t *testing.T) {
+func TestRingWraps(t *testing.T) {
 	tr := New(Params{SampleEvery: 1}, nil)
 	var a Active
-	tr.Begin(&a, "q")
-	sp := a.StartSpan("write")
-	if sp.ID() == 0 {
-		t.Fatal("span has no id")
-	}
-	time.Sleep(time.Millisecond)
-	sp.End()
-	got := a.Finish()
-	sd, ok := got.Span("write")
-	if !ok || sd.Dur <= 0 {
-		t.Fatalf("write span = %+v ok=%v", sd, ok)
-	}
-	if sd.Parent != got.Spans[0].ID {
-		t.Fatal("span not parented on root")
-	}
-}
-
-func TestRingWraps(t *testing.T) {
-	tr := New(Params{SampleEvery: 1, RecentSize: 4}, nil)
-	var a Active
 	var last TraceID
-	for i := 0; i < 10; i++ {
+	for i := 0; i < recentSize+10; i++ {
 		tr.Begin(&a, "q")
 		last = a.ID()
 		a.Finish()
 	}
 	rec := tr.Recent()
-	if len(rec) != 4 {
+	if len(rec) != recentSize {
 		t.Fatalf("ring holds %d", len(rec))
 	}
 	if rec[0].ID != last {
@@ -258,7 +215,6 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				a.Record("stage", time.Now(), time.Microsecond).SetAttr("i", int64(i))
-				a.Elapsed()
 				a.Stages()
 			}
 		}()
@@ -276,8 +232,6 @@ func TestRecordAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		tr.Begin(&a, "q")
 		a.Record("filter", st, time.Millisecond).SetAttr("scanned", 10)
-		sp := a.StartSpan("write")
-		sp.End()
 		a.Finish()
 	})
 	if allocs != 0 {
@@ -351,27 +305,12 @@ func TestHandler(t *testing.T) {
 	if code, _, _ = get("/?n=0"); code != 200 {
 		t.Fatal("n=0 rejected")
 	}
-
-	// Disabled tracer → 503.
-	srv2 := httptest.NewServer(Handler(nil))
-	defer srv2.Close()
-	resp, err := http.Get(srv2.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("nil tracer gave %d", resp.StatusCode)
-	}
 }
 
 func TestParamDefaults(t *testing.T) {
 	p := Params{}
 	if p.sampleEvery() != 64 || p.slowThreshold() != 100*time.Millisecond {
 		t.Fatalf("defaults: every=%d slow=%v", p.sampleEvery(), p.slowThreshold())
-	}
-	if p.recentSize() != 64 || p.slowSize() != 32 {
-		t.Fatalf("ring defaults: %d/%d", p.recentSize(), p.slowSize())
 	}
 	p = Params{SampleEvery: -1, SlowThreshold: -1}
 	if p.sampleEvery() != 0 || p.slowThreshold() != 0 {
