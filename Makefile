@@ -44,9 +44,8 @@ vet:
 	GOARCH=arm64 $(GO) vet ./...
 
 # Project-specific static analysis: layering, atomicfield, poolescape,
-# floatcmp, errclose, ctxfirst plus the interprocedural lockorder, lockpath
-# and noalloc checks (see internal/lint and DESIGN.md §13). Zero diagnostics
-# is the bar.
+# floatcmp, errclose, ctxfirst and the interprocedural noalloc check (see
+# internal/lint and DESIGN.md §8, §13). Zero diagnostics is the bar.
 lint:
 	$(GO) run ./cmd/ferret-lint ./...
 

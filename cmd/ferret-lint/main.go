@@ -1,5 +1,5 @@
 // Command ferret-lint runs ferret's project-specific static-analysis suite:
-// nine analyzers enforcing the concurrency, locking, pooling, allocation
+// seven analyzers enforcing the concurrency, pooling, allocation, error
 // and layering invariants that go vet cannot see (run -list for the
 // catalog). It is built purely on the standard library's go/parser, go/ast
 // and go/types.
@@ -21,10 +21,8 @@
 // ({"check","file","line","col","message"}) for CI annotation; the human
 // format and exit statuses are unchanged otherwise.
 //
-// -debug prints tolerated type-check errors (stub stdlib references) and
-// the inferred module-wide mutex-acquisition graph (the lockorder
-// analyzer's evidence, one "A (Lock) -> B (Lock) [witness]" line per edge)
-// to stderr.
+// -debug prints tolerated type-check errors (stub stdlib references) to
+// stderr.
 //
 // Diagnostics can be suppressed per line with
 //
@@ -56,7 +54,7 @@ func main() {
 	checks := flag.String("checks", "all", checksHelp())
 	list := flag.Bool("list", false, "list available checks and exit")
 	jsonOut := flag.Bool("json", false, "emit one JSON object per diagnostic line on stdout")
-	debug := flag.Bool("debug", false, "print tolerated type-check errors and the inferred lock-acquisition graph to stderr")
+	debug := flag.Bool("debug", false, "print tolerated type-check errors to stderr")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: ferret-lint [-checks list] [-list] [-json] [-debug] [dir | ./...]\n")
 		flag.PrintDefaults()
@@ -104,15 +102,7 @@ func main() {
 		}
 	}
 
-	diags, prog := lint.RunProgram(pkgs, analyzers)
-	if *debug {
-		if dump := prog.DumpLockGraph(""); dump != "" {
-			fmt.Fprintf(os.Stderr, "ferret-lint: debug: inferred lock-acquisition graph:\n")
-			for _, line := range strings.Split(strings.TrimRight(dump, "\n"), "\n") {
-				fmt.Fprintf(os.Stderr, "  %s\n", line)
-			}
-		}
-	}
+	diags := lint.Run(pkgs, analyzers)
 	enc := json.NewEncoder(os.Stdout)
 	for _, d := range diags {
 		rel := d.Pos.Filename

@@ -22,12 +22,12 @@ import (
 //
 // A merge reads its input segments from a view — immutable, so the build
 // needs no lock and no copy of the tombstone flags — and only the final swap
-// takes the writer mutex. Lock order (enforced by the lockorder analyzer):
-// compactMu < ingestMu < e.mu. compactMu serializes all mergers, so sealed
-// segments change position and global entry numbering shifts only under a
-// merger's own swap: a seal appends behind the inputs and a Delete replaces
-// a segment's header in place, which is how the swap finds the tombstones set
-// since its snapshot.
+// takes the writer mutex. Lock order (pinned at run time by
+// TestSnapshotStress): compactMu < ingestMu < e.mu. compactMu serializes all
+// mergers, so sealed segments change position and global entry numbering
+// shifts only under a merger's own swap: a seal appends behind the inputs
+// and a Delete replaces a segment's header in place, which is how the swap
+// finds the tombstones set since its snapshot.
 //
 // Durability: merges move no committed state — the metadata store is the
 // source of truth and deleted objects already left it at Delete time. Merges

@@ -212,12 +212,12 @@ func (v *view) isDead(g int) bool {
 
 // lockWrite takes the writer-side mutex, recording how long the caller
 // waited for it, and returns the current view for the caller to derive the
-// next one from.
+// next one from. It returns with e.mu held: the caller releases it after
+// publishing.
 func (e *Engine) lockWrite() *view {
 	start := time.Now()
 	e.mu.Lock()
 	e.met.writeWait.ObserveSince(start)
-	//lint:ignore lockpath the acquire half of the writer protocol: every caller releases e.mu after publishing
 	return e.cur.Load()
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -143,57 +144,87 @@ func TestReadersDoNotWaitForWriters(t *testing.T) {
 	})
 }
 
-// TestSnapshotStress runs four readers beside an ingest+delete feed and a
-// merge loop on an engine that seals every four entries, and checks every
-// answer against what was acknowledged before its query began: K results in
-// ascending order, none of them an object whose delete had been acknowledged,
-// and the queried object — acknowledged, never deleted — first at distance 0.
-// Under -race this is the protocol's data-race check.
+// TestSnapshotStress runs four readers beside every writer at once — two
+// ingest+delete feeds (one through Ingest, one through IngestQueued's
+// admission), the background compactor's step+checkpoint and full Compact —
+// on an engine that seals every four entries, and checks every answer
+// against what was acknowledged before its query began: K results in
+// ascending order, none of them an object whose delete had been
+// acknowledged, and the queried object — acknowledged, never deleted —
+// first at distance 0. Under -race this is the protocol's data-race check.
+//
+// It also pins the writer lock order at run time. Together the writers take
+// every edge of it: compactMu < ingestMu < mu (Compact), compactMu < the
+// store's walMu (the post-merge checkpoint), ingestMu < the metadata
+// store's mu < the store's locks (Ingest's commit), and mu alone (Delete).
+// A writer that takes two of them in the other order deadlocks against
+// another; the watchdog then fails the test with every goroutine's stack
+// instead of letting it hang.
 func TestSnapshotStress(t *testing.T) {
 	const d, k = 8, 5
 	cfg := testConfig(t.TempDir(), d)
 	cfg.Segments = SegmentParams{SealEntries: 4, MergeSegments: 2, TombstoneFrac: 0.3, Interval: -1}
 	cfg.HIndex = HIndexParams{Enable: true}
+	cfg.Ingest = IngestParams{Depth: 4, Workers: 2}
 	// Inside the index radius, so descents cover a query outright; cluster
 	// mates sit a handful of bits apart.
 	cfg.Filter.MaxHammingFrac = 0.05
-	e := openEngine(t, cfg)
+	// Not openEngine: a deadlocked writer may hold a lock Close needs, so
+	// the engine is closed only once every writer has returned.
+	e, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var mu sync.Mutex // guards keepers and gone
 	var keepers []object.Object
 	gone := map[object.ID]bool{}
-	rng := rand.New(rand.NewSource(31))
-	ingest := func(i int) object.Object {
-		o := clusterObject(fmt.Sprintf("s%05d", i), i%6, d, 1+i%3, 0.02, rng)
-		id, err := e.Ingest(o, nil)
+	ingest := func(add func(object.Object) (object.ID, error), key string, i int, rng *rand.Rand) object.Object {
+		o := clusterObject(key, i%6, d, 1+i%3, 0.02, rng)
+		id, err := add(o)
 		if err != nil {
 			t.Error(err)
 		}
 		o.ID = id
 		return o
 	}
+	plain := func(o object.Object) (object.ID, error) { return e.Ingest(o, nil) }
+	queued := func(o object.Object) (object.ID, error) { return e.IngestQueued(context.Background(), o, nil) }
+	rng := rand.New(rand.NewSource(31))
 	for i := 0; i < 40; i++ {
-		keepers = append(keepers, ingest(i))
+		keepers = append(keepers, ingest(plain, fmt.Sprintf("s%05d", i), i, rng))
 	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // the feed: two of three objects are deleted again a little later
-		defer wg.Done()
-		var victims []object.Object
-		for i := 40; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
+	run := func(step func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					step()
+				}
 			}
-			o := ingest(i)
-			if i%3 == 0 {
+		}()
+	}
+	// A feed: two of three objects are deleted again a little later.
+	feed := func(add func(object.Object) (object.ID, error), prefix string, first int, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		var victims []object.Object
+		i := first
+		run(func() {
+			o := ingest(add, fmt.Sprintf("%s%05d", prefix, i), i, rng)
+			keep := i%3 == 0
+			i++
+			if keep {
 				mu.Lock()
 				keepers = append(keepers, o)
 				mu.Unlock()
-				continue
+				return
 			}
 			if victims = append(victims, o); len(victims) > 6 {
 				if err := e.Delete(victims[0].ID); err != nil {
@@ -204,72 +235,74 @@ func TestSnapshotStress(t *testing.T) {
 				mu.Unlock()
 				victims = victims[1:]
 			}
-		}
-	}()
-	wg.Add(1)
-	go func() { // the compactor
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				e.compactOnce()
-			}
-		}
-	}()
+		})
+	}
+	feed(plain, "s", 40, 41)
+	feed(queued, "q", 0, 42)
+	run(func() { e.compactOnce() })
+	// Paced, or the full compaction would hold compactMu nearly always and
+	// starve the background step.
+	run(func() { e.Compact(); time.Sleep(5 * time.Millisecond) })
 	var queries atomic.Int64
 	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			rrng := rand.New(rand.NewSource(int64(32 + r)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				mu.Lock()
-				q := keepers[rrng.Intn(len(keepers))]
-				goneBefore := make(map[object.ID]bool, len(gone))
-				for id := range gone {
-					goneBefore[id] = true
-				}
-				mu.Unlock()
-				ans, err := e.Search(context.Background(), q, QueryOptions{K: k})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				rs := ans.Results
-				if len(rs) != k || rs[0].ID != q.ID || rs[0].Distance != 0 {
-					t.Errorf("query for %s (id %d): %d results led by %+v, want %d led by it at distance 0", q.Key, q.ID, len(rs), rs[:min(1, len(rs))], k)
-					return
-				}
-				for i, res := range rs {
-					if goneBefore[res.ID] || (i > 0 && res.Distance < rs[i-1].Distance) {
-						t.Errorf("query for %s: result %d %+v is deleted or out of order in %+v", q.Key, i, res, rs)
-						return
-					}
-				}
-				queries.Add(1)
+		rrng := rand.New(rand.NewSource(int64(32 + r)))
+		failed := false
+		run(func() {
+			if failed {
+				return
 			}
-		}(r)
+			mu.Lock()
+			q := keepers[rrng.Intn(len(keepers))]
+			goneBefore := make(map[object.ID]bool, len(gone))
+			for id := range gone {
+				goneBefore[id] = true
+			}
+			mu.Unlock()
+			ans, err := e.Search(context.Background(), q, QueryOptions{K: k})
+			if err != nil {
+				t.Error(err)
+				failed = true
+				return
+			}
+			rs := ans.Results
+			if len(rs) != k || rs[0].ID != q.ID || rs[0].Distance != 0 {
+				t.Errorf("query for %s (id %d): %d results led by %+v, want %d led by it at distance 0", q.Key, q.ID, len(rs), rs[:min(1, len(rs))], k)
+				failed = true
+				return
+			}
+			for i, res := range rs {
+				if goneBefore[res.ID] || (i > 0 && res.Distance < rs[i-1].Distance) {
+					t.Errorf("query for %s: result %d %+v is deleted or out of order in %+v", q.Key, i, res, rs)
+					failed = true
+					return
+				}
+			}
+			queries.Add(1)
+		})
 	}
 	time.Sleep(400 * time.Millisecond)
 	close(stop)
-	wg.Wait()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("writers still blocked 10 s after stop: a lock-order inversion deadlocked them\n%s", buf[:runtime.Stack(buf, true)])
+	}
+	defer e.Close()
 
 	if err := e.checkNow(); err != nil {
 		t.Fatal(err)
 	}
 	reg := e.Telemetry()
-	if queries.Load() == 0 || reg.Value("ferret_seal_total") == 0 || reg.Value("ferret_merge_total") == 0 ||
-		reg.Value("ferret_delete_total") == 0 || reg.Value("ferret_hindex_probes_total") == 0 {
-		t.Fatalf("%d queries, %g seals, %g merges, %g deletes, %g index probes: the run no longer reaches every arm",
-			queries.Load(), reg.Value("ferret_seal_total"), reg.Value("ferret_merge_total"),
-			reg.Value("ferret_delete_total"), reg.Value("ferret_hindex_probes_total"))
+	for _, name := range []string{"ferret_seal_total", "ferret_merge_total", "ferret_compact_total", "ferret_delete_total", "ferret_hindex_probes_total"} {
+		if reg.Value(name) == 0 {
+			t.Errorf("%s is 0: the run no longer reaches every arm", name)
+		}
+	}
+	if queries.Load() == 0 {
+		t.Errorf("no query completed")
 	}
 }
 

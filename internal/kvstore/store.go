@@ -72,7 +72,7 @@ type Options struct {
 }
 
 // Store is an open database. All methods are safe for concurrent use;
-// writes are serialized internally.
+// writes are serialized internally. Lock order: closeMu < walMu < mu.
 type Store struct {
 	dir  string
 	opts Options

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -96,30 +95,5 @@ func TestCallGraphResolution(t *testing.T) {
 	}
 	if !calleeNames(report)["(*Table).Len"] {
 		t.Errorf("Report: missing resolved call to (*Table).Len")
-	}
-}
-
-func TestCallGraphTransitiveAcquires(t *testing.T) {
-	prog := loadProgram(t, filepath.Join("testdata", "_callgraph"))
-
-	// Build never touches the mutex itself; the summary layer must surface
-	// leaf's acquisition through the Build -> Fill -> Append chain.
-	acq := prog.transAcquires(funcByName(t, prog, "Build"))
-	w, ok := acq["dag/leaf.Table.mu"]
-	if !ok {
-		t.Fatalf("transAcquires(Build): missing dag/leaf.Table.mu (got %v)", acq)
-	}
-	if w.Mode != modeW {
-		t.Errorf("transAcquires(Build): dag/leaf.Table.mu mode = %v, want write", w.Mode)
-	}
-	for _, hop := range []string{"Build", "Fill", "(*Table).Append"} {
-		if !strings.Contains(w.Via, hop) {
-			t.Errorf("transAcquires(Build): witness %q missing hop %s", w.Via, hop)
-		}
-	}
-
-	// Len acquires nothing, directly or transitively.
-	if acq := prog.transAcquires(funcByName(t, prog, "(*Table).Len")); len(acq) != 0 {
-		t.Errorf("transAcquires((*Table).Len) = %v, want empty", acq)
 	}
 }

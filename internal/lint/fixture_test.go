@@ -12,7 +12,8 @@ import (
 )
 
 // The golden-fixture harness: every directory under testdata/ is a tiny
-// module whose .go files carry expectations as comments.
+// module named after the analyzer it exercises (each registered analyzer
+// has exactly one), whose .go files carry expectations as comments.
 //
 //	code // want "substring"        — a diagnostic on this line whose
 //	                                  "check: message" contains substring
@@ -36,7 +37,10 @@ func TestFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading testdata: %v", err)
 	}
-	ran := 0
+	want := map[string]bool{}
+	for _, a := range Analyzers() {
+		want[a.Name] = true
+	}
 	for _, e := range entries {
 		// "_"-prefixed fixtures back focused unit tests (see
 		// callgraph_test.go), not the diagnostic sweep.
@@ -47,11 +51,14 @@ func TestFixtures(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err != nil {
 			continue
 		}
-		ran++
+		if !want[e.Name()] {
+			t.Errorf("fixture module %s names no registered analyzer", e.Name())
+		}
+		delete(want, e.Name())
 		t.Run(e.Name(), func(t *testing.T) { runFixture(t, dir) })
 	}
-	if ran < 8 {
-		t.Errorf("expected at least 8 fixture modules (one per analyzer), ran %d", ran)
+	for name := range want {
+		t.Errorf("analyzer %s has no fixture module testdata/%s", name, name)
 	}
 }
 

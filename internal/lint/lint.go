@@ -1,7 +1,7 @@
 // Package lint is ferret's project-specific static-analysis suite. It is a
 // self-contained analyzer driver on the standard library's go/parser, go/ast
 // and go/types (no golang.org/x/tools dependency, honoring the repo's
-// stdlib-only rule) with nine analyzers enforcing invariants that go vet
+// stdlib-only rule) with seven analyzers enforcing invariants that go vet
 // cannot see:
 //
 //   - layering: the package import DAG (vector/sketch/object/protocol/
@@ -21,21 +21,15 @@
 //     internal/server (Search*, Serve*, Query*, Shutdown*, Drain*, Dial*,
 //     Wait*) take a context.Context first, so cancellation and deadlines
 //     propagate end to end.
-//   - lockorder: the module-wide mutex-acquisition graph, inferred from
-//     per-function summaries propagated over the call graph, must be
-//     acyclic; reacquiring a held lock (directly or through a callee) is a
-//     self-deadlock.
-//   - lockpath: every acquired lock is released on all return paths (defer
-//     recognized); double unlocks, unpaired unlocks and Lock/RLock mode
-//     mismatches are flagged.
 //   - noalloc: functions annotated //ferret:noalloc are allocation-free,
 //     transitively through resolved calls — the static complement of the
 //     runtime allocs/op tests on the filter/probe/trace hot paths.
 //
-// The last three (and poolescape) are module-wide: they run over an
-// interprocedural Program (call graph + lazily computed per-function
-// summaries, see callgraph.go and summary.go) instead of one package at a
-// time. DESIGN.md §13 describes the framework and its soundness caveats.
+// poolescape and noalloc are module-wide: they run over an interprocedural
+// Program (the static call graph in callgraph.go) instead of one package at
+// a time. DESIGN.md §13 describes the call graph and its soundness caveats.
+// The engine's writer lock order is pinned at run time instead, by
+// internal/core's TestSnapshotStress.
 //
 // A diagnostic can be suppressed with a directive on, or on the line above,
 // the offending line:
@@ -115,8 +109,6 @@ func Analyzers() []*Analyzer {
 		FloatCmpAnalyzer,
 		ErrCloseAnalyzer,
 		CtxFirstAnalyzer,
-		LockOrderAnalyzer,
-		LockPathAnalyzer,
 		NoallocAnalyzer,
 	}
 }
@@ -146,16 +138,10 @@ func ByName(list string) ([]*Analyzer, error) {
 
 // Run executes the analyzers over the packages, applies //lint:ignore
 // directives, and returns the surviving diagnostics sorted by position.
-// Malformed directives (no reason) and directives that suppressed nothing
-// are reported under the "directive" check.
+// Malformed directives (no reason), directives naming a check the suite
+// does not have, and directives that suppressed nothing are reported under
+// the "directive" check.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunProgram(pkgs, analyzers)
-	return diags
-}
-
-// RunProgram is Run, also returning the interprocedural Program built for
-// the module analyzers (for callers that want the inferred lock graph).
-func RunProgram(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *Program) {
 	var diags []Diagnostic
 	dirs := map[dirKey][]dirEntry{}
 	var recs []*directiveRec
@@ -179,13 +165,28 @@ func RunProgram(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *Program)
 			out = append(out, d)
 		}
 	}
-	// Unused-suppression audit: a directive that matched no diagnostic is
-	// stale — but only claim so when every check it names actually ran.
+	// Unused-suppression audit: a directive naming an unknown check (a
+	// removed analyzer, a typo) can never suppress anything; one that matched
+	// no diagnostic is stale — but only claim so when every check it names
+	// actually ran.
+	known := map[string]bool{"*": true}
+	for _, a := range Analyzers() {
+		known[a.Name] = true
+	}
 	selected := map[string]bool{}
 	for _, a := range analyzers {
 		selected[a.Name] = true
 	}
 	for _, rec := range recs {
+		for _, c := range rec.checks {
+			if !known[c] {
+				out = append(out, Diagnostic{
+					Check:   "directive",
+					Pos:     rec.pos,
+					Message: fmt.Sprintf("//lint:ignore names unknown check %q", c),
+				})
+			}
+		}
 		if rec.used {
 			continue
 		}
@@ -218,7 +219,7 @@ func RunProgram(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *Program)
 		}
 		return a.Check < b.Check
 	})
-	return out, prog
+	return out
 }
 
 // dirKey addresses one source line.

@@ -24,8 +24,8 @@ import (
 //
 // Taint is tracked per function through assignments, field/index/slice
 // projections, type assertions, and method calls on pool-derived receivers
-// that return reference types — and, since the summary framework, through
-// one level of resolved intra-module calls: arguments that are pool-derived
+// that return reference types — and, over the call graph, through one
+// level of resolved intra-module calls: arguments that are pool-derived
 // at any call site taint the callee's parameters, so helpers that receive
 // pooled scratch positionally (not by pooled type) are checked too.
 var PoolEscapeAnalyzer = &Analyzer{

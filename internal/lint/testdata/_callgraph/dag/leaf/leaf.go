@@ -2,18 +2,11 @@
 // no module-internal calls.
 package leaf
 
-import "sync"
-
 type Table struct {
-	mu   sync.Mutex
 	rows []int
 }
 
-func (t *Table) Append(v int) {
-	t.mu.Lock()
-	t.rows = append(t.rows, v)
-	t.mu.Unlock()
-}
+func (t *Table) Append(v int) { t.rows = append(t.rows, v) }
 
 func (t *Table) Len() int { return len(t.rows) }
 

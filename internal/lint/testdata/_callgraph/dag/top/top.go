@@ -1,4 +1,4 @@
-// Package top is the root of the synthetic call DAG: reaches leaf's mutex
+// Package top is the root of the synthetic call DAG: reaches leaf's Append
 // only transitively, through mid.
 package top
 

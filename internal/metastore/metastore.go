@@ -303,16 +303,6 @@ func (s *Store) LoadBuilder() (*sketch.Builder, bool, error) {
 	return &b, true, nil
 }
 
-// SetConfig stores an arbitrary configuration blob under name.
-func (s *Store) SetConfig(name string, value []byte) error {
-	return s.kv.Put(tableConfig, []byte("user:"+name), value)
-}
-
-// GetConfig fetches a configuration blob stored with SetConfig.
-func (s *Store) GetConfig(name string) ([]byte, bool) {
-	return s.kv.Get(tableConfig, []byte("user:"+name))
-}
-
 // marshalSketchSet layout: count(uint32) | words(uint32) |
 // count×(weight float32) | count×words×uint64.
 func marshalSketchSet(set *SketchSet) []byte {

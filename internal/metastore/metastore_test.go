@@ -247,21 +247,6 @@ func TestLoadBuilderAbsent(t *testing.T) {
 	}
 }
 
-func TestConfigRoundTrip(t *testing.T) {
-	s := openTest(t, t.TempDir())
-	defer s.Close()
-	if err := s.SetConfig("mode", []byte("filtering")); err != nil {
-		t.Fatal(err)
-	}
-	v, ok := s.GetConfig("mode")
-	if !ok || string(v) != "filtering" {
-		t.Fatalf("GetConfig = %q %v", v, ok)
-	}
-	if _, ok := s.GetConfig("absent"); ok {
-		t.Fatal("absent config found")
-	}
-}
-
 func TestSketchSetRoundTrip(t *testing.T) {
 	set := &SketchSet{
 		Weights:  []float32{0.25, 0.75},

@@ -77,36 +77,6 @@ func TestWords(t *testing.T) {
 	}
 }
 
-func TestBitAndBuildInto(t *testing.T) {
-	b, _ := NewBuilder(params(100, 1, 4))
-	v := []float32{0.9, 0.1, 0.5, 0.3}
-	s := b.Build(v)
-	dst := make(Sketch, Words(100))
-	b.BuildInto(dst, v)
-	for i := range s {
-		if s[i] != dst[i] {
-			t.Fatal("BuildInto differs from Build")
-		}
-	}
-	// Bit must agree with word content.
-	for n := 0; n < 100; n++ {
-		want := s[n/64]&(1<<(n%64)) != 0
-		if s.Bit(n) != want {
-			t.Fatalf("Bit(%d) inconsistent", n)
-		}
-	}
-	// BuildInto must clear prior contents.
-	for i := range dst {
-		dst[i] = ^uint64(0)
-	}
-	b.BuildInto(dst, v)
-	for i := range s {
-		if s[i] != dst[i] {
-			t.Fatal("BuildInto did not reset destination")
-		}
-	}
-}
-
 // TestHammingEstimatesL1 is the core estimator property (paper §4.1.1):
 // for K=1 the expected fraction of differing bits equals the normalized ℓ₁
 // distance, so over many random pairs the observed Hamming fraction must
@@ -265,21 +235,6 @@ func TestBuilderUnmarshalRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestSketchMarshalRoundTrip(t *testing.T) {
-	b, _ := NewBuilder(params(130, 1, 3))
-	s := b.Build([]float32{0.2, 0.8, 0.5})
-	got, err := UnmarshalSketch(MarshalSketch(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Hamming(s, got) != 0 {
-		t.Fatal("sketch round trip changed bits")
-	}
-	if _, err := UnmarshalSketch([]byte{1, 2, 3}); err == nil {
-		t.Error("non-multiple-of-8 accepted")
-	}
-}
-
 func TestBuildDimensionPanics(t *testing.T) {
 	b, _ := NewBuilder(params(16, 1, 3))
 	defer func() {
@@ -296,10 +251,9 @@ func BenchmarkBuild96Bit14D(b *testing.B) {
 	for i := range v {
 		v[i] = 0.5
 	}
-	dst := make(Sketch, Words(96))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		bl.BuildInto(dst, v)
+		bl.Build(v)
 	}
 }
 

@@ -48,21 +48,32 @@ type clusterModel struct {
 	noise    float64
 	lo, hi   float32
 	rng      *rand.Rand
+	bases    [][]float32 // per-cluster base points, drawn on first use
 }
 
+// base returns the cluster's base point, drawn once from a source seeded by
+// the cluster number alone. Callers must not modify it.
 func (c *clusterModel) base(cluster int) []float32 {
-	crng := rand.New(rand.NewSource(int64(cluster)*6364136223846793005 + 1442695040888963407))
-	v := make([]float32, c.dim)
-	for i := range v {
-		v[i] = c.lo + crng.Float32()*(c.hi-c.lo)
+	if c.bases == nil {
+		c.bases = make([][]float32, c.clusters)
 	}
-	return v
+	if b := c.bases[cluster]; b != nil {
+		return b
+	}
+	crng := rand.New(rand.NewSource(int64(cluster)*6364136223846793005 + 1442695040888963407))
+	b := make([]float32, c.dim)
+	for i := range b {
+		b[i] = c.lo + crng.Float32()*(c.hi-c.lo)
+	}
+	c.bases[cluster] = b
+	return b
 }
 
 func (c *clusterModel) sample(cluster int) []float32 {
-	v := c.base(cluster)
+	b := c.base(cluster)
+	v := make([]float32, len(b))
 	for i := range v {
-		x := float64(v[i]) + c.rng.NormFloat64()*c.noise
+		x := float64(b[i]) + c.rng.NormFloat64()*c.noise
 		v[i] = float32(math.Max(float64(c.lo), math.Min(float64(c.hi), x)))
 	}
 	return v

@@ -1,6 +1,7 @@
 // Package vector provides the distance functions used as segment distance
-// functions in the Ferret toolkit (paper §2, §5): the ℓ_p norms, a weighted
-// ℓ₁ distance, and the correlation distances used by the genomic plugin.
+// functions in the Ferret toolkit (paper §2, §5): the ℓ_p norms (ℓ₁ with its
+// capped and batched kernels) and the correlation distances used by the
+// genomic plugin.
 //
 // All functions take []float32 feature vectors (the toolkit's native
 // representation) and compute in float64 for accuracy. Vectors passed to any
@@ -225,36 +226,6 @@ func Lp(p float64) Func {
 	}
 }
 
-// LInf returns the ℓ∞ (Chebyshev) distance max|aᵢ−bᵢ|.
-func LInf(a, b []float32) float64 {
-	checkLen(a, b)
-	var m float64
-	for i := range a {
-		d := math.Abs(float64(a[i]) - float64(b[i]))
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-// WeightedL1 returns a weighted ℓ₁ distance Σ wᵢ·|aᵢ−bᵢ|, the segment
-// distance used by the image search system (paper §5.1). The weight slice
-// length must match the vectors.
-func WeightedL1(w []float32) Func {
-	return func(a, b []float32) float64 {
-		checkLen(a, b)
-		if len(w) != len(a) {
-			panic("vector: weight dimension mismatch")
-		}
-		var s float64
-		for i := range a {
-			s += float64(w[i]) * math.Abs(float64(a[i])-float64(b[i]))
-		}
-		return s
-	}
-}
-
 // Pearson returns the Pearson correlation distance 1 − r(a, b), where r is
 // the sample Pearson correlation coefficient. Constant vectors (zero
 // variance) are treated as uncorrelated with everything: distance 1.
@@ -330,42 +301,4 @@ func ranks(v []float32) []float32 {
 		i = j + 1
 	}
 	return r
-}
-
-// Cosine returns the cosine distance 1 − (a·b)/(‖a‖‖b‖). Zero vectors have
-// distance 1 from everything.
-func Cosine(a, b []float32) float64 {
-	checkLen(a, b)
-	var dot, na, nb float64
-	for i := range a {
-		dot += float64(a[i]) * float64(b[i])
-		na += float64(a[i]) * float64(a[i])
-		nb += float64(b[i]) * float64(b[i])
-	}
-	// Exact zero norm means the all-zero vector (sums of squares), the one
-	// input cosine distance is undefined for; no epsilon wanted here.
-	//lint:ignore floatcmp exact zero is the only value a zero vector's norm sum can take
-	if na == 0 || nb == 0 {
-		return 1
-	}
-	c := dot / math.Sqrt(na*nb)
-	if c > 1 {
-		c = 1
-	} else if c < -1 {
-		c = -1
-	}
-	return 1 - c
-}
-
-// Thresholded wraps a distance function, capping its value at t. Paper §5.1
-// thresholds segment distances before the EMD computation to reduce the
-// impact of outlier segments.
-func Thresholded(f Func, t float64) Func {
-	return func(a, b []float32) float64 {
-		d := f(a, b)
-		if d > t {
-			return t
-		}
-		return d
-	}
 }

@@ -44,19 +44,6 @@ func TestLpRejectsSubOne(t *testing.T) {
 	Lp(0.5)
 }
 
-func TestLInf(t *testing.T) {
-	if got := LInf([]float32{1, 5, 2}, []float32{2, 1, 2}); got != 4 {
-		t.Errorf("LInf = %g, want 4", got)
-	}
-}
-
-func TestWeightedL1(t *testing.T) {
-	f := WeightedL1([]float32{1, 0, 2})
-	if got := f([]float32{1, 1, 1}, []float32{0, 5, 2}); got != 3 {
-		t.Errorf("WeightedL1 = %g, want 3", got)
-	}
-}
-
 func TestDimensionMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -110,29 +97,6 @@ func TestRanksWithTies(t *testing.T) {
 	}
 }
 
-func TestCosine(t *testing.T) {
-	a := []float32{1, 0}
-	if got := Cosine(a, []float32{0, 1}); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("Cosine(orthogonal) = %g, want 1", got)
-	}
-	if got := Cosine(a, []float32{5, 0}); !almostEqual(got, 0, 1e-12) {
-		t.Errorf("Cosine(parallel) = %g, want 0", got)
-	}
-	if got := Cosine(a, []float32{0, 0}); got != 1 {
-		t.Errorf("Cosine(zero) = %g, want 1", got)
-	}
-}
-
-func TestThresholded(t *testing.T) {
-	f := Thresholded(L1, 2.5)
-	if got := f([]float32{0}, []float32{1}); got != 1 {
-		t.Errorf("below threshold changed: %g", got)
-	}
-	if got := f([]float32{0}, []float32{10}); got != 2.5 {
-		t.Errorf("above threshold = %g, want 2.5", got)
-	}
-}
-
 // randVecPair yields same-length random vectors for property tests.
 func randVecPair(rng *rand.Rand) (a, b, c []float32) {
 	n := rng.Intn(16) + 1
@@ -151,7 +115,7 @@ func randVecPair(rng *rand.Rand) (a, b, c []float32) {
 // triangle inequality for the ℓ_p family on random vectors.
 func TestMetricAxioms(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	funcs := map[string]Func{"L1": L1, "L2": L2, "Lp1.5": Lp(1.5), "LInf": LInf}
+	funcs := map[string]Func{"L1": L1, "L2": L2, "Lp1.5": Lp(1.5)}
 	for name, f := range funcs {
 		for trial := 0; trial < 300; trial++ {
 			a, b, c := randVecPair(rng)

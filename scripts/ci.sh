@@ -6,9 +6,8 @@
 #   build      go build ./...
 #   vet        go vet ./..., then GOARCH=arm64 go vet ./... so the portable
 #              fallbacks of the amd64 assembly kernels keep compiling
-#   lint       ferret-lint, all nine analyzers (layering, atomicfield,
-#              poolescape, floatcmp, errclose, ctxfirst, lockorder,
-#              lockpath, noalloc)
+#   lint       ferret-lint, all seven analyzers (layering, atomicfield,
+#              poolescape, floatcmp, errclose, ctxfirst, noalloc)
 #   test       go test ./...
 #   race       go test -race ./...
 #   lint-test  go test -race ./internal/lint — the analyzer suite's own
