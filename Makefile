@@ -73,9 +73,11 @@ bench:
 # than four sealed segments and a live tail. The filter, rank and
 # lower-bound set runs at -cpu 1 and 2: with no query helper and with one,
 # so both the caller-only path and the fan-out path keep running. Times are
-# not checked.
+# not checked. BenchmarkReopen runs at both too: its set-up builds a closed
+# store of the benchmark's image and shape corpora, and Open rebuilds their
+# sketches serially and in parallel.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Filter|Rank|LowerBounds' -benchtime 1x -cpu 1,2 ./internal/core
+	$(GO) test -run '^$$' -bench 'Filter|Rank|LowerBounds|Reopen' -benchtime 1x -cpu 1,2 ./internal/core
 	$(GO) test -run '^$$' -bench 'TailSweep|HammingSelect' -benchtime 1x ./internal/core ./internal/sketch
 
 # The measurement a performance claim rests on: $(BENCH_PAIRS) alternating

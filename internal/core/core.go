@@ -335,8 +335,8 @@ type Engine struct {
 
 // Open opens or creates an engine. On reopen, the persisted sketch builder
 // is restored so new sketches stay compatible with stored ones; the
-// in-memory sketch database is rebuilt from the metadata store, each entry
-// holding the store's feature-vector record.
+// in-memory sketch database is rebuilt from the metadata store (loadStored),
+// each entry holding the store's feature-vector record.
 func Open(cfg Config) (*Engine, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("core: Dir is required")
@@ -399,20 +399,9 @@ func Open(cfg Config) (*Engine, error) {
 	// before the first view is published.
 	t := &segment{arena: newArena(sketch.Words(e.builder.N()))}
 	v := &view{segs: []*segment{t}}
-	meta.ForEachSketchSet(func(id object.ID, set *metastore.SketchSet) bool {
-		v.entries = append(v.entries, sketchEntry{id: id})
-		t.arena.appendEntry(set.Weights, set.Sketches)
-		t.n++
-		return true
-	})
-	for i := range v.entries {
-		v.entries[i].key = meta.Key(v.entries[i].id)
-	}
-	if !cfg.SketchOnly {
-		if err := attachRecords(meta, v.entries); err != nil {
-			meta.Close()
-			return nil, err
-		}
+	if err := e.loadStored(v, t); err != nil {
+		meta.Close()
+		return nil, err
 	}
 	e.met.objects.Set(int64(len(v.entries)))
 	e.met.segments.Set(int64(t.arena.rows()))
@@ -907,32 +896,77 @@ func (e *Engine) object(v *view, idx int, segs *[]object.Segment) object.Object 
 	return object.Object{ID: ent.id, Key: ent.key, Segments: *segs}
 }
 
-// attachRecords gives each entry its feature-vector record from one scan of
-// the store, failing unless every entry has one of the same ID that views
-// cleanly; entries and records both ascend by ID.
-func attachRecords(meta *metastore.Store, entries []sketchEntry) error {
+// loadStored fills t, v's one segment, from each object's one persisted
+// source: its feature-vector record, whose sketches the persisted builder
+// derives again (deterministically, DESIGN §3), or a sketch-only object's
+// sketch set. The sources size t's arena exactly; GOMAXPROCS workers then
+// fill disjoint entry ranges of it.
+func (e *Engine) loadStored(v *view, t *segment) error {
+	type source struct {
+		ent  sketchEntry
+		set  *metastore.SketchSet // a sketch-only object's; nil for a record
+		nseg int32
+	}
+	var srcs []source
 	var segs []object.Segment
 	var err error
-	n := 0
-	meta.ForEachObjectRecord(func(id object.ID, rec []byte) bool {
-		if n < len(entries) {
-			if entries[n].id != id {
-				err = fmt.Errorf("core: object/sketch record mismatch at position %d", n)
-				return false
-			}
-			if segs, err = metastore.ViewRecord(rec, segs); err != nil {
-				err = fmt.Errorf("core: object %d: %w", id, err)
-				return false
-			}
-			entries[n].rec = rec
+	a := &t.arena
+	e.meta.ForEachObjectRecord(func(id object.ID, key, rec []byte) bool {
+		if segs, err = metastore.ViewRecord(rec, segs); err != nil {
+			err = fmt.Errorf("core: object %d: %w", id, err)
 		}
-		n++
+		srcs = append(srcs, source{ent: sketchEntry{id: id, key: string(key), rec: rec}, nseg: int32(len(segs))})
+		return err == nil
+	})
+	// Sketch sets follow the records in ID order: a store holding one does not
+	// open as a vector store, so no record is newer.
+	records := len(srcs)
+	e.meta.ForEachSketchSet(func(id object.ID, set *metastore.SketchSet) bool {
+		srcs = append(srcs, source{ent: sketchEntry{id: id}, set: set, nseg: int32(len(set.Sketches))})
 		return true
 	})
-	if err == nil && n != len(entries) {
-		err = fmt.Errorf("core: %d feature-vector records but %d sketch records (corrupt store?)", n, len(entries))
+	if err == nil && records < len(srcs) && !e.cfg.SketchOnly {
+		err = fmt.Errorf("core: object %d has no feature-vector record (a sketch-only store?)", srcs[records].ent.id)
 	}
-	return err
+	if err != nil {
+		return err
+	}
+	a.start = make([]int32, len(srcs)+1)
+	for i := range srcs {
+		a.start[i+1] = a.start[i] + srcs[i].nseg
+	}
+	rows := int(a.start[len(srcs)])
+	a.words, a.entry, a.weight = make([]uint64, rows*a.wps), make([]int32, rows), make([]float32, rows)
+	v.entries, t.n = make([]sketchEntry, len(srcs)), len(srcs)
+	workers := min(runtime.GOMAXPROCS(0), len(srcs))
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := range workers {
+		go func() {
+			defer wg.Done()
+			var segs []object.Segment
+			for i := w * len(srcs) / workers; i < (w+1)*len(srcs)/workers; i++ {
+				set, ent := srcs[i].set, &v.entries[i]
+				if *ent = srcs[i].ent; set == nil {
+					segs, _ = metastore.ViewRecord(ent.rec, segs) // viewed cleanly above
+					set = e.buildSketchSet(object.Object{Segments: segs})
+				} else {
+					ent.key = e.meta.Key(ent.id)
+				}
+				lo := int(a.start[i])
+				copy(a.weight[lo:], set.Weights)
+				for j, sk := range set.Sketches {
+					a.entry[lo+j] = int32(i)
+					copy(a.words[(lo+j)*a.wps:(lo+j+1)*a.wps], sk)
+				}
+				if e.cfg.SketchOnly {
+					ent.rec = nil
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return nil
 }
 
 // rankAllSketch is BruteForceSketch: sketch-estimated object distance

@@ -84,7 +84,8 @@ func (t *btree) Put(k, v []byte) {
 	}
 }
 
-// splitChild splits the full child i of n around its median key.
+// splitChild splits the full child i of n around its median key. Both halves
+// get arrays of their own length: ascending inserts never refill a left half.
 func (n *bnode) splitChild(i int) {
 	child := n.children[i]
 	mid := minDeg - 1
@@ -94,11 +95,11 @@ func (n *bnode) splitChild(i int) {
 	}
 	if !child.leaf() {
 		right.children = append([]*bnode(nil), child.children[mid+1:]...)
-		child.children = child.children[:mid+1]
+		child.children = append([]*bnode(nil), child.children[:mid+1]...)
 	}
 	upKey, upVal := child.keys[mid], child.vals[mid]
-	child.keys = child.keys[:mid]
-	child.vals = child.vals[:mid]
+	child.keys = append([][]byte(nil), child.keys[:mid]...)
+	child.vals = append([][]byte(nil), child.vals[:mid]...)
 
 	n.keys = append(n.keys, nil)
 	copy(n.keys[i+1:], n.keys[i:])

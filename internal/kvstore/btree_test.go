@@ -2,8 +2,10 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -203,6 +205,55 @@ func TestBtreeInvariants(t *testing.T) {
 	if bt.Len() != len(live) {
 		t.Fatalf("Len = %d, model %d", bt.Len(), len(live))
 	}
+}
+
+// TestBtreeBytesPerItem pins the tree's live heap per item for 50 000
+// eight-byte keys with eight-byte values, inserted in ascending order (how
+// the ID-keyed tables fill, and how recovery reloads every table) and
+// shuffled. A split that left its left half in the full node's arrays held
+// 101 bytes per ascending item.
+func TestBtreeBytesPerItem(t *testing.T) {
+	const n = 50000
+	for _, tc := range []struct {
+		name  string
+		order []int
+		bound float64 // bytes per item: the figure measured at this tree, plus 10%
+	}{
+		{"ascending", nil, 57},
+		{"shuffled", rand.New(rand.NewSource(3)).Perm(n), 78},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The keys and values are allocated before the baseline, so the
+			// delta is the tree's own nodes and arrays.
+			data := make([]byte, 16*n)
+			for i := 0; i < n; i++ {
+				j := i
+				if tc.order != nil {
+					j = tc.order[i]
+				}
+				binary.BigEndian.PutUint64(data[16*i:], uint64(j))
+			}
+			before := liveHeap()
+			bt := newBtree()
+			for i := 0; i < n; i++ {
+				bt.Put(data[16*i:16*i+8:16*i+8], data[16*i+8:16*i+16:16*i+16])
+			}
+			per := float64(liveHeap()-before) / n
+			runtime.KeepAlive(bt)
+			t.Logf("%.1f bytes per item", per)
+			if per > tc.bound {
+				t.Fatalf("%.1f bytes per item, bound %.1f", per, tc.bound)
+			}
+		})
+	}
+}
+
+// liveHeap is the live heap after a forced collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 func BenchmarkBtreePut(b *testing.B) {

@@ -26,7 +26,7 @@ const (
 	tableObjects  = "meta:objects"  // id → object.Marshal()
 	tableKeys     = "meta:keys"     // key string → id
 	tableNames    = "meta:names"    // id → key string
-	tableSketches = "meta:sketches" // id → SketchSet encoding
+	tableSketches = "meta:sketches" // id → SketchSet encoding; sketch-only objects only
 	tableConfig   = "meta:config"   // "builder" → sketch.Builder, "nextid" → uint64
 )
 
@@ -72,7 +72,41 @@ func Open(dir string, opts kvstore.Options) (*Store, error) {
 	if maxID >= s.nextID {
 		s.nextID = maxID + 1
 	}
+	if err := s.dropStaleSketchSets(); err != nil {
+		kv.Close()
+		return nil, err
+	}
 	return s, nil
+}
+
+// staleBatch bounds the keys one dropStaleSketchSets transaction deletes.
+const staleBatch = 1000
+
+// dropStaleSketchSets deletes the sketch sets the earlier vector-store
+// layout kept beside each record, so their memory comes back at the first
+// restart; a set with no record is a sketch-only object's and stays.
+func (s *Store) dropStaleSketchSets() error {
+	if s.kv.Len(tableObjects) == 0 {
+		return nil // a sketch-only store
+	}
+	var stale [][]byte
+	s.kv.Scan(tableSketches, nil, nil, func(k, _ []byte) bool {
+		stale = append(stale, k)
+		return true
+	})
+	for len(stale) > 0 {
+		txn, n := s.kv.Begin(), min(len(stale), staleBatch)
+		for _, k := range stale[:n] {
+			if _, ok := s.kv.Get(tableObjects, k); ok {
+				txn.Delete(tableSketches, k)
+			}
+		}
+		if err := txn.Commit(); err != nil {
+			return err
+		}
+		stale = stale[n:]
+	}
+	return nil
 }
 
 // Close flushes and closes the underlying store.
@@ -96,8 +130,9 @@ func parseID(b []byte) object.ID {
 }
 
 // AddObject ingests one object: it allocates an ID, stores the
-// feature-vector record (unless sketchOnly), the sketch set, and the
-// key↔id mapping, all in one transaction. Extra may add more writes (e.g.
+// feature-vector record or, when sketchOnly, the sketch set (the record is
+// the sketches' source otherwise), and the key↔id mapping, all in one
+// transaction. Extra may add more writes (e.g.
 // attribute postings) to the same transaction; it may be nil.
 //
 // Re-adding an existing key is an error: data acquisition deduplicates by
@@ -122,8 +157,7 @@ func (s *Store) AddObject(o object.Object, set *SketchSet, sketchOnly bool, extr
 	ik := idKey(id)
 	if !sketchOnly {
 		txn.Put(tableObjects, ik, encodeObjectRecord(&o))
-	}
-	if set != nil {
+	} else if set != nil {
 		txn.Put(tableSketches, ik, marshalSketchSet(set))
 	}
 	txn.Put(tableKeys, []byte(o.Key), ik)
@@ -199,7 +233,7 @@ func splitRecord(rec []byte) (key, enc []byte, err error) {
 	return rec[2 : 2+klen], rec[2+klen:], nil
 }
 
-// GetSketchSet returns the sketch record for id.
+// GetSketchSet returns the sketch record of sketch-only object id.
 func (s *Store) GetSketchSet(id object.ID) (*SketchSet, bool) {
 	v, ok := s.kv.Get(tableSketches, idKey(id))
 	if !ok {
@@ -241,16 +275,17 @@ func (s *Store) Key(id object.ID) string {
 // Count returns the number of ingested objects.
 func (s *Store) Count() int { return s.kv.Len(tableNames) }
 
-// ForEachObjectRecord streams all feature-vector records in ID order. Each
-// record is the store's own immutable value (see ObjectRecord). fn returns
-// false to stop.
-func (s *Store) ForEachObjectRecord(fn func(id object.ID, rec []byte) bool) {
+// ForEachObjectRecord streams all feature-vector records in ID order with the
+// keys they hold (nil in a record ViewRecord rejects as short): the store's
+// own immutable values (see ObjectRecord). fn returns false to stop.
+func (s *Store) ForEachObjectRecord(fn func(id object.ID, key, rec []byte) bool) {
 	s.kv.Scan(tableObjects, nil, nil, func(k, v []byte) bool {
-		return fn(parseID(k), v)
+		key, _, _ := splitRecord(v)
+		return fn(parseID(k), key, v)
 	})
 }
 
-// ForEachSketchSet streams all sketch records in ID order.
+// ForEachSketchSet streams all sketch records (sketch-only objects') in ID order.
 func (s *Store) ForEachSketchSet(fn func(id object.ID, set *SketchSet) bool) {
 	s.kv.Scan(tableSketches, nil, nil, func(k, v []byte) bool {
 		set, err := unmarshalSketchSet(v)
@@ -321,7 +356,7 @@ func marshalSketchSet(set *SketchSet) []byte {
 		if i < len(set.Weights) {
 			w = set.Weights[i]
 		}
-		le.PutUint32(buf[off:], floatBits(w))
+		le.PutUint32(buf[off:], math.Float32bits(w))
 		off += 4
 	}
 	for _, sk := range set.Sketches {
@@ -356,7 +391,7 @@ func unmarshalSketchSet(data []byte) (*SketchSet, error) {
 	}
 	off := 8
 	for i := 0; i < count; i++ {
-		set.Weights[i] = floatFromBits(le.Uint32(data[off:]))
+		set.Weights[i] = math.Float32frombits(le.Uint32(data[off:]))
 		off += 4
 	}
 	for i := 0; i < count; i++ {

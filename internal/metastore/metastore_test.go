@@ -8,6 +8,7 @@ import (
 	"ferret/internal/kvstore"
 	"ferret/internal/object"
 	"ferret/internal/sketch"
+	"ferret/internal/telemetry"
 )
 
 func openTest(t *testing.T, dir string) *Store {
@@ -74,9 +75,9 @@ func TestAddAndGetObject(t *testing.T) {
 	if got.Key != "img/dog.jpg" || len(got.Segments) != 3 || got.ID != id {
 		t.Fatalf("got %+v", got)
 	}
-	set, ok := s.GetSketchSet(id)
-	if !ok || len(set.Sketches) != 3 || len(set.Weights) != 3 {
-		t.Fatalf("sketch set: %+v %v", set, ok)
+	// The record is a vector store's one source of the object's sketches.
+	if set, ok := s.GetSketchSet(id); ok {
+		t.Fatalf("a vector store kept a sketch set: %+v", set)
 	}
 	if lid, ok := s.LookupKey("img/dog.jpg"); !ok || lid != id {
 		t.Fatalf("LookupKey = %d %v", lid, ok)
@@ -122,8 +123,8 @@ func TestSketchOnlyMode(t *testing.T) {
 	if _, ok := s.GetObject(id); ok {
 		t.Fatal("sketch-only mode stored feature vectors")
 	}
-	if _, ok := s.GetSketchSet(id); !ok {
-		t.Fatal("sketch set missing")
+	if set, ok := s.GetSketchSet(id); !ok || len(set.Sketches) != 2 || len(set.Weights) != 2 {
+		t.Fatalf("sketch set: %+v %v", set, ok)
 	}
 }
 
@@ -155,9 +156,12 @@ func TestForEachObjectRecordOrderAndStop(t *testing.T) {
 		s.AddObject(makeObj(fmt.Sprintf("k%d", i), 1), nil, false, nil)
 	}
 	var ids []object.ID
-	s.ForEachObjectRecord(func(id object.ID, rec []byte) bool {
+	s.ForEachObjectRecord(func(id object.ID, key, rec []byte) bool {
 		ids = append(ids, id)
 		o, _ := s.GetObject(id)
+		if string(key) != o.Key {
+			t.Errorf("record %d holds key %q, GetObject gives %q", id, key, o.Key)
+		}
 		if segs, err := ViewRecord(rec, nil); err != nil || len(segs) != 1 || !slices.Equal(segs[0].Vec, o.Segments[0].Vec) {
 			t.Errorf("record %d views as %v, %v; GetObject gives %v", id, segs, err, o.Segments)
 		}
@@ -173,13 +177,15 @@ func TestForEachObjectRecordOrderAndStop(t *testing.T) {
 	}
 }
 
+// TestForEachSketchSet visits the sketch sets of the sketch-only objects
+// only: a vector object's sketches are derived from its record.
 func TestForEachSketchSet(t *testing.T) {
 	s := openTest(t, t.TempDir())
 	defer s.Close()
 	b := testBuilder(t)
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 8; i++ {
 		o := makeObj(fmt.Sprintf("k%d", i), 2)
-		s.AddObject(o, sketchSet(b, o), false, nil)
+		s.AddObject(o, sketchSet(b, o), i%3 == 2, nil)
 	}
 	n := 0
 	s.ForEachSketchSet(func(id object.ID, set *SketchSet) bool {
@@ -189,28 +195,37 @@ func TestForEachSketchSet(t *testing.T) {
 		n++
 		return true
 	})
-	if n != 5 {
-		t.Fatalf("visited %d sketch sets", n)
+	if n != 2 {
+		t.Fatalf("visited %d sketch sets, want the 2 sketch-only objects'", n)
 	}
 }
 
+// TestDeleteObject deletes a vector object (its record) and a sketch-only
+// one (its sketch set) with their key mappings.
 func TestDeleteObject(t *testing.T) {
 	s := openTest(t, t.TempDir())
 	defer s.Close()
 	b := testBuilder(t)
 	o := makeObj("gone", 2)
 	id, _ := s.AddObject(o, sketchSet(b, o), false, nil)
-	if err := s.DeleteObject(id, nil); err != nil {
-		t.Fatal(err)
+	so := makeObj("gone-sketch", 2)
+	sid, _ := s.AddObject(so, sketchSet(b, so), true, nil)
+	for _, id := range []object.ID{id, sid} {
+		if err := s.DeleteObject(id, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, ok := s.GetObject(id); ok {
 		t.Fatal("object survived delete")
 	}
-	if _, ok := s.GetSketchSet(id); ok {
+	if _, ok := s.GetSketchSet(sid); ok {
 		t.Fatal("sketch set survived delete")
 	}
 	if _, ok := s.LookupKey("gone"); ok {
 		t.Fatal("key mapping survived delete")
+	}
+	if _, ok := s.LookupKey("gone-sketch"); ok {
+		t.Fatal("sketch-only key mapping survived delete")
 	}
 	// Key can be re-ingested after deletion.
 	if _, err := s.AddObject(makeObj("gone", 1), nil, false, nil); err != nil {
@@ -273,14 +288,15 @@ func TestSketchSetRoundTrip(t *testing.T) {
 }
 
 func TestCrashConsistentIngest(t *testing.T) {
-	// The per-object transaction must keep key↔id↔sketch tables aligned
-	// after recovery.
+	// The per-object transaction must keep key↔id and each object's one
+	// sketch source aligned after recovery: a record for a vector object, a
+	// sketch set for a sketch-only one.
 	dir := t.TempDir()
 	s := openTest(t, dir)
 	b := testBuilder(t)
 	for i := 0; i < 20; i++ {
 		o := makeObj(fmt.Sprintf("obj%02d", i), 2)
-		if _, err := s.AddObject(o, sketchSet(b, o), false, nil); err != nil {
+		if _, err := s.AddObject(o, sketchSet(b, o), i%4 == 3, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -291,14 +307,59 @@ func TestCrashConsistentIngest(t *testing.T) {
 	if s2.Count() != 20 {
 		t.Fatalf("Count = %d", s2.Count())
 	}
-	s2.ForEachObjectRecord(func(id object.ID, _ []byte) bool {
-		o, _ := s2.GetObject(id)
-		if _, ok := s2.GetSketchSet(o.ID); !ok {
-			t.Errorf("object %d has no sketch set", o.ID)
+	for i := 0; i < 20; i++ {
+		key := fmt.Sprintf("obj%02d", i)
+		id, ok := s2.LookupKey(key)
+		if !ok || s2.Key(id) != key {
+			t.Fatalf("key mapping broken for %q", key)
 		}
-		if id, ok := s2.LookupKey(o.Key); !ok || id != o.ID {
-			t.Errorf("key mapping broken for %q", o.Key)
+		_, rec := s2.ObjectRecord(id)
+		_, set := s2.GetSketchSet(id)
+		if sketchOnly := i%4 == 3; rec == sketchOnly || set != sketchOnly {
+			t.Errorf("%q (sketch-only %t): record %t, sketch set %t", key, sketchOnly, rec, set)
 		}
-		return true
-	})
+	}
+}
+
+// TestStaleSketchSetsDropped reopens a vector store written when every
+// object also kept its sketch set: Open deletes each set whose object has a
+// record, in transactions of at most staleBatch keys, and keeps the sketch
+// sets of sketch-only objects.
+func TestStaleSketchSetsDropped(t *testing.T) {
+	const objects = 2*staleBatch + 500
+	dir := t.TempDir()
+	s := openTest(t, dir)
+	b := testBuilder(t)
+	for i := 0; i < objects; i++ {
+		o := makeObj(fmt.Sprintf("obj%05d", i), 2)
+		sketchOnly := i%100 == 0
+		id, err := s.AddObject(o, sketchSet(b, o), sketchOnly, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sketchOnly { // what AddObject wrote beside the record before
+			if err := s.KV().Put(tableSketches, idKey(id), marshalSketchSet(sketchSet(b, o))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s.Close()
+
+	// Every commit syncs: the WAL's fsync count bounds the commit count.
+	reg := telemetry.NewRegistry()
+	s2, err := Open(dir, kvstore.Options{Sync: kvstore.SyncEveryCommit, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if n := s2.KV().Len(tableSketches); n != objects/100 {
+		t.Fatalf("%d sketch sets after reopen, want the %d sketch-only objects'", n, objects/100)
+	}
+	stale := objects - objects/100
+	if fsyncs, want := reg.Counter("ferret_store_wal_fsyncs_total", "").Value(), (stale+staleBatch-1)/staleBatch; fsyncs < uint64(want) {
+		t.Fatalf("%d stale sketch sets deleted in %d commits, want at least %d", stale, fsyncs, want)
+	}
+	if s2.Count() != objects {
+		t.Fatalf("Count = %d", s2.Count())
+	}
 }

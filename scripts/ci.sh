@@ -23,7 +23,9 @@
 #              four-sealed-segments-plus-tail image corpus — cannot bit-rot;
 #              the filter, rank and lower-bound set runs at -cpu 1,2, so
 #              both the caller-only path and the path that shares a query's
-#              stages with an idle helper run; times are not checked
+#              stages with an idle helper run, and so does BenchmarkReopen
+#              (Open of a closed store of the image and shape corpora,
+#              whose sketches it rebuilds); times are not checked
 #
 # Performance is not a step: `go test ./...` smoke-runs benchmark/, and a
 # performance claim is measured with `make bench-pairs` (parent vs change,
