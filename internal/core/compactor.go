@@ -67,7 +67,24 @@ func (e *Engine) compactPace() {
 // is indexed, its Hamming index. Runs outside any lock, paced against query
 // load.
 func (e *Engine) buildMerged(snaps []*segment) (sketchArena, *hindex.Index) {
-	merged := newArena(sketch.Words(e.builder.N()))
+	// Sized exactly first, like every sealed arena.
+	entries, rows := 0, 0
+	for _, sn := range snaps {
+		for li := 0; li < sn.n; li++ {
+			if !sn.dead.has(li) {
+				entries++
+				rows += sn.arena.nsegOf(li)
+			}
+		}
+	}
+	wps := sketch.Words(e.builder.N())
+	merged := sketchArena{
+		wps:    wps,
+		words:  make([]uint64, 0, rows*wps),
+		start:  append(make([]int32, 0, entries+1), 0),
+		entry:  make([]int32, 0, rows),
+		weight: make([]float32, 0, rows),
+	}
 	copied := 0
 	for _, sn := range snaps {
 		for li := 0; li < sn.n; li++ {

@@ -325,6 +325,10 @@ type Engine struct {
 	ingestMu  sync.Mutex
 	mu        sync.Mutex
 	cur       atomic.Pointer[view]
+	// missedDeletes counts Deletes that found no entry to tombstone (under
+	// mu): an Ingest that sees it move re-checks its object before it
+	// publishes.
+	missedDeletes atomic.Uint64
 
 	// Background compactor lifecycle (nil when Segments.Interval < 0);
 	// compactWake (capacity 1) is how a seal wakes it between ticks.
@@ -528,6 +532,7 @@ func (e *Engine) Delete(id object.ID) error {
 	defer e.mu.Unlock()
 	g, ok := cur.find(id)
 	if !ok {
+		e.missedDeletes.Add(1) // perhaps an ingest not yet published (see Ingest)
 		return nil
 	}
 	si := cur.segIndex(g)
@@ -570,7 +575,8 @@ func (e *Engine) Ingest(o object.Object, attrs attr.Attrs) (object.ID, error) {
 	// entries stay in ID order and a full compaction can freeze the tail by
 	// holding it.
 	e.ingestMu.Lock()
-	id, err := e.meta.AddObject(o, set, e.cfg.SketchOnly, extra)
+	missed := e.missedDeletes.Load()
+	id, rec, err := e.meta.AddObjectRecord(o, set, e.cfg.SketchOnly, extra)
 	if err != nil {
 		e.ingestMu.Unlock()
 		if errors.Is(err, kvstore.ErrPoisoned) {
@@ -580,19 +586,15 @@ func (e *Engine) Ingest(o object.Object, attrs attr.Attrs) (object.ID, error) {
 		}
 		return 0, err
 	}
-	ent := sketchEntry{id: id, key: o.Key}
-	if !e.cfg.SketchOnly {
-		ent.rec, _ = e.meta.ObjectRecord(id)
-	}
-	// A missing record was deleted by ID before this ingest published it:
-	// the delete found no entry to tombstone, so none is published.
-	if ent.rec != nil || e.cfg.SketchOnly {
-		cur := e.lockWrite()
-		e.publish(e.appended(cur, ent, set.Weights, set.Sketches))
+	cur := e.lockWrite()
+	// A Delete that found no entry since the commit may have deleted this
+	// object by ID before it was published: then none is.
+	if e.missedDeletes.Load() == missed || e.meta.Key(id) != "" {
+		e.publish(e.appended(cur, sketchEntry{id: id, key: o.Key, rec: rec}, set.Weights, set.Sketches))
 		e.met.objects.Add(1)
 		e.met.segments.Add(int64(len(set.Sketches)))
-		e.mu.Unlock()
 	}
+	e.mu.Unlock()
 	e.ingestMu.Unlock()
 	e.met.ingests.Inc()
 	e.met.ingestTime.ObserveSince(start)

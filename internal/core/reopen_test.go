@@ -114,6 +114,7 @@ func TestReopenArenaMatchesIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := ingestAll(t, e, synth.MixedImageObjects(objects, 11))
+	checkSealedExact(t, e.cur.Load())
 	for i := 0; i < len(ids); i += 7 {
 		if err := e.Delete(ids[i]); err != nil {
 			t.Fatal(err)
@@ -126,6 +127,7 @@ func TestReopenArenaMatchesIngest(t *testing.T) {
 	if len(live.segs) < 3 || live.deleted == 0 {
 		t.Fatalf("%d segments, %d tombstones: want seals, a merge and deletes", len(live.segs), live.deleted)
 	}
+	checkSealedExact(t, live)
 	want := flatten(live)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
@@ -140,9 +142,19 @@ func TestReopenArenaMatchesIngest(t *testing.T) {
 		t.Fatalf("reopened arena differs: %d entries, %d rows, %d words; ingest built %d, %d, %d",
 			len(got.ids), len(got.weights), len(got.words), len(want.ids), len(want.weights), len(want.words))
 	}
-	if a := &v.segs[0].arena; len(a.words) != cap(a.words) || len(a.entry) != cap(a.entry) || len(a.start) != cap(a.start) {
-		t.Fatalf("reopened arena has spare capacity: words %d/%d, rows %d/%d, starts %d/%d",
-			len(a.words), cap(a.words), len(a.entry), cap(a.entry), len(a.start), cap(a.start))
+	checkSealedExact(t, v)
+}
+
+// checkSealedExact fails unless every sealed segment's arena arrays are
+// exactly as long as their capacity: sealed data keeps no append slack.
+func checkSealedExact(t *testing.T, v *view) {
+	t.Helper()
+	for si, s := range v.sealed() {
+		a := &s.arena
+		if len(a.words) != cap(a.words) || len(a.entry) != cap(a.entry) || len(a.start) != cap(a.start) || len(a.weight) != cap(a.weight) {
+			t.Fatalf("sealed segment %d has spare capacity: words %d/%d, rows %d/%d, starts %d/%d, weights %d/%d", si,
+				len(a.words), cap(a.words), len(a.entry), cap(a.entry), len(a.start), cap(a.start), len(a.weight), cap(a.weight))
+		}
 	}
 }
 

@@ -277,11 +277,25 @@ func (e *Engine) appended(cur *view, ent sketchEntry, weights []float32, sketche
 // and opens an empty tail behind it. v is a view under construction that owns
 // its segment list and tail header; the seal is purely an in-memory
 // transition (the entries' durability comes from the metadata store's WAL,
-// which committed them at ingest time).
+// which committed them at ingest time). The sealed arena keeps no append
+// slack: its arrays are copied to their length, and the entries are clipped,
+// so the next append copies them.
 func (e *Engine) sealTail(v *view) {
 	t := v.tail()
-	t.hindex = e.buildIndex(&t.arena, nil)
+	a := &t.arena
+	a.words, a.start, a.entry, a.weight = exact(a.words), exact(a.start), exact(a.entry), exact(a.weight)
+	t.hindex = e.buildIndex(a, nil)
+	v.entries = slices.Clip(v.entries)
 	v.segs = append(v.segs, &segment{loEntry: t.loEntry + t.n, arena: newArena(t.arena.wps)})
+}
+
+// exact returns s in an array of its own length: s itself when it has no
+// spare capacity, else a copy.
+func exact[T any](s []T) []T {
+	if cap(s) == len(s) {
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // checkSegInvariants verifies a view's segment tiling, per-segment arena

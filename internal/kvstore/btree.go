@@ -1,6 +1,9 @@
 package kvstore
 
-import "bytes"
+import (
+	"bytes"
+	"slices"
+)
 
 // btree is an in-memory B-tree keyed by []byte with []byte values. It backs
 // each named table of the store and provides the keyed and ordered access
@@ -11,9 +14,14 @@ import "bytes"
 // Values are stored alongside keys in every node (no leaf-only storage);
 // keys and values are owned by the tree (callers must not mutate slices
 // they pass in or receive).
+//
+// snapshot freezes the tree in O(1) by advancing its generation: a Put or
+// Delete writes only nodes of the current one, copying an older node into its
+// parent first, so a reader may walk a snapshot while the writer goes on.
 type btree struct {
 	root *bnode
 	size int
+	gen  uint64 // generation of the nodes the writer may change in place
 }
 
 // minDeg is the minimum degree t. 32 keeps nodes around a cache line count
@@ -26,6 +34,7 @@ type bnode struct {
 	keys     [][]byte
 	vals     [][]byte
 	children []*bnode // nil for leaves
+	gen      uint64   // the tree generation that made this node
 }
 
 func newBtree() *btree {
@@ -69,12 +78,36 @@ func (t *btree) Get(k []byte) ([]byte, bool) {
 // Len returns the number of keys in the tree.
 func (t *btree) Len() int { return t.size }
 
+// snapshot returns a read-only copy of the tree as it stands.
+func (t *btree) snapshot() *btree {
+	snap := *t
+	t.gen++
+	return &snap
+}
+
+// own returns n if the writer may change it in place, else a copy of it in
+// the current generation.
+func (t *btree) own(n *bnode) *bnode {
+	if n.gen == t.gen {
+		return n
+	}
+	return &bnode{keys: slices.Clone(n.keys), vals: slices.Clone(n.vals), children: slices.Clone(n.children), gen: t.gen}
+}
+
+// child makes n's child i writable, n being so already, and returns it.
+func (t *btree) child(n *bnode, i int) *bnode {
+	c := t.own(n.children[i])
+	n.children[i] = c
+	return c
+}
+
 // Put inserts or replaces the value under k.
 func (t *btree) Put(k, v []byte) {
-	r := t.root
+	r := t.own(t.root)
+	t.root = r
 	if len(r.keys) == maxKeys {
 		// Grow the tree: split the root.
-		newRoot := &bnode{children: []*bnode{r}}
+		newRoot := &bnode{children: []*bnode{r}, gen: t.gen}
 		newRoot.splitChild(0)
 		t.root = newRoot
 		r = newRoot
@@ -84,14 +117,16 @@ func (t *btree) Put(k, v []byte) {
 	}
 }
 
-// splitChild splits the full child i of n around its median key. Both halves
-// get arrays of their own length: ascending inserts never refill a left half.
+// splitChild splits the full, writable child i of n around its median key.
+// Both halves get arrays of their own length: ascending inserts never refill
+// a left half.
 func (n *bnode) splitChild(i int) {
 	child := n.children[i]
 	mid := minDeg - 1
 	right := &bnode{
 		keys: append([][]byte(nil), child.keys[mid+1:]...),
 		vals: append([][]byte(nil), child.vals[mid+1:]...),
+		gen:  n.gen,
 	}
 	if !child.leaf() {
 		right.children = append([]*bnode(nil), child.children[mid+1:]...)
@@ -112,8 +147,8 @@ func (n *bnode) splitChild(i int) {
 	n.children[i+1] = right
 }
 
-// insertNonFull inserts into a node known to be non-full; reports whether a
-// new key was added (false on replace).
+// insertNonFull inserts into a writable node known to be non-full; reports
+// whether a new key was added (false on replace).
 func (t *btree) insertNonFull(n *bnode, k, v []byte) bool {
 	for {
 		i, ok := n.search(k)
@@ -130,7 +165,7 @@ func (t *btree) insertNonFull(n *bnode, k, v []byte) bool {
 			n.vals[i] = v
 			return true
 		}
-		if len(n.children[i].keys) == maxKeys {
+		if len(t.child(n, i).keys) == maxKeys {
 			n.splitChild(i)
 			cmp := bytes.Compare(k, n.keys[i])
 			if cmp == 0 {
@@ -147,6 +182,7 @@ func (t *btree) insertNonFull(n *bnode, k, v []byte) bool {
 
 // Delete removes k, reporting whether it was present.
 func (t *btree) Delete(k []byte) bool {
+	t.root = t.own(t.root)
 	if !t.delete(t.root, k) {
 		return false
 	}
@@ -157,8 +193,9 @@ func (t *btree) Delete(k []byte) bool {
 	return true
 }
 
-// delete removes k from the subtree rooted at n, which is guaranteed to
-// have at least minDeg keys unless it is the root (CLRS invariant).
+// delete removes k from the writable subtree rooted at n, which is
+// guaranteed to have at least minDeg keys unless it is the root (CLRS
+// invariant).
 func (t *btree) delete(n *bnode, k []byte) bool {
 	i, found := n.search(k)
 	if n.leaf() {
@@ -174,30 +211,33 @@ func (t *btree) delete(n *bnode, k []byte) bool {
 		if len(n.children[i].keys) >= minDeg {
 			pk, pv := maxEntry(n.children[i])
 			n.keys[i], n.vals[i] = pk, pv
-			return t.delete(n.children[i], pk)
+			return t.delete(t.child(n, i), pk)
 		}
 		if len(n.children[i+1].keys) >= minDeg {
 			sk, sv := minEntry(n.children[i+1])
 			n.keys[i], n.vals[i] = sk, sv
-			return t.delete(n.children[i+1], sk)
+			return t.delete(t.child(n, i+1), sk)
 		}
+		t.child(n, i)
 		n.mergeChildren(i)
 		return t.delete(n.children[i], k)
 	}
 	// Descend, topping up the child to ≥ minDeg keys first.
-	child := n.children[i]
+	child := t.child(n, i)
 	if len(child.keys) == minDeg-1 {
 		switch {
 		case i > 0 && len(n.children[i-1].keys) >= minDeg:
+			t.child(n, i-1)
 			n.borrowFromLeft(i)
 		case i < len(n.children)-1 && len(n.children[i+1].keys) >= minDeg:
+			t.child(n, i+1)
 			n.borrowFromRight(i)
 		default:
 			if i == len(n.children)-1 {
 				i--
 			}
+			t.child(n, i)
 			n.mergeChildren(i)
-			child = n.children[i]
 		}
 		child = n.children[i]
 	}
@@ -218,8 +258,8 @@ func minEntry(n *bnode) ([]byte, []byte) {
 	return n.keys[0], n.vals[0]
 }
 
-// borrowFromLeft rotates one entry from child i−1 through the separator
-// into child i.
+// borrowFromLeft rotates one entry from writable child i−1 through the
+// separator into writable child i.
 func (n *bnode) borrowFromLeft(i int) {
 	child, left := n.children[i], n.children[i-1]
 	child.keys = append([][]byte{n.keys[i-1]}, child.keys...)
@@ -234,8 +274,8 @@ func (n *bnode) borrowFromLeft(i int) {
 	}
 }
 
-// borrowFromRight rotates one entry from child i+1 through the separator
-// into child i.
+// borrowFromRight rotates one entry from writable child i+1 through the
+// separator into writable child i.
 func (n *bnode) borrowFromRight(i int) {
 	child, right := n.children[i], n.children[i+1]
 	child.keys = append(child.keys, n.keys[i])
@@ -250,7 +290,8 @@ func (n *bnode) borrowFromRight(i int) {
 	}
 }
 
-// mergeChildren merges child i, separator i and child i+1 into child i.
+// mergeChildren merges child i, separator i and child i+1 into writable
+// child i.
 func (n *bnode) mergeChildren(i int) {
 	child, right := n.children[i], n.children[i+1]
 	child.keys = append(child.keys, n.keys[i])

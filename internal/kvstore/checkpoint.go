@@ -21,16 +21,17 @@ import (
 //	entry   := keyLen(uint32) | key | valLen(uint32) | val
 //	trailer := crc32(uint32 over everything before it)
 //
-// Recovery loads the checkpoint (verifying the CRC), then replays the WAL
-// on top; because puts and deletes are idempotent and the WAL is replayed
-// in order, a WAL that overlaps the checkpoint is harmless.
+// txnID is the first transaction the snapshot does not hold. Recovery loads
+// the checkpoint (verifying the CRC), then replays wal.prev.log and wal.log
+// on top, skipping records below txnID: a retired log whose removal a crash
+// undid is harmless.
 
 const (
 	checkpointMagic   = uint32(0xFE44E7C9)
 	checkpointVersion = uint32(1)
 )
 
-// writeCheckpoint snapshots tables (a name → btree map) into dir.
+// writeCheckpoint writes frozen tables into dir: transactions below txnID.
 func writeCheckpoint(fs FS, dir string, txnID uint64, tables map[string]*btree) error {
 	tmp := filepath.Join(dir, "checkpoint.tmp")
 	final := filepath.Join(dir, "checkpoint.db")
@@ -47,54 +48,27 @@ func writeCheckpoint(fs FS, dir string, txnID uint64, tables map[string]*btree) 
 	le.PutUint32(hdr[4:], checkpointVersion)
 	le.PutUint64(hdr[8:], txnID)
 	le.PutUint32(hdr[16:], uint32(len(tables)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		f.Close()
-		return err
-	}
-
+	// The writer's error is sticky: a failed write fails every later one,
+	// and Flush reports it.
+	w.Write(hdr[:])
 	names := make([]string, 0, len(tables))
 	for name := range tables {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-
-	var scratch [10]byte
+	var scratch [8]byte
 	for _, name := range names {
 		t := tables[name]
-		le.PutUint16(scratch[0:], uint16(len(name)))
-		if _, err := w.Write(scratch[:2]); err != nil {
-			f.Close()
-			return err
-		}
-		if _, err := w.WriteString(name); err != nil {
-			f.Close()
-			return err
-		}
-		le.PutUint64(scratch[0:], uint64(t.Len()))
-		if _, err := w.Write(scratch[:8]); err != nil {
-			f.Close()
-			return err
-		}
-		var werr error
+		w.Write(le.AppendUint16(scratch[:0], uint16(len(name))))
+		w.WriteString(name)
+		w.Write(le.AppendUint64(scratch[:0], uint64(t.Len())))
 		t.AscendRange(nil, nil, func(k, v []byte) bool {
-			le.PutUint32(scratch[0:], uint32(len(k)))
-			if _, werr = w.Write(scratch[:4]); werr != nil {
-				return false
-			}
-			if _, werr = w.Write(k); werr != nil {
-				return false
-			}
-			le.PutUint32(scratch[0:], uint32(len(v)))
-			if _, werr = w.Write(scratch[:4]); werr != nil {
-				return false
-			}
-			_, werr = w.Write(v)
-			return werr == nil
+			w.Write(le.AppendUint32(scratch[:0], uint32(len(k))))
+			w.Write(k)
+			w.Write(le.AppendUint32(scratch[:0], uint32(len(v))))
+			_, err := w.Write(v)
+			return err == nil
 		})
-		if werr != nil {
-			f.Close()
-			return werr
-		}
 	}
 	if err := w.Flush(); err != nil {
 		f.Close()

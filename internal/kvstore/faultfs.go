@@ -26,10 +26,10 @@ import (
 //     a torn prefix of the unsynced delta, chosen by the scenario's seeded
 //     RNG.
 //
-// Every write boundary — Write, Sync, Truncate, Rename, directory Sync —
-// advances an operation counter; a scenario arms exactly one (counter,
-// mode) pair, so the torture driver can enumerate every boundary of a
-// workload and fault each one in every mode.
+// Every write boundary — Write, Sync, Truncate, Rename, Remove, directory
+// Sync — advances an operation counter; a scenario arms exactly one
+// (counter, mode) pair, so the torture suite can enumerate every boundary
+// of a workload and fault each one in every mode.
 
 // FaultMode selects what happens at the armed operation.
 type FaultMode int
@@ -96,6 +96,13 @@ type FaultFS struct {
 	failAt  int // operation index to fault at; -1 never faults
 	mode    FaultMode
 	crashed bool
+	trace   []string // every write-boundary operation: "rename db/wal.log", ...
+
+	// Set before the store opens. async lets its automatic checkpoints run
+	// in the background; otherwise the commit that starts one waits for it.
+	// beforeSync runs, outside the lock, before every file Sync.
+	async      bool
+	beforeSync func(name string)
 }
 
 func NewFaultFS(seed int64) *FaultFS {
@@ -130,15 +137,35 @@ func (m *FaultFS) IsCrashed() bool {
 	return m.crashed
 }
 
-// step advances the operation counter and reports whether this operation
-// must fault (callers hold m.mu).
-func (m *FaultFS) step() (FaultMode, bool) {
+// step advances the operation counter, noting what the operation is, and
+// reports whether it must fault (callers hold m.mu).
+func (m *FaultFS) step(op, name string) (FaultMode, bool) {
 	idx := m.ops
 	m.ops++
+	m.trace = append(m.trace, op+" "+name)
 	if idx == m.failAt {
 		return m.mode, true
 	}
 	return 0, false
+}
+
+// faultLocked steps the counter for an operation whose effect is apply and,
+// if the armed fault hits it, returns the error it must fail with: an
+// injected error, or a power cut before apply or after it (callers hold
+// m.mu). Write, which can also tear, handles its own fault.
+func (m *FaultFS) faultLocked(op, name string, apply func()) error {
+	mode, fault := m.step(op, name)
+	if !fault {
+		return nil
+	}
+	if mode == FaultErr || mode == FaultShortErr {
+		return ErrInjected
+	}
+	if mode == FaultCrashAfter {
+		apply()
+	}
+	m.crashNowLocked()
+	return ErrCrashed
 }
 
 // CrashNow simulates a power cut from outside a faulting operation.
@@ -283,29 +310,40 @@ func (m *FaultFS) Rename(oldpath, newpath string) error {
 		m.names[newpath] = n
 		delete(m.names, oldpath)
 	}
-	if mode, fault := m.step(); fault {
-		switch mode {
-		case FaultErr, FaultShortErr:
-			return ErrInjected
-		case FaultCrash:
-			m.crashNowLocked()
-			return ErrCrashed
-		case FaultCrashAfter:
-			// The rename reached the metadata journal before the cut: it is
-			// applied and durable even without the directory sync.
-			apply()
-			if n := m.names[newpath]; n != nil {
-				m.durable[newpath] = n
-				delete(m.durable, oldpath)
-			}
-			m.crashNowLocked()
-			return ErrCrashed
+	if err := m.faultLocked("rename", oldpath, func() {
+		// The rename reached the metadata journal before the cut: it is
+		// applied and durable even without the directory sync.
+		apply()
+		if n := m.names[newpath]; n != nil {
+			m.durable[newpath] = n
+			delete(m.durable, oldpath)
 		}
+	}); err != nil {
+		return err
 	}
 	if m.names[oldpath] == nil {
 		return &os.PathError{Op: "rename", Path: oldpath, Err: os.ErrNotExist}
 	}
 	apply()
+	return nil
+}
+
+func (m *FaultFS) Remove(name string) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.crashed {
+		return ErrCrashed
+	}
+	if err := m.faultLocked("remove", name, func() { // journaled like a rename
+		delete(m.names, name)
+		delete(m.durable, name)
+	}); err != nil {
+		return err
+	}
+	if m.names[name] == nil {
+		return &os.PathError{Op: "remove", Path: name, Err: os.ErrNotExist}
+	}
+	delete(m.names, name)
 	return nil
 }
 
@@ -357,7 +395,7 @@ func (h *faultHandle) Write(p []byte) (int, error) {
 	if h.node == nil {
 		return 0, errors.New("faultfs: write on directory")
 	}
-	if mode, fault := h.fs.step(); fault {
+	if mode, fault := h.fs.step("write", h.name); fault {
 		switch mode {
 		case FaultErr:
 			return 0, ErrInjected
@@ -422,23 +460,16 @@ func (h *faultHandle) Close() error {
 }
 
 func (h *faultHandle) Sync() error {
+	if h.fs.beforeSync != nil && h.node != nil {
+		h.fs.beforeSync(h.name)
+	}
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
 	if h.fs.crashed {
 		return ErrCrashed
 	}
-	if mode, fault := h.fs.step(); fault {
-		switch mode {
-		case FaultErr, FaultShortErr:
-			return ErrInjected
-		case FaultCrash:
-			h.fs.crashNowLocked()
-			return ErrCrashed
-		case FaultCrashAfter:
-			h.syncLocked()
-			h.fs.crashNowLocked()
-			return ErrCrashed
-		}
+	if err := h.fs.faultLocked("sync", h.name, h.syncLocked); err != nil {
+		return err
 	}
 	h.syncLocked()
 	return nil
@@ -475,18 +506,8 @@ func (h *faultHandle) Truncate(size int64) error {
 			h.node.data = grown
 		}
 	}
-	if mode, fault := h.fs.step(); fault {
-		switch mode {
-		case FaultErr, FaultShortErr:
-			return ErrInjected
-		case FaultCrash:
-			h.fs.crashNowLocked()
-			return ErrCrashed
-		case FaultCrashAfter:
-			apply()
-			h.fs.crashNowLocked()
-			return ErrCrashed
-		}
+	if err := h.fs.faultLocked("truncate", h.name, apply); err != nil {
+		return err
 	}
 	apply()
 	return nil

@@ -27,6 +27,9 @@ type FS interface {
 	Rename(oldpath, newpath string) error
 	// Size returns the current byte length of a file.
 	Size(name string) (int64, error)
+	// Remove deletes a file. Durability of the removal requires a
+	// directory sync.
+	Remove(name string) error
 }
 
 // File is the file handle surface the store uses.
@@ -67,6 +70,8 @@ func (osFS) Open(name string) (File, error) {
 func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
 
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
+
+func (osFS) Remove(name string) error { return os.Remove(name) }
 
 func (osFS) Size(name string) (int64, error) {
 	fi, err := os.Stat(name)

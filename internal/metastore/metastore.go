@@ -138,14 +138,23 @@ func parseID(b []byte) object.ID {
 // Re-adding an existing key is an error: data acquisition deduplicates by
 // key before calling AddObject.
 func (s *Store) AddObject(o object.Object, set *SketchSet, sketchOnly bool, extra func(txn *kvstore.Txn, id object.ID)) (object.ID, error) {
+	id, _, err := s.AddObjectRecord(o, set, sketchOnly, extra)
+	return id, err
+}
+
+// AddObjectRecord is AddObject that also returns the feature-vector record
+// it stored (nil when sketchOnly): the store's own immutable value, as
+// ObjectRecord would return it.
+func (s *Store) AddObjectRecord(o object.Object, set *SketchSet, sketchOnly bool, extra func(txn *kvstore.Txn, id object.ID)) (object.ID, []byte, error) {
 	if o.Key == "" {
-		return 0, errors.New("metastore: object key is empty")
+		return 0, nil, errors.New("metastore: object key is empty")
 	}
 	if len(o.Key) > math.MaxUint16 { // the record stores its length in 16 bits
-		return 0, fmt.Errorf("metastore: key is %d bytes, longest allowed is %d", len(o.Key), math.MaxUint16)
+		return 0, nil, fmt.Errorf("metastore: key is %d bytes, longest allowed is %d", len(o.Key), math.MaxUint16)
 	}
-	if _, exists := s.kv.Get(tableKeys, []byte(o.Key)); exists {
-		return 0, fmt.Errorf("metastore: key %q already present", o.Key)
+	key := []byte(o.Key)
+	if _, exists := s.kv.Get(tableKeys, key); exists {
+		return 0, nil, fmt.Errorf("metastore: key %q already present", o.Key)
 	}
 	s.mu.Lock()
 	id := s.nextID
@@ -153,23 +162,28 @@ func (s *Store) AddObject(o object.Object, set *SketchSet, sketchOnly bool, extr
 	next := s.nextID
 	s.mu.Unlock()
 
+	// The transaction owns what it is given, and the store keeps it: one
+	// key and one ID slice serve every table, and the record is encoded
+	// once, straight into the value the store holds.
 	txn := s.kv.Begin()
 	ik := idKey(id)
+	var rec []byte
 	if !sketchOnly {
-		txn.Put(tableObjects, ik, encodeObjectRecord(&o))
+		rec = encodeObjectRecord(&o)
+		txn.Put(tableObjects, ik, rec)
 	} else if set != nil {
 		txn.Put(tableSketches, ik, marshalSketchSet(set))
 	}
-	txn.Put(tableKeys, []byte(o.Key), ik)
-	txn.Put(tableNames, ik, []byte(o.Key))
+	txn.Put(tableKeys, key, ik)
+	txn.Put(tableNames, ik, key)
 	txn.Put(tableConfig, []byte("nextid"), idKey(next))
 	if extra != nil {
 		extra(txn, id)
 	}
 	if err := txn.Commit(); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	return id, nil
+	return id, rec, nil
 }
 
 // GetObject returns the stored feature-vector record for id, decoded into a
@@ -212,11 +226,10 @@ func ViewRecord(rec []byte, segs []object.Segment) ([]object.Segment, error) {
 // GetObject can populate Object.Key without a second lookup:
 // keyLen(uint16) | key | object.Marshal().
 func encodeObjectRecord(o *object.Object) []byte {
-	seg := o.Marshal()
-	buf := make([]byte, 2+len(o.Key)+len(seg))
+	buf := make([]byte, 2+len(o.Key)+o.MarshalSize())
 	binary.LittleEndian.PutUint16(buf[0:], uint16(len(o.Key)))
 	copy(buf[2:], o.Key)
-	copy(buf[2+len(o.Key):], seg)
+	o.MarshalTo(buf[2+len(o.Key):])
 	return buf
 }
 

@@ -108,11 +108,11 @@ func (o *Object) Validate() error {
 		if seg.Weight < 0 {
 			return fmt.Errorf("object: segment %d has negative weight %g", i, seg.Weight)
 		}
-		if math.IsNaN(float64(seg.Weight)) || math.IsInf(float64(seg.Weight), 0) {
+		if !finite(seg.Weight) {
 			return fmt.Errorf("object: segment %d has non-finite weight", i)
 		}
 		for j, x := range seg.Vec {
-			if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
+			if !finite(x) {
 				return fmt.Errorf("object: segment %d dim %d is non-finite", i, j)
 			}
 		}
@@ -122,6 +122,10 @@ func (o *Object) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor ±Inf: whether its exponent
+// bits are not all ones.
+func finite(x float32) bool { return math.Float32bits(x)&0x7f800000 != 0x7f800000 }
 
 // Clone returns a deep copy of the object.
 func (o *Object) Clone() Object {
@@ -166,21 +170,32 @@ func Single(key string, vec []float32) Object {
 //
 // ID and Key are stored separately by the metastore and are not encoded.
 func (o *Object) Marshal() []byte {
-	k := len(o.Segments)
-	d := o.Dim()
-	buf := make([]byte, 8+k*(4+4*d))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(k))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(d))
+	buf := make([]byte, o.MarshalSize())
+	o.MarshalTo(buf)
+	return buf
+}
+
+// MarshalSize returns the length of the Marshal encoding.
+func (o *Object) MarshalSize() int { return 8 + len(o.Segments)*(4+4*o.Dim()) }
+
+// MarshalTo writes the Marshal encoding into buf[:o.MarshalSize()]. On the
+// hosts where View aliases the encoding, each vector is one copy.
+func (o *Object) MarshalTo(buf []byte) {
+	binary.LittleEndian.PutUint32(buf[0:], uint32(len(o.Segments)))
+	binary.LittleEndian.PutUint32(buf[4:], uint32(o.Dim()))
 	off := 8
 	for _, seg := range o.Segments {
 		binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(seg.Weight))
 		off += 4
+		if viewInPlace && len(seg.Vec) > 0 {
+			off += copy(buf[off:], unsafe.Slice((*byte)(unsafe.Pointer(&seg.Vec[0])), 4*len(seg.Vec)))
+			continue
+		}
 		for _, x := range seg.Vec {
 			binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(x))
 			off += 4
 		}
 	}
-	return buf
 }
 
 // Unmarshal decodes segments produced by Marshal into an object that owns

@@ -242,3 +242,35 @@ func FuzzObjectView(f *testing.F) {
 		}
 	})
 }
+
+// TestValidateFiniteValues: Validate rejects exactly the floats whose
+// exponent bits are all ones (±Inf and every NaN) and accepts every finite
+// value, the extremes and signed zero included, as an entry and as a weight.
+func TestValidateFiniteValues(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		x    float32
+		ok   bool
+	}{
+		{"+Inf", float32(math.Inf(1)), false},
+		{"-Inf", float32(math.Inf(-1)), false},
+		{"NaN", float32(math.NaN()), false},
+		{"NaN with sign and payload", math.Float32frombits(0xffc00001), false},
+		{"MaxFloat32", math.MaxFloat32, true},
+		{"-MaxFloat32", -math.MaxFloat32, true},
+		{"smallest subnormal", math.SmallestNonzeroFloat32, true},
+		{"-0", float32(math.Copysign(0, -1)), true},
+	} {
+		o := Object{Segments: []Segment{{Weight: 1, Vec: []float32{0.5, c.x, 0.25}}}}
+		if err := o.Validate(); (err == nil) != c.ok {
+			t.Errorf("entry %s: Validate() = %v, want ok %v", c.name, err, c.ok)
+		}
+		if c.ok {
+			continue // a finite weight other than 1 fails the sum check instead
+		}
+		w := Object{Segments: []Segment{{Weight: c.x, Vec: []float32{1}}}}
+		if err := w.Validate(); err == nil {
+			t.Errorf("weight %s accepted", c.name)
+		}
+	}
+}
