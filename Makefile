@@ -96,12 +96,14 @@ BENCH_PAIRS  ?= 10
 bench-pairs:
 	./scripts/bench-pairs.sh $(BENCH_PARENT) $(BENCH_PAIRS)
 
-# Non-test Go lines in the packages whose size ROADMAP tracks, then the
-# sizes of the two documents it tracks, in KB.
+# Non-test Go lines in the packages whose size ROADMAP tracks (cmd counts
+# every binary together), then the sizes of the two documents it tracks, in
+# KB.
 loc:
-	@for p in core server protocol sketch hindex metastore kvstore object experiments lint telemetry; do \
+	@for p in core server protocol sketch hindex metastore kvstore object experiments lint telemetry evaltool acquire; do \
 		printf 'internal/%-12s %s\n' $$p "$$(ls internal/$$p/*.go internal/$$p/*/*.go 2>/dev/null | grep -v _test.go | xargs cat | wc -l)"; \
 	done
+	@printf '%-21s %s\n' cmd "$$(ls cmd/*/*.go | grep -v _test.go | xargs cat | wc -l)"
 	@for f in DESIGN.md EXPERIMENTS.md; do \
 		printf '%-21s %s KB\n' $$f "$$(( $$(wc -c < $$f) / 1024 ))"; \
 	done

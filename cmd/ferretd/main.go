@@ -7,7 +7,8 @@
 //	ferretd -dir /var/lib/ferret -type image -addr :7070 -web :8080 -scan ./incoming
 //
 // Data types: image (.png/.ppm), audio (.wav mono 16-bit PCM), shape
-// (.off), genomic (-matrix expression.tsv, ingested at startup).
+// (.off), sensor (.csv), genomic (-matrix expression.tsv, ingested at
+// startup).
 //
 // Observability: -debug-addr serves Prometheus metrics at /metrics, expvar
 // JSON at /debug/vars, runtime profiles at /debug/pprof/ and retained query
@@ -37,7 +38,7 @@ import (
 func main() {
 	var (
 		dir       = flag.String("dir", "./ferret-db", "metadata directory")
-		dtype     = flag.String("type", "image", "data type: image, audio, shape or genomic")
+		dtype     = flag.String("type", "image", "data type: image, audio, shape, sensor or genomic")
 		addr      = flag.String("addr", "127.0.0.1:7070", "protocol listen address")
 		webAddr   = flag.String("web", "", "web interface listen address (empty = disabled)")
 		debugAddr = flag.String("debug-addr", "", "observability listen address for /metrics, /debug/vars, /debug/pprof/ (empty = disabled)")
@@ -56,7 +57,6 @@ func main() {
 		slowQuery = flag.Duration("slow-query", 0, "slow-query log threshold: traces at least this slow are always retained (0 = default 100ms, negative = off)")
 		sealAt    = flag.Int("seal-entries", 0, "seal (and index) the mutable tail segment at this many entries; sealed segments are compacted in the background (0 = default 1024)")
 		compIntv  = flag.Duration("compact-interval", 0, "background compaction wake-up interval (0 = default 1s, negative = off)")
-		compPace  = flag.Duration("compact-pace", 0, "background compaction pause per 64 merged entries while queries are in flight (0 = yield only)")
 		ingQueue  = flag.Int("ingest-queue", 0, "how many ADDFILE and acquisition ingests may wait for a run slot; producers block when full (0 = no bound)")
 		ingWork   = flag.Int("ingest-workers", 0, "admitted ingests that run at once, each on its producer's goroutine (0 = 1; needs -ingest-queue)")
 		ingShed   = flag.Bool("ingest-shed", false, "reject ingests with BUSY when every slot is taken instead of blocking (needs -ingest-queue)")
@@ -73,7 +73,7 @@ func main() {
 	base := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 	logger := base.With("component", "ferretd")
 
-	cfg, extractor, exts, m, err := buildSystem(*dtype, *dir, *rate, *matrix, *distance)
+	cfg, extractor, exts, m, err := ferret.ForType(*dtype, *dir, *rate, *matrix, *distance)
 	if err != nil {
 		fatal(logger, "configuration failed", "err", err)
 	}
@@ -82,7 +82,7 @@ func main() {
 	}
 	cfg.HIndex = ferret.HIndexParams{Enable: *hindexOn}
 	cfg.Trace = ferret.TraceParams{SampleEvery: *traceEach, SlowThreshold: *slowQuery}
-	cfg.Segments = ferret.SegmentParams{SealEntries: *sealAt, Interval: *compIntv, Pace: *compPace}
+	cfg.Segments = ferret.SegmentParams{SealEntries: *sealAt, Interval: *compIntv}
 	if *ingQueue > 0 {
 		cfg.Ingest = ferret.IngestParams{Depth: *ingQueue, Workers: *ingWork, Shed: *ingShed}
 	}
@@ -214,39 +214,6 @@ func webHandler(sys *ferret.System, dtype, dataDir string) http.Handler {
 		mux.Handle("/data/", http.StripPrefix("/data/", http.FileServer(http.Dir(dataDir))))
 	}
 	return mux
-}
-
-// buildSystem resolves the per-data-type configuration, extractor and
-// acquisition extension filter.
-func buildSystem(dtype, dir string, rate int, matrixPath, distance string) (ferret.Config, ferret.Extractor, []string, *ferret.Matrix, error) {
-	switch dtype {
-	case "image":
-		return ferret.ImageConfig(dir), ferret.ImageExtractor(), []string{".png", ".ppm"}, nil, nil
-	case "audio":
-		return ferret.AudioConfig(dir), ferret.AudioExtractor(rate), []string{".wav"}, nil, nil
-	case "shape":
-		return ferret.ShapeConfig(dir), ferret.ShapeExtractor(), []string{".off"}, nil, nil
-	case "sensor", "sensors":
-		lo := []float32{-3, -3, -3}
-		hi := []float32{3, 3, 3}
-		return ferret.SensorConfig(dir, lo, hi), ferret.SensorExtractor(0, 0), []string{".csv"}, nil, nil
-	case "genomic":
-		if matrixPath == "" {
-			return ferret.Config{}, nil, nil, nil, fmt.Errorf("type=genomic requires -matrix")
-		}
-		m, err := ferret.ParseMatrixTSV(matrixPath)
-		if err != nil {
-			return ferret.Config{}, nil, nil, nil, err
-		}
-		min, max := m.Bounds()
-		cfg, err := ferret.GenomicConfig(dir, min, max, distance)
-		if err != nil {
-			return ferret.Config{}, nil, nil, nil, err
-		}
-		return cfg, ferret.GenomicExtractor(), []string{".tsv"}, m, nil
-	default:
-		return ferret.Config{}, nil, nil, nil, fmt.Errorf("unknown data type %q", dtype)
-	}
 }
 
 // ingestMatrixOnce loads matrix rows not yet present (restart-safe).

@@ -260,6 +260,42 @@ func (s *System) IngestMatrix(m *Matrix, extraAttrs Attrs) (int, error) {
 	return added, nil
 }
 
+// ForType resolves a data type named on a command line (image, audio,
+// shape, sensor or genomic) to its configuration over dir, its extractor
+// and the file extensions acquisition picks up. sampleRate is the audio
+// plug-in's; genomic parses the microarray at matrixPath, returns it for
+// ingest, and ranks by the named correlation distance.
+func ForType(dtype, dir string, sampleRate int, matrixPath, distance string) (Config, Extractor, []string, *Matrix, error) {
+	switch dtype {
+	case "image":
+		return ImageConfig(dir), ImageExtractor(), []string{".png", ".ppm"}, nil, nil
+	case "audio":
+		return AudioConfig(dir), AudioExtractor(sampleRate), []string{".wav"}, nil, nil
+	case "shape":
+		return ShapeConfig(dir), ShapeExtractor(), []string{".off"}, nil, nil
+	case "sensor", "sensors":
+		lo := []float32{-3, -3, -3}
+		hi := []float32{3, 3, 3}
+		return SensorConfig(dir, lo, hi), SensorExtractor(0, 0), []string{".csv"}, nil, nil
+	case "genomic":
+		if matrixPath == "" {
+			return Config{}, nil, nil, nil, fmt.Errorf("type=genomic requires -matrix")
+		}
+		m, err := ParseMatrixTSV(matrixPath)
+		if err != nil {
+			return Config{}, nil, nil, nil, err
+		}
+		min, max := m.Bounds()
+		cfg, err := GenomicConfig(dir, min, max, distance)
+		if err != nil {
+			return Config{}, nil, nil, nil, err
+		}
+		return cfg, GenomicExtractor(), []string{".tsv"}, m, nil
+	default:
+		return Config{}, nil, nil, nil, fmt.Errorf("unknown data type %q", dtype)
+	}
+}
+
 // RelaxedDurability switches a config to the paper's relaxed ACID mode
 // (§4.1.3): commits flush to the OS immediately but fsync only
 // periodically, trading a bounded window of potentially lost updates for

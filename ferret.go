@@ -199,10 +199,6 @@ func (s *System) IngestQueued(ctx context.Context, o Object, a Attrs) (ID, error
 	return s.engine.IngestQueued(ctx, o, a)
 }
 
-// IngestQueueDepth reports how many admitted ingests are not yet running (0
-// without admission) — the ingest daemon's overload signal.
-func (s *System) IngestQueueDepth() int { return s.engine.IngestQueueDepth() }
-
 // IngestFile extracts and ingests a data file through the plug-in.
 func (s *System) IngestFile(path string, a Attrs) (ID, error) {
 	if s.extractor == nil {

@@ -33,11 +33,6 @@ type Scanner struct {
 	Exists func(key string) bool
 	// Ingest adds the object with its attributes to the search system.
 	Ingest func(o object.Object, a attr.Attrs) error
-	// Rate, when positive, paces ingestion at this many objects per second
-	// — the sustained-rate regime of the ingest daemon. Pacing sleeps
-	// between ingest calls; backpressure from ingest admission adds
-	// on top, so the effective rate is min(Rate, engine commit rate).
-	Rate float64
 	// OnError, when set, observes per-file failures (which are otherwise
 	// skipped so one bad file cannot stall acquisition).
 	OnError func(path string, err error)
@@ -50,7 +45,6 @@ func (s *Scanner) ScanOnce() (int, error) {
 		return 0, fmt.Errorf("acquire: Dir, Extract and Ingest are required")
 	}
 	added := 0
-	var next time.Time // absolute pacing schedule: one slot per Rate⁻¹
 	err := filepath.WalkDir(s.Dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -65,17 +59,6 @@ func (s *Scanner) ScanOnce() (int, error) {
 		key := filepath.ToSlash(rel)
 		if s.Exists != nil && s.Exists(key) {
 			return nil
-		}
-		if s.Rate > 0 {
-			// Absolute schedule rather than a per-file sleep: a slow extract
-			// or a blocked ingest consumes its own slot, so the scan holds
-			// the configured rate on average instead of adding to it.
-			if now := time.Now(); next.After(now) {
-				time.Sleep(next.Sub(now))
-				next = next.Add(time.Duration(float64(time.Second) / s.Rate))
-			} else {
-				next = now.Add(time.Duration(float64(time.Second) / s.Rate))
-			}
 		}
 		o, err := s.Extract(path)
 		if err != nil {

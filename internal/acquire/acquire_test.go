@@ -171,36 +171,3 @@ func TestRunPeriodic(t *testing.T) {
 		}
 	}
 }
-
-// TestScanRatePacing asserts the sustained-rate driver: a positive Rate
-// spaces ingests out on an absolute schedule, so a scan of n files takes at
-// least (n-1)/Rate. The bound is one-sided — scheduling jitter can only
-// slow a scan down, never compress it below the pace.
-func TestScanRatePacing(t *testing.T) {
-	dir := t.TempDir()
-	writeFiles(t, dir, "a.off", "b.off", "c.off", "d.off", "e.off")
-	f := newFake()
-	s := &Scanner{
-		Dir:     dir,
-		Extract: f.extract,
-		Ingest:  f.ingest,
-		Rate:    100, // 10ms per object
-	}
-	start := time.Now()
-	added, err := s.ScanOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if added != 5 {
-		t.Fatalf("added %d files, want 5", added)
-	}
-	if elapsed := time.Since(start); elapsed < 40*time.Millisecond {
-		t.Fatalf("paced scan of 5 files finished in %v, want >= 40ms", elapsed)
-	}
-	// Rate 0 stays unpaced: a rescan (everything exists) is instant.
-	s.Exists = f.exists
-	s.Rate = 0
-	if added, err := s.ScanOnce(); err != nil || added != 0 {
-		t.Fatalf("rescan: added %d, err %v", added, err)
-	}
-}

@@ -47,18 +47,14 @@ var compactStepHook func()
 const compactStride = 64
 
 // compactPace yields the merge builder to in-flight queries: with queries
-// running, each stride sleeps Pace (or yields the processor); idle engines
-// build at full speed.
+// running, each stride yields the processor; idle engines build at full
+// speed.
 func (e *Engine) compactPace() {
 	if compactStepHook != nil {
 		compactStepHook()
 	}
 	if e.met.inflight.Value() > 0 {
-		if p := e.cfg.Segments.Pace; p > 0 {
-			time.Sleep(p)
-		} else {
-			runtime.Gosched()
-		}
+		runtime.Gosched()
 	}
 }
 
@@ -189,28 +185,27 @@ func (e *Engine) Compact() {
 }
 
 // pickMerge chooses the background compactor's next unit from a view: the
-// first MergeSegments adjacent sealed segments of one size tier — the largest
-// under MergeSegments times the smallest, sizes counted in live entries and
+// first mergeSegments adjacent sealed segments of one size tier — the largest
+// under mergeSegments times the smallest, sizes counted in live entries and
 // no smaller than SealEntries — else the first sealed segment whose tombstone
-// fraction reached TombstoneFrac (solo rewrite). Merging equals with equals
+// fraction reached tombstoneFrac (solo rewrite). Merging equals with equals
 // leaves O(log corpus) sealed segments — every indexed query probes each of
 // them — and rewrites an entry once per tier. Deterministic, so torture
 // schedules replay exactly. Returns the run's first position in the segment
 // list and its length, 0 when nothing is eligible.
 func (e *Engine) pickMerge(v *view) (int, int) {
-	p := e.cfg.Segments
 	sealed := v.sealed()
-	for i := 0; i+p.MergeSegments <= len(sealed); i++ {
+	for i := 0; i+mergeSegments <= len(sealed); i++ {
 		lo, hi := sealed[i].liveEntries(), sealed[i].liveEntries()
-		for _, s := range sealed[i+1 : i+p.MergeSegments] {
+		for _, s := range sealed[i+1 : i+mergeSegments] {
 			lo, hi = min(lo, s.liveEntries()), max(hi, s.liveEntries())
 		}
-		if hi < p.MergeSegments*max(lo, p.SealEntries) {
-			return i, p.MergeSegments
+		if hi < mergeSegments*max(lo, e.cfg.Segments.SealEntries) {
+			return i, mergeSegments
 		}
 	}
 	for i, s := range sealed {
-		if s.deleted > 0 && float64(s.deleted) >= p.TombstoneFrac*float64(s.n) {
+		if s.deleted > 0 && float64(s.deleted) >= tombstoneFrac*float64(s.n) {
 			return i, 1
 		}
 	}

@@ -14,13 +14,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	rtrace "runtime/trace"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,19 +50,33 @@ const (
 	BruteForceSketch
 )
 
-// ParseMode resolves the protocol-level mode names ("filtering"/"filter",
-// "bruteforce"/"original", "sketch"/"bruteforcesketch"; "" = Filtering).
-func ParseMode(s string) (Mode, error) {
-	switch strings.ToLower(s) {
+// ModeOf is the one table of mode names, matched case-insensitively:
+// "filtering"/"filter" ("" too), "bruteforce"/"original"/"bruteforceoriginal"
+// and "sketch"/"bruteforcesketch". It takes the name as bytes so the server
+// resolves a request's mode without allocating: the switch's string(b)
+// conversions compile to allocation-free comparisons, and only a name that
+// matches nothing as sent pays for lower-casing.
+func ModeOf(b []byte) (Mode, bool) {
+	switch string(b) {
 	case "", "filtering", "filter":
-		return Filtering, nil
+		return Filtering, true
 	case "bruteforce", "original", "bruteforceoriginal":
-		return BruteForceOriginal, nil
+		return BruteForceOriginal, true
 	case "sketch", "bruteforcesketch":
-		return BruteForceSketch, nil
-	default:
-		return 0, fmt.Errorf("core: unknown mode %q", s)
+		return BruteForceSketch, true
 	}
+	if lower := bytes.ToLower(b); !bytes.Equal(lower, b) {
+		return ModeOf(lower)
+	}
+	return 0, false
+}
+
+// ParseMode resolves a mode name through ModeOf's table.
+func ParseMode(s string) (Mode, error) {
+	if m, ok := ModeOf([]byte(s)); ok {
+		return m, nil
+	}
+	return 0, fmt.Errorf("core: unknown mode %q", s)
 }
 
 func (m Mode) String() string {
@@ -101,11 +115,8 @@ type FilterParams struct {
 	// distance function directly against all feature-vector metadata
 	// instead of comparing sketches — the paper's alternative filtering
 	// path (§4.1.1). Slower per segment but exact; unavailable in
-	// sketch-only databases. MaxDistance bounds acceptance when positive.
+	// sketch-only databases. Each query segment keeps its k nearest.
 	ExactDistance bool
-	// MaxDistance is the segment-distance acceptance threshold for the
-	// exact filtering path (0 = unbounded: the k-nearest cut alone).
-	MaxDistance float64
 }
 
 func (p FilterParams) withDefaults(nseg, resultK int) FilterParams {

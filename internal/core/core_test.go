@@ -312,19 +312,19 @@ func TestExactDistanceFiltering(t *testing.T) {
 			t.Errorf("trial %d: exact filter agreed on %d/5", trial, hits)
 		}
 	}
-	// MaxDistance bounds acceptance.
+	// The k-nearest cut bounds the candidates: each of r query segments
+	// contributes at most k objects, however many results are asked for.
 	q := clusterObject("q", 0, d, nseg, 0.01, rng)
 	results, err := runQuery(e, q, QueryOptions{
 		Mode:   Filtering,
 		K:      50,
-		Filter: FilterParams{ExactDistance: true, MaxDistance: 0.3},
+		Filter: FilterParams{ExactDistance: true, QuerySegments: 2, NearestPerSegment: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Only the query's own cluster sits within 0.3 weighted-ℓ₁ per segment.
-	if len(results) == 0 || len(results) > 10 {
-		t.Errorf("MaxDistance filter returned %d results", len(results))
+	if len(results) == 0 || len(results) > 2*3 {
+		t.Errorf("exact filter with r=2, k=3 returned %d results", len(results))
 	}
 }
 

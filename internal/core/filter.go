@@ -383,11 +383,6 @@ func (e *Engine) filterExact(v *view, sc *queryScratch, p FilterParams) {
 	cands := sc.cands[:0]
 	for _, qi := range sc.order {
 		qvec := q.Segments[qi].Vec
-		// Weight-dependent threshold, as on the sketch path.
-		maxDist := math.Inf(1)
-		if p.MaxDistance > 0 {
-			maxDist = p.MaxDistance * (1 - p.WeightTighten*float64(q.Segments[qi].Weight))
-		}
 		kept := sc.kept[:0]
 		worst := math.Inf(1)
 		for idx := range v.entries {
@@ -405,7 +400,7 @@ func (e *Engine) filterExact(v *view, sc *queryScratch, p FilterParams) {
 					best = d
 				}
 			}
-			if best > maxDist || (len(kept) >= p.NearestPerSegment && best >= worst) {
+			if len(kept) >= p.NearestPerSegment && best >= worst {
 				continue
 			}
 			kept = append(kept, scoredIdx{idx, best})

@@ -257,7 +257,7 @@ func TestHIndexMutationEquivalence(t *testing.T) {
 	const d = 8
 	cfgIdx := testConfig(t.TempDir(), d)
 	cfgIdx.HIndex = HIndexParams{Enable: true}
-	cfgIdx.Segments = SegmentParams{SealEntries: 8, MergeSegments: 3, Interval: -1}
+	cfgIdx.Segments = SegmentParams{SealEntries: 4, Interval: -1}
 	ei := openEngine(t, cfgIdx)
 	es := openEngine(t, testConfig(t.TempDir(), d))
 
@@ -302,7 +302,7 @@ func TestHIndexMutationEquivalence(t *testing.T) {
 			q := clusterObject("q", rng.Intn(5), d, 2, 0.02, rng)
 			k := 1 + rng.Intn(12)
 			// A small per-segment k lets a descent fill its heap inside the
-			// index radius even from a handful of eight-entry segments.
+			// index radius even from a handful of four-entry segments.
 			queryPair(t, fmt.Sprintf("step%d", step), ei, es, q,
 				QueryOptions{K: k, Filter: FilterParams{NearestPerSegment: []int{0, 6}[rng.Intn(2)]}})
 		}

@@ -102,12 +102,3 @@ func (e *Engine) IngestQueued(ctx context.Context, o object.Object, attrs attr.A
 	<-a.slots
 	return id, err
 }
-
-// IngestQueueDepth reports how many admitted producers are not yet running
-// Ingest (0 without admission) — the daemon's overload signal.
-func (e *Engine) IngestQueueDepth() int {
-	if e.admit == nil {
-		return 0
-	}
-	return int(e.admit.waiting())
-}

@@ -99,8 +99,8 @@ func TestIngestQueueBackpressure(t *testing.T) {
 	if got := int(e.Telemetry().Value("ferret_ingest_rejected_total")); got != 0 {
 		t.Fatalf("backpressure policy counted %d rejections, want 0", got)
 	}
-	if d := e.IngestQueueDepth(); d != 0 {
-		t.Fatalf("queue depth %d after drain, want 0", d)
+	if d := e.Telemetry().Value("ferret_ingest_queue_depth"); d != 0 {
+		t.Fatalf("queue depth %g after drain, want 0", d)
 	}
 }
 

@@ -49,6 +49,17 @@ import (
 // shape_wire_cold query, 2048 adds 34 µs (EXPERIMENTS.md "Snapshot reads").
 const defaultSealEntries = 1024
 
+// mergeSegments is the background compactor's fan-in: this many adjacent
+// sealed segments of one size tier (the largest under mergeSegments times
+// the smallest) are merged into one, so an online-fed corpus settles into a
+// logarithmic number of segments.
+const mergeSegments = 4
+
+// tombstoneFrac triggers a solo rewrite of a sealed segment whose dead
+// fraction reaches it, reclaiming tombstoned rows without waiting for a
+// merge run.
+const tombstoneFrac = 0.25
+
 // SegmentParams configures the segmented ingest pipeline. Every field has a
 // default, so the zero value is a working pipeline.
 type SegmentParams struct {
@@ -57,39 +68,16 @@ type SegmentParams struct {
 	// fresh empty tail is opened. The tail is swept, never probed, so this
 	// bounds the unindexed part of every query. 0 means 1024.
 	SealEntries int
-	// MergeSegments is the background compactor's fan-in: this many adjacent
-	// sealed segments of one size tier (the largest under MergeSegments times
-	// the smallest) are merged into one, so an online-fed corpus settles into
-	// a logarithmic number of segments. 0 means 4; values below 2 are clamped
-	// to 2.
-	MergeSegments int
-	// TombstoneFrac triggers a solo rewrite of a sealed segment whose dead
-	// fraction reaches it, reclaiming tombstoned rows without waiting for a
-	// merge run. 0 means 0.25.
-	TombstoneFrac float64
 	// Interval is the background compactor's wake-up cadence between seals
 	// (every seal wakes it too). 0 means 1s; negative disables the background
 	// goroutine (merges then only run when tests call compactOnce directly —
 	// the deterministic-schedule hook the crash-torture suite relies on).
 	Interval time.Duration
-	// Pace is how long each merge-build stride sleeps when queries are in
-	// flight, yielding merge CPU to the serving path. 0 yields the
-	// processor without sleeping.
-	Pace time.Duration
 }
 
 func (p SegmentParams) withDefaults() SegmentParams {
 	if p.SealEntries <= 0 {
 		p.SealEntries = defaultSealEntries
-	}
-	if p.MergeSegments <= 0 {
-		p.MergeSegments = 4
-	}
-	if p.MergeSegments < 2 {
-		p.MergeSegments = 2
-	}
-	if p.TombstoneFrac <= 0 {
-		p.TombstoneFrac = 0.25
 	}
 	if p.Interval == 0 {
 		p.Interval = time.Second

@@ -30,7 +30,7 @@ func TestSegmentedEquivalence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			const d = 8
 			cfgSeg := testConfig(t.TempDir(), d)
-			cfgSeg.Segments = SegmentParams{SealEntries: 6, MergeSegments: 3, Interval: -1}
+			cfgSeg.Segments = SegmentParams{SealEntries: 3, Interval: -1}
 			cfgFlat := testConfig(t.TempDir(), d)
 			cfgFlat.Segments.SealEntries = 1 << 20
 			if indexed {
@@ -148,23 +148,24 @@ func TestSegmentedEquivalence(t *testing.T) {
 func TestSegmentGeometry(t *testing.T) {
 	const d = 10
 	cfg := testConfig(t.TempDir(), d)
-	cfg.Segments = SegmentParams{SealEntries: 4, MergeSegments: 2, TombstoneFrac: 0.5, Interval: -1}
+	cfg.Segments = SegmentParams{SealEntries: 4, Interval: -1}
 	cfg.HIndex = HIndexParams{Enable: true}
 	e := openEngine(t, cfg)
 
-	objs := ingestVaried(t, e, 10, d)
+	objs := ingestVaried(t, e, 18, d)
 	byID := map[object.ID]object.Object{}
 	for _, o := range objs {
 		byID[o.ID] = o
 	}
-	// 10 entries at SealEntries=4: two sealed segments plus a 2-entry tail.
-	if got := e.Stat().StorageSegments; got != 3 {
-		t.Fatalf("%d storage segments after 10 ingests, want 3", got)
+	// 18 entries at SealEntries=4: four sealed segments plus a 2-entry tail.
+	if got := e.Stat().StorageSegments; got != 5 {
+		t.Fatalf("%d storage segments after 18 ingests, want 5", got)
 	}
 	checkArenaAgainstObjects(t, e, byID)
 
-	// One background step merges the adjacent sealed run (the tail is never
-	// touched); a second step finds nothing eligible.
+	// One background step merges the run of mergeSegments equal sealed
+	// segments (the tail is never touched); a second step finds nothing
+	// eligible.
 	if !e.compactOnce() {
 		t.Fatal("compactOnce found no eligible merge run")
 	}
@@ -176,36 +177,34 @@ func TestSegmentGeometry(t *testing.T) {
 	}
 	checkArenaAgainstObjects(t, e, byID)
 
-	// Four more ingests: the tail seals at 4 and a fresh tail opens. The
-	// 8-entry merged segment and the 4-entry seal are different size tiers.
-	more := ingestVariedKeys(t, e, "h", 4, d)
-	if got := e.Stat().StorageSegments; got != 3 {
-		t.Fatalf("%d storage segments after re-ingest, want 3", got)
+	// Ten more ingests: the tail seals three times. The 16-entry merged
+	// segment and the 4-entry seals are different size tiers.
+	more := ingestVariedKeys(t, e, "h", 10, d)
+	if got := e.Stat().StorageSegments; got != 5 {
+		t.Fatalf("%d storage segments after re-ingest, want 5", got)
 	}
 	if e.compactOnce() {
-		t.Fatal("compactOnce merged an 8-entry segment with a 4-entry one")
+		t.Fatal("compactOnce merged a 16-entry segment with 4-entry ones")
 	}
-	// A second seal pairs up with the first, and their merge with the older
-	// 8-entry segment: equals merge with equals, one tier per step.
+	// A fourth 4-entry seal completes a run of equals behind the 16-entry
+	// segment: equals merge with equals, one tier per step.
 	more = append(more, ingestVariedKeys(t, e, "i", 4, d)...)
 	for _, o := range more {
 		byID[o.ID] = o
 	}
-	for _, want := range []int{3, 2} {
-		if !e.compactOnce() {
-			t.Fatalf("compactOnce found no run to merge with %d storage segments", e.Stat().StorageSegments)
-		}
-		if got := e.Stat().StorageSegments; got != want {
-			t.Fatalf("%d storage segments after a tier merge, want %d", got, want)
-		}
+	if !e.compactOnce() {
+		t.Fatalf("compactOnce found no run to merge with %d storage segments", e.Stat().StorageSegments)
+	}
+	if got := e.Stat().StorageSegments; got != 3 {
+		t.Fatalf("%d storage segments after a tier merge, want 3", got)
 	}
 	if e.compactOnce() {
-		t.Fatal("compactOnce merged with only one sealed segment")
+		t.Fatal("compactOnce merged two sealed segments")
 	}
 
-	// Tombstone half of the 16-entry sealed segment: the dead fraction
-	// reaches TombstoneFrac and the next step solo-rewrites it.
-	for _, o := range objs[:8] {
+	// Tombstone a quarter of the first 16-entry sealed segment: the dead
+	// fraction reaches tombstoneFrac and the next step solo-rewrites it.
+	for _, o := range objs[:4] {
 		if err := e.Delete(o.ID); err != nil {
 			t.Fatal(err)
 		}
@@ -217,8 +216,8 @@ func TestSegmentGeometry(t *testing.T) {
 	if got := e.Stat().Deleted; got != 0 {
 		t.Fatalf("%d tombstones after solo rewrite, want 0", got)
 	}
-	if got := len(e.cur.Load().entries); got != 10 {
-		t.Fatalf("%d entries after rewrite, want 10", got)
+	if got := len(e.cur.Load().entries); got != 28 {
+		t.Fatalf("%d entries after rewrite, want 28", got)
 	}
 	checkArenaAgainstObjects(t, e, byID)
 

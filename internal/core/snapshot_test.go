@@ -44,7 +44,7 @@ func within(t *testing.T, what string, fn func()) {
 func TestWritersDoNotWaitForReaders(t *testing.T) {
 	const d = 6
 	cfg := testConfig(t.TempDir(), d)
-	cfg.Segments = SegmentParams{SealEntries: 4, MergeSegments: 2, Interval: -1}
+	cfg.Segments = SegmentParams{SealEntries: 3, Interval: -1}
 	cfg.HIndex = HIndexParams{Enable: true}
 	var park atomic.Bool
 	parked, release := make(chan struct{}), make(chan struct{})
@@ -56,7 +56,7 @@ func TestWritersDoNotWaitForReaders(t *testing.T) {
 		return vector.L1(a.Segments[0].Vec, b.Segments[0].Vec)
 	}
 	e := openEngine(t, cfg)
-	ids := ingestClusters(t, e, 3, 4, d, 1) // three sealed segments, an empty tail
+	ids := ingestClusters(t, e, 3, 4, d, 1) // four sealed segments, an empty tail
 	victim := ids[1][2]
 
 	ctx := context.Background()
@@ -147,7 +147,7 @@ func TestReadersDoNotWaitForWriters(t *testing.T) {
 // TestSnapshotStress runs four readers beside every writer at once — two
 // ingest+delete feeds (one through Ingest, one through IngestQueued's
 // admission), the background compactor's step+checkpoint and full Compact —
-// on an engine that seals every four entries, and checks every answer
+// on an engine that seals every two entries, and checks every answer
 // against what was acknowledged before its query began: K results in
 // ascending order, none of them an object whose delete had been
 // acknowledged, and the queried object — acknowledged, never deleted —
@@ -163,7 +163,7 @@ func TestReadersDoNotWaitForWriters(t *testing.T) {
 func TestSnapshotStress(t *testing.T) {
 	const d, k = 8, 5
 	cfg := testConfig(t.TempDir(), d)
-	cfg.Segments = SegmentParams{SealEntries: 4, MergeSegments: 2, TombstoneFrac: 0.3, Interval: -1}
+	cfg.Segments = SegmentParams{SealEntries: 2, Interval: -1}
 	cfg.HIndex = HIndexParams{Enable: true}
 	cfg.Ingest = IngestParams{Depth: 4, Workers: 2}
 	// Inside the index radius, so descents cover a query outright; cluster
@@ -339,7 +339,7 @@ func freeze(v *view) frozen {
 func TestPublishedViewIsNeverWritten(t *testing.T) {
 	const d = 8
 	cfg := testConfig(t.TempDir(), d)
-	cfg.Segments = SegmentParams{SealEntries: 6, MergeSegments: 2, Interval: -1}
+	cfg.Segments = SegmentParams{SealEntries: 6, Interval: -1}
 	cfg.HIndex = HIndexParams{Enable: true}
 	e := openEngine(t, cfg)
 	objs := ingestVaried(t, e, 21, d) // three sealed segments and a three-entry tail

@@ -111,7 +111,7 @@ func engineTortureConfig(fs *kvstore.FaultFS) Config {
 	return Config{
 		Dir:      "db",
 		Sketch:   sketch.Params{N: 64, K: 1, Min: min, Max: max, Seed: 17},
-		Segments: SegmentParams{SealEntries: 5, MergeSegments: 2, Interval: -1},
+		Segments: SegmentParams{SealEntries: 2, Interval: -1},
 		HIndex:   HIndexParams{Enable: true},
 		Store: kvstore.Options{
 			Sync: kvstore.SyncEveryCommit,
@@ -126,11 +126,12 @@ func engineTortureConfig(fs *kvstore.FaultFS) Config {
 // runEngineWorkload drives the workload, interleaving background merge
 // steps and one full compaction at deterministic points (only between
 // successful operations, so the schedule up to any armed boundary replays
-// exactly). Injected errors do not stop the drive; a power cut does.
-func runEngineWorkload(fs *kvstore.FaultFS, ops []engTortureOp) (lastAcked, attempted int) {
+// exactly). Injected errors do not stop the drive; a power cut does. merges
+// counts the background steps that merged or rewrote a run.
+func runEngineWorkload(fs *kvstore.FaultFS, ops []engTortureOp) (lastAcked, attempted, merges int) {
 	e, err := Open(engineTortureConfig(fs))
 	if err != nil {
-		return 0, 0
+		return 0, 0, 0
 	}
 	for i, op := range ops {
 		attempted = i + 1
@@ -147,8 +148,8 @@ func runEngineWorkload(fs *kvstore.FaultFS, ops []engTortureOp) (lastAcked, atte
 		}
 		if err == nil {
 			lastAcked = i + 1
-			if i%7 == 3 {
-				e.compactOnce()
+			if i%7 == 3 && e.compactOnce() {
+				merges++
 			}
 			if i == 3*len(ops)/4 {
 				e.Compact()
@@ -156,11 +157,11 @@ func runEngineWorkload(fs *kvstore.FaultFS, ops []engTortureOp) (lastAcked, atte
 			continue
 		}
 		if errors.Is(err, kvstore.ErrCrashed) {
-			return lastAcked, attempted
+			return lastAcked, attempted, merges
 		}
 	}
 	_ = e.Close()
-	return lastAcked, attempted
+	return lastAcked, attempted, merges
 }
 
 func engineTortureSeeds(t *testing.T) []int64 {
@@ -196,10 +197,14 @@ func TestCrashTortureEngine(t *testing.T) {
 
 		// Phase A: clean run to count the pipeline's write boundaries.
 		clean := kvstore.NewFaultFS(seed)
-		cleanAcked, _ := runEngineWorkload(clean, ops)
+		cleanAcked, _, merges := runEngineWorkload(clean, ops)
 		if cleanAcked != len(ops) {
 			t.Fatalf("seed %d: clean run acked %d/%d ops", seed, cleanAcked, len(ops))
 		}
+		if merges == 0 {
+			t.Fatalf("seed %d: the workload ran no background merge", seed)
+		}
+		t.Logf("seed %d: %d background merges", seed, merges)
 		points := clean.OpCount()
 		if points == 0 {
 			t.Fatalf("seed %d: no injection points counted", seed)
@@ -216,7 +221,7 @@ func TestCrashTortureEngine(t *testing.T) {
 				}
 				fs := kvstore.NewFaultFS(seed)
 				fs.Arm(point, mode)
-				lastAcked, attempted := runEngineWorkload(fs, ops)
+				lastAcked, attempted, _ := runEngineWorkload(fs, ops)
 				fs.CrashNow()
 				fs.Reboot()
 

@@ -86,67 +86,94 @@ func (r *Report) percentile(p float64) time.Duration {
 	return sorted[idx]
 }
 
-// Runner drives batch queries against an engine.
+// Runner drives batch queries against an in-process engine.
 type Runner struct {
 	Engine *core.Engine
 	// Options for every query. K is raised automatically to 2·(|Q|−1) so
 	// the second-tier metric is measurable; pass a larger K for deeper
 	// result lists.
 	Options core.QueryOptions
-	// QueriesPerSet: how many members of each set act as the query object.
-	// The paper uses the first member; default 1.
-	QueriesPerSet int
 }
 
-// Run executes the benchmark: for each similarity set, the first
-// QueriesPerSet members are used as query objects, the query object itself
-// is excluded from the results, and quality metrics are accumulated.
+// Run executes the benchmark in process: each query is a key look-up and a
+// SearchByID, scored by score's rule.
 func (r *Runner) Run(sets [][]string) (Report, error) {
-	rep := Report{DatasetSize: r.Engine.Count()}
-	perSet := r.QueriesPerSet
-	if perSet <= 0 {
-		perSet = 1
+	return score(sets, r.Engine.Count(), func(key string, k int) ([]string, bool, error) {
+		id, ok := r.Engine.Meta().LookupKey(key)
+		if !ok {
+			return nil, false, nil
+		}
+		opt := r.Options
+		opt.K = max(opt.K, k)
+		ans, err := r.Engine.SearchByID(context.TODO(), id, opt)
+		if err != nil {
+			return nil, true, fmt.Errorf("evaltool: query %s: %w", key, err)
+		}
+		keys := make([]string, len(ans.Results))
+		for i, res := range ans.Results {
+			keys[i] = res.Key
+		}
+		return keys, true, nil
+	})
+}
+
+// queryFunc runs one query by object key for at least k results and returns
+// the result keys in rank order; found is false when the database does not
+// hold key.
+type queryFunc func(key string, k int) (keys []string, found bool, err error)
+
+// score is the evaluation loop of both runners (paper §4.3): the first
+// listed member of each similarity set is the query object, every listed
+// member is gold, a set whose query key the database does not hold is
+// skipped, and the query object itself is dropped from its results. Keys
+// get stable synthetic IDs so the metrics package, which ranks by
+// object.ID, scores key-level results; a gold member the database lacks is
+// never retrieved and takes the default rank datasetSize.
+func score(sets [][]string, datasetSize int, query queryFunc) (Report, error) {
+	rep := Report{DatasetSize: datasetSize}
+	idOf := map[string]object.ID{}
+	intern := func(key string) object.ID {
+		if id, ok := idOf[key]; ok {
+			return id
+		}
+		id := object.ID(len(idOf) + 1)
+		idOf[key] = id
+		return id
 	}
 	for _, set := range sets {
-		// Resolve keys to IDs once per set.
-		ids := make([]object.ID, 0, len(set))
-		for _, key := range set {
-			if id, ok := r.Engine.Meta().LookupKey(key); ok {
-				ids = append(ids, id)
-			}
-		}
-		if len(ids) < 2 {
+		if len(set) < 2 {
 			rep.Skipped++
 			continue
 		}
-		gold := metrics.NewGoldSet(ids...)
-		for qi := 0; qi < perSet && qi < len(ids); qi++ {
-			query := ids[qi]
-			opt := r.Options
-			if need := 2 * (len(ids) - 1); opt.K < need+1 {
-				opt.K = need + 1 // +1 because the query itself may appear
-			}
-			start := time.Now()
-			ans, err := r.Engine.SearchByID(context.TODO(), query, opt)
-			if err != nil {
-				return rep, fmt.Errorf("evaltool: query %d of set: %w", query, err)
-			}
-			lat := time.Since(start)
-			rep.TotalQueryTime += lat
-			rep.latencies = append(rep.latencies, lat)
-			ranked := make([]object.ID, 0, len(ans.Results))
-			for _, res := range ans.Results {
-				if res.ID == query {
-					continue // the query object does not count as a result
-				}
-				ranked = append(ranked, res.ID)
-			}
-			rep.Add(
-				metrics.AveragePrecision(query, gold, ranked, rep.DatasetSize),
-				metrics.FirstTier(query, gold, ranked),
-				metrics.SecondTier(query, gold, ranked),
-			)
+		ids := make([]object.ID, len(set))
+		for i, key := range set {
+			ids[i] = intern(key)
 		}
+		start := time.Now()
+		// +1 because the query object itself may appear in its results.
+		keys, found, err := query(set[0], 2*(len(set)-1)+1)
+		if err != nil {
+			return rep, err
+		}
+		if !found {
+			rep.Skipped++
+			continue
+		}
+		lat := time.Since(start)
+		rep.TotalQueryTime += lat
+		rep.latencies = append(rep.latencies, lat)
+		ranked := make([]object.ID, 0, len(keys))
+		for _, key := range keys {
+			if key != set[0] {
+				ranked = append(ranked, intern(key))
+			}
+		}
+		gold := metrics.NewGoldSet(ids...)
+		rep.Add(
+			metrics.AveragePrecision(ids[0], gold, ranked, rep.DatasetSize),
+			metrics.FirstTier(ids[0], gold, ranked),
+			metrics.SecondTier(ids[0], gold, ranked),
+		)
 	}
 	if rep.Queries > 0 {
 		rep.AvgQueryTime = rep.TotalQueryTime / time.Duration(rep.Queries)

@@ -114,22 +114,6 @@ func TestRunPerfectDataset(t *testing.T) {
 	}
 }
 
-func TestRunMultipleQueriesPerSet(t *testing.T) {
-	e, sets := buildEngine(t)
-	r := &Runner{
-		Engine:        e,
-		Options:       core.QueryOptions{Mode: core.Filtering},
-		QueriesPerSet: 3,
-	}
-	rep, err := r.Run(sets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Queries != 15 {
-		t.Fatalf("ran %d queries, want 15", rep.Queries)
-	}
-}
-
 func TestRunSkipsUnknownSets(t *testing.T) {
 	e, sets := buildEngine(t)
 	sets = append(sets, []string{"ghost/a", "ghost/b"})
@@ -145,7 +129,7 @@ func TestRunSkipsUnknownSets(t *testing.T) {
 
 func TestLatencyPercentiles(t *testing.T) {
 	e, sets := buildEngine(t)
-	r := &Runner{Engine: e, Options: core.QueryOptions{Mode: core.BruteForceOriginal}, QueriesPerSet: 4}
+	r := &Runner{Engine: e, Options: core.QueryOptions{Mode: core.BruteForceOriginal}}
 	rep, err := r.Run(sets)
 	if err != nil {
 		t.Fatal(err)

@@ -10,8 +10,6 @@ import (
 	"syscall"
 	"time"
 
-	"ferret/internal/metrics"
-	"ferret/internal/object"
 	"ferret/internal/protocol"
 )
 
@@ -153,82 +151,37 @@ func (r *RemoteRunner) count() (int, error) {
 	return n, err
 }
 
-// Run evaluates similarity sets of object keys against the remote server.
-// The first member of each set is the query; results are matched by key.
+// Run evaluates similarity sets of object keys against the remote server
+// by score's rule: each query is one QUERY round trip by key under the retry
+// policy. A deterministic server error (the key is not in the database)
+// skips the set; a transient error surviving the retry budget is a real
+// outage and fails the run.
 func (r *RemoteRunner) Run(sets [][]string) (Report, error) {
-	rep := Report{DatasetSize: r.DatasetSize}
 	if r.Timeout > 0 {
 		r.Client.SetTimeout(r.Timeout)
 	}
-	if rep.DatasetSize == 0 {
+	size := r.DatasetSize
+	if size == 0 {
 		n, err := r.count()
 		if err != nil {
-			return rep, fmt.Errorf("evaltool: COUNT: %w", err)
+			return Report{}, fmt.Errorf("evaltool: COUNT: %w", err)
 		}
-		rep.DatasetSize = n
+		size = n
 	}
-	// Keys get stable synthetic IDs so the metrics package (which ranks by
-	// object.ID) can score key-level results.
-	idOf := map[string]object.ID{}
-	intern := func(key string) object.ID {
-		if id, ok := idOf[key]; ok {
-			return id
-		}
-		id := object.ID(len(idOf) + 1)
-		idOf[key] = id
-		return id
-	}
-
-	for _, set := range sets {
-		if len(set) < 2 {
-			rep.Skipped++
-			continue
-		}
-		ids := make([]object.ID, len(set))
-		for i, key := range set {
-			ids[i] = intern(key)
-		}
-		gold := metrics.NewGoldSet(ids...)
-		queryKey := set[0]
-		queryID := ids[0]
-
-		params := r.Params
-		if need := 2*(len(set)-1) + 1; params.K < need {
-			params.K = need
-		}
-		start := time.Now()
-		results, err := r.query(queryKey, params)
+	return score(sets, size, func(key string, k int) ([]string, bool, error) {
+		p := r.Params
+		p.K = max(p.K, k)
+		results, err := r.query(key, p)
 		if err != nil {
-			// Deterministic server errors (e.g. the key is not in the
-			// database) skip the set; a transient error surviving the retry
-			// budget is a real outage and fails the run.
 			if _, ok := err.(*protocol.ServerError); ok && !transientErr(err) {
-				rep.Skipped++
-				continue
+				return nil, false, nil
 			}
-			return rep, fmt.Errorf("evaltool: QUERY %s: %w", queryKey, err)
+			return nil, false, fmt.Errorf("evaltool: QUERY %s: %w", key, err)
 		}
-		lat := time.Since(start)
-		rep.TotalQueryTime += lat
-		rep.latencies = append(rep.latencies, lat)
-
-		ranked := make([]object.ID, 0, len(results))
-		for _, res := range results {
-			if res.Key == queryKey {
-				continue
-			}
-			ranked = append(ranked, intern(res.Key))
+		keys := make([]string, len(results))
+		for i, res := range results {
+			keys[i] = res.Key
 		}
-		rep.Add(
-			metrics.AveragePrecision(queryID, gold, ranked, rep.DatasetSize),
-			metrics.FirstTier(queryID, gold, ranked),
-			metrics.SecondTier(queryID, gold, ranked),
-		)
-	}
-	if rep.Queries > 0 {
-		rep.AvgQueryTime = rep.TotalQueryTime / time.Duration(rep.Queries)
-		rep.P50QueryTime = rep.percentile(0.50)
-		rep.P95QueryTime = rep.percentile(0.95)
-	}
-	return rep, nil
+		return keys, true, nil
+	})
 }

@@ -64,3 +64,49 @@ func TestRemoteRunner(t *testing.T) {
 		t.Fatalf("singleton skipped=%d", rep.Skipped)
 	}
 }
+
+// TestLocalAndRemoteScoreAlike runs one benchmark file in process and over
+// loopback and requires equal reports. The file lists a member the
+// database does not hold behind a present query key (it is gold, never
+// retrieved), and a set whose query key is unknown (skipped).
+func TestLocalAndRemoteScoreAlike(t *testing.T) {
+	engine, sets := buildEngine(t)
+	sets[0] = append(sets[0], "c0/never-ingested")
+	sets = append(sets, []string{"ghost/q", "c1/m0"})
+	srv := &server.Server{Engine: engine, DefaultK: 10}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(context.Background(), l)
+	t.Cleanup(func() { srv.Close() })
+	client, err := protocol.Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+
+	for _, mode := range []string{"bruteforce", "sketch", "filtering"} {
+		m, err := core.ParseMode(mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local, err := (&Runner{Engine: engine, Options: core.QueryOptions{Mode: m}}).Run(sets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		remote, err := (&RemoteRunner{Client: client, Params: protocol.QueryParams{Mode: mode}}).Run(sets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if local.QualityStats != remote.QualityStats || local.Skipped != remote.Skipped || local.DatasetSize != remote.DatasetSize {
+			t.Fatalf("mode %s: in process %s, over loopback %s", mode, local, remote)
+		}
+		if local.Queries != 5 || local.Skipped != 1 {
+			t.Fatalf("mode %s: %s, want 5 queries and 1 skipped set", mode, local)
+		}
+		if local.AvgFirstTier == 1 {
+			t.Fatalf("mode %s: the missing member scored as found: %s", mode, local)
+		}
+	}
+}

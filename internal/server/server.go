@@ -7,7 +7,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -905,7 +904,7 @@ func (s *Server) queryOptions(req *protocol.Command) (core.QueryOptions, error) 
 		opt.K = req.K
 	}
 	var ok bool
-	if opt.Mode, ok = parseMode(req.Mode); !ok {
+	if opt.Mode, ok = core.ModeOf(req.Mode); !ok {
 		return opt, fmt.Errorf("unknown mode %q", req.Mode)
 	}
 	// Per-query time budget: the server's configured budget, optionally
@@ -922,25 +921,6 @@ func (s *Server) queryOptions(req *protocol.Command) (core.QueryOptions, error) 
 		}
 	}
 	return opt, nil
-}
-
-// parseMode maps a wire mode name to the engine mode, case-insensitively,
-// without converting it to a heap string: the switch's string(b) conversions
-// compile to allocation-free comparisons, and only a name that matches
-// nothing as sent pays for lower-casing.
-func parseMode(b []byte) (core.Mode, bool) {
-	switch string(b) {
-	case "", "filtering", "filter":
-		return core.Filtering, true
-	case "bruteforce", "original":
-		return core.BruteForceOriginal, true
-	case "sketch", "bruteforcesketch":
-		return core.BruteForceSketch, true
-	}
-	if lower := bytes.ToLower(b); !bytes.Equal(lower, b) {
-		return parseMode(lower)
-	}
-	return 0, false
 }
 
 // reweight scales the query object's segment weights by the comma-separated

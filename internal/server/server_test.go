@@ -109,6 +109,39 @@ func TestQueryModes(t *testing.T) {
 	}
 }
 
+// TestWireModeNamesMatchParseMode: every mode name the in-process path
+// accepts answers over the wire with the same mode, in any letter case.
+func TestWireModeNamesMatchParseMode(t *testing.T) {
+	client, engine := startServer(t, nil)
+	id, ok := engine.Meta().LookupKey("c2/m1")
+	if !ok {
+		t.Fatal("c2/m1 not ingested")
+	}
+	for _, name := range []string{"filtering", "filter", "bruteforce", "original", "bruteforceoriginal",
+		"BruteForceOriginal", "sketch", "bruteforcesketch", "SKETCH"} {
+		mode, err := core.ParseMode(name)
+		if err != nil {
+			t.Fatalf("ParseMode(%q): %v", name, err)
+		}
+		want, err := engine.SearchByID(context.Background(), id, core.QueryOptions{K: 6, Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := client.Query("c2/m1", protocol.QueryParams{K: 6, Mode: name})
+		if err != nil {
+			t.Fatalf("mode %q over the wire: %v", name, err)
+		}
+		if len(got) != len(want.Results) {
+			t.Fatalf("mode %q: %d results over the wire, %d in process", name, len(got), len(want.Results))
+		}
+		for i, r := range want.Results {
+			if got[i].Key != r.Key || got[i].Distance != r.Distance {
+				t.Fatalf("mode %q result %d: wire %+v, in process %+v", name, i, got[i], r)
+			}
+		}
+	}
+}
+
 func TestQueryUnknownKey(t *testing.T) {
 	client, _ := startServer(t, nil)
 	_, err := client.Query("nope", protocol.QueryParams{})
