@@ -17,7 +17,7 @@ import (
 // Ablations quantify the design choices DESIGN.md calls out: the XOR-fold
 // factor K of sketch construction, the improved-EMD variants, the filter
 // parameters (r, k), the relaxed durability mode of the metadata store,
-// and the optional bit-sampling segment index.
+// and the optional multi-table Hamming index.
 
 // AblationRow is one measurement: a configuration label with quality
 // and/or timing numbers (negative values mean "not applicable").
