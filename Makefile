@@ -82,10 +82,12 @@ bench:
 # not checked. BenchmarkReopen runs at both too: its set-up builds a closed
 # store of the benchmark's image and shape corpora, and Open rebuilds their
 # sketches serially and in parallel. BenchmarkIngestCheckpointCrossing fails
-# on a load that wrote fewer than three checkpoints.
+# on a load that wrote fewer than three checkpoints. BenchmarkBuild96Bit14D
+# and BenchmarkBuild800Bit544D fail when the build kernel's sketches differ
+# from the scalar loop's on their vectors.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Filter|Rank|LowerBounds|Reopen' -benchtime 1x -cpu 1,2 ./internal/core
-	$(GO) test -run '^$$' -bench 'TailSweep|HammingSelect|IngestCheckpointCrossing' -benchtime 1x ./internal/core ./internal/sketch
+	$(GO) test -run '^$$' -bench 'TailSweep|HammingSelect|IngestCheckpointCrossing|Build' -benchtime 1x ./internal/core ./internal/sketch
 
 # The measurement a performance claim rests on: $(BENCH_PAIRS) alternating
 # parent/change runs of benchmark/run.sh per workload on seeds 1..N, every

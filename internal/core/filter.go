@@ -82,6 +82,8 @@ type queryScratch struct {
 	segs   []object.Segment    // Engine.object's buffer on the calling goroutine
 	qsegs  []object.Segment    // a by-ID query's segments, viewed over its stored record
 	stored metastore.SketchSet // a by-ID query's sketches, viewed over its arena rows
+	built  metastore.SketchSet // an object query's sketches, built into bwords
+	bwords []uint64
 
 	// The stage being shared with idle helpers and its workers' buffers.
 	fan     fanout

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ferret/internal/object"
+	"ferret/internal/sketch"
 )
 
 // TestIngestQueueShed pins the shed policy: with the commit path frozen
@@ -169,4 +170,59 @@ func settledGoroutines() int {
 		}
 	}
 	return n
+}
+
+// TestIngestAllocs pins the allocations of one Ingest of a 10-segment image
+// object (14-d, 96-bit sketches) into a live tail that does not seal: the
+// store commit, the record, the published view, and the object's sketch set
+// in three slices with every sketch in one backing array (sketchInto): 15
+// allocations. With one allocation per sketch, as before sketchInto, it
+// read 25.
+func TestIngestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const d, nseg, runs = 14, 10, 200
+	max := make([]float32, d)
+	for i := range max {
+		max[i] = 1
+	}
+	e := openEngine(t, Config{
+		Dir:      t.TempDir(),
+		Sketch:   sketch.Params{N: 96, K: 1, Min: make([]float32, d), Max: max, Seed: 201},
+		Segments: SegmentParams{SealEntries: 4 * runs, Interval: -1},
+	})
+	rng := rand.New(rand.NewSource(11))
+	objs := make([]object.Object, 2*runs+2)
+	for i := range objs {
+		weights, vecs := make([]float32, nseg), make([][]float32, nseg)
+		for s := range vecs {
+			weights[s] = rng.Float32() + 0.1
+			vecs[s] = make([]float32, d)
+			for j := range vecs[s] {
+				vecs[s][j] = rng.Float32()
+			}
+		}
+		o, err := object.New(fmt.Sprintf("img-%04d", i), weights, vecs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs[i] = o
+	}
+	next := 0
+	ingest := func() {
+		if _, err := e.Ingest(objs[next], nil); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for range runs {
+		ingest() // grow the tail and the store's tables past their first sizes
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	got := testing.AllocsPerRun(runs, ingest)
+	t.Logf("%.0f allocations an ingest", got)
+	if want := 15.0; got > want {
+		t.Errorf("Ingest allocates %.0f objects, want at most %.0f", got, want)
+	}
 }

@@ -133,8 +133,9 @@ func buildEngine(dt dataType, nBits int, objs []object.Object, attrs []attr.Attr
 }
 
 // quality runs the evaluation tool in the given mode and returns the
-// report.
-func quality(e *core.Engine, sets [][]string, mode core.Mode) (evaltool.Report, error) {
+// report. It is a variable so TestQualityPin can also read the ranked
+// answers of each engine it scores.
+var quality = func(e *core.Engine, sets [][]string, mode core.Mode) (evaltool.Report, error) {
 	r := &evaltool.Runner{Engine: e, Options: core.QueryOptions{Mode: mode}}
 	return r.Run(sets)
 }

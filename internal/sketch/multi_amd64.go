@@ -89,7 +89,20 @@ func crossMinAVX512(m *MultiSketch, w []uint64, n int, rowMin, colMin []int32) {
 	hammingCrossMin2(&m.words[0], m.nq, &w[0], n, &rowMin[0], &colMin[0])
 }
 
+// detectAVX512 reports AVX-512F with the VPOPCNTDQ extension, which the
+// select and cross-min kernels use.
 func detectAVX512() bool {
+	if !detectAVX512F() {
+		return false
+	}
+	_, _, c7, _ := cpuid(7, 0)
+	const vpopcntdq = 1 << 14 // ECX
+	return c7&vpopcntdq != 0
+}
+
+// detectAVX512F reports AVX-512 Foundation and OS support for ZMM state:
+// all the build kernel needs.
+func detectAVX512F() bool {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
 		return false
@@ -106,10 +119,9 @@ func detectAVX512() bool {
 	if lo&zmmState != zmmState {
 		return false
 	}
-	_, b7, c7, _ := cpuid(7, 0)
-	const avx512f = 1 << 16   // EBX
-	const vpopcntdq = 1 << 14 // ECX
-	return b7&avx512f != 0 && c7&vpopcntdq != 0
+	_, b7, _, _ := cpuid(7, 0)
+	const avx512f = 1 << 16 // EBX
+	return b7&avx512f != 0
 }
 
 func selectMultiAVX512(m *MultiSketch, arena []uint64, off, count int, bounds, idx, dist []int32, stride int, ns []int32) {

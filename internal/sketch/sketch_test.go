@@ -245,90 +245,6 @@ func TestBuildDimensionPanics(t *testing.T) {
 	b.Build([]float32{1, 2})
 }
 
-func BenchmarkBuild96Bit14D(b *testing.B) {
-	bl, _ := NewBuilder(params(96, 1, 14))
-	v := make([]float32, 14)
-	for i := range v {
-		v[i] = 0.5
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		bl.Build(v)
-	}
-}
-
-// BenchmarkBuild800Bit544D is the shape corpora's sketch: 800 bits of a
-// 544-d vector whose entries vary, so every compare is a coin toss.
-func BenchmarkBuild800Bit544D(b *testing.B) {
-	bl, _ := NewBuilder(params(800, 1, 544))
-	rng := rand.New(rand.NewSource(7))
-	vs := make([][]float32, 64)
-	for i := range vs {
-		vs[i] = make([]float32, 544)
-		for j := range vs[i] {
-			vs[i][j] = rng.Float32()
-		}
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		bl.Build(vs[i%len(vs)])
-	}
-}
-
-// scalarBuild is Algorithm 2 written plainly: bit n is the XOR over its K
-// pairs of v[i] ≥ t.
-func scalarBuild(b *Builder, v []float32) Sketch {
-	s := make(Sketch, Words(b.n))
-	for n := 0; n < b.n; n++ {
-		var x uint64
-		for k := 0; k < b.k; k++ {
-			if v[b.pairsI[n*b.k+k]] >= b.pairsT[n*b.k+k] {
-				x ^= 1
-			}
-		}
-		s[n/64] |= x << (n % 64)
-	}
-	return s
-}
-
-// TestBuildMatchesScalar pins Build's bits against the plain loop, for
-// widths that end mid-word and on a word boundary, with entries on and
-// around the thresholds, signed zeros and values outside the box.
-func TestBuildMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, n := range []int{96, 600, 800} {
-		for _, k := range []int{1, 3} {
-			const d = 37
-			bl, err := NewBuilder(params(n, k, d))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for trial := 0; trial < 64; trial++ {
-				v := make([]float32, d)
-				for i := range v {
-					switch rng.Intn(6) {
-					case 0:
-						v[i] = float32(math.Copysign(0, -1))
-					case 1:
-						v[i] = 1.5 - 3*rng.Float32()
-					default:
-						v[i] = rng.Float32()
-					}
-				}
-				for j := 0; j < n*k; j += 7 { // exactly on some thresholds
-					v[bl.pairsI[j]] = bl.pairsT[j]
-				}
-				got, want := bl.Build(v), scalarBuild(bl, v)
-				for w := range want {
-					if got[w] != want[w] {
-						t.Fatalf("N %d K %d trial %d: word %d = %#x, want %#x", n, k, trial, w, got[w], want[w])
-					}
-				}
-			}
-		}
-	}
-}
-
 func BenchmarkHamming600Bit(b *testing.B) {
 	bl, _ := NewBuilder(params(600, 2, 192))
 	v1 := make([]float32, 192)

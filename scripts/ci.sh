@@ -17,10 +17,11 @@
 #              the segmented ingest pipeline (seal, merge, checkpoint).
 #              Seed printed on failure; rerun one scenario with
 #              FERRET_TORTURE_SEED=<seed>
-#   bench-smoke  one iteration of every filter, rank and select-kernel
-#              microbenchmark (internal/core, internal/sketch), so their
-#              guards — an index-served descent with no fallback, the
-#              four-sealed-segments-plus-tail image corpus — cannot bit-rot;
+#   bench-smoke  one iteration of every filter, rank, select-kernel and
+#              sketch-build microbenchmark (internal/core, internal/sketch),
+#              so their guards — an index-served descent with no fallback,
+#              the four-sealed-segments-plus-tail image corpus, build-kernel
+#              sketches equal to the scalar loop's — cannot bit-rot;
 #              the filter, rank and lower-bound set runs at -cpu 1,2, so
 #              both the caller-only path and the path that shares a query's
 #              stages with an idle helper run, and so does BenchmarkReopen
